@@ -36,9 +36,14 @@ func BulkLoad(cap int, alg Algorithm, keys []int64, vals []uint64, fill float64)
 		if end > len(keys) {
 			end = len(keys)
 		}
-		n := &node{level: 1}
-		n.keys = append(n.keys, keys[off:end]...)
-		n.vals = append(n.vals, vals[off:end]...)
+		n := t.newNode(1)
+		if n.fixed {
+			n.cnt.Store(int32(copy(n.keys, keys[off:end])))
+			copy(n.vals, vals[off:end])
+		} else {
+			n.keys = append(n.keys, keys[off:end]...)
+			n.vals = append(n.vals, vals[off:end]...)
+		}
 		level = append(level, built{n: n, min: keys[off]})
 	}
 	linkLevel(level)
@@ -53,12 +58,15 @@ func BulkLoad(cap int, alg Algorithm, keys []int64, vals []uint64, fill float64)
 			if end > len(level) {
 				end = len(level)
 			}
-			n := &node{level: h}
+			n := t.newNode(h)
 			for j := off; j < end; j++ {
 				n.children = append(n.children, level[j].n)
 				if j > off {
 					n.keys = append(n.keys, level[j].min)
 				}
+			}
+			if alg == OLC {
+				n.setRouting(n.keys, n.children)
 			}
 			parents = append(parents, built{n: n, min: level[off].min})
 		}
@@ -66,21 +74,9 @@ func BulkLoad(cap int, alg Algorithm, keys []int64, vals []uint64, fill float64)
 		level = parents
 	}
 
-	if alg == OLC {
-		publishAll(level[0].n)
-	}
 	t.root.Store(level[0].n)
 	t.size.Store(int64(len(keys)))
 	return t, nil
-}
-
-// publishAll publishes the snapshot of every node in a just-built
-// subtree (OLC readers require one before a node becomes reachable).
-func publishAll(n *node) {
-	n.publish()
-	for _, c := range n.children {
-		publishAll(c)
-	}
 }
 
 // built pairs a constructed node with the smallest key of its subtree.
@@ -93,8 +89,7 @@ type built struct {
 // and high keys (the next node's minimum).
 func linkLevel(level []built) {
 	for i := 0; i < len(level)-1; i++ {
-		level[i].n.right = level[i+1].n
-		level[i].n.high = level[i+1].min
-		level[i].n.hasHigh = true
+		level[i].n.right.Store(level[i+1].n)
+		level[i].n.high.Store(level[i+1].min)
 	}
 }

@@ -13,14 +13,16 @@
 //     hold at most one lock at a time; splits are half-splits repaired
 //     upward.
 //   - OLC — optimistic lock-coupling: writers follow the Link-type
-//     protocol under seqlock-style versioned W locks, readers descend
-//     latch-free against immutable node snapshots validated by version,
+//     protocol under seqlock-style versioned W locks and change nodes in
+//     place, readers descend latch-free through the same storage and
+//     trust what they read only once the node's version validates,
 //     restarting on conflict with a bounded-retry fallback to the locked
 //     path (see olc.go).
 //
-// All algorithms run against the same node layout, so they are
-// directly comparable (see the benchmarks at the repository root, the
-// modern analogue of the paper's Figure 12).
+// All algorithms run against the same node type, so they are directly
+// comparable (see the benchmarks at the repository root, the modern
+// analogue of the paper's Figure 12); OLC only constrains how a node's
+// storage is allocated and written (see node).
 //
 // Restructuring is merge-at-empty in the lazy sense the paper adopts for
 // the Link-type algorithm: nodes emptied by deletes remain in place and
@@ -71,7 +73,7 @@ type Stats struct {
 	Splits        int64 // node splits
 	Restarts      int64 // Optimistic second descents
 	Crossings     int64 // LinkType/OLC right-link follows
-	ReadRestarts  int64 // OLC failed snapshot validations
+	ReadRestarts  int64 // OLC failed version validations
 	ReadFallbacks int64 // OLC descents that fell back to locking
 }
 
@@ -80,66 +82,75 @@ type Stats struct {
 // protected by mu, except that the pointer identity of a node never
 // changes and nodes are never freed (the GC reclaims unreachable ones),
 // so holding a stale pointer is always safe — the Link-type protocol
-// then recovers via right links.
+// then recovers via right links. A node has a high key exactly when it
+// has a right sibling.
+//
+// Under the three lock-based algorithms keys, vals and children hold
+// exactly the node's items (len = count) and grow by append.
+//
+// Under OLC the same fields are also read by latch-free readers, between
+// ReadBegin and Validate, while a writer may be at work, so the layout
+// obeys lock.VersionLock's contract:
+//
+//   - a leaf (fixed == true) gets keys and vals once, at cap+1 slots —
+//     room for the overflow a split resolves — and the two slice
+//     headers never change again, so no index a reader computes can
+//     leave the storage. cnt is the item count; writers shift items in
+//     place with atomic stores, readers use atomic loads;
+//   - an inner node's keys and children are copy-on-write: a writer
+//     never stores into the arrays, it installs fresh slices and
+//     publishes the pair through img, the only way latch-free readers
+//     reach them. Inner nodes change once per child split, so this is
+//     the cheap side to keep immutable;
+//   - right and high are atomic for every algorithm (a plain load on the
+//     platforms this runs on; they are stored only by splits).
+//
+// Lock holders read everything plainly: the lock orders them with the
+// writers.
 type node struct {
 	mu       lock.VersionLock
 	level    int
+	cnt      atomic.Int32 // OLC leaf: items in keys/vals
+	fixed    bool         // OLC leaf: keys/vals have constant len cap+1
 	keys     []int64
 	vals     []uint64
 	children []*node
-	right    *node
-	high     int64
-	hasHigh  bool
-
-	// snap is the node's immutable published image, maintained only in
-	// OLC mode: every mutating W critical section rebuilds it before
-	// UnlockV, so whenever the version word is even (no writer) the
-	// snapshot equals the live fields. Latch-free readers load it
-	// through the ReadBegin/Validate protocol and never touch the
-	// mutable slices — that is what makes OLC reads race-free in the
-	// Go memory model, with the version word supplying recency.
-	snap atomic.Pointer[nodeSnap]
+	right    atomic.Pointer[node]
+	high     atomic.Int64
+	img      atomic.Pointer[routing] // OLC inner node: {keys, children}
 }
 
-// nodeSnap is one immutable image of a node. Fields mirror node's.
-type nodeSnap struct {
+// routing is what a latch-free reader sees of an OLC inner node: the
+// node's current keys and children slices, immutable once published.
+type routing struct {
 	keys     []int64
-	vals     []uint64
 	children []*node
-	right    *node
-	high     int64
-	hasHigh  bool
 }
 
-// publish rebuilds n's immutable snapshot from its live fields. Caller
-// must hold n.mu exclusively, or own n exclusively because it is not yet
-// reachable (construction, bulk load).
-func (n *node) publish() {
-	s := &nodeSnap{
-		right:   n.right,
-		high:    n.high,
-		hasHigh: n.hasHigh,
-	}
-	if len(n.keys) > 0 {
-		s.keys = append(make([]int64, 0, len(n.keys)), n.keys...)
-	}
-	if len(n.vals) > 0 {
-		s.vals = append(make([]uint64, 0, len(n.vals)), n.vals...)
-	}
-	if len(n.children) > 0 {
-		s.children = append(make([]*node, 0, len(n.children)), n.children...)
-	}
-	n.snap.Store(s)
+// setRouting installs an OLC inner node's routing arrays. Caller holds
+// n.mu exclusively, or owns n because it is not yet reachable.
+func (n *node) setRouting(keys []int64, children []*node) {
+	n.keys, n.children = keys, children
+	n.img.Store(&routing{keys: keys, children: children})
 }
-
-// covers is the snapshot form of node.covers.
-func (s *nodeSnap) covers(key int64) bool { return !s.hasHigh || key < s.high }
 
 func (n *node) isLeaf() bool { return n.level == 1 }
+
+// leaf returns the keys and values a leaf holds. Caller must hold n.mu.
+func (n *node) leaf() ([]int64, []uint64) {
+	if n.fixed {
+		c := n.cnt.Load()
+		return n.keys[:c], n.vals[:c]
+	}
+	return n.keys, n.vals
+}
 
 // items is the paper's occupancy: keys for leaves, children for internal
 // nodes. Caller must hold n.mu.
 func (n *node) items() int {
+	if n.fixed {
+		return int(n.cnt.Load())
+	}
 	if n.isLeaf() {
 		return len(n.keys)
 	}
@@ -148,7 +159,7 @@ func (n *node) items() int {
 
 // covers reports whether key belongs at or below this node (Link-type
 // high-key test). Caller must hold n.mu.
-func (n *node) covers(key int64) bool { return !n.hasHigh || key < n.high }
+func (n *node) covers(key int64) bool { return n.right.Load() == nil || key < n.high.Load() }
 
 // linearScanMax is the node occupancy below which key search scans
 // sequentially: for a handful of keys a branch-predictable linear scan
@@ -157,43 +168,28 @@ func (n *node) covers(key int64) bool { return !n.hasHigh || key < n.high }
 // implementations are cross-checked against each other in search_test.go.
 const linearScanMax = 16
 
+// route returns the child slot routing key among separators keys.
+func route(keys []int64, key int64) int {
+	if len(keys) < linearScanMax {
+		return routeLinear(keys, key)
+	}
+	return routeBinary(keys, key)
+}
+
 // childIndex returns the child slot routing key. Caller must hold n.mu.
-func (n *node) childIndex(key int64) int {
-	if len(n.keys) < linearScanMax {
-		return routeLinear(n.keys, key)
-	}
-	return routeBinary(n.keys, key)
-}
-
-// childIndex returns the child slot routing key within a snapshot.
-func (s *nodeSnap) childIndex(key int64) int {
-	if len(s.keys) < linearScanMax {
-		return routeLinear(s.keys, key)
-	}
-	return routeBinary(s.keys, key)
-}
-
-// keyIndex locates key in a leaf snapshot (see node.keyIndex).
-func (s *nodeSnap) keyIndex(key int64) (int, bool) {
-	var lo int
-	if len(s.keys) < linearScanMax {
-		lo = lowerBoundLinear(s.keys, key)
-	} else {
-		lo = lowerBoundBinary(s.keys, key)
-	}
-	return lo, lo < len(s.keys) && s.keys[lo] == key
-}
+func (n *node) childIndex(key int64) int { return route(n.keys, key) }
 
 // keyIndex locates key in a leaf, returning its slot (or the slot it
 // would occupy) and whether it is present. Caller must hold n.mu.
 func (n *node) keyIndex(key int64) (int, bool) {
+	keys, _ := n.leaf()
 	var lo int
-	if len(n.keys) < linearScanMax {
-		lo = lowerBoundLinear(n.keys, key)
+	if len(keys) < linearScanMax {
+		lo = lowerBoundLinear(keys, key)
 	} else {
-		lo = lowerBoundBinary(n.keys, key)
+		lo = lowerBoundBinary(keys, key)
 	}
-	return lo, lo < len(n.keys) && n.keys[lo] == key
+	return lo, lo < len(keys) && keys[lo] == key
 }
 
 // routeLinear returns the number of separators ≤ key (the child slot
@@ -246,6 +242,22 @@ func lowerBoundBinary(keys []int64, key int64) int {
 	return lo
 }
 
+// lowerBoundAtomic is lowerBoundBinary for a latch-free reader: a writer
+// may be shifting keys meanwhile, so every probe is an atomic load and
+// the result means nothing until the node's version validates.
+func lowerBoundAtomic(keys []int64, key int64) int {
+	lo, hi := 0, len(keys)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if atomic.LoadInt64(&keys[mid]) < key {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
 // Tree is a concurrent B⁺-tree. Create one with New. All methods are safe
 // for concurrent use by any number of goroutines.
 type Tree struct {
@@ -257,7 +269,7 @@ type Tree struct {
 	splits        atomic.Int64
 	restarts      atomic.Int64
 	crossings     atomic.Int64
-	readRestarts  atomic.Int64 // OLC failed snapshot validations
+	readRestarts  atomic.Int64 // OLC failed version validations
 	readFallbacks atomic.Int64 // OLC descents that fell back to locking
 
 	// probe, when set (see Instrument), supplies the telemetry sink every
@@ -276,12 +288,23 @@ func New(cap int, alg Algorithm) *Tree {
 		panic(fmt.Sprintf("cbtree: unknown algorithm %v", alg))
 	}
 	t := &Tree{alg: alg, cap: cap}
-	r := &node{level: 1}
-	if alg == OLC {
-		r.publish()
-	}
-	t.root.Store(r)
+	t.root.Store(t.newNode(1))
 	return t
+}
+
+// newNode returns an empty node for the given level, wired to the
+// level's telemetry sink and, for an OLC leaf, holding its fixed storage.
+func (t *Tree) newNode(level int) *node {
+	n := &node{level: level}
+	if t.probe != nil {
+		n.mu.SetProbe(t.probe(level))
+	}
+	if t.alg == OLC && level == 1 {
+		n.fixed = true
+		n.keys = make([]int64, t.cap+1)
+		n.vals = make([]uint64, t.cap+1)
+	}
+	return n
 }
 
 // Cap returns the node capacity.
@@ -366,40 +389,55 @@ func writeIfLeaf(n *node) bool { return n.isLeaf() }
 
 // split moves the upper half of n into a new right sibling, maintaining
 // right links and high keys (a Lehman–Yao half-split). Caller holds n.mu
-// exclusively. Returns the sibling and separator.
+// exclusively. Returns the sibling and separator. Under OLC the sibling
+// is complete before n's right link makes it reachable, and everything a
+// latch-free reader can see of n changes by atomic stores.
 func (t *Tree) split(n *node) (*node, int64) {
 	t.splits.Add(1)
-	sib := &node{level: n.level}
-	if t.probe != nil {
-		sib.mu.SetProbe(t.probe(sib.level))
-	}
+	sib := t.newNode(n.level)
 	var sep int64
-	if n.isLeaf() {
+	switch {
+	case n.fixed:
+		keys, vals := n.leaf()
+		m := (len(keys) + 1) / 2
+		sib.cnt.Store(int32(copy(sib.keys, keys[m:])))
+		copy(sib.vals, vals[m:])
+		n.cnt.Store(int32(m))
+		sep = sib.keys[0]
+	case n.isLeaf():
 		m := (len(n.keys) + 1) / 2
 		sib.keys = append(sib.keys, n.keys[m:]...)
 		sib.vals = append(sib.vals, n.vals[m:]...)
 		n.keys = n.keys[:m:m]
 		n.vals = n.vals[:m:m]
 		sep = sib.keys[0]
-	} else {
+	default:
 		m := (len(n.children) + 1) / 2
 		sep = n.keys[m-1]
 		sib.children = append(sib.children, n.children[m:]...)
 		sib.keys = append(sib.keys, n.keys[m:]...)
 		n.children = n.children[:m:m]
 		n.keys = n.keys[: m-1 : m-1]
+		if t.alg == OLC {
+			sib.setRouting(sib.keys, sib.children)
+			n.setRouting(n.keys, n.children)
+		}
 	}
-	sib.high, sib.hasHigh = n.high, n.hasHigh
-	sib.right = n.right
-	n.right = sib
-	n.high, n.hasHigh = sep, true
+	sib.high.Store(n.high.Load())
+	sib.right.Store(n.right.Load())
+	n.high.Store(sep)
+	n.right.Store(sib)
 	return sib, sep
 }
 
 // addChild installs a (separator, child) pair. Caller holds n.mu
 // exclusively and n must cover sep.
-func (n *node) addChild(sep int64, child *node) {
+func (t *Tree) addChild(n *node, sep int64, child *node) {
 	i := n.childIndex(sep)
+	if t.alg == OLC {
+		n.setRouting(insertCopy(n.keys, i, sep), insertCopy(n.children, i+1, child))
+		return
+	}
 	n.keys = insertAt(n.keys, i, sep)
 	n.children = insertAt(n.children, i+1, child)
 }
@@ -407,18 +445,12 @@ func (n *node) addChild(sep int64, child *node) {
 // growRoot replaces the root after splitting it. Caller holds old.mu
 // exclusively and has verified old is the current root.
 func (t *Tree) growRoot(old *node, sep int64, sib *node) {
-	r := &node{
-		level:    old.level + 1,
-		keys:     []int64{sep},
-		children: []*node{old, sib},
-	}
-	if t.probe != nil {
-		r.mu.SetProbe(t.probe(r.level))
-	}
+	r := t.newNode(old.level + 1)
+	r.keys, r.children = []int64{sep}, []*node{old, sib}
 	if t.alg == OLC {
 		// Latch-free readers may reach the new root the instant the CAS
-		// lands; its snapshot must already exist.
-		r.publish()
+		// lands.
+		r.setRouting(r.keys, r.children)
 	}
 	if !t.root.CompareAndSwap(old, r) {
 		panic("cbtree: concurrent root replacement")
@@ -436,4 +468,13 @@ func insertAt[T any](s []T, i int, v T) []T {
 func removeAt[T any](s []T, i int) []T {
 	copy(s[i:], s[i+1:])
 	return s[:len(s)-1]
+}
+
+// insertCopy is insertAt into a fresh slice, leaving s untouched.
+func insertCopy[T any](s []T, i int, v T) []T {
+	out := make([]T, len(s)+1)
+	copy(out, s[:i])
+	out[i] = v
+	copy(out[i+1:], s[i:])
+	return out
 }

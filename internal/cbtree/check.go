@@ -34,32 +34,37 @@ func (t *Tree) checkNode(n *node, lo, hi int64, hiInf bool, leftmost map[int]*no
 		return fmt.Errorf("cbtree: level %d node over capacity: %d > %d", n.level, n.items(), t.cap)
 	}
 	if t.alg == OLC {
-		if err := n.checkSnap(); err != nil {
+		if err := t.checkLayout(n); err != nil {
 			return err
 		}
 	}
+	right := n.right.Load()
 	if hiInf {
-		if n.hasHigh {
-			return fmt.Errorf("cbtree: rightmost level-%d node has finite high key", n.level)
+		if right != nil {
+			return fmt.Errorf("cbtree: rightmost level-%d node has a right sibling", n.level)
 		}
-	} else if !n.hasHigh || n.high != hi {
-		return fmt.Errorf("cbtree: level %d high key %v/%v, want %d", n.level, n.high, n.hasHigh, hi)
+	} else if right == nil || n.high.Load() != hi {
+		return fmt.Errorf("cbtree: level %d high key %d (right %p), want %d", n.level, n.high.Load(), right, hi)
 	}
-	for i := 1; i < len(n.keys); i++ {
-		if n.keys[i-1] >= n.keys[i] {
+	keys := n.keys
+	if n.isLeaf() {
+		var vals []uint64
+		if keys, vals = n.leaf(); len(vals) != len(keys) {
+			return fmt.Errorf("cbtree: leaf key/val mismatch")
+		}
+	}
+	for i := 1; i < len(keys); i++ {
+		if keys[i-1] >= keys[i] {
 			return fmt.Errorf("cbtree: level %d keys out of order", n.level)
 		}
 	}
 	if n.isLeaf() {
-		if len(n.vals) != len(n.keys) {
-			return fmt.Errorf("cbtree: leaf key/val mismatch")
-		}
-		for _, k := range n.keys {
+		for _, k := range keys {
 			if k < lo || (!hiInf && k >= hi) {
 				return fmt.Errorf("cbtree: leaf key %d outside [%d, %d)", k, lo, hi)
 			}
 		}
-		*count += len(n.keys)
+		*count += len(keys)
 		return nil
 	}
 	if len(n.children) != len(n.keys)+1 || len(n.children) == 0 {
@@ -84,38 +89,42 @@ func (t *Tree) checkNode(n *node, lo, hi int64, hiInf bool, leftmost map[int]*no
 	return nil
 }
 
-// checkSnap verifies the OLC invariant that a quiescent node's published
-// snapshot exists, is current, and the version word is even: every
-// mutating critical section must republish before UnlockV.
-func (n *node) checkSnap() error {
+// checkLayout verifies what OLC's latch-free readers rely on (see node):
+// the version word is even at quiescence; a leaf's storage has exactly
+// the fixed size, so it was never reallocated into (checkNode has
+// already bounded the count by cap); an inner node's routing image is
+// the node's own arrays, with no pointer left behind them for the GC to
+// retain.
+func (t *Tree) checkLayout(n *node) error {
 	if v := n.mu.Version(); v&1 != 0 {
 		return fmt.Errorf("cbtree: level %d node version %d odd while quiescent", n.level, v)
 	}
-	s := n.snap.Load()
-	if s == nil {
-		return fmt.Errorf("cbtree: level %d node without a published snapshot", n.level)
-	}
-	if len(s.keys) != len(n.keys) || len(s.vals) != len(n.vals) ||
-		len(s.children) != len(n.children) ||
-		s.right != n.right || s.high != n.high || s.hasHigh != n.hasHigh {
-		return fmt.Errorf("cbtree: level %d snapshot shape stale", n.level)
-	}
-	for i := range n.keys {
-		if s.keys[i] != n.keys[i] {
-			return fmt.Errorf("cbtree: level %d snapshot key %d stale", n.level, i)
+	r := n.img.Load()
+	if n.isLeaf() {
+		size := t.cap + 1
+		if !n.fixed || len(n.keys) != size || cap(n.keys) != size || len(n.vals) != size || cap(n.vals) != size {
+			return fmt.Errorf("cbtree: leaf storage keys %d/%d vals %d/%d, want the fixed %d",
+				len(n.keys), cap(n.keys), len(n.vals), cap(n.vals), size)
 		}
-	}
-	for i := range n.vals {
-		if s.vals[i] != n.vals[i] {
-			return fmt.Errorf("cbtree: level %d snapshot val %d stale", n.level, i)
+		if r != nil || n.children != nil {
+			return fmt.Errorf("cbtree: leaf with routing")
 		}
+		return nil
 	}
-	for i := range n.children {
-		if s.children[i] != n.children[i] {
-			return fmt.Errorf("cbtree: level %d snapshot child %d stale", n.level, i)
+	if n.fixed || r == nil || !sameArray(r.keys, n.keys) || !sameArray(r.children, n.children) {
+		return fmt.Errorf("cbtree: level %d routing image is not the node's keys and children", n.level)
+	}
+	for _, c := range n.children[len(n.children):cap(n.children)] {
+		if c != nil {
+			return fmt.Errorf("cbtree: level %d keeps a child pointer beyond its %d children", n.level, len(n.children))
 		}
 	}
 	return nil
+}
+
+// sameArray reports whether a and b are the same slice of the same array.
+func sameArray[T any](a, b []T) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 func checkChain(first *node, level int) error {
@@ -123,20 +132,12 @@ func checkChain(first *node, level int) error {
 		return fmt.Errorf("cbtree: level %d missing", level)
 	}
 	prev := (*node)(nil)
-	for n := first; n != nil; n = n.right {
+	for n := first; n != nil; n = n.right.Load() {
 		if n.level != level {
 			return fmt.Errorf("cbtree: level %d chain reached level %d", level, n.level)
 		}
-		if prev != nil {
-			if !prev.hasHigh {
-				return fmt.Errorf("cbtree: interior level-%d node with infinite high key", level)
-			}
-			if n.hasHigh && n.high <= prev.high {
-				return fmt.Errorf("cbtree: level %d high keys not ascending", level)
-			}
-		}
-		if n.right == nil && n.hasHigh {
-			return fmt.Errorf("cbtree: rightmost level-%d chain node has finite high key", level)
+		if prev != nil && n.right.Load() != nil && n.high.Load() <= prev.high.Load() {
+			return fmt.Errorf("cbtree: level %d high keys not ascending", level)
 		}
 		prev = n
 	}

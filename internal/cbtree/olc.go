@@ -1,35 +1,50 @@
 package cbtree
 
-import "btreeperf/internal/lock"
+import (
+	"sync/atomic"
+
+	"btreeperf/internal/lock"
+)
 
 // Optimistic lock-coupling (OLC): the framework's fourth algorithm.
 //
 // Writers run the Link-type protocol (one W lock at a time, half-splits
 // repaired upward through right links) but enter every critical section
-// through LockV/UnlockV, so the node's version word is odd exactly while
-// it is being written, and republish the node's immutable snapshot
-// before releasing. Readers descend with no locks at all: at each node
-// they sample the version (ReadBegin), load the snapshot, route through
-// it — following right links latch-free — and re-validate the version
-// before trusting the routing decision (this also validates the parent
-// link: the child pointer was read from a snapshot the parent's version
-// still vouches for). A failed validation restarts the descent from the
-// root; after olcMaxAttempts failed descents the operation falls back to
-// the locked Link-type path, whose R locks queue behind writers in the
-// ordinary FCFS way.
+// through LockV, so the node's version word is odd exactly while it is
+// being written, and change the node in place: a leaf insert or delete
+// shifts items inside the leaf's fixed storage with atomic stores and
+// allocates nothing. A section that changed something leaves through
+// UnlockV; one that changed nothing (passing through on the way right,
+// deleting an absent key) leaves through UnlockClean and restarts no
+// reader.
 //
-// Because snapshots are immutable and loaded through one atomic pointer,
-// a validated read can never be torn; the version protocol adds recency
-// (no writer overlapped the read) and is the restart process the
-// analytical model in internal/core prices.
+// Readers descend with no locks at all: at each node they sample the
+// version (ReadBegin), read the node's live storage — an inner node's
+// current routing image, a leaf's count, keys and values by atomic
+// loads, right links and high keys — and re-validate the version before
+// trusting anything they read (this also validates the parent link: the
+// child pointer came from a read the parent's version still vouches
+// for). Until then a read may be torn by a concurrent shift, but it
+// cannot go wrong: leaf storage never moves or changes size, routing
+// images are immutable, and node pointers stay valid. A failed validation
+// restarts the descent from the root; after lock.OLCMaxAttempts failed
+// descents the operation falls back to the locked Link-type path, whose
+// R locks queue behind writers in the ordinary FCFS way. The version
+// protocol is the restart process the analytical model in internal/core
+// prices.
 
-// olcMaxAttempts bounds latch-free descent attempts before an operation
-// falls back to the locked path. Keep in sync with core.OLCMaxAttempts
-// and the simulator's olcMaxAttempts: the analysis truncates its restart
-// geometric series at the same depth.
-const olcMaxAttempts = 3
+// olcStackDepth is the ancestor-stack room an update descent carries on
+// its own stack frame; deeper trees (cap 64: beyond 10²⁸ keys) spill to
+// the heap.
+const olcStackDepth = 16
 
-// noteRestart counts one failed snapshot validation at the given level,
+// olcScanChunk is how many items a latch-free scan copies out of a leaf
+// per validation. At the serving capacity (64) a leaf is one chunk, so
+// each leaf is observed atomically, like the locked scan; a larger leaf
+// is read in several validated pieces, resumed by key.
+const olcScanChunk = 64
+
+// noteRestart counts one failed version validation at the given level,
 // streaming it into the level's probe when the sink understands
 // latch-free telemetry.
 func (t *Tree) noteRestart(level int) {
@@ -53,9 +68,16 @@ func (t *Tree) noteFallback() {
 	}
 }
 
+// olcCovers is covers for a latch-free reader: it also returns the right
+// sibling it read. Meaningful only if n's version validates afterwards.
+func (n *node) olcCovers(key int64) (*node, bool) {
+	r := n.right.Load()
+	return r, r == nil || key < n.high.Load()
+}
+
 // olcSearch is the latch-free point lookup with bounded retry.
 func (t *Tree) olcSearch(key int64) (uint64, bool) {
-	for attempt := 0; attempt < olcMaxAttempts; attempt++ {
+	for attempt := 0; attempt < lock.OLCMaxAttempts; attempt++ {
 		if v, ok, done := t.olcTrySearch(key); done {
 			return v, ok
 		}
@@ -67,164 +89,201 @@ func (t *Tree) olcSearch(key int64) (uint64, bool) {
 	return t.linkSearch(key)
 }
 
-// olcTrySearch makes one latch-free descent attempt. done is false when
+// olcTrySearch makes one latch-free lookup attempt. done is false when
 // a validation failed and the caller should restart from the root.
 func (t *Tree) olcTrySearch(key int64) (val uint64, ok, done bool) {
-	n := t.root.Load()
+	n, _ := t.olcTryDescend(key, nil)
+	if n == nil {
+		return 0, false, false
+	}
 	for {
 		v, stable := n.mu.ReadBegin()
 		if !stable {
-			t.noteRestart(n.level)
-			return 0, false, false
+			break
 		}
-		s := n.snap.Load()
-		if !s.covers(key) {
-			r := s.right
-			if !n.mu.Validate(v) {
-				t.noteRestart(n.level)
-				return 0, false, false
+		right, covered := n.olcCovers(key)
+		if covered {
+			c := int(n.cnt.Load())
+			i := lowerBoundAtomic(n.keys[:c], key)
+			if ok = i < c && atomic.LoadInt64(&n.keys[i]) == key; ok {
+				val = atomic.LoadUint64(&n.vals[i])
 			}
-			t.crossings.Add(1)
-			n = r
-			continue
 		}
-		if n.level == 1 {
-			i, found := s.keyIndex(key)
-			var vv uint64
-			if found {
-				vv = s.vals[i]
-			}
-			if !n.mu.Validate(v) {
-				t.noteRestart(1)
-				return 0, false, false
-			}
-			return vv, found, true
-		}
-		child := s.children[s.childIndex(key)]
 		if !n.mu.Validate(v) {
-			t.noteRestart(n.level)
-			return 0, false, false
+			break
 		}
-		n = child
+		if covered {
+			return val, ok, true
+		}
+		t.crossings.Add(1)
+		n = right
 	}
+	t.noteRestart(1)
+	return 0, false, false
+}
+
+// olcTryDescend makes one latch-free attempt to reach the leaf level on
+// key's path, appending the ancestors it routed through to stack when
+// stack is non-nil. It returns a nil node, having counted the restart,
+// when a validation failed.
+func (t *Tree) olcTryDescend(key int64, stack []*node) (*node, []*node) {
+	n := t.root.Load()
+	for n.level > 1 {
+		v, stable := n.mu.ReadBegin()
+		if !stable {
+			break
+		}
+		next, covered := n.olcCovers(key)
+		if covered {
+			r := n.img.Load()
+			next = r.children[route(r.keys, key)]
+		}
+		if !n.mu.Validate(v) {
+			break
+		}
+		if !covered {
+			t.crossings.Add(1)
+		} else if stack != nil {
+			stack = append(stack, n)
+		}
+		n = next
+	}
+	if n.level > 1 {
+		t.noteRestart(n.level)
+		return nil, stack
+	}
+	return n, stack
 }
 
 // olcDescendLeaf finds the (unlocked) leaf candidate for key latch-free,
-// optionally collecting the ancestor stack for split repair, falling
-// back to the locked descent after olcMaxAttempts failed attempts.
-func (t *Tree) olcDescendLeaf(key int64, wantStack bool) (*node, []*node) {
-	var stack []*node
-	for attempt := 0; attempt < olcMaxAttempts; attempt++ {
-		stack = stack[:0]
-		n := t.root.Load()
-		ok := true
-		for ok && n.level > 1 {
-			v, stable := n.mu.ReadBegin()
-			if !stable {
-				t.noteRestart(n.level)
-				ok = false
-				break
-			}
-			s := n.snap.Load()
-			if !s.covers(key) {
-				r := s.right
-				if !n.mu.Validate(v) {
-					t.noteRestart(n.level)
-					ok = false
-					break
-				}
-				t.crossings.Add(1)
-				n = r
-				continue
-			}
-			child := s.children[s.childIndex(key)]
-			if !n.mu.Validate(v) {
-				t.noteRestart(n.level)
-				ok = false
-				break
-			}
-			if wantStack {
-				stack = append(stack, n)
-			}
-			n = child
-		}
-		if ok {
-			return n, stack
+// collecting the ancestor stack for split repair into stack when it is
+// non-nil, falling back to the locked descent after lock.OLCMaxAttempts
+// failed attempts.
+func (t *Tree) olcDescendLeaf(key int64, stack []*node) (*node, []*node) {
+	for attempt := 0; attempt < lock.OLCMaxAttempts; attempt++ {
+		if n, path := t.olcTryDescend(key, stack[:0]); n != nil {
+			return n, path
 		}
 	}
 	t.noteFallback()
-	return t.linkDescend(key, wantStack)
+	return t.linkDescend(key, stack != nil)
 }
 
-// olcView returns a consistent immutable image of n: a validated
-// latch-free snapshot after bounded per-node retries, else (counting a
-// fallback) the current snapshot read under the node's R lock — with the
-// R lock held no writer is active, so the stored snapshot is exact.
+// item is one key/value pair copied out of a leaf.
+type item struct {
+	key int64
+	val uint64
+}
+
+// olcReadLeaf copies the items of leaf n with key >= from into buf, in
+// order, until buf is full, and returns how many it copied, whether the
+// leaf holds more beyond them, and the leaf's right sibling — all as of
+// one instant: a validated latch-free read after bounded per-node
+// retries, else (counting a fallback) a read under the node's R lock.
 // Leaf-chain walkers (Range, SearchGE) use this instead of restarting
 // from the root, which would lose their position.
-func (t *Tree) olcView(n *node) *nodeSnap {
-	for attempt := 0; attempt < olcMaxAttempts; attempt++ {
-		v, stable := n.mu.ReadBegin()
-		if stable {
-			s := n.snap.Load()
-			if n.mu.Validate(v) {
-				return s
+func (t *Tree) olcReadLeaf(n *node, from int64, buf []item) (got int, more bool, right *node) {
+	for attempt := 0; ; attempt++ {
+		locked := attempt == lock.OLCMaxAttempts
+		var v uint64
+		if locked {
+			t.noteFallback()
+			n.mu.RLock()
+		} else {
+			var stable bool
+			if v, stable = n.mu.ReadBegin(); !stable {
+				t.noteRestart(n.level)
+				continue
 			}
+		}
+		c := int(n.cnt.Load())
+		i := lowerBoundAtomic(n.keys[:c], from)
+		for got = 0; i < c && got < len(buf); i, got = i+1, got+1 {
+			buf[got] = item{atomic.LoadInt64(&n.keys[i]), atomic.LoadUint64(&n.vals[i])}
+		}
+		more, right = i < c, n.right.Load()
+		if locked {
+			n.mu.RUnlock()
+			return
+		}
+		if n.mu.Validate(v) {
+			return
 		}
 		t.noteRestart(n.level)
 	}
-	t.noteFallback()
-	n.mu.RLock()
-	s := n.snap.Load()
-	n.mu.RUnlock()
-	return s
 }
 
 // olcRange is the latch-free scan: descend to the leaf covering lo, then
-// emit from validated leaf snapshots, chaining through their right
-// pointers. Each leaf is observed atomically (an immutable image), the
-// same per-leaf consistency the locked scan provides.
+// emit from validated leaf reads, chaining through right pointers.
 func (t *Tree) olcRange(lo, hi int64, fn func(key int64, val uint64) bool) {
-	n, _ := t.olcDescendLeaf(lo, false)
+	var buf [olcScanChunk]item
+	n, _ := t.olcDescendLeaf(lo, nil)
 	for n != nil {
-		s := t.olcView(n)
-		for i, k := range s.keys {
-			if k < lo {
-				continue
-			}
-			if k > hi || !fn(k, s.vals[i]) {
+		got, more, right := t.olcReadLeaf(n, lo, buf[:])
+		for _, it := range buf[:got] {
+			if it.key > hi || !fn(it.key, it.val) {
 				return
 			}
 		}
-		n = s.right
+		if more {
+			// The leaf holds a larger key, so this cannot overflow.
+			lo = buf[got-1].key + 1
+			continue
+		}
+		n = right
 	}
 }
 
 // olcSearchGE is the latch-free seek: first stored key >= key.
 func (t *Tree) olcSearchGE(key int64) (k int64, v uint64, ok bool) {
-	n, _ := t.olcDescendLeaf(key, false)
+	var buf [1]item
+	n, _ := t.olcDescendLeaf(key, nil)
 	for n != nil {
-		s := t.olcView(n)
-		if i, _ := s.keyIndex(key); i < len(s.keys) {
-			return s.keys[i], s.vals[i], true
+		got, _, right := t.olcReadLeaf(n, key, buf[:])
+		if got > 0 {
+			return buf[0].key, buf[0].val, true
 		}
-		n = s.right
+		n = right
 	}
 	return 0, 0, false
 }
 
 // ---------------------------------------------------------------------------
-// Writes: the Link-type protocol under versioned locks, republishing the
-// snapshot after every mutation.
+// Writes: the Link-type protocol under versioned locks, in place.
+
+// insertFixed puts (key, val) into slot i of an OLC leaf, shifting the
+// items from i up by one. Caller holds n.mu through LockV; the stores
+// are atomic because latch-free readers may be loading the same slots.
+func (n *node) insertFixed(i int, key int64, val uint64) {
+	keys, vals, c := n.keys, n.vals, int(n.cnt.Load())
+	for j := c; j > i; j-- {
+		atomic.StoreInt64(&keys[j], keys[j-1])
+		atomic.StoreUint64(&vals[j], vals[j-1])
+	}
+	atomic.StoreInt64(&keys[i], key)
+	atomic.StoreUint64(&vals[i], val)
+	n.cnt.Store(int32(c + 1))
+}
+
+// removeFixed deletes slot i of an OLC leaf, shifting the items above it
+// down by one. Caller holds n.mu through LockV.
+func (n *node) removeFixed(i int) {
+	keys, vals, c := n.keys, n.vals, int(n.cnt.Load())-1
+	for j := i; j < c; j++ {
+		atomic.StoreInt64(&keys[j], keys[j+1])
+		atomic.StoreUint64(&vals[j], vals[j+1])
+	}
+	n.cnt.Store(int32(c))
+}
 
 // olcMoveRightW follows right links while key lies beyond the node's
-// high key, holding one versioned W lock at a time. Releasing a node we
-// did not mutate still bumps its version (UnlockV) — a conservative
-// invalidation, never an unsafe one.
+// high key, holding one versioned W lock at a time. n must be locked
+// through LockV and unchanged; the returned node is locked through
+// LockV.
 func (t *Tree) olcMoveRightW(n *node, key int64) *node {
 	for !n.covers(key) {
-		r := n.right
-		n.mu.UnlockV()
+		r := n.right.Load()
+		n.mu.UnlockClean()
 		t.crossings.Add(1)
 		r.mu.LockV()
 		n = r
@@ -233,35 +292,28 @@ func (t *Tree) olcMoveRightW(n *node, key int64) *node {
 }
 
 func (t *Tree) olcInsert(key int64, val uint64) bool {
-	n, stack := t.olcDescendLeaf(key, true)
+	var room [olcStackDepth]*node
+	n, stack := t.olcDescendLeaf(key, room[:0])
 	n.mu.LockV()
 	n = t.olcMoveRightW(n, key)
-	if i, ok := n.keyIndex(key); ok {
-		n.vals[i] = val
-		n.publish()
+	i, ok := n.keyIndex(key)
+	if ok {
+		atomic.StoreUint64(&n.vals[i], val)
 		n.mu.UnlockV()
 		return false
 	}
-	i, _ := n.keyIndex(key)
-	n.keys = insertAt(n.keys, i, key)
-	n.vals = insertAt(n.vals, i, val)
+	n.insertFixed(i, key, val)
 	t.size.Add(1)
 
 	// Half-split repair, as linkInsert: split under the node's own lock,
-	// release, then lock the parent to install the new pointer. The new
-	// sibling's snapshot is published before the split node's truncated
-	// one — a reader can only reach the sibling through a snapshot
-	// published after it.
+	// release, then lock the parent to install the new pointer.
 	for n.items() > t.cap {
 		sib, sep := t.split(n)
-		sib.publish()
 		if len(stack) == 0 && t.root.Load() == n {
-			n.publish()
 			t.growRoot(n, sep, sib)
 			break
 		}
 		level := n.level + 1
-		n.publish()
 		n.mu.UnlockV()
 		var parent *node
 		if len(stack) > 0 {
@@ -274,22 +326,22 @@ func (t *Tree) olcInsert(key int64, val uint64) bool {
 		}
 		parent.mu.LockV()
 		parent = t.olcMoveRightW(parent, sep)
-		parent.addChild(sep, sib)
+		t.addChild(parent, sep, sib)
 		n = parent
 	}
-	n.publish()
 	n.mu.UnlockV()
 	return true
 }
 
 func (t *Tree) olcDelete(key int64) bool {
-	n, _ := t.olcDescendLeaf(key, false)
+	n, _ := t.olcDescendLeaf(key, nil)
 	n.mu.LockV()
 	n = t.olcMoveRightW(n, key)
 	ok := t.leafRemove(n, key)
 	if ok {
-		n.publish()
+		n.mu.UnlockV()
+	} else {
+		n.mu.UnlockClean()
 	}
-	n.mu.UnlockV()
 	return ok
 }

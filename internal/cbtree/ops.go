@@ -100,7 +100,7 @@ func (t *Tree) lcInsert(key int64, val uint64) bool {
 		}
 		idx--
 		n = chain[idx]
-		n.addChild(sep, sib)
+		t.addChild(n, sep, sib)
 	}
 	unlockAll(chain)
 	return true
@@ -128,8 +128,12 @@ func (t *Tree) leafRemove(n *node, key int64) bool {
 	if !ok {
 		return false
 	}
-	n.keys = removeAt(n.keys, i)
-	n.vals = removeAt(n.vals, i)
+	if n.fixed {
+		n.removeFixed(i)
+	} else {
+		n.keys = removeAt(n.keys, i)
+		n.vals = removeAt(n.vals, i)
+	}
 	t.size.Add(-1)
 	return true
 }
@@ -204,7 +208,7 @@ func (t *Tree) optDelete(key int64) bool {
 // the returned node is R-locked.
 func (t *Tree) moveRightR(n *node, key int64) *node {
 	for !n.covers(key) {
-		r := n.right
+		r := n.right.Load()
 		n.mu.RUnlock()
 		t.crossings.Add(1)
 		r.mu.RLock()
@@ -216,7 +220,7 @@ func (t *Tree) moveRightR(n *node, key int64) *node {
 // moveRightW is moveRightR with exclusive locks.
 func (t *Tree) moveRightW(n *node, key int64) *node {
 	for !n.covers(key) {
-		r := n.right
+		r := n.right.Load()
 		n.mu.Unlock()
 		t.crossings.Add(1)
 		r.mu.Lock()
@@ -291,7 +295,7 @@ func (t *Tree) linkInsert(key int64, val uint64) bool {
 		}
 		parent.mu.Lock()
 		parent = t.moveRightW(parent, sep)
-		parent.addChild(sep, sib)
+		t.addChild(parent, sep, sib)
 		n = parent
 	}
 	n.mu.Unlock()
@@ -357,7 +361,7 @@ func (t *Tree) Range(lo, hi int64, fn func(key int64, val uint64) bool) {
 				return
 			}
 		}
-		next := n.right
+		next := n.right.Load()
 		if next == nil {
 			n.mu.RUnlock()
 			return

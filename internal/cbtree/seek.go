@@ -29,7 +29,7 @@ func (t *Tree) SearchGE(key int64) (k int64, v uint64, ok bool) {
 			n.mu.RUnlock()
 			return k, v, true
 		}
-		next := n.right
+		next := n.right.Load()
 		if next == nil {
 			n.mu.RUnlock()
 			return 0, 0, false
@@ -62,11 +62,11 @@ func (t *Tree) Max() (k int64, v uint64, ok bool) {
 	// the last non-empty leaf's maximum.
 	found := false
 	for {
-		if len(n.keys) > 0 {
-			k, v = n.keys[len(n.keys)-1], n.vals[len(n.vals)-1]
+		if keys, vals := n.leaf(); len(keys) > 0 {
+			k, v = keys[len(keys)-1], vals[len(vals)-1]
 			found = true
 		}
-		next := n.right
+		next := n.right.Load()
 		if next == nil {
 			n.mu.RUnlock()
 			if found {
@@ -89,8 +89,8 @@ func (t *Tree) Max() (k int64, v uint64, ok bool) {
 func (t *Tree) maxDFS(n *node) (int64, uint64, bool) {
 	defer n.mu.RUnlock()
 	if n.isLeaf() {
-		if len(n.keys) > 0 {
-			return n.keys[len(n.keys)-1], n.vals[len(n.vals)-1], true
+		if keys, vals := n.leaf(); len(keys) > 0 {
+			return keys[len(keys)-1], vals[len(vals)-1], true
 		}
 		return 0, 0, false
 	}

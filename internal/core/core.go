@@ -256,7 +256,7 @@ type Result struct {
 	// probability one validation of a level-i node fails (index 0
 	// unused); RestartProb is the mix-weighted probability a whole
 	// latch-free descent must restart; FallbackProb is the mix-weighted
-	// probability all OLCMaxAttempts descents fail and the operation
+	// probability all lock.OLCMaxAttempts descents fail and the operation
 	// takes the locked path; RestartsPerOp is the mix-weighted expected
 	// number of failed descents per operation.
 	ReadConflict  []float64

@@ -3,14 +3,9 @@ package core
 import (
 	"fmt"
 
+	"btreeperf/internal/lock"
 	"btreeperf/internal/qmodel"
 )
-
-// OLCMaxAttempts bounds latch-free descent attempts before an OLC
-// operation falls back to the locked Link-type path. Keep in sync with
-// cbtree.olcMaxAttempts and the simulator's olcMaxAttempts: the analysis
-// truncates the restart geometric series at the same depth.
-const OLCMaxAttempts = 3
 
 // AnalyzeOLC evaluates optimistic lock-coupling, the fourth algorithm.
 //
@@ -47,7 +42,7 @@ const OLCMaxAttempts = 3
 //     where w_ℓ is the probability the first failure was at level ℓ
 //     and t_r(ℓ) the warm re-descent time back to it;
 //
-//   - attempts truncate at K = OLCMaxAttempts: the expected number of
+//   - attempts truncate at K = lock.OLCMaxAttempts: the expected number of
 //     failed descents is E[N] = P·(1 + q + … + q^{K−1}), and with
 //     probability F = P·q^{K−1} the operation falls back to the locked
 //     Link-type path, whose R locks queue behind writers in the
@@ -122,13 +117,13 @@ func AnalyzeOLC(m Model, w Workload) (*Result, error) {
 	pS, pU := 1-okSearch, 1-okUpdate
 	qS := retryFailProb(res.ReadConflict, muW, c, 1, h, pS)
 	qU := retryFailProb(res.ReadConflict, muW, c, 2, h, pU)
-	fbS := pS * powK(qS, OLCMaxAttempts-1)
-	fbU := pU * powK(qU, OLCMaxAttempts-1)
+	fbS := pS * powK(qS, lock.OLCMaxAttempts-1)
+	fbU := pU * powK(qU, lock.OLCMaxAttempts-1)
 	qu := mix.QI + mix.QD
 	res.RestartProb = mix.QS*pS + qu*pU
 	res.FallbackProb = mix.QS*fbS + qu*fbU
-	res.RestartsPerOp = mix.QS*failedAttempts(pS, qS, OLCMaxAttempts) +
-		qu*failedAttempts(pU, qU, OLCMaxAttempts)
+	res.RestartsPerOp = mix.QS*failedAttempts(pS, qS, lock.OLCMaxAttempts) +
+		qu*failedAttempts(pU, qU, lock.OLCMaxAttempts)
 
 	// Solve the level queues. Reader arrivals are the fallback fraction
 	// only: a fallback search R-locks one node per level; a fallback
@@ -171,7 +166,7 @@ func AnalyzeOLC(m Model, w Workload) (*Result, error) {
 		searchLocked += c.Se(i, h) + rWait[i]
 	}
 	failS := failedDescentCost(res.ReadConflict, c, 1, h)
-	res.RespSearch = failedAttempts(pS, qS, OLCMaxAttempts)*failS +
+	res.RespSearch = failedAttempts(pS, qS, lock.OLCMaxAttempts)*failS +
 		(1-fbS)*searchPath + fbS*searchLocked
 
 	descPath, descLocked := 0.0, 0.0
@@ -180,7 +175,7 @@ func AnalyzeOLC(m Model, w Workload) (*Result, error) {
 		descLocked += c.Se(i, h) + rWait[i]
 	}
 	failU := failedDescentCost(res.ReadConflict, c, 2, h)
-	update := failedAttempts(pU, qU, OLCMaxAttempts)*failU +
+	update := failedAttempts(pU, qU, lock.OLCMaxAttempts)*failU +
 		(1-fbU)*descPath + fbU*descLocked +
 		c.M(h) + wWait[1]
 	res.RespInsert = update

@@ -11,34 +11,62 @@ import "sync/atomic"
 // not waits).
 type VersionProbe interface {
 	Probe
-	// ReadRestart is called once per failed snapshot validation.
+	// ReadRestart is called once per failed version validation.
 	ReadRestart()
 	// ReadFallback is called once per descent that exhausted its retries
 	// and re-descended under locks.
 	ReadFallback()
 }
 
+// OLCMaxAttempts bounds latch-free descent attempts before an OLC
+// operation falls back to the locked path. The tree (cbtree), the
+// simulator (sim) and the analysis (core), which truncates its restart
+// geometric series at the same depth, all read this one constant.
+const OLCMaxAttempts = 3
+
 // VersionLock is an FCFSRWMutex extended with a seqlock-style version
 // word for optimistic lock-coupling: even = stable, odd = write-locked.
-// Writers acquire the embedded FCFS W lock as usual but enter and leave
-// their critical sections through LockV/UnlockV, which bump the version
-// to odd on acquire and back to even on release. Readers take no lock at
-// all: they call ReadBegin before touching the protected state and
-// Validate after, retrying (or falling back to the embedded lock) when a
-// writer was active anywhere in between.
+// Writers acquire the embedded FCFS W lock as usual but enter their
+// critical sections through LockV, which bumps the version to odd, and
+// leave through UnlockV (they changed something a reader can see: the
+// version moves on to the next even value) or UnlockClean (they changed
+// nothing: the version returns to the value it had, so overlapping
+// readers are not restarted for nothing). Readers take no lock at all:
+// they call ReadBegin before touching the protected state and Validate
+// after, retrying (or falling back to the embedded lock) when a writer
+// was active anywhere in between.
 //
-// The version word alone does not make unsynchronized reads of mutable
-// memory well-defined in Go's memory model; callers must publish the
-// protected state through an atomic pointer to immutable data (see
-// cbtree's node snapshots) and use the version purely to detect
-// concurrent writers and bound staleness. R locks on the embedded mutex
-// do not bump the version: they are the fallback path and conflict with
-// writers through the lock queue, not through validation.
+// Contract for the protected state. Readers read it in place, while a
+// writer may be changing it, and trust nothing they read until Validate
+// succeeds. For that to be well-defined in Go's memory model:
+//
+//   - every location a latch-free reader touches is written only with
+//     sync/atomic stores, inside a LockV section, and read by those
+//     readers only with sync/atomic loads (holders of the embedded lock
+//     may read plainly: the lock orders them with the writers). Since
+//     atomics are sequentially consistent, a reader that saw any store
+//     of a section is certain to see that section's odd version, or a
+//     later one, in Validate;
+//   - what an unvalidated read returns must be safe to use up to the
+//     Validate call: an index stays inside storage whose bounds never
+//     change, a pointer leads to a value that stays valid (the garbage
+//     collector keeps it alive). Anything else — a count, a key, a
+//     value — is discarded when Validate fails;
+//   - state that is replaced rather than changed in place (an immutable
+//     image behind an atomic.Pointer) needs no per-element atomics; the
+//     version then only adds recency.
+//
+// R locks on the embedded mutex do not bump the version: they are the
+// fallback path and conflict with writers through the lock queue, not
+// through validation.
 //
 // Invariants (see TestVersionLockSeqlockProperties):
-//   - the version is monotonically non-decreasing,
-//   - it is odd exactly between a writer's LockV and UnlockV,
-//   - each LockV/UnlockV pair advances it by exactly 2.
+//   - the version is odd exactly between a writer's LockV and its
+//     UnlockV or UnlockClean,
+//   - each LockV/UnlockV pair (a dirty section) advances it by exactly
+//     2, each LockV/UnlockClean pair leaves it where it was,
+//   - so the even values readers validate against never decrease, and
+//     never repeat once a dirty section has passed.
 //
 // The zero value is ready to use and has version 0 (stable).
 type VersionLock struct {
@@ -53,11 +81,21 @@ func (l *VersionLock) LockV() {
 	l.ver.Add(1)
 }
 
-// UnlockV bumps the version back to even and releases the exclusive
-// lock. The caller must have republished any snapshot of the protected
-// state first, so that version-even always implies snapshot-current.
+// UnlockV ends a critical section that changed reader-visible state: it
+// bumps the version to the next even value and releases the exclusive
+// lock.
 func (l *VersionLock) UnlockV() {
 	l.ver.Add(1)
+	l.Unlock()
+}
+
+// UnlockClean ends a critical section that changed nothing a reader can
+// see (a writer passing through on its way right, a delete of an absent
+// key): it restores the even version LockV displaced, so a reader whose
+// ReadBegin preceded the section still validates, and releases the
+// exclusive lock.
+func (l *VersionLock) UnlockClean() {
+	l.ver.Add(^uint64(0))
 	l.Unlock()
 }
 
@@ -69,8 +107,8 @@ func (l *VersionLock) ReadBegin() (v uint64, ok bool) {
 	return v, v&1 == 0
 }
 
-// Validate reports whether no writer was active since ReadBegin returned
-// v: the version is unchanged (and hence still even).
+// Validate reports whether no writer changed the protected state since
+// ReadBegin returned v: the version is unchanged (and hence still even).
 func (l *VersionLock) Validate(v uint64) bool {
 	return l.ver.Load() == v
 }

@@ -9,14 +9,12 @@ import (
 	"time"
 )
 
-// pair is the "node" the seqlock stress protects: an immutable snapshot
+// cell is the "node" the seqlock stress protects: state changed in place
 // whose fields are tied together (b must equal a*2 and gen must match
-// the generation that published it). A torn or stale read shows up as a
+// the dirty section that wrote it). A torn or stale read shows up as a
 // broken tie.
-type pair struct {
-	gen uint64
-	a   uint64
-	b   uint64
+type cell struct {
+	gen, a, b atomic.Uint64
 }
 
 func TestVersionLockParityAndMonotonicity(t *testing.T) {
@@ -26,19 +24,22 @@ func TestVersionLockParityAndMonotonicity(t *testing.T) {
 	}
 	last := uint64(0)
 	for i := 0; i < 100; i++ {
+		dirty := i%3 != 0
 		l.LockV()
-		if v := l.Version(); v&1 != 1 {
-			t.Fatalf("version %d even while writer holds the lock", v)
+		if v := l.Version(); v != last+1 {
+			t.Fatalf("version %d while a writer holds the lock, want %d", v, last+1)
 		}
-		l.UnlockV()
-		v := l.Version()
-		if v&1 != 0 {
-			t.Fatalf("version %d odd after release", v)
+		want := last
+		if dirty {
+			l.UnlockV()
+			want += 2
+		} else {
+			l.UnlockClean()
 		}
-		if v != last+2 {
-			t.Fatalf("version advanced %d -> %d; want +2 per write", last, v)
+		if v := l.Version(); v != want {
+			t.Fatalf("version %d -> %d across a section (dirty=%v); want %d", last, v, dirty, want)
 		}
-		last = v
+		last = want
 	}
 }
 
@@ -62,23 +63,36 @@ func TestVersionLockReadBeginValidate(t *testing.T) {
 	if l.Validate(v) {
 		t.Fatal("Validate passed across a completed write")
 	}
+
+	v, _ = l.ReadBegin()
+	l.LockV()
+	if l.Validate(v) {
+		t.Fatal("Validate passed while a clean section was open")
+	}
+	l.UnlockClean()
+	if !l.Validate(v) {
+		t.Fatal("Validate failed across a section that changed nothing")
+	}
 }
 
 // TestVersionLockSeqlockProperties is the randomized seqlock stress:
-// writers mutate a snapshot-published pair under LockV/UnlockV while
-// checking the version is odd exactly inside their critical sections;
-// latch-free readers run the ReadBegin/Validate protocol and check that
-// every validated snapshot is untorn (b == a*2), stamped with the exact
-// generation their validated version implies, and that observed versions
-// are monotone per reader. Run under -race this also proves the
-// snapshot-pointer discipline makes the reads well-defined.
+// writers change a cell in place under LockV, field by field with atomic
+// stores, and leave through UnlockV — or change nothing and leave
+// through UnlockClean — while checking the version is odd exactly inside
+// their critical sections; latch-free readers run the ReadBegin/Validate
+// protocol over atomic loads and check that every validated read is
+// untorn (b == a*2) and stamped with exactly the generation their
+// validated version implies, which holds only if the version advances
+// by 2 per dirty section and by 0 per clean one, and that the versions
+// a reader validates against never go backwards. Run under -race this
+// also proves the in-place contract makes the reads well-defined.
 func TestVersionLockSeqlockProperties(t *testing.T) {
 	var (
-		l    VersionLock
-		snap atomic.Pointer[pair]
-		stop atomic.Bool
+		l     VersionLock
+		c     cell
+		dirty atomic.Uint64
+		stop  atomic.Bool
 	)
-	snap.Store(&pair{})
 
 	writers := 4
 	readers := runtime.GOMAXPROCS(0)
@@ -99,14 +113,19 @@ func TestVersionLockSeqlockProperties(t *testing.T) {
 				if v&1 != 1 {
 					t.Errorf("writer observed even version %d inside critical section", v)
 				}
-				a := rng.Uint64() >> 1
-				// Publish the new snapshot before UnlockV: version-even
-				// must imply snapshot-current.
-				snap.Store(&pair{gen: (v + 1) / 2, a: a, b: a * 2})
-				l.UnlockV()
-				if rng.Intn(4) == 0 {
-					runtime.Gosched()
+				if rng.Intn(3) == 0 {
+					l.UnlockClean()
+					continue
 				}
+				a := rng.Uint64() >> 1
+				c.a.Store(a)
+				if rng.Intn(4) == 0 {
+					runtime.Gosched() // hold the cell torn for a while
+				}
+				c.b.Store(a * 2)
+				c.gen.Store((v + 1) / 2)
+				dirty.Add(1)
+				l.UnlockV()
 			}
 		}(int64(w) + 1)
 	}
@@ -126,17 +145,17 @@ func TestVersionLockSeqlockProperties(t *testing.T) {
 					t.Errorf("version went backwards: %d after %d", v, lastV)
 				}
 				lastV = v
-				p := snap.Load()
+				a, b, gen := c.a.Load(), c.b.Load(), c.gen.Load()
 				if !l.Validate(v) {
 					restarted.Add(1)
 					continue
 				}
 				validated.Add(1)
-				if p.b != p.a*2 {
-					t.Errorf("torn read: validated snapshot {a:%d b:%d}", p.a, p.b)
+				if b != a*2 {
+					t.Errorf("torn read: validated {a:%d b:%d}", a, b)
 				}
-				if p.gen != v/2 {
-					t.Errorf("stale read: validated at version %d but snapshot generation %d", v, p.gen)
+				if gen != v/2 {
+					t.Errorf("stale read: validated at version %d but generation %d", v, gen)
 				}
 			}
 		}()
@@ -147,13 +166,13 @@ func TestVersionLockSeqlockProperties(t *testing.T) {
 	wg.Wait()
 
 	if validated.Load() == 0 {
-		t.Fatal("no reader ever validated a snapshot")
+		t.Fatal("no reader ever validated a read")
 	}
 	if restarted.Load() == 0 {
 		t.Log("no read ever restarted (low contention this run); properties still hold")
 	}
-	if v := l.Version(); v&1 != 0 {
-		t.Fatalf("final version %d odd with no writer", v)
+	if v, want := l.Version(), 2*dirty.Load(); v != want {
+		t.Fatalf("final version %d after %d dirty sections, want %d", v, dirty.Load(), want)
 	}
 }
 

@@ -186,7 +186,7 @@ func (s *LevelStats) Held(write bool, heldNs int64) {
 // WriterPresence implements lock.Probe.
 func (s *LevelStats) WriterPresence(ns int64) { s.presentNs.Add(ns) }
 
-// ReadRestart implements lock.VersionProbe: one failed snapshot
+// ReadRestart implements lock.VersionProbe: one failed version
 // validation by a latch-free reader at this level.
 func (s *LevelStats) ReadRestart() { s.readRestarts.Add(1) }
 
@@ -211,7 +211,7 @@ type LevelSnapshot struct {
 	WaitHistR  HistSnapshot
 	WaitHistW  HistSnapshot
 
-	ReadRestarts  int64 // OLC failed snapshot validations
+	ReadRestarts  int64 // OLC failed version validations
 	ReadFallbacks int64 // OLC descents that fell back to locking
 }
 

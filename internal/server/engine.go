@@ -53,7 +53,7 @@ type EngineStats struct {
 	Splits, Restarts, Crossings int64
 
 	// OLC latch-free read telemetry; zero under the locking algorithms.
-	ReadRestarts  int64 // failed snapshot validations
+	ReadRestarts  int64 // failed version validations
 	ReadFallbacks int64 // descents that fell back to the locked path
 
 	// Durability progress; all zero on the in-memory engine.

@@ -1,24 +1,19 @@
 package sim
 
 import (
-	"btreeperf/internal/des"
-	"btreeperf/internal/workload"
-
 	"btreeperf/internal/btree"
+	"btreeperf/internal/des"
+	"btreeperf/internal/lock"
+	"btreeperf/internal/workload"
 )
 
 // Optimistic lock-coupling in the simulator: readers descend taking no
 // locks, sampling each node's version word before the node access and
 // re-validating it after; a failed validation restarts the descent from
-// the root, and after olcMaxAttempts failed descents the operation falls
-// back to the locked Link-type path. Writers are exactly the Link-type
-// protocol, entered through the version-aware lock helpers so every W
-// critical section is bracketed by version bumps.
-//
-// olcMaxAttempts must stay in sync with core.OLCMaxAttempts and
-// cbtree's olcMaxAttempts: the analysis truncates its restart series at
-// the same depth.
-const olcMaxAttempts = 3
+// the root, and after lock.OLCMaxAttempts failed descents the operation
+// falls back to the locked Link-type path. Writers are exactly the
+// Link-type protocol, entered through the version-aware lock helpers so
+// every W critical section is bracketed by version bumps.
 
 // readBegin samples n's version word; ok is false while a writer holds
 // the node (version odd).
@@ -48,7 +43,7 @@ func (s *session) olcAccess(p *des.Proc, n *btree.Node, visited map[*btree.Node]
 func (s *session) olcOp(p *des.Proc, op workload.Op, key int64) float64 {
 	visited := make(map[*btree.Node]bool)
 	if op == workload.Search {
-		for attempt := 0; attempt < olcMaxAttempts; attempt++ {
+		for attempt := 0; attempt < lock.OLCMaxAttempts; attempt++ {
 			if done, ok := s.olcTrySearch(p, key, visited); ok {
 				return done
 			}
@@ -58,7 +53,7 @@ func (s *session) olcOp(p *des.Proc, op workload.Op, key int64) float64 {
 		return s.linkOp(p, op, key)
 	}
 
-	for attempt := 0; attempt < olcMaxAttempts; attempt++ {
+	for attempt := 0; attempt < lock.OLCMaxAttempts; attempt++ {
 		leaf, stack, ok := s.olcTryDescend(p, key, visited)
 		if !ok {
 			s.readRestarts++

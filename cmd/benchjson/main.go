@@ -10,6 +10,16 @@
 // median, so a committed baseline is robust to one noisy run; ops_per_sec
 // is derived from the median ns/op. The raw text input remains the
 // benchstat-comparable record — this JSON is the tracked summary.
+//
+// With -compare it reads two such documents instead and gates the one
+// number in them that repeats exactly:
+//
+//	benchjson -compare results/BENCH_serving.json new.json
+//
+// exits non-zero when any benchmark present in both allocates more per
+// op in new.json than in the baseline. The ns/op ratio (new ÷ base) is
+// printed beside it and never gated: it is a mean on whatever machine
+// ran it (timing claims are priced by bench/, see bench/README.md).
 package main
 
 import (
@@ -17,6 +27,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -41,7 +52,15 @@ type report struct {
 
 func main() {
 	note := flag.String("note", "", "free-form provenance note embedded in the report")
+	cmp := flag.Bool("compare", false, "compare two reports (base.json new.json): fail if any allocs/op rose")
 	flag.Parse()
+	if *cmp {
+		if err := runCompare(flag.Args()); err != nil {
+			fmt.Fprintln(os.Stderr, "benchjson:", err)
+			os.Exit(1)
+		}
+		return
+	}
 
 	rep := report{Note: *note}
 	samples := map[string]map[string][]float64{} // name -> unit -> values
@@ -106,6 +125,68 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
+}
+
+func runCompare(args []string) error {
+	if len(args) != 2 {
+		return fmt.Errorf("usage: benchjson -compare base.json new.json")
+	}
+	base, err := readReport(args[0])
+	if err != nil {
+		return err
+	}
+	cur, err := readReport(args[1])
+	if err != nil {
+		return err
+	}
+	if rose := compare(os.Stdout, base, cur); rose > 0 {
+		return fmt.Errorf("allocs/op rose on %d benchmark(s) against %s", rose, args[0])
+	}
+	return nil
+}
+
+func readReport(path string) (report, error) {
+	var rep report
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return rep, err
+	}
+	if err := json.Unmarshal(data, &rep); err != nil {
+		return rep, fmt.Errorf("%s: %w", path, err)
+	}
+	return rep, nil
+}
+
+// compare prints one line per benchmark of cur that base also has —
+// allocs/op in both and the ns/op ratio cur ÷ base — and returns how
+// many of them allocate more per op than in base. Benchmarks only one
+// side ran are listed and not judged.
+func compare(w io.Writer, base, cur report) (rose int) {
+	baseline := map[string]benchmark{}
+	for _, b := range base.Benchmarks {
+		baseline[b.Name] = b
+	}
+	for _, c := range cur.Benchmarks {
+		b, ok := baseline[c.Name]
+		if !ok {
+			fmt.Fprintf(w, "%-60s only in new\n", c.Name)
+			continue
+		}
+		delete(baseline, c.Name)
+		verdict := ""
+		if c.Metrics["allocs/op"] > b.Metrics["allocs/op"] {
+			verdict = "  ROSE"
+			rose++
+		}
+		fmt.Fprintf(w, "%-60s allocs/op %4g -> %-4g ns/op x%.2f%s\n",
+			c.Name, b.Metrics["allocs/op"], c.Metrics["allocs/op"], c.Metrics["ns/op"]/b.Metrics["ns/op"], verdict)
+	}
+	for _, b := range base.Benchmarks {
+		if _, left := baseline[b.Name]; left {
+			fmt.Fprintf(w, "%-60s only in base\n", b.Name)
+		}
+	}
+	return rose
 }
 
 // parseBenchLine parses one result line:

@@ -1,0 +1,26 @@
+package main
+
+import (
+	"strings"
+	"testing"
+)
+
+func TestCompareGatesAllocsOnly(t *testing.T) {
+	bm := func(name string, allocs, ns float64) benchmark {
+		return benchmark{Name: name, Metrics: map[string]float64{"allocs/op": allocs, "ns/op": ns}}
+	}
+	base := report{Benchmarks: []benchmark{bm("A", 0, 100), bm("B", 19, 100), bm("C", 2, 100), bm("Gone", 1, 1)}}
+	cur := report{Benchmarks: []benchmark{bm("A", 0, 900), bm("B", 3, 50), bm("C", 3, 100), bm("New", 5, 1)}}
+	var out strings.Builder
+	if rose := compare(&out, base, cur); rose != 1 {
+		t.Fatalf("compare reported %d risen benchmarks, want 1 (C); a 9x slower A must not gate:\n%s", rose, out.String())
+	}
+	for _, want := range []string{"x9.00", "x0.50", "ROSE", "only in new", "only in base"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("output lacks %q:\n%s", want, out.String())
+		}
+	}
+	if strings.Count(out.String(), "ROSE") != 1 {
+		t.Errorf("more than one ROSE line:\n%s", out.String())
+	}
+}

@@ -2,15 +2,16 @@ package cbtree
 
 import "testing"
 
-// Allocation regression tests for OLC. The whole point of
-// version-validated latch-free reads is a cheaper steady-state get, and
-// of in-place writes a cheaper put: an operation that allocates would
-// hand that win straight back to the garbage collector. The point
-// lookup, the leaf-chain scan and seek, and every write that does not
-// split must stay at zero allocations per operation, including their
-// restart bookkeeping.
+// Allocation regression tests. The whole point of version-validated
+// latch-free reads is a cheaper steady-state get, and of in-place writes
+// a cheaper put: an operation that allocates would hand that win
+// straight back to the garbage collector. Under OLC the point lookup,
+// the leaf-chain scan and seek must stay at zero allocations per
+// operation, including their restart bookkeeping; under every algorithm
+// so must a write that does not split, whose ancestor stack rides on the
+// descent's own stack frame.
 
-func olcAllocTree(t *testing.T, n int) *Tree {
+func allocTree(t *testing.T, alg Algorithm, n int) *Tree {
 	t.Helper()
 	keys := make([]int64, n)
 	vals := make([]uint64, n)
@@ -18,7 +19,7 @@ func olcAllocTree(t *testing.T, n int) *Tree {
 		keys[i] = int64(i) * 3
 		vals[i] = uint64(i)
 	}
-	tr, err := BulkLoad(16, OLC, keys, vals, 0.7)
+	tr, err := BulkLoad(16, alg, keys, vals, 0.7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +30,7 @@ func TestOLCSearchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	tr := olcAllocTree(t, 10000)
+	tr := allocTree(t, OLC, 10000)
 	key := int64(0)
 	if n := testing.AllocsPerRun(200, func() {
 		if _, ok := tr.Search(key); !ok {
@@ -45,7 +46,7 @@ func TestOLCRangeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	tr := olcAllocTree(t, 10000)
+	tr := allocTree(t, OLC, 10000)
 	lo := int64(0)
 	count := 0
 	fn := func(k int64, v uint64) bool {
@@ -68,7 +69,7 @@ func TestOLCSearchGEAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	tr := olcAllocTree(t, 10000)
+	tr := allocTree(t, OLC, 10000)
 	key := int64(1)
 	if n := testing.AllocsPerRun(200, func() {
 		if _, _, ok := tr.SearchGE(key); !ok {
@@ -80,49 +81,50 @@ func TestOLCSearchGEAllocs(t *testing.T) {
 	}
 }
 
-func TestOLCWriteAllocs(t *testing.T) {
+func TestWriteAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	// 11 keys per 16-slot leaf, so a leaf spans 33 key values: the new
-	// keys below, 150 apart, each land in a leaf of their own and none
-	// of them splits it.
-	tr := olcAllocTree(t, 10000)
-	splits := tr.Stats().Splits
-	key := int64(1)
-	if n := testing.AllocsPerRun(200, func() {
-		if !tr.Insert(key, 7) {
-			t.Fatalf("key %d already present", key)
-		}
-		key += 150
-	}); n != 0 {
-		t.Errorf("OLC Insert (new key, no split): %v allocs/op, want 0", n)
-	}
-	if got := tr.Stats().Splits; got != splits {
-		t.Fatalf("%d splits during the no-split insert run", got-splits)
-	}
-	key = 1
-	if n := testing.AllocsPerRun(200, func() {
-		if tr.Insert(key, 8) {
-			t.Fatalf("key %d was absent", key)
-		}
-		key += 150
-	}); n != 0 {
-		t.Errorf("OLC Insert (overwrite): %v allocs/op, want 0", n)
-	}
-	key = 1
-	if n := testing.AllocsPerRun(200, func() {
-		if !tr.Delete(key) {
-			t.Fatalf("key %d missing", key)
-		}
-		key += 150
-	}); n != 0 {
-		t.Errorf("OLC Delete: %v allocs/op, want 0", n)
-	}
-	if tr.Delete(2) {
-		t.Fatal("deleted an absent key")
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	for _, alg := range algorithms {
+		t.Run(alg.String(), func(t *testing.T) {
+			// 11 keys per 16-slot leaf, so a leaf spans 33 key values: the
+			// new keys below, 150 apart (and never a multiple of 3), each
+			// land in a leaf of their own and none of them splits it.
+			tr := allocTree(t, alg, 10000)
+			each := func(what string, want bool, op func(key int64) bool) {
+				t.Helper()
+				key := int64(1)
+				if n := testing.AllocsPerRun(200, func() {
+					if op(key) != want {
+						t.Fatalf("%s(%d) = %v", what, key, !want)
+					}
+					key += 150
+				}); n != 0 {
+					t.Errorf("%s: %v allocs/op, want 0", what, n)
+				}
+			}
+			insert := func(key int64) bool { return tr.Insert(key, 7) }
+			if alg != OLC {
+				// A slice-backed leaf grows by append; one untimed round
+				// gives every leaf the room its insert needs.
+				for key := int64(1); key <= 1+150*200; key += 150 {
+					tr.Insert(key, 7)
+					tr.Delete(key)
+				}
+			}
+			splits := tr.Stats().Splits
+			each("Insert (new key, no split)", true, insert)
+			if got := tr.Stats().Splits; got != splits {
+				t.Fatalf("%d splits during the no-split insert run", got-splits)
+			}
+			each("Insert (overwrite)", false, insert)
+			each("Delete", true, tr.Delete)
+			if tr.Delete(2) {
+				t.Fatal("deleted an absent key")
+			}
+			if err := tr.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package cbtree
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"btreeperf/internal/lock"
@@ -33,10 +34,10 @@ import (
 // protocol is the restart process the analytical model in internal/core
 // prices.
 
-// olcStackDepth is the ancestor-stack room an update descent carries on
-// its own stack frame; deeper trees (cap 64: beyond 10²⁸ keys) spill to
-// the heap.
-const olcStackDepth = 16
+// stackDepth is the ancestor-stack room an update descent — of any
+// protocol — carries on its own stack frame; deeper trees (cap 64:
+// beyond 10²⁸ keys) spill to the heap.
+const stackDepth = 16
 
 // olcScanChunk is how many items a latch-free scan copies out of a leaf
 // per validation. At the serving capacity (64) a leaf is one chunk, so
@@ -166,23 +167,28 @@ func (t *Tree) olcDescendLeaf(key int64, stack []*node) (*node, []*node) {
 		}
 	}
 	t.noteFallback()
-	return t.linkDescend(key, stack != nil)
+	return t.linkDescend(key, stack)
 }
 
-// item is one key/value pair copied out of a leaf.
-type item struct {
-	key int64
-	val uint64
+// olcChunk is the private copy a latch-free scan validates one leaf read
+// into and hands to the RangeLeaves callback. It is pooled, not a local:
+// slices passed to a caller-supplied function escape, and a scan must
+// not allocate.
+type olcChunk struct {
+	keys [olcScanChunk]int64
+	vals [olcScanChunk]uint64
 }
+
+var olcChunks = sync.Pool{New: func() any { return new(olcChunk) }}
 
 // olcReadLeaf copies the items of leaf n with key >= from into buf, in
 // order, until buf is full, and returns how many it copied, whether the
 // leaf holds more beyond them, and the leaf's right sibling — all as of
 // one instant: a validated latch-free read after bounded per-node
 // retries, else (counting a fallback) a read under the node's R lock.
-// Leaf-chain walkers (Range, SearchGE) use this instead of restarting
-// from the root, which would lose their position.
-func (t *Tree) olcReadLeaf(n *node, from int64, buf []item) (got int, more bool, right *node) {
+// The leaf-chain walk uses this instead of restarting from the root,
+// which would lose its position.
+func (t *Tree) olcReadLeaf(n *node, from int64, buf *olcChunk) (got int, more bool, right *node) {
 	for attempt := 0; ; attempt++ {
 		locked := attempt == lock.OLCMaxAttempts
 		var v uint64
@@ -198,8 +204,8 @@ func (t *Tree) olcReadLeaf(n *node, from int64, buf []item) (got int, more bool,
 		}
 		c := int(n.cnt.Load())
 		i := lowerBoundAtomic(n.keys[:c], from)
-		for got = 0; i < c && got < len(buf); i, got = i+1, got+1 {
-			buf[got] = item{atomic.LoadInt64(&n.keys[i]), atomic.LoadUint64(&n.vals[i])}
+		for got = 0; i < c && got < olcScanChunk; i, got = i+1, got+1 {
+			buf.keys[got], buf.vals[got] = atomic.LoadInt64(&n.keys[i]), atomic.LoadUint64(&n.vals[i])
 		}
 		more, right = i < c, n.right.Load()
 		if locked {
@@ -213,39 +219,26 @@ func (t *Tree) olcReadLeaf(n *node, from int64, buf []item) (got int, more bool,
 	}
 }
 
-// olcRange is the latch-free scan: descend to the leaf covering lo, then
-// emit from validated leaf reads, chaining through right pointers.
-func (t *Tree) olcRange(lo, hi int64, fn func(key int64, val uint64) bool) {
-	var buf [olcScanChunk]item
+// olcRangeLeaves is the latch-free leaf walk: descend to the leaf
+// covering lo, then hand out validated leaf reads, chaining through
+// right pointers.
+func (t *Tree) olcRangeLeaves(lo, hi int64, fn func(keys []int64, vals []uint64) bool) {
+	buf := olcChunks.Get().(*olcChunk)
+	defer olcChunks.Put(buf)
 	n, _ := t.olcDescendLeaf(lo, nil)
 	for n != nil {
-		got, more, right := t.olcReadLeaf(n, lo, buf[:])
-		for _, it := range buf[:got] {
-			if it.key > hi || !fn(it.key, it.val) {
-				return
-			}
+		got, more, right := t.olcReadLeaf(n, lo, buf)
+		j := runEnd(buf.keys[:got], hi)
+		if (j > 0 && !fn(buf.keys[:j], buf.vals[:j])) || j < got {
+			return
 		}
 		if more {
 			// The leaf holds a larger key, so this cannot overflow.
-			lo = buf[got-1].key + 1
+			lo = buf.keys[got-1] + 1
 			continue
 		}
 		n = right
 	}
-}
-
-// olcSearchGE is the latch-free seek: first stored key >= key.
-func (t *Tree) olcSearchGE(key int64) (k int64, v uint64, ok bool) {
-	var buf [1]item
-	n, _ := t.olcDescendLeaf(key, nil)
-	for n != nil {
-		got, _, right := t.olcReadLeaf(n, key, buf[:])
-		if got > 0 {
-			return buf[0].key, buf[0].val, true
-		}
-		n = right
-	}
-	return 0, 0, false
 }
 
 // ---------------------------------------------------------------------------
@@ -292,7 +285,7 @@ func (t *Tree) olcMoveRightW(n *node, key int64) *node {
 }
 
 func (t *Tree) olcInsert(key int64, val uint64) bool {
-	var room [olcStackDepth]*node
+	var room [stackDepth]*node
 	n, stack := t.olcDescendLeaf(key, room[:0])
 	n.mu.LockV()
 	n = t.olcMoveRightW(n, key)

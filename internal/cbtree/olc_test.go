@@ -187,6 +187,10 @@ func TestOLCMatchesLinkType(t *testing.T) {
 				}
 			}
 		}
+		type item struct {
+			key int64
+			val uint64
+		}
 		var got []item
 		olc.Range(-1<<63, 1<<63-1, func(k int64, v uint64) bool {
 			got = append(got, item{k, v})

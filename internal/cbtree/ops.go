@@ -67,8 +67,9 @@ func (t *Tree) coupledSearch(key int64) (uint64, bool) {
 // lcInsert is the Naive Lock-coupling insert: exclusive locks down the
 // tree, ancestors released whenever the child cannot split.
 func (t *Tree) lcInsert(key int64, val uint64) bool {
+	var room [stackDepth]*node
 	n := t.lockRoot(alwaysWrite)
-	chain := []*node{n}
+	chain := append(room[:0], n)
 	for !n.isLeaf() {
 		child := n.children[n.childIndex(key)]
 		child.mu.Lock()
@@ -229,17 +230,17 @@ func (t *Tree) moveRightW(n *node, key int64) *node {
 	return n
 }
 
-// linkDescend returns the (unlocked) leaf candidate for key and the
-// ancestor stack for split repair. Reading level without the lock is safe:
+// linkDescend returns the (unlocked) leaf candidate for key, appending
+// the ancestors it routed through — the stack split repair climbs — to
+// stack when stack is non-nil. Reading level without the lock is safe:
 // it is immutable.
-func (t *Tree) linkDescend(key int64, wantStack bool) (*node, []*node) {
-	var stack []*node
+func (t *Tree) linkDescend(key int64, stack []*node) (*node, []*node) {
 	n := t.root.Load()
 	for n.level > 1 {
 		n.mu.RLock()
 		n = t.moveRightR(n, key)
 		child := n.children[n.childIndex(key)]
-		if wantStack {
+		if stack != nil {
 			stack = append(stack, n)
 		}
 		n.mu.RUnlock()
@@ -249,7 +250,7 @@ func (t *Tree) linkDescend(key int64, wantStack bool) (*node, []*node) {
 }
 
 func (t *Tree) linkSearch(key int64) (uint64, bool) {
-	n, _ := t.linkDescend(key, false)
+	n, _ := t.linkDescend(key, nil)
 	n.mu.RLock()
 	n = t.moveRightR(n, key)
 	i, ok := n.keyIndex(key)
@@ -262,7 +263,8 @@ func (t *Tree) linkSearch(key int64) (uint64, bool) {
 }
 
 func (t *Tree) linkInsert(key int64, val uint64) bool {
-	n, stack := t.linkDescend(key, true)
+	var room [stackDepth]*node
+	n, stack := t.linkDescend(key, room[:0])
 	n.mu.Lock()
 	n = t.moveRightW(n, key)
 	if i, ok := n.keyIndex(key); ok {
@@ -303,7 +305,7 @@ func (t *Tree) linkInsert(key int64, val uint64) bool {
 }
 
 func (t *Tree) linkDelete(key int64) bool {
-	n, _ := t.linkDescend(key, false)
+	n, _ := t.linkDescend(key, nil)
 	n.mu.Lock()
 	n = t.moveRightW(n, key)
 	ok := t.leafRemove(n, key)
@@ -328,20 +330,29 @@ func (t *Tree) linkLocate(level int, key int64) *node {
 // ---------------------------------------------------------------------------
 // Range scans.
 
-// Range calls fn for each key in [lo, hi] in ascending order, stopping if
-// fn returns false. It descends to the leaf covering lo, then walks the
-// leaf chain with shared-lock coupling; concurrent splits are neither
-// missed nor double-visited.
-func (t *Tree) Range(lo, hi int64, fn func(key int64, val uint64) bool) {
+// RangeLeaves is the range scan, one leaf at a time: it calls fn with each
+// leaf's run of the keys in [lo, hi] and their values, in ascending key
+// order, stopping when fn returns false. Runs are never empty. The
+// slices are the leaf's own storage (a validated copy of it under OLC)
+// and are valid only during the call: fn must not retain or modify
+// them, and — fn runs under the leaf's R lock — must not call back into
+// the tree. It descends to the leaf covering lo, then walks the leaf
+// chain with shared-lock coupling (latch-free under OLC); concurrent
+// splits are neither missed nor double-visited, and each run is seen as
+// of one instant (a whole leaf, or under OLC up to olcScanChunk items).
+func (t *Tree) RangeLeaves(lo, hi int64, fn func(keys []int64, vals []uint64) bool) {
+	if hi < lo {
+		return
+	}
 	if t.alg == OLC {
-		t.olcRange(lo, hi, fn)
+		t.olcRangeLeaves(lo, hi, fn)
 		return
 	}
 	var n *node
 	if t.alg == LinkType {
-		leaf, _ := t.linkDescend(lo, false)
-		leaf.mu.RLock()
-		n = t.moveRightR(leaf, lo)
+		n, _ = t.linkDescend(lo, nil)
+		n.mu.RLock()
+		n = t.moveRightR(n, lo)
 	} else {
 		n = t.lockRoot(alwaysRead)
 		for !n.isLeaf() {
@@ -352,17 +363,9 @@ func (t *Tree) Range(lo, hi int64, fn func(key int64, val uint64) bool) {
 		}
 	}
 	for {
-		for i, k := range n.keys {
-			if k < lo {
-				continue
-			}
-			if k > hi || !fn(k, n.vals[i]) {
-				n.mu.RUnlock()
-				return
-			}
-		}
+		i, j := lowerBoundLinear(n.keys, lo), runEnd(n.keys, hi)
 		next := n.right.Load()
-		if next == nil {
+		if (i < j && !fn(n.keys[i:j], n.vals[i:j])) || j < len(n.keys) || next == nil {
 			n.mu.RUnlock()
 			return
 		}
@@ -370,6 +373,19 @@ func (t *Tree) Range(lo, hi int64, fn func(key int64, val uint64) bool) {
 		n.mu.RUnlock()
 		n = next
 	}
+}
+
+// Range calls fn for each key in [lo, hi] in ascending order, stopping if
+// fn returns false: RangeLeaves, one key at a time.
+func (t *Tree) Range(lo, hi int64, fn func(key int64, val uint64) bool) {
+	t.RangeLeaves(lo, hi, func(keys []int64, vals []uint64) bool {
+		for i, k := range keys {
+			if !fn(k, vals[i]) {
+				return false
+			}
+		}
+		return true
+	})
 }
 
 // ---------------------------------------------------------------------------

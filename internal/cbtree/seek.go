@@ -1,48 +1,22 @@
 package cbtree
 
+import "math"
+
 // SearchGE returns the smallest stored key >= key and its value
-// (an ordered "seek"). ok is false when no such key exists.
+// (an ordered "seek"). ok is false when no such key exists. It is the
+// head of the range scan from key: the leaf walk skips the lazily
+// emptied leaves that may lie before a qualifying key.
 func (t *Tree) SearchGE(key int64) (k int64, v uint64, ok bool) {
-	if t.alg == OLC {
-		return t.olcSearchGE(key)
-	}
-	var n *node
-	if t.alg == LinkType {
-		leaf, _ := t.linkDescend(key, false)
-		leaf.mu.RLock()
-		n = t.moveRightR(leaf, key)
-	} else {
-		n = t.lockRoot(alwaysRead)
-		for !n.isLeaf() {
-			child := n.children[n.childIndex(key)]
-			child.mu.RLock()
-			n.mu.RUnlock()
-			n = child
-		}
-	}
-	// Walk the leaf chain until a qualifying key appears (lazily emptied
-	// leaves may need skipping).
-	for {
-		i, _ := n.keyIndex(key)
-		if i < len(n.keys) {
-			k, v = n.keys[i], n.vals[i]
-			n.mu.RUnlock()
-			return k, v, true
-		}
-		next := n.right.Load()
-		if next == nil {
-			n.mu.RUnlock()
-			return 0, 0, false
-		}
-		next.mu.RLock()
-		n.mu.RUnlock()
-		n = next
-	}
+	t.RangeLeaves(key, math.MaxInt64, func(keys []int64, vals []uint64) bool {
+		k, v, ok = keys[0], vals[0], true
+		return false
+	})
+	return k, v, ok
 }
 
 // Min returns the smallest key in the tree.
 func (t *Tree) Min() (k int64, v uint64, ok bool) {
-	return t.SearchGE(-1 << 63)
+	return t.SearchGE(math.MinInt64)
 }
 
 // Max returns the largest key in the tree. The fast path scans the

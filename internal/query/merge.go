@@ -29,7 +29,11 @@ type ShardFetch struct {
 // MaxInt64.
 func MergePage(fetches []ShardFetch, cursors []int64, hi int64, limit int, dst []KV) (page []KV, done bool) {
 	n := len(fetches)
-	pos := make([]int, n)
+	var room [8]int // next unemitted entry per shard; wider fan-outs spill to the heap
+	pos := room[:]
+	if n > len(room) {
+		pos = make([]int, n)
+	}
 	page = dst
 	for len(page)-len(dst) < limit {
 		best := -1

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // MaxShards bounds how many per-shard cursors a continuation token may
@@ -41,16 +42,22 @@ func EncodeToken(dst []byte, cursors []int64) []byte {
 // semantic validation (against the request's range and the server's
 // shard count) is the caller's job.
 func DecodeToken(tok []byte) ([]int64, error) {
+	return AppendCursors(nil, tok)
+}
+
+// AppendCursors is DecodeToken into the caller's memory: it appends the
+// token's cursors to dst, and returns dst unchanged with ErrBadToken.
+func AppendCursors(dst []int64, tok []byte) ([]int64, error) {
 	if len(tok) < 1 {
-		return nil, ErrBadToken
+		return dst, ErrBadToken
 	}
 	n := int(tok[0])
 	if n == 0 || n > MaxShards || len(tok) != 1+8*n {
-		return nil, ErrBadToken
+		return dst, ErrBadToken
 	}
-	cursors := make([]int64, n)
-	for i := range cursors {
-		cursors[i] = int64(binary.BigEndian.Uint64(tok[1+8*i:]))
+	dst = slices.Grow(dst, n)
+	for i := 0; i < n; i++ {
+		dst = append(dst, int64(binary.BigEndian.Uint64(tok[1+8*i:])))
 	}
-	return cursors, nil
+	return dst, nil
 }

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"testing"
+
+	"btreeperf/internal/cbtree"
 )
 
 // Allocation regression tests: the wire codec and the pooled batch path
@@ -122,5 +124,47 @@ func TestBatchPathAllocs(t *testing.T) {
 		if n := testing.AllocsPerRun(100, cycle); n != 0 {
 			t.Errorf("shards=%d: batch get/add/complete/wait/put cycle: %v allocs/op, want 0", nShards, n)
 		}
+	}
+}
+
+// TestScanPageAllocs holds the scan path to the same standard as the
+// point path: once the worker's scratch and the batch's page arena have
+// grown to size, executing a page — per-shard leaf-run fetch, k-way
+// merge, token — allocates nothing on the server, on the first page and
+// on a token-following one, alone and fanned out over four shards. The
+// cycle is the serving one: a pooled batch, several pages cut from its
+// arena, recycle.
+func TestScanPageAllocs(t *testing.T) {
+	skipUnderRace(t)
+	const limit, pagesPerBatch = 64, 8
+	for _, nShards := range []int{1, 4} {
+		s := New(Config{Algorithm: cbtree.LinkType, Shards: nShards, Prefill: 20000})
+		var w worker
+		first := Request{Op: OpScan, Key: 0, Hi: 1 << 40, Limit: limit}
+		cycle := func(req Request) (last Response) {
+			bt := getBatch(nShards)
+			w.arena = &bt.arenas[0]
+			for i := 0; i < pagesPerBatch; i++ {
+				last = s.execScan(req, &w)
+				if last.Status != StatusOK || len(last.Entries) != limit || len(last.Token) == 0 {
+					t.Fatalf("shards=%d: page status %d, %d entries, %d token bytes",
+						nShards, last.Status, len(last.Entries), len(last.Token))
+				}
+			}
+			putBatch(bt)
+			return last
+		}
+		next := first
+		next.Token = append([]byte(nil), cycle(first).Token...) // the batch is recycled under the response
+		for _, tc := range []struct {
+			name string
+			req  Request
+		}{{"first page", first}, {"token-following page", next}} {
+			cycle(tc.req) // warm up: grow scratch and arena once
+			if n := testing.AllocsPerRun(100, func() { cycle(tc.req) }); n != 0 {
+				t.Errorf("shards=%d, %s: %v allocs per batch of %d pages, want 0", nShards, tc.name, n, pagesPerBatch)
+			}
+		}
+		s.Close()
 	}
 }

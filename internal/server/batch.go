@@ -3,6 +3,8 @@ package server
 import (
 	"sync"
 	"sync/atomic"
+
+	"btreeperf/internal/query"
 )
 
 // The batched serving fast path.
@@ -17,8 +19,9 @@ import (
 // a single unit, the worker executes its jobs in slab order, completion
 // is one token on the batch's reused ready channel, and the writer
 // coalesces the whole batch's responses into one buffered write. In the
-// steady state nothing on this path allocates: batches and their job
-// slabs are recycled through a sync.Pool.
+// steady state nothing on this path allocates: batches, their job slabs
+// and the memory their scan pages live in are recycled through a
+// sync.Pool.
 //
 // With a sharded server the batch is still the unit of pipelining: the
 // reader stamps each job with its key's shard and the batch is handed to
@@ -44,10 +47,26 @@ type job struct {
 // connection writer once every armed completion has been retired.
 type batch struct {
 	jobs    []job
-	nexec   int     // jobs the workers must execute (len(jobs) minus skips)
-	nexecSh []int32 // per-shard executable counts; len = server shard count
+	nexec   int         // jobs the workers must execute (len(jobs) minus skips)
+	nexecSh []int32     // per-shard executable counts; len = server shard count
+	arenas  []pageArena // per-shard page memory; len = server shard count
 	pending atomic.Int32
 	ready   chan struct{}
+}
+
+// pageArena is the memory one shard's worker writes a batch's query
+// pages into: Response.Entries and Response.Token of the page-shaped
+// responses are sub-slices of it, capped at their own length so that no
+// later append can reach them. It lives and dies with the batch — emptied
+// by getBatch, filled by the one worker that executes the batch's jobs
+// for this shard, read by the connection writer once the completion
+// token (the edge that already publishes job.resp) has arrived — and
+// keeps the capacity it grew to across the batch's pooled lives. A page
+// that outgrows the arena moves it to a larger array; the pages already
+// cut keep the old one, which nothing writes again.
+type pageArena struct {
+	ents []query.KV
+	tok  []byte
 }
 
 var batchPool = sync.Pool{
@@ -56,23 +75,32 @@ var batchPool = sync.Pool{
 	},
 }
 
-// getBatch returns an empty batch sized for nShards; its job slab and
-// shard-count slab keep the capacity they grew to in earlier lives, so
-// steady-state accumulation never allocates.
+// getBatch returns an empty batch sized for nShards; its job slab,
+// shard-count slab and page arenas keep the capacity they grew to in
+// earlier lives, so steady-state accumulation never allocates.
 func getBatch(nShards int) *batch {
 	b := batchPool.Get().(*batch)
+	b.reset(nShards)
+	return b
+}
+
+// reset empties b for a new life on an nShards server.
+func (b *batch) reset(nShards int) {
 	b.jobs = b.jobs[:0]
 	b.nexec = 0
 	if cap(b.nexecSh) < nShards {
 		b.nexecSh = make([]int32, nShards)
+		b.arenas = make([]pageArena, nShards)
 	} else {
 		b.nexecSh = b.nexecSh[:nShards]
+		b.arenas = b.arenas[:nShards]
 		for i := range b.nexecSh {
 			b.nexecSh[i] = 0
+			b.arenas[i].ents = b.arenas[i].ents[:0]
+			b.arenas[i].tok = b.arenas[i].tok[:0]
 		}
 	}
 	b.pending.Store(0)
-	return b
 }
 
 // putBatch recycles b. The caller must hold the completion token (have

@@ -1,12 +1,20 @@
 package server
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"fmt"
 	"net"
+	"reflect"
+	"sort"
+	"sync"
 	"testing"
+	"time"
 
 	"btreeperf/internal/cbtree"
+	"btreeperf/internal/query"
+	"btreeperf/internal/xrand"
 )
 
 // TestResponseOrderAcrossDepths checks the acceptance invariant of the
@@ -111,5 +119,126 @@ func BenchmarkBatchDispatch(b *testing.B) {
 				putBatch(bt)
 			}
 		})
+	}
+}
+
+// TestPageArenaAliasing pins the ownership rule of page memory: every
+// page of a batch is cut out of that batch's per-shard arena, so a later
+// page of the same batch must never reach an earlier one (each cut is
+// capped, and an arena that outgrows its array abandons it to the pages
+// already cut), and a batch's next life must not see its previous one.
+// One batch of 160 scans is dealt across the shards with the arenas
+// empty, so each has to grow several times mid-batch; the pages are then
+// encoded the way the connection writer does it — after the completion
+// token — and every one must equal its oracle page. The batch is then
+// reset and reused for point ops and degenerate pages, none of which may
+// carry entries or a token.
+func TestPageArenaAliasing(t *testing.T) {
+	const jobs, limit, keySpace = 160, 48, 1 << 20
+	for _, nShards := range []int{2, 4} {
+		s := New(Config{Algorithm: cbtree.LinkType, Shards: nShards, Capacity: 8})
+		src := xrand.New(uint64(nShards))
+		stored := map[int64]uint64{}
+		for i := 0; i < 6000; i++ {
+			k, v := src.Int63n(keySpace), uint64(i)+1
+			if _, err := s.shards[s.shardIdx(k)].eng.Put(k, v); err != nil {
+				t.Fatal(err)
+			}
+			stored[k] = v
+		}
+		oracle := make([]query.KV, 0, len(stored))
+		for k, v := range stored {
+			oracle = append(oracle, query.KV{Key: k, Val: v})
+		}
+		sort.Slice(oracle, func(i, j int) bool { return oracle[i].Key < oracle[j].Key })
+
+		var workers sync.WaitGroup
+		for _, sh := range s.shards {
+			workers.Add(1)
+			go func(sh *shard) {
+				defer workers.Done()
+				sh.run()
+			}(sh)
+		}
+		var admitTimer *time.Timer
+		run := func(bt *batch, reqs []Request) {
+			for i, req := range reqs {
+				j := bt.add()
+				j.req = req
+				j.shard = int32(i % nShards)
+				bt.nexec++
+				bt.nexecSh[j.shard]++
+			}
+			s.dispatch(bt, &admitTimer)
+			bt.wait()
+		}
+
+		bt := getBatch(nShards)
+		for i := range bt.arenas {
+			bt.arenas[i] = pageArena{}
+		}
+		scans := make([]Request, jobs)
+		for i := range scans {
+			scans[i] = Request{Op: OpScan, Key: src.Int63n(keySpace), Hi: keySpace, Limit: limit}
+		}
+		run(bt, scans)
+		for si := range bt.arenas {
+			first := bt.jobs[si].resp.Entries // shard si's first page
+			if a := bt.arenas[si].ents; len(first) == 0 || len(a) < jobs/nShards*limit/2 || &first[0] == &a[0] {
+				t.Fatalf("shards=%d: shard %d's arena did not grow mid-batch (%d entries, first page of %d)",
+					nShards, si, len(a), len(first))
+			}
+		}
+		var wire []byte
+		for i := range bt.jobs {
+			wire = AppendResponse(wire, bt.jobs[i].resp)
+		}
+		br := bufio.NewReader(bytes.NewReader(wire))
+		buf := make([]byte, MaxPayload)
+		for i, req := range scans {
+			resp, err := ReadPageResponse(br, buf)
+			if err != nil || resp.Status != StatusOK {
+				t.Fatalf("shards=%d page %d: status %d, %v", nShards, i, resp.Status, err)
+			}
+			from := sort.Search(len(oracle), func(j int) bool { return oracle[j].Key >= req.Key })
+			want := oracle[from:min(from+limit, len(oracle))]
+			if len(resp.Entries) != len(want) || (len(want) > 0 && !reflect.DeepEqual(resp.Entries, want)) {
+				t.Fatalf("shards=%d page %d from %d: %d entries %v\nwant %d: %v",
+					nShards, i, req.Key, len(resp.Entries), resp.Entries, len(want), want)
+			}
+			if more := from+limit < len(oracle); (len(resp.Token) > 0) != more {
+				t.Fatalf("shards=%d page %d from %d: %d token bytes, more in range: %v",
+					nShards, i, req.Key, len(resp.Token), more)
+			}
+		}
+
+		// Second life: nothing of the 160 pages may show.
+		bt.reset(nShards)
+		second := []Request{
+			{Op: OpGet, Key: oracle[0].Key},
+			{Op: OpGet, Key: -1},
+			{Op: OpScan, Key: 10, Hi: 10, Limit: limit},       // empty range
+			{Op: OpScan, Key: keySpace, Hi: 1 << 40},          // nothing stored there
+			{Op: OpSeek, Key: keySpace},                       // nothing at or above
+			{Op: OpSeek, Key: 0},                              // one entry, cut from the reset arena
+			{Op: OpScan, Key: 0, Hi: oracle[2].Key, Limit: 8}, // two entries
+		}
+		run(bt, second)
+		for i, wantEntries := range []int{0, 0, 0, 0, 0, 1, 2} {
+			resp := bt.jobs[i].resp
+			if len(resp.Entries) != wantEntries || resp.Token != nil || (wantEntries == 0 && resp.Entries != nil) {
+				t.Fatalf("shards=%d second life, job %d (%+v): entries %v token %v, want %d entries and no token",
+					nShards, i, second[i], resp.Entries, resp.Token, wantEntries)
+			}
+			if wantEntries > 0 && !reflect.DeepEqual(resp.Entries, oracle[:wantEntries]) {
+				t.Fatalf("shards=%d second life, job %d: entries %v, want %v", nShards, i, resp.Entries, oracle[:wantEntries])
+			}
+		}
+		putBatch(bt)
+		for _, sh := range s.shards {
+			close(sh.work)
+		}
+		workers.Wait()
+		s.Close()
 	}
 }

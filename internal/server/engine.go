@@ -112,22 +112,28 @@ func (e *memEngine) Del(key int64) (bool, error) {
 	return e.t.Delete(key), nil
 }
 
-// Scan walks the cbtree leaf chain. It fetches one entry past limit so
-// the "more" verdict needs no second traversal; Range's hi is inclusive,
-// so the exclusive bound becomes hi-1 (safe: hi > lo >= MinInt64).
+// Scan walks the cbtree leaf chain a leaf run at a time, copying each
+// run into dst under that leaf's latch. A run that would overfill the
+// page is the "more" verdict, so a page that ends exactly on a leaf
+// boundary looks one leaf further and no second traversal is needed;
+// RangeLeaves' hi is inclusive, so the exclusive bound becomes hi-1
+// (safe: hi > lo >= MinInt64).
 func (e *memEngine) Scan(lo, hi int64, limit int, dst []query.KV) ([]query.KV, bool, error) {
 	if hi <= lo || limit <= 0 {
 		return dst, false, nil
 	}
-	base := len(dst)
+	end := len(dst) + limit
 	more := false
-	e.t.Range(lo, hi-1, func(k int64, v uint64) bool {
-		if len(dst)-base == limit {
-			more = true
-			return false
+	e.t.RangeLeaves(lo, hi-1, func(keys []int64, vals []uint64) bool {
+		if room := end - len(dst); len(keys) > room {
+			keys, more = keys[:room], true
 		}
-		dst = append(dst, query.KV{Key: k, Val: v})
-		return true
+		d := dst // appending through the captured variable would reload it per key
+		for i, k := range keys {
+			d = append(d, query.KV{Key: k, Val: vals[i]})
+		}
+		dst = d
+		return !more
 	})
 	return dst, more, nil
 }

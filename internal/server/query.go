@@ -36,28 +36,47 @@ func badPage() Response {
 	return Response{Status: StatusBadRequest, Page: true}
 }
 
-// queryCursors resolves a query op's starting cursors: all lo on the
-// first page, the token's cursors afterwards. A token that fails to
-// decode, carries the wrong shard count, or places a cursor outside
-// [lo, hi] is a bad request.
-func (s *Server) queryCursors(tok []byte, lo, hi int64) ([]int64, bool) {
-	cursors := make([]int64, len(s.shards))
+// queryCursors resolves a query op's starting cursors into the worker's
+// scratch: all lo on the first page, the token's cursors afterwards. A
+// token that fails to decode, carries the wrong shard count, or places a
+// cursor outside [lo, hi] is a bad request.
+func (s *Server) queryCursors(w *worker, tok []byte, lo, hi int64) ([]int64, bool) {
+	w.cursors = w.cursors[:0]
 	if len(tok) == 0 {
-		for i := range cursors {
-			cursors[i] = lo
+		for range s.shards {
+			w.cursors = append(w.cursors, lo)
 		}
-		return cursors, true
+		return w.cursors, true
 	}
-	dec, err := query.DecodeToken(tok)
-	if err != nil || len(dec) != len(s.shards) {
+	var err error
+	if w.cursors, err = query.AppendCursors(w.cursors, tok); err != nil || len(w.cursors) != len(s.shards) {
 		return nil, false
 	}
-	for _, c := range dec {
+	for _, c := range w.cursors {
 		if c < lo || c > hi {
 			return nil, false
 		}
 	}
-	return dec, true
+	return w.cursors, true
+}
+
+// mergePage merges the worker's per-shard fetches into the batch's page
+// arena, advancing cursors, and cuts the page response — its entries and,
+// unless the range is exhausted, its token — out of the arena.
+func (w *worker) mergePage(cursors []int64, hi int64, limit int) Response {
+	a := w.arena
+	e0, t0 := len(a.ents), len(a.tok)
+	var done bool
+	a.ents, done = query.MergePage(w.fetches, cursors, hi, limit, a.ents)
+	resp := Response{Status: StatusOK, Page: true}
+	if e1 := len(a.ents); e1 > e0 {
+		resp.Entries = a.ents[e0:e1:e1]
+	}
+	if !done {
+		a.tok = query.EncodeToken(a.tok, cursors)
+		resp.Token = a.tok[t0:len(a.tok):len(a.tok)]
+	}
+	return resp
 }
 
 // clampLimit resolves a request's page limit.
@@ -76,48 +95,50 @@ func clampLimit(limit int) int {
 // entries per shard from that shard's cursor, merge the globally
 // smallest limit of them, and re-encode the advanced cursors as the next
 // token (empty when the range is exhausted).
-func (s *Server) execScan(req Request, t *opTally) Response {
+func (s *Server) execScan(req Request, w *worker) Response {
+	t := &w.tally
 	lo, hi := req.Key, req.Hi
 	if hi <= lo {
 		t.scans++
 		return Response{Status: StatusOK, Page: true} // empty range: OK, zero entries, no token
 	}
 	limit := clampLimit(req.Limit)
-	cursors, ok := s.queryCursors(req.Token, lo, hi)
+	cursors, ok := s.queryCursors(w, req.Token, lo, hi)
 	if !ok {
 		t.bad++
 		return badPage()
 	}
 	t.scans++
-	fetches := make([]query.ShardFetch, len(s.shards))
+	ents, fetches := w.ents[:0], w.fetches[:0]
 	for i, sh := range s.shards {
-		if cursors[i] >= hi {
-			continue // this shard's range is already exhausted
+		var f query.ShardFetch // stays empty when this shard's range is already exhausted
+		if cursors[i] < hi {
+			from := len(ents)
+			var err error
+			if ents, f.More, err = sh.eng.Scan(cursors[i], hi, limit, ents); err != nil {
+				t.unavail++
+				return Response{Status: StatusUnavail, Page: true}
+			}
+			f.Entries = ents[from:]
 		}
-		ents, more, err := sh.eng.Scan(cursors[i], hi, limit, nil)
-		if err != nil {
-			t.unavail++
-			return Response{Status: StatusUnavail, Page: true}
-		}
-		fetches[i] = query.ShardFetch{Entries: ents, More: more}
+		fetches = append(fetches, f)
 	}
-	page, done := query.MergePage(fetches, cursors, hi, limit, nil)
-	t.scanKeys += int64(len(page))
-	resp := Response{Status: StatusOK, Page: true, Entries: page}
-	if !done {
-		resp.Token = query.EncodeToken(nil, cursors)
-	}
+	w.ents, w.fetches = ents, fetches
+	resp := w.mergePage(cursors, hi, limit)
+	t.scanKeys += int64(len(resp.Entries))
 	return resp
 }
 
 // execSeek answers the smallest stored key >= req.Key as a page of at
 // most one entry: the per-shard minimum of a limit-1 scan to +inf.
-func (s *Server) execSeek(req Request, t *opTally) Response {
+func (s *Server) execSeek(req Request, w *worker) Response {
+	t := &w.tally
 	t.seeks++
 	var best query.KV
 	found := false
 	for _, sh := range s.shards {
-		ents, _, err := sh.eng.Scan(req.Key, math.MaxInt64, 1, nil)
+		ents, _, err := sh.eng.Scan(req.Key, math.MaxInt64, 1, w.ents[:0])
+		w.ents = ents
 		if err != nil {
 			t.unavail++
 			return Response{Status: StatusUnavail, Page: true}
@@ -128,7 +149,10 @@ func (s *Server) execSeek(req Request, t *opTally) Response {
 	}
 	resp := Response{Status: StatusOK, Page: true}
 	if found {
-		resp.Entries = []query.KV{best}
+		a := w.arena
+		a.ents = append(a.ents, best)
+		n := len(a.ents)
+		resp.Entries = a.ents[n-1 : n : n]
 		t.scanKeys++
 	}
 	return resp
@@ -139,39 +163,36 @@ func (s *Server) execSeek(req Request, t *opTally) Response {
 // scans — the cursors range over the primary-key space. Answering
 // StatusBadRequest on an index-less server (rather than an empty OK
 // page) keeps "no index" distinguishable from "value not present".
-func (s *Server) execLookup(req Request, t *opTally) Response {
+func (s *Server) execLookup(req Request, w *worker) Response {
+	t := &w.tally
 	if s.shards[0].idx == nil {
 		t.bad++
 		return badPage()
 	}
 	const hi = math.MaxInt64 // lookups page over the full primary-key space
 	limit := clampLimit(req.Limit)
-	cursors, ok := s.queryCursors(req.Token, math.MinInt64, hi)
+	cursors, ok := s.queryCursors(w, req.Token, math.MinInt64, hi)
 	if !ok {
 		t.bad++
 		return badPage()
 	}
 	t.lookups++
-	fetches := make([]query.ShardFetch, len(s.shards))
+	ents, fetches := w.ents[:0], w.fetches[:0]
 	for i, sh := range s.shards {
-		if cursors[i] >= hi {
-			continue
-		}
-		keys, more := sh.idx.Lookup(req.Val, cursors[i], limit, nil)
-		if len(keys) > 0 || more {
-			ents := make([]query.KV, len(keys))
-			for j, k := range keys {
-				ents[j] = query.KV{Key: k, Val: req.Val}
+		var f query.ShardFetch
+		if cursors[i] < hi {
+			from := len(ents)
+			w.keys, f.More = sh.idx.Lookup(req.Val, cursors[i], limit, w.keys[:0])
+			for _, k := range w.keys {
+				ents = append(ents, query.KV{Key: k, Val: req.Val})
 			}
-			fetches[i] = query.ShardFetch{Entries: ents, More: more}
+			f.Entries = ents[from:]
 		}
+		fetches = append(fetches, f)
 	}
-	page, done := query.MergePage(fetches, cursors, hi, limit, nil)
-	t.lookupKeys += int64(len(page))
-	resp := Response{Status: StatusOK, Page: true, Entries: page}
-	if !done {
-		resp.Token = query.EncodeToken(nil, cursors)
-	}
+	w.ents, w.fetches = ents, fetches
+	resp := w.mergePage(cursors, hi, limit)
+	t.lookupKeys += int64(len(resp.Entries))
 	return resp
 }
 

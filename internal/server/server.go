@@ -17,6 +17,7 @@ import (
 	"btreeperf/internal/cbtree"
 	"btreeperf/internal/lock"
 	"btreeperf/internal/metrics"
+	"btreeperf/internal/query"
 	"btreeperf/internal/query/index"
 )
 
@@ -694,11 +695,27 @@ type opTally struct {
 	notLeader, lagging int64
 }
 
+// worker is the private state of one shard-pool goroutine: the tally of
+// the batch it is executing, that batch's page arena for its shard, and
+// the working memory of the query ops (per-shard cursors and fetches),
+// which keeps the capacity it grew to, so a query page allocates nothing
+// once warm.
+type worker struct {
+	tally opTally
+	arena *pageArena
+
+	cursors []int64
+	fetches []query.ShardFetch
+	ents    []query.KV // every shard's fetch of one page, back to back
+	keys    []int64    // one shard's index postings (lookups)
+}
+
 // apply executes one request against the shard's engine, recording it in
 // the worker's batch tally. Engine errors (a poisoned disk engine)
 // answer StatusUnavail: the server keeps the wire protocol up but
 // acknowledges nothing it cannot guarantee.
-func (s *Server) apply(sh *shard, req Request, t *opTally) Response {
+func (s *Server) apply(sh *shard, req Request, w *worker) Response {
+	t := &w.tally
 	if s.testApplyDelay > 0 {
 		time.Sleep(s.testApplyDelay)
 	}
@@ -791,11 +808,11 @@ func (s *Server) apply(sh *shard, req Request, t *opTally) Response {
 	// a bad request, not as a scan, so each request lands in exactly one
 	// op-kind bucket.
 	case OpScan:
-		return s.execScan(req, t)
+		return s.execScan(req, w)
 	case OpSeek:
-		return s.execSeek(req, t)
+		return s.execSeek(req, w)
 	case OpLookup:
-		return s.execLookup(req, t)
+		return s.execLookup(req, w)
 	case OpSeqs:
 		return s.execSeqs(t)
 	default:

@@ -97,16 +97,18 @@ func (sh *shard) run() {
 	// Telemetry is tallied locally and flushed once per batch: per-op
 	// atomic adds from every worker bounce the counters' cache lines and
 	// were a measurable share of service time.
-	var tally opTally
+	var w worker
+	tally := &w.tally
 	for bt := range sh.work {
-		tally = opTally{}
+		*tally = opTally{}
+		w.arena = &bt.arenas[sh.id]
 		t0 := time.Now()
 		for i := range bt.jobs {
 			j := &bt.jobs[i]
 			if j.skip || int(j.shard) != sh.id {
 				continue
 			}
-			j.resp = s.apply(sh, j.req, &tally)
+			j.resp = s.apply(sh, j.req, &w)
 		}
 		if tally.puts+tally.dels > 0 {
 			// Group commit: one engine fsync covers every mutation this

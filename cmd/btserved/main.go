@@ -85,7 +85,7 @@ func main() {
 		path       = flag.String("path", "", "disk engine data file (required with -engine disk)")
 		fsyncMode  = flag.String("fsync", "batch", "disk engine fsync policy: batch (group commit, one fsync per batch) or op (fsync every mutation)")
 		ckptOps    = flag.Int64("checkpoint-ops", 0, "disk engine: mutations of replay debt that trigger a checkpoint (0 = default 262144, negative disables)")
-		ckptMode   = flag.String("checkpoint-mode", "inc", "disk engine checkpoint mode: inc (incremental, concurrent with serving, bounded pause) or stw (stop-the-world baseline)")
+		ckptMode   = flag.String("checkpoint-mode", "inc", "disk engine checkpoint mode: only inc (incremental, concurrent with serving, bounded pause) remains")
 		ckptChunk  = flag.Int("checkpoint-chunk", 4096, "disk engine: keys walked per latched chunk of an incremental checkpoint")
 		cacheNodes = flag.Int("cache-nodes", 0, "disk engine buffer-pool size in nodes (0 = default 4096)")
 
@@ -133,9 +133,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "btserved: -fsync %q (want batch or op)\n", *fsyncMode)
 			os.Exit(2)
 		}
-		if *ckptMode != server.CheckpointIncremental && *ckptMode != server.CheckpointSTW {
-			fmt.Fprintf(os.Stderr, "btserved: -checkpoint-mode %q (want %s or %s)\n",
-				*ckptMode, server.CheckpointIncremental, server.CheckpointSTW)
+		if *ckptMode != "inc" {
+			fmt.Fprintf(os.Stderr, "btserved: -checkpoint-mode %q: checkpoints are always incremental (inc); the stop-the-world baseline (stw) was removed, its numbers are in EXPERIMENTS.md \"Checkpoint pauses\"\n", *ckptMode)
 			os.Exit(2)
 		}
 		if *ckptChunk <= 0 {
@@ -174,7 +173,6 @@ func main() {
 				CacheNodes:      *cacheNodes,
 				SyncEveryOp:     *fsyncMode == "op",
 				CheckpointOps:   *ckptOps,
-				CheckpointMode:  *ckptMode,
 				CheckpointChunk: *ckptChunk,
 			})
 			if err != nil {

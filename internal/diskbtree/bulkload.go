@@ -44,40 +44,35 @@ func BulkLoad(path string, opts Options, keys []int64, vals []uint64, fill float
 		id  pagestore.PageID
 		min int64
 	}
-	// emit writes a fully formed node and returns its page id; links and
-	// high keys are assigned as the next node of the level materializes.
-	var prevOnLevel map[int]pagestore.PageID // last emitted page per level
-	prevOnLevel = make(map[int]pagestore.PageID)
-	emit := func(n *dnode, min int64) (pagestore.PageID, error) {
-		f, err := t.cache.create(n)
+	// emit creates the next node of a level, filled by fill, and returns
+	// its page id; the previous node of the level gets its right link and
+	// high key now that its successor exists.
+	prevOnLevel := make(map[int]pagestore.PageID) // last emitted page per level
+	emit := func(level int, min int64, keys []int64, ptrs []uint64) (pagestore.PageID, error) {
+		n, err := t.cache.create(level)
 		if err != nil {
 			return 0, err
 		}
-		id := f.id
-		t.cache.put(f, true)
-		if prev, ok := prevOnLevel[n.level]; ok {
-			pf, err := t.cache.get(prev)
+		n.set(keys, ptrs)
+		id := n.id
+		t.wUnlatch(n, true)
+		if prev, ok := prevOnLevel[level]; ok {
+			pn, err := t.wLatch(prev)
 			if err != nil {
 				return 0, err
 			}
-			pf.n.right = id
-			pf.n.high, pf.n.hasHigh = min, true
-			t.cache.put(pf, true)
+			pn.right = id
+			pn.high, pn.hasHigh = min, true
+			t.wUnlatch(pn, true)
 		}
-		prevOnLevel[n.level] = id
+		prevOnLevel[level] = id
 		return id, nil
 	}
 
 	var level []built
 	for off := 0; off < len(keys); off += per {
-		end := off + per
-		if end > len(keys) {
-			end = len(keys)
-		}
-		n := &dnode{level: 1}
-		n.keys = append(n.keys, keys[off:end]...)
-		n.vals = append(n.vals, vals[off:end]...)
-		id, err := emit(n, keys[off])
+		end := min(off+per, len(keys))
+		id, err := emit(1, keys[off], keys[off:end], vals[off:end])
 		if err != nil {
 			t.Close()
 			return nil, err
@@ -85,23 +80,19 @@ func BulkLoad(path string, opts Options, keys []int64, vals []uint64, fill float
 		level = append(level, built{id: id, min: keys[off]})
 	}
 
-	h := 1
-	for len(level) > 1 {
-		h++
+	for h := 2; len(level) > 1; h++ {
 		var parents []built
 		for off := 0; off < len(level); off += per {
-			end := off + per
-			if end > len(level) {
-				end = len(level)
-			}
-			n := &dnode{level: h}
+			end := min(off+per, len(level))
+			var seps []int64
+			var children []uint64
 			for j := off; j < end; j++ {
-				n.children = append(n.children, level[j].id)
+				children = append(children, uint64(level[j].id))
 				if j > off {
-					n.keys = append(n.keys, level[j].min)
+					seps = append(seps, level[j].min)
 				}
 			}
-			id, err := emit(n, level[off].min)
+			id, err := emit(h, level[off].min, seps, children)
 			if err != nil {
 				t.Close()
 				return nil, err

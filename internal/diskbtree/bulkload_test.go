@@ -127,7 +127,7 @@ func TestDiskBulkLoadDurable(t *testing.T) {
 	for i := int64(0); i < 100; i++ {
 		tr.Insert(i*5+1, 7)
 	}
-	crashed := copyCrashState(t, path, t.TempDir())
+	crashed := crash(t, tr, path)
 	rec, err := Open(crashed, Options{Cap: 16, CacheNodes: 16, Durable: true})
 	if err != nil {
 		t.Fatal(err)

@@ -1,36 +1,80 @@
 package diskbtree
 
 import (
-	"container/list"
 	"fmt"
+	"math/bits"
+	"sync"
+	"sync/atomic"
 
 	"btreeperf/internal/pagestore"
-	"sync"
 )
 
-// frame is a buffer-pool slot holding one decoded node.
+// frame is the header of a buffer-pool slot. A slot is permanent: header,
+// latch and key/pointer storage belong to it for the life of the pool,
+// and only the page it holds changes. The header is kept to 72 bytes and
+// the storage to 16 bytes per item because a fixed-capacity slot cannot
+// be smaller than a full node, so everything else about it has to be.
+//
+// mu is the node latch and guards the fields marked node (see the node
+// type); those marked pool are guarded by cache.mu. Slots refer to each
+// other by index, biased by one where zero must mean "none". The field
+// order packs the header; a test pins its size.
 type frame struct {
-	id    pagestore.PageID
-	n     *dnode
-	pins  int
-	dirty bool
-	lru   *list.Element // non-nil iff unpinned (eviction candidate)
+	mu sync.RWMutex
+
+	id    pagestore.PageID // pool: page held; 0 = none (a failed load)
+	right pagestore.PageID // node: right sibling; 0 = rightmost
+	high  int64            // node: high key, if hasHigh
+	prev  int32            // pool: LRU neighbours, meaningful iff pins == 0
+	next  int32            //
+	hnext int32            // pool: next slot + 1 in the page table's chain
+	pins  int16            // pool
+	level uint16           // node
+	// busy is set (under cache.mu) while the slot's claimer moves a page
+	// out of or into it, and cleared by the claimer when it is done.
+	busy    atomic.Bool
+	n       uint16 // node: items — values in a leaf, children otherwise
+	dirty   bool   // pool
+	hasHigh bool   // node
 }
 
-// cache is the LRU buffer pool. Protocol: Get pins a frame; the caller
-// may then latch frame.n.mu, use the node, unlatch, and Put. Latches must
-// only be held on pinned frames, so eviction (which only considers
-// unpinned frames) never races with node access.
+// cache is the LRU buffer pool. The protocol, spelled out in DESIGN.md
+// "The buffer pool": get pins a slot; the caller may then latch it, use
+// the node, unlatch, and put — pin, then latch, then (on a miss) I/O.
+// Latches are only held, or waited for, on pinned slots, so eviction
+// (which only takes unpinned slots) never races a node access. Nothing is
+// acquired while mu is held except the latch of a slot just taken off the
+// LRU list, which is free by that argument; all file I/O, checksumming,
+// encoding and decoding happen after mu is released, under the latch of
+// the one slot they concern.
 type cache struct {
 	mu       sync.Mutex
 	store    *pagestore.Store
-	capacity int
-	frames   map[pagestore.PageID]*frame
-	lruList  *list.List // front = most recently unpinned
+	capacity int32
+	nodeCap  int // items of storage per slot
+
+	frames  []frame    // capacity slots, then the LRU list's sentinel
+	used    int32      // slots handed out so far; they are never returned
+	perSlab int32      // slots per storage slab
+	keys    [][]int64  // storage slabs, grown as slots are first used
+	ptrs    [][]uint64 //
+
+	heads    []int32 // page table: chain heads (slot + 1), by hash of the page id
+	shift    uint    // 64 − log2(len(heads))
+	resident int
+	// writing lists the dirty pages on their way to the file. Such a page
+	// has left the table (its slot already answers to another page) but
+	// must not be read back from the file yet.
+	writing []writeback
 
 	hits      int64
 	misses    int64
 	evictions int64
+}
+
+type writeback struct {
+	id   pagestore.PageID
+	slot int32
 }
 
 // CacheStats reports buffer-pool effectiveness — the measured counterpart
@@ -61,120 +105,290 @@ func (c *cache) resetStats() {
 	c.mu.Unlock()
 }
 
-func newCache(store *pagestore.Store, capacity int) *cache {
-	if capacity < 4 {
-		capacity = 4
-	}
-	return &cache{
+// pageBufs recycles the page buffers a slot's claimer encodes into and
+// decodes from, one per I/O in flight.
+var pageBufs = sync.Pool{New: func() any { return new([pagestore.PageSize]byte) }}
+
+// slabBytes sizes one slab of key (or pointer) storage. Slots are cut
+// from slabs so that one costs 16 bytes per item — not a page, and not a
+// make of its own rounded up to a size class.
+const slabBytes = 128 << 10
+
+func newCache(store *pagestore.Store, capacity, treeCap int) *cache {
+	capacity = min(max(capacity, 4), 1<<30)
+	c := &cache{
 		store:    store,
-		capacity: capacity,
-		frames:   make(map[pagestore.PageID]*frame, capacity),
-		lruList:  list.New(),
+		capacity: int32(capacity),
+		nodeCap:  treeCap,
+		frames:   make([]frame, capacity+1),
+		perSlab:  int32(max(slabBytes/(8*treeCap), 1)),
+		heads:    make([]int32, 1<<bits.Len(uint(capacity-1))),
+	}
+	c.shift = uint(64 - bits.TrailingZeros(uint(len(c.heads))))
+	lru := &c.frames[capacity]
+	lru.prev, lru.next = c.capacity, c.capacity
+	return c
+}
+
+// view returns slot s as a node. Caller holds mu (the slab lists grow
+// under it).
+func (c *cache) view(s int32) node {
+	slab, lo := s/c.perSlab, int(s%c.perSlab)*c.nodeCap
+	return node{
+		frame: &c.frames[s],
+		slot:  s,
+		k:     c.keys[slab][lo : lo+c.nodeCap],
+		p:     c.ptrs[slab][lo : lo+c.nodeCap],
 	}
 }
 
-// get returns the pinned frame for a page, fetching and decoding on miss.
-func (c *cache) get(id pagestore.PageID) (*frame, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if f, ok := c.frames[id]; ok {
-		c.hits++
-		c.pinLocked(f)
-		return f, nil
-	}
-	c.misses++
-	if err := c.evictLocked(); err != nil {
-		return nil, err
-	}
-	payload, err := c.store.Read(id)
-	if err != nil {
-		return nil, err
-	}
-	n, err := decodeNode(payload)
-	if err != nil {
-		return nil, fmt.Errorf("diskbtree: page %d: %w", id, err)
-	}
-	f := &frame{id: id, n: n, pins: 1}
-	c.frames[id] = f
-	return f, nil
+// Page table: chained hashing through frame.hnext. Caller holds mu.
+
+func (c *cache) bucket(id pagestore.PageID) *int32 {
+	return &c.heads[uint64(id)*0x9E3779B97F4A7C15>>c.shift]
 }
 
-// create allocates a fresh page and returns its pinned, dirty frame
-// holding the given (fully initialized) node.
-func (c *cache) create(n *dnode) (*frame, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.evictLocked(); err != nil {
-		return nil, err
+// find returns the slot that answers for page id — the one holding it, or
+// the one still writing it back — or -1.
+func (c *cache) find(id pagestore.PageID) int32 {
+	for s := *c.bucket(id) - 1; s >= 0; s = c.frames[s].hnext - 1 {
+		if c.frames[s].id == id {
+			return s
+		}
 	}
+	for _, w := range c.writing {
+		if w.id == id {
+			return w.slot
+		}
+	}
+	return -1
+}
+
+func (c *cache) hashIn(s int32) {
+	b := c.bucket(c.frames[s].id)
+	c.frames[s].hnext, *b = *b, s+1
+	c.resident++
+}
+
+func (c *cache) hashOut(s int32) {
+	p := c.bucket(c.frames[s].id)
+	for *p != s+1 {
+		p = &c.frames[*p-1].hnext
+	}
+	*p = c.frames[s].hnext
+	c.resident--
+}
+
+// LRU list: frames[capacity] is the sentinel, its next the most recently
+// unpinned slot and its prev the victim. Caller holds mu.
+
+// pushLocked puts an unpinned slot on the list: at the hot end, or at the
+// cold end when it holds nothing worth keeping.
+func (c *cache) pushLocked(s int32, hot bool) {
+	at := c.capacity // insert after at
+	if !hot {
+		at = c.frames[c.capacity].prev
+	}
+	f, next := &c.frames[s], c.frames[at].next
+	f.prev, f.next = at, next
+	c.frames[next].prev, c.frames[at].next = s, s
+}
+
+// pinLocked pins a slot, taking it off the eviction list.
+func (c *cache) pinLocked(s int32) {
+	f := &c.frames[s]
+	if f.pins == 0 {
+		c.frames[f.prev].next, c.frames[f.next].prev = f.next, f.prev
+	}
+	f.pins++
+}
+
+// get returns page id's node, pinned and not latched, reading and
+// decoding the page on a miss.
+func (c *cache) get(id pagestore.PageID) (node, error) {
+	for {
+		c.mu.Lock()
+		s := c.find(id)
+		if s < 0 {
+			c.misses++
+			return c.claim(id, true)
+		}
+		c.pinLocked(s)
+		n := c.view(s)
+		busy := n.busy.Load()
+		if !busy {
+			c.hits++
+		}
+		c.mu.Unlock()
+		if !busy {
+			return n, nil
+		}
+		// The slot's claimer is still writing this page back, or still
+		// reading it in. Its exclusive latch is the completion signal;
+		// then look the page up afresh — it may be here (one read served
+		// both), gone (read it back from the file, where the write has
+		// landed), or its load may have failed.
+		n.mu.RLock()
+		n.mu.RUnlock()
+		c.put(n, false)
+	}
+}
+
+// create allocates a fresh page and returns its node pinned, dirty and
+// exclusively latched: an empty rightmost node of the given level for the
+// caller to fill.
+func (c *cache) create(level int) (node, error) {
 	id, err := c.store.Allocate()
 	if err != nil {
-		return nil, err
+		return node{}, err
 	}
-	f := &frame{id: id, n: n, pins: 1, dirty: true}
-	c.frames[id] = f
-	return f, nil
+	c.mu.Lock()
+	n, err := c.claim(id, false)
+	if err != nil {
+		return node{}, err
+	}
+	n.reset(level)
+	return n, nil
 }
 
-// put unpins a frame, recording whether the caller modified the node.
-func (c *cache) put(f *frame, dirty bool) {
+// claim takes a slot for page id — a never-used one, else the coldest
+// unpinned one, evicting the page it holds with a write-back if that is
+// dirty — and, when load is set, reads page id into it. Called with mu
+// held; it returns with mu released and the node pinned, exclusively
+// latched when load is not set.
+//
+// While the claimer works the slot is busy and exclusively latched. It
+// answers for id at once, so a second miss on id waits for this read
+// rather than issuing its own, and through the writing list it answers
+// for the evicted page until the write-back has landed, so nobody reads
+// that page's stale file copy. Only the claimer touches a busy slot's
+// node.
+func (c *cache) claim(id pagestore.PageID, load bool) (node, error) {
+	var s int32
+	if c.used < c.capacity {
+		s = c.used
+		c.used++
+		if int(s/c.perSlab) == len(c.keys) {
+			items := int(min(c.perSlab, c.capacity-s)) * c.nodeCap
+			c.keys = append(c.keys, make([]int64, items))
+			c.ptrs = append(c.ptrs, make([]uint64, items))
+		}
+		c.frames[s].pins = 1
+	} else if s = c.frames[c.capacity].prev; s != c.capacity {
+		c.pinLocked(s)
+	} else {
+		c.mu.Unlock()
+		return node{}, fmt.Errorf("diskbtree: buffer pool exhausted (%d frames, all pinned)", c.capacity)
+	}
+	n := c.view(s)
+	old, writeBack := n.id, n.dirty
+	if old != 0 {
+		c.evictions++
+		c.hashOut(s)
+		if writeBack {
+			c.writing = append(c.writing, writeback{old, s})
+		}
+	}
+	n.mu.Lock() // free: the slot was unpinned, so its latch has no holder and no waiter
+	n.busy.Store(true)
+	n.id, n.dirty = id, !load
+	c.hashIn(s)
+	c.mu.Unlock()
+
+	var err error
+	if writeBack || load {
+		err = c.transfer(n, old, writeBack, load)
+	}
+	n.busy.Store(false)
+	if err != nil {
+		n.mu.Unlock()
+		c.put(n, false)
+		return node{}, err
+	}
+	if load {
+		n.mu.Unlock()
+	}
+	return n, nil
+}
+
+// transfer does a claimed slot's I/O, through one pooled page buffer and
+// under nothing but the slot's latch: the evicted page old out, if
+// writeBack, then the slot's new page in, if load.
+func (c *cache) transfer(n node, old pagestore.PageID, writeBack, load bool) error {
+	page := pageBufs.Get().(*[pagestore.PageSize]byte)
+	defer pageBufs.Put(page)
+	if writeBack {
+		n.encode(page[:])
+		err := c.store.WritePage(old, page[:])
+		c.mu.Lock()
+		for i, w := range c.writing {
+			if w.slot == n.slot {
+				last := len(c.writing) - 1
+				c.writing[i] = c.writing[last]
+				c.writing = c.writing[:last]
+				break
+			}
+		}
+		if err != nil { // the evicted page stays where it was, still dirty
+			c.hashOut(n.slot)
+			n.id, n.dirty = old, true
+			c.hashIn(n.slot)
+		}
+		c.mu.Unlock()
+		if err != nil {
+			return err
+		}
+	}
+	if !load {
+		return nil
+	}
+	err := c.store.ReadInto(n.id, page[:])
+	if err == nil {
+		if err = n.decode(page[:]); err != nil {
+			err = fmt.Errorf("diskbtree: page %d: %w", n.id, err)
+		}
+	}
+	if err != nil { // the slot holds nothing
+		c.mu.Lock()
+		c.hashOut(n.slot)
+		n.id = 0
+		c.mu.Unlock()
+	}
+	return err
+}
+
+// put unpins a node, recording whether the caller modified it.
+func (c *cache) put(n node, dirty bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if f.pins <= 0 {
+	if n.pins <= 0 {
 		panic("diskbtree: put of unpinned frame")
 	}
-	f.dirty = f.dirty || dirty
-	f.pins--
-	if f.pins == 0 {
-		f.lru = c.lruList.PushFront(f)
+	n.dirty = n.dirty || dirty
+	n.pins--
+	if n.pins == 0 {
+		c.pushLocked(n.slot, n.id != 0)
 	}
 }
 
-// pinLocked pins a cached frame, removing it from the eviction list.
-func (c *cache) pinLocked(f *frame) {
-	f.pins++
-	if f.lru != nil {
-		c.lruList.Remove(f.lru)
-		f.lru = nil
-	}
-}
-
-// evictLocked makes room for one more frame by writing back and dropping
-// the least recently used unpinned frame, if the pool is full.
-func (c *cache) evictLocked() error {
-	for len(c.frames) >= c.capacity {
-		tail := c.lruList.Back()
-		if tail == nil {
-			return fmt.Errorf("diskbtree: buffer pool exhausted (%d frames, all pinned)", len(c.frames))
-		}
-		f := tail.Value.(*frame)
-		if f.dirty {
-			if err := c.store.Write(f.id, f.n.encode()); err != nil {
-				return err
-			}
-			f.dirty = false
-		}
-		c.lruList.Remove(tail)
-		delete(c.frames, f.id)
-		c.evictions++
-	}
-	return nil
-}
-
-// flush writes every dirty frame back to the store. It must only be
+// flush writes every dirty node back to the store. It must only be
 // called when the tree is quiescent: it reads node contents without
-// latching them (latching under c.mu would invert the lock order with
-// put), so concurrent mutators would race.
+// latching them, so concurrent mutators would race.
 func (c *cache) flush() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, f := range c.frames {
-		if f.dirty {
-			if err := c.store.Write(f.id, f.n.encode()); err != nil {
-				return err
-			}
-			f.dirty = false
+	page := pageBufs.Get().(*[pagestore.PageSize]byte)
+	defer pageBufs.Put(page)
+	for s := int32(0); s < c.used; s++ {
+		n := c.view(s)
+		if !n.dirty {
+			continue
 		}
+		n.encode(page[:])
+		if err := c.store.WritePage(n.id, page[:]); err != nil {
+			return err
+		}
+		n.dirty = false
 	}
 	return nil
 }
@@ -187,7 +401,7 @@ func (c *cache) statsSnapshot() CacheStats {
 		Hits:      c.hits,
 		Misses:    c.misses,
 		Evictions: c.evictions,
-		Resident:  len(c.frames),
-		Capacity:  c.capacity,
+		Resident:  c.resident,
+		Capacity:  int(c.capacity),
 	}
 }

@@ -32,17 +32,17 @@ func (t *Tree) CheckInvariants() error {
 }
 
 func (t *Tree) checkNode(id pagestore.PageID, lo, hi int64, hiInf bool, leftmost map[int]pagestore.PageID, count *int) (int, error) {
-	f, err := t.rLatch(id)
+	n, err := t.rLatch(id)
 	if err != nil {
 		return 0, err
 	}
-	n := f.n
-	level := n.level
+	level := int(n.level)
+	keys := n.keys()
 	if _, seen := leftmost[level]; !seen {
 		leftmost[level] = id
 	}
 	fail := func(format string, args ...interface{}) (int, error) {
-		t.rUnlatch(f)
+		t.rUnlatch(n)
 		return 0, fmt.Errorf("diskbtree: page %d: %s", id, fmt.Sprintf(format, args...))
 	}
 	if n.items() > t.cap {
@@ -55,23 +55,23 @@ func (t *Tree) checkNode(id pagestore.PageID, lo, hi int64, hiInf bool, leftmost
 	} else if !n.hasHigh || n.high != hi {
 		return fail("high key %v/%v, want %d", n.high, n.hasHigh, hi)
 	}
-	for i := 1; i < len(n.keys); i++ {
-		if n.keys[i-1] >= n.keys[i] {
+	for i := 1; i < len(keys); i++ {
+		if keys[i-1] >= keys[i] {
 			return fail("keys out of order")
 		}
 	}
 	if n.isLeaf() {
-		for _, k := range n.keys {
+		for _, k := range keys {
 			if k < lo || (!hiInf && k >= hi) {
 				return fail("leaf key %d outside [%d, %d)", k, lo, hi)
 			}
 		}
-		*count += len(n.keys)
-		t.rUnlatch(f)
+		*count += len(keys)
+		t.rUnlatch(n)
 		return level, nil
 	}
-	if len(n.children) != len(n.keys)+1 || len(n.children) == 0 {
-		return fail("%d children, %d routers", len(n.children), len(n.keys))
+	if n.items() == 0 {
+		return fail("internal node without children")
 	}
 	// Copy child descriptors, then release the latch before recursing so
 	// the pool never holds a long pinned chain.
@@ -81,19 +81,19 @@ func (t *Tree) checkNode(id pagestore.PageID, lo, hi int64, hiInf bool, leftmost
 		hiInf    bool
 		expected int
 	}
-	specs := make([]childSpec, len(n.children))
-	for i, c := range n.children {
+	specs := make([]childSpec, n.items())
+	for i := range specs {
 		clo := lo
 		if i > 0 {
-			clo = n.keys[i-1]
+			clo = keys[i-1]
 		}
 		chi, chiInf := hi, hiInf
-		if i < len(n.keys) {
-			chi, chiInf = n.keys[i], false
+		if i < len(keys) {
+			chi, chiInf = keys[i], false
 		}
-		specs[i] = childSpec{id: c, lo: clo, hi: chi, hiInf: chiInf, expected: level - 1}
+		specs[i] = childSpec{id: n.child(i), lo: clo, hi: chi, hiInf: chiInf, expected: level - 1}
 	}
-	t.rUnlatch(f)
+	t.rUnlatch(n)
 	for _, sp := range specs {
 		childLevel, err := t.checkNode(sp.id, sp.lo, sp.hi, sp.hiInf, leftmost, count)
 		if err != nil {
@@ -114,32 +114,32 @@ func (t *Tree) checkChain(first pagestore.PageID, level int) error {
 	prevHasHigh := false
 	started := false
 	for id := first; id != 0; {
-		f, err := t.rLatch(id)
+		n, err := t.rLatch(id)
 		if err != nil {
 			return err
 		}
-		if f.n.level != level {
-			t.rUnlatch(f)
-			return fmt.Errorf("diskbtree: level %d chain reached level %d", level, f.n.level)
+		if int(n.level) != level {
+			t.rUnlatch(n)
+			return fmt.Errorf("diskbtree: level %d chain reached level %d", level, n.level)
 		}
 		if started {
 			if !prevHasHigh {
-				t.rUnlatch(f)
+				t.rUnlatch(n)
 				return fmt.Errorf("diskbtree: interior level-%d node with infinite high key", level)
 			}
-			if f.n.hasHigh && f.n.high <= prevHigh {
-				t.rUnlatch(f)
+			if n.hasHigh && n.high <= prevHigh {
+				t.rUnlatch(n)
 				return fmt.Errorf("diskbtree: level %d high keys not ascending", level)
 			}
 		}
-		if f.n.right == 0 && f.n.hasHigh {
-			t.rUnlatch(f)
+		if n.right == 0 && n.hasHigh {
+			t.rUnlatch(n)
 			return fmt.Errorf("diskbtree: rightmost level-%d node has finite high key", level)
 		}
-		prevHigh, prevHasHigh = f.n.high, f.n.hasHigh
+		prevHigh, prevHasHigh = n.high, n.hasHigh
 		started = true
-		next := f.n.right
-		t.rUnlatch(f)
+		next := n.right
+		t.rUnlatch(n)
 		id = next
 	}
 	return nil

@@ -47,9 +47,11 @@ const (
 
 // pendingNode is a node of the image still accepting entries: its page
 // id is pre-allocated so the previous node of the level can point its
-// right link here before being written.
+// right link here before being written. One pendingNode serves a level
+// for the whole build: sealing writes its page out and restarts it, in
+// place, as its own successor.
 type pendingNode struct {
-	n   *dnode
+	n   node
 	id  pagestore.PageID
 	min int64
 }
@@ -58,13 +60,14 @@ type pendingNode struct {
 // bottom-up B⁺-tree inside a fresh pagestore. levels[0] is the leaf
 // level; a node is written out the moment its successor on the level
 // materializes (resolving its right link and high key), so memory use is
-// one pending node per level.
+// one pending node per level and one page buffer.
 type imageBuilder struct {
 	store  *pagestore.Store
 	cap    int
 	per    int
 	levels []*pendingNode
 	count  int64
+	page   [pagestore.PageSize]byte // every node is encoded and written from here
 }
 
 func newImageBuilder(path string, fs pagestore.FS, cap int) (*imageBuilder, error) {
@@ -80,79 +83,90 @@ func newImageBuilder(path string, fs pagestore.FS, cap int) (*imageBuilder, erro
 	return &imageBuilder{store: st, cap: cap, per: per}, nil
 }
 
-func (b *imageBuilder) newPending(level int, min int64) (*pendingNode, error) {
+// level returns the pending node at level index lvl, starting the level
+// (with min as its first node's minimum) when the build first reaches it.
+func (b *imageBuilder) level(lvl int, min int64) (*pendingNode, error) {
+	if lvl < len(b.levels) {
+		return b.levels[lvl], nil
+	}
 	id, err := b.store.Allocate()
 	if err != nil {
 		return nil, err
 	}
-	return &pendingNode{n: &dnode{level: level}, id: id, min: min}, nil
+	p := &pendingNode{n: newNode(lvl+1, b.per), id: id, min: min}
+	b.levels = append(b.levels, p)
+	return p, nil
 }
 
-// add appends the next key of the ascending stream.
-func (b *imageBuilder) add(key int64, val uint64) error {
-	if len(b.levels) == 0 {
-		p, err := b.newPending(1, key)
+// write encodes n into the builder's page buffer and writes it as page id.
+func (b *imageBuilder) write(id pagestore.PageID, n node) error {
+	n.encode(b.page[:])
+	return b.store.WritePage(id, b.page[:])
+}
+
+// addRun appends the next keys of the ascending stream, a leaf-sized
+// piece at a time.
+func (b *imageBuilder) addRun(keys []int64, vals []uint64) error {
+	b.count += int64(len(keys))
+	for len(keys) > 0 {
+		p, err := b.level(0, keys[0])
 		if err != nil {
 			return err
 		}
-		b.levels = append(b.levels, p)
-	}
-	p := b.levels[0]
-	if len(p.n.keys) >= b.per {
-		var err error
-		if p, err = b.seal(0, key); err != nil {
-			return err
+		if p.n.items() == b.per {
+			if err := b.seal(0, keys[0]); err != nil {
+				return err
+			}
 		}
+		at := p.n.items()
+		k := copy(p.n.k[at:b.per], keys)
+		copy(p.n.p[at:], vals[:k])
+		p.n.n += uint16(k)
+		keys, vals = keys[k:], vals[k:]
 	}
-	p.n.keys = append(p.n.keys, key)
-	p.n.vals = append(p.n.vals, val)
-	b.count++
 	return nil
 }
 
 // seal writes out the pending node at level index lvl — right link to a
-// freshly allocated successor, high key = the successor's minimum — and
-// promotes its (id, min) into the parent level. It returns the new
-// pending successor.
-func (b *imageBuilder) seal(lvl int, nextMin int64) (*pendingNode, error) {
+// freshly allocated successor, high key = the successor's minimum —
+// promotes its (id, min) into the parent level, and restarts it as that
+// successor.
+func (b *imageBuilder) seal(lvl int, nextMin int64) error {
 	p := b.levels[lvl]
-	np, err := b.newPending(p.n.level, nextMin)
+	next, err := b.store.Allocate()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	p.n.right = np.id
+	p.n.right = next
 	p.n.high, p.n.hasHigh = nextMin, true
-	if err := b.store.Write(p.id, p.n.encode()); err != nil {
-		return nil, err
+	if err := b.write(p.id, p.n); err != nil {
+		return err
 	}
 	if err := b.promote(lvl+1, p.id, p.min); err != nil {
-		return nil, err
+		return err
 	}
-	b.levels[lvl] = np
-	return np, nil
+	p.n.reset(int(p.n.level))
+	p.id, p.min = next, nextMin
+	return nil
 }
 
 // promote registers a finished child in the pending parent at level
 // index lvl, creating or sealing the parent as needed.
 func (b *imageBuilder) promote(lvl int, childID pagestore.PageID, childMin int64) error {
-	if lvl == len(b.levels) {
-		p, err := b.newPending(lvl+1, childMin)
-		if err != nil {
-			return err
-		}
-		b.levels = append(b.levels, p)
+	p, err := b.level(lvl, childMin)
+	if err != nil {
+		return err
 	}
-	p := b.levels[lvl]
-	if len(p.n.children) >= b.per {
-		var err error
-		if p, err = b.seal(lvl, childMin); err != nil {
+	if p.n.items() == b.per {
+		if err := b.seal(lvl, childMin); err != nil {
 			return err
 		}
 	}
-	if len(p.n.children) > 0 {
-		p.n.keys = append(p.n.keys, childMin)
+	if at := p.n.items(); at > 0 {
+		p.n.k[at-1] = childMin
 	}
-	p.n.children = append(p.n.children, childID)
+	p.n.p[p.n.n] = uint64(childID)
+	p.n.n++
 	return nil
 }
 
@@ -168,14 +182,14 @@ func (b *imageBuilder) finish(seq int64) error {
 		if err != nil {
 			return err
 		}
-		if err := b.store.Write(id, (&dnode{level: 1}).encode()); err != nil {
+		if err := b.write(id, newNode(1, 0)); err != nil {
 			return err
 		}
 		root = id
 	} else {
 		for lvl := 0; ; lvl++ {
 			p := b.levels[lvl]
-			if err := b.store.Write(p.id, p.n.encode()); err != nil {
+			if err := b.write(p.id, p.n); err != nil {
 				return err
 			}
 			if lvl == len(b.levels)-1 {
@@ -210,7 +224,9 @@ type Checkpoint struct {
 	t         *Tree
 	seq       int64 // oplog head when the walk began
 	b         *imageBuilder
-	cursor    int64
+	cursor    int64 // the walk resumes at the first key >= cursor
+	keys      []int64
+	vals      []uint64 // the chunk in flight, reused from Step to Step
 	done      bool
 	finalized bool
 	closed    bool
@@ -266,58 +282,29 @@ func (c *Checkpoint) Step(maxKeys int) (bool, error) {
 	if maxKeys < 1 {
 		maxKeys = 1
 	}
-	keys := make([]int64, 0, maxKeys)
-	vals := make([]uint64, 0, maxKeys)
-
-	id, _, err := t.descend(c.cursor, false)
+	// Collect under the latches, feed the builder outside them: image I/O
+	// must not extend the window in which writers to a leaf are blocked.
+	c.keys, c.vals = c.keys[:0], c.vals[:0]
+	err := t.rangeLeaves(c.cursor, math.MaxInt64, func(keys []int64, vals []uint64) bool {
+		c.keys = append(c.keys, keys...)
+		c.vals = append(c.vals, vals...)
+		return len(c.keys) < maxKeys
+	})
 	if err != nil {
 		return false, t.poison(err)
 	}
-	f, err := t.rLatch(id)
-	if err != nil {
-		return false, t.poison(err)
+	if err := c.b.addRun(c.keys, c.vals); err != nil {
+		return false, c.fail(fmt.Errorf("diskbtree: checkpoint image write: %w", err))
 	}
-	f, err = t.moveRightR(f, c.cursor)
-	if err != nil {
-		return false, t.poison(err)
+	c.keysWalked += int64(len(c.keys))
+	// A short chunk means the walk ran off the right edge. Otherwise
+	// resume just past the last key taken: keys never move left, so
+	// everything at or below it is behind the walk for good.
+	if n := len(c.keys); n < maxKeys || c.keys[n-1] == math.MaxInt64 {
+		c.done = true
+	} else {
+		c.cursor = c.keys[n-1] + 1
 	}
-	for {
-		for i, k := range f.n.keys {
-			if k < c.cursor {
-				continue // collected by an earlier chunk
-			}
-			keys = append(keys, k)
-			vals = append(vals, f.n.vals[i])
-		}
-		if f.n.right == 0 {
-			c.done = true
-			t.rUnlatch(f)
-			break
-		}
-		if len(keys) >= maxKeys {
-			// Resume at the right sibling's lower bound: keys never move
-			// left, so everything < high is behind us for good.
-			c.cursor = f.n.high
-			t.rUnlatch(f)
-			break
-		}
-		nf, err := t.rLatch(f.n.right)
-		if err != nil {
-			t.rUnlatch(f)
-			return false, t.poison(err)
-		}
-		t.rUnlatch(f)
-		f = nf
-	}
-
-	// Feed the builder outside the latches: image I/O must not extend the
-	// window in which writers to the chunk's last leaf are blocked.
-	for i, k := range keys {
-		if err := c.b.add(k, vals[i]); err != nil {
-			return false, c.fail(fmt.Errorf("diskbtree: checkpoint image write: %w", err))
-		}
-	}
-	c.keysWalked += int64(len(keys))
 	return c.done, nil
 }
 
@@ -384,10 +371,9 @@ func (c *Checkpoint) Abort() {
 }
 
 // CheckpointNow builds and installs a full checkpoint synchronously,
-// walking the tree in syncChunkKeys-sized chunks. Unlike the old
-// stop-the-world checkpoint it is safe to run concurrently with readers
-// and writers; only Install's bounded window blocks appends. It returns
-// the install pause in nanoseconds.
+// walking the tree in syncChunkKeys-sized chunks. It is safe to run
+// concurrently with readers and writers; only Install's bounded window
+// blocks appends. It returns the install pause in nanoseconds.
 func (t *Tree) CheckpointNow() (pauseNs int64, err error) {
 	c, err := t.BeginCheckpoint()
 	if err != nil {

@@ -40,6 +40,18 @@ func copyCrashState(t *testing.T, path, dstDir string) string {
 	return dst
 }
 
+// crash commits tr and copies its files as a kill -9 at that instant would
+// leave them. The Commit is the documented durability point: until it (or
+// a Sync) an appended operation lives only in the journal's memory, and a
+// crash is entitled to lose it.
+func crash(t *testing.T, tr *Tree, path string) string {
+	t.Helper()
+	if err := tr.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	return copyCrashState(t, path, t.TempDir())
+}
+
 func TestCrashRecoveryBasic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "tree.db")
@@ -69,7 +81,7 @@ func TestCrashRecoveryBasic(t *testing.T) {
 		}
 	}
 
-	crashed := copyCrashState(t, path, t.TempDir())
+	crashed := crash(t, tr, path)
 	// The original process "dies" here (we simply stop using tr).
 
 	rec, err := Open(crashed, Options{Cap: 8, CacheNodes: 16, Durable: true})
@@ -110,7 +122,7 @@ func TestCrashWithoutAnyCheckpoint(t *testing.T) {
 	for i := int64(0); i < 700; i++ {
 		tr.Insert(i*3, uint64(i))
 	}
-	crashed := copyCrashState(t, path, t.TempDir())
+	crashed := crash(t, tr, path)
 
 	rec, err := Open(crashed, Options{Cap: 8, CacheNodes: 8, Durable: true})
 	if err != nil {
@@ -135,9 +147,9 @@ func TestCrashTornOplogTail(t *testing.T) {
 	for i := int64(0); i < 300; i++ {
 		tr.Insert(i, uint64(i))
 	}
-	crashed := copyCrashState(t, path, t.TempDir())
+	crashed := crash(t, tr, path)
 
-	// Tear the oplog mid-record (a crash during an append).
+	// Tear the oplog mid-record (a crash during the tail's write).
 	st, err := os.Stat(crashed + ".oplog")
 	if err != nil {
 		t.Fatal(err)
@@ -177,7 +189,7 @@ func TestCrashDuringRecoveryIsRecoverable(t *testing.T) {
 	for i := int64(400); i < 800; i++ {
 		tr.Insert(i, uint64(i))
 	}
-	crash1 := copyCrashState(t, path, t.TempDir())
+	crash1 := crash(t, tr, path)
 
 	// First recovery succeeds; immediately "crash" again without Sync by
 	// copying its files mid-life (recovery itself checkpointed at Open, so
@@ -189,7 +201,7 @@ func TestCrashDuringRecoveryIsRecoverable(t *testing.T) {
 	for i := int64(800); i < 1000; i++ {
 		rec1.Insert(i, uint64(i))
 	}
-	crash2 := copyCrashState(t, crash1, t.TempDir())
+	crash2 := crash(t, rec1, crash1)
 
 	rec2, err := Open(crash2, Options{Cap: 8, CacheNodes: 8, Durable: true})
 	if err != nil {
@@ -205,7 +217,7 @@ func TestCrashDuringRecoveryIsRecoverable(t *testing.T) {
 }
 
 // TestCrashFuzz crashes at many random points of a random workload and
-// verifies every recovery yields exactly the acknowledged state.
+// verifies every recovery yields exactly the committed state.
 func TestCrashFuzz(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		trial := trial
@@ -240,7 +252,7 @@ func TestCrashFuzz(t *testing.T) {
 					}
 				}
 			}
-			crashed := copyCrashState(t, path, t.TempDir())
+			crashed := crash(t, tr, path)
 
 			rec, err := Open(crashed, Options{Cap: 5, CacheNodes: 8, Durable: true})
 			if err != nil {

@@ -73,6 +73,63 @@ func TestFsyncPoisoning(t *testing.T) {
 	}
 }
 
+// TestReadErrorPoisonsEveryEntryPoint: a failed page read is a storage
+// failure like any other — whichever entry point meets it reports it, and
+// from then on every public read and write entry point fails stop. The
+// ordered reads (SearchGE, Min) used to bypass both halves of that.
+func TestReadErrorPoisonsEveryEntryPoint(t *testing.T) {
+	// Each victim is an entry point that has to read an evicted page.
+	victims := map[string]func(tr *Tree) error{
+		"Search":    func(tr *Tree) error { _, _, err := tr.Search(5000); return err },
+		"SearchGE":  func(tr *Tree) error { _, _, _, err := tr.SearchGE(5001); return err },
+		"Min":       func(tr *Tree) error { _, _, _, err := tr.Min(); return err },
+		"Range":     func(tr *Tree) error { return tr.Range(5000, 5100, func(int64, uint64) bool { return true }) },
+		"ScanRange": func(tr *Tree) error { return tr.ScanRange(5000, 5100, func(int64, uint64) bool { return true }) },
+		"Insert":    func(tr *Tree) error { _, err := tr.Insert(5001, 1); return err },
+		"Delete":    func(tr *Tree) error { _, err := tr.Delete(5000); return err },
+	}
+	build := func(t *testing.T, fs pagestore.FS) *Tree {
+		tr, err := Open(filepath.Join(t.TempDir(), "t.db"), Options{Cap: 8, CacheNodes: 8, Durable: true, FS: fs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { tr.Close() })
+		for i := int64(0); i < 1000; i++ { // far more leaves than the pool holds
+			if _, err := tr.Insert(i*10, uint64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return tr
+	}
+	// The build is deterministic: a probe run counts its reads, so the
+	// plan can fail the first read after it.
+	probe := pagestore.NewFailFS(nil, pagestore.FailPlan{})
+	build(t, probe)
+	for name, victim := range victims {
+		t.Run(name, func(t *testing.T) {
+			fs := pagestore.NewFailFS(nil, pagestore.FailPlan{FailReadAt: probe.Reads() + 1})
+			tr := build(t, fs)
+			if err := victim(tr); !errors.Is(err, pagestore.ErrInjected) {
+				t.Fatalf("%s over an evicted page = %v, want the injected read failure", name, err)
+			}
+			after := map[string]error{
+				"Sync":            tr.Sync(),
+				"Commit":          tr.Commit(),
+				"CheckpointNow":   func() error { _, err := tr.CheckpointNow(); return err }(),
+				"BeginCheckpoint": func() error { _, err := tr.BeginCheckpoint(); return err }(),
+			}
+			for n, v := range victims {
+				after[n] = v(tr)
+			}
+			for n, err := range after {
+				if !errors.Is(err, ErrPoisoned) || !errors.Is(err, pagestore.ErrInjected) {
+					t.Errorf("%s after the read failure = %v, want ErrPoisoned carrying the cause", n, err)
+				}
+			}
+		})
+	}
+}
+
 // TestCrashSweepAckedDurability crashes a commit-per-op workload at every
 // mutating syscall of its trace and checks the one-sided durability
 // contract after each: every operation whose Commit returned nil before
@@ -300,7 +357,7 @@ func TestTornOplogTailSweep(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	crashed := copyCrashState(t, path, t.TempDir())
+	crashed := crash(t, tr, path)
 
 	st, err := os.Stat(crashed + ".oplog")
 	if err != nil {

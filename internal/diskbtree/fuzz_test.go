@@ -6,32 +6,41 @@ import (
 	"btreeperf/internal/pagestore"
 )
 
+// encodePage returns n's page image.
+func encodePage(n node) []byte {
+	page := make([]byte, pagestore.PageSize)
+	n.encode(page)
+	return page
+}
+
 // FuzzDecodeNode ensures arbitrary page bytes never panic the decoder —
 // they must either round out to a node or return an error. (Corrupted
 // pages are already caught by the pagestore checksum; this guards the
 // parser itself.)
 func FuzzDecodeNode(f *testing.F) {
 	// Seed with real encodings.
-	leaf := &dnode{level: 1, keys: []int64{1, 5, 9}, vals: []uint64{10, 50, 90}, high: 12, hasHigh: true, right: 7}
-	f.Add(leaf.encode())
-	internal := &dnode{level: 3, keys: []int64{100}, children: []pagestore.PageID{4, 5}}
-	f.Add(internal.encode())
+	leaf := newNode(1, 3)
+	leaf.set([]int64{1, 5, 9}, []uint64{10, 50, 90})
+	leaf.high, leaf.hasHigh, leaf.right = 12, true, 7
+	f.Add(encodePage(leaf))
+	internal := newNode(3, 2)
+	internal.set([]int64{100}, []uint64{4, 5})
+	f.Add(encodePage(internal))
 	f.Add([]byte{})
 	f.Add(make([]byte, headerSize))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		n, err := decodeNode(data)
-		if err != nil {
+		n := newNode(0, MaxCap)
+		if err := n.decode(data); err != nil {
 			return
 		}
 		// A successfully decoded node must re-encode without panicking,
 		// and the round trip must be stable.
-		buf := n.encode()
-		n2, err := decodeNode(buf)
-		if err != nil {
+		n2 := newNode(0, MaxCap)
+		if err := n2.decode(encodePage(n)); err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
-		if n2.level != n.level || len(n2.keys) != len(n.keys) {
+		if n2.level != n.level || n2.n != n.n {
 			t.Fatalf("round trip changed shape")
 		}
 	})
@@ -44,45 +53,39 @@ func FuzzEncodeDecodeRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, levelRaw, nRaw uint8, keyBase int64, valBase uint64, hasHigh bool) {
 		level := int(levelRaw%8) + 1
 		nkeys := int(nRaw % 64)
-		n := &dnode{level: level, hasHigh: hasHigh, high: keyBase + 1000, right: 3}
+		var keys []int64
+		var ptrs []uint64
 		for i := 0; i < nkeys; i++ {
-			n.keys = append(n.keys, keyBase+int64(i))
+			keys = append(keys, keyBase+int64(i))
+			ptrs = append(ptrs, valBase+uint64(i))
 		}
-		if n.isLeaf() {
-			for i := 0; i < nkeys; i++ {
-				n.vals = append(n.vals, valBase+uint64(i))
-			}
-		} else {
-			for i := 0; i <= nkeys; i++ {
-				n.children = append(n.children, pagestore.PageID(i+1))
-			}
+		if level > 1 {
+			ptrs = append(ptrs, valBase+uint64(nkeys))
 		}
-		out, err := decodeNode(n.encode())
-		if err != nil {
+		n := newNode(level, 64)
+		n.set(keys, ptrs)
+		n.hasHigh, n.high, n.right = hasHigh, keyBase+1000, 3
+		// Decode into a node that last held something else: nothing of it
+		// may survive.
+		out := newNode(7, 64)
+		out.n, out.hasHigh, out.high = 64, !hasHigh, 1
+		if err := out.decode(encodePage(n)); err != nil {
 			t.Fatalf("decode of valid encoding failed: %v", err)
 		}
-		if out.level != n.level || out.hasHigh != n.hasHigh || out.right != n.right {
+		if out.level != n.level || out.hasHigh != n.hasHigh || out.right != n.right || out.high != n.high {
 			t.Fatal("header mismatch")
 		}
-		if len(out.keys) != len(n.keys) {
-			t.Fatal("key count mismatch")
+		if len(out.keys()) != len(keys) || len(out.ptrs()) != len(ptrs) {
+			t.Fatal("item count mismatch")
 		}
-		for i := range n.keys {
-			if out.keys[i] != n.keys[i] {
+		for i := range keys {
+			if out.keys()[i] != keys[i] {
 				t.Fatal("key mismatch")
 			}
 		}
-		if n.isLeaf() {
-			for i := range n.vals {
-				if out.vals[i] != n.vals[i] {
-					t.Fatal("val mismatch")
-				}
-			}
-		} else {
-			for i := range n.children {
-				if out.children[i] != n.children[i] {
-					t.Fatal("child mismatch")
-				}
+		for i := range ptrs {
+			if out.ptrs()[i] != ptrs[i] {
+				t.Fatal("pointer mismatch")
 			}
 		}
 	})

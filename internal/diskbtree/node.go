@@ -7,10 +7,13 @@
 // predicts from the tree shape.
 //
 // Concurrency: any number of goroutines may call Search, Insert, Delete
-// and Range concurrently. Each buffered node carries its own FCFS
-// reader/writer latch; operations hold at most one latch at a time and
-// recover from concurrent splits through right links, exactly as in
-// internal/cbtree.
+// and Range concurrently. Each buffered node carries its own
+// reader/writer latch; operations hold at most one latch at a time (two,
+// briefly, when a leaf-chain walk couples to the next leaf) and recover
+// from concurrent splits through right links, exactly as in
+// internal/cbtree. The latch is a plain sync.RWMutex, not cbtree's
+// instrumented FCFS lock: the disk tree never reported per-level lock
+// telemetry, and a buffer-pool slot has no room for 150 bytes of it.
 //
 // Durability: a non-durable tree flushes dirty pages on Sync/Close and
 // is NOT crash-atomic (a clean Close is required). With Options.Durable
@@ -26,7 +29,6 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"btreeperf/internal/lock"
 	"btreeperf/internal/pagestore"
 )
 
@@ -38,35 +40,58 @@ const MaxCap = 250
 // level(2) flags(1) pad(1) nkeys(4) high(8) right(8).
 const headerSize = 24
 
-// dnode is the in-memory (decoded) form of a node page. All fields are
-// guarded by mu; level is immutable after creation.
-type dnode struct {
-	mu       lock.FCFSRWMutex
-	level    int
-	keys     []int64
-	vals     []uint64           // leaves
-	children []pagestore.PageID // internal nodes
-	right    pagestore.PageID   // 0 = rightmost
-	high     int64
-	hasHigh  bool
+// node is a pinned buffer-pool slot seen as a tree node: the frame header
+// (latch, level, item count, right link, high key) together with the
+// slot's fixed key and pointer storage. It is a view, built by the pool
+// and passed by value; the node fields of the header and the storage are
+// guarded by the latch, n.mu.
+//
+// Pointers are what the keys point at: values in a leaf, one per key;
+// child page ids in an internal node, one more than keys. The storage
+// holds exactly a full node (cap items), so no operation on a node ever
+// allocates; an insert into a full node goes through split's scratch.
+type node struct {
+	*frame
+	slot int32
+	k    []int64  // key storage, full length
+	p    []uint64 // pointer storage, full length
 }
 
-func (n *dnode) isLeaf() bool { return n.level == 1 }
+// newNode returns a free-standing node (no pool behind it) with storage
+// for items items.
+func newNode(level, items int) node {
+	return node{frame: &frame{level: uint16(level)}, k: make([]int64, items), p: make([]uint64, items)}
+}
 
-func (n *dnode) items() int {
-	if n.isLeaf() {
-		return len(n.keys)
+// reset empties the node for reuse as a fresh rightmost node of level.
+func (n node) reset(level int) {
+	n.level, n.n = uint16(level), 0
+	n.right, n.high, n.hasHigh = 0, 0, false
+}
+
+func (n node) isLeaf() bool { return n.level == 1 }
+
+func (n node) items() int { return int(n.n) }
+
+func (n node) keys() []int64 {
+	if n.level > 1 && n.n > 0 {
+		return n.k[:n.n-1]
 	}
-	return len(n.children)
+	return n.k[:n.n]
 }
 
-func (n *dnode) covers(key int64) bool { return !n.hasHigh || key < n.high }
+func (n node) ptrs() []uint64 { return n.p[:n.n] }
 
-func (n *dnode) childIndex(key int64) int {
-	lo, hi := 0, len(n.keys)
+func (n node) child(i int) pagestore.PageID { return pagestore.PageID(n.p[i]) }
+
+func (n node) covers(key int64) bool { return !n.hasHigh || key < n.high }
+
+func (n node) childIndex(key int64) int {
+	keys := n.keys()
+	lo, hi := 0, len(keys)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if key < n.keys[mid] {
+		if key < keys[mid] {
 			hi = mid
 		} else {
 			lo = mid + 1
@@ -75,108 +100,102 @@ func (n *dnode) childIndex(key int64) int {
 	return lo
 }
 
-func (n *dnode) keyIndex(key int64) (int, bool) {
-	lo, hi := 0, len(n.keys)
+func (n node) keyIndex(key int64) (int, bool) {
+	keys := n.keys()
+	lo, hi := 0, len(keys)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if n.keys[mid] < key {
+		if keys[mid] < key {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo, lo < len(n.keys) && n.keys[lo] == key
+	return lo, lo < len(keys) && keys[lo] == key
 }
 
-// encode serializes the node into a page payload. Caller holds n.mu.
-func (n *dnode) encode() []byte {
-	itemBytes := 16 * n.items()
-	buf := make([]byte, headerSize+itemBytes+8)
-	binary.LittleEndian.PutUint16(buf[0:], uint16(n.level))
+// insert puts key at index ki of the keys and ptr at index pi of the
+// pointers. The node must have room.
+func (n node) insert(ki int, key int64, pi int, ptr uint64) {
+	keys, ptrs := n.keys(), n.ptrs()
+	copy(n.k[ki+1:], keys[ki:])
+	copy(n.p[pi+1:], ptrs[pi:])
+	n.k[ki], n.p[pi] = key, ptr
+	n.n++
+}
+
+// remove deletes item i of a leaf.
+func (n node) remove(i int) {
+	copy(n.k[i:], n.k[i+1:n.n])
+	copy(n.p[i:], n.p[i+1:n.n])
+	n.n--
+}
+
+// set replaces the node's contents.
+func (n node) set(keys []int64, ptrs []uint64) {
+	copy(n.k, keys)
+	n.n = uint16(copy(n.p, ptrs))
+}
+
+// encode serializes the node into page, a whole pagestore page: header,
+// keys, pointers, then zeros up to the checksum the store stamps. Caller
+// holds the latch.
+func (n node) encode(page []byte) {
+	keys, ptrs := n.keys(), n.ptrs()
+	binary.LittleEndian.PutUint16(page[0:], n.level)
 	var flags byte
 	if n.hasHigh {
 		flags |= 1
 	}
-	buf[2] = flags
-	binary.LittleEndian.PutUint32(buf[4:], uint32(len(n.keys)))
-	binary.LittleEndian.PutUint64(buf[8:], uint64(n.high))
-	binary.LittleEndian.PutUint64(buf[16:], uint64(n.right))
+	page[2], page[3] = flags, 0
+	binary.LittleEndian.PutUint32(page[4:], uint32(len(keys)))
+	binary.LittleEndian.PutUint64(page[8:], uint64(n.high))
+	binary.LittleEndian.PutUint64(page[16:], uint64(n.right))
 	off := headerSize
-	for _, k := range n.keys {
-		binary.LittleEndian.PutUint64(buf[off:], uint64(k))
+	for _, k := range keys {
+		binary.LittleEndian.PutUint64(page[off:], uint64(k))
 		off += 8
 	}
-	if n.isLeaf() {
-		for _, v := range n.vals {
-			binary.LittleEndian.PutUint64(buf[off:], v)
-			off += 8
-		}
-	} else {
-		for _, c := range n.children {
-			binary.LittleEndian.PutUint64(buf[off:], uint64(c))
-			off += 8
-		}
+	for _, p := range ptrs {
+		binary.LittleEndian.PutUint64(page[off:], p)
+		off += 8
 	}
-	return buf[:off]
+	clear(page[off:])
 }
 
-// decodeNode parses a page payload.
-func decodeNode(buf []byte) (*dnode, error) {
+// decode parses a page payload into the node. Caller holds the latch
+// exclusively (or owns the node outright).
+func (n node) decode(buf []byte) error {
 	if len(buf) < headerSize {
-		return nil, fmt.Errorf("diskbtree: short page (%d bytes)", len(buf))
+		return fmt.Errorf("diskbtree: short page (%d bytes)", len(buf))
 	}
-	n := &dnode{
-		level:   int(binary.LittleEndian.Uint16(buf[0:])),
-		hasHigh: buf[2]&1 != 0,
-		high:    int64(binary.LittleEndian.Uint64(buf[8:])),
-		right:   pagestore.PageID(binary.LittleEndian.Uint64(buf[16:])),
-	}
-	if n.level < 1 {
-		return nil, fmt.Errorf("diskbtree: bad node level %d", n.level)
+	level := binary.LittleEndian.Uint16(buf[0:])
+	if level < 1 {
+		return fmt.Errorf("diskbtree: bad node level %d", level)
 	}
 	nkeys := int(binary.LittleEndian.Uint32(buf[4:]))
-	if nkeys > MaxCap+1 {
-		return nil, fmt.Errorf("diskbtree: implausible key count %d", nkeys)
+	nptrs := nkeys
+	if level > 1 {
+		nptrs = nkeys + 1 // children
 	}
-	nvals := nkeys
-	if !n.isLeaf() {
-		nvals = nkeys + 1 // children
+	if nkeys < 0 || nptrs > len(n.p) {
+		return fmt.Errorf("diskbtree: implausible key count %d", nkeys)
 	}
-	need := headerSize + 8*nkeys + 8*nvals
-	if len(buf) < need {
-		return nil, fmt.Errorf("diskbtree: truncated node (%d < %d)", len(buf), need)
+	if need := headerSize + 8*nkeys + 8*nptrs; len(buf) < need {
+		return fmt.Errorf("diskbtree: truncated node (%d < %d)", len(buf), need)
 	}
+	n.level, n.n = level, uint16(nptrs)
+	n.hasHigh = buf[2]&1 != 0
+	n.high = int64(binary.LittleEndian.Uint64(buf[8:]))
+	n.right = pagestore.PageID(binary.LittleEndian.Uint64(buf[16:]))
 	off := headerSize
-	n.keys = make([]int64, nkeys)
-	for i := range n.keys {
-		n.keys[i] = int64(binary.LittleEndian.Uint64(buf[off:]))
+	for i := range n.k[:nkeys] {
+		n.k[i] = int64(binary.LittleEndian.Uint64(buf[off:]))
 		off += 8
 	}
-	if n.isLeaf() {
-		n.vals = make([]uint64, nkeys)
-		for i := range n.vals {
-			n.vals[i] = binary.LittleEndian.Uint64(buf[off:])
-			off += 8
-		}
-	} else {
-		n.children = make([]pagestore.PageID, nvals)
-		for i := range n.children {
-			n.children[i] = pagestore.PageID(binary.LittleEndian.Uint64(buf[off:]))
-			off += 8
-		}
+	for i := range n.p[:nptrs] {
+		n.p[i] = binary.LittleEndian.Uint64(buf[off:])
+		off += 8
 	}
-	return n, nil
-}
-
-func insertAt[T any](s []T, i int, v T) []T {
-	var zero T
-	s = append(s, zero)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
-}
-
-func removeAt[T any](s []T, i int) []T {
-	copy(s[i:], s[i+1:])
-	return s[:len(s)-1]
+	return nil
 }

@@ -1,56 +1,86 @@
 package diskbtree
 
-// ScanRange calls emit for each key in [lo, hi) in ascending order,
-// stopping early when emit returns false. Like SearchGE it descends to
-// the leaf covering lo once, then walks the right-link leaf chain with
-// shared-latch coupling — one leaf latched at a time, so a scan never
-// blocks writers for longer than one node visit, and concurrent splits
-// are neither missed nor double-visited (the Lehman–Yao right-link
-// argument: a split only ever moves keys to the right, where the walk is
-// headed).
-func (t *Tree) ScanRange(lo, hi int64, emit func(key int64, val uint64) bool) error {
-	if err := t.Poisoned(); err != nil {
-		return err
-	}
-	return t.poison(t.scanRange(lo, hi, emit))
-}
+import "math"
 
-func (t *Tree) scanRange(lo, hi int64, emit func(key int64, val uint64) bool) error {
-	if hi <= lo {
+// rangeLeaves is the one leaf-chain walk under every ordered read: it
+// calls fn with each leaf's run of the keys in [lo, hi] and their values,
+// in ascending key order, stopping when fn returns false. Runs are never
+// empty. The slices are the leaf's own storage in its buffer-pool slot
+// and are valid only during the call: fn runs under the leaf's shared
+// latch and must not retain or modify them, nor call back into the tree.
+//
+// It descends to the leaf covering lo, then follows right links with
+// shared-latch coupling — the next leaf is latched before this one is
+// released, so the walk holds at most two pins and never blocks a writer
+// for longer than one leaf visit. Concurrent splits are neither missed
+// nor double-visited (the Lehman–Yao right-link argument: a split only
+// ever moves keys to the right, where the walk is headed).
+func (t *Tree) rangeLeaves(lo, hi int64, fn func(keys []int64, vals []uint64) bool) error {
+	if hi < lo {
 		return nil
 	}
-	id, _, err := t.descend(lo, false)
-	if err != nil {
-		return err
-	}
-	f, err := t.rLatch(id)
-	if err != nil {
-		return err
-	}
-	f, err = t.moveRightR(f, lo)
+	n, _, err := t.descend(lo, false, nil)
 	if err != nil {
 		return err
 	}
 	for {
-		i, _ := f.n.keyIndex(lo)
-		for ; i < len(f.n.keys); i++ {
-			k := f.n.keys[i]
-			if k >= hi || !emit(k, f.n.vals[i]) {
-				t.rUnlatch(f)
-				return nil
-			}
+		keys := n.keys()
+		i, _ := n.keyIndex(lo)
+		j := i
+		for j < len(keys) && keys[j] <= hi {
+			j++
 		}
-		next := f.n.right
-		if next == 0 {
-			t.rUnlatch(f)
+		if (j > i && !fn(keys[i:j], n.p[i:j])) || j < len(keys) || n.right == 0 {
+			t.rUnlatch(n)
 			return nil
 		}
-		nf, err := t.rLatch(next)
+		next, err := t.rLatch(n.right)
+		t.rUnlatch(n)
 		if err != nil {
-			t.rUnlatch(f)
 			return err
 		}
-		t.rUnlatch(f)
-		f = nf
+		n = next
 	}
+}
+
+// Range calls fn for each key in [lo, hi] ascending, stopping early if fn
+// returns false.
+func (t *Tree) Range(lo, hi int64, fn func(key int64, val uint64) bool) error {
+	if err := t.Poisoned(); err != nil {
+		return err
+	}
+	return t.poison(t.rangeLeaves(lo, hi, func(keys []int64, vals []uint64) bool {
+		for i, k := range keys {
+			if !fn(k, vals[i]) {
+				return false
+			}
+		}
+		return true
+	}))
+}
+
+// ScanRange is Range over the half-open interval [lo, hi).
+func (t *Tree) ScanRange(lo, hi int64, emit func(key int64, val uint64) bool) error {
+	if hi == math.MinInt64 {
+		return t.Poisoned()
+	}
+	return t.Range(lo, hi-1, emit)
+}
+
+// SearchGE returns the smallest stored key >= key and its value
+// (an ordered "seek"); ok is false when no such key exists.
+func (t *Tree) SearchGE(key int64) (k int64, v uint64, ok bool, err error) {
+	if err := t.Poisoned(); err != nil {
+		return 0, 0, false, err
+	}
+	err = t.poison(t.rangeLeaves(key, math.MaxInt64, func(keys []int64, vals []uint64) bool {
+		k, v, ok = keys[0], vals[0], true
+		return false
+	}))
+	return k, v, ok, err
+}
+
+// Min returns the smallest key in the tree.
+func (t *Tree) Min() (k int64, v uint64, ok bool, err error) {
+	return t.SearchGE(math.MinInt64)
 }

@@ -78,7 +78,9 @@ type Options struct {
 	Durable bool
 	// SyncOps, with Durable, fsyncs the oplog on every Insert/Delete so
 	// each acknowledged operation survives a crash (slower). Without it,
-	// operations are durable at the next Commit or Sync (group commit).
+	// operations are durable at the next Commit or Sync (group commit) and
+	// not before: until then their oplog records are in memory only, and
+	// a process kill loses them.
 	SyncOps bool
 	// FS overrides the file layer for the store and journal (failpoint
 	// testing). Nil means the real filesystem.
@@ -107,7 +109,7 @@ func Open(path string, opts Options) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Tree{store: store, cache: newCache(store, opts.CacheNodes), cap: opts.Cap, path: path, fs: fs}
+	t := &Tree{store: store, cache: newCache(store, opts.CacheNodes, opts.Cap), cap: opts.Cap, path: path, fs: fs}
 	if store.Root() == 0 {
 		if err := t.initEmpty(); err != nil {
 			store.Close()
@@ -145,7 +147,7 @@ func openDurable(path string, opts Options, fs pagestore.FS) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Tree{store: store, cache: newCache(store, opts.CacheNodes), cap: opts.Cap, path: path, fs: fs}
+	t := &Tree{store: store, cache: newCache(store, opts.CacheNodes, opts.Cap), cap: opts.Cap, path: path, fs: fs}
 	if haveImage {
 		err = t.loadMeta()
 	} else {
@@ -167,12 +169,12 @@ func openDurable(path string, opts Options, fs pagestore.FS) (*Tree, error) {
 
 // initEmpty writes an empty leaf root into a fresh store.
 func (t *Tree) initEmpty() error {
-	f, err := t.cache.create(&dnode{level: 1})
+	n, err := t.cache.create(1)
 	if err != nil {
 		return err
 	}
-	t.cache.put(f, true)
-	t.root.Store(uint64(f.id))
+	t.root.Store(uint64(n.id))
+	t.wUnlatch(n, true)
 	return t.persistMeta()
 }
 
@@ -341,14 +343,12 @@ func (t *Tree) Len() int { return int(t.size.Load()) }
 // Height returns the number of levels (1 = a lone leaf root). It reads
 // the root's level field; 0 is returned if the root page is unreadable.
 func (t *Tree) Height() int {
-	f, err := t.cache.get(t.rootID())
+	n, err := t.rLatch(t.rootID())
 	if err != nil {
 		return 0
 	}
-	f.n.mu.RLock()
-	h := f.n.level
-	f.n.mu.RUnlock()
-	t.cache.put(f, false)
+	h := int(n.level)
+	t.rUnlatch(n)
 	return h
 }
 
@@ -367,92 +367,88 @@ func (t *Tree) Stats() (splits, crossings int64) {
 func (t *Tree) rootID() pagestore.PageID { return pagestore.PageID(t.root.Load()) }
 
 // ---------------------------------------------------------------------------
-// Latch-by-page helpers. Each returns a pinned frame whose node is latched
-// in the requested mode; release with rUnlatch / wUnlatch.
+// Latch-by-page helpers. Each returns a pinned node latched in the
+// requested mode; release with the matching unlatch.
 
-func (t *Tree) rLatch(id pagestore.PageID) (*frame, error) {
-	f, err := t.cache.get(id)
+func (t *Tree) latch(id pagestore.PageID, write bool) (node, error) {
+	n, err := t.cache.get(id)
 	if err != nil {
-		return nil, err
+		return node{}, err
 	}
-	f.n.mu.RLock()
-	return f, nil
-}
-
-func (t *Tree) rUnlatch(f *frame) {
-	f.n.mu.RUnlock()
-	t.cache.put(f, false)
-}
-
-func (t *Tree) wLatch(id pagestore.PageID) (*frame, error) {
-	f, err := t.cache.get(id)
-	if err != nil {
-		return nil, err
+	if write {
+		n.mu.Lock()
+	} else {
+		n.mu.RLock()
 	}
-	f.n.mu.Lock()
-	return f, nil
+	return n, nil
 }
 
-func (t *Tree) wUnlatch(f *frame, dirty bool) {
-	f.n.mu.Unlock()
-	t.cache.put(f, dirty)
+func (t *Tree) unlatch(n node, write, dirty bool) {
+	if write {
+		n.mu.Unlock()
+	} else {
+		n.mu.RUnlock()
+	}
+	t.cache.put(n, dirty)
 }
 
-// moveRightR follows right links under shared latches until the node
-// covers key.
-func (t *Tree) moveRightR(f *frame, key int64) (*frame, error) {
-	for !f.n.covers(key) {
-		right := f.n.right
-		t.rUnlatch(f)
+func (t *Tree) rLatch(id pagestore.PageID) (node, error) { return t.latch(id, false) }
+func (t *Tree) rUnlatch(n node)                          { t.unlatch(n, false, false) }
+func (t *Tree) wLatch(id pagestore.PageID) (node, error) { return t.latch(id, true) }
+func (t *Tree) wUnlatch(n node, dirty bool)              { t.unlatch(n, true, dirty) }
+
+// moveRight follows right links, one latch at a time in the mode n is
+// held in, until the node covers key.
+func (t *Tree) moveRight(n node, key int64, write bool) (node, error) {
+	for !n.covers(key) {
+		right := n.right
+		t.unlatch(n, write, false)
 		t.crossings.Add(1)
 		var err error
-		f, err = t.rLatch(right)
+		n, err = t.latch(right, write)
 		if err != nil {
-			return nil, err
+			return node{}, err
 		}
 	}
-	return f, nil
+	return n, nil
 }
 
-// moveRightW is moveRightR with exclusive latches.
-func (t *Tree) moveRightW(f *frame, key int64) (*frame, error) {
-	for !f.n.covers(key) {
-		right := f.n.right
-		t.wUnlatch(f, false)
-		t.crossings.Add(1)
-		var err error
-		f, err = t.wLatch(right)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return f, nil
-}
+// stackDepth sizes the on-stack buffer insert hands descend for the
+// ancestor page ids; a taller tree spills it to the heap.
+const stackDepth = 16
 
-// descend returns the (unlatched) leaf page covering key, optionally
-// recording the ancestor page ids for split repair.
-func (t *Tree) descend(key int64, wantStack bool) (pagestore.PageID, []pagestore.PageID, error) {
-	var stack []pagestore.PageID
-	id := t.rootID()
+// descend returns the leaf covering key, pinned and latched — exclusively
+// when write is set — appending the page ids of the ancestors it passed to
+// stack when that is non-nil (split repair wants them). Internal nodes are
+// visited under shared latches, one at a time; the walk stops at level 2
+// and latches the leaf directly in the mode the operation needs, so each
+// level costs one page access.
+func (t *Tree) descend(key int64, write bool, stack []pagestore.PageID) (node, []pagestore.PageID, error) {
+	id, level := t.rootID(), 0 // level of page id; 0 = whatever the root's is
 	for {
-		f, err := t.rLatch(id)
+		leaf := level == 1
+		n, err := t.latch(id, write && leaf)
+		if err == nil {
+			n, err = t.moveRight(n, key, write && leaf)
+		}
 		if err != nil {
-			return 0, nil, err
+			return node{}, nil, err
 		}
-		if f.n.isLeaf() {
-			t.rUnlatch(f)
-			return id, stack, nil
+		if n.isLeaf() {
+			if leaf || !write {
+				return n, stack, nil
+			}
+			// A lone leaf root met under a shared latch: come back for it
+			// exclusively.
+			id, level = n.id, 1
+			t.rUnlatch(n)
+			continue
 		}
-		f, err = t.moveRightR(f, key)
-		if err != nil {
-			return 0, nil, err
+		id, level = n.child(n.childIndex(key)), int(n.level)-1
+		if stack != nil {
+			stack = append(stack, n.id)
 		}
-		child := f.n.children[f.n.childIndex(key)]
-		if wantStack {
-			stack = append(stack, f.id)
-		}
-		t.rUnlatch(f)
-		id = child
+		t.rUnlatch(n)
 	}
 }
 
@@ -469,24 +465,16 @@ func (t *Tree) Search(key int64) (uint64, bool, error) {
 }
 
 func (t *Tree) search(key int64) (uint64, bool, error) {
-	id, _, err := t.descend(key, false)
+	n, _, err := t.descend(key, false, nil)
 	if err != nil {
 		return 0, false, err
 	}
-	f, err := t.rLatch(id)
-	if err != nil {
-		return 0, false, err
-	}
-	f, err = t.moveRightR(f, key)
-	if err != nil {
-		return 0, false, err
-	}
-	i, ok := f.n.keyIndex(key)
+	i, ok := n.keyIndex(key)
 	var v uint64
 	if ok {
-		v = f.n.vals[i]
+		v = n.p[i]
 	}
-	t.rUnlatch(f)
+	t.rUnlatch(n)
 	return v, ok, nil
 }
 
@@ -501,49 +489,41 @@ func (t *Tree) Insert(key int64, val uint64) (bool, error) {
 }
 
 func (t *Tree) insert(key int64, val uint64) (bool, error) {
-	id, stack, err := t.descend(key, true)
+	var buf [stackDepth]pagestore.PageID
+	n, stack, err := t.descend(key, true, buf[:0])
 	if err != nil {
 		return false, err
 	}
-	f, err := t.wLatch(id)
-	if err != nil {
-		return false, err
-	}
-	f, err = t.moveRightW(f, key)
-	if err != nil {
-		return false, err
-	}
-	if i, ok := f.n.keyIndex(key); ok {
-		f.n.vals[i] = val
-		t.wUnlatch(f, true)
+	i, ok := n.keyIndex(key)
+	if ok {
+		n.p[i] = val
+		t.wUnlatch(n, true)
 		return false, t.logOp(journal.OpInsert, key, val)
 	}
-	i, _ := f.n.keyIndex(key)
-	f.n.keys = insertAt(f.n.keys, i, key)
-	f.n.vals = insertAt(f.n.vals, i, val)
 	t.size.Add(1)
-	if err := t.repairSplits(f, stack); err != nil {
+	if err := t.insertItem(n, i, key, i, val, stack); err != nil {
 		return false, err
 	}
 	return true, t.logOp(journal.OpInsert, key, val)
 }
 
-// repairSplits performs half-splits bottom-up starting from the latched,
-// pinned frame f, releasing it when done.
-func (t *Tree) repairSplits(f *frame, stack []pagestore.PageID) error {
-	for f.n.items() > t.cap {
-		sib, sep, err := t.split(f)
+// insertItem puts key at index ki and ptr at index pi of the latched,
+// pinned node n, splitting bottom-up for as long as the receiving node is
+// full, and releases whichever node it ends on.
+func (t *Tree) insertItem(n node, ki int, key int64, pi int, ptr uint64, stack []pagestore.PageID) error {
+	for n.items() == t.cap {
+		sib, sep, err := t.split(n, ki, key, pi, ptr)
 		if err != nil {
-			t.wUnlatch(f, true)
+			t.wUnlatch(n, true)
 			return err
 		}
-		if len(stack) == 0 && t.rootID() == f.id {
-			err := t.growRoot(f, sep, sib)
-			t.wUnlatch(f, true)
+		if len(stack) == 0 && t.rootID() == n.id {
+			err := t.growRoot(n, sep, sib)
+			t.wUnlatch(n, true)
 			return err
 		}
-		level := f.n.level + 1
-		t.wUnlatch(f, true)
+		level := int(n.level) + 1
+		t.wUnlatch(n, true)
 
 		var parentID pagestore.PageID
 		if len(stack) > 0 {
@@ -555,71 +535,70 @@ func (t *Tree) repairSplits(f *frame, stack []pagestore.PageID) error {
 				return err
 			}
 		}
-		f, err = t.wLatch(parentID)
+		n, err = t.wLatch(parentID)
 		if err != nil {
 			return err
 		}
-		f, err = t.moveRightW(f, sep)
+		n, err = t.moveRight(n, sep, true)
 		if err != nil {
 			return err
 		}
-		i := f.n.childIndex(sep)
-		f.n.keys = insertAt(f.n.keys, i, sep)
-		f.n.children = insertAt(f.n.children, i+1, sib)
+		ki = n.childIndex(sep)
+		key, pi, ptr = sep, ki+1, uint64(sib)
 	}
-	t.wUnlatch(f, true)
+	n.insert(ki, key, pi, ptr)
+	t.wUnlatch(n, true)
 	return nil
 }
 
-// split moves the upper half of the latched node into a fresh page. The
-// sibling page is fully written into the buffer pool before the right
-// link is published, so the release of f's latch orders its contents for
-// every later reader.
-func (t *Tree) split(f *frame) (pagestore.PageID, int64, error) {
+// split inserts an item into the full, latched node n and moves the upper
+// half of the result into a fresh page, whose node create hands back
+// exclusively latched. The overflowing item list is laid out in scratch
+// on the stack, since a slot's storage ends at a full node. The sibling
+// is complete in the buffer pool before the right link is published, so
+// the release of n's latch orders its contents for every later reader.
+func (t *Tree) split(n node, ki int, key int64, pi int, ptr uint64) (pagestore.PageID, int64, error) {
 	t.splits.Add(1)
-	n := f.n
-	sib := &dnode{level: n.level}
-	var sep int64
-	if n.isLeaf() {
-		m := (len(n.keys) + 1) / 2
-		sib.keys = append(sib.keys, n.keys[m:]...)
-		sib.vals = append(sib.vals, n.vals[m:]...)
-		n.keys = n.keys[:m:m]
-		n.vals = n.vals[:m:m]
-		sep = sib.keys[0]
-	} else {
-		m := (len(n.children) + 1) / 2
-		sep = n.keys[m-1]
-		sib.children = append(sib.children, n.children[m:]...)
-		sib.keys = append(sib.keys, n.keys[m:]...)
-		n.children = n.children[:m:m]
-		n.keys = n.keys[: m-1 : m-1]
-	}
-	sib.high, sib.hasHigh = n.high, n.hasHigh
-	sib.right = n.right
-	sf, err := t.cache.create(sib)
+	sib, err := t.cache.create(int(n.level))
 	if err != nil {
 		return 0, 0, err
 	}
-	t.cache.put(sf, true)
-	n.right = sf.id
+	var (
+		ks [MaxCap + 1]int64
+		ps [MaxCap + 1]uint64
+	)
+	keys := append(append(append(ks[:0], n.keys()[:ki]...), key), n.keys()[ki:]...)
+	ptrs := append(append(append(ps[:0], n.ptrs()[:pi]...), ptr), n.ptrs()[pi:]...)
+	m := (len(ptrs) + 1) / 2
+	var sep int64
+	if n.isLeaf() {
+		sep = keys[m]
+		n.set(keys[:m], ptrs[:m])
+	} else {
+		sep = keys[m-1]
+		n.set(keys[:m-1], ptrs[:m])
+	}
+	sib.set(keys[m:], ptrs[m:])
+	sib.high, sib.hasHigh = n.high, n.hasHigh
+	sib.right = n.right
+	sibID := sib.id
+	t.wUnlatch(sib, true)
+	n.right = sibID
 	n.high, n.hasHigh = sep, true
-	return sf.id, sep, nil
+	return sibID, sep, nil
 }
 
 // growRoot installs a new root above the split old root (whose pinned,
-// latched frame the caller passes, having verified it is still the root).
-func (t *Tree) growRoot(old *frame, sep int64, sib pagestore.PageID) error {
-	rf, err := t.cache.create(&dnode{
-		level:    old.n.level + 1,
-		keys:     []int64{sep},
-		children: []pagestore.PageID{old.id, sib},
-	})
+// latched node the caller passes, having verified it is still the root).
+func (t *Tree) growRoot(old node, sep int64, sib pagestore.PageID) error {
+	root, err := t.cache.create(int(old.level) + 1)
 	if err != nil {
 		return err
 	}
-	t.cache.put(rf, true)
-	if !t.root.CompareAndSwap(uint64(old.id), uint64(rf.id)) {
+	root.set([]int64{sep}, []uint64{uint64(old.id), uint64(sib)})
+	id := root.id
+	t.wUnlatch(root, true)
+	if !t.root.CompareAndSwap(uint64(old.id), uint64(id)) {
 		panic("diskbtree: concurrent root replacement")
 	}
 	return nil
@@ -630,20 +609,20 @@ func (t *Tree) growRoot(old *frame, sep int64, sib pagestore.PageID) error {
 func (t *Tree) locate(level int, key int64) (pagestore.PageID, error) {
 	id := t.rootID()
 	for {
-		f, err := t.rLatch(id)
+		n, err := t.rLatch(id)
 		if err != nil {
 			return 0, err
 		}
-		if f.n.level == level {
-			t.rUnlatch(f)
+		if int(n.level) == level {
+			t.rUnlatch(n)
 			return id, nil
 		}
-		f, err = t.moveRightR(f, key)
+		n, err = t.moveRight(n, key, false)
 		if err != nil {
 			return 0, err
 		}
-		child := f.n.children[f.n.childIndex(key)]
-		t.rUnlatch(f)
+		child := n.child(n.childIndex(key))
+		t.rUnlatch(n)
 		id = child
 	}
 }
@@ -660,73 +639,17 @@ func (t *Tree) Delete(key int64) (bool, error) {
 }
 
 func (t *Tree) del(key int64) (bool, error) {
-	id, _, err := t.descend(key, false)
+	n, _, err := t.descend(key, true, nil)
 	if err != nil {
 		return false, err
 	}
-	f, err := t.wLatch(id)
-	if err != nil {
-		return false, err
-	}
-	f, err = t.moveRightW(f, key)
-	if err != nil {
-		return false, err
-	}
-	i, ok := f.n.keyIndex(key)
+	i, ok := n.keyIndex(key)
 	if !ok {
-		t.wUnlatch(f, false)
+		t.wUnlatch(n, false)
 		return false, nil
 	}
-	f.n.keys = removeAt(f.n.keys, i)
-	f.n.vals = removeAt(f.n.vals, i)
+	n.remove(i)
 	t.size.Add(-1)
-	t.wUnlatch(f, true)
+	t.wUnlatch(n, true)
 	return true, t.logOp(journal.OpDelete, key, 0)
-}
-
-// Range calls fn for each key in [lo, hi] ascending, stopping early if fn
-// returns false. It walks the leaf chain with latch coupling.
-func (t *Tree) Range(lo, hi int64, fn func(key int64, val uint64) bool) error {
-	if err := t.Poisoned(); err != nil {
-		return err
-	}
-	return t.poison(t.rangeScan(lo, hi, fn))
-}
-
-func (t *Tree) rangeScan(lo, hi int64, fn func(key int64, val uint64) bool) error {
-	id, _, err := t.descend(lo, false)
-	if err != nil {
-		return err
-	}
-	f, err := t.rLatch(id)
-	if err != nil {
-		return err
-	}
-	f, err = t.moveRightR(f, lo)
-	if err != nil {
-		return err
-	}
-	for {
-		for i, k := range f.n.keys {
-			if k < lo {
-				continue
-			}
-			if k > hi || !fn(k, f.n.vals[i]) {
-				t.rUnlatch(f)
-				return nil
-			}
-		}
-		next := f.n.right
-		if next == 0 {
-			t.rUnlatch(f)
-			return nil
-		}
-		nf, err := t.rLatch(next)
-		if err != nil {
-			t.rUnlatch(f)
-			return err
-		}
-		t.rUnlatch(f)
-		f = nf
-	}
 }

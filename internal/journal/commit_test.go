@@ -127,26 +127,43 @@ func TestFailedSyncPoisonsJournal(t *testing.T) {
 	}
 }
 
-func TestFailedAppendWritePoisons(t *testing.T) {
-	// Key the plan to the append's write by counting syscalls with an
-	// inert run first.
+// TestFailedTailWritePoisons tears the one write that carries the
+// buffered tail to the file: the Commit that issued it fails, and so does
+// everything after.
+func TestFailedTailWritePoisons(t *testing.T) {
+	// Key the plan to the tail's write by counting syscalls with an inert
+	// run first.
 	probe := pagestore.NewFailFS(nil, pagestore.FailPlan{})
 	pj := openFailJournal(t, probe)
 	before := probe.Ops()
 	if err := pj.Append(Op{Kind: OpInsert, Key: 9}); err != nil {
 		t.Fatal(err)
 	}
-	writeIdx := probe.Ops() // the append's write was the last mutating syscall
+	if probe.Ops() != before {
+		t.Fatalf("Append made %d mutating syscalls, want none", probe.Ops()-before)
+	}
+	if err := pj.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := probe.Ops() - before; got != 2 {
+		t.Fatalf("Commit made %d mutating syscalls, want a write and an fsync", got)
+	}
 
-	fs := pagestore.NewFailFS(nil, pagestore.FailPlan{FailWriteAt: writeIdx, TornBytes: 5})
+	fs := pagestore.NewFailFS(nil, pagestore.FailPlan{FailWriteAt: before + 1, TornBytes: 5})
 	j := openFailJournal(t, fs)
 	if fs.Ops() != before {
 		t.Fatalf("setup syscalls diverged: %d vs %d", fs.Ops(), before)
 	}
-	if err := j.Append(Op{Kind: OpInsert, Key: 9}); !errors.Is(err, pagestore.ErrInjected) {
-		t.Fatalf("Append = %v, want injected write failure", err)
+	if err := j.Append(Op{Kind: OpInsert, Key: 9}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Commit(); !errors.Is(err, pagestore.ErrInjected) {
+		t.Fatalf("Commit = %v, want injected write failure", err)
 	}
 	if err := j.Append(Op{Kind: OpInsert, Key: 10}); !errors.Is(err, ErrPoisoned) {
 		t.Fatalf("Append after torn write = %v, want ErrPoisoned", err)
+	}
+	if err := j.Commit(); !errors.Is(err, ErrPoisoned) {
+		t.Fatalf("Commit after torn write = %v, want ErrPoisoned", err)
 	}
 }

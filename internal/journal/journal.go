@@ -36,6 +36,14 @@
 // fsyncs — so a serving layer can acknowledge a whole pipelined batch
 // after a single disk barrier.
 //
+// Between those points an appended record lives only in the journal's
+// in-memory tail: Append encodes it there and touches no file. The tail
+// reaches the file in one write — at the next Commit, at every Append
+// under syncOps, before Rotate reads the file, and at Close — so a record
+// that was appended but never committed does not survive a process kill,
+// not even through the OS page cache. Nothing may be acknowledged before
+// Commit returns, and nothing acknowledged is ever lost.
+//
 // # Fail-stop on storage errors
 //
 // After any write or fsync failure, the journal poisons itself: every
@@ -109,12 +117,14 @@ type Journal struct {
 	rotMu sync.Mutex
 
 	// Group-commit state. Lock order: syncMu before mu, never the
-	// reverse. appendSeq/oplogBytes are guarded by mu; syncSeq by syncMu.
-	syncMu     sync.Mutex
-	appendSeq  int64 // records appended this epoch
-	syncSeq    int64 // records covered by the last oplog fsync
-	oplogBytes int64
-	commits    atomic.Int64 // fsyncs issued by Commit (group commits)
+	// reverse. appendSeq, tail and fileEnd are guarded by mu; syncSeq by
+	// syncMu.
+	syncMu    sync.Mutex
+	appendSeq int64        // records appended this epoch
+	syncSeq   int64        // records covered by the last oplog fsync
+	tail      []byte       // encoded records appended since the last flush
+	fileEnd   int64        // file offset the tail will be written at
+	commits   atomic.Int64 // fsyncs issued by Commit (group commits)
 
 	// Global sequence numbering for log shipping. Every appended record
 	// has a global sequence number baseSeq+i (i = 1-based position in the
@@ -166,11 +176,15 @@ func OpenFS(path string, syncOps bool, fs pagestore.FS) (*Journal, error) {
 	}
 	// A brand-new oplog gets its epoch header immediately (base 0, not
 	// yet fsync'd — the first record's covering fsync persists it too).
-	if st, err := j.of.Stat(); err == nil && st.Size() == 0 {
-		if err := j.writeOplogHdr(0); err != nil {
-			j.of.Close()
-			return nil, fmt.Errorf("journal: %w", err)
-		}
+	st, err := j.of.Stat()
+	if err == nil && st.Size() == 0 {
+		err = j.writeOplogHdr(0)
+	} else if err == nil {
+		j.fileEnd = st.Size() // Recover re-derives it from the valid prefix
+	}
+	if err != nil {
+		j.of.Close()
+		return nil, fmt.Errorf("journal: %w", err)
 	}
 	return j, nil
 }
@@ -181,6 +195,7 @@ func (j *Journal) writeOplogHdr(base int64) error {
 	hdr := make([]byte, oplogHdr)
 	encodeOplogHdr(hdr, base)
 	_, err := j.of.WriteAt(hdr, 0)
+	j.fileEnd = oplogHdr
 	return err
 }
 
@@ -201,11 +216,32 @@ func parseOplogHdr(b []byte) (int64, bool) {
 	return int64(binary.LittleEndian.Uint64(b[4:])), true
 }
 
-// Close closes the oplog file without checkpointing.
+// Close writes out the tail (unless poisoned) and closes the oplog file,
+// without fsync and without checkpointing.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if j.Failed() == nil {
+		if err := j.flushLocked(); err != nil {
+			j.of.Close()
+			return err
+		}
+	}
 	return j.of.Close()
+}
+
+// flushLocked writes the in-memory tail to the file with one WriteAt at
+// the tracked end offset. Caller holds mu. A failed write poisons.
+func (j *Journal) flushLocked() error {
+	if len(j.tail) == 0 {
+		return nil
+	}
+	if _, err := j.of.WriteAt(j.tail, j.fileEnd); err != nil {
+		return j.poison(err)
+	}
+	j.fileEnd += int64(len(j.tail))
+	j.tail = j.tail[:0]
+	return nil
 }
 
 // Failed returns the sticky first storage failure, or nil.
@@ -230,54 +266,33 @@ func (j *Journal) poison(err error) error {
 	return err
 }
 
-// Append logs a logical operation. With syncOps the record is durable on
-// return; otherwise it is durable at the next Commit (or rotation).
+// Append logs a logical operation: it encodes the record into the
+// in-memory tail and, without syncOps, touches no file and allocates
+// nothing — the record is durable at the next Commit (or rotation). With
+// syncOps the record is written through and fsync'd before Append returns.
 func (j *Journal) Append(op Op) error {
 	if err := j.Failed(); err != nil {
 		return err
 	}
 	j.mu.Lock()
-	rec := make([]byte, opRecSize)
-	rec[0] = byte(op.Kind)
-	binary.LittleEndian.PutUint64(rec[1:], uint64(op.Key))
-	binary.LittleEndian.PutUint64(rec[9:], op.Val)
-	binary.LittleEndian.PutUint32(rec[17:], crc32.ChecksumIEEE(rec[:17]))
-	if _, err := j.of.Seek(0, io.SeekEnd); err != nil {
-		j.mu.Unlock()
-		return j.poison(err)
-	}
-	if _, err := j.of.Write(rec); err != nil {
-		j.mu.Unlock()
-		return j.poison(err)
-	}
+	j.tail = AppendEncodedOp(j.tail, op)
 	j.appendSeq++
-	j.oplogBytes += opRecSize
 	j.mu.Unlock()
 	if j.syncOps {
 		j.syncMu.Lock()
 		defer j.syncMu.Unlock()
-		// Read the covered sequence BEFORE the fsync: records appended by
-		// racing writers after the fsync starts are not covered by it.
-		j.mu.Lock()
-		covered, base := j.appendSeq, j.baseSeq
-		j.mu.Unlock()
-		if err := j.of.Sync(); err != nil {
-			return j.poison(err)
-		}
-		if covered > j.syncSeq {
-			j.syncSeq = covered
-			j.durable.Store(base + covered)
-		}
+		return j.syncLocked()
 	}
 	return nil
 }
 
 // Commit makes every record appended before the call durable: group
 // commit. If a concurrent Commit's fsync already covered this caller's
-// records, it returns without touching the disk; otherwise one fsync
-// covers everything appended so far, including records raced in by other
-// appenders. After a failed fsync the journal is poisoned — the records
-// may or may not be on disk, and no later Commit may claim otherwise.
+// records, it returns without touching the disk; otherwise one write of
+// the tail and one fsync cover everything appended so far, including
+// records raced in by other appenders. After a failed write or fsync the
+// journal is poisoned — the records may or may not be on disk, and no
+// later Commit may claim otherwise.
 func (j *Journal) Commit() error {
 	if err := j.Failed(); err != nil {
 		return err
@@ -294,15 +309,32 @@ func (j *Journal) Commit() error {
 	if j.syncSeq >= target {
 		return nil // a concurrent commit's fsync covered us
 	}
+	if err := j.syncLocked(); err != nil {
+		return err
+	}
+	j.commits.Add(1)
+	return nil
+}
+
+// syncLocked writes the tail to the file and fsyncs it. Caller holds
+// syncMu.
+func (j *Journal) syncLocked() error {
 	j.mu.Lock()
+	// Read the covered sequence BEFORE the fsync: records appended by
+	// racing writers after the fsync starts are not covered by it.
 	covered, base := j.appendSeq, j.baseSeq
+	err := j.flushLocked()
 	j.mu.Unlock()
+	if err != nil {
+		return err
+	}
 	if err := j.of.Sync(); err != nil {
 		return j.poison(err)
 	}
-	j.commits.Add(1)
-	j.syncSeq = covered
-	j.durable.Store(base + covered)
+	if covered > j.syncSeq {
+		j.syncSeq = covered
+		j.durable.Store(base + covered)
+	}
 	return nil
 }
 
@@ -315,7 +347,7 @@ func (j *Journal) Stats() (appended, synced, oplogBytes, commits int64) {
 	j.syncMu.Unlock()
 	j.mu.Lock()
 	appended = j.appendSeq
-	oplogBytes = j.oplogBytes
+	oplogBytes = appended * opRecSize
 	j.mu.Unlock()
 	return appended, synced, oplogBytes, j.commits.Load()
 }
@@ -342,11 +374,17 @@ func (j *Journal) Rotate(upTo int64, commitImage func() error) (pauseNs int64, e
 	j.rotMu.Lock()
 	defer j.rotMu.Unlock()
 
+	// Both phases read records back from the file, so the tail goes out
+	// first: everything up to head is in the file from here on.
 	j.mu.Lock()
 	base := j.baseSeq
 	head := base + j.appendSeq
 	retain, retainBudget := j.retain, j.retainBudget
+	err = j.flushLocked()
 	j.mu.Unlock()
+	if err != nil {
+		return 0, err
+	}
 	if upTo < base || upTo > head {
 		return 0, fmt.Errorf("journal: rotate to %d outside [%d, %d]", upTo, base, head)
 	}
@@ -399,7 +437,10 @@ func (j *Journal) Rotate(upTo int64, commitImage func() error) (pauseNs int64, e
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	err = func() error {
-		head = j.baseSeq + j.appendSeq // appends may have raced in since phase 1
+		if err := j.flushLocked(); err != nil { // appends may have raced in since phase 1
+			return err
+		}
+		head = j.baseSeq + j.appendSeq
 		suffix := head - upTo
 		buf := make([]byte, oplogHdr+suffix*opRecSize)
 		encodeOplogHdr(buf, upTo)
@@ -438,7 +479,7 @@ func (j *Journal) Rotate(upTo int64, commitImage func() error) (pauseNs int64, e
 		j.baseSeq = upTo
 		j.appendSeq = suffix
 		j.syncSeq = suffix
-		j.oplogBytes = suffix * opRecSize
+		j.fileEnd = int64(len(buf))
 		j.durable.Store(head) // the replacement's fsync covered everything
 		if sealed {
 			j.segments = append(j.segments, seg)
@@ -556,7 +597,8 @@ func (j *Journal) Recover(imageSeq int64) ([]Op, error) {
 	j.baseSeq = imageSeq
 	j.appendSeq = int64(len(ops))
 	j.syncSeq = int64(len(ops))
-	j.oplogBytes = int64(len(ops)) * opRecSize
+	j.fileEnd = oplogHdr + int64(len(ops))*opRecSize
+	j.tail = j.tail[:0]
 	j.durable.Store(imageSeq + int64(len(ops)))
 	j.discoverSegmentsLocked()
 	return ops, nil
@@ -587,14 +629,15 @@ func DecodeOps(b []byte) []Op {
 	return ops
 }
 
-// AppendEncodedOp appends op's wire encoding to dst (tests, tooling).
+// AppendEncodedOp appends op's record encoding to dst.
 func AppendEncodedOp(dst []byte, op Op) []byte {
-	var rec [opRecSize]byte
+	dst = append(dst, make([]byte, opRecSize)...) // grows in place: no temporary
+	rec := dst[len(dst)-opRecSize:]
 	rec[0] = byte(op.Kind)
 	binary.LittleEndian.PutUint64(rec[1:], uint64(op.Key))
 	binary.LittleEndian.PutUint64(rec[9:], op.Val)
 	binary.LittleEndian.PutUint32(rec[17:], crc32.ChecksumIEEE(rec[:17]))
-	return append(dst, rec[:]...)
+	return dst
 }
 
 func readAll(f pagestore.File) ([]byte, error) {

@@ -46,6 +46,9 @@ func TestOplogRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if err := j.Commit(); err != nil {
+		t.Fatal(err)
+	}
 	got, err := j.Recover(0)
 	if err != nil {
 		t.Fatal(err)
@@ -144,6 +147,7 @@ func TestTornOplogTailDropped(t *testing.T) {
 	for i := int64(0); i < 5; i++ {
 		j.Append(Op{Kind: OpInsert, Key: i, Val: uint64(i)})
 	}
+	j.Commit()
 	// Tear the last record.
 	of, err := os.OpenFile(path+".oplog", os.O_RDWR, 0)
 	if err != nil {
@@ -168,9 +172,9 @@ func TestCorruptOplogRecordStopsReplay(t *testing.T) {
 	for i := int64(0); i < 5; i++ {
 		j.Append(Op{Kind: OpInsert, Key: i, Val: uint64(i)})
 	}
+	j.Commit()
 	// Corrupt the middle record; replay must stop before it, and recovery
-	// must discard everything from the corruption on (those records were
-	// never fsync-covered, so they were never acked).
+	// must discard everything from the corruption on.
 	of, _ := os.OpenFile(path+".oplog", os.O_RDWR, 0)
 	of.WriteAt([]byte{0xEE}, 16+2*21+3) // 16-byte epoch header, then records
 	of.Close()
@@ -184,6 +188,7 @@ func TestCorruptOplogRecordStopsReplay(t *testing.T) {
 	// The torn tail is gone: appending works and a re-recovery sees the
 	// survivors plus the new record at the right sequences.
 	j.Append(Op{Kind: OpInsert, Key: 77, Val: 77})
+	j.Commit()
 	ops, err = j.Recover(0)
 	if err != nil {
 		t.Fatal(err)

@@ -5,15 +5,16 @@ package journal
 // active epoch, bounded by the durable sequence — a leader never ships
 // a record its own crash could still lose.
 //
-// Concurrency: a Tail owns a private read-only file handle, so its reads
-// never race the appender's Seek+Write cursor. The planning step (which
-// file, which offset, how many records are safe to read) runs under the
-// journal lock; the file I/O does not, so a slow reader never stalls
-// commits. A reader may catch the file mid-append — EOF in the middle of
-// an entry, or a record whose bytes are not all in place yet. That is
-// not an error: Next consumes the complete CRC-valid prefix and leaves
-// the cursor at the entry boundary, so the next call retries the torn
-// entry after the writer finishes it.
+// Concurrency: a Tail owns a private read-only file handle. The planning
+// step (which file, which offset, how many records are safe to read)
+// runs under the journal lock; the file I/O does not, so a slow reader
+// never stalls commits. Records at or below the durable sequence are in
+// the file by definition (the appended-but-uncommitted tail is not, and
+// is never read), but a read may still race a rotation swapping the file
+// underneath it — EOF in the middle of an entry, or bytes of another
+// epoch. That is not an error: Next consumes the complete CRC-valid
+// prefix and leaves the cursor at the entry boundary, so the next call
+// retries from there.
 
 import (
 	"errors"
@@ -34,12 +35,6 @@ type Tail struct {
 	f     filehandle
 	fPath string
 
-	// unsynced lifts the durable bound to the appended head: records not
-	// yet covered by an fsync are served too. Shipping MUST NOT use this
-	// (an unsynced record can vanish in a leader crash after being
-	// shipped); it exists for tests that exercise the torn-tail retry.
-	unsynced bool
-
 	buf []byte
 	hdr [oplogHdr]byte
 }
@@ -56,10 +51,6 @@ type filehandle interface {
 func (j *Journal) Tail(fromSeq int64) *Tail {
 	return &Tail{j: j, next: fromSeq + 1}
 }
-
-// IncludeUnsynced widens the read bound from the durable sequence to the
-// appended head (tests only; see the field comment).
-func (t *Tail) IncludeUnsynced() { t.unsynced = true }
 
 // Pos returns the sequence of the last delivered record.
 func (t *Tail) Pos() int64 { return t.next - 1 }
@@ -96,15 +87,12 @@ func (t *Tail) Next(max int) (firstSeq int64, ops []Op, err error) {
 	}
 	path, base := j.oPath, j.baseSeq
 	limit := j.durable.Load()
-	if t.unsynced {
-		limit = j.baseSeq + j.appendSeq
-	}
 	if t.next <= j.baseSeq {
 		for _, s := range j.segments {
 			if t.next <= s.base+s.count {
 				path, base = s.path, s.base
 				// A sealed segment is durable end to end.
-				if end := s.base + s.count; end < limit || t.unsynced {
+				if end := s.base + s.count; end < limit {
 					limit = end
 				}
 				break
@@ -161,7 +149,7 @@ func (t *Tail) Next(max int) (firstSeq int64, ops []Op, err error) {
 	// read or torn trailing entry leaves the cursor at the boundary.
 	ops = DecodeOps(t.buf[:got])
 	if len(ops) == 0 {
-		if !t.unsynced && rerr == nil && got == want {
+		if rerr == nil && got == want {
 			// Full durable read that fails CRC: corruption, not a race.
 			return 0, nil, errors.New("journal: corrupt record in durable log")
 		}

@@ -7,6 +7,8 @@ package pagestore
 //
 //   - torn / short writes: the Nth write persists only a prefix of its
 //     payload, then errors (a crash or I/O error mid-write);
+//   - read errors: the Nth read fails (a medium error under a page the
+//     buffer pool had evicted);
 //   - fsync errors: the Nth Sync fails — the fsyncgate scenario, where
 //     previously written data may or may not be durable and the only
 //     safe reaction is to stop acknowledging;
@@ -55,6 +57,10 @@ type FailPlan struct {
 	// failed fsync gives.
 	FailSyncAt int64
 
+	// FailReadAt makes the Nth Read/ReadAt (counted separately, 1-based)
+	// fail with ErrInjected, reading nothing.
+	FailReadAt int64
+
 	// CrashAt freezes the world at the mutating syscall with this 1-based
 	// index: that syscall and everything after it (reads too) fail with
 	// ErrCrashed and never reach the wrapped FS.
@@ -77,6 +83,7 @@ type FailFS struct {
 
 	ops     int64 // mutating syscalls observed
 	syncs   int64 // Syncs observed
+	reads   int64 // Reads and ReadAts observed
 	written int64 // payload bytes written (the counter WriteBudget draws on)
 	crashed bool
 }
@@ -104,6 +111,14 @@ func (fs *FailFS) Syncs() int64 {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	return fs.syncs
+}
+
+// Reads returns the number of Read and ReadAt calls observed so far (the
+// counter FailReadAt is matched against).
+func (fs *FailFS) Reads() int64 {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	return fs.reads
 }
 
 // BytesWritten returns the total payload bytes written so far. A test
@@ -177,19 +192,26 @@ func (fs *FailFS) syncOp() error {
 	return nil
 }
 
-// readOp gates non-mutating syscalls: they pass until the crash.
-func (fs *FailFS) readOp() error {
+// readOp gates non-mutating syscalls: they pass until the crash, except
+// for the one data read the plan fails.
+func (fs *FailFS) readOp(isRead bool) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	if fs.crashed {
 		return ErrCrashed
+	}
+	if isRead {
+		fs.reads++
+		if fs.reads == fs.plan.FailReadAt {
+			return ErrInjected
+		}
 	}
 	return nil
 }
 
 // OpenFile opens through the wrapped FS, returning a fault-injecting File.
 func (fs *FailFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
-	if err := fs.readOp(); err != nil {
+	if err := fs.readOp(false); err != nil {
 		return nil, err
 	}
 	f, err := fs.inner.OpenFile(name, flag, perm)
@@ -263,28 +285,28 @@ func (f *failFile) Sync() error {
 }
 
 func (f *failFile) Read(p []byte) (int, error) {
-	if err := f.fs.readOp(); err != nil {
+	if err := f.fs.readOp(true); err != nil {
 		return 0, err
 	}
 	return f.f.Read(p)
 }
 
 func (f *failFile) ReadAt(p []byte, off int64) (int, error) {
-	if err := f.fs.readOp(); err != nil {
+	if err := f.fs.readOp(true); err != nil {
 		return 0, err
 	}
 	return f.f.ReadAt(p, off)
 }
 
 func (f *failFile) Seek(offset int64, whence int) (int64, error) {
-	if err := f.fs.readOp(); err != nil {
+	if err := f.fs.readOp(false); err != nil {
 		return 0, err
 	}
 	return f.f.Seek(offset, whence)
 }
 
 func (f *failFile) Stat() (os.FileInfo, error) {
-	if err := f.fs.readOp(); err != nil {
+	if err := f.fs.readOp(false); err != nil {
 		return nil, err
 	}
 	return f.f.Stat()

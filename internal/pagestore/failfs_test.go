@@ -132,3 +132,26 @@ func TestFailFSUnderStore(t *testing.T) {
 		t.Fatalf("Store.Sync = %v, want ErrInjected", err)
 	}
 }
+
+func TestFailFSReadError(t *testing.T) {
+	fs := NewFailFS(nil, FailPlan{FailReadAt: 2})
+	f := openVia(t, fs, filepath.Join(t.TempDir(), "f"))
+	defer f.Close()
+	if _, err := f.WriteAt([]byte("hello"), 0); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 5)
+	if _, err := f.ReadAt(buf, 0); err != nil {
+		t.Fatalf("read 1: %v", err)
+	}
+	if n, err := f.ReadAt(buf, 0); !errors.Is(err, ErrInjected) || n != 0 {
+		t.Fatalf("read 2 = %d, %v, want nothing and ErrInjected", n, err)
+	}
+	// The plan fired once; mutating syscalls were never affected.
+	if _, err := f.ReadAt(buf, 0); err != nil || string(buf) != "hello" {
+		t.Fatalf("read 3 = %q, %v", buf, err)
+	}
+	if fs.Reads() != 3 || fs.Ops() != 1 {
+		t.Fatalf("counted %d reads and %d mutating syscalls, want 3 and 1", fs.Reads(), fs.Ops())
+	}
+}

@@ -353,3 +353,64 @@ func TestSync(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// ReadInto and WritePage work in the caller's page buffer: the page is
+// checksummed where it lies and copied once, by the kernel, and nothing
+// is allocated. Read and Write are the same calls behind a buffer of the
+// store's choosing.
+func TestPageBufferIO(t *testing.T) {
+	s, _ := openTemp(t)
+	id, err := s.Allocate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := make([]byte, PageSize)
+	for i := range page {
+		page[i] = byte(i * 7)
+	}
+	if err := s.WritePage(id, page); err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.Read(id) // the wrapper sees what the in-place call wrote
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, page[:PageSize-4]) {
+		t.Fatal("Read does not return the payload WritePage wrote")
+	}
+	if err := s.Write(id, []byte("short payload")); err != nil { // and the other way round
+		t.Fatal(err)
+	}
+	if err := s.ReadInto(id, page); err != nil {
+		t.Fatal(err)
+	}
+	if want := append([]byte("short payload"), make([]byte, 100)...); !bytes.Equal(page[:len(want)], want) {
+		t.Fatal("ReadInto does not return the zero-padded payload Write wrote")
+	}
+	for _, bad := range [][]byte{nil, page[:PageSize-4], make([]byte, PageSize+1)} {
+		if s.ReadInto(id, bad) == nil || s.WritePage(id, bad) == nil {
+			t.Errorf("a %d-byte buffer was accepted as a page", len(bad))
+		}
+	}
+	if s.ReadInto(0, page) == nil || s.WritePage(0, page) == nil || s.WritePage(id+1, page) == nil {
+		t.Error("the meta page or a page beyond the end was accepted")
+	}
+
+	if raceEnabled {
+		return // allocation counts are not meaningful under the race detector
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if err := s.WritePage(id, page); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("WritePage: %v allocs/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if err := s.ReadInto(id, page); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("ReadInto: %v allocs/op, want 0", n)
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -74,6 +75,11 @@ func TestCheckpointENOSPCPoisonsEngine(t *testing.T) {
 	}
 	if eng.Poisoned() == nil {
 		t.Fatal("StatusUnavail answered but engine not poisoned")
+	}
+	// The checkpointer poisons the tree from inside the failing call and
+	// counts the failure when that call returns: give it that instant.
+	for eng.Stats().CheckpointFails == 0 && time.Now().Before(deadline) {
+		runtime.Gosched()
 	}
 	if eng.Stats().CheckpointFails == 0 {
 		t.Fatal("poisoned, but no checkpoint failure was counted (wrong failure path?)")

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"btreeperf/internal/cbtree"
 	"btreeperf/internal/diskbtree"
@@ -81,10 +80,9 @@ type EngineStats struct {
 	RetainedSegs  int64
 	RetainedBytes int64
 
-	// Checkpoint pause: how long the last checkpoint blocked serving and
-	// the maximum observed, in nanoseconds. Incremental mode reports the
-	// bounded install window (independent of tree size); stop-the-world
-	// mode reports the whole quiescent rebuild.
+	// Checkpoint pause: how long the last checkpoint's install window
+	// blocked appends (bounded, independent of tree size) and the maximum
+	// observed, in nanoseconds.
 	CkptPauseLastNs int64
 	CkptPauseMaxNs  int64
 
@@ -167,54 +165,36 @@ type DiskEngineConfig struct {
 	SyncEveryOp bool
 
 	// CheckpointOps bounds the oplog: once this many mutations have
-	// accumulated past the last installed image, a checkpoint is taken
-	// (incremental and concurrent by default; see CheckpointMode), so
-	// recovery replay stays bounded. Default 1 << 18 (a ~5.5 MB oplog,
-	// sub-second replay); negative disables checkpointing (the oplog
-	// grows until Close).
+	// accumulated past the last installed image, a checkpoint is taken —
+	// a background goroutine walks the tree in bounded chunks, fully
+	// concurrent with serving, and only the image install blocks appends,
+	// for a bounded window independent of tree size — so recovery replay
+	// stays bounded. Default 1 << 18 (a ~5.5 MB oplog, sub-second
+	// replay); negative disables checkpointing (the oplog grows until
+	// Close).
 	CheckpointOps int64
 
-	// CheckpointMode selects how the threshold checkpoint runs:
-	// CheckpointIncremental (default) walks the tree in bounded chunks on
-	// a background goroutine, fully concurrent with serving — only the
-	// image install blocks appends, for a bounded window independent of
-	// tree size. CheckpointSTW is the old stop-the-world baseline: the
-	// committing request holds the engine write lock for the whole
-	// rebuild.
-	CheckpointMode string
-
-	// CheckpointChunk is the number of keys an incremental checkpoint
-	// walks per latched chunk. Default 4096.
+	// CheckpointChunk is the number of keys a checkpoint walks per
+	// latched chunk. Default 4096.
 	CheckpointChunk int
 
 	// FS overrides the file layer (failpoint tests). Nil = real files.
 	FS pagestore.FS
 }
 
-// CheckpointMode values.
-const (
-	CheckpointIncremental = "inc"
-	CheckpointSTW         = "stw"
-)
-
 // DiskEngine serves from a durable diskbtree. Operations and Commit run
-// concurrently under a read lock. In incremental mode (the default) a
-// background goroutine checkpoints concurrently with serving and Commit
-// only blocks — backpressure — when the replay debt reaches twice the
-// threshold; in stop-the-world mode the committing request takes the
-// write lock and pays the full rebuild pause, the serving-layer analogue
-// of the paper's §7 observation that recovery protocols buy their
-// guarantees with longer lock hold times.
+// concurrently; a background goroutine checkpoints concurrently with
+// serving, and Commit only blocks — backpressure — when the replay debt
+// reaches twice the threshold.
 type DiskEngine struct {
 	t         *diskbtree.Tree
-	mu        sync.RWMutex // RLock: ops and Commit; Lock: stw checkpoint, Close
+	mu        sync.RWMutex // fences Close: RLock for ops and Commit, Lock for Close
 	ckptOps   int64
 	ckptChunk int
-	stw       bool
 
 	checkpointFails atomic.Int64
 
-	// Incremental-mode background checkpointer.
+	// Background checkpointer.
 	kick chan struct{} // non-blocking wake-up, capacity 1
 	stop chan struct{}
 	done chan struct{}
@@ -226,13 +206,12 @@ type DiskEngine struct {
 	ckptGen int64
 	closed  bool
 
-	// Pause telemetry: how long the last checkpoint blocked serving
-	// (install window in incremental mode, whole rebuild in stw mode),
-	// and the maximum observed.
+	// Pause telemetry: how long the last checkpoint's install window
+	// blocked appends, and the maximum observed.
 	pauseLastNs atomic.Int64
 	pauseMaxNs  atomic.Int64
 
-	// In-flight incremental walk progress.
+	// In-flight walk progress.
 	chunksDone  atomic.Int64
 	chunksTotal atomic.Int64
 }
@@ -247,13 +226,6 @@ func NewDiskEngine(cfg DiskEngineConfig) (*DiskEngine, error) {
 	}
 	if cfg.CheckpointOps == 0 {
 		cfg.CheckpointOps = 1 << 18
-	}
-	if cfg.CheckpointMode == "" {
-		cfg.CheckpointMode = CheckpointIncremental
-	}
-	if cfg.CheckpointMode != CheckpointIncremental && cfg.CheckpointMode != CheckpointSTW {
-		return nil, fmt.Errorf("server: unknown checkpoint mode %q (want %q or %q)",
-			cfg.CheckpointMode, CheckpointIncremental, CheckpointSTW)
 	}
 	if cfg.CheckpointChunk == 0 {
 		cfg.CheckpointChunk = 4096
@@ -275,10 +247,9 @@ func NewDiskEngine(cfg DiskEngineConfig) (*DiskEngine, error) {
 		t:         t,
 		ckptOps:   cfg.CheckpointOps,
 		ckptChunk: cfg.CheckpointChunk,
-		stw:       cfg.CheckpointMode == CheckpointSTW,
 	}
 	e.genCond = sync.NewCond(&e.genMu)
-	if !e.stw && e.ckptOps > 0 {
+	if e.ckptOps > 0 {
 		e.kick = make(chan struct{}, 1)
 		e.stop = make(chan struct{})
 		e.done = make(chan struct{})
@@ -308,9 +279,8 @@ func (e *DiskEngine) Del(key int64) (bool, error) {
 	return e.t.Delete(key)
 }
 
-// Scan walks the diskbtree leaf chain under the engine's read lock (in
-// stop-the-world mode the checkpoint waits for in-flight scan pages;
-// incremental checkpoints need no exclusion at all).
+// Scan walks the diskbtree leaf chain; checkpoints need no exclusion from
+// it.
 func (e *DiskEngine) Scan(lo, hi int64, limit int, dst []query.KV) ([]query.KV, bool, error) {
 	if hi <= lo || limit <= 0 {
 		return dst, false, nil
@@ -334,20 +304,16 @@ func (e *DiskEngine) Scan(lo, hi int64, limit int, dst []query.KV) ([]query.KV, 
 }
 
 // Commit group-commits the oplog, then — if the replay debt has reached
-// the checkpoint threshold — triggers a checkpoint: inline and
-// stop-the-world in stw mode, a background wake-up in incremental mode.
-// An incremental commit only blocks (backpressure) when the debt reaches
-// twice the threshold, so the oplog and recovery replay stay bounded
-// even when writes outrun the checkpointer.
+// the checkpoint threshold — wakes the background checkpointer. It only
+// blocks (backpressure) when the debt reaches twice the threshold, so the
+// oplog and recovery replay stay bounded even when writes outrun the
+// checkpointer.
 func (e *DiskEngine) Commit() error {
 	e.mu.RLock()
 	err := e.t.Commit()
 	e.mu.RUnlock()
 	if err != nil || e.ckptOps <= 0 || e.lag() < e.ckptOps {
 		return err
-	}
-	if e.stw {
-		return e.checkpointSTW()
 	}
 	e.genMu.Lock()
 	for !e.closed && e.t.Poisoned() == nil && e.lag() >= e.ckptOps {
@@ -383,24 +349,7 @@ func (e *DiskEngine) recordPause(ns int64) {
 	}
 }
 
-// checkpointSTW is the stop-the-world baseline: the committing request
-// holds the engine write lock for the entire image rebuild.
-func (e *DiskEngine) checkpointSTW() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.lag() < e.ckptOps {
-		return nil // another committer got here first
-	}
-	t0 := time.Now()
-	if err := e.t.Sync(); err != nil {
-		e.checkpointFails.Add(1)
-		return err
-	}
-	e.recordPause(time.Since(t0).Nanoseconds())
-	return nil
-}
-
-// checkpointLoop is the incremental-mode background checkpointer. Every
+// checkpointLoop is the background checkpointer. Every
 // attempt — success or failure — bumps the generation and wakes blocked
 // committers so backpressure can re-evaluate (or observe the poison).
 func (e *DiskEngine) checkpointLoop() {
@@ -419,7 +368,7 @@ func (e *DiskEngine) checkpointLoop() {
 	}
 }
 
-// runCheckpoint takes one incremental checkpoint: walk the tree in
+// runCheckpoint takes one checkpoint: walk the tree in
 // bounded chunks, yielding between them, then finalize and install the
 // image. No engine lock is held — serving proceeds concurrently; only
 // the install step inside c.Install blocks appends, briefly.

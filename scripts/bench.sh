@@ -8,12 +8,19 @@
 # the N=1 ServeLoopback baseline stays benchstat-comparable across
 # runs that predate sharding.
 #
-#   scripts/bench.sh                 # full baseline, -count=3 (~5 min)
+#   scripts/bench.sh                 # full baseline, -count=3 (~6 min)
 #   scripts/bench.sh -quick          # one short pass, for CI smoke
 #
 # The raw `go test -bench` text (benchstat-comparable) goes to stdout
 # and to $BENCH_RAW if set; the JSON summary goes to
 # results/BENCH_serving.json (override with $BENCH_OUT).
+#
+# A second pass does the same for the storage layers under the disk
+# engine — the disk tree's point operations with the pool fitting and
+# spilling, the oplog's append and group commit, the page file's read and
+# write — into results/BENCH_storage.json (override with
+# $BENCH_STORAGE_OUT; raw text to $BENCH_STORAGE_RAW): one tracked JSON
+# per layer group, gated on allocs/op by `benchjson -compare` in CI.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -33,5 +40,17 @@ go test ./internal/server -run '^$' \
 
 go run ./cmd/benchjson \
   -note "scripts/bench.sh: count=$count benchtime=$benchtime; ServeLoopback is a mixed get/put/del pipeline over loopback TCP, client and server in one process, swept over all four algorithms; ServeLoopbackReadHeavy is the 87.5%-get mix head-to-head between link-type and olc (latch-free reads); ServeLoopbackSharded sweeps the hash-routed shard count on the depth-128 mix; ScanLoopback is one paged range-scan request per op (fan-out + k-way merge), keys/op = page fill; ReplicatedGet is one bounded-staleness get through a ReplicaSet against a disk leader plus N oplog-streaming followers, writes quiesced" \
+  <"$raw" >"$out"
+echo "wrote $out"
+
+out="${BENCH_STORAGE_OUT:-results/BENCH_storage.json}"
+raw="${BENCH_STORAGE_RAW:-$(mktemp)}"
+
+go test ./internal/diskbtree ./internal/journal ./internal/pagestore -run '^$' \
+  -bench 'BenchmarkDiskTree|BenchmarkJournal|BenchmarkPagestore' \
+  -benchmem -benchtime "$benchtime" -count "$count" | tee "$raw"
+
+go run ./cmd/benchjson \
+  -note "scripts/bench.sh: count=$count benchtime=$benchtime; DiskTree{Search,Insert,Delete} are point operations on a bulk-loaded, non-durable 200k-key tree whose buffer pool holds all of it (fit) or a fifth (spill); JournalAppend is one logged mutation plus its share of a 25-mutation group commit over a file layer that swallows writes and syncs (the journal's own cost), JournalCommit one such batch and its commit on a real file (the tail's write and the fsync); PagestoreReadInto/WritePage are the buffer pool's two calls on a page-cache-resident file" \
   <"$raw" >"$out"
 echo "wrote $out"

@@ -1,6 +1,9 @@
 package cbtree
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 // Allocation regression tests. The whole point of version-validated
 // latch-free reads is a cheaper steady-state get, and of in-place writes
@@ -10,6 +13,17 @@ import "testing"
 // operation, including their restart bookkeeping; under every algorithm
 // so must a write that does not split, whose ancestor stack rides on the
 // descent's own stack frame.
+
+// TestNodeSize pins what every node of every tree costs before its keys:
+// 112 bytes of fields on top of lock.VersionLock (TestLockSize there). At
+// 224 bytes a node fills its allocator size class exactly; one more word
+// and it pays for the 240-byte class, two more and for the 256-byte one —
+// on every node, which BENCHMARK.json bounds as heap_mb and store_b_per_key.
+func TestNodeSize(t *testing.T) {
+	if got := unsafe.Sizeof(node{}); got > 224 {
+		t.Errorf("node is %d bytes, want <= 224: check lock.FCFSRWMutex and the field order", got)
+	}
+}
 
 func allocTree(t *testing.T, alg Algorithm, n int) *Tree {
 	t.Helper()

@@ -14,7 +14,19 @@ import (
 // relative order is unconstrained.) In particular, a reader that queues
 // behind a writer must never overtake it. Run it under -race: the CI race
 // matrix includes this package.
+//
+// The order must hold on both paths of the lock and across the switches
+// between them, so the test runs with a probe that always listens (every
+// transition under the internal mutex), with none (the blocker takes the
+// lock on the fast path and the queue forms behind it), and with a probe
+// whose gate opens and closes at random between arrivals.
 func TestFCFSPropertyGrantOrder(t *testing.T) {
+	for _, mode := range []string{"listening", "no probe", "toggling"} {
+		t.Run(mode, func(t *testing.T) { testFCFSGrantOrder(t, mode) })
+	}
+}
+
+func testFCFSGrantOrder(t *testing.T, mode string) {
 	const (
 		seeds    = 25
 		requests = 12
@@ -22,6 +34,23 @@ func TestFCFSPropertyGrantOrder(t *testing.T) {
 	for seed := int64(1); seed <= seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		var l FCFSRWMutex
+		p := &countProbe{}
+		toggle := func() {}
+		switch mode {
+		case "listening":
+			l.SetProbe(p)
+		case "toggling":
+			p.gate = new(Gate)
+			l.SetProbe(p)
+			toggle = func() {
+				if rng.Intn(2) == 0 {
+					p.gate.Open()
+				} else {
+					p.gate.Close()
+				}
+			}
+		}
+		toggle()
 		l.Lock() // blocker: every request below must queue
 
 		classes := make([]bool, requests) // true = writer
@@ -50,17 +79,24 @@ func TestFCFSPropertyGrantOrder(t *testing.T) {
 			}(i, write)
 			// Arrival order is the queue order: wait until request i is
 			// actually queued before launching request i+1.
-			for {
-				r, w := l.Contended()
-				if r+w == int64(i+1) {
-					break
-				}
+			for queued(&l) != i+1 {
 				runtime.Gosched()
 			}
+			toggle()
 		}
 
 		l.Unlock() // release the blocker; the queue drains in FCFS order
 		wg.Wait()
+		if mode != "listening" {
+			if p.gate != nil {
+				p.gate.Close()
+			}
+			l.RLock() // a touch outside any epoch hands the word back
+			l.RUnlock()
+			if s := l.state.Load(); s != 0 {
+				t.Fatalf("seed %d: word %#x at quiescence, want 0", seed, s)
+			}
+		}
 
 		if len(grants) != requests {
 			t.Fatalf("seed %d: %d grants for %d requests", seed, len(grants), requests)

@@ -7,6 +7,13 @@ import (
 	"time"
 )
 
+// queued returns how many requests wait in l's queue.
+func queued(l *FCFSRWMutex) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.queue)
+}
+
 func TestExclusiveWriters(t *testing.T) {
 	var l FCFSRWMutex
 	var active, violations, total atomic.Int64
@@ -111,10 +118,7 @@ func TestFCFSOrder(t *testing.T) {
 		l.Unlock()
 	}()
 	// Wait until the writer is queued.
-	for {
-		if _, w := l.Contended(); w == 1 {
-			break
-		}
+	for queued(&l) != 1 {
 		time.Sleep(time.Millisecond)
 	}
 
@@ -152,10 +156,7 @@ func TestReaderBatchAfterWriter(t *testing.T) {
 			l.RUnlock()
 		}()
 	}
-	for {
-		if r, _ := l.Contended(); r == 5 {
-			break
-		}
+	for queued(&l) != 5 {
 		time.Sleep(time.Millisecond)
 	}
 	l.Unlock()

@@ -7,77 +7,29 @@ import (
 	"time"
 )
 
-// TestUncontendedZeroWait verifies the satellite requirement: acquisitions
-// that never queue record zero cumulative queue-wait in both classes.
-func TestUncontendedZeroWait(t *testing.T) {
-	var l FCFSRWMutex
-	for i := 0; i < 100; i++ {
-		l.RLock()
-		l.RUnlock()
-		l.Lock()
-		l.Unlock()
-		if !l.TryLock() {
-			t.Fatal("TryLock failed on a free lock")
-		}
-		l.Unlock()
-	}
-	ws := l.WaitStats()
-	if ws.WaitNsR != 0 || ws.WaitNsW != 0 {
-		t.Fatalf("uncontended acquires recorded wait: R=%dns W=%dns", ws.WaitNsR, ws.WaitNsW)
-	}
-	if ws.ContendedR != 0 || ws.ContendedW != 0 {
-		t.Fatalf("uncontended acquires counted as contended: %+v", ws)
-	}
-	if ws.AcquiredR != 100 || ws.AcquiredW != 200 {
-		t.Fatalf("acquisition counts R=%d W=%d, want 100/200", ws.AcquiredR, ws.AcquiredW)
-	}
-}
-
-// TestContendedWaitAccumulates verifies that a queued acquisition records
-// a plausible nonzero wait.
-func TestContendedWaitAccumulates(t *testing.T) {
-	var l FCFSRWMutex
-	l.Lock()
-	done := make(chan struct{})
-	go func() {
-		l.RLock()
-		l.RUnlock()
-		close(done)
-	}()
-	for {
-		if r, _ := l.Contended(); r == 1 {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	time.Sleep(10 * time.Millisecond)
-	l.Unlock()
-	<-done
-	ws := l.WaitStats()
-	if ws.WaitNsR < int64(5*time.Millisecond) {
-		t.Fatalf("queued reader recorded %dns wait, want >= 5ms", ws.WaitNsR)
-	}
-	if ws.ContendedR != 1 || ws.AcquiredR != 1 {
-		t.Fatalf("counters %+v", ws)
-	}
-}
-
-// countProbe is a minimal Probe accumulating everything atomically.
+// countProbe is a minimal Probe accumulating everything atomically. With
+// a nil gate it always listens, which makes every count below exact.
 type countProbe struct {
+	gate         *Gate
 	acqR, acqW   atomic.Int64
+	contR, contW atomic.Int64
 	waitR, waitW atomic.Int64
 	heldR, heldW atomic.Int64
 	relR, relW   atomic.Int64
 	present      atomic.Int64
 }
 
+func (p *countProbe) Gate() *Gate { return p.gate }
+
 func (p *countProbe) Acquired(write bool, waitNs int64) {
+	acq, cont, wait := &p.acqR, &p.contR, &p.waitR
 	if write {
-		p.acqW.Add(1)
-		p.waitW.Add(waitNs)
-	} else {
-		p.acqR.Add(1)
-		p.waitR.Add(waitNs)
+		acq, cont, wait = &p.acqW, &p.contW, &p.waitW
+	}
+	acq.Add(1)
+	if waitNs > 0 {
+		cont.Add(1)
+		wait.Add(waitNs)
 	}
 }
 
@@ -92,6 +44,63 @@ func (p *countProbe) Held(write bool, heldNs int64) {
 }
 
 func (p *countProbe) WriterPresence(ns int64) { p.present.Add(ns) }
+
+// TestUncontendedZeroWait verifies that acquisitions that never queue
+// report zero queue-wait in both classes, and are all counted.
+func TestUncontendedZeroWait(t *testing.T) {
+	var l FCFSRWMutex
+	p := &countProbe{}
+	l.SetProbe(p)
+	for i := 0; i < 100; i++ {
+		l.RLock()
+		l.RUnlock()
+		l.Lock()
+		l.Unlock()
+		if !l.TryLock() {
+			t.Fatal("TryLock failed on a free lock")
+		}
+		l.Unlock()
+	}
+	if r, w := p.waitR.Load(), p.waitW.Load(); r != 0 || w != 0 {
+		t.Fatalf("uncontended acquires recorded wait: R=%dns W=%dns", r, w)
+	}
+	if r, w := p.contR.Load(), p.contW.Load(); r != 0 || w != 0 {
+		t.Fatalf("uncontended acquires counted as contended: R=%d W=%d", r, w)
+	}
+	if r, w := p.acqR.Load(), p.acqW.Load(); r != 100 || w != 200 {
+		t.Fatalf("acquisition counts R=%d W=%d, want 100/200", r, w)
+	}
+	if r, w := p.relR.Load(), p.relW.Load(); r != 100 || w != 200 {
+		t.Fatalf("release counts R=%d W=%d, want 100/200", r, w)
+	}
+}
+
+// TestContendedWaitAccumulates verifies that a queued acquisition records
+// a plausible nonzero wait.
+func TestContendedWaitAccumulates(t *testing.T) {
+	var l FCFSRWMutex
+	p := &countProbe{}
+	l.SetProbe(p)
+	l.Lock()
+	done := make(chan struct{})
+	go func() {
+		l.RLock()
+		l.RUnlock()
+		close(done)
+	}()
+	for queued(&l) != 1 {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(10 * time.Millisecond)
+	l.Unlock()
+	<-done
+	if got := p.waitR.Load(); got < int64(5*time.Millisecond) {
+		t.Fatalf("queued reader recorded %dns wait, want >= 5ms", got)
+	}
+	if p.contR.Load() != 1 || p.acqR.Load() != 1 {
+		t.Fatalf("contended=%d acquired=%d, want 1/1", p.contR.Load(), p.acqR.Load())
+	}
+}
 
 // TestProbeHoldIntegral checks that the per-class hold integrals reported
 // through a Probe match the true hold durations: a writer holding for ~20ms
@@ -137,8 +146,8 @@ func TestProbeHoldIntegral(t *testing.T) {
 	}
 }
 
-// TestProbeZeroOverheadPath ensures WaitStats and the probe agree on
-// acquisition counts under concurrent traffic.
+// TestProbeConcurrentCounts checks that a listening probe hears every
+// acquisition and every release under concurrent traffic.
 func TestProbeConcurrentCounts(t *testing.T) {
 	var l FCFSRWMutex
 	p := &countProbe{}
@@ -161,14 +170,68 @@ func TestProbeConcurrentCounts(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	ws := l.WaitStats()
-	if p.acqR.Load() != ws.AcquiredR || p.acqW.Load() != ws.AcquiredW {
-		t.Fatalf("probe acq R=%d W=%d, WaitStats %+v", p.acqR.Load(), p.acqW.Load(), ws)
-	}
-	if ws.AcquiredR != 4*500 || ws.AcquiredW != 4*500 {
-		t.Fatalf("acquired R=%d W=%d, want 2000/2000", ws.AcquiredR, ws.AcquiredW)
+	if r, w := p.acqR.Load(), p.acqW.Load(); r != 4*500 || w != 4*500 {
+		t.Fatalf("acquired R=%d W=%d, want 2000/2000", r, w)
 	}
 	if p.relR.Load() != 2000 || p.relW.Load() != 2000 {
 		t.Fatalf("releases R=%d W=%d", p.relR.Load(), p.relW.Load())
+	}
+}
+
+// TestClosedGateHearsNothing is the other half of the contract: while its
+// probe's gate is closed a lock reports nothing, takes the fast path (the
+// word returns to zero, slow bit included), and a hold that began before
+// the gate opened is charged only from the opening.
+func TestClosedGateHearsNothing(t *testing.T) {
+	var l FCFSRWMutex
+	p := &countProbe{gate: new(Gate)}
+	l.SetProbe(p)
+	for i := 0; i < 100; i++ {
+		l.RLock()
+		l.RUnlock()
+		l.Lock()
+		l.Unlock()
+	}
+	if n := p.acqR.Load() + p.acqW.Load() + p.relR.Load() + p.relW.Load(); n != 0 {
+		t.Fatalf("closed gate: %d reports", n)
+	}
+	if s := l.state.Load(); s != 0 {
+		t.Fatalf("closed gate: word %#x after balanced traffic, want 0", s)
+	}
+
+	l.Lock() // fast path, unmeasured
+	time.Sleep(20 * time.Millisecond)
+	p.gate.Open()
+	time.Sleep(5 * time.Millisecond)
+	l.Unlock() // measured: the hold counts from the opening only
+	if got := time.Duration(p.heldW.Load()); got < 4*time.Millisecond || got > 15*time.Millisecond {
+		t.Errorf("hold straddling the opening charged %v, want ~5ms (not the 25ms held)", got)
+	}
+	if p.relW.Load() != 1 || p.acqW.Load() != 0 {
+		t.Errorf("release/acquire counts %d/%d, want 1/0: the acquire was outside the epoch", p.relW.Load(), p.acqW.Load())
+	}
+	if got := p.gate.Listened(); got < 4*time.Millisecond {
+		t.Errorf("gate listened %v, want >= 4ms", got)
+	}
+
+	// The other edge: a hold that begins inside the epoch and ends after it
+	// is an arrival the epoch heard and a release it did not; the writer's
+	// presence counts up to the close, the hold time, with no release in
+	// the epoch to be reported with, not at all.
+	heldW, present := p.heldW.Load(), p.present.Load()
+	l.Lock()
+	time.Sleep(5 * time.Millisecond)
+	p.gate.Close()
+	time.Sleep(20 * time.Millisecond)
+	l.Unlock() // closes the lock's measurement and hands the word back
+	if p.acqW.Load() != 1 || p.relW.Load() != 1 || p.heldW.Load() != heldW {
+		t.Errorf("hold straddling the close: acquired %d released %d held +%v, want 1, 1 (unchanged), +0",
+			p.acqW.Load(), p.relW.Load(), time.Duration(p.heldW.Load()-heldW))
+	}
+	if got := time.Duration(p.present.Load() - present); got < 4*time.Millisecond || got > 15*time.Millisecond {
+		t.Errorf("writer presence across the close +%v, want ~5ms (up to the close, not the 25ms held)", got)
+	}
+	if s := l.state.Load(); s != 0 {
+		t.Fatalf("word %#x after the epoch, want 0", s)
 	}
 }

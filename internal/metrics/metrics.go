@@ -11,6 +11,15 @@
 //	ρ_w      — fraction of time a writer is active or queued (the
 //	           root-level value is the paper's saturation gauge)
 //
+// A probe does not have to listen all the time to be exact. A TreeProbe
+// is made listening and stays so until Cycle is run on it; from then on it
+// listens for one short epoch in every EpochPeriod. While it listens,
+// every lock transition of the tree is timed and counted exactly as if it
+// always did; in between, the locks read no clock and report nothing. The
+// accumulators therefore hold exact sums over the time listened, which
+// the probe's gate keeps, and that time — not the wall clock — is what
+// Rates divides by.
+//
 // Rates differences two snapshots into per-level rates over a window, and
 // Evaluate feeds those measured rates back into qmodel — the appendix's
 // FCFS reader/writer queue analysis — yielding the predicted operating
@@ -20,9 +29,11 @@ package metrics
 import (
 	"math"
 	"math/bits"
+	"math/rand/v2"
 	"sync/atomic"
 	"time"
 
+	"btreeperf/internal/lock"
 	"btreeperf/internal/qmodel"
 )
 
@@ -130,8 +141,11 @@ func (s HistSnapshot) Quantile(q float64) int64 {
 
 // LevelStats accumulates lock telemetry for one B-tree level. It
 // implements lock.Probe; share one instance across all node locks of a
-// level. The zero value is ready to use.
+// level. The zero value is ready to use and always listens; the levels of
+// a TreeProbe listen when the TreeProbe does.
 type LevelStats struct {
+	gate *lock.Gate
+
 	acquiredR  atomic.Int64
 	acquiredW  atomic.Int64
 	contendedR atomic.Int64
@@ -186,13 +200,26 @@ func (s *LevelStats) Held(write bool, heldNs int64) {
 // WriterPresence implements lock.Probe.
 func (s *LevelStats) WriterPresence(ns int64) { s.presentNs.Add(ns) }
 
+// Gate implements lock.Probe.
+func (s *LevelStats) Gate() *lock.Gate { return s.gate }
+
 // ReadRestart implements lock.VersionProbe: one failed version
-// validation by a latch-free reader at this level.
-func (s *LevelStats) ReadRestart() { s.readRestarts.Add(1) }
+// validation by a latch-free reader at this level. Like the lock's own
+// reports it counts only while the probe listens, so every counter of a
+// level is a sum over the same measured time.
+func (s *LevelStats) ReadRestart() {
+	if s.gate.Listening() {
+		s.readRestarts.Add(1)
+	}
+}
 
 // ReadFallback implements lock.VersionProbe: one latch-free descent
 // exhausted its retries and re-descended under locks.
-func (s *LevelStats) ReadFallback() { s.readFallbacks.Add(1) }
+func (s *LevelStats) ReadFallback() {
+	if s.gate.Listening() {
+		s.readFallbacks.Add(1)
+	}
+}
 
 // LevelSnapshot is a point-in-time copy of a LevelStats.
 type LevelSnapshot struct {
@@ -242,16 +269,67 @@ func (s *LevelStats) Snapshot() LevelSnapshot {
 // shallower, and deeper levels would clamp into the top accumulator.
 const MaxLevels = 24
 
+// Epochs of a probe under Cycle: it listens for EpochLength in every
+// EpochPeriod on average — one part in 64 of the time, at which the
+// telemetry's cost is that share of what listening always costs. The gap
+// between two epochs is drawn uniformly from half to one and a half times
+// its mean, so no periodic load stays in or out of step with them.
+const (
+	EpochLength = time.Millisecond
+	EpochPeriod = 64 * time.Millisecond
+)
+
 // TreeProbe holds per-level accumulators for one tree. Level numbering
 // follows cbtree: 1 is the leaf level and the root has level == height.
 type TreeProbe struct {
 	levels [MaxLevels + 1]LevelStats
+	gate   lock.Gate
 	start  time.Time
 }
 
-// NewTreeProbe returns a probe anchored at the current time.
+// NewTreeProbe returns a probe anchored at the current time. It listens
+// until Cycle is run on it: a probe nobody cycles is exact at every
+// instant, which is what a test that pins counts wants.
 func NewTreeProbe() *TreeProbe {
-	return &TreeProbe{start: time.Now()}
+	p := &TreeProbe{start: time.Now()}
+	for i := range p.levels {
+		p.levels[i].gate = &p.gate
+	}
+	p.gate.Open()
+	return p
+}
+
+// Listening reports whether the probe is listening now.
+func (p *TreeProbe) Listening() bool { return p.gate.Listening() }
+
+// Cycle makes the probe listen in epochs — EpochLength long, EpochPeriod
+// apart on average — until stop is closed, and leaves it listening as it
+// found it. It returns when stopped; run it on a goroutine of its own.
+func (p *TreeProbe) Cycle(stop <-chan struct{}) { p.cycle(stop, EpochLength, EpochPeriod) }
+
+func (p *TreeProbe) cycle(stop <-chan struct{}, length, period time.Duration) {
+	defer p.gate.Open()
+	sleep := func(d time.Duration) bool {
+		t := time.NewTimer(d)
+		defer t.Stop()
+		select {
+		case <-t.C:
+			return true
+		case <-stop:
+			return false
+		}
+	}
+	gap := period - length
+	for {
+		p.gate.Close()
+		if !sleep(gap/2 + rand.N(gap)) {
+			return
+		}
+		p.gate.Open()
+		if !sleep(length) {
+			return
+		}
+	}
 }
 
 // Level returns the accumulator for a tree level (clamped to
@@ -270,15 +348,17 @@ func (p *TreeProbe) Level(level int) *LevelStats {
 func (p *TreeProbe) Start() time.Time { return p.start }
 
 // Snapshot captures every level that has seen any traffic, in level order
-// (leaf first), stamped with the capture time.
+// (leaf first), stamped with the capture time and with how long the probe
+// had listened by then: the time the levels' counters are sums over.
 type Snapshot struct {
-	At     time.Time
-	Levels []LevelSnapshot
+	At       time.Time
+	Listened time.Duration
+	Levels   []LevelSnapshot
 }
 
 // Snapshot captures the probe.
 func (p *TreeProbe) Snapshot() Snapshot {
-	s := Snapshot{At: time.Now()}
+	s := Snapshot{At: time.Now(), Listened: p.gate.Listened()}
 	for lv := 1; lv <= MaxLevels; lv++ {
 		ls := p.levels[lv].Snapshot()
 		// OLC internal levels may see only latch-free traffic: restarts
@@ -303,7 +383,7 @@ type LevelRates struct {
 	MeanHoldW float64 // seconds
 	MeanWaitR float64 // seconds, over all acquisitions (0-wait included)
 	MeanWaitW float64 // seconds
-	RhoW      float64 // measured writer-presence fraction of the window
+	RhoW      float64 // writer-presence fraction of the window's measured time
 	WaitHistR HistSnapshot
 	WaitHistW HistSnapshot
 	Acquired  int64 // total acquisitions in the window, both classes
@@ -325,11 +405,13 @@ func (r LevelRates) MeanHold() float64 {
 	return (r.LambdaR*r.MeanHoldR + r.LambdaW*r.MeanHoldW) / lam
 }
 
-// Rates differences two snapshots of the same probe into per-level rates.
-// Levels absent from either snapshot are carried with whatever window
-// counts exist; a non-positive wall-clock window yields nil.
+// Rates differences two snapshots of the same probe into per-level rates
+// over the time the probe listened between them. Levels absent from
+// either snapshot are carried with whatever window counts exist. A window
+// in which the probe did not listen has no sample and yields nil, never a
+// rate over zero time.
 func Rates(prev, cur Snapshot) []LevelRates {
-	dt := cur.At.Sub(prev.At).Seconds()
+	dt := (cur.Listened - prev.Listened).Seconds()
 	if dt <= 0 {
 		return nil
 	}

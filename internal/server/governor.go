@@ -148,7 +148,11 @@ func (g *governor) start() <-chan struct{} {
 			case <-g.stopCh:
 				return
 			case <-t.C:
-				g.tick(g.measure())
+				// An interval the probe did not listen in has no sample:
+				// the state and the last measurement stand.
+				if rho, ok := g.measure(); ok {
+					g.tick(rho)
+				}
 			}
 		}
 	}()
@@ -163,20 +167,20 @@ func (g *governor) stop() {
 	}
 }
 
-// measure returns the shard's root ρ_w over the interval since the last
-// measurement.
-func (g *governor) measure() float64 {
+// measure returns the shard's root ρ_w over the time its probe listened
+// since the last measurement, and whether it listened at all.
+func (g *governor) measure() (rho float64, ok bool) {
 	if g.rhoFn != nil {
-		return g.rhoFn()
+		return g.rhoFn(), true
 	}
 	win := g.win.advance(g.sh)
 	height := g.sh.eng.Height()
 	for _, r := range win.Rates {
 		if r.Level == height {
-			return r.RhoW
+			rho = r.RhoW
 		}
 	}
-	return 0
+	return rho, win.Measured > 0
 }
 
 // tick advances the hysteretic state machine on one measurement.

@@ -31,21 +31,34 @@ const SaturationRho = 0.5
 // each endpoint reports rates over the interval since its previous scrape
 // (the first scrape covers the time since the server started).
 type windowState struct {
-	mu       sync.Mutex
-	prev     metrics.Snapshot
-	prevOps  int64
-	prevNs   int64
-	prevHist metrics.HistSnapshot
+	mu           sync.Mutex
+	prev         metrics.Snapshot
+	prevOps      int64
+	prevNs       int64
+	prevHeardOps int64
+	prevHeardNs  int64
+	prevHist     metrics.HistSnapshot
 }
 
-// window is one evaluated scrape interval.
+// window is one evaluated scrape interval. The operation counters are
+// exhaustive, so their rates are over Dt; the lock telemetry is taken only
+// while the shard's probe listens, so Rates are over Measured, and a
+// window with Measured == 0 has no lock sample at all.
 type window struct {
 	Dt        float64 // seconds
+	Measured  float64 // seconds of Dt the probe listened
 	Rates     []metrics.LevelRates
 	OpRate    float64 // operations per second
 	Ops       int64   // operations in the window
 	ObsMeanNs float64 // observed mean per-op tree service time
 	OpHist    metrics.HistSnapshot
+
+	// The operations served during Measured, to set the model against:
+	// inside an epoch the locks are timed, which a closed loop at
+	// saturation feels, so the rates and service times the telemetry was
+	// taken at are these, not the window's.
+	HeardRate   float64 // operations per measured second
+	HeardMeanNs float64 // their mean per-op tree service time
 }
 
 // advance captures a new snapshot of the shard and returns the window
@@ -56,16 +69,22 @@ func (w *windowState) advance(sh *shard) window {
 	if w.prev.At.IsZero() {
 		w.prev = metrics.Snapshot{At: sh.srv.start}
 	}
-	cur := sh.probe.Snapshot()
+	// A shard whose engine has no instrumented locks has no probe: its
+	// windows carry the operation counters and never a lock sample.
+	cur := metrics.Snapshot{At: time.Now()}
+	if sh.probe != nil {
+		cur = sh.probe.Snapshot()
+	}
 	ops := sh.opCount.Load()
 	opNs := sh.opNsSum.Load()
 	hist := sh.opLat.Snapshot()
 
 	out := window{
-		Dt:     cur.At.Sub(w.prev.At).Seconds(),
-		Rates:  metrics.Rates(w.prev, cur),
-		Ops:    ops - w.prevOps,
-		OpHist: hist.Sub(w.prevHist),
+		Dt:       cur.At.Sub(w.prev.At).Seconds(),
+		Measured: (cur.Listened - w.prev.Listened).Seconds(),
+		Rates:    metrics.Rates(w.prev, cur),
+		Ops:      ops - w.prevOps,
+		OpHist:   hist.Sub(w.prevHist),
 	}
 	if out.Dt > 0 {
 		out.OpRate = float64(out.Ops) / out.Dt
@@ -73,6 +92,12 @@ func (w *windowState) advance(sh *shard) window {
 	if out.Ops > 0 {
 		out.ObsMeanNs = float64(opNs-w.prevNs) / float64(out.Ops)
 	}
+	heardOps, heardNs := sh.heardOps.Load(), sh.heardNs.Load()
+	if n := heardOps - w.prevHeardOps; n > 0 && out.Measured > 0 {
+		out.HeardRate = float64(n) / out.Measured
+		out.HeardMeanNs = float64(heardNs-w.prevHeardNs) / float64(n)
+	}
+	w.prevHeardOps, w.prevHeardNs = heardOps, heardNs
 	w.prev = cur
 	w.prevOps = ops
 	w.prevNs = opNs
@@ -109,6 +134,16 @@ type shardScrape struct {
 	rhoMeas   float64
 	rhoModel  float64
 	saturated bool
+}
+
+// rhoText prints a root ρ_w taken over measured seconds of a window, or
+// n/a when no probe listened in it: there is no utilization to report,
+// which is not the same as a utilization of zero.
+func rhoText(rho, measured float64) string {
+	if measured <= 0 {
+		return "n/a"
+	}
+	return fmt.Sprintf("%.4f", rho)
 }
 
 // scrape advances the selected window of every shard and evaluates the
@@ -262,6 +297,11 @@ type metricsJSON struct {
 	Puts      int64   `json:"puts"`
 	Dels      int64   `json:"dels"`
 	BadReqs   int64   `json:"bad_requests"`
+
+	// MeasuredShare is the share of the window the lock probes listened
+	// (summed over shards): what the per-level figures below were taken
+	// over. At 0 the window has no lock sample and they are absent.
+	MeasuredShare float64 `json:"measured_share"`
 
 	// Query traffic: pages served (a scan of k pages counts k), entries
 	// returned on those pages, and — when the server runs the secondary
@@ -597,6 +637,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var (
 		keys, height                        int
 		dt, opRate, opNsSum                 float64
+		wallSum, measuredSum                float64
 		ops, gets, puts, dels, opBad        int64
 		scans, scanKeys, seeks              int64
 		lookups, lookupKeys, indexKeys      int64
@@ -622,6 +663,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		if sc.win.Dt > dt {
 			dt = sc.win.Dt
 		}
+		wallSum += sc.win.Dt
+		measuredSum += sc.win.Measured
 		opRate += sc.win.OpRate
 		ops += sc.win.Ops
 		opNsSum += sc.win.ObsMeanNs * float64(sc.win.Ops)
@@ -740,6 +783,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 		Replication: replJSON(s.replicationStats()),
 	}
+	if wallSum > 0 {
+		out.MeasuredShare = measuredSum / wallSum
+	}
 	gov := s.Governor()
 	out.Governor = gov.State.String()
 	if gov.Disabled {
@@ -816,8 +862,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "btserved uptime_s=%.1f algorithm=%s cap=%d keys=%d height=%d workers=%d conns=%d shards=%d\n",
 			out.UptimeS, out.Algorithm, out.Capacity, out.Keys, out.Height, out.Workers, out.Conns, out.Shards)
 	}
-	fmt.Fprintf(w, "ops window_s=%.2f rate=%.0f gets=%d puts=%d dels=%d bad=%d\n",
-		out.WindowS, out.OpsPerSec, out.Gets, out.Puts, out.Dels, out.BadReqs)
+	fmt.Fprintf(w, "ops window_s=%.2f rate=%.0f gets=%d puts=%d dels=%d bad=%d measured_share=%.4f\n",
+		out.WindowS, out.OpsPerSec, out.Gets, out.Puts, out.Dels, out.BadReqs, out.MeasuredShare)
 	fmt.Fprintf(w, "query scan_pages=%d scan_keys=%d seeks=%d lookup_pages=%d lookup_keys=%d indexed=%v index_keys=%d\n",
 		out.Scans, out.ScanKeys, out.Seeks, out.Lookups, out.LookupKeys, out.Indexed, out.IndexKeys)
 	fmt.Fprintf(w, "op_latency_us mean=%.1f p50=%.1f p99=%.1f\n", out.OpMeanUs, out.OpP50Us, out.OpP99Us)
@@ -849,9 +895,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if !single {
 		// Per-shard ρ_w gauges: one line per shard with its own root
 		// utilization, model prediction, governor, and shed counters.
-		for _, b := range out.ShardBlocks {
-			fmt.Fprintf(w, "shard=%d keys=%d height=%d rate=%.0f root_rho_w=%.4f model_rho_w=%.4f saturated=%v governor=%s poisoned=%v shed_overload=%d shed_busy=%d commit_fails=%d unavail=%d seq=%d\n",
-				b.Shard, b.Keys, b.Height, b.OpsPerSec, b.RootRhoW, b.ModelRhoW,
+		for i, b := range out.ShardBlocks {
+			measured := scrapes[i].win.Measured
+			fmt.Fprintf(w, "shard=%d keys=%d height=%d rate=%.0f root_rho_w=%s model_rho_w=%s saturated=%v governor=%s poisoned=%v shed_overload=%d shed_busy=%d commit_fails=%d unavail=%d seq=%d\n",
+				b.Shard, b.Keys, b.Height, b.OpsPerSec, rhoText(b.RootRhoW, measured), rhoText(b.ModelRhoW, measured),
 				b.Saturated, b.Governor, b.Poisoned, b.ShedOverload, b.ShedBusy,
 				b.CommitFails, b.Unavail, b.Seq)
 		}
@@ -877,8 +924,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		out.Governor, out.GovernorRhoW, out.GovernorRho, out.GovernorExit,
 		out.GovernorFlips, out.ShedOverload, out.ShedBusy, out.ConnRejects,
 		out.ReadTimeouts, out.WriteTimeouts)
-	fmt.Fprintf(w, "saturation root_rho_w=%.4f threshold=%.2f saturated=%v\n",
-		out.RootRhoW, SaturationRho, out.Saturated)
+	fmt.Fprintf(w, "saturation root_rho_w=%s threshold=%.2f saturated=%v\n",
+		rhoText(out.RootRhoW, measuredSum), SaturationRho, out.Saturated)
 	if out.Saturated {
 		fmt.Fprintf(w, "WARNING: root writer utilization rho_w >= %.2f — the tree is past the paper's effective maximum arrival rate (§6, rules of thumb 1–4)\n", SaturationRho)
 	}
@@ -933,15 +980,26 @@ func modelSection(w http.ResponseWriter, sc shardScrape) {
 	}
 	tb.Render(w)
 
-	predNs := metrics.PredictedResponse(sc.points, sc.win.OpRate) * 1e9
-	fmt.Fprintf(w, "\nresponse time: observed mean %.1f µs, model predicted %.1f µs",
-		sc.win.ObsMeanNs/1e3, predNs/1e3)
-	if sc.win.ObsMeanNs > 0 && predNs > 0 {
-		ratio := predNs / sc.win.ObsMeanNs
-		fmt.Fprintf(w, " (pred/obs = %.2f)", ratio)
+	if sc.win.Measured <= 0 {
+		// The probe did not listen in this window: the model has nothing
+		// to be evaluated at.
+		fmt.Fprintf(w, "\nresponse time: observed mean %.1f µs, model predicted n/a (no lock sample in this window)\n",
+			sc.win.ObsMeanNs/1e3)
+	} else {
+		// Both sides over the measured time: the prediction comes from
+		// telemetry taken there, so it is set against the operations
+		// served there.
+		predNs := metrics.PredictedResponse(sc.points, sc.win.HeardRate) * 1e9
+		fmt.Fprintf(w, "\nresponse time over the %.4fs measured: observed mean %.1f µs, model predicted %.1f µs",
+			sc.win.Measured, sc.win.HeardMeanNs/1e3, predNs/1e3)
+		if sc.win.HeardMeanNs > 0 && predNs > 0 {
+			ratio := predNs / sc.win.HeardMeanNs
+			fmt.Fprintf(w, " (pred/obs = %.2f)", ratio)
+		}
+		fmt.Fprintln(w)
 	}
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "root rho_w: measured %.4f, model %.4f, threshold %.2f\n", sc.rhoMeas, sc.rhoModel, SaturationRho)
+	fmt.Fprintf(w, "root rho_w: measured %s, model %s, threshold %.2f\n",
+		rhoText(sc.rhoMeas, sc.win.Measured), rhoText(sc.rhoModel, sc.win.Measured), SaturationRho)
 }
 
 func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
@@ -950,8 +1008,8 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 
 	if len(scrapes) == 1 {
 		sc := scrapes[0]
-		fmt.Fprintf(w, "qmodel evaluated at measured parameters (window %.2fs, %d ops, %.0f ops/s, algorithm %s)\n\n",
-			sc.win.Dt, sc.win.Ops, sc.win.OpRate, sc.sh.eng.Algorithm())
+		fmt.Fprintf(w, "qmodel evaluated at measured parameters (window %.2fs, locks measured for %.4fs of it, %d ops, %.0f ops/s, algorithm %s)\n\n",
+			sc.win.Dt, sc.win.Measured, sc.win.Ops, sc.win.OpRate, sc.sh.eng.Algorithm())
 		modelSection(w, sc)
 		if sc.saturated {
 			fmt.Fprintf(w, "WARNING: SATURATED — root writer utilization ρ_w >= %.2f, the paper's effective maximum arrival rate λ_{ρ=.5} (§6, rules of thumb 1–4). Raise node capacity (Optimistic/Link-type) or shard.\n", SaturationRho)
@@ -978,8 +1036,8 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "qmodel evaluated per shard at measured parameters (%d shards, %d ops, %.0f ops/s aggregate, algorithm %s)\n",
 		len(scrapes), totOps, totRate, scrapes[0].sh.eng.Algorithm())
 	for i, sc := range scrapes {
-		fmt.Fprintf(w, "\n--- shard %d (window %.2fs, %d ops, %.0f ops/s) ---\n\n",
-			i, sc.win.Dt, sc.win.Ops, sc.win.OpRate)
+		fmt.Fprintf(w, "\n--- shard %d (window %.2fs, locks measured for %.4fs of it, %d ops, %.0f ops/s) ---\n\n",
+			i, sc.win.Dt, sc.win.Measured, sc.win.Ops, sc.win.OpRate)
 		modelSection(w, sc)
 		if sc.saturated {
 			fmt.Fprintf(w, "shard %d SATURATED: root ρ_w >= %.2f\n", i, SaturationRho)

@@ -185,10 +185,9 @@ func New(cfg Config) *Server {
 	s.shards = make([]*shard, cfg.Shards)
 	for i := range s.shards {
 		sh := &shard{
-			id:    i,
-			srv:   s,
-			probe: metrics.NewTreeProbe(),
-			work:  make(chan *batch, cfg.QueueDepth),
+			id:   i,
+			srv:  s,
+			work: make(chan *batch, cfg.QueueDepth),
 		}
 		switch {
 		case len(cfg.Engines) > 0:
@@ -228,7 +227,8 @@ func New(cfg Config) *Server {
 	}
 	for _, sh := range s.shards {
 		if sh.tree != nil {
-			probe := sh.probe
+			probe := metrics.NewTreeProbe()
+			sh.probe = probe
 			sh.tree.Instrument(func(level int) lock.Probe { return probe.Level(level) })
 		}
 	}
@@ -246,7 +246,8 @@ func (s *Server) Engine() Engine { return s.shards[0].eng }
 // shard runs on another engine.
 func (s *Server) Tree() *cbtree.Tree { return s.shards[0].tree }
 
-// Probe exposes shard 0's telemetry probe.
+// Probe exposes shard 0's telemetry probe; nil when the shard runs on an
+// engine whose locks report to none.
 func (s *Server) Probe() *metrics.TreeProbe { return s.shards[0].probe }
 
 // Len returns the total key count across all shards.
@@ -319,6 +320,21 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	govDones := make([]<-chan struct{}, len(s.shards))
 	for i, sh := range s.shards {
 		govDones[i] = sh.gov.start()
+	}
+
+	// While serving, each instrumented tree's probe listens in epochs
+	// (metrics.TreeProbe.Cycle), so its locks are measured for a small,
+	// known share of the time and run unmeasured for the rest.
+	probeStop := make(chan struct{})
+	var probeWG sync.WaitGroup
+	for _, sh := range s.shards {
+		if sh.probe != nil {
+			probeWG.Add(1)
+			go func(p *metrics.TreeProbe) {
+				defer probeWG.Done()
+				p.Cycle(probeStop)
+			}(sh.probe)
+		}
 	}
 
 	stop := make(chan struct{})
@@ -401,6 +417,8 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 		sh.gov.stop()
 		<-govDones[i]
 	}
+	close(probeStop)
+	probeWG.Wait()
 	if acceptErr != nil && !errors.Is(acceptErr, net.ErrClosed) {
 		return fmt.Errorf("server: accept: %w", acceptErr)
 	}

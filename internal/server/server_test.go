@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"btreeperf/internal/cbtree"
+	"btreeperf/internal/metrics"
 )
 
 // startServer runs a Server on an ephemeral loopback port, returning its
@@ -220,6 +221,16 @@ func TestGracefulDrain(t *testing.T) {
 	}
 }
 
+// untilHeard repeats a burst of traffic for three epoch periods. The lock
+// telemetry is taken in epochs (metrics.EpochLength in every EpochPeriod,
+// the gaps up to one and a half periods long): traffic that lasts that
+// long has been heard in at least one.
+func untilHeard(burst func()) {
+	for t0 := time.Now(); time.Since(t0) < 3*metrics.EpochPeriod; {
+		burst()
+	}
+}
+
 // TestMetricsEndpoints drives traffic and checks /metrics and
 // /debug/model report per-level telemetry and the model evaluation.
 func TestMetricsEndpoints(t *testing.T) {
@@ -231,16 +242,18 @@ func TestMetricsEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	for i := 0; i < 3000; i++ {
-		c.Send(Request{Op: OpPut, Key: int64(i) * 17, Val: uint64(i)})
-		c.Send(Request{Op: OpGet, Key: int64(i)})
-	}
-	c.Flush()
-	for i := 0; i < 6000; i++ {
-		if _, err := c.Recv(); err != nil {
-			t.Fatal(err)
+	untilHeard(func() {
+		for i := 0; i < 3000; i++ {
+			c.Send(Request{Op: OpPut, Key: int64(i) * 17, Val: uint64(i)})
+			c.Send(Request{Op: OpGet, Key: int64(i)})
 		}
-	}
+		c.Flush()
+		for i := 0; i < 6000; i++ {
+			if _, err := c.Recv(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
 
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()
@@ -261,15 +274,17 @@ func TestMetricsEndpoints(t *testing.T) {
 	}
 
 	// Drive a second burst so the model window has traffic of its own.
-	for i := 0; i < 3000; i++ {
-		c.Send(Request{Op: OpPut, Key: int64(i) * 31, Val: uint64(i)})
-	}
-	c.Flush()
-	for i := 0; i < 3000; i++ {
-		if _, err := c.Recv(); err != nil {
-			t.Fatal(err)
+	untilHeard(func() {
+		for i := 0; i < 3000; i++ {
+			c.Send(Request{Op: OpPut, Key: int64(i) * 31, Val: uint64(i)})
 		}
-	}
+		c.Flush()
+		for i := 0; i < 3000; i++ {
+			if _, err := c.Recv(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
 	mbody := httpGet(t, hs.URL+"/debug/model")
 	for _, want := range []string{"qmodel evaluated", "ρ_w", "response time", "root rho_w"} {
 		if !strings.Contains(mbody, want) {

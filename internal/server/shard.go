@@ -21,8 +21,8 @@ type shard struct {
 	id    int
 	srv   *Server
 	eng   Engine
-	tree  *cbtree.Tree // nil unless the shard's engine is the in-memory one
-	probe *metrics.TreeProbe
+	tree  *cbtree.Tree       // nil unless the shard's engine is the in-memory one
+	probe *metrics.TreeProbe // nil unless tree is set: only its locks report
 	work  chan *batch
 	gov   *governor
 
@@ -33,10 +33,17 @@ type shard struct {
 	opLat   metrics.Hist // per-op tree service time
 	opNsSum atomic.Int64
 	opCount atomic.Int64
-	gets    atomic.Int64
-	puts    atomic.Int64
-	dels    atomic.Int64
-	opBad   atomic.Int64 // unknown opcodes and bad query requests
+
+	// The same two sums over the batches that finished while the probe
+	// listened: the work the lock telemetry was taken over, which is what
+	// the model's prediction from that telemetry is to be set against.
+	heardNs  atomic.Int64
+	heardOps atomic.Int64
+
+	gets  atomic.Int64
+	puts  atomic.Int64
+	dels  atomic.Int64
+	opBad atomic.Int64 // unknown opcodes and bad query requests
 
 	// Query counters: pages served with this shard as the merge home,
 	// and entries returned on those pages.
@@ -138,6 +145,10 @@ func (sh *shard) run() {
 			sh.opLat.ObserveN(ns/n, n)
 			sh.opNsSum.Add(ns)
 			sh.opCount.Add(n)
+			if sh.probe != nil && sh.probe.Listening() {
+				sh.heardNs.Add(ns)
+				sh.heardOps.Add(n)
+			}
 			if tally.gets > 0 {
 				sh.gets.Add(tally.gets)
 			}

@@ -333,10 +333,17 @@ func checkNoNaN(t *testing.T, path string, v any) {
 
 // TestIdleServerTelemetryFinite is the zero-traffic regression scrape:
 // every telemetry endpoint of a server that has served nothing — and is
-// scraped twice back to back, so the second window is near zero-width
-// with zero ops — must produce finite, parseable output. This pins the
-// divide-by-zero guards in windowState.advance, metrics.Rates, and the
-// model evaluation (λ=0 windows are not evaluated).
+// scraped again and again back to back, so the later windows are near
+// zero-width with zero ops — must produce finite, parseable output. This
+// pins the divide-by-zero guards in windowState.advance, metrics.Rates,
+// and the model evaluation (λ=0 windows are not evaluated).
+//
+// The scrapes go on until one window lies wholly inside a quiet gap
+// between two measurement epochs: a window in which the lock probes did
+// not listen at all (measured_share 0) has no sample to take a rate of,
+// and must say so (n/a in text, absent levels and zeros in JSON), not
+// divide by its measured time. A disk engine's locks report to no probe,
+// so every window of the disk passes is such a window.
 func TestIdleServerTelemetryFinite(t *testing.T) {
 	for _, tc := range []struct {
 		shards int
@@ -372,13 +379,21 @@ func TestIdleServerTelemetryFinite(t *testing.T) {
 			hs := httptest.NewServer(s.Handler())
 			defer hs.Close()
 
-			for round := 0; round < 2; round++ {
+			quiet := false // a window with no measured time has been scraped
+			for round := 0; round < 2 || !quiet; round++ {
+				if round == 50 {
+					t.Fatal("50 back-to-back scrapes and none fell between two epochs")
+				}
 				for _, ep := range []string{"/metrics", "/debug/model", "/healthz"} {
 					body := httpGet(t, hs.URL+ep)
 					for _, bad := range []string{"NaN", "nan", "+Inf", "-Inf"} {
 						if strings.Contains(body, bad) {
 							t.Errorf("round %d %s contains %q:\n%s", round, ep, bad, body)
 						}
+					}
+					if ep == "/metrics" && strings.Contains(body, " measured_share=0.0000\n") &&
+						!strings.Contains(body, "saturation root_rho_w=n/a ") {
+						t.Errorf("round %d: text /metrics of a window with no measured time prints a utilization:\n%s", round, body)
 					}
 				}
 				raw := httpGet(t, hs.URL+"/metrics?format=json")
@@ -395,6 +410,15 @@ func TestIdleServerTelemetryFinite(t *testing.T) {
 				}
 				if got := decoded["governor"].(string); got != "ok" {
 					t.Errorf("round %d: idle governor = %q, want ok (stale gauge?)", round, got)
+				}
+				if share := decoded["measured_share"].(float64); share == 0 {
+					quiet = true
+					if decoded["levels"] != nil || decoded["root_rho_w"].(float64) != 0 {
+						t.Errorf("round %d: a window with no measured time reports levels %v, root_rho_w %v",
+							round, decoded["levels"], decoded["root_rho_w"])
+					}
+				} else if tc.disk {
+					t.Errorf("round %d: disk engine measured_share = %v, want 0: no lock of it reports", round, share)
 				}
 				if tc.disk {
 					body := httpGet(t, hs.URL+"/metrics")
@@ -428,16 +452,18 @@ func TestMultiShardMetrics(t *testing.T) {
 	}
 	defer c.Close()
 	const n = 4000
-	for i := 0; i < n; i++ {
-		c.Send(Request{Op: OpPut, Key: int64(i) * 13, Val: uint64(i)})
-		c.Send(Request{Op: OpGet, Key: int64(i) * 13})
-	}
-	c.Flush()
-	for i := 0; i < 2*n; i++ {
-		if _, err := c.Recv(); err != nil {
-			t.Fatal(err)
+	untilHeard(func() { // by every shard's probe
+		for i := 0; i < n; i++ {
+			c.Send(Request{Op: OpPut, Key: int64(i) * 13, Val: uint64(i)})
+			c.Send(Request{Op: OpGet, Key: int64(i) * 13})
 		}
-	}
+		c.Flush()
+		for i := 0; i < 2*n; i++ {
+			if _, err := c.Recv(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
 
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()

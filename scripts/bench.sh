@@ -19,8 +19,12 @@
 # engine — the disk tree's point operations with the pool fitting and
 # spilling, the oplog's append and group commit, the page file's read and
 # write — into results/BENCH_storage.json (override with
-# $BENCH_STORAGE_OUT; raw text to $BENCH_STORAGE_RAW): one tracked JSON
-# per layer group, gated on allocs/op by `benchjson -compare` in CI.
+# $BENCH_STORAGE_OUT; raw text to $BENCH_STORAGE_RAW), and a third for the
+# lock layer under the in-memory trees — the FCFS lock's two paths, its
+# contended hand-off, the version word — into results/BENCH_lock.json
+# (override with $BENCH_LOCK_OUT; raw text to $BENCH_LOCK_RAW): one
+# tracked JSON per layer group, gated on allocs/op by `benchjson -compare`
+# in CI.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -52,5 +56,17 @@ go test ./internal/diskbtree ./internal/journal ./internal/pagestore -run '^$' \
 
 go run ./cmd/benchjson \
   -note "scripts/bench.sh: count=$count benchtime=$benchtime; DiskTree{Search,Insert,Delete} are point operations on a bulk-loaded, non-durable 200k-key tree whose buffer pool holds all of it (fit) or a fifth (spill); JournalAppend is one logged mutation plus its share of a 25-mutation group commit over a file layer that swallows writes and syncs (the journal's own cost), JournalCommit one such batch and its commit on a real file (the tail's write and the fsync); PagestoreReadInto/WritePage are the buffer pool's two calls on a page-cache-resident file" \
+  <"$raw" >"$out"
+echo "wrote $out"
+
+out="${BENCH_LOCK_OUT:-results/BENCH_lock.json}"
+raw="${BENCH_LOCK_RAW:-$(mktemp)}"
+
+go test ./internal/lock -run '^$' \
+  -bench 'BenchmarkFCFS|BenchmarkVersion' \
+  -benchmem -benchtime "$benchtime" -count "$count" | tee "$raw"
+
+go run ./cmd/benchjson \
+  -note "scripts/bench.sh: count=$count benchtime=$benchtime; FCFS{RLock,Lock} and VersionLockV are one uncontended acquire/release pair on a lock with no probe, with a probe whose gate is closed (a served tree's locks between measurement epochs: the fast path, one compare-and-swap each way) and with a listening probe (inside an epoch: the internal mutex, one clock read and the reports each way); FCFSParallelRLock is the same shared pair from 2 and from GOMAXPROCS goroutines on one lock (the root's case; its ns/op depends on whether the goroutines run at once); FCFSHandoff is one release that grants a queued request, writer to writer and writer to a run of two readers, wake-up included, allocs/op being the waiter's queue entry and channel; VersionRead is one ReadBegin/Validate pair" \
   <"$raw" >"$out"
 echo "wrote $out"

@@ -85,7 +85,6 @@ func main() {
 		path       = flag.String("path", "", "disk engine data file (required with -engine disk)")
 		fsyncMode  = flag.String("fsync", "batch", "disk engine fsync policy: batch (group commit, one fsync per batch) or op (fsync every mutation)")
 		ckptOps    = flag.Int64("checkpoint-ops", 0, "disk engine: mutations of replay debt that trigger a checkpoint (0 = default 262144, negative disables)")
-		ckptMode   = flag.String("checkpoint-mode", "inc", "disk engine checkpoint mode: only inc (incremental, concurrent with serving, bounded pause) remains")
 		ckptChunk  = flag.Int("checkpoint-chunk", 4096, "disk engine: keys walked per latched chunk of an incremental checkpoint")
 		cacheNodes = flag.Int("cache-nodes", 0, "disk engine buffer-pool size in nodes (0 = default 4096)")
 
@@ -131,10 +130,6 @@ func main() {
 	case "disk":
 		if *fsyncMode != "batch" && *fsyncMode != "op" {
 			fmt.Fprintf(os.Stderr, "btserved: -fsync %q (want batch or op)\n", *fsyncMode)
-			os.Exit(2)
-		}
-		if *ckptMode != "inc" {
-			fmt.Fprintf(os.Stderr, "btserved: -checkpoint-mode %q: checkpoints are always incremental (inc); the stop-the-world baseline (stw) was removed, its numbers are in EXPERIMENTS.md \"Checkpoint pauses\"\n", *ckptMode)
 			os.Exit(2)
 		}
 		if *ckptChunk <= 0 {

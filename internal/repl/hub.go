@@ -429,14 +429,15 @@ func (h *Hub) sendSnapshot(c net.Conn, s int) (int64, error) {
 }
 
 // FollowerStats is one follower's replication position as the leader
-// sees it.
+// sees it. The JSON tags are its shape in the server's /metrics
+// replication block.
 type FollowerStats struct {
-	ID        uint64
-	Addr      string
-	Connected bool
-	Acked     []int64 // per shard: highest acked sequence
-	LagSeqs   int64   // Σ over shards of (leader durable head − acked)
-	LagBytes  int64   // LagSeqs × the wire size of one record
+	ID        uint64  `json:"id"`
+	Addr      string  `json:"addr"`
+	Connected bool    `json:"connected"`
+	Acked     []int64 `json:"acked"`     // per shard: highest acked sequence
+	LagSeqs   int64   `json:"lag_seqs"`  // Σ over shards of (leader durable head − acked)
+	LagBytes  int64   `json:"lag_bytes"` // LagSeqs × the wire size of one record
 }
 
 // HubStats is a point-in-time summary of the hub.

@@ -114,7 +114,7 @@ func TestCommitFailureNeverAcks(t *testing.T) {
 	if Retryable(StatusUnavail) {
 		t.Fatal("StatusUnavail must not be retryable on the same server")
 	}
-	if s.shards[0].commitFails.Load() == 0 {
+	if s.shards[0].ctr[cCommitFails].Load() == 0 {
 		t.Fatal("commit failure not counted")
 	}
 

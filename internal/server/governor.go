@@ -124,8 +124,8 @@ func (g *governor) Status() GovStatus {
 		Rho:          g.cfg.Rho,
 		ExitRho:      g.cfg.ExitRho,
 		Transitions:  g.trans.Load(),
-		ShedOverload: g.sh.shedOverload.Load(),
-		ShedBusy:     g.sh.shedBusy.Load(),
+		ShedOverload: g.sh.ctr[cShedOverload].Load(),
+		ShedBusy:     g.sh.ctr[cShedBusy].Load(),
 		ConnRejects:  g.sh.srv.connRejects.Load(),
 		Disabled:     g.cfg.Disabled,
 	}
@@ -227,18 +227,18 @@ func (g *governor) tick(rho float64) {
 func (s *Server) Governor() GovStatus {
 	st := s.shards[0].gov.Status()
 	for _, sh := range s.shards[1:] {
-		o := sh.gov.Status()
-		if o.State > st.State {
-			st.State = o.State
-		}
-		if o.RootRhoW > st.RootRhoW {
-			st.RootRhoW = o.RootRhoW
-		}
-		st.Transitions += o.Transitions
-		st.ShedOverload += o.ShedOverload
-		st.ShedBusy += o.ShedBusy
+		st.merge(sh.gov.Status())
 	}
 	return st
+}
+
+// merge folds another shard's status into the merged view.
+func (st *GovStatus) merge(o GovStatus) {
+	st.State = max(st.State, o.State)
+	st.RootRhoW = max(st.RootRhoW, o.RootRhoW)
+	st.Transitions += o.Transitions
+	st.ShedOverload += o.ShedOverload
+	st.ShedBusy += o.ShedBusy
 }
 
 // ShardGovernor exposes one shard's governor status.

@@ -99,16 +99,16 @@ func (s *Server) execScan(req Request, w *worker) Response {
 	t := &w.tally
 	lo, hi := req.Key, req.Hi
 	if hi <= lo {
-		t.scans++
+		t[cScans]++
 		return Response{Status: StatusOK, Page: true} // empty range: OK, zero entries, no token
 	}
 	limit := clampLimit(req.Limit)
 	cursors, ok := s.queryCursors(w, req.Token, lo, hi)
 	if !ok {
-		t.bad++
+		t[cBad]++
 		return badPage()
 	}
-	t.scans++
+	t[cScans]++
 	ents, fetches := w.ents[:0], w.fetches[:0]
 	for i, sh := range s.shards {
 		var f query.ShardFetch // stays empty when this shard's range is already exhausted
@@ -116,7 +116,7 @@ func (s *Server) execScan(req Request, w *worker) Response {
 			from := len(ents)
 			var err error
 			if ents, f.More, err = sh.eng.Scan(cursors[i], hi, limit, ents); err != nil {
-				t.unavail++
+				t[cUnavail]++
 				return Response{Status: StatusUnavail, Page: true}
 			}
 			f.Entries = ents[from:]
@@ -125,7 +125,7 @@ func (s *Server) execScan(req Request, w *worker) Response {
 	}
 	w.ents, w.fetches = ents, fetches
 	resp := w.mergePage(cursors, hi, limit)
-	t.scanKeys += int64(len(resp.Entries))
+	t[cScanKeys] += int64(len(resp.Entries))
 	return resp
 }
 
@@ -133,14 +133,14 @@ func (s *Server) execScan(req Request, w *worker) Response {
 // most one entry: the per-shard minimum of a limit-1 scan to +inf.
 func (s *Server) execSeek(req Request, w *worker) Response {
 	t := &w.tally
-	t.seeks++
+	t[cSeeks]++
 	var best query.KV
 	found := false
 	for _, sh := range s.shards {
 		ents, _, err := sh.eng.Scan(req.Key, math.MaxInt64, 1, w.ents[:0])
 		w.ents = ents
 		if err != nil {
-			t.unavail++
+			t[cUnavail]++
 			return Response{Status: StatusUnavail, Page: true}
 		}
 		if len(ents) > 0 && (!found || ents[0].Key < best.Key) {
@@ -153,7 +153,7 @@ func (s *Server) execSeek(req Request, w *worker) Response {
 		a.ents = append(a.ents, best)
 		n := len(a.ents)
 		resp.Entries = a.ents[n-1 : n : n]
-		t.scanKeys++
+		t[cScanKeys]++
 	}
 	return resp
 }
@@ -166,17 +166,17 @@ func (s *Server) execSeek(req Request, w *worker) Response {
 func (s *Server) execLookup(req Request, w *worker) Response {
 	t := &w.tally
 	if s.shards[0].idx == nil {
-		t.bad++
+		t[cBad]++
 		return badPage()
 	}
 	const hi = math.MaxInt64 // lookups page over the full primary-key space
 	limit := clampLimit(req.Limit)
 	cursors, ok := s.queryCursors(w, req.Token, math.MinInt64, hi)
 	if !ok {
-		t.bad++
+		t[cBad]++
 		return badPage()
 	}
-	t.lookups++
+	t[cLookups]++
 	ents, fetches := w.ents[:0], w.fetches[:0]
 	for i, sh := range s.shards {
 		var f query.ShardFetch
@@ -192,7 +192,7 @@ func (s *Server) execLookup(req Request, w *worker) Response {
 	}
 	w.ents, w.fetches = ents, fetches
 	resp := w.mergePage(cursors, hi, limit)
-	t.lookupKeys += int64(len(resp.Entries))
+	t[cLookupKeys] += int64(len(resp.Entries))
 	return resp
 }
 
@@ -203,7 +203,7 @@ func (s *Server) execLookup(req Request, w *worker) Response {
 // measure follower lag; failover uses it to pick the most-caught-up
 // follower. Tallied as a ping — it is a meta op, not key traffic.
 func (s *Server) execSeqs(t *opTally) Response {
-	t.pings++
+	t[cPings]++
 	ents := make([]query.KV, len(s.shards))
 	for i := range s.shards {
 		ents[i] = query.KV{Key: int64(i), Val: uint64(s.shardSeq(i))}

@@ -511,10 +511,10 @@ func TestQueryMetrics(t *testing.T) {
 
 	var scans, scanKeys, seeks, lookups int64
 	for _, sh := range s.shards {
-		scans += sh.scans.Load()
-		scanKeys += sh.scanKeys.Load()
-		seeks += sh.seeks.Load()
-		lookups += sh.lookups.Load()
+		scans += sh.ctr[cScans].Load()
+		scanKeys += sh.ctr[cScanKeys].Load()
+		seeks += sh.ctr[cSeeks].Load()
+		lookups += sh.ctr[cLookups].Load()
 	}
 	if scans < 7 { // 100 keys / 16 per page = 7 pages
 		t.Errorf("scan pages tallied %d, want >= 7", scans)

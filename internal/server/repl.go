@@ -285,38 +285,57 @@ func (s *Server) shardSeq(i int) int64 {
 	return 0
 }
 
-// ReplicationStats is the /metrics replication block.
-type ReplicationStats struct {
-	Role        string // "leader" or "follower"
-	Acks        int    // configured semi-sync follower-ack requirement
-	AckTimeouts int64  // commits that missed the ack barrier (answered Busy)
-	NotLeader   int64  // mutations refused on a follower
-	Lagging     int64  // getseqs refused past the staleness bound
-	Hub         *repl.HubStats
-	Follower    *repl.ApplierStats
+// replicationJSON is the /metrics replication block: role-common
+// refusal counters plus the active role's stream telemetry.
+type replicationJSON struct {
+	Role        string `json:"role"` // leader | follower
+	Epoch       uint64 `json:"epoch"`
+	Acks        int    `json:"acks"`         // configured semi-sync follower-ack requirement
+	AckTimeouts int64  `json:"ack_timeouts"` // commits that missed the ack barrier (answered Busy)
+	NotLeader   int64  `json:"not_leader"`   // mutations refused on a follower
+	Lagging     int64  `json:"lagging"`      // getseqs refused past the staleness bound
+
+	// Leader side.
+	OpsShipped   int64                `json:"ops_shipped,omitempty"`
+	BytesShipped int64                `json:"bytes_shipped,omitempty"`
+	AcksRecv     int64                `json:"acks_received,omitempty"`
+	Snapshots    int64                `json:"snapshots,omitempty"`
+	Evictions    int64                `json:"evictions,omitempty"`
+	Followers    []repl.FollowerStats `json:"followers,omitempty"`
+
+	// Follower side.
+	Applied    []int64 `json:"applied,omitempty"` // per shard
+	Heads      []int64 `json:"heads,omitempty"`   // leader durable head per shard
+	LagSeqs    int64   `json:"lag_seqs,omitempty"`
+	OpsApplied int64   `json:"ops_applied,omitempty"`
+	Reconnects int64   `json:"reconnects,omitempty"`
+	Connected  bool    `json:"connected,omitempty"`
 }
 
 // replicationStats snapshots the active role's replication telemetry;
 // nil when the server is unreplicated.
-func (s *Server) replicationStats() *ReplicationStats {
+func (s *Server) replicationStats() *replicationJSON {
 	hub, fol := s.Hub(), s.Follower()
 	if hub == nil && fol == nil {
 		return nil
 	}
-	st := &ReplicationStats{Acks: s.cfg.ReplAcks}
+	st := &replicationJSON{Acks: s.cfg.ReplAcks}
 	for _, sh := range s.shards {
-		st.AckTimeouts += sh.ackTimeouts.Load()
-		st.NotLeader += sh.notLeader.Load()
-		st.Lagging += sh.lagging.Load()
+		st.AckTimeouts += sh.ctr[cAckTimeouts].Load()
+		st.NotLeader += sh.ctr[cNotLeader].Load()
+		st.Lagging += sh.ctr[cLagging].Load()
 	}
 	if hub != nil {
-		st.Role = "leader"
 		hs := hub.Stats()
-		st.Hub = &hs
+		st.Role, st.Epoch = "leader", hs.Epoch
+		st.OpsShipped, st.BytesShipped, st.AcksRecv = hs.OpsShipped, hs.BytesShipped, hs.Acks
+		st.Snapshots, st.Evictions, st.Followers = hs.Snapshots, hs.Evictions, hs.Followers
 	} else {
-		st.Role = "follower"
 		fs := fol.Stats()
-		st.Follower = &fs
+		st.Role, st.Epoch = "follower", fs.Epoch
+		st.Applied, st.Heads, st.LagSeqs = fs.Applied, fs.Heads, fs.LagSeqs
+		st.OpsApplied, st.Snapshots = fs.OpsApplied, fs.Snapshots
+		st.Reconnects, st.Connected = fs.Reconnects, fs.Connected
 	}
 	return st
 }

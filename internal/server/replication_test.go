@@ -349,7 +349,7 @@ func TestSemiSyncAckBarrier(t *testing.T) {
 	if err != nil || resp.Status != StatusBusy {
 		t.Fatalf("put without follower: %+v err=%v, want StatusBusy", resp, err)
 	}
-	if got := ld.s.shards[0].ackTimeouts.Load(); got == 0 {
+	if got := ld.s.shards[0].ctr[cAckTimeouts].Load(); got == 0 {
 		t.Fatal("ack timeout not counted")
 	}
 	// The write IS durable despite the Busy answer.

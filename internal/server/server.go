@@ -144,7 +144,6 @@ type Server struct {
 	start    time.Time
 	badReqs  atomic.Int64 // malformed frames (wire-level; op-level bads are per shard)
 	connsNow atomic.Int64
-	connsTot atomic.Int64
 
 	// Self-defense counters (connection-level; shed counters are per
 	// shard).
@@ -396,7 +395,6 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 		default:
 		}
 		s.connsNow.Add(1)
-		s.connsTot.Add(1)
 		connWG.Add(1)
 		go func() {
 			defer connWG.Done()
@@ -544,7 +542,7 @@ func (s *Server) handle(conn net.Conn) {
 				// The shard's governor is shedding update traffic: answer
 				// without touching its tree so writers stop driving that
 				// root's ρ_w.
-				sh.shedOverload.Add(1)
+				sh.ctr[cShedOverload].Add(1)
 				j.skip = true
 				j.resp = Response{Status: StatusOverload}
 			} else {
@@ -663,7 +661,7 @@ func (s *Server) dispatch(bt *batch, admitTimer **time.Timer) {
 			j.resp = Response{Status: StatusBusy, Page: isQueryOp(j.req.Op)}
 			shed++
 		}
-		sh.shedBusy.Add(int64(shed))
+		sh.ctr[cShedBusy].Add(int64(shed))
 		bt.completeOne()
 	}
 }
@@ -698,21 +696,6 @@ func (s *Server) admit(sh *shard, bt *batch, admitTimer **time.Timer) bool {
 	}
 }
 
-// opTally is a worker-local count of the ops executed in one batch,
-// flushed to the shard's shared counters once per batch.
-type opTally struct {
-	gets, puts, dels, pings, bad, unavail int64
-
-	// Query traffic: pages served and entries returned. A scan op is one
-	// page; scanKeys/lookupKeys accumulate the entries across pages, so
-	// keys-per-page is derivable from the pair.
-	scans, seeks, lookups, scanKeys, lookupKeys int64
-
-	// Replication refusals: mutations sent to a follower, and getseqs
-	// whose staleness floor the follower had not yet applied.
-	notLeader, lagging int64
-}
-
 // worker is the private state of one shard-pool goroutine: the tally of
 // the batch it is executing, that batch's page arena for its shard, and
 // the working memory of the query ops (per-shard cursors and fetches),
@@ -739,10 +722,10 @@ func (s *Server) apply(sh *shard, req Request, w *worker) Response {
 	}
 	switch req.Op {
 	case OpGet:
-		t.gets++
+		t[cGets]++
 		v, ok, err := sh.eng.Get(req.Key)
 		if err != nil {
-			t.unavail++
+			t[cUnavail]++
 			return Response{Status: StatusUnavail}
 		}
 		if !ok {
@@ -755,14 +738,14 @@ func (s *Server) apply(sh *shard, req Request, w *worker) Response {
 		// client retries the leader. On a leader the floor is always met
 		// (clients learn MinSeq from this leader's own acks), and on an
 		// unreplicated server it degrades to a plain get.
-		t.gets++
+		t[cGets]++
 		if f := s.Follower(); f != nil && f.AppliedSeq(sh.id) < req.MinSeq {
-			t.lagging++
+			t[cLagging]++
 			return Response{Status: StatusLagging}
 		}
 		v, ok, err := sh.eng.Get(req.Key)
 		if err != nil {
-			t.unavail++
+			t[cUnavail]++
 			return Response{Status: StatusUnavail}
 		}
 		if !ok {
@@ -773,10 +756,10 @@ func (s *Server) apply(sh *shard, req Request, w *worker) Response {
 		if s.IsFollower() {
 			// Followers never mutate outside the replication stream; the
 			// client re-routes this to the leader.
-			t.notLeader++
+			t[cNotLeader]++
 			return Response{Status: StatusNotLeader}
 		}
-		t.puts++
+		t[cPuts]++
 		var ok bool
 		var err error
 		if sh.idx != nil {
@@ -789,7 +772,7 @@ func (s *Server) apply(sh *shard, req Request, w *worker) Response {
 			ok, err = sh.eng.Put(req.Key, req.Val)
 		}
 		if err != nil {
-			t.unavail++
+			t[cUnavail]++
 			return Response{Status: StatusUnavail}
 		}
 		if ok {
@@ -798,10 +781,10 @@ func (s *Server) apply(sh *shard, req Request, w *worker) Response {
 		return Response{Status: StatusMiss}
 	case OpDel:
 		if s.IsFollower() {
-			t.notLeader++
+			t[cNotLeader]++
 			return Response{Status: StatusNotLeader}
 		}
-		t.dels++
+		t[cDels]++
 		var ok bool
 		var err error
 		if sh.idx != nil {
@@ -812,7 +795,7 @@ func (s *Server) apply(sh *shard, req Request, w *worker) Response {
 			ok, err = sh.eng.Del(req.Key)
 		}
 		if err != nil {
-			t.unavail++
+			t[cUnavail]++
 			return Response{Status: StatusUnavail}
 		}
 		if ok {
@@ -820,7 +803,7 @@ func (s *Server) apply(sh *shard, req Request, w *worker) Response {
 		}
 		return Response{Status: StatusMiss}
 	case OpPing:
-		t.pings++
+		t[cPings]++
 		return Response{Status: StatusOK}
 	// Query ops tally inside their exec functions: a bad token counts as
 	// a bad request, not as a scan, so each request lands in exactly one
@@ -834,7 +817,7 @@ func (s *Server) apply(sh *shard, req Request, w *worker) Response {
 	case OpSeqs:
 		return s.execSeqs(t)
 	default:
-		t.bad++
+		t[cBad]++
 		return Response{Status: StatusBadRequest}
 	}
 }

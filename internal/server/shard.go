@@ -40,35 +40,63 @@ type shard struct {
 	heardNs  atomic.Int64
 	heardOps atomic.Int64
 
-	gets  atomic.Int64
-	puts  atomic.Int64
-	dels  atomic.Int64
-	opBad atomic.Int64 // unknown opcodes and bad query requests
-
-	// Query counters: pages served with this shard as the merge home,
-	// and entries returned on those pages.
-	scans      atomic.Int64
-	seeks      atomic.Int64
-	lookups    atomic.Int64
-	scanKeys   atomic.Int64
-	lookupKeys atomic.Int64
-
-	// Durability counters.
-	commitFails atomic.Int64 // batches whose group commit failed
-	unavail     atomic.Int64 // requests answered StatusUnavail
-
-	// Replication counters.
-	ackTimeouts atomic.Int64 // batches that missed the semi-sync follower-ack barrier
-	notLeader   atomic.Int64 // mutations refused with StatusNotLeader (follower role)
-	lagging     atomic.Int64 // getseqs refused with StatusLagging (staleness floor unmet)
-
-	// Shed counters (per shard: overload shedding acts on the shard
-	// whose root is saturated, not globally).
-	shedOverload atomic.Int64 // updates shed with StatusOverload (governor)
-	shedBusy     atomic.Int64 // requests shed with StatusBusy (queue full)
+	// ctr holds the shard's event counters, indexed by the counter enum.
+	ctr [nCounters]atomic.Int64
 
 	metricsWin windowState // /metrics scrape window
 	modelWin   windowState // /debug/model scrape window
+}
+
+// counter indexes a shard's event counters. A counter exists in three
+// places only: its constant here, the sites that tally it, and its row in
+// the telemetry table (telemetry.go) — a shard holds them as one array of
+// atomics, a worker tallies a batch into a plain array of the same shape,
+// and a scrape copies the array once.
+type counter int
+
+const (
+	// Op kinds: every executed request lands in exactly one of these, so
+	// their sum is the number of ops a batch ran.
+	cGets counter = iota
+	cPuts
+	cDels
+	cPings // meta ops (ping, the OpSeqs sequence probe): counted, not reported by name
+	cBad   // unknown opcodes and bad query requests
+	// Query pages served with this shard as the merge home. A scan op is
+	// one page; keys per page follow from the entry counters below.
+	cScans
+	cSeeks
+	cLookups
+	cNotLeader // mutations refused with StatusNotLeader (follower role)
+
+	// What happened to ops already counted above.
+	cScanKeys   // entries returned on scan pages, plus seek hits
+	cLookupKeys // entries returned on lookup pages
+	cUnavail    // requests answered StatusUnavail
+	cLagging    // getseqs refused with StatusLagging (staleness floor unmet)
+
+	// Counted outside the per-op tally.
+	cCommitFails  // batches whose group commit failed
+	cAckTimeouts  // batches that missed the semi-sync follower-ack barrier
+	cShedOverload // updates shed with StatusOverload; the governor acts on the shard whose root is saturated, not globally
+	cShedBusy     // requests shed with StatusBusy (queue full)
+	nCounters
+
+	nOpKinds = cNotLeader + 1
+)
+
+// opTally is a worker-local count of the events of one batch, flushed to
+// the shard's counters once per batch: per-op atomic adds from every
+// worker bounce the counters' cache lines and were a measurable share of
+// service time.
+type opTally [nCounters]int64
+
+// ops is the number of requests tallied.
+func (t *opTally) ops() (n int64) {
+	for _, v := range t[:nOpKinds] {
+		n += v
+	}
+	return n
 }
 
 // shardIndex routes a key to a shard with a full-avalanche mixer
@@ -101,9 +129,6 @@ func (s *Server) shardIdx(key int64) int32 {
 // shards, so concurrent shard workers never touch the same job.
 func (sh *shard) run() {
 	s := sh.srv
-	// Telemetry is tallied locally and flushed once per batch: per-op
-	// atomic adds from every worker bounce the counters' cache lines and
-	// were a measurable share of service time.
 	var w worker
 	tally := &w.tally
 	for bt := range sh.work {
@@ -117,7 +142,7 @@ func (sh *shard) run() {
 			}
 			j.resp = s.apply(sh, j.req, &w)
 		}
-		if tally.puts+tally.dels > 0 {
+		if tally[cPuts]+tally[cDels] > 0 {
 			// Group commit: one engine fsync covers every mutation this
 			// shard executed from the batch; their OK responses are
 			// withheld until it returns. On failure nothing is
@@ -125,7 +150,7 @@ func (sh *shard) run() {
 			// rewriting the shard's mutation responses to StatusUnavail
 			// closes the last window where an ack could outrun the disk.
 			if err := sh.eng.Commit(); err != nil {
-				sh.commitFails.Add(1)
+				sh.ctr[cCommitFails].Add(1)
 				for i := range bt.jobs {
 					j := &bt.jobs[i]
 					if !j.skip && int(j.shard) == sh.id && (j.req.Op == OpPut || j.req.Op == OpDel) {
@@ -136,8 +161,7 @@ func (sh *shard) run() {
 				sh.replCommit(bt, hub)
 			}
 		}
-		if n := tally.gets + tally.puts + tally.dels + tally.pings + tally.bad +
-			tally.scans + tally.seeks + tally.lookups + tally.notLeader; n > 0 {
+		if n := tally.ops(); n > 0 {
 			ns := time.Since(t0).Nanoseconds()
 			// The histogram records the batch's amortized per-op service
 			// time for each op (exact in the mean, batch-smoothed in the
@@ -149,41 +173,10 @@ func (sh *shard) run() {
 				sh.heardNs.Add(ns)
 				sh.heardOps.Add(n)
 			}
-			if tally.gets > 0 {
-				sh.gets.Add(tally.gets)
-			}
-			if tally.puts > 0 {
-				sh.puts.Add(tally.puts)
-			}
-			if tally.dels > 0 {
-				sh.dels.Add(tally.dels)
-			}
-			if tally.bad > 0 {
-				sh.opBad.Add(tally.bad)
-			}
-			if tally.unavail > 0 {
-				sh.unavail.Add(tally.unavail)
-			}
-			if tally.scans > 0 {
-				sh.scans.Add(tally.scans)
-			}
-			if tally.seeks > 0 {
-				sh.seeks.Add(tally.seeks)
-			}
-			if tally.scanKeys > 0 { // scan-page entries plus seek hits
-				sh.scanKeys.Add(tally.scanKeys)
-			}
-			if tally.lookups > 0 {
-				sh.lookups.Add(tally.lookups)
-			}
-			if tally.lookupKeys > 0 {
-				sh.lookupKeys.Add(tally.lookupKeys)
-			}
-			if tally.notLeader > 0 {
-				sh.notLeader.Add(tally.notLeader)
-			}
-			if tally.lagging > 0 {
-				sh.lagging.Add(tally.lagging)
+			for c, v := range tally {
+				if v > 0 {
+					sh.ctr[c].Add(v)
+				}
 			}
 		}
 		bt.completeOne()
@@ -209,7 +202,7 @@ func (sh *shard) replCommit(bt *batch, hub *repl.Hub) {
 			// semi-sync ambiguity) — puts and dels are idempotent, so a
 			// retry converges.
 			acked = false
-			sh.ackTimeouts.Add(1)
+			sh.ctr[cAckTimeouts].Add(1)
 		}
 	}
 	for i := range bt.jobs {

@@ -282,12 +282,12 @@ func TestShardedGovernorShedsPerShard(t *testing.T) {
 	if resp.Status != StatusMiss {
 		t.Fatalf("get on hot shard: status %d, want Miss (reads must not be shed)", resp.Status)
 	}
-	if s.shards[hot].shedOverload.Load() == 0 {
+	if s.shards[hot].ctr[cShedOverload].Load() == 0 {
 		t.Error("hot shard shed counter not incremented")
 	}
 	for i, sh := range s.shards {
-		if i != hot && sh.shedOverload.Load() != 0 {
-			t.Errorf("cold shard %d shed %d updates", i, sh.shedOverload.Load())
+		if i != hot && sh.ctr[cShedOverload].Load() != 0 {
+			t.Errorf("cold shard %d shed %d updates", i, sh.ctr[cShedOverload].Load())
 		}
 	}
 
@@ -468,7 +468,7 @@ func TestMultiShardMetrics(t *testing.T) {
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()
 
-	var m metricsJSON
+	var m scrapedMetrics
 	if err := json.Unmarshal([]byte(httpGet(t, hs.URL+"/metrics?format=json")), &m); err != nil {
 		t.Fatal(err)
 	}
@@ -766,7 +766,7 @@ func TestShardedSingleShardDelegates(t *testing.T) {
 	}
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()
-	var m metricsJSON
+	var m scrapedMetrics
 	if err := json.Unmarshal([]byte(httpGet(t, hs.URL+"/metrics?format=json")), &m); err != nil {
 		t.Fatal(err)
 	}

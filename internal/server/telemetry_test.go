@@ -98,7 +98,7 @@ func TestLiveTelemetryAgreesWithOpCounters(t *testing.T) {
 				}(conn)
 			}
 
-			scrape := func() (m metricsJSON) {
+			scrape := func() (m scrapedMetrics) {
 				t.Helper()
 				if err := json.Unmarshal([]byte(httpGet(t, hs.URL+"/metrics?format=json")), &m); err != nil {
 					t.Fatal(err)

@@ -75,8 +75,9 @@ done
 # still carry the per-level telemetry, and every shard must report its
 # own rho_w gauge line — the router spreading traffic across all four is
 # what makes the per-shard gauges nonempty.
-echo "== link-type -shards=4 -index =="
-"$bin/btserved" -alg link-type -shards 4 -index -listen "$listen" -http "$http" -prefill 20000 \
+shards=4
+echo "== link-type -shards=$shards -index =="
+"$bin/btserved" -alg link-type -shards "$shards" -index -listen "$listen" -http "$http" -prefill 20000 \
   2>"$bin/serv-sharded.log" &
 spid=$!
 for _ in $(seq 50); do
@@ -140,6 +141,13 @@ echo "$metrics" | awk -F'[ =]' '
     if (ik+0 <= 0)  { print "FAIL: index_keys=" ik " not > 0" > "/dev/stderr"; exit 1 }
     print "ok: query counters scan_pages=" sp " lookup_pages=" lp " index_keys=" ik
   }'
+
+# The JSON form comes from the same table through another encoder: it
+# must carry one block per shard.
+blocks=$(curl -sf "http://$http/metrics?format=json" | grep -o '"shard":' | wc -l)
+[ "$blocks" -eq "$shards" ] || {
+  echo "FAIL(sharded): /metrics?format=json has $blocks shard blocks, want $shards" >&2; exit 1; }
+echo "ok: JSON carries $blocks shard blocks"
 
 model="$(curl -sf "http://$http/debug/model")"
 echo "$model" | grep -q 'shard 3' || {

@@ -83,7 +83,7 @@ func main() {
 
 		engineName = flag.String("engine", "mem", "storage engine: mem (volatile) or disk (durable, group-committed)")
 		path       = flag.String("path", "", "disk engine data file (required with -engine disk)")
-		fsyncMode  = flag.String("fsync", "batch", "disk engine fsync policy: batch (group commit, one fsync per batch) or op (fsync every mutation)")
+		fsyncMode  = flag.String("fsync", "batch", "disk engine fsync policy: batch (group commit, one fsync per group of batches) or op (fsync every mutation)")
 		ckptOps    = flag.Int64("checkpoint-ops", 0, "disk engine: mutations of replay debt that trigger a checkpoint (0 = default 262144, negative disables)")
 		ckptChunk  = flag.Int("checkpoint-chunk", 4096, "disk engine: keys walked per latched chunk of an incremental checkpoint")
 		cacheNodes = flag.Int("cache-nodes", 0, "disk engine buffer-pool size in nodes (0 = default 4096)")

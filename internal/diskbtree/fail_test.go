@@ -130,11 +130,47 @@ func TestReadErrorPoisonsEveryEntryPoint(t *testing.T) {
 	}
 }
 
+// twoWorkersOneCommit is the serving layer's commit pipeline in miniature:
+// two worker goroutines insert keys — A the even positions, B the odd,
+// in strict alternation so the oplog's record order and the syscall trace
+// are the same on every run — and a third, the committer, makes all of it
+// durable with one Commit. A nil return acknowledges every key.
+func twoWorkersOneCommit(tr *Tree, keys []int64, val func(int64) uint64) error {
+	type worker struct {
+		keys chan int64
+		errs chan error
+	}
+	var ws [2]worker
+	for i := range ws {
+		w := worker{make(chan int64), make(chan error)}
+		ws[i] = w
+		go func() {
+			for k := range w.keys {
+				_, err := tr.Insert(k, val(k))
+				w.errs <- err
+			}
+		}()
+		defer close(w.keys)
+	}
+	for i, k := range keys {
+		w := ws[i%2]
+		w.keys <- k
+		if err := <-w.errs; err != nil {
+			return err
+		}
+	}
+	committed := make(chan error)
+	go func() { committed <- tr.Commit() }()
+	return <-committed
+}
+
 // TestCrashSweepAckedDurability crashes a commit-per-op workload at every
 // mutating syscall of its trace and checks the one-sided durability
 // contract after each: every operation whose Commit returned nil before
 // the crash is present after recovery (unacked operations may or may not
-// be).
+// be). The workload ends with the serving layer's interleaving — records
+// appended by worker A and by worker B, committed once by the committer —
+// so the sweep also crashes before, inside and after that one Sync.
 func TestCrashSweepAckedDurability(t *testing.T) {
 	opts := func(fs pagestore.FS) Options {
 		return Options{Cap: 5, CacheNodes: 8, Durable: true, FS: fs}
@@ -173,6 +209,10 @@ func TestCrashSweepAckedDurability(t *testing.T) {
 				}
 			}
 		}
+		group := []int64{301, 304, 307, 310, 313, 316}
+		if twoWorkersOneCommit(tr, group, func(k int64) uint64 { return uint64(k) * 7 }) == nil {
+			acked = append(acked, group...)
+		}
 		return
 	}
 
@@ -183,8 +223,8 @@ func TestCrashSweepAckedDurability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(workload(ptr)); got != 25 {
-		t.Fatalf("probe acked %d/25 ops", got)
+	if got := len(workload(ptr)); got != 31 {
+		t.Fatalf("probe acked %d/31 ops", got)
 	}
 	ptr.Close()
 	total := probe.Ops()
@@ -344,7 +384,8 @@ func TestCrashSweepMidCheckpoint(t *testing.T) {
 // just record boundaries — and verifies recovery keeps exactly the fully
 // written records and drops exactly the torn one. A corrupt-byte variant
 // flips each byte of the final record and expects the CRC framing to
-// reject it.
+// reject it. The log under the knife is one the commit pipeline wrote:
+// records of two workers interleaved, made durable by a single Commit.
 func TestTornOplogTailSweep(t *testing.T) {
 	const n = 12
 	path := filepath.Join(t.TempDir(), "tree.db")
@@ -352,12 +393,14 @@ func TestTornOplogTailSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := int64(0); i < n; i++ {
-		if _, err := tr.Insert(i, uint64(i)+1); err != nil {
-			t.Fatal(err)
-		}
+	keys := make([]int64, n)
+	for i := range keys {
+		keys[i] = int64(i)
 	}
-	crashed := crash(t, tr, path)
+	if err := twoWorkersOneCommit(tr, keys, func(k int64) uint64 { return uint64(k) + 1 }); err != nil {
+		t.Fatal(err)
+	}
+	crashed := copyCrashState(t, path, t.TempDir())
 
 	st, err := os.Stat(crashed + ".oplog")
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"btreeperf/internal/pagestore"
 )
@@ -165,5 +166,61 @@ func TestFailedTailWritePoisons(t *testing.T) {
 	}
 	if err := j.Commit(); !errors.Is(err, ErrPoisoned) {
 		t.Fatalf("Commit after torn write = %v, want ErrPoisoned", err)
+	}
+}
+
+// TestStatsDoesNotWaitForFsync: a telemetry read must come back while a
+// commit is inside its device flush — with a committer syncing back to
+// back there is always one in flight — and must report the synced count
+// on either side of it, across a rotation's rebase too.
+func TestStatsDoesNotWaitForFsync(t *testing.T) {
+	entered, gate := make(chan struct{}), make(chan struct{})
+	fs := pagestore.NewFailFS(nil, pagestore.FailPlan{})
+	j := openFailJournal(t, fs) // opened before the hook: Recover's own syncs pass
+	fs.AroundSync = func(_ string, f pagestore.File) error {
+		entered <- struct{}{}
+		<-gate
+		return f.Sync()
+	}
+	for i := 0; i < 5; i++ {
+		if err := j.Append(Op{Kind: OpInsert, Key: int64(i), Val: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	committed := make(chan error, 1)
+	go func() { committed <- j.Commit() }()
+	<-entered // the fsync is in flight and holds syncMu
+
+	got := make(chan [2]int64, 1)
+	go func() {
+		app, syn, _, _ := j.Stats()
+		got <- [2]int64{app, syn}
+	}()
+	select {
+	case st := <-got:
+		if st != [2]int64{5, 0} {
+			t.Errorf("Stats during the fsync = appended %d synced %d, want 5 and 0", st[0], st[1])
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("Stats waited for the stalled fsync")
+	}
+	close(gate)
+	if err := <-committed; err != nil {
+		t.Fatal(err)
+	}
+	if app, syn, _, _ := j.Stats(); app != 5 || syn != 5 {
+		t.Fatalf("after the commit: appended %d synced %d, want 5 and 5", app, syn)
+	}
+
+	// A rotation moves the epoch base; the count is per epoch.
+	fs.AroundSync = nil
+	if err := j.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(Op{Kind: OpInsert, Key: 9, Val: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if app, syn, _, _ := j.Stats(); app != 1 || syn != 0 {
+		t.Fatalf("after the rotation: appended %d synced %d, want 1 and 0", app, syn)
 	}
 }

@@ -341,15 +341,18 @@ func (j *Journal) syncLocked() error {
 // Stats reports durability progress for the current epoch: records
 // appended, records covered by an oplog fsync, current oplog size in
 // bytes, and group-commit fsyncs issued.
+//
+// It does not take syncMu, which Commit holds across the whole fsync: a
+// telemetry scrape must not queue behind a device flush. The synced count
+// is the published durable sequence less the epoch base instead — both
+// move together under mu at a rotation, and between rotations durable
+// only ever trails syncSeq by the store that publishes it.
 func (j *Journal) Stats() (appended, synced, oplogBytes, commits int64) {
-	j.syncMu.Lock()
-	synced = j.syncSeq
-	j.syncMu.Unlock()
 	j.mu.Lock()
 	appended = j.appendSeq
-	oplogBytes = appended * opRecSize
+	synced = j.durable.Load() - j.baseSeq
 	j.mu.Unlock()
-	return appended, synced, oplogBytes, j.commits.Load()
+	return appended, synced, appended * opRecSize, j.commits.Load()
 }
 
 // Rotate installs a checkpoint image covering sequences up to upTo: it

@@ -86,6 +86,14 @@ type FailFS struct {
 	reads   int64 // Reads and ReadAts observed
 	written int64 // payload bytes written (the counter WriteBudget draws on)
 	crashed bool
+
+	// AroundSync, when non-nil, runs in place of every Sync the plan lets
+	// through: it gets the name the file was opened under (a rename does
+	// not change it) and the wrapped file, calls f.Sync itself, and what it
+	// returns is what Sync returns. A test stalls an fsync on a channel
+	// with it, or looks at the file on either side of one. Set it while
+	// nothing is using the FS.
+	AroundSync func(name string, f File) error
 }
 
 // NewFailFS wraps inner (nil = OSFS) with plan.
@@ -218,7 +226,7 @@ func (fs *FailFS) OpenFile(name string, flag int, perm os.FileMode) (File, error
 	if err != nil {
 		return nil, err
 	}
-	return &failFile{fs: fs, f: f}, nil
+	return &failFile{fs: fs, f: f, name: name}, nil
 }
 
 // Rename counts as a mutating syscall.
@@ -243,8 +251,9 @@ func (fs *FailFS) Remove(name string) error {
 
 // failFile routes every syscall through the FailFS's plan.
 type failFile struct {
-	fs *FailFS
-	f  File
+	fs   *FailFS
+	f    File
+	name string
 }
 
 func (f *failFile) write(p []byte, do func(q []byte) (int, error)) (int, error) {
@@ -280,6 +289,9 @@ func (f *failFile) Truncate(size int64) error {
 func (f *failFile) Sync() error {
 	if err := f.fs.syncOp(); err != nil {
 		return err
+	}
+	if around := f.fs.AroundSync; around != nil {
+		return around(f.name, f.f)
 	}
 	return f.f.Sync()
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"btreeperf/internal/query"
 )
@@ -50,8 +51,26 @@ type batch struct {
 	nexec   int         // jobs the workers must execute (len(jobs) minus skips)
 	nexecSh []int32     // per-shard executable counts; len = server shard count
 	arenas  []pageArena // per-shard page memory; len = server shard count
+	legs    []leg       // per-shard commit-pipeline state; len = server shard count
 	pending atomic.Int32
 	ready   chan struct{}
+}
+
+// leg is what a durable shard's worker leaves on a batch for the stages
+// after it (see shard.commitLoop): the batch outlives the worker's visit,
+// so the pickup stamp and the tally the release step reports cross the
+// hand-off on the batch itself. Like the jobs, a leg has one owner at a time —
+// worker, then committer, then ack stage — and each channel send publishes
+// it to the next. A mem shard releases inline and never writes its leg.
+type leg struct {
+	pickup  time.Time // the worker took the batch off the shard's queue
+	handoff time.Time // the worker put it on the commit queue
+	tally   opTally
+
+	// The committer's verdict on the batch's group.
+	group  uint32 // the shard's group number: batches of one fsync share it
+	failed bool   // the group's commit failed: no mutation may be acknowledged
+	seq    int64  // durable sequence to stamp acknowledged mutations with; 0 when not leading
 }
 
 // pageArena is the memory one shard's worker writes a batch's query
@@ -76,7 +95,7 @@ var batchPool = sync.Pool{
 }
 
 // getBatch returns an empty batch sized for nShards; its job slab,
-// shard-count slab and page arenas keep the capacity they grew to in
+// shard-count slab, legs and page arenas keep the capacity they grew to in
 // earlier lives, so steady-state accumulation never allocates.
 func getBatch(nShards int) *batch {
 	b := batchPool.Get().(*batch)
@@ -91,9 +110,11 @@ func (b *batch) reset(nShards int) {
 	if cap(b.nexecSh) < nShards {
 		b.nexecSh = make([]int32, nShards)
 		b.arenas = make([]pageArena, nShards)
+		b.legs = make([]leg, nShards)
 	} else {
 		b.nexecSh = b.nexecSh[:nShards]
 		b.arenas = b.arenas[:nShards]
+		b.legs = b.legs[:nShards]
 		for i := range b.nexecSh {
 			b.nexecSh[i] = 0
 			b.arenas[i].ents = b.arenas[i].ents[:0]

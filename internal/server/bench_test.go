@@ -6,7 +6,9 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"path/filepath"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -96,6 +98,98 @@ func BenchmarkServeLoopbackReadHeavy(b *testing.B) {
 				benchServeLoopbackMix(b, Config{Algorithm: alg, Capacity: 64, Depth: depth, Prefill: benchPrefill}, readHeavyReq)
 			})
 		}
+	}
+}
+
+// BenchmarkServeDurable is the durable serving path end to end: the disk
+// engine on a real file, the paper's mix (30% get, 50% put, 20% del) from
+// two pipelined connections at depth 128 — workers, commit queue,
+// committer, one fsync per group, release. ns/op is the inverse of
+// serving throughput and moves with the device; ops/fsync is how many
+// mutations each group-commit fsync covered, and allocs/op (client and
+// server share the process) is the CI gate on the pipeline's hand-off,
+// group and release allocating nothing.
+func BenchmarkServeDurable(b *testing.B) {
+	const conns, depth, prefill = 2, 128, 1 << 14
+	// No checkpoints: an image build allocates, and is not what this
+	// benchmark prices.
+	eng, err := NewDiskEngine(DiskEngineConfig{Path: filepath.Join(b.TempDir(), "tree.db"), CheckpointOps: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := New(Config{Engine: eng, Depth: depth, Prefill: prefill})
+	defer s.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- s.Serve(ctx, ln) }()
+	defer func() {
+		cancel()
+		if err := <-done; err != nil {
+			b.Errorf("Serve: %v", err)
+		}
+	}()
+	var cs [conns]*Client
+	for i := range cs {
+		if cs[i], err = Dial(ln.Addr().String()); err != nil {
+			b.Fatal(err)
+		}
+		defer cs[i].Close()
+	}
+
+	before := eng.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for i, c := range cs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			n := b.N / conns
+			if i == 0 {
+				n += b.N % conns
+			}
+			rng := uint64(i + 1)
+			sent, recvd := 0, 0
+			for recvd < n {
+				for sent < n && sent-recvd < depth {
+					rng = rng*6364136223846793005 + 1442695040888963407
+					r := rng >> 33
+					req := Request{Op: OpPut, Key: int64(r) % (1 << 40), Val: r}
+					switch m := sent % 10; {
+					case m < 3:
+						req = Request{Op: OpGet, Key: benchKey(r % prefill)}
+					case m < 5:
+						req = Request{Op: OpDel, Key: benchKey(r % prefill)}
+					}
+					if err := c.Send(req); err != nil {
+						b.Error(err)
+						return
+					}
+					sent++
+				}
+				if err := c.Flush(); err != nil {
+					b.Error(err)
+					return
+				}
+				for drain := (sent - recvd + 1) / 2; drain > 0; drain-- {
+					if _, err := c.Recv(); err != nil {
+						b.Error(err)
+						return
+					}
+					recvd++
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	b.StopTimer()
+	after := eng.Stats()
+	if fsyncs := after.Fsyncs - before.Fsyncs; fsyncs > 0 {
+		b.ReportMetric(float64(after.SeqAppended-before.SeqAppended)/float64(fsyncs), "ops/fsync")
 	}
 }
 

@@ -15,10 +15,11 @@ import (
 
 // Engine is the storage behind the serving layer. The in-memory engine
 // (the default) wraps the instrumented cbtree; the disk engine wraps a
-// durable diskbtree. The worker pool calls Commit once per executed
-// batch that contained a mutation, and withholds those mutations' OK
-// responses until it returns — group commit: one oplog fsync covers the
-// whole batch, and nothing is acknowledged that a crash could lose.
+// durable diskbtree. A shard whose engine is Durable runs a committer
+// (shard.commitLoop) that calls Commit once for every group of batches
+// handed to it with a mutation among them, and withholds those mutations'
+// OK responses until it returns — group commit: one oplog fsync covers
+// the whole group, and nothing is acknowledged that a crash could lose.
 //
 // Engines fail stop: after a storage error every call returns a non-nil
 // error (see diskbtree.ErrPoisoned) and Poisoned reports the cause. The
@@ -30,6 +31,11 @@ type Engine interface {
 	// Commit makes every mutation applied before the call durable. The
 	// in-memory engine returns nil immediately.
 	Commit() error
+	// Durable reports whether Commit is a durability point — whether an
+	// acknowledgement has to wait for it. It decides, per shard, between
+	// the commit pipeline and releasing each batch straight from the
+	// worker that executed it.
+	Durable() bool
 	// Scan appends to dst up to limit entries whose keys lie in [lo, hi),
 	// in ascending key order, reporting whether more remain in range.
 	// Both engines serve scans from the leaf chain (link-mode traversal:
@@ -137,6 +143,7 @@ func (e *memEngine) Scan(lo, hi int64, limit int, dst []query.KV) ([]query.KV, b
 }
 
 func (e *memEngine) Commit() error     { return nil }
+func (e *memEngine) Durable() bool     { return false }
 func (e *memEngine) Kind() string      { return "mem" }
 func (e *memEngine) Algorithm() string { return e.t.Algorithm().String() }
 func (e *memEngine) Cap() int          { return e.t.Cap() }
@@ -185,7 +192,9 @@ type DiskEngineConfig struct {
 // DiskEngine serves from a durable diskbtree. Operations and Commit run
 // concurrently; a background goroutine checkpoints concurrently with
 // serving, and Commit only blocks — backpressure — when the replay debt
-// reaches twice the threshold.
+// reaches twice the threshold. Under a server the caller it blocks is the
+// shard's committer, and the workers stop behind it once the commit queue
+// is full (see the bound where New sizes the queue).
 type DiskEngine struct {
 	t         *diskbtree.Tree
 	mu        sync.RWMutex // fences Close: RLock for ops and Commit, Lock for Close
@@ -199,8 +208,8 @@ type DiskEngine struct {
 	stop chan struct{}
 	done chan struct{}
 
-	// Backpressure: committers at ≥ 2× the threshold wait here until the
-	// next checkpoint attempt (success or failure) completes.
+	// Backpressure: Commit callers at ≥ 2× the threshold wait here until
+	// the next checkpoint attempt (success or failure) completes.
 	genMu   sync.Mutex
 	genCond *sync.Cond
 	ckptGen int64
@@ -433,6 +442,7 @@ func (e *DiskEngine) DurableSeq() int64 {
 	return 0
 }
 
+func (e *DiskEngine) Durable() bool     { return true }
 func (e *DiskEngine) Kind() string      { return "disk" }
 func (e *DiskEngine) Algorithm() string { return "link-type(disk)" }
 func (e *DiskEngine) Cap() int          { return e.t.Cap() }

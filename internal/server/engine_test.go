@@ -68,18 +68,21 @@ func TestDiskEngineEndToEnd(t *testing.T) {
 }
 
 // TestCommitFailureNeverAcks is the serving-layer fsyncgate regression:
-// when the batch's group-commit fsync fails, every mutation in the batch
-// is answered StatusUnavail — never OK — the engine stays poisoned for
-// all later requests, and /healthz flips to 503.
+// when a group's commit fsync fails, every mutation of every batch in the
+// group is answered StatusUnavail — never OK — the engine stays poisoned
+// for all later requests, and /healthz flips to 503. The failing group is
+// built to be three batches from two connections: they queue up behind a
+// committer held in the fsync of an earlier put, which succeeds.
 func TestCommitFailureNeverAcks(t *testing.T) {
 	// Probe run: how many fsyncs does opening the engine cost? The next
-	// sync after that is the first put's group commit.
+	// sync after that is the first put's commit, the one after it the
+	// group's.
 	probe := pagestore.NewFailFS(nil, pagestore.FailPlan{})
 	pe := newDiskEngine(t, DiskEngineConfig{Cap: 8, CacheNodes: 32, FS: probe})
 	openSyncs := probe.Syncs()
 	pe.Close()
 
-	fs := pagestore.NewFailFS(nil, pagestore.FailPlan{FailSyncAt: openSyncs + 1})
+	fs := newGatedFS(pagestore.FailPlan{FailSyncAt: openSyncs + 2})
 	eng := newDiskEngine(t, DiskEngineConfig{Cap: 8, CacheNodes: 32, FS: fs})
 	s, addr, shutdown := startServer(t, Config{Engine: eng})
 	defer shutdown()
@@ -88,13 +91,40 @@ func TestCommitFailureNeverAcks(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-
-	resp, err := c.Do(Request{Op: OpPut, Key: 1, Val: 10})
+	c2, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Status != StatusUnavail {
-		t.Fatalf("put whose fsync failed answered status %d, want StatusUnavail", resp.Status)
+	defer c2.Close()
+
+	release := fs.hold()
+	sh := s.shards[0]
+	mustBurst(t, c, 1000, 1)
+	<-fs.entered // the committer is in the first put's fsync
+	for i, bc := range []*Client{c, c2, c} {
+		mustBurst(t, bc, int64(i)*10, 4)
+		waitFor(t, "the batch on the commit queue", func() bool { return len(sh.commitq) == i+1 })
+	}
+	release()
+	if resp, err := c.Recv(); err != nil || resp.Status != StatusOK {
+		t.Fatalf("put whose fsync succeeded: %+v err=%v, want StatusOK", resp, err)
+	}
+	for i, bc := range []*Client{c, c2, c} {
+		for j := 0; j < 4; j++ {
+			resp, err := bc.Recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.Status != StatusUnavail {
+				t.Fatalf("batch %d put %d, in the group whose fsync failed, answered status %d, want StatusUnavail", i, j, resp.Status)
+			}
+		}
+	}
+	if got := sh.ctr[cCommitFails].Load(); got != 3 {
+		t.Fatalf("commit_fails = %d, want 3: one per batch of the failed group", got)
+	}
+	if groups, batches := sh.ctr[cCommitGroups].Load(), sh.ctr[cCommitBatches].Load(); groups != 2 || batches != 4 {
+		t.Fatalf("%d batches in %d groups, want 4 in 2", batches, groups)
 	}
 	// The write must not have been acknowledged anywhere: the engine is
 	// poisoned, so every later request is StatusUnavail too.
@@ -113,9 +143,6 @@ func TestCommitFailureNeverAcks(t *testing.T) {
 	}
 	if Retryable(StatusUnavail) {
 		t.Fatal("StatusUnavail must not be retryable on the same server")
-	}
-	if s.shards[0].ctr[cCommitFails].Load() == 0 {
-		t.Fatal("commit failure not counted")
 	}
 
 	// Health and metrics report the poisoning.

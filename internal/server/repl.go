@@ -17,10 +17,10 @@ import (
 //   - unreplicated (the default): nothing here is active, and the wire
 //     protocol is byte-identical to the pre-replication server;
 //   - leader: StartHub builds a repl.Hub over the shards' journals and
-//     installs each journal's retention floor, the worker pool stamps
-//     acknowledged mutations with the shard's durable sequence and —
-//     with Config.ReplAcks > 0 — holds them for the semi-synchronous
-//     follower-ack barrier;
+//     installs each journal's retention floor, the shards' commit
+//     pipelines stamp acknowledged mutations with the shard's durable
+//     sequence and — with Config.ReplAcks > 0 — hold them for the
+//     semi-synchronous follower-ack barrier (shard.go);
 //   - follower: AttachFollower points the serving layer at a
 //     FollowerSource (normally a *repl.Applier); puts and dels answer
 //     StatusNotLeader, and OpGetSeq enforces the client's staleness

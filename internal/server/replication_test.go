@@ -379,6 +379,85 @@ func TestSemiSyncAckBarrier(t *testing.T) {
 	}
 }
 
+// TestSemiSyncWaitOverlapsNextFsync pins where the follower-ack barrier
+// stands in the commit pipeline: behind the committer, not inside it. A
+// leader with one worker has a single follower that is held before its
+// first apply; while the first put waits for that follower's ack, a second
+// put from another connection must still reach its own fsync. With the
+// wait inside the fsync loop (or, before the pipeline, inside the only
+// worker) the second group could not become durable until the first one's
+// wait was over.
+func TestSemiSyncWaitOverlapsNextFsync(t *testing.T) {
+	if testing.Short() {
+		t.Skip("needs a live follower stream")
+	}
+	ld := startLeader(t, 1, Config{Workers: 1, ReplAcks: 1, ReplAckTimeout: 20 * time.Second})
+	defer ld.shutdown()
+
+	fs, _, stopFollower := startServer(t, Config{Shards: 1})
+	shards := fs.ApplierShards()
+	apply, gate := shards[0].Apply, make(chan struct{})
+	shards[0].Apply = func(o repl.Ops) error {
+		<-gate
+		return apply(o)
+	}
+	ap := repl.NewApplier(repl.ApplierConfig{Addr: ld.replAddr, ID: 11, Shards: shards, Logf: t.Logf, RedialWait: 20 * time.Millisecond})
+	fs.AttachFollower(ap)
+	go ap.Run()
+	var open sync.Once
+	defer func() {
+		open.Do(func() { close(gate) })
+		ap.Stop()
+		ap.Wait()
+		stopFollower()
+		fs.Close()
+	}()
+	waitFor(t, "the follower to register", func() bool {
+		f := ld.hub.Stats().Followers
+		return len(f) == 1 && f[0].Connected
+	})
+
+	eng := ld.s.shards[0].eng.(*DiskEngine)
+	base := eng.DurableSeq()
+	put := func(key int64) <-chan Response {
+		out := make(chan Response, 1)
+		c, err := Dial(ld.addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		go func() {
+			resp, err := c.Do(Request{Op: OpPut, Key: key, Val: uint64(key)})
+			if err != nil {
+				t.Errorf("put %d: %v", key, err)
+			}
+			out <- resp
+		}()
+		return out
+	}
+	first := put(1)
+	waitFor(t, "the first put's fsync", func() bool { return eng.DurableSeq() == base+1 })
+	second := put(2)
+	waitFor(t, "the second put's fsync while the first still waits for its follower", func() bool {
+		return eng.DurableSeq() == base+2
+	})
+	select {
+	case resp := <-first:
+		t.Fatalf("first put answered %+v before any follower had acked it", resp)
+	default:
+	}
+	open.Do(func() { close(gate) })
+	for i, ch := range []<-chan Response{first, second} {
+		resp := <-ch
+		if resp.Status != StatusOK || !resp.HasVal || int64(resp.Val) < base+int64(i)+1 {
+			t.Fatalf("put %d after the follower caught up: %+v, want OK stamped at or past sequence %d", i+1, resp, base+int64(i)+1)
+		}
+	}
+	if got := ld.s.shards[0].ctr[cAckTimeouts].Load(); got != 0 {
+		t.Fatalf("%d ack timeouts with a follower that did ack", got)
+	}
+}
+
 // TestReplicaSetRouting pins the replication-aware client: writes land
 // on the leader, reads fan out to the follower under the client's own
 // read floor, and read-your-writes holds — a get after an acked put

@@ -29,6 +29,8 @@ type windowState struct {
 	prevHeardOps int64
 	prevHeardNs  int64
 	prevHist     metrics.HistSnapshot
+	prevCommitNs int64
+	prevCommit   metrics.HistSnapshot
 }
 
 // window is one evaluated scrape interval. The operation counters are
@@ -41,8 +43,13 @@ type window struct {
 	Rates     []metrics.LevelRates
 	OpRate    float64 // operations per second
 	Ops       int64   // operations in the window
-	ObsMeanNs float64 // observed mean per-op tree service time
+	ObsMeanNs float64 // observed mean per-op service time, pickup → release
 	OpHist    metrics.HistSnapshot
+
+	// The commit pipeline's share of that, per batch with a mutation:
+	// hand-off to the committer → release. Empty on a mem shard.
+	CommitWaitMeanNs float64
+	CommitWaitHist   metrics.HistSnapshot
 
 	// The operations served during Measured, to set the model against:
 	// inside an epoch the locks are timed, which a closed loop at
@@ -83,6 +90,12 @@ func (w *windowState) advance(sh *shard) window {
 	if out.Ops > 0 {
 		out.ObsMeanNs = float64(opNs-w.prevNs) / float64(out.Ops)
 	}
+	commitNs, commit := sh.commitWaitNs.Load(), sh.commitWait.Snapshot()
+	out.CommitWaitHist = commit.Sub(w.prevCommit)
+	if n := out.CommitWaitHist.N(); n > 0 {
+		out.CommitWaitMeanNs = float64(commitNs-w.prevCommitNs) / float64(n)
+	}
+	w.prevCommitNs, w.prevCommit = commitNs, commit
 	heardOps, heardNs := sh.heardOps.Load(), sh.heardNs.Load()
 	if n := heardOps - w.prevHeardOps; n > 0 && out.Measured > 0 {
 		out.HeardRate = float64(n) / out.Measured

@@ -68,7 +68,8 @@ type Config struct {
 	// Engine selects the storage engine of a single-shard server. Nil
 	// builds the default in-memory engine from Algorithm/Capacity; a
 	// *DiskEngine makes the server durable: each batch's mutations are
-	// acknowledged only after the engine's group-commit fsync returns.
+	// acknowledged only after the group-commit fsync that covers them
+	// returns.
 	// Algorithm and Capacity are ignored when an Engine is supplied.
 	Engine Engine
 
@@ -80,8 +81,9 @@ type Config struct {
 	// ReplAcks, on a replication leader, is the semi-synchronous
 	// durability requirement: each batch's mutations are acknowledged
 	// only after this many followers have applied and acked up to the
-	// batch's durable sequence. Zero (the default) acknowledges on local
-	// durability alone — replication stays asynchronous.
+	// durable sequence of the batch's commit group. Zero (the default)
+	// acknowledges on local durability alone — replication stays
+	// asynchronous.
 	ReplAcks int
 
 	// ReplAckTimeout bounds the semi-sync wait. A batch that misses it
@@ -197,6 +199,27 @@ func New(cfg Config) *Server {
 			sh.tree = cbtree.New(cfg.Capacity, cfg.Algorithm)
 			sh.eng = &memEngine{t: sh.tree}
 		}
+		if sh.eng.Durable() {
+			// The commit queue is as deep as the work queue. Under a device
+			// slower than the tree the queue is where a group forms, so its
+			// depth is the largest group one fsync can cover beyond the
+			// workers' own batches: a full work queue's worth amortizes a
+			// slow fsync over everything the shard had admitted, and nothing
+			// deeper could ever fill. A full queue blocks the workers, which
+			// is what bounds the replay debt when DiskEngine.Commit holds the
+			// committer at 2× the checkpoint threshold: past the group in the
+			// committer's hands (≤ QueueDepth+Workers batches) only a full
+			// queue and one batch per blocked worker can still append, so the
+			// debt peaks below 2×CheckpointOps + 2×(QueueDepth+Workers)×
+			// MaxBatch mutations — 640 over with the defaults on two cores.
+			sh.commitq = make(chan *batch, cfg.QueueDepth)
+			if cfg.ReplAcks > 0 {
+				// One whole group fits, so the committer is back at its
+				// queue — and the next fsync — while the ack stage still
+				// waits for this group's followers.
+				sh.ackq = make(chan *batch, cfg.QueueDepth+cfg.Workers)
+			}
+		}
 		sh.gov = newGovernor(sh, cfg.Governor)
 		if cfg.Index {
 			sh.idx = index.New()
@@ -292,9 +315,10 @@ func closeRead(c net.Conn) {
 // Serve accepts connections on ln until ctx is cancelled, then drains: it
 // stops accepting, lets every already-read request finish and its
 // response be written, and closes the connections. It returns nil on a
-// clean drain. Every shard's worker pool has exited — and therefore
-// every acknowledged batch's group commit has returned — before Serve
-// returns, so Close after Serve can never race a final fsync.
+// clean drain. Every shard's worker pool and, after it, its commit
+// pipeline have exited — and therefore every acknowledged batch's group
+// commit has returned — before Serve returns, so Close after Serve can
+// never race a final fsync.
 //
 // Admission is bounded end to end: at most MaxConns connections (excess
 // conns get one StatusBusy frame and are closed), at most Depth requests
@@ -319,6 +343,26 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	govDones := make([]<-chan struct{}, len(s.shards))
 	for i, sh := range s.shards {
 		govDones[i] = sh.gov.start()
+	}
+
+	// The commit pipeline of every durable shard: its committer, and behind
+	// that the semi-sync ack stage when one is configured. The committer
+	// closes the ack stage's queue when its own runs out.
+	var commitWG sync.WaitGroup
+	stage := func(loop func()) {
+		commitWG.Add(1)
+		go func() {
+			defer commitWG.Done()
+			loop()
+		}()
+	}
+	for _, sh := range s.shards {
+		if sh.commitq != nil {
+			stage(sh.commitLoop)
+		}
+		if sh.ackq != nil {
+			stage(sh.ackLoop)
+		}
 	}
 
 	// While serving, each instrumented tree's probe listens in epochs
@@ -411,6 +455,12 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 		close(sh.work)
 	}
 	workerWG.Wait()
+	for _, sh := range s.shards {
+		if sh.commitq != nil {
+			close(sh.commitq)
+		}
+	}
+	commitWG.Wait()
 	for i, sh := range s.shards {
 		sh.gov.stop()
 		<-govDones[i]

@@ -7,7 +7,6 @@ import (
 	"btreeperf/internal/cbtree"
 	"btreeperf/internal/metrics"
 	"btreeperf/internal/query/index"
-	"btreeperf/internal/repl"
 )
 
 // shard is one independent serving partition: its own storage engine,
@@ -26,13 +25,23 @@ type shard struct {
 	work  chan *batch
 	gov   *governor
 
+	// The commit pipeline of a shard whose engine has a durability point
+	// (see commitLoop); all nil or unused on a mem shard, whose workers
+	// release their batches themselves.
+	commitq  chan *batch  // worker → committer, in hand-off order
+	ackq     chan *batch  // committer → ack stage; nil unless Config.ReplAcks > 0
+	applying atomic.Int32 // workers between pickup and hand-off
+
 	// idx is the shard's secondary index (value → primary keys); nil
 	// unless the server was built with Config.Index.
 	idx *index.Index
 
-	opLat   metrics.Hist // per-op tree service time
+	opLat   metrics.Hist // per-op service time, pickup → release
 	opNsSum atomic.Int64
 	opCount atomic.Int64
+
+	commitWait   metrics.Hist // per mutating batch, hand-off → release
+	commitWaitNs atomic.Int64
 
 	// The same two sums over the batches that finished while the probe
 	// listened: the work the lock telemetry was taken over, which is what
@@ -80,6 +89,9 @@ const (
 	cAckTimeouts  // batches that missed the semi-sync follower-ack barrier
 	cShedOverload // updates shed with StatusOverload; the governor acts on the shard whose root is saturated, not globally
 	cShedBusy     // requests shed with StatusBusy (queue full)
+	// The commit pipeline (durable shards only).
+	cCommitGroups  // groups the committer synced: one eng.Commit each
+	cCommitBatches // batches with a mutation in those groups
 	nCounters
 
 	nOpKinds = cNotLeader + 1
@@ -123,15 +135,21 @@ func (s *Server) shardIdx(key int64) int32 {
 }
 
 // run is one worker of this shard's pool: it executes the shard's slice
-// of each batch, group-commits the shard's engine once per batch that
-// mutated it, and retires the shard's completion. Jobs of other shards
-// in the same batch are skipped — slab entries are disjoint across
-// shards, so concurrent shard workers never touch the same job.
+// of each batch and then either retires the shard's completion itself (a
+// mem shard: nothing to make durable) or hands the batch to the shard's
+// committer and takes the next one at once (a durable shard: the fsync
+// that covers the batch is the committer's wait, not this worker's). Jobs
+// of other shards in the same batch are skipped — slab entries are
+// disjoint across shards, so concurrent shard workers never touch the
+// same job.
 func (sh *shard) run() {
 	s := sh.srv
 	var w worker
 	tally := &w.tally
 	for bt := range sh.work {
+		if sh.commitq != nil {
+			sh.applying.Add(1)
+		}
 		*tally = opTally{}
 		w.arena = &bt.arenas[sh.id]
 		t0 := time.Now()
@@ -142,82 +160,212 @@ func (sh *shard) run() {
 			}
 			j.resp = s.apply(sh, j.req, &w)
 		}
-		if tally[cPuts]+tally[cDels] > 0 {
-			// Group commit: one engine fsync covers every mutation this
-			// shard executed from the batch; their OK responses are
-			// withheld until it returns. On failure nothing is
-			// acknowledged — the engine is poisoned (fail stop), so
-			// rewriting the shard's mutation responses to StatusUnavail
-			// closes the last window where an ack could outrun the disk.
-			if err := sh.eng.Commit(); err != nil {
-				sh.ctr[cCommitFails].Add(1)
-				for i := range bt.jobs {
-					j := &bt.jobs[i]
-					if !j.skip && int(j.shard) == sh.id && (j.req.Op == OpPut || j.req.Op == OpDel) {
-						j.resp = Response{Status: StatusUnavail}
-					}
-				}
-			} else if hub := s.Hub(); hub != nil {
-				sh.replCommit(bt, hub)
-			}
+		if sh.commitq == nil {
+			sh.release(bt, tally, time.Since(t0).Nanoseconds())
+			continue
 		}
-		if n := tally.ops(); n > 0 {
-			ns := time.Since(t0).Nanoseconds()
-			// The histogram records the batch's amortized per-op service
-			// time for each op (exact in the mean, batch-smoothed in the
-			// tails).
-			sh.opLat.ObserveN(ns/n, n)
-			sh.opNsSum.Add(ns)
-			sh.opCount.Add(n)
-			if sh.probe != nil && sh.probe.Listening() {
-				sh.heardNs.Add(ns)
-				sh.heardOps.Add(n)
-			}
-			for c, v := range tally {
-				if v > 0 {
-					sh.ctr[c].Add(v)
-				}
-			}
-		}
-		bt.completeOne()
+		l := &bt.legs[sh.id]
+		l.pickup, l.tally, l.handoff = t0, *tally, time.Now()
+		// Down before the send, never after: the committer blocks for a
+		// sibling only while applying > 0, and that is sound only if every
+		// worker it counts still has its send ahead of it. A full queue
+		// blocks the send — the pipeline's backpressure (see New).
+		sh.applying.Add(-1)
+		sh.commitq <- bt
 	}
 }
 
-// replCommit is the leader-side replication epilogue of a batch whose
-// group commit succeeded: wake the hub's shippers, hold the batch for
-// the semi-sync follower-ack barrier when one is configured, and stamp
-// each acknowledged mutation with the shard's durable sequence (wire:
-// the value field of the put/del response) — the client's staleness
-// floor for bounded-staleness follower reads.
-func (sh *shard) replCommit(bt *batch, hub *repl.Hub) {
+// release reports one executed batch — ns from its pickup to now, tally
+// its events — and retires the shard's completion, which hands the batch
+// to its connection's writer once every involved shard has done the same.
+func (sh *shard) release(bt *batch, tally *opTally, ns int64) {
+	if n := tally.ops(); n > 0 {
+		// The histogram records the batch's amortized per-op service
+		// time for each op (exact in the mean, batch-smoothed in the
+		// tails).
+		sh.opLat.ObserveN(ns/n, n)
+		sh.opNsSum.Add(ns)
+		sh.opCount.Add(n)
+		if sh.probe != nil && sh.probe.Listening() {
+			sh.heardNs.Add(ns)
+			sh.heardOps.Add(n)
+		}
+		for c, v := range tally {
+			if v > 0 {
+				sh.ctr[c].Add(v)
+			}
+		}
+	}
+	bt.completeOne()
+}
+
+// The commit pipeline. A shard whose engine has a durability point runs
+// one committer (and, under semi-sync replication, one ack stage behind
+// it); batches cross it in the order
+//
+//	worker → commitq → committer → [ackq → ack stage] → completeOne → writer
+//
+// and the ack contract is the one the worker-inline commit kept: no
+// mutation's OK leaves the last stage before the fsync that covers its
+// oplog record has returned, nor — with Config.ReplAcks > 0 — before that
+// many followers have acked a sequence at or past it. What moved is who
+// waits: the workers apply the next batch while the committer sits in the
+// fsync, and one fsync covers every batch handed off since the last.
+
+// commitLoop is the shard's committer. It takes everything on the commit
+// queue as one group, makes the group durable with a single eng.Commit —
+// the batches' records were all appended before their hand-off, so the
+// one fsync covers them — and passes the group on in hand-off order with
+// its verdict written on each batch's leg. A group in which nothing
+// mutated is passed on without a commit: every batch of a durable shard
+// comes this way, since a worker cannot know at pickup whether it will
+// have something to sync.
+//
+// Before it syncs a group that needs it, the committer also waits for the
+// siblings: while another worker is mid-batch (applying > 0) it blocks on
+// the queue for that hand-off, once per other worker at most. Two batches
+// of one burst finish tens of microseconds apart; without the wait the
+// first starts an fsync alone and the second sits a full fsync behind it,
+// and the fsync chain, not the tree, sets the shard's throughput. The
+// wait is for an event that is certain to come — a counted worker has its
+// send ahead of it — so it needs no clock, and it is bounded by one
+// batch's apply time.
+func (sh *shard) commitLoop() {
 	s := sh.srv
-	seq := sh.eng.(seqEngine).DurableSeq()
-	hub.Poke()
+	if sh.ackq != nil {
+		defer close(sh.ackq)
+	}
+	group := make([]*batch, 0, cap(sh.commitq)+s.cfg.Workers)
+	var n uint32
+	for bt := range sh.commitq {
+		group = append(group[:0], bt)
+		mutating := 0 // batches of the group with a put or del to sync
+		if bt.legs[sh.id].mutated() {
+			mutating++
+		}
+		waits := s.cfg.Workers - 1
+	gather:
+		for len(group) < cap(group) {
+			var next *batch
+			var ok bool
+			select {
+			case next, ok = <-sh.commitq:
+			default:
+				if waits == 0 || mutating == 0 || sh.applying.Load() == 0 {
+					break gather
+				}
+				waits--
+				next, ok = <-sh.commitq
+			}
+			if !ok {
+				break // closed: Serve is draining and the workers are gone
+			}
+			group = append(group, next)
+			if next.legs[sh.id].mutated() {
+				mutating++
+			}
+		}
+
+		failed, seq := false, int64(0)
+		if mutating > 0 {
+			sh.ctr[cCommitGroups].Add(1)
+			sh.ctr[cCommitBatches].Add(int64(mutating))
+			if err := sh.eng.Commit(); err != nil {
+				// The engine is poisoned (fail stop); nothing of the group
+				// may be acknowledged.
+				failed = true
+			} else if hub := s.Hub(); hub != nil {
+				seq = sh.eng.(seqEngine).DurableSeq()
+				hub.Poke()
+			}
+		}
+		n++
+		for _, bt := range group {
+			l := &bt.legs[sh.id]
+			l.group, l.failed, l.seq = n, failed, seq
+			if sh.ackq != nil {
+				sh.ackq <- bt
+			} else {
+				sh.settle(bt, true)
+			}
+		}
+	}
+}
+
+// ackLoop is the semi-sync stage: it holds each committed group for the
+// follower-ack barrier — one WaitAcked on the group's durable sequence,
+// which is at or past every record of the group — and settles its batches.
+// It is a stage of its own so that the wait for group n's followers (up to
+// ReplAckTimeout) overlaps group n+1's fsync rather than standing in front
+// of it.
+func (sh *shard) ackLoop() {
+	s := sh.srv
+	var group uint32
 	acked := true
-	if k := s.cfg.ReplAcks; k > 0 {
-		if !hub.WaitAcked(sh.id, seq, k, s.cfg.ReplAckTimeout) {
-			// The write is durable here but its follower redundancy was
-			// not confirmed in time. Busy is the honest retryable answer:
-			// the client must treat the op as possibly applied (standard
-			// semi-sync ambiguity) — puts and dels are idempotent, so a
-			// retry converges.
-			acked = false
-			sh.ctr[cAckTimeouts].Add(1)
+	for bt := range sh.ackq {
+		if l := &bt.legs[sh.id]; l.seq != 0 && l.group != group {
+			group = l.group
+			acked = s.Hub().WaitAcked(sh.id, l.seq, s.cfg.ReplAcks, s.cfg.ReplAckTimeout)
+		}
+		sh.settle(bt, acked)
+	}
+}
+
+// mutated reports whether the batch's visit to the shard executed a put
+// or a del: whether it has anything for a commit to cover.
+func (l *leg) mutated() bool { return l.tally[cPuts]+l.tally[cDels] > 0 }
+
+// settle is the pipeline's last step for one batch: write the group's
+// verdict into the responses of the batch's mutations and release it.
+// After a failed commit every mutation answers StatusUnavail, whatever it
+// answered before — rewriting them closes the last window where an ack
+// could outrun the disk. On a replication leader each acknowledged
+// mutation is stamped with the shard's durable sequence (wire: the value
+// field of the put/del response), the client's staleness floor for
+// bounded-staleness follower reads — or, when the follower-ack barrier
+// was missed, answers StatusBusy: the write is durable here but its
+// follower redundancy was not confirmed in time, and Busy is the honest
+// retryable answer (the client must treat the op as possibly applied, the
+// standard semi-sync ambiguity; puts and dels are idempotent, so a retry
+// converges).
+func (sh *shard) settle(bt *batch, acked bool) {
+	l := &bt.legs[sh.id]
+	now := time.Now()
+	if l.mutated() {
+		wait := now.Sub(l.handoff).Nanoseconds()
+		sh.commitWait.Observe(wait)
+		sh.commitWaitNs.Add(wait)
+		switch {
+		case l.failed:
+			sh.ctr[cCommitFails].Add(1)
+			for i := range bt.jobs {
+				if j := &bt.jobs[i]; j.mutationOf(sh.id) {
+					j.resp = Response{Status: StatusUnavail}
+				}
+			}
+		case l.seq != 0:
+			if !acked {
+				sh.ctr[cAckTimeouts].Add(1)
+			}
+			for i := range bt.jobs {
+				j := &bt.jobs[i]
+				if !j.mutationOf(sh.id) || (j.resp.Status != StatusOK && j.resp.Status != StatusMiss) {
+					continue
+				}
+				if !acked {
+					j.resp = Response{Status: StatusBusy}
+					continue
+				}
+				j.resp.HasVal = true
+				j.resp.Val = uint64(l.seq)
+			}
 		}
 	}
-	for i := range bt.jobs {
-		j := &bt.jobs[i]
-		if j.skip || int(j.shard) != sh.id || (j.req.Op != OpPut && j.req.Op != OpDel) {
-			continue
-		}
-		if j.resp.Status != StatusOK && j.resp.Status != StatusMiss {
-			continue
-		}
-		if !acked {
-			j.resp = Response{Status: StatusBusy}
-			continue
-		}
-		j.resp.HasVal = true
-		j.resp.Val = uint64(seq)
-	}
+	sh.release(bt, &l.tally, now.Sub(l.pickup).Nanoseconds())
+}
+
+// mutationOf reports whether the job is a put or del the given shard's
+// worker executed.
+func (j *job) mutationOf(shard int) bool {
+	return !j.skip && int(j.shard) == shard && (j.req.Op == OpPut || j.req.Op == OpDel)
 }

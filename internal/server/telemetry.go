@@ -137,6 +137,14 @@ var telemetry = []metric{
 	stat("checkpoints", top, sumOf, func(sc *shardScrape) any { return sc.es.Checkpoints }),
 	stat("checkpoint_lag", top, sumOf, func(sc *shardScrape) any { return sc.es.CheckpointLag }),
 	stat("ckpt_fails", top, sumOf, func(sc *shardScrape) any { return sc.es.CheckpointFails }),
+	// The commit pipeline (durable shards): groups the committer synced
+	// and the mutating batches in them — their ratio is batches per fsync —
+	// and what the pipeline cost such a batch, hand-off → release. The op_*
+	// rows above still run pickup → release, so they include it.
+	count("commit_groups", top, cCommitGroups),
+	count("commit_batches", top, cCommitBatches),
+	stat("commit_wait_mean_us", top, pooled, func(sc *shardScrape) any { return sc.win.CommitWaitMeanNs / 1e3 }),
+	stat("commit_wait_p99_us", top, pooled, func(sc *shardScrape) any { return nsUs(sc.win.CommitWaitHist.Quantile(0.99)) }),
 	count("commit_fails", top|block, cCommitFails),
 	count("unavail", top|block, cUnavail),
 	// Sequence positions are summed at the top (each shard's own is its
@@ -185,6 +193,7 @@ var summaryLines = []string{
 	"op_latency_us mean={op_mean_us:.1f} p50={op_p50_us:.1f} p99={op_p99_us:.1f}\n",
 	"tree splits={splits} restarts={restarts} crossings={crossings} read_restarts={read_restarts} read_fallbacks={read_fallbacks}\n",
 	"engine kind={engine} poisoned={poisoned} recovered={recovered_ops} oplog_appended={oplog_appended} oplog_synced={oplog_synced} oplog_bytes={oplog_bytes} fsyncs={group_commit_fsyncs} checkpoints={checkpoints} checkpoint_lag={checkpoint_lag} ckpt_fails={ckpt_fails} commit_fails={commit_fails} unavail={unavail}\n",
+	"commit groups={commit_groups} batches={commit_batches} wait_mean_us={commit_wait_mean_us:.1f} wait_p99_us={commit_wait_p99_us:.1f}\n",
 	"checkpoint pause_last_us={ckpt_pause_last_us:.1f} pause_max_us={ckpt_pause_max_us:.1f} chunks_done={ckpt_chunks_done} chunks_total={ckpt_chunks_total} behind={checkpoint_lag}\n",
 	"seqs appended={seq_appended} durable={seq_durable} lowest={seq_lowest} retained_segments={retained_segments} retained_bytes={retained_bytes}\n",
 }
@@ -210,13 +219,15 @@ func (c *capture) total(k counter) (n int64) {
 // here.
 func pool(shards []shardScrape) *shardScrape {
 	p := &shardScrape{gov: shards[0].gov, levels: mergeLevels(shards)}
-	var opNs float64
+	var opNs, commitNs float64
 	for i, sc := range shards {
 		p.win.Dt += sc.win.Dt
 		p.win.Measured += sc.win.Measured
 		p.win.Ops += sc.win.Ops
 		opNs += sc.win.ObsMeanNs * float64(sc.win.Ops)
 		p.win.OpHist = p.win.OpHist.Add(sc.win.OpHist)
+		commitNs += sc.win.CommitWaitMeanNs * float64(sc.win.CommitWaitHist.N())
+		p.win.CommitWaitHist = p.win.CommitWaitHist.Add(sc.win.CommitWaitHist)
 		p.rhoMeas, p.rhoModel = max(p.rhoMeas, sc.rhoMeas), max(p.rhoModel, sc.rhoModel)
 		if i > 0 {
 			p.gov.merge(sc.gov)
@@ -224,6 +235,9 @@ func pool(shards []shardScrape) *shardScrape {
 	}
 	if p.win.Ops > 0 {
 		p.win.ObsMeanNs = opNs / float64(p.win.Ops)
+	}
+	if n := p.win.CommitWaitHist.N(); n > 0 {
+		p.win.CommitWaitMeanNs = commitNs / float64(n)
 	}
 	return p
 }

@@ -55,7 +55,13 @@ func TestEveryCounterHasOneRow(t *testing.T) {
 	for c := range probe.shards[0].ctr {
 		probe.shards[0].ctr[c] = 1<<40 + int64(c)
 	}
-	rows := map[int64]int{}
+	// The two windowed means, likewise (as µs: what their rows report).
+	const opMeanUs, commitWaitMeanUs = float64(1<<41 + 1), float64(1<<41 + 2)
+	probe.shards[0].win.Ops = 1
+	probe.shards[0].win.ObsMeanNs = opMeanUs * 1e3
+	probe.shards[0].win.CommitWaitMeanNs = commitWaitMeanUs * 1e3
+	probe.shards[0].win.CommitWaitHist[12] = 1
+	rows := map[float64]int{}
 	names := map[place]map[string]bool{top: {}, block: {}}
 	for i, m := range telemetry {
 		if (m.merge == serverWide) != (m.whole != nil) || (m.whole == nil) == (m.shard == nil) {
@@ -74,7 +80,10 @@ func TestEveryCounterHasOneRow(t *testing.T) {
 		if m.in == block {
 			vals = probe.values(&probe.shards[0])
 		}
-		if n, ok := vals[i].(int64); ok {
+		switch n := vals[i].(type) {
+		case int64:
+			rows[float64(n)]++
+		case float64:
 			rows[n]++
 		}
 	}
@@ -83,8 +92,13 @@ func TestEveryCounterHasOneRow(t *testing.T) {
 		if notInTable[counter(c)] != "" {
 			want = 0
 		}
-		if rows[v] != want {
-			t.Errorf("counter %d is reported by %d rows, want %d", c, rows[v], want)
+		if rows[float64(v)] != want {
+			t.Errorf("counter %d is reported by %d rows, want %d", c, rows[float64(v)], want)
+		}
+	}
+	for name, v := range map[string]float64{"op_mean_us": opMeanUs, "commit_wait_mean_us": commitWaitMeanUs} {
+		if rows[v] != 1 {
+			t.Errorf("the window's %s is reported by %d rows, want 1", name, rows[v])
 		}
 	}
 	for _, tmpl := range allTemplates() {

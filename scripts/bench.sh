@@ -18,13 +18,14 @@
 # A second pass does the same for the storage layers under the disk
 # engine — the disk tree's point operations with the pool fitting and
 # spilling, the oplog's append and group commit, the page file's read and
-# write — into results/BENCH_storage.json (override with
-# $BENCH_STORAGE_OUT; raw text to $BENCH_STORAGE_RAW), and a third for the
-# lock layer under the in-memory trees — the FCFS lock's two paths, its
-# contended hand-off, the version word — into results/BENCH_lock.json
-# (override with $BENCH_LOCK_OUT; raw text to $BENCH_LOCK_RAW): one
-# tracked JSON per layer group, gated on allocs/op by `benchjson -compare`
-# in CI.
+# write, and the durable serving path that sits on all three (disk engine,
+# commit pipeline, one fsync per group) — into results/BENCH_storage.json
+# (override with $BENCH_STORAGE_OUT; raw text to $BENCH_STORAGE_RAW), and a
+# third for the lock layer under the in-memory trees — the FCFS lock's two
+# paths, its contended hand-off, the version word — into
+# results/BENCH_lock.json (override with $BENCH_LOCK_OUT; raw text to
+# $BENCH_LOCK_RAW): one tracked JSON per layer group, gated on allocs/op
+# by `benchjson -compare` in CI.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -50,12 +51,12 @@ echo "wrote $out"
 out="${BENCH_STORAGE_OUT:-results/BENCH_storage.json}"
 raw="${BENCH_STORAGE_RAW:-$(mktemp)}"
 
-go test ./internal/diskbtree ./internal/journal ./internal/pagestore -run '^$' \
-  -bench 'BenchmarkDiskTree|BenchmarkJournal|BenchmarkPagestore' \
+go test ./internal/diskbtree ./internal/journal ./internal/pagestore ./internal/server -run '^$' \
+  -bench 'BenchmarkDiskTree|BenchmarkJournal|BenchmarkPagestore|BenchmarkServeDurable' \
   -benchmem -benchtime "$benchtime" -count "$count" | tee "$raw"
 
 go run ./cmd/benchjson \
-  -note "scripts/bench.sh: count=$count benchtime=$benchtime; DiskTree{Search,Insert,Delete} are point operations on a bulk-loaded, non-durable 200k-key tree whose buffer pool holds all of it (fit) or a fifth (spill); JournalAppend is one logged mutation plus its share of a 25-mutation group commit over a file layer that swallows writes and syncs (the journal's own cost), JournalCommit one such batch and its commit on a real file (the tail's write and the fsync); PagestoreReadInto/WritePage are the buffer pool's two calls on a page-cache-resident file" \
+  -note "scripts/bench.sh: count=$count benchtime=$benchtime; DiskTree{Search,Insert,Delete} are point operations on a bulk-loaded, non-durable 200k-key tree whose buffer pool holds all of it (fit) or a fifth (spill); JournalAppend is one logged mutation plus its share of a 25-mutation group commit over a file layer that swallows writes and syncs (the journal's own cost), JournalCommit one such batch and its commit on a real file (the tail's write and the fsync); PagestoreReadInto/WritePage are the buffer pool's two calls on a page-cache-resident file; ServeDurable is the paper mix from 2 pipelined connections (depth 128) against the disk engine on a real file, through the commit pipeline, ops/fsync = mutations covered per group-commit fsync, allocs/op covering client and server" \
   <"$raw" >"$out"
 echo "wrote $out"
 

@@ -100,12 +100,6 @@ func OpenDiskTree(path string, opts DiskTreeOptions) (*DiskTree, error) {
 	return diskbtree.Open(path, opts)
 }
 
-// BulkLoadDiskTree creates a disk-backed tree at path, built bottom-up
-// from sorted data with the given fill factor.
-func BulkLoadDiskTree(path string, opts DiskTreeOptions, keys []int64, vals []uint64, fill float64) (*DiskTree, error) {
-	return diskbtree.BulkLoad(path, opts, keys, vals, fill)
-}
-
 // ---------------------------------------------------------------------------
 // Analytical framework.
 

@@ -17,9 +17,12 @@
 //	benchjson -compare results/BENCH_serving.json new.json
 //
 // exits non-zero when any benchmark present in both allocates more per
-// op in new.json than in the baseline. The ns/op ratio (new ÷ base) is
-// printed beside it and never gated: it is a mean on whatever machine
-// ran it (timing claims are priced by bench/, see bench/README.md).
+// op in new.json than in the baseline, or when a benchmark of the
+// baseline is absent from new.json (renamed, or no longer selected by
+// the script's regexp: it would leave the gate unseen). The ns/op ratio
+// (new ÷ base) is printed beside it and never gated: it is a mean on
+// whatever machine ran it (timing claims are priced by bench/, see
+// bench/README.md).
 package main
 
 import (
@@ -139,8 +142,10 @@ func runCompare(args []string) error {
 	if err != nil {
 		return err
 	}
-	if rose := compare(os.Stdout, base, cur); rose > 0 {
-		return fmt.Errorf("allocs/op rose on %d benchmark(s) against %s", rose, args[0])
+	rose, missing := compare(os.Stdout, base, cur)
+	if rose > 0 || missing > 0 {
+		return fmt.Errorf("against %s: allocs/op rose on %d benchmark(s), %d benchmark(s) of the baseline did not run",
+			args[0], rose, missing)
 	}
 	return nil
 }
@@ -159,9 +164,10 @@ func readReport(path string) (report, error) {
 
 // compare prints one line per benchmark of cur that base also has —
 // allocs/op in both and the ns/op ratio cur ÷ base — and returns how
-// many of them allocate more per op than in base. Benchmarks only one
-// side ran are listed and not judged.
-func compare(w io.Writer, base, cur report) (rose int) {
+// many of them allocate more per op than in base, and how many
+// benchmarks of base cur lacks. A benchmark only cur ran is listed and
+// not judged.
+func compare(w io.Writer, base, cur report) (rose, missing int) {
 	baseline := map[string]benchmark{}
 	for _, b := range base.Benchmarks {
 		baseline[b.Name] = b
@@ -183,10 +189,11 @@ func compare(w io.Writer, base, cur report) (rose int) {
 	}
 	for _, b := range base.Benchmarks {
 		if _, left := baseline[b.Name]; left {
-			fmt.Fprintf(w, "%-60s only in base\n", b.Name)
+			fmt.Fprintf(w, "%-60s only in base  MISSING\n", b.Name)
+			missing++
 		}
 	}
-	return rose
+	return rose, missing
 }
 
 // parseBenchLine parses one result line:

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"strings"
 	"testing"
 )
@@ -12,10 +13,17 @@ func TestCompareGatesAllocsOnly(t *testing.T) {
 	base := report{Benchmarks: []benchmark{bm("A", 0, 100), bm("B", 19, 100), bm("C", 2, 100), bm("Gone", 1, 1)}}
 	cur := report{Benchmarks: []benchmark{bm("A", 0, 900), bm("B", 3, 50), bm("C", 3, 100), bm("New", 5, 1)}}
 	var out strings.Builder
-	if rose := compare(&out, base, cur); rose != 1 {
+	rose, missing := compare(&out, base, cur)
+	if rose != 1 {
 		t.Fatalf("compare reported %d risen benchmarks, want 1 (C); a 9x slower A must not gate:\n%s", rose, out.String())
 	}
-	for _, want := range []string{"x9.00", "x0.50", "ROSE", "only in new", "only in base"} {
+	if missing != 1 {
+		t.Fatalf("compare reported %d baseline benchmarks missing, want 1 (Gone): a benchmark that stopped running must fail the gate:\n%s", missing, out.String())
+	}
+	if _, missing := compare(io.Discard, cur, cur); missing != 0 {
+		t.Errorf("a report compared with itself lacks %d benchmarks", missing)
+	}
+	for _, want := range []string{"x9.00", "x0.50", "ROSE", "only in new", "only in base  MISSING"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("output lacks %q:\n%s", want, out.String())
 		}

@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"btreeperf/internal/server"
+	"btreeperf/internal/workload"
 )
 
 const auditValMul = 0x9E3779B97F4A7C15
@@ -102,10 +103,10 @@ func runAudit(dial func() (*server.Client, error), path string,
 	return 0
 }
 
-// auditConn runs one connection's put stream: the sender pipelines up to
-// depth puts, the receiver matches in-order responses to their keys and
-// records the acked ones. It ends at stop or on the first connection
-// error (the kill).
+// auditConn runs one connection's put stream through a pipe, recording
+// the acked puts. It ends at stop or on the first connection error (the
+// kill); every put in flight then is unacknowledged — exactly the writes
+// a kill is allowed to lose.
 func auditConn(dial func() (*server.Client, error), alog *auditLog,
 	connID, conns, depth int, keystart int64, stop *atomic.Bool) (acked, unacked, sent int64) {
 	// The server may be mid-restart or behind a faulty listener; give the
@@ -123,67 +124,60 @@ func auditConn(dial func() (*server.Client, error), alog *auditLog,
 	}
 	defer c.Close()
 
-	// The receiver owns the ack/unack tallies and hands them back over
-	// done; on a Recv error it drains keys (which the sender closes once
-	// its own Send/Flush fails) counting everything in flight as
-	// unacknowledged — exactly the writes a kill is allowed to lose.
-	keys := make(chan int64, depth)
-	done := make(chan [2]int64, 1)
-	go func() {
-		var a, u int64
-		for key := range keys {
-			resp, err := c.Recv()
-			if err != nil {
-				u++
-				for range keys {
-					u++
-				}
-				done <- [2]int64{a, u}
-				return
-			}
-			// StatusOK and StatusMiss both mean the put applied AND its
-			// batch's fsync returned: a durable ack. Busy/Overload/Unavail
-			// mean the server refused it — not a promise, not recorded.
-			if resp.Status == server.StatusOK || resp.Status == server.StatusMiss {
-				alog.record(key, auditVal(key))
-				a++
-			} else {
-				u++
-			}
+	// The tallies belong to the pipe's receiver until finish returns.
+	p := newPipe(c, depth, func(st stamp, resp server.Response) {
+		// StatusOK and StatusMiss both mean the put applied AND its
+		// batch's fsync returned: a durable ack. Busy/Overload/Unavail
+		// mean the server refused it — not a promise, not recorded.
+		if resp.Status == server.StatusOK || resp.Status == server.StatusMiss {
+			alog.record(st.key, auditVal(st.key))
+			acked++
+		} else {
+			unacked++
 		}
-		done <- [2]int64{a, u}
-	}()
-
-	var seq int64
+	})
 	for !stop.Load() {
-		key := keystart + seq*int64(conns) + int64(connID)
-		if len(keys) == cap(keys) {
-			// Pipeline full: push buffered puts to the wire before
-			// blocking, or the receiver would wait on responses to
-			// requests still sitting in the client buffer.
-			if err := c.Flush(); err != nil {
-				break
-			}
-		}
-		// Send before enqueueing the key: the receiver treats every entry
-		// on keys as an in-flight put, so a key whose Send failed would be
-		// tallied unacked (and inflate "puts sent") for a request that
-		// never left the client.
-		if err := c.Send(server.Request{Op: server.OpPut, Key: key, Val: auditVal(key)}); err != nil {
+		key := keystart + sent*int64(conns) + int64(connID)
+		req := server.Request{Op: server.OpPut, Key: key, Val: auditVal(key)}
+		if p.send(req, stamp{op: workload.Insert, key: key}) != nil {
 			break
 		}
-		keys <- key
-		seq++
-		if seq%64 == 0 {
-			if err := c.Flush(); err != nil {
-				break
-			}
-		}
+		sent++
 	}
-	c.Flush()
-	close(keys)
-	r := <-done
-	return r[0], r[1], seq
+	lost, _ := p.finish() // a dead connection is how an audit run is meant to end
+	return acked, unacked + int64(lost), sent
+}
+
+// auditRec is one line of an audit file: an acked put.
+type auditRec struct {
+	key int64
+	val uint64
+}
+
+// verifyTally is what a verification pass found.
+type verifyTally struct{ checked, lost, wrong atomic.Int64 }
+
+// verifyConn reads recs back through a pipe and returns how many of them
+// went unread because the connection failed, and that failure.
+func verifyConn(c *server.Client, recs []auditRec, depth int, t *verifyTally) (unread int, err error) {
+	p := newPipe(c, depth, func(st stamp, resp server.Response) {
+		t.checked.Add(1)
+		switch {
+		case resp.Status != server.StatusOK:
+			t.lost.Add(1)
+		case resp.Val != st.val:
+			t.wrong.Add(1)
+		}
+	})
+	sent := 0
+	for _, r := range recs {
+		if p.send(server.Request{Op: server.OpGet, Key: r.key}, stamp{op: workload.Search, key: r.key, val: r.val}) != nil {
+			break
+		}
+		sent++
+	}
+	inFlight, err := p.finish()
+	return len(recs) - sent + inFlight, err
 }
 
 // runVerify replays an audit file against a (recovered) server: every
@@ -196,14 +190,10 @@ func runVerify(dial func() (*server.Client, error), path string, conns, depth in
 		return 1
 	}
 	defer f.Close()
-	type rec struct {
-		key int64
-		val uint64
-	}
-	var recs []rec
+	var recs []auditRec
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {
-		var r rec
+		var r auditRec
 		if _, err := fmt.Sscanf(sc.Text(), "%d %d", &r.key, &r.val); err != nil {
 			fmt.Fprintf(os.Stderr, "btload: bad audit line %q: %v\n", sc.Text(), err)
 			return 1
@@ -215,84 +205,37 @@ func runVerify(dial func() (*server.Client, error), path string, conns, depth in
 		return 1
 	}
 
-	var lost, wrong, checked atomic.Int64
-	var failed atomic.Bool
+	var t verifyTally
+	var unread atomic.Int64
 	var wg sync.WaitGroup
 	per := (len(recs) + conns - 1) / conns
 	for i := 0; i < conns && i*per < len(recs); i++ {
 		part := recs[i*per : min(len(recs), (i+1)*per)]
 		wg.Add(1)
-		go func(part []rec) {
+		go func() {
 			defer wg.Done()
 			c, err := dial()
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "btload:", err)
-				failed.Store(true)
+				unread.Add(int64(len(part)))
 				return
 			}
 			defer c.Close()
-			// Pipelined gets: send runs ahead of recv by at most depth.
-			inFlight := 0
-			next := 0
-			recvOne := func(r rec) bool {
-				resp, err := c.Recv()
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "btload: verify recv:", err)
-					failed.Store(true)
-					return false
-				}
-				checked.Add(1)
-				switch {
-				case resp.Status != server.StatusOK:
-					lost.Add(1)
-				case resp.Val != r.val:
-					wrong.Add(1)
-				}
-				return true
+			if n, err := verifyConn(c, part, depth, &t); err != nil {
+				fmt.Fprintln(os.Stderr, "btload: verify:", err)
+				unread.Add(int64(n))
 			}
-			for _, r := range part {
-				if inFlight == depth {
-					if !recvOne(part[next]) {
-						return
-					}
-					next++
-					inFlight--
-				}
-				if err := c.Send(server.Request{Op: server.OpGet, Key: r.key}); err != nil {
-					fmt.Fprintln(os.Stderr, "btload: verify send:", err)
-					failed.Store(true)
-					return
-				}
-				inFlight++
-				if inFlight == depth {
-					if err := c.Flush(); err != nil {
-						fmt.Fprintln(os.Stderr, "btload: verify flush:", err)
-						failed.Store(true)
-						return
-					}
-				}
-			}
-			if err := c.Flush(); err != nil {
-				fmt.Fprintln(os.Stderr, "btload: verify flush:", err)
-				failed.Store(true)
-				return
-			}
-			for ; next < len(part); next++ {
-				if !recvOne(part[next]) {
-					return
-				}
-			}
-		}(part)
+		}()
 	}
 	wg.Wait()
 
 	fmt.Printf("btload audit-verify: %d acked writes checked, %d lost, %d corrupted\n",
-		checked.Load(), lost.Load(), wrong.Load())
-	if failed.Load() || checked.Load() != int64(len(recs)) {
-		fmt.Fprintln(os.Stderr, "btload: verification incomplete")
+		t.checked.Load(), t.lost.Load(), t.wrong.Load())
+	if n := unread.Load(); n > 0 {
+		fmt.Fprintf(os.Stderr, "btload: verification incomplete: %d of %d acked writes were not read back\n", n, len(recs))
 		return 1
 	}
-	if lost.Load() > 0 || wrong.Load() > 0 {
+	if t.lost.Load() > 0 || t.wrong.Load() > 0 {
 		return 1
 	}
 	return 0

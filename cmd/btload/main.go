@@ -59,13 +59,6 @@ import (
 
 const maxSamplesPerConn = 1 << 21 // reservoir bound: 2Mi samples ≈ 16 MB
 
-// Scan-shape parameters, set once from flags before any connection
-// starts (drawn scans request one page of [k, k+scanWidth)).
-var (
-	scanWidth     int64
-	scanPageLimit int
-)
-
 // counters aggregates load statistics across connections.
 type counters struct {
 	sent     atomic.Int64
@@ -149,7 +142,6 @@ func main() {
 			*scanSpan = 1
 		}
 	}
-	scanWidth, scanPageLimit = *scanSpan, *scanLimit
 	master, err := workload.NewGenerator(mix, workload.NewKeyPool(), *keySpace, xrand.New(*seed))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "btload:", err)
@@ -163,10 +155,8 @@ func main() {
 	gens := master.Split(*conns)
 
 	var (
-		stop       atomic.Bool
-		ctr        counters
-		sampleMu   sync.Mutex
-		allSamples [][]int64
+		stop atomic.Bool
+		ctr  counters
 	)
 	quota := make([]int, *conns)
 	if *nOps > 0 {
@@ -216,27 +206,27 @@ func main() {
 
 	var wg sync.WaitGroup
 	errs := make(chan error, *conns)
-	for i := 0; i < *conns; i++ {
+	slots := make([]*slot, *conns)
+	for i := range slots {
+		connSeed := *seed ^ uint64(i)*0x9e3779b97f4a7c15
+		s := &slot{
+			dial: dialTo, addr: *addr, rt: rt, gen: gens[i],
+			depth: *depth, quota: quota[i], quotaMode: *nOps > 0, tolerant: inj != nil,
+			rate: perConnRate, pace: xrand.New(connSeed),
+			scanSpan: *scanSpan, scanLimit: *scanLimit, stop: &stop, ctr: &ctr,
+			res: reservoir{max: maxSamplesPerConn, rnd: xrand.New(connSeed + 1)},
+		}
+		if rt != nil {
+			s.target = i % len(rt.addrs)
+		}
+		slots[i] = s
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			var samples []int64
-			var err error
-			if rt != nil {
-				samples, err = runConnRepl(dialTo, rt, i, *addr, gens[i], *depth, quota[i],
-					*nOps > 0, perConnRate, xrand.New(*seed^uint64(i)*0x9e3779b97f4a7c15), &stop, &ctr)
-			} else {
-				samples, err = runConn(dial, gens[i], *depth, quota[i], *nOps > 0, inj != nil,
-					perConnRate, xrand.New(*seed^uint64(i)*0x9e3779b97f4a7c15), &stop, &ctr)
-			}
-			if err != nil {
+			if err := s.run(); err != nil {
 				errs <- fmt.Errorf("conn %d: %w", i, err)
 				stop.Store(true)
-				return
 			}
-			sampleMu.Lock()
-			allSamples = append(allSamples, samples)
-			sampleMu.Unlock()
 		}(i)
 	}
 	wg.Wait()
@@ -268,8 +258,8 @@ func main() {
 	}
 	if n > 0 {
 		var lats []int64
-		for _, s := range allSamples {
-			lats = append(lats, s...)
+		for _, s := range slots {
+			lats = append(lats, s.res.lat...)
 		}
 		sort.Slice(lats, func(a, b int) bool { return lats[a] < lats[b] })
 		q := func(p float64) float64 {
@@ -291,7 +281,7 @@ func main() {
 		if sc := ctr.scans.Load(); sc > 0 {
 			sk := ctr.scanKeys.Load()
 			fmt.Printf("scans: %d pages (span %d, limit %d), %d keys returned, %.1f keys/page, %.0f keys/s\n",
-				sc, scanWidth, scanPageLimit, sk, float64(sk)/float64(sc), float64(sk)/elapsed.Seconds())
+				sc, *scanSpan, *scanLimit, sk, float64(sk)/float64(sc), float64(sk)/elapsed.Seconds())
 		}
 	}
 	if rt != nil {
@@ -315,177 +305,202 @@ func main() {
 	}
 }
 
-// runConn drives one connection slot: this goroutine generates and
-// sends, a second receives; the stamps channel both matches responses
-// to send times (responses arrive in order) and bounds the pipeline at
-// depth. In tolerant mode a connection failure is absorbed: in-flight
-// requests are counted as errors, the connection is redialed with
-// backoff, and the loop continues until stop/quota.
-func runConn(dial func() (*server.Client, error), gen *workload.Generator,
-	depth, quota int, quotaMode, tolerant bool,
-	rate float64, rsv *xrand.Source, stop *atomic.Bool, ctr *counters,
-) ([]int64, error) {
-	samples := make([]int64, 0, 1<<16)
-	seen := 0
-	sentHere := 0
-	for !stop.Load() && (!quotaMode || sentHere < quota) {
-		c, err := dial()
-		if err != nil {
-			if !tolerant {
-				return samples, err
-			}
-			ctr.redials.Add(1)
-			time.Sleep(10 * time.Millisecond)
-			continue
-		}
-		did, lost, err := pump(c, gen, depth, quota-sentHere, quotaMode,
-			rate, rsv, stop, ctr, &samples, &seen)
-		c.Close()
-		sentHere += did
-		if err != nil {
-			if !tolerant {
-				return samples, err
-			}
-			// Requests that were on the wire when the conn died never
-			// got answers: that is the error budget being spent.
-			ctr.errs.Add(int64(lost))
-			ctr.redials.Add(1)
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
-	ctr.sent.Add(int64(sentHere))
-	return samples, nil
+// reservoir keeps a uniform sample of at most max latencies out of all
+// it is shown. The two receivers of a replica-mode slot share one.
+type reservoir struct {
+	mu   sync.Mutex
+	max  int
+	lat  []int64
+	seen int
+	rnd  *xrand.Source
 }
 
-// pump runs one connection until stop, quota, or a connection error.
-// It returns the number of requests sent and how many of those were
-// still unanswered when it stopped.
+func (r *reservoir) add(lat int64) {
+	r.mu.Lock()
+	r.seen++
+	if len(r.lat) < r.max {
+		r.lat = append(r.lat, lat)
+	} else if j := r.rnd.IntN(r.seen); j < r.max {
+		r.lat[j] = lat
+	}
+	r.mu.Unlock()
+}
+
+// slot is one connection slot of a load run: a generator, a pipelined
+// connection for its requests and the latency sample of their answers.
+// In replica mode (rt != nil) the slot holds two connections: mutations
+// go to the leader, reads to follower rt.addrs[target].
+type slot struct {
+	dial      func(addr string) (*server.Client, error)
+	addr      string
+	rt        *replTargets
+	target    int
+	gen       *workload.Generator
+	depth     int
+	quota     int // requests to send when quotaMode, else until stop
+	quotaMode bool
+	tolerant  bool    // -chaos: absorb connection errors by redialing
+	rate      float64 // open-loop arrivals per second on this slot (0 = closed loop)
+	pace      *xrand.Source
+	scanSpan  int64
+	scanLimit int
+	stop      *atomic.Bool
+	ctr       *counters
+	res       reservoir
+}
+
+// run drives the slot until stop or quota. In tolerant mode a connection
+// failure is absorbed: in-flight requests are counted as errors, the
+// connection is redialed with backoff, and the loop continues.
+func (s *slot) run() error {
+	sent := 0
+	defer func() { s.ctr.sent.Add(int64(sent)) }()
+	for !s.stop.Load() && (!s.quotaMode || sent < s.quota) {
+		did, lost, err := s.dialAndPump(s.quota - sent)
+		sent += did
+		// Requests that were on the wire when a conn died never got
+		// answers: that is the error budget being spent.
+		s.ctr.errs.Add(int64(lost))
+		if err != nil {
+			if !s.tolerant {
+				return fmt.Errorf("%w (%d requests in flight lost)", err, lost)
+			}
+			s.ctr.redials.Add(1)
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	return nil
+}
+
+func (s *slot) dialAndPump(quota int) (did, lost int, err error) {
+	w, err := s.dial(s.addr)
+	if err != nil {
+		return 0, 0, err
+	}
+	defer w.Close()
+	r := w
+	if s.rt != nil {
+		if r, err = s.dial(s.rt.addrs[s.target]); err != nil {
+			return 0, 0, fmt.Errorf("replica %s: %w", s.rt.addrs[s.target], err)
+		}
+		defer r.Close()
+	}
+	return s.pump(w, r, quota)
+}
+
+// pump sends generated requests down w (mutations) and r (reads; the
+// same connection outside replica mode) until stop, quota, or a
+// connection error. It returns the number of requests sent and how many
+// of those were still unanswered when it stopped.
 //
 // With rate > 0 the loop is open: sends are paced to a Poisson schedule
 // at that rate, the schedule keeps advancing even when the sender lags
 // (arrivals are never silently dropped or deferred), and each request is
 // stamped with its scheduled arrival time so measured latency includes
 // any delay between scheduled and actual send.
-func pump(c *server.Client, gen *workload.Generator, depth, quota int, quotaMode bool,
-	rate float64, rsv *xrand.Source, stop *atomic.Bool, ctr *counters,
-	samples *[]int64, seen *int,
-) (did, lost int, err error) {
-	type recvResult struct {
-		err  error
-		lost int // in-flight requests that never got answers
+func (s *slot) pump(w, r *server.Client, quota int) (did, lost int, err error) {
+	wp := newPipe(w, s.depth, s.onResp)
+	rp := wp
+	if r != w {
+		rp = newPipe(r, s.depth, s.onResp)
 	}
-	stamps := make(chan [2]int64, depth) // (sendTime, opKind)
-	recvDone := make(chan recvResult, 1)
-	go func() {
-		for st := range stamps {
-			// Responses are untagged and in order: the stamp's op kind
-			// says whether this response is page-shaped.
-			var resp server.Response
-			var err error
-			if workload.Op(st[1]) == workload.Scan {
-				resp, err = c.RecvPage()
-			} else {
-				resp, err = c.Recv()
-			}
-			if err != nil {
-				// Unblock the sender, which may be parked on stamps,
-				// counting the in-flight requests that lost answers.
-				// The sender only stops once its own Send/Flush fails
-				// (or stop/quota), so draining to close cannot hang.
-				n := 1
-				for range stamps {
-					n++
-				}
-				recvDone <- recvResult{err: err, lost: n}
-				return
-			}
-			lat := time.Now().UnixNano() - st[0]
-			ctr.latSum.Add(lat)
-			ctr.recvd.Add(1)
-			switch resp.Status {
-			case server.StatusBusy, server.StatusOverload:
-				ctr.shed.Add(1)
-			case server.StatusOK:
-				switch workload.Op(st[1]) {
-				case workload.Search:
-					ctr.hits.Add(1)
-				case workload.Scan:
-					ctr.scanKeys.Add(int64(len(resp.Entries)))
-				}
-			}
-			*seen++
-			if len(*samples) < maxSamplesPerConn {
-				*samples = append(*samples, lat)
-			} else if j := rsv.IntN(*seen); j < maxSamplesPerConn {
-				(*samples)[j] = lat
-			}
-		}
-		recvDone <- recvResult{}
-	}()
-
 	next := time.Now().UnixNano() // open-loop arrival schedule cursor
-	for !stop.Load() && (!quotaMode || did < quota) {
-		op, key := gen.Next()
+	for !s.stop.Load() && (!s.quotaMode || did < quota) {
+		op, key := s.gen.Next()
 		var req server.Request
+		p := wp
 		switch op {
 		case workload.Search:
-			req = server.Request{Op: server.OpGet, Key: key}
-			ctr.searches.Add(1)
-		case workload.Insert:
-			req = server.Request{Op: server.OpPut, Key: key, Val: uint64(key)}
-			ctr.inserts.Add(1)
+			req, p = server.Request{Op: server.OpGet, Key: key}, rp
+			if s.rt != nil {
+				req.Op, req.MinSeq = server.OpGetSeq, s.rt.floor(key)
+			}
+			s.ctr.searches.Add(1)
 		case workload.Scan:
-			hi := key + scanWidth
+			hi := key + s.scanSpan
 			if hi < key {
 				hi = int64(^uint64(0) >> 1) // clamp at +inf on overflow
 			}
-			req = server.Request{Op: server.OpScan, Key: key, Hi: hi, Limit: scanPageLimit}
-			ctr.scans.Add(1)
+			req, p = server.Request{Op: server.OpScan, Key: key, Hi: hi, Limit: s.scanLimit}, rp
+			s.ctr.scans.Add(1)
+		case workload.Insert:
+			req = server.Request{Op: server.OpPut, Key: key, Val: uint64(key)}
+			s.ctr.inserts.Add(1)
 		default:
 			req = server.Request{Op: server.OpDel, Key: key}
-			ctr.deletes.Add(1)
+			s.ctr.deletes.Add(1)
 		}
-		stampNs := time.Now().UnixNano()
-		if rate > 0 {
-			next += int64(rsv.ExpRate(rate) * 1e9)
-			if d := next - stampNs; d > 0 {
+		st := stamp{t: time.Now().UnixNano(), op: op, key: key}
+		if s.rate > 0 {
+			next += int64(s.pace.ExpRate(s.rate) * 1e9)
+			if d := next - st.t; d > 0 {
 				// Push buffered requests to the wire before parking: a
 				// paced gap must not leave arrivals sitting in the client
 				// buffer waiting for the every-64 flush.
-				if err := c.Flush(); err != nil {
+				if wp.flush() != nil || rp.flush() != nil {
 					break
 				}
 				time.Sleep(time.Duration(d))
 			}
-			stampNs = next // latency from scheduled, not actual, send
+			st.t = next // latency from scheduled, not actual, send
 		}
-		st := [2]int64{stampNs, int64(op)}
-		if len(stamps) == cap(stamps) {
-			// Pipeline full: push buffered requests to the wire before
-			// blocking on a free slot, or the receiver would wait for
-			// responses to requests still sitting in the client buffer.
-			if err := c.Flush(); err != nil {
-				break
-			}
-		}
-		// Send before stamping: a stamp must only ever exist for a request
-		// that actually reached the wire path, or a failed Send would
-		// leave a phantom stamp for the receiver to count as a lost
-		// in-flight request — an op charged to the error budget (and to
-		// lost+recvd accounting) that was never sent at all.
-		if err := c.Send(req); err != nil {
+		if p.send(req, st) != nil {
 			break
 		}
-		stamps <- st
 		did++
-		if did%64 == 0 {
-			if err := c.Flush(); err != nil {
-				break
-			}
+	}
+	lost, err = wp.finish()
+	if rp != wp {
+		rlost, rerr := rp.finish()
+		// A follower connection that died with reads in flight is that
+		// target's failure, whatever the leader connection did.
+		s.rt.errsT[s.target].Add(int64(rlost))
+		lost += rlost
+		if err == nil && rerr != nil {
+			err = fmt.Errorf("replica %s: %w", s.rt.addrs[s.target], rerr)
 		}
 	}
-	c.Flush()
-	close(stamps)
-	res := <-recvDone
-	return did, res.lost, res.err
+	return did, lost, err
+}
+
+// onResp books one answered request; it runs on a pipe's receiver.
+func (s *slot) onResp(st stamp, resp server.Response) {
+	lat := time.Now().UnixNano() - st.t
+	s.ctr.latSum.Add(lat)
+	s.ctr.recvd.Add(1)
+	s.res.add(lat)
+	switch resp.Status {
+	case server.StatusBusy, server.StatusOverload:
+		s.ctr.shed.Add(1)
+	case server.StatusLagging:
+		// The follower refused rather than serve state older than our
+		// own acked writes. Counted, not retried: the refusal rate IS
+		// the measurement.
+		if s.rt != nil {
+			s.rt.lagging[s.target].Add(1)
+		}
+	case server.StatusOK, server.StatusMiss:
+		switch {
+		case st.op == workload.Search:
+			if resp.Status == server.StatusOK {
+				s.ctr.hits.Add(1)
+			}
+			if s.rt != nil {
+				s.rt.gets[s.target].Add(1)
+			}
+		case st.op == workload.Scan:
+			s.ctr.scanKeys.Add(int64(len(resp.Entries)))
+			if s.rt != nil {
+				s.rt.scans[s.target].Add(1)
+			}
+		case s.rt != nil && resp.HasVal:
+			// A replicated leader stamps each acked mutation with the
+			// shard's durable seq: fold it into the shared read floor.
+			s.rt.observe(st.key, int64(resp.Val))
+		}
+	default:
+		if s.rt != nil && (st.op == workload.Search || st.op == workload.Scan) {
+			s.rt.errsT[s.target].Add(1)
+		}
+	}
 }

@@ -10,6 +10,7 @@ package main
 import (
 	"bufio"
 	"net"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -75,43 +76,128 @@ func testGen(t *testing.T) *workload.Generator {
 	return gen
 }
 
+func testDial(addr string) (*server.Client, error) {
+	conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
+	if err != nil {
+		return nil, err
+	}
+	c := server.NewClient(conn)
+	c.SetOpTimeout(2 * time.Second)
+	return c, nil
+}
+
+func testSlot(t *testing.T, addr string, stop *atomic.Bool, ctr *counters) *slot {
+	return &slot{
+		dial: testDial, addr: addr, gen: testGen(t), depth: 16,
+		pace: xrand.New(2), stop: stop, ctr: ctr,
+		res: reservoir{max: 8, rnd: xrand.New(3)},
+	}
+}
+
 // TestPumpAccountingOnConnLoss kills the connection after k answered
-// requests and checks the books balance: recvd + lost == did. The
-// send-before-stamp order makes the invariant structural: a stamp can
-// only exist for a request Send accepted, so a failed Send can never
-// leave a phantom stamp for the receiver to count as a lost in-flight
-// op (the old stamp-first order relied on Send never failing between
-// explicit Flushes — true for today's frame sizes, but one buffer-size
-// or frame-format change away from double counting).
+// requests and checks that every mode's books balance: answered + lost
+// == sent, with the loss reported to the caller. All four modes run
+// their connections through pipe, whose send-before-stamp order makes
+// the invariant structural: a stamp can only exist for a request Send
+// accepted, so a failed Send can never leave a phantom stamp for the
+// receiver to count as a lost in-flight op. Per mode: load and replica
+// mode show every answer to the slot's one latency reservoir, replica
+// mode charges the follower no more than was lost in all, audit mode
+// records exactly the acked puts, and verify mode returns the number
+// of records a dead connection left unread.
 func TestPumpAccountingOnConnLoss(t *testing.T) {
-	for _, answerN := range []int{0, 1, 7, 40} {
-		var ctr counters
-		var stop atomic.Bool
-		addr := rstServer(t, answerN)
-		conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := server.NewClient(conn)
-		c.SetOpTimeout(2 * time.Second)
-
-		samples := make([]int64, 0, 1024)
-		seen := 0
-		did, lost, pumpErr := pump(c, testGen(t), 16, 0, false, 0,
-			xrand.New(2), &stop, &ctr, &samples, &seen)
-		c.Close()
-
-		if pumpErr == nil {
-			t.Fatalf("answerN=%d: pump returned no error against a resetting server", answerN)
-		}
-		recvd := ctr.recvd.Load()
-		if int64(did) != recvd+int64(lost) {
-			t.Errorf("answerN=%d: sent %d, recvd %d, lost %d: %d ops unaccounted (double- or phantom-counted)",
-				answerN, did, recvd, lost, int64(did)-recvd-int64(lost))
-		}
-		if lost < 0 || int64(lost) > int64(did) {
-			t.Errorf("answerN=%d: lost %d of %d sent: phantom loss for an unsent request", answerN, lost, did)
-		}
+	modes := []struct {
+		name string
+		// run drives one connection (two in replica mode) against servers
+		// that reset after answerN requests each.
+		run func(t *testing.T, answerN int) (sent, answered, lost int64)
+	}{
+		{"load", func(t *testing.T, answerN int) (int64, int64, int64) {
+			var ctr counters
+			var stop atomic.Bool
+			s := testSlot(t, rstServer(t, answerN), &stop, &ctr)
+			did, lost, err := s.dialAndPump(0)
+			if int64(s.res.seen) != ctr.recvd.Load() {
+				t.Errorf("latency reservoir saw %d of %d answers", s.res.seen, ctr.recvd.Load())
+			}
+			if err == nil {
+				t.Errorf("answerN=%d: no error against a resetting server", answerN)
+			}
+			return int64(did), ctr.recvd.Load(), int64(lost)
+		}},
+		{"replica", func(t *testing.T, answerN int) (int64, int64, int64) {
+			var ctr counters
+			var stop atomic.Bool
+			s := testSlot(t, rstServer(t, answerN), &stop, &ctr)
+			s.rt = &replTargets{
+				nShards: 1, floors: make([]atomic.Int64, 1), addrs: []string{rstServer(t, answerN)},
+				gets: make([]atomic.Int64, 1), scans: make([]atomic.Int64, 1),
+				lagging: make([]atomic.Int64, 1), errsT: make([]atomic.Int64, 1),
+			}
+			did, lost, err := s.dialAndPump(0)
+			if int64(s.res.seen) != ctr.recvd.Load() || len(s.res.lat) > s.res.max {
+				t.Errorf("latency reservoir saw %d of %d answers and holds %d (max %d)",
+					s.res.seen, ctr.recvd.Load(), len(s.res.lat), s.res.max)
+			}
+			if e := s.rt.errsT[0].Load(); e > int64(lost) {
+				t.Errorf("follower charged %d lost reads of %d lost in all", e, lost)
+			}
+			if err == nil {
+				t.Errorf("answerN=%d: no error against a resetting server", answerN)
+			}
+			return int64(did), ctr.recvd.Load(), int64(lost)
+		}},
+		{"audit", func(t *testing.T, answerN int) (int64, int64, int64) {
+			alog, err := openAuditLog(filepath.Join(t.TempDir(), "audit.log"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer alog.close()
+			var stop atomic.Bool
+			addr := rstServer(t, answerN)
+			acked, unacked, sent := auditConn(func() (*server.Client, error) { return testDial(addr) },
+				alog, 0, 1, 16, 0, &stop)
+			if acked != alog.n {
+				t.Errorf("%d acked, %d recorded", acked, alog.n)
+			}
+			// The fake server refuses nothing, so unacked is what was in
+			// flight when the connection died.
+			return sent, acked, unacked
+		}},
+		{"verify", func(t *testing.T, answerN int) (int64, int64, int64) {
+			c, err := testDial(rstServer(t, answerN))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			recs := make([]auditRec, 200)
+			for i := range recs {
+				recs[i] = auditRec{key: int64(i)} // the fake server answers OK with value 0
+			}
+			var tally verifyTally
+			unread, err := verifyConn(c, recs, 16, &tally)
+			if tally.lost.Load() != 0 || tally.wrong.Load() != 0 {
+				t.Errorf("%d lost, %d wrong among answered reads", tally.lost.Load(), tally.wrong.Load())
+			}
+			if err == nil {
+				t.Errorf("answerN=%d: no error against a resetting server", answerN)
+			}
+			return int64(len(recs)), tally.checked.Load(), int64(unread)
+		}},
+	}
+	for _, m := range modes {
+		t.Run(m.name, func(t *testing.T) {
+			for _, answerN := range []int{0, 1, 7, 40} {
+				sent, answered, lost := m.run(t, answerN)
+				if sent != answered+lost {
+					t.Errorf("answerN=%d: sent %d, answered %d, lost %d: %d ops unaccounted (double- or phantom-counted)",
+						answerN, sent, answered, lost, sent-answered-lost)
+				}
+				if lost <= 0 || lost > sent {
+					t.Errorf("answerN=%d: lost %d of %d sent on a connection that died mid-stream", answerN, lost, sent)
+				}
+			}
+		})
 	}
 }
 
@@ -123,21 +209,11 @@ func TestPumpAccountingOnConnLoss(t *testing.T) {
 func TestRunConnTolerantErrorBudget(t *testing.T) {
 	var ctr counters
 	var stop atomic.Bool
-	addr := rstServer(t, 25)
+	s := testSlot(t, rstServer(t, 25), &stop, &ctr)
+	s.tolerant = true
 	time.AfterFunc(600*time.Millisecond, func() { stop.Store(true) })
-
-	dial := func() (*server.Client, error) {
-		conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
-		if err != nil {
-			return nil, err
-		}
-		c := server.NewClient(conn)
-		c.SetOpTimeout(2 * time.Second)
-		return c, nil
-	}
-	if _, err := runConn(dial, testGen(t), 16, 0, false, true, 0,
-		xrand.New(3), &stop, &ctr); err != nil {
-		t.Fatalf("tolerant runConn returned error: %v", err)
+	if err := s.run(); err != nil {
+		t.Fatalf("tolerant run returned error: %v", err)
 	}
 
 	sent, recvd, errs := ctr.sent.Load(), ctr.recvd.Load(), ctr.errs.Load()

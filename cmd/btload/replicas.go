@@ -10,6 +10,9 @@
 // this very load generator performed refuses the read (StatusLagging,
 // counted per target, never retried and never answered stale) rather
 // than serving the pre-write state.
+//
+// The slot and its pipes (main.go, pipe.go) do the driving; this file is
+// the state the slots share.
 package main
 
 import (
@@ -20,8 +23,6 @@ import (
 	"time"
 
 	"btreeperf/internal/server"
-	"btreeperf/internal/workload"
-	"btreeperf/internal/xrand"
 )
 
 // replTargets is the shared replica-mode state: the leader's shard
@@ -34,7 +35,7 @@ type replTargets struct {
 	gets    []atomic.Int64 // per target: getseqs answered OK/Miss
 	scans   []atomic.Int64 // per target: scan pages answered OK
 	lagging []atomic.Int64 // per target: StatusLagging refusals
-	errsT   []atomic.Int64 // per target: transport/status failures
+	errsT   []atomic.Int64 // per target: reads refused with another status or lost in flight
 }
 
 // newReplTargets probes the leader for its shard count (the Seqs op
@@ -78,6 +79,11 @@ func (rt *replTargets) observe(key int64, seq int64) {
 	}
 }
 
+// floor is the read floor a bounded-staleness get of key carries.
+func (rt *replTargets) floor(key int64) int64 {
+	return rt.floors[server.ShardIndex(key, rt.nShards)].Load()
+}
+
 // report prints the per-target split after the run.
 func (rt *replTargets) report(elapsed time.Duration) {
 	for i, addr := range rt.addrs {
@@ -96,206 +102,6 @@ func (rt *replTargets) report(elapsed time.Duration) {
 		floors[i] = rt.floors[i].Load()
 	}
 	fmt.Printf("read floors at exit (per shard): %v\n", floors)
-}
-
-// replStamp matches one pipelined request to its response.
-type replStamp struct {
-	t   int64 // scheduled send time, ns
-	op  workload.Op
-	key int64
-}
-
-// runConnRepl drives one replica-mode connection slot: a leader
-// connection carrying the mutations and a follower connection (slot
-// picks addrs[i%len]) carrying the reads, each with its own pipelined
-// receiver. Replica mode is strict (no -chaos tolerance): any connection
-// error ends the slot.
-func runConnRepl(dialTo func(addr string) (*server.Client, error), rt *replTargets,
-	slot int, leaderAddr string, gen *workload.Generator,
-	depth, quota int, quotaMode bool, rate float64, rsv *xrand.Source,
-	stop *atomic.Bool, ctr *counters,
-) ([]int64, error) {
-	target := slot % len(rt.addrs)
-	lc, err := dialTo(leaderAddr)
-	if err != nil {
-		return nil, fmt.Errorf("leader %s: %w", leaderAddr, err)
-	}
-	defer lc.Close()
-	fc, err := dialTo(rt.addrs[target])
-	if err != nil {
-		return nil, fmt.Errorf("replica %s: %w", rt.addrs[target], err)
-	}
-	defer fc.Close()
-
-	type recvState struct {
-		samples []int64
-		seen    int
-		err     error
-	}
-
-	// Leader receiver: mutations only. An acked response carries the
-	// shard's durable seq — fold it into the shared read floor.
-	lstamps := make(chan replStamp, depth)
-	ldone := make(chan recvState, 1)
-	go func() {
-		var st recvState
-		for s := range lstamps {
-			resp, err := lc.Recv()
-			if err != nil {
-				st.err = err
-				for range lstamps {
-				}
-				break
-			}
-			lat := time.Now().UnixNano() - s.t
-			ctr.latSum.Add(lat)
-			ctr.recvd.Add(1)
-			switch resp.Status {
-			case server.StatusBusy, server.StatusOverload:
-				ctr.shed.Add(1)
-			case server.StatusOK, server.StatusMiss:
-				if resp.HasVal {
-					rt.observe(s.key, int64(resp.Val))
-				}
-			}
-			st.seen++
-			if len(st.samples) < maxSamplesPerConn {
-				st.samples = append(st.samples, lat)
-			}
-		}
-		ldone <- st
-	}()
-
-	// Follower receiver: getseqs (point-shaped) and scans (page-shaped).
-	fstamps := make(chan replStamp, depth)
-	fdone := make(chan recvState, 1)
-	go func() {
-		var st recvState
-		for s := range fstamps {
-			var resp server.Response
-			var err error
-			if s.op == workload.Scan {
-				resp, err = fc.RecvPage()
-			} else {
-				resp, err = fc.Recv()
-			}
-			if err != nil {
-				st.err = err
-				for range fstamps {
-				}
-				break
-			}
-			lat := time.Now().UnixNano() - s.t
-			ctr.latSum.Add(lat)
-			ctr.recvd.Add(1)
-			switch resp.Status {
-			case server.StatusBusy, server.StatusOverload:
-				ctr.shed.Add(1)
-			case server.StatusLagging:
-				// The follower refused rather than serve state older than
-				// our own acked writes. Counted, not retried: the refusal
-				// rate IS the measurement.
-				rt.lagging[target].Add(1)
-			case server.StatusOK:
-				switch s.op {
-				case workload.Search:
-					ctr.hits.Add(1)
-					rt.gets[target].Add(1)
-				case workload.Scan:
-					ctr.scanKeys.Add(int64(len(resp.Entries)))
-					rt.scans[target].Add(1)
-				}
-			case server.StatusMiss:
-				rt.gets[target].Add(1)
-			default:
-				rt.errsT[target].Add(1)
-			}
-			st.seen++
-			if len(st.samples) < maxSamplesPerConn {
-				st.samples = append(st.samples, lat)
-			}
-		}
-		fdone <- st
-	}()
-
-	// Sender: route by op kind, pace the combined stream when open-loop.
-	var sendErr error
-	did := 0
-	next := time.Now().UnixNano()
-	for !stop.Load() && (!quotaMode || did < quota) {
-		op, key := gen.Next()
-		var req server.Request
-		c, stamps := lc, lstamps
-		switch op {
-		case workload.Search:
-			floor := rt.floors[server.ShardIndex(key, rt.nShards)].Load()
-			req = server.Request{Op: server.OpGetSeq, Key: key, MinSeq: floor}
-			c, stamps = fc, fstamps
-			ctr.searches.Add(1)
-		case workload.Scan:
-			hi := key + scanWidth
-			if hi < key {
-				hi = int64(^uint64(0) >> 1)
-			}
-			req = server.Request{Op: server.OpScan, Key: key, Hi: hi, Limit: scanPageLimit}
-			c, stamps = fc, fstamps
-			ctr.scans.Add(1)
-		case workload.Insert:
-			req = server.Request{Op: server.OpPut, Key: key, Val: uint64(key)}
-			ctr.inserts.Add(1)
-		default:
-			req = server.Request{Op: server.OpDel, Key: key}
-			ctr.deletes.Add(1)
-		}
-		stampNs := time.Now().UnixNano()
-		if rate > 0 {
-			next += int64(rsv.ExpRate(rate) * 1e9)
-			if d := next - stampNs; d > 0 {
-				if sendErr = lc.Flush(); sendErr != nil {
-					break
-				}
-				if sendErr = fc.Flush(); sendErr != nil {
-					break
-				}
-				time.Sleep(time.Duration(d))
-			}
-			stampNs = next
-		}
-		if len(stamps) == cap(stamps) {
-			if sendErr = c.Flush(); sendErr != nil {
-				break
-			}
-		}
-		if sendErr = c.Send(req); sendErr != nil {
-			break
-		}
-		stamps <- replStamp{t: stampNs, op: op, key: key}
-		did++
-		if did%64 == 0 {
-			if sendErr = lc.Flush(); sendErr != nil {
-				break
-			}
-			if sendErr = fc.Flush(); sendErr != nil {
-				break
-			}
-		}
-	}
-	lc.Flush()
-	fc.Flush()
-	close(lstamps)
-	close(fstamps)
-	lst, fst := <-ldone, <-fdone
-	ctr.sent.Add(int64(did))
-	if sendErr != nil {
-		return nil, sendErr
-	}
-	if lst.err != nil {
-		return nil, fmt.Errorf("leader recv: %w", lst.err)
-	}
-	if fst.err != nil {
-		return nil, fmt.Errorf("replica %s recv: %w", rt.addrs[target], fst.err)
-	}
-	return append(lst.samples, fst.samples...), nil
 }
 
 // setupReplicas validates the replica-mode flag combination and builds

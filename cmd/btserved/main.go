@@ -71,13 +71,9 @@ func main() {
 		idleTimeout  = flag.Duration("idle-timeout", server.DefaultIdleTimeout, "reap connections idle this long (0 disables)")
 		writeTimeout = flag.Duration("write-timeout", server.DefaultWriteTimeout, "cut peers that stall response writes this long (0 disables)")
 		admitTimeout = flag.Duration("admit-timeout", server.DefaultAdmitTimeout, "shed Busy after waiting this long for a queue slot (0 = fail-fast)")
-		queueDepth   = flag.Int("queue-depth", 0, "worker queue bound (0 = 4x workers)")
 
-		govOff      = flag.Bool("governor-off", false, "disable the overload governor")
-		govRho      = flag.Float64("governor-rho", server.SaturationRho, "root rho_w above which update traffic is shed")
-		govExit     = flag.Float64("governor-exit-rho", 0, "root rho_w below which shedding may stop (0 = 0.8x governor-rho)")
-		govInterval = flag.Duration("governor-interval", 0, "rho_w sampling interval (0 = 250ms)")
-		govRecover  = flag.Int("governor-recover", 0, "consecutive below-exit samples before recovery (0 = 4)")
+		govOff = flag.Bool("governor-off", false, "disable the overload governor")
+		govRho = flag.Float64("governor-rho", server.SaturationRho, "root rho_w above which update traffic is shed (shedding stops after 4 samples, 250ms apart, below 0.8x this)")
 
 		chaosSpec = flag.String("chaos", "", "fault-injection spec for the listener, e.g. 'latency=100us,preset=0.001,pdrop=0.01,seed=7'")
 
@@ -196,13 +192,9 @@ func main() {
 		IdleTimeout:  cliTimeout(*idleTimeout),
 		WriteTimeout: cliTimeout(*writeTimeout),
 		AdmitTimeout: cliTimeout(*admitTimeout), // CLI 0 = fail-fast = Config negative
-		QueueDepth:   *queueDepth,
 		Governor: server.GovernorConfig{
-			Disabled:     *govOff,
-			Rho:          *govRho,
-			ExitRho:      *govExit,
-			Interval:     *govInterval,
-			RecoverTicks: *govRecover,
+			Disabled: *govOff,
+			Rho:      *govRho,
 		},
 		ReplAcks:       *replAcks,
 		ReplAckTimeout: *replAckWait,

@@ -92,12 +92,6 @@ func New(cap int, policy Policy) *Tree {
 	}
 }
 
-// Cap returns the maximum number of items per node (the paper's N).
-func (t *Tree) Cap() int { return t.cap }
-
-// Policy returns the restructuring policy.
-func (t *Tree) Policy() Policy { return t.policy }
-
 // Len returns the number of keys stored in the tree.
 func (t *Tree) Len() int { return t.size }
 

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"btreeperf/internal/lock"
 	"btreeperf/internal/xrand"
 )
 
@@ -402,5 +403,92 @@ func TestHeightGrows(t *testing.T) {
 	}
 	if tr.Height() < 3 {
 		t.Fatalf("height = %d", tr.Height())
+	}
+}
+
+// hookProbe is a lock.Probe that runs fn, once, inside the next exclusive
+// acquisition of the lock it is attached to — after the grant, so the
+// caller of Lock holds the lock while fn runs.
+type hookProbe struct{ fn func() }
+
+func (h *hookProbe) Acquired(write bool, _ int64) {
+	if fn := h.fn; write && fn != nil {
+		h.fn = nil
+		fn()
+	}
+}
+func (*hookProbe) Held(bool, int64)     {}
+func (*hookProbe) WriterPresence(int64) {}
+func (*hookProbe) Gate() *lock.Gate     { return nil }
+
+// TestSplitRepairAfterRootGrowth drives a Link-type (and OLC) insert down
+// the one repair path a sequential test never takes and a concurrent one
+// takes when it pleases: the ancestor stack runs out during the ascent
+// because the root grew after the descent, so the parent level has to be
+// found from the new root (linkLocate). One goroutine does it all: a
+// probe on the target leaf's lock fires once the writer holds that leaf,
+// and inside it other inserts split the old root, grow two levels above
+// it, and refill the writer's stale parent to the brim.
+func TestSplitRepairAfterRootGrowth(t *testing.T) {
+	const cap = 3
+	for _, alg := range []Algorithm{LinkType, OLC} {
+		t.Run(alg.String(), func(t *testing.T) {
+			tr := New(cap, alg)
+			want := map[int64]bool{}
+			insert := func(k int64) {
+				tr.Insert(k, uint64(k))
+				want[k] = true
+			}
+			// Height 2, and the rightmost leaf full: the next key past it
+			// splits that leaf.
+			for k := int64(1000); k <= 5000; k += 1000 {
+				insert(k)
+			}
+			rightmost := func(level int) *node {
+				n := tr.root.Load()
+				for n.level > level {
+					n = n.children[len(n.children)-1]
+				}
+				return n
+			}
+			leaf := rightmost(1)
+			if tr.Height() != 2 || leaf.items() != cap {
+				t.Fatalf("setup: height %d, rightmost leaf holds %d of %d", tr.Height(), leaf.items(), cap)
+			}
+			ran := false
+			leaf.mu.SetProbe(&hookProbe{fn: func() {
+				// The writer below holds the leaf and remembers the old
+				// root as its parent. Keys under 2000 never reach that
+				// leaf; they split its left neighbours until the old root
+				// has split, the root is two levels above it (so that
+				// finding the parent level is a descent, not a look at
+				// the root) and the half that kept the leaf is full again.
+				for k := int64(1001); tr.Height() < 4 || rightmost(2).items() < cap; k++ {
+					if k == 2000 {
+						t.Fatal("the old root never split and refilled")
+					}
+					insert(k)
+				}
+				if p := rightmost(2); p.children[len(p.children)-1] != leaf {
+					t.Fatal("the writer's leaf is no longer the rightmost")
+				}
+				ran = true
+			}})
+			insert(6000) // splits the leaf, then its full parent, with nothing left on the stack
+			if !ran {
+				t.Fatal("the hook did not run")
+			}
+			if err := tr.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			if tr.Len() != len(want) {
+				t.Fatalf("Len = %d, want %d", tr.Len(), len(want))
+			}
+			for k := range want {
+				if v, ok := tr.Search(k); !ok || v != uint64(k) {
+					t.Fatalf("Search(%d) = %d,%v", k, v, ok)
+				}
+			}
+		})
 	}
 }

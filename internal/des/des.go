@@ -166,12 +166,6 @@ type Proc struct {
 	resume chan struct{}
 }
 
-// Name returns the name given at Spawn.
-func (p *Proc) Name() string { return p.name }
-
-// Env returns the owning environment.
-func (p *Proc) Env() *Environment { return p.env }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() float64 { return p.env.now }
 

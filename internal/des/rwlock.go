@@ -1,8 +1,6 @@
 package des
 
 import (
-	"fmt"
-
 	"btreeperf/internal/stats"
 )
 
@@ -69,9 +67,6 @@ func NewRWLock(env *Environment, name string) *RWLock {
 	l.queueLen.Set(env.now, 0)
 	return l
 }
-
-// Name returns the lock's diagnostic name.
-func (l *RWLock) Name() string { return l.name }
 
 // Acquire blocks the calling process until the lock is granted in FCFS
 // order and returns the grant.
@@ -221,15 +216,4 @@ func (l *RWLock) WaitWelford(c Class) *stats.Welford {
 		return &l.waitR
 	}
 	return &l.waitW
-}
-
-// Holders returns the current holder state (for tests).
-func (l *RWLock) Holders() (readers int, writer bool) { return l.readers, l.writer }
-
-// QueueLen returns the current queue length (for tests).
-func (l *RWLock) QueueLen() int { return len(l.queue) }
-
-// String renders a diagnostic summary.
-func (l *RWLock) String() string {
-	return fmt.Sprintf("RWLock(%s: r=%d w=%v q=%d)", l.name, l.readers, l.writer, len(l.queue))
 }

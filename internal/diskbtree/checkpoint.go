@@ -57,30 +57,22 @@ type pendingNode struct {
 }
 
 // imageBuilder streams strictly ascending key/value pairs into a compact
-// bottom-up B⁺-tree inside a fresh pagestore. levels[0] is the leaf
-// level; a node is written out the moment its successor on the level
-// materializes (resolving its right link and high key), so memory use is
-// one pending node per level and one page buffer.
+// bottom-up B⁺-tree on pages it allocates from store: a checkpoint's
+// fresh sidecar, or the live file of an empty tree being bulk-loaded.
+// levels[0] is the leaf level; a node is written out the moment its
+// successor on the level materializes (resolving its right link and high
+// key), so memory use is one pending node per level and one page buffer.
 type imageBuilder struct {
 	store  *pagestore.Store
 	cap    int
-	per    int
+	per    int // items a node is filled to
 	levels []*pendingNode
 	count  int64
 	page   [pagestore.PageSize]byte // every node is encoded and written from here
 }
 
-func newImageBuilder(path string, fs pagestore.FS, cap int) (*imageBuilder, error) {
-	pagestore.RemoveFile(fs, path) // debris from an interrupted build
-	st, err := pagestore.OpenFS(path, fs)
-	if err != nil {
-		return nil, err
-	}
-	per := cap * imageFillNum / imageFillDen
-	if per < 2 {
-		per = 2
-	}
-	return &imageBuilder{store: st, cap: cap, per: per}, nil
+func newImageBuilder(store *pagestore.Store, cap, per int) *imageBuilder {
+	return &imageBuilder{store: store, cap: cap, per: max(per, 2)}
 }
 
 // level returns the pending node at level index lvl, starting the level
@@ -170,38 +162,41 @@ func (b *imageBuilder) promote(lvl int, childID pagestore.PageID, childMin int64
 	return nil
 }
 
-// finish flushes the pending spine bottom-up (each pending node is the
-// rightmost of its level: right link 0, infinite high key), stamps the
-// meta page (root, key count, capacity, and the checkpoint sequence) and
-// fsyncs the image. The caller still owns the store and must close it.
-func (b *imageBuilder) finish(seq int64) error {
-	var root pagestore.PageID
+// flushSpine writes out the pending spine bottom-up (each pending node
+// is the rightmost of its level: right link 0, infinite high key) and
+// returns the root's page.
+func (b *imageBuilder) flushSpine() (pagestore.PageID, error) {
 	if len(b.levels) == 0 {
 		// Empty tree: a lone empty leaf root, like a fresh Open.
 		id, err := b.store.Allocate()
 		if err != nil {
-			return err
+			return 0, err
 		}
-		if err := b.write(id, newNode(1, 0)); err != nil {
-			return err
+		return id, b.write(id, newNode(1, 0))
+	}
+	for lvl := 0; ; lvl++ {
+		p := b.levels[lvl]
+		if err := b.write(p.id, p.n); err != nil {
+			return 0, err
 		}
-		root = id
-	} else {
-		for lvl := 0; ; lvl++ {
-			p := b.levels[lvl]
-			if err := b.write(p.id, p.n); err != nil {
-				return err
-			}
-			if lvl == len(b.levels)-1 {
-				root = p.id
-				break
-			}
-			// May seal a full parent and grow the spine; the loop bound
-			// is re-read each iteration.
-			if err := b.promote(lvl+1, p.id, p.min); err != nil {
-				return err
-			}
+		if lvl == len(b.levels)-1 {
+			return p.id, nil
 		}
+		// May seal a full parent and grow the spine; the loop bound
+		// is re-read each iteration.
+		if err := b.promote(lvl+1, p.id, p.min); err != nil {
+			return 0, err
+		}
+	}
+}
+
+// finish flushes the spine, stamps the meta page (root, key count,
+// capacity, and the checkpoint sequence) and fsyncs the image. The
+// caller still owns the store and must close it.
+func (b *imageBuilder) finish(seq int64) error {
+	root, err := b.flushSpine()
+	if err != nil {
+		return err
 	}
 	var ud [64]byte
 	binary.LittleEndian.PutUint64(ud[0:8], uint64(b.count))
@@ -230,8 +225,6 @@ type Checkpoint struct {
 	done      bool
 	finalized bool
 	closed    bool
-
-	keysWalked int64
 }
 
 // BeginCheckpoint starts an incremental checkpoint of a durable tree:
@@ -245,19 +238,14 @@ func (t *Tree) BeginCheckpoint() (*Checkpoint, error) {
 	if t.jnl == nil {
 		return nil, fmt.Errorf("diskbtree: checkpoint of a non-durable tree")
 	}
-	b, err := newImageBuilder(t.path+ImageTmpSuffix, t.fs, t.cap)
+	pagestore.RemoveFile(t.fs, t.path+ImageTmpSuffix) // debris from an interrupted build
+	st, err := pagestore.OpenFS(t.path+ImageTmpSuffix, t.fs)
 	if err != nil {
 		return nil, t.poison(err)
 	}
+	b := newImageBuilder(st, t.cap, t.cap*imageFillNum/imageFillDen)
 	return &Checkpoint{t: t, seq: t.jnl.SeqAppended(), b: b, cursor: math.MinInt64}, nil
 }
-
-// Seq returns the oplog sequence this checkpoint covers.
-func (c *Checkpoint) Seq() int64 { return c.seq }
-
-// KeysWalked returns the number of keys streamed into the image so far —
-// the checkpoint's progress indicator against Tree.Len().
-func (c *Checkpoint) KeysWalked() int64 { return c.keysWalked }
 
 // fail poisons the tree and its journal fail-stop: a checkpoint that
 // cannot reach disk (ENOSPC, I/O error) leaves durability unprovable, so
@@ -296,7 +284,6 @@ func (c *Checkpoint) Step(maxKeys int) (bool, error) {
 	if err := c.b.addRun(c.keys, c.vals); err != nil {
 		return false, c.fail(fmt.Errorf("diskbtree: checkpoint image write: %w", err))
 	}
-	c.keysWalked += int64(len(c.keys))
 	// A short chunk means the walk ran off the right edge. Otherwise
 	// resume just past the last key taken: keys never move left, so
 	// everything at or below it is behind the walk for good.

@@ -429,3 +429,61 @@ func TestSearchGEEmpty(t *testing.T) {
 		t.Fatalf("empty SearchGE = %v,%v", ok, err)
 	}
 }
+
+// A writer that descended while the root was a lone leaf holds an empty
+// ancestor stack. If the root grows before that writer's leaf splits, the
+// split has no remembered parent and must find it from the new root
+// (locate). The window is a few instructions wide, so the test stands in
+// for the writer: on a tree that already has inner levels it latches a
+// full leaf and inserts with the empty stack that writer would hold.
+func TestSplitRepairAfterRootGrowth(t *testing.T) {
+	tr, _ := openTemp(t, Options{Cap: 4, CacheNodes: 64})
+	defer tr.Close()
+	want := map[int64]bool{}
+	insert := func(k int64) {
+		t.Helper()
+		if _, err := tr.Insert(k, uint64(k)); err != nil {
+			t.Fatal(err)
+		}
+		want[k] = true
+	}
+	for k := int64(0); k < 40; k += 2 {
+		insert(k)
+	}
+	if tr.Height() < 2 {
+		t.Fatalf("height %d: the root never grew", tr.Height())
+	}
+	splits, _ := tr.Stats()
+	for k := int64(1); ; k += 2 {
+		n, _, err := tr.descend(k, true, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n.items() < tr.cap {
+			tr.wUnlatch(n, false)
+			insert(k) // fill the leaf the ordinary way
+			continue
+		}
+		i, _ := n.keyIndex(k)
+		tr.size.Add(1)
+		if err := tr.insertItem(n, i, k, i, uint64(k), nil); err != nil {
+			t.Fatal(err)
+		}
+		want[k] = true
+		break
+	}
+	if after, _ := tr.Stats(); after == splits {
+		t.Fatal("the stackless insert did not split")
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if tr.Len() != len(want) {
+		t.Fatalf("Len = %d, want %d", tr.Len(), len(want))
+	}
+	for k := range want {
+		if v, ok, err := tr.Search(k); err != nil || !ok || v != uint64(k) {
+			t.Fatalf("Search(%d) = %d,%v,%v", k, v, ok, err)
+		}
+	}
+}

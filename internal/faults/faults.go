@@ -302,14 +302,6 @@ func (c *Conn) CloseRead() error {
 	return c.conn.SetReadDeadline(time.Now())
 }
 
-// CloseWrite half-closes the write side when supported.
-func (c *Conn) CloseWrite() error {
-	if cw, ok := c.conn.(interface{ CloseWrite() error }); ok {
-		return cw.CloseWrite()
-	}
-	return nil
-}
-
 func (c *Conn) LocalAddr() net.Addr                { return c.conn.LocalAddr() }
 func (c *Conn) RemoteAddr() net.Addr               { return c.conn.RemoteAddr() }
 func (c *Conn) SetDeadline(t time.Time) error      { return c.conn.SetDeadline(t) }

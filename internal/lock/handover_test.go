@@ -203,7 +203,6 @@ func TestUncontendedAllocs(t *testing.T) {
 			"RLock/RUnlock": func() { l.RLock(); l.RUnlock() },
 			"Lock/Unlock":   func() { l.Lock(); l.Unlock() },
 			"LockV/UnlockV": func() { l.LockV(); l.UnlockV() },
-			"TryLock":       func() { l.TryLock(); l.Unlock() },
 		} {
 			if n := testing.AllocsPerRun(200, pair); n != 0 {
 				t.Errorf("%s, %s: %v allocs per pair, want 0", tc.name, name, n)

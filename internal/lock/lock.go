@@ -290,7 +290,7 @@ func (l *FCFSRWMutex) RLock() {
 			}
 		}
 	}
-	l.acquireSlow(false, true)
+	l.acquireSlow(false)
 }
 
 // Lock acquires the lock exclusive, in FIFO order.
@@ -298,28 +298,15 @@ func (l *FCFSRWMutex) Lock() {
 	if !l.listening() && l.state.CompareAndSwap(0, writerBit) {
 		return
 	}
-	l.acquireSlow(true, true)
-}
-
-// TryLock acquires the exclusive lock only if it is immediately available
-// and no request is queued.
-func (l *FCFSRWMutex) TryLock() bool {
-	if !l.listening() && l.state.CompareAndSwap(0, writerBit) {
-		return true
-	}
-	if l.state.Load()&^slowBit != 0 {
-		return false // held: the queue does not matter
-	}
-	return l.acquireSlow(true, false)
+	l.acquireSlow(true)
 }
 
 // acquireSlow is the acquire path under mu: grant at once when nothing
 // conflicts and nothing is queued; else join the queue and wait for a
-// release to grant, or give up if the caller will not wait. It reports
-// whether the lock was acquired. An acquisition that arrives outside an
-// epoch reports nothing even if it queues, so every count the probe holds
-// was taken over listened time.
-func (l *FCFSRWMutex) acquireSlow(write, wait bool) bool {
+// release to grant. An acquisition that arrives outside an epoch reports
+// nothing even if it queues, so every count the probe holds was taken
+// over listened time.
+func (l *FCFSRWMutex) acquireSlow(write bool) {
 	s := l.enterSlow()
 	now, on := l.measureLocked(s)
 	p := l.probe
@@ -343,11 +330,7 @@ func (l *FCFSRWMutex) acquireSlow(write, wait bool) bool {
 		if on {
 			p.Acquired(write, 0)
 		}
-		return true
-	}
-	if !wait {
-		l.leaveSlow()
-		return false
+		return
 	}
 	w := &waiter{ready: make(chan struct{}), write: write}
 	l.queue = append(l.queue, w)
@@ -359,7 +342,6 @@ func (l *FCFSRWMutex) acquireSlow(write, wait bool) bool {
 	if on {
 		p.Acquired(write, nanotime()-now)
 	}
-	return true
 }
 
 // RUnlock releases a shared hold.

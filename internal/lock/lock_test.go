@@ -182,22 +182,6 @@ func TestUnlockValidation(t *testing.T) {
 	}
 }
 
-func TestTryLock(t *testing.T) {
-	var l FCFSRWMutex
-	if !l.TryLock() {
-		t.Fatal("TryLock on free lock failed")
-	}
-	if l.TryLock() {
-		t.Fatal("TryLock on held lock succeeded")
-	}
-	l.Unlock()
-	l.RLock()
-	if l.TryLock() {
-		t.Fatal("TryLock over readers succeeded")
-	}
-	l.RUnlock()
-}
-
 func TestMixedStress(t *testing.T) {
 	var l FCFSRWMutex
 	var data int64

@@ -284,14 +284,13 @@ const (
 type TreeProbe struct {
 	levels [MaxLevels + 1]LevelStats
 	gate   lock.Gate
-	start  time.Time
 }
 
-// NewTreeProbe returns a probe anchored at the current time. It listens
+// NewTreeProbe returns a probe that listens
 // until Cycle is run on it: a probe nobody cycles is exact at every
 // instant, which is what a test that pins counts wants.
 func NewTreeProbe() *TreeProbe {
-	p := &TreeProbe{start: time.Now()}
+	p := &TreeProbe{}
 	for i := range p.levels {
 		p.levels[i].gate = &p.gate
 	}
@@ -344,9 +343,6 @@ func (p *TreeProbe) Level(level int) *LevelStats {
 	return &p.levels[level]
 }
 
-// Start returns the probe's creation time.
-func (p *TreeProbe) Start() time.Time { return p.start }
-
 // Snapshot captures every level that has seen any traffic, in level order
 // (leaf first), stamped with the capture time and with how long the probe
 // had listened by then: the time the levels' counters are sums over.
@@ -393,16 +389,6 @@ type LevelRates struct {
 	ReadFallbacks int64   // OLC locked fallbacks in the window
 	RestartRate   float64 // OLC validation failures per second
 	FallbackRate  float64 // OLC locked fallbacks per second
-}
-
-// MeanHold returns the class-blended mean hold time in seconds, weighting
-// each class by its arrival rate.
-func (r LevelRates) MeanHold() float64 {
-	lam := r.LambdaR + r.LambdaW
-	if lam == 0 {
-		return 0
-	}
-	return (r.LambdaR*r.MeanHoldR + r.LambdaW*r.MeanHoldW) / lam
 }
 
 // Rates differences two snapshots of the same probe into per-level rates

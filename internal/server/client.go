@@ -272,17 +272,5 @@ func (c *Client) GetSeq(key int64, minSeq int64) (uint64, bool, error) {
 	}
 }
 
-// CloseWrite half-closes the connection so the server drains in-flight
-// responses; pair with draining Recv until error.
-func (c *Client) CloseWrite() error {
-	if err := c.bw.Flush(); err != nil {
-		return err
-	}
-	if cw, ok := c.conn.(interface{ CloseWrite() error }); ok {
-		return cw.CloseWrite()
-	}
-	return nil
-}
-
 // Close tears the connection down.
 func (c *Client) Close() error { return c.conn.Close() }

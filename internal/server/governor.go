@@ -240,6 +240,3 @@ func (st *GovStatus) merge(o GovStatus) {
 	st.ShedOverload += o.ShedOverload
 	st.ShedBusy += o.ShedBusy
 }
-
-// ShardGovernor exposes one shard's governor status.
-func (s *Server) ShardGovernor(i int) GovStatus { return s.shards[i].gov.Status() }

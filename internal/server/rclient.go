@@ -312,44 +312,6 @@ func (r *RClient) Scan(lo, hi int64, limit int, token []byte) ([]query.KV, []byt
 	return resp.Entries, resp.Token, nil
 }
 
-// SeekGE returns the smallest stored key >= key, retrying as configured.
-func (r *RClient) SeekGE(key int64) (int64, uint64, bool, error) {
-	resp, err := r.DoPage(Request{Op: OpSeek, Key: key})
-	if err != nil {
-		return 0, 0, false, err
-	}
-	if Retryable(resp.Status) {
-		return 0, 0, false, shedErr(resp.Status)
-	}
-	if resp.Status != StatusOK {
-		return 0, 0, false, fmt.Errorf("server: seek: %s", StatusName(resp.Status))
-	}
-	if len(resp.Entries) == 0 {
-		return 0, 0, false, nil
-	}
-	return resp.Entries[0].Key, resp.Entries[0].Val, true, nil
-}
-
-// Lookup fetches one page of primary keys indexed under val, retrying as
-// configured.
-func (r *RClient) Lookup(val uint64, limit int, token []byte) ([]int64, []byte, error) {
-	resp, err := r.DoPage(Request{Op: OpLookup, Val: val, Limit: limit, Token: token})
-	if err != nil {
-		return nil, nil, err
-	}
-	if Retryable(resp.Status) {
-		return nil, nil, shedErr(resp.Status)
-	}
-	if resp.Status != StatusOK {
-		return nil, nil, fmt.Errorf("server: lookup: %s", StatusName(resp.Status))
-	}
-	keys := make([]int64, len(resp.Entries))
-	for i, e := range resp.Entries {
-		keys[i] = e.Key
-	}
-	return keys, resp.Token, nil
-}
-
 // Seqs returns the server's per-shard replication sequences, retrying
 // as configured; see Client.Seqs.
 func (r *RClient) Seqs() ([]int64, error) {

@@ -108,11 +108,6 @@ func (rs *ReplicaSet) observeSeq(shard int, seq int64) {
 	}
 }
 
-// MinSeq returns the current read floor for the shard owning key.
-func (rs *ReplicaSet) MinSeq(key int64) int64 {
-	return rs.minSeq[shardIndex(key, rs.nShards)].Load()
-}
-
 // Put stores key→val on the leader and absorbs the acknowledged durable
 // sequence into the shard's read floor.
 func (rs *ReplicaSet) Put(key int64, val uint64) (bool, error) {

@@ -337,3 +337,46 @@ func TestPercentilesGrowWithLoad(t *testing.T) {
 		t.Fatalf("no dispersion near saturation: %+v", high.Percentiles)
 	}
 }
+
+// Two restructuring paths that no figure's configuration reaches, because
+// the paper's trees are large and grow: a lock-coupling delete that
+// empties a leaf and removes it from its parent, and a Link-type split
+// whose ancestor stack ran out because the root grew during the ascent,
+// so the parent has to be located from the new root. Tiny nodes on a tiny
+// tree force both; the run is deterministic.
+func TestRestructuringOffTheFigures(t *testing.T) {
+	t.Run("merge-at-empty under lock-coupling", func(t *testing.T) {
+		cfg := Paper(core.NLC, 0.5, 1)
+		cfg.NodeCap, cfg.InitialItems = 3, 60
+		cfg.Mix = workload.Mix{QS: 0.05, QI: 0.5, QD: 0.45}
+		cfg.Ops, cfg.Warmup = 400, 10
+		s, err := runCapture(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.tree.CheckInvariants(); err != nil {
+			t.Fatalf("tree corrupted: %v", err)
+		}
+		if s.tree.Stats().Removes == 0 {
+			t.Fatal("no leaf was emptied and removed: the merge path did not run")
+		}
+	})
+	t.Run("link-type repair after the root grew", func(t *testing.T) {
+		cfg := Paper(core.Link, 3, 1)
+		cfg.NodeCap, cfg.InitialItems = 3, 2
+		cfg.Mix = workload.Mix{QI: 1}
+		cfg.Ops, cfg.Warmup = 400, 10
+		s, err := runCapture(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.tree.CheckInvariants(); err != nil {
+			t.Fatalf("tree corrupted: %v", err)
+		}
+		// Every insert arrived while the tree was a leaf or two; the
+		// height they left behind was built by concurrent ascents.
+		if s.tree.Height() < 5 || s.tree.Len() < cfg.Ops/2 {
+			t.Fatalf("height %d, %d keys: the concurrent inserts did not grow the tree", s.tree.Height(), s.tree.Len())
+		}
+	})
+}

@@ -102,11 +102,6 @@ func (w *Welford) Merge(o *Welford) {
 	w.n = n
 }
 
-// String renders "mean ± ci95 (n=..)".
-func (w *Welford) String() string {
-	return fmt.Sprintf("%.4g ± %.2g (n=%d)", w.Mean(), w.CI95(), w.n)
-}
-
 // tCrit95 is the two-sided 95% Student-t critical value for df degrees of
 // freedom; for df > 30 it returns the normal value 1.96.
 func tCrit95(df int64) float64 {

@@ -29,9 +29,6 @@ func New(seed uint64) *Source {
 	}
 }
 
-// Seed returns the seed the Source was created with.
-func (s *Source) Seed() uint64 { return s.seed }
-
 // Split derives a new, statistically independent Source. The derived seed
 // mixes the parent seed with the supplied stream label so that the same
 // (seed, label) pair always yields the same stream.

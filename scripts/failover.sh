@@ -18,6 +18,13 @@
 # resync from the new leader, then tail. The harness waits for the
 # rejoined follower to report zero lag before the next kill.
 #
+# Before the first kill a short `btload -replicas` pass splits a mixed
+# load across the pair — mutations to the leader, bounded-staleness reads
+# to the follower under the read floor the leader's acks raise — and the
+# follower must answer reads with no errors. After the last cycle both
+# survivors get SIGTERM and must drain and exit 0: a promoted node's
+# clean shutdown is checked here and nowhere else.
+#
 #   scripts/failover.sh             # 3 cycles
 #   CYCLES=5 scripts/failover.sh
 #   SHARDS=4 scripts/failover.sh    # sharded engines, one oplog each
@@ -57,7 +64,6 @@ start_node() {
     -repl-acks 1 -repl-ack-timeout 10s "${followflags[@]}" \
     >>"$bin/$n.log" 2>&1 &
   eval "pid_$n=\$!"
-  disown # kills are deliberate; keep job-control noise out of the report
   local pid; eval "pid=\$pid_$n"
   for _ in $(seq 100); do
     curl -sf "http://${http[$n]}/healthz" >/dev/null 2>&1 && return 0
@@ -94,6 +100,25 @@ failover_times=()
 
 for ((i = 0; i < cycles; i++)); do
   wait_caught_up "$leader"
+
+  if [ "$i" -eq 0 ]; then
+    # Bounded-staleness reads on the real binaries. Semi-sync means every
+    # write this pass gets acked is already on the follower, so a read
+    # carrying the floor from that ack is served, not refused.
+    "$bin/btload" -addr "${listen[$leader]}" -replicas "${listen[$follower]}" \
+      -conns 2 -depth 16 -duration 2s >"$bin/replicas.out" 2>&1 || {
+      echo "FAIL: btload -replicas exited nonzero" >&2; tail "$bin/replicas.out" >&2; exit 1; }
+    awk -v shards="$shards" '
+      /^replica / { gets = $3; errs = $(NF-1); seen = 1 }
+      /^read floors at exit/ { sub(/.*\[/, ""); sub(/\].*/, ""); nf = split($0, f, " "); for (k in f) if (f[k] + 0 > 0) raised = 1 }
+      END {
+        if (!seen)        { print "FAIL: btload -replicas printed no per-replica line" > "/dev/stderr"; exit 1 }
+        if (gets + 0 <= 0) { print "FAIL: follower served " gets " gets" > "/dev/stderr"; exit 1 }
+        if (errs + 0 != 0) { print "FAIL: " errs " follower read errors" > "/dev/stderr"; exit 1 }
+        if (nf != shards || !raised) { print "FAIL: read floors: " nf " shards, want " shards " with one raised" > "/dev/stderr"; exit 1 }
+        print "failover: replica reads ok: follower served " gets " gets, 0 errors, floors raised on " nf " shard(s)"
+      }' "$bin/replicas.out" || { cat "$bin/replicas.out" >&2; exit 1; }
+  fi
 
   "$bin/btload" -addr "${listen[$leader]}" -audit "$audit" \
     -keystart "$((i * 10000000))" -conns 4 -depth 64 -duration 30s \
@@ -154,6 +179,16 @@ curl -s "http://${http[$leader]}/metrics" | grep -qE '^replication .*snapshots=[
   curl -s "http://${http[$leader]}/metrics" | grep '^replication' >&2 || true
   exit 1
 }
+
+# Both survivors drain on SIGTERM: the follower first, so the leader's
+# hub closes with no stream attached, then the promoted leader itself.
+for n in "$follower" "$leader"; do
+  eval "pid=\$pid_$n"
+  kill -TERM "$pid"
+  wait "$pid" || { echo "FAIL: node $n exited nonzero on SIGTERM" >&2; tail "$bin/$n.log" >&2; exit 1; }
+  tail -1 "$bin/$n.log" | grep -q drained || {
+    echo "FAIL: node $n did not drain cleanly" >&2; tail "$bin/$n.log" >&2; exit 1; }
+done
 
 echo "failover: $cycles kill-the-leader cycles at shards=$shards, $acked acked writes, zero lost"
 echo "failover: promote-to-serving times (ms): ${failover_times[*]}"

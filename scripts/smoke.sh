@@ -71,13 +71,13 @@ for alg in lock-coupling optimistic link-type olc; do
 done
 
 # Sharded pass: the same burst against a 4-shard server, with the
-# secondary index on and scan traffic in the mix. The merged view must
-# still carry the per-level telemetry, and every shard must report its
-# own rho_w gauge line — the router spreading traffic across all four is
-# what makes the per-shard gauges nonempty.
+# secondary index and the profiling endpoints on and scan traffic in the
+# mix. The merged view must still carry the per-level telemetry, and
+# every shard must report its own rho_w gauge line — the router spreading
+# traffic across all four is what makes the per-shard gauges nonempty.
 shards=4
 echo "== link-type -shards=$shards -index =="
-"$bin/btserved" -alg link-type -shards "$shards" -index -listen "$listen" -http "$http" -prefill 20000 \
+"$bin/btserved" -alg link-type -shards "$shards" -index -pprof -listen "$listen" -http "$http" -prefill 20000 \
   2>"$bin/serv-sharded.log" &
 spid=$!
 for _ in $(seq 50); do
@@ -97,9 +97,14 @@ keys=$(echo "$count_out" | awk '{print $1}')
 pages=$(echo "$count_out" | awk '{print $(NF-1)}')
 [ "$keys" -ge 15000 ] || { echo "FAIL(query): full-range count saw $keys keys, want >= 15000" >&2; exit 1; }
 [ "$pages" -ge 2 ] || { echo "FAIL(query): count used $pages pages, token paging untested" >&2; exit 1; }
-"$bin/btquery" -addr "$listen" seek 0 | grep -Eq '^[0-9]+ [0-9]+$' || {
+# Output is captured before it is matched: btquery prints a summary line
+# after the keys, and `grep -q` leaving a pipe early would kill it with
+# SIGPIPE, which pipefail then reports as a failed lookup.
+seek_out="$("$bin/btquery" -addr "$listen" seek 0)"
+grep -Eq '^[0-9]+ [0-9]+$' <<<"$seek_out" || {
   echo "FAIL(query): seek 0 found no key" >&2; exit 1; }
-"$bin/btquery" -addr "$listen" lookup 7 | grep -q '^18581050327$' || {
+lookup_out="$("$bin/btquery" -addr "$listen" lookup 7)"
+grep -q '^18581050327$' <<<"$lookup_out" || {
   echo "FAIL(query): lookup 7 missing prefill key 18581050327" >&2; exit 1; }
 
 metrics="$(curl -sf "http://$http/metrics")"
@@ -148,6 +153,10 @@ blocks=$(curl -sf "http://$http/metrics?format=json" | grep -o '"shard":' | wc -
 [ "$blocks" -eq "$shards" ] || {
   echo "FAIL(sharded): /metrics?format=json has $blocks shard blocks, want $shards" >&2; exit 1; }
 echo "ok: JSON carries $blocks shard blocks"
+
+# -pprof mounts net/http/pprof beside the telemetry endpoints.
+curl -sf "http://$http/debug/pprof/cmdline" | tr '\0' ' ' | grep -q btserved || {
+  echo "FAIL(sharded): -pprof did not mount /debug/pprof/" >&2; exit 1; }
 
 model="$(curl -sf "http://$http/debug/model")"
 echo "$model" | grep -q 'shard 3' || {

@@ -4,12 +4,14 @@
 //
 //	go test ./internal/server -bench . -benchmem -count 3 | benchjson -note "..." > results/BENCH_serving.json
 //
-// Every metric go test printed (ns/op, B/op, allocs/op, and custom
-// b.ReportMetric units such as p50_us) is carried through. Repeated runs
-// of the same benchmark (-count > 1) are collapsed to their per-metric
-// median, so a committed baseline is robust to one noisy run; ops_per_sec
-// is derived from the median ns/op. The raw text input remains the
-// benchstat-comparable record — this JSON is the tracked summary.
+// The document carries only what repeats from one machine to the next,
+// which is what a tracked file is for: the counted per-op units (B/op,
+// allocs/op, and custom b.ReportMetric ratios such as keys/op and
+// ops/fsync — see tracked). Timings — ns/op, MB/s, the iteration count
+// they decide, sampled quantiles such as p50_us — and the CPU model stay
+// in the raw text, which remains the benchstat-comparable record; timing
+// claims are priced by bench/ (see bench/README.md). Repeated runs of the
+// same benchmark (-count > 1) are collapsed to their per-metric median.
 //
 // With -compare it reads two such documents instead and gates the one
 // number in them that repeats exactly:
@@ -19,10 +21,7 @@
 // exits non-zero when any benchmark present in both allocates more per
 // op in new.json than in the baseline, or when a benchmark of the
 // baseline is absent from new.json (renamed, or no longer selected by
-// the script's regexp: it would leave the gate unseen). The ns/op ratio
-// (new ÷ base) is printed beside it and never gated: it is a mean on
-// whatever machine ran it (timing claims are priced by bench/, see
-// bench/README.md).
+// the script's regexp: it would leave the gate unseen).
 package main
 
 import (
@@ -38,17 +37,15 @@ import (
 )
 
 type benchmark struct {
-	Name      string             `json:"name"`
-	Runs      int                `json:"runs"`
-	OpsPerSec float64            `json:"ops_per_sec,omitempty"`
-	Metrics   map[string]float64 `json:"metrics"`
+	Name    string             `json:"name"`
+	Runs    int                `json:"runs"`
+	Metrics map[string]float64 `json:"metrics"`
 }
 
 type report struct {
 	Note       string      `json:"note,omitempty"`
 	Goos       string      `json:"goos,omitempty"`
 	Goarch     string      `json:"goarch,omitempty"`
-	CPU        string      `json:"cpu,omitempty"`
 	Pkg        string      `json:"pkg,omitempty"`
 	Benchmarks []benchmark `json:"benchmarks"`
 }
@@ -78,8 +75,6 @@ func main() {
 			rep.Goos = strings.TrimSpace(strings.TrimPrefix(line, "goos:"))
 		case strings.HasPrefix(line, "goarch:"):
 			rep.Goarch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
-		case strings.HasPrefix(line, "cpu:"):
-			rep.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
 		case strings.HasPrefix(line, "pkg:"):
 			rep.Pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
 		case strings.HasPrefix(line, "Benchmark"):
@@ -111,10 +106,9 @@ func main() {
 			if len(vals) > b.Runs {
 				b.Runs = len(vals)
 			}
-			b.Metrics[unit] = median(vals)
-		}
-		if ns := b.Metrics["ns/op"]; ns > 0 {
-			b.OpsPerSec = 1e9 / ns
+			if tracked(unit) {
+				b.Metrics[unit] = median(vals)
+			}
 		}
 		rep.Benchmarks = append(rep.Benchmarks, b)
 	}
@@ -162,11 +156,17 @@ func readReport(path string) (report, error) {
 	return rep, nil
 }
 
+// tracked reports whether a unit counts something per something — B/op,
+// allocs/op, keys/op, ops/fsync — rather than timing the machine it ran
+// on: ns/op, MB/s, and the units with no denominator (p50_us).
+func tracked(unit string) bool {
+	return strings.Contains(unit, "/") && unit != "ns/op" && unit != "MB/s"
+}
+
 // compare prints one line per benchmark of cur that base also has —
-// allocs/op in both and the ns/op ratio cur ÷ base — and returns how
-// many of them allocate more per op than in base, and how many
-// benchmarks of base cur lacks. A benchmark only cur ran is listed and
-// not judged.
+// allocs/op and B/op in both — and returns how many of them allocate
+// more per op than in base, and how many benchmarks of base cur lacks. A
+// benchmark only cur ran is listed and not judged.
 func compare(w io.Writer, base, cur report) (rose, missing int) {
 	baseline := map[string]benchmark{}
 	for _, b := range base.Benchmarks {
@@ -184,8 +184,8 @@ func compare(w io.Writer, base, cur report) (rose, missing int) {
 			verdict = "  ROSE"
 			rose++
 		}
-		fmt.Fprintf(w, "%-60s allocs/op %4g -> %-4g ns/op x%.2f%s\n",
-			c.Name, b.Metrics["allocs/op"], c.Metrics["allocs/op"], c.Metrics["ns/op"]/b.Metrics["ns/op"], verdict)
+		fmt.Fprintf(w, "%-60s allocs/op %4g -> %-4g B/op %6g -> %-6g%s\n",
+			c.Name, b.Metrics["allocs/op"], c.Metrics["allocs/op"], b.Metrics["B/op"], c.Metrics["B/op"], verdict)
 	}
 	for _, b := range base.Benchmarks {
 		if _, left := baseline[b.Name]; left {
@@ -200,8 +200,8 @@ func compare(w io.Writer, base, cur report) (rose, missing int) {
 //
 //	BenchmarkX/sub-4  1234  987 ns/op  22 B/op  0 allocs/op  145.2 p50_us
 //
-// i.e. a name, an iteration count, then (value, unit) pairs — whatever
-// metrics the run reported, in any order.
+// i.e. a name, an iteration count (checked, not kept), then (value, unit)
+// pairs — whatever metrics the run reported, in any order.
 func parseBenchLine(line string) (string, map[string]float64) {
 	f := strings.Fields(line)
 	if len(f) < 4 || len(f)%2 != 0 {
@@ -209,11 +209,9 @@ func parseBenchLine(line string) (string, map[string]float64) {
 	}
 	name := strings.TrimSuffix(f[0], fmt.Sprintf("-%d", numCPUSuffix(f[0])))
 	units := map[string]float64{}
-	iters, err := strconv.ParseFloat(f[1], 64)
-	if err != nil {
+	if _, err := strconv.ParseFloat(f[1], 64); err != nil {
 		return "", nil
 	}
-	units["iterations"] = iters
 	for i := 2; i+1 < len(f); i += 2 {
 		v, err := strconv.ParseFloat(f[i], 64)
 		if err != nil {

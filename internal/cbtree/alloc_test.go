@@ -11,7 +11,8 @@ import (
 // straight back to the garbage collector. Under OLC the point lookup,
 // the leaf-chain scan and seek must stay at zero allocations per
 // operation, including their restart bookkeeping; under every algorithm
-// so must a write that does not split, whose ancestor stack rides on the
+// so must a write that does not split, from the first one on: a leaf
+// owns all its slots from birth and the ancestor stack rides on the
 // descent's own stack frame.
 
 // TestNodeSize pins what every node of every tree costs before its keys:
@@ -118,14 +119,6 @@ func TestWriteAllocs(t *testing.T) {
 				}
 			}
 			insert := func(key int64) bool { return tr.Insert(key, 7) }
-			if alg != OLC {
-				// A slice-backed leaf grows by append; one untimed round
-				// gives every leaf the room its insert needs.
-				for key := int64(1); key <= 1+150*200; key += 150 {
-					tr.Insert(key, 7)
-					tr.Delete(key)
-				}
-			}
 			splits := tr.Stats().Splits
 			each("Insert (new key, no split)", true, insert)
 			if got := tr.Stats().Splits; got != splits {

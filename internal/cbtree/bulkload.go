@@ -37,13 +37,8 @@ func BulkLoad(cap int, alg Algorithm, keys []int64, vals []uint64, fill float64)
 			end = len(keys)
 		}
 		n := t.newNode(1)
-		if n.fixed {
-			n.cnt.Store(int32(copy(n.keys, keys[off:end])))
-			copy(n.vals, vals[off:end])
-		} else {
-			n.keys = append(n.keys, keys[off:end]...)
-			n.vals = append(n.vals, vals[off:end]...)
-		}
+		n.cnt.Store(int32(copy(n.keys, keys[off:end])))
+		copy(n.vals, vals[off:end])
 		level = append(level, built{n: n, min: keys[off]})
 	}
 	linkLevel(level)
@@ -59,15 +54,14 @@ func BulkLoad(cap int, alg Algorithm, keys []int64, vals []uint64, fill float64)
 				end = len(level)
 			}
 			n := t.newNode(h)
+			seps, children := make([]int64, 0, end-off-1), make([]*node, 0, end-off)
 			for j := off; j < end; j++ {
-				n.children = append(n.children, level[j].n)
+				children = append(children, level[j].n)
 				if j > off {
-					n.keys = append(n.keys, level[j].min)
+					seps = append(seps, level[j].min)
 				}
 			}
-			if alg == OLC {
-				n.setRouting(n.keys, n.children)
-			}
+			n.setRouting(seps, children)
 			parents = append(parents, built{n: n, min: level[off].min})
 		}
 		linkLevel(parents)

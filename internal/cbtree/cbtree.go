@@ -12,17 +12,19 @@
 //   - LinkType — Lehman–Yao: right links and high keys let every operation
 //     hold at most one lock at a time; splits are half-splits repaired
 //     upward.
-//   - OLC — optimistic lock-coupling: writers follow the Link-type
-//     protocol under seqlock-style versioned W locks and change nodes in
-//     place, readers descend latch-free through the same storage and
-//     trust what they read only once the node's version validates,
-//     restarting on conflict with a bounded-retry fallback to the locked
-//     path (see olc.go).
+//   - OLC — optimistic lock-coupling: writers are the Link-type writers,
+//     readers descend latch-free through the same storage and trust what
+//     they read only once the node's version validates, restarting on
+//     conflict with a bounded-retry fallback to the locked path (see
+//     olc.go).
 //
-// All algorithms run against the same node type, so they are directly
+// The four differ only in their locking protocol (ops.go, olc.go). Under
+// it is one node kernel — one leaf layout, one inner layout, one way to
+// put, remove, split and route (see node) — so they are directly
 // comparable (see the benchmarks at the repository root, the modern
-// analogue of the paper's Figure 12); OLC only constrains how a node's
-// storage is allocated and written (see node).
+// analogue of the paper's Figure 12) and a sequential stream builds the
+// same tree under all of them. The kernel asks which algorithm it serves
+// only to choose atomic or plain stores into a leaf.
 //
 // Restructuring is merge-at-empty in the lazy sense the paper adopts for
 // the Link-type algorithm: nodes emptied by deletes remain in place and
@@ -33,6 +35,7 @@ package cbtree
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"btreeperf/internal/lock"
@@ -85,50 +88,49 @@ type Stats struct {
 // then recovers via right links. A node has a high key exactly when it
 // has a right sibling.
 //
-// Under the three lock-based algorithms keys, vals and children hold
-// exactly the node's items (len = count) and grow by append.
+// There is one layout, whatever the algorithm, and it is the one
+// lock.VersionLock's contract asks of state that latch-free readers read
+// between ReadBegin and Validate while a writer may be at work:
 //
-// Under OLC the same fields are also read by latch-free readers, between
-// ReadBegin and Validate, while a writer may be at work, so the layout
-// obeys lock.VersionLock's contract:
-//
-//   - a leaf (fixed == true) gets keys and vals once, at cap+1 slots —
-//     room for the overflow a split resolves — and the two slice
-//     headers never change again, so no index a reader computes can
+//   - a leaf gets keys and vals once, at exactly cap slots, and the two
+//     slice headers never change again, so no index a reader computes can
 //     leave the storage. cnt is the item count; writers shift items in
-//     place with atomic stores, readers use atomic loads;
-//   - an inner node's keys and children are copy-on-write: a writer
-//     never stores into the arrays, it installs fresh slices and
-//     publishes the pair through img, the only way latch-free readers
-//     reach them. Inner nodes change once per child split, so this is
-//     the cheap side to keep immutable;
-//   - right and high are atomic for every algorithm (a plain load on the
-//     platforms this runs on; they are stored only by splits).
+//     place (with atomic stores when the algorithm has latch-free
+//     readers, who use atomic loads). Storage ends at a full node: an
+//     insert into a full leaf half-splits around the new item into a
+//     sibling nobody can reach yet (splitLeaf);
+//   - an inner node's routing is replaced, never edited: a writer builds
+//     fresh keys and children and publishes the pair through img, the
+//     only way latch-free readers reach them (setRouting). Inner nodes
+//     change once per child split, so this is the cheap side to keep
+//     immutable;
+//   - right and high are atomic (a plain load on the platforms this runs
+//     on; they are stored only by splits), and a sibling is complete
+//     before its left neighbour's right link makes it reachable.
 //
 // Lock holders read everything plainly: the lock orders them with the
 // writers.
 type node struct {
 	mu       lock.VersionLock
 	level    int
-	cnt      atomic.Int32 // OLC leaf: items in keys/vals
-	fixed    bool         // OLC leaf: keys/vals have constant len cap+1
-	keys     []int64
-	vals     []uint64
-	children []*node
+	cnt      atomic.Int32 // leaf: items in keys/vals
+	keys     []int64      // leaf: cap slots; inner: the current separators
+	vals     []uint64     // leaf: cap slots
+	children []*node      // inner: the current children
 	right    atomic.Pointer[node]
 	high     atomic.Int64
-	img      atomic.Pointer[routing] // OLC inner node: {keys, children}
+	img      atomic.Pointer[routing] // inner: {keys, children}
 }
 
-// routing is what a latch-free reader sees of an OLC inner node: the
-// node's current keys and children slices, immutable once published.
+// routing is what a latch-free reader sees of an inner node: the node's
+// current keys and children slices, immutable once published.
 type routing struct {
 	keys     []int64
 	children []*node
 }
 
-// setRouting installs an OLC inner node's routing arrays. Caller holds
-// n.mu exclusively, or owns n because it is not yet reachable.
+// setRouting installs an inner node's routing arrays. Caller holds n.mu
+// exclusively, or owns n because it is not yet reachable.
 func (n *node) setRouting(keys []int64, children []*node) {
 	n.keys, n.children = keys, children
 	n.img.Store(&routing{keys: keys, children: children})
@@ -138,21 +140,15 @@ func (n *node) isLeaf() bool { return n.level == 1 }
 
 // leaf returns the keys and values a leaf holds. Caller must hold n.mu.
 func (n *node) leaf() ([]int64, []uint64) {
-	if n.fixed {
-		c := n.cnt.Load()
-		return n.keys[:c], n.vals[:c]
-	}
-	return n.keys, n.vals
+	c := n.cnt.Load()
+	return n.keys[:c], n.vals[:c]
 }
 
 // items is the paper's occupancy: keys for leaves, children for internal
 // nodes. Caller must hold n.mu.
 func (n *node) items() int {
-	if n.fixed {
-		return int(n.cnt.Load())
-	}
 	if n.isLeaf() {
-		return len(n.keys)
+		return int(n.cnt.Load())
 	}
 	return len(n.children)
 }
@@ -308,16 +304,15 @@ func New(cap int, alg Algorithm) *Tree {
 }
 
 // newNode returns an empty node for the given level, wired to the
-// level's telemetry sink and, for an OLC leaf, holding its fixed storage.
+// level's telemetry sink and, for a leaf, holding its storage.
 func (t *Tree) newNode(level int) *node {
 	n := &node{level: level}
 	if t.probe != nil {
 		n.mu.SetProbe(t.probe(level))
 	}
-	if t.alg == OLC && level == 1 {
-		n.fixed = true
-		n.keys = make([]int64, t.cap+1)
-		n.vals = make([]uint64, t.cap+1)
+	if level == 1 {
+		n.keys = make([]int64, t.cap)
+		n.vals = make([]uint64, t.cap)
 	}
 	return n
 }
@@ -382,19 +377,29 @@ func (t *Tree) lockRoot(classOf func(*node) bool) *node {
 	for {
 		r := t.root.Load()
 		write := classOf(r)
-		if write {
-			r.mu.Lock()
-		} else {
-			r.mu.RLock()
-		}
+		r.lockAs(write)
 		if t.root.Load() == r {
 			return r
 		}
-		if write {
-			r.mu.Unlock()
-		} else {
-			r.mu.RUnlock()
-		}
+		r.unlockAs(write)
+	}
+}
+
+// lockAs takes n.mu exclusively (write) or shared; unlockAs gives back
+// what lockAs took.
+func (n *node) lockAs(write bool) {
+	if write {
+		n.mu.Lock()
+	} else {
+		n.mu.RLock()
+	}
+}
+
+func (n *node) unlockAs(write bool) {
+	if write {
+		n.mu.Unlock()
+	} else {
+		n.mu.RUnlock()
 	}
 }
 
@@ -402,90 +407,158 @@ func alwaysRead(*node) bool    { return false }
 func alwaysWrite(*node) bool   { return true }
 func writeIfLeaf(n *node) bool { return n.isLeaf() }
 
-// split moves the upper half of n into a new right sibling, maintaining
-// right links and high keys (a Lehman–Yao half-split). Caller holds n.mu
-// exclusively. Returns the sibling and separator. Under OLC the sibling
-// is complete before n's right link makes it reachable, and everything a
-// latch-free reader can see of n changes by atomic stores.
-func (t *Tree) split(n *node) (*node, int64) {
-	t.splits.Add(1)
-	sib := t.newNode(n.level)
-	var sep int64
-	switch {
-	case n.fixed:
-		keys, vals := n.leaf()
-		m := (len(keys) + 1) / 2
-		sib.cnt.Store(int32(copy(sib.keys, keys[m:])))
-		copy(sib.vals, vals[m:])
-		n.cnt.Store(int32(m))
-		sep = sib.keys[0]
-	case n.isLeaf():
-		m := (len(n.keys) + 1) / 2
-		sib.keys = append(sib.keys, n.keys[m:]...)
-		sib.vals = append(sib.vals, n.vals[m:]...)
-		n.keys = n.keys[:m:m]
-		n.vals = n.vals[:m:m]
-		sep = sib.keys[0]
-	default:
-		m := (len(n.children) + 1) / 2
-		sep = n.keys[m-1]
-		sib.children = append(sib.children, n.children[m:]...)
-		sib.keys = append(sib.keys, n.keys[m:]...)
-		n.children = n.children[:m:m]
-		n.keys = n.keys[: m-1 : m-1]
-		if t.alg == OLC {
-			sib.setRouting(sib.keys, sib.children)
-			n.setRouting(n.keys, n.children)
+// ---------------------------------------------------------------------------
+// The node kernel: what every protocol does to a node once it holds it.
+
+// leafPut stores key→val in leaf n, reporting whether key is new. Caller
+// holds n.mu exclusively and n covers key. A full leaf is half-split
+// around the new item; the sibling and separator are returned for the
+// caller's protocol to install one level up (sib is nil otherwise).
+func (t *Tree) leafPut(n *node, key int64, val uint64) (fresh bool, sib *node, sep int64) {
+	latchFree := t.alg == OLC
+	i, ok := n.keyIndex(key)
+	if ok {
+		if latchFree {
+			atomic.StoreUint64(&n.vals[i], val)
+		} else {
+			n.vals[i] = val
 		}
+		return false, nil, 0
 	}
+	t.size.Add(1)
+	if n.items() < t.cap {
+		n.insertSlot(i, key, val, latchFree)
+		return true, nil, 0
+	}
+	sib, sep = t.splitLeaf(n, i, key, val, latchFree)
+	return true, sib, sep
+}
+
+// leafRemove deletes key from a leaf, reporting whether it was there.
+// Caller holds n.mu exclusively.
+func (t *Tree) leafRemove(n *node, key int64) bool {
+	i, ok := n.keyIndex(key)
+	if !ok {
+		return false
+	}
+	keys, vals := n.leaf()
+	if t.alg == OLC {
+		for j := i + 1; j < len(keys); j++ {
+			atomic.StoreInt64(&keys[j-1], keys[j])
+			atomic.StoreUint64(&vals[j-1], vals[j])
+		}
+	} else {
+		copy(keys[i:], keys[i+1:])
+		copy(vals[i:], vals[i+1:])
+	}
+	n.cnt.Store(int32(len(keys) - 1))
+	t.size.Add(-1)
+	return true
+}
+
+// insertSlot puts (key, val) into slot i of a leaf with room, shifting
+// the items from i up by one. Caller holds n.mu exclusively; latchFree
+// says the stores must be atomic because latch-free readers may be
+// loading the same slots.
+func (n *node) insertSlot(i int, key int64, val uint64, latchFree bool) {
+	c := int(n.cnt.Load())
+	keys, vals := n.keys[:c+1], n.vals[:c+1]
+	if latchFree {
+		for j := c; j > i; j-- {
+			atomic.StoreInt64(&keys[j], keys[j-1])
+			atomic.StoreUint64(&vals[j], vals[j-1])
+		}
+		atomic.StoreInt64(&keys[i], key)
+		atomic.StoreUint64(&vals[i], val)
+	} else {
+		copy(keys[i+1:], keys[i:])
+		copy(vals[i+1:], vals[i:])
+		keys[i], vals[i] = key, val
+	}
+	n.cnt.Store(int32(c + 1))
+}
+
+// splitLeaf puts (key, val), which belongs at slot i, into the full leaf
+// n by a Lehman–Yao half-split around it: of the cap+1 items the lower
+// ⌈(cap+1)/2⌉ stay, the rest go to a new right sibling — the halves an
+// insert followed by a halving would make, without the slot of overflow.
+// Caller holds n.mu exclusively. The sibling is complete before n's
+// right link makes it reachable, n sheds its upper half before the new
+// item moves into the lower one (storage ends at a full node), and
+// everything a latch-free reader can see of n changes by atomic stores.
+func (t *Tree) splitLeaf(n *node, i int, key int64, val uint64, latchFree bool) (*node, int64) {
+	t.splits.Add(1)
+	sib := t.newNode(1)
+	m := (t.cap + 2) / 2 // what n keeps
+	if i < m {
+		sib.cnt.Store(int32(copy(sib.keys, n.keys[m-1:])))
+		copy(sib.vals, n.vals[m-1:])
+		n.cnt.Store(int32(m - 1))
+		n.insertSlot(i, key, val, latchFree)
+	} else {
+		j := i - m
+		copy(sib.keys, n.keys[m:i])
+		copy(sib.vals, n.vals[m:i])
+		sib.keys[j], sib.vals[j] = key, val
+		sib.cnt.Store(int32(j + 1 + copy(sib.keys[j+1:], n.keys[i:])))
+		copy(sib.vals[j+1:], n.vals[i:])
+		n.cnt.Store(int32(m))
+	}
+	sep := sib.keys[0]
+	linkRight(n, sib, sep)
+	return sib, sep
+}
+
+// linkRight makes the finished node sib n's right sibling under
+// separator sep: sib takes over n's high key and right link, and only
+// then does n's right link lead to it.
+func linkRight(n, sib *node, sep int64) {
 	sib.high.Store(n.high.Load())
 	sib.right.Store(n.right.Load())
 	n.high.Store(sep)
 	n.right.Store(sib)
-	return sib, sep
 }
 
-// addChild installs a (separator, child) pair. Caller holds n.mu
-// exclusively and n must cover sep.
-func (t *Tree) addChild(n *node, sep int64, child *node) {
+// addChild installs a (separator, child) pair in inner node n by
+// replacing its routing. Caller holds n.mu exclusively and n must cover
+// sep. When the pair is one more than n can hold the new routing is
+// halved instead (splitInner) and the sibling and separator come back
+// for the caller's protocol to install one level up.
+func (t *Tree) addChild(n *node, sep int64, child *node) (*node, int64) {
 	i := n.childIndex(sep)
-	if t.alg == OLC {
-		n.setRouting(insertCopy(n.keys, i, sep), insertCopy(n.children, i+1, child))
-		return
+	keys, children := insertCopy(n.keys, i, sep), insertCopy(n.children, i+1, child)
+	if len(children) > t.cap {
+		return t.splitInner(n, keys, children)
 	}
-	n.keys = insertAt(n.keys, i, sep)
-	n.children = insertAt(n.children, i+1, child)
+	n.setRouting(keys, children)
+	return nil, 0
+}
+
+// splitInner shares an overflowing routing between n, which keeps the
+// lower ⌈(cap+1)/2⌉ children, and a new right sibling; the separator
+// between them moves up. Caller holds n.mu exclusively.
+func (t *Tree) splitInner(n *node, keys []int64, children []*node) (*node, int64) {
+	t.splits.Add(1)
+	m := (len(children) + 1) / 2
+	sib := t.newNode(n.level)
+	sib.setRouting(slices.Clone(keys[m:]), slices.Clone(children[m:]))
+	n.setRouting(keys[:m-1:m-1], children[:m:m])
+	linkRight(n, sib, keys[m-1])
+	return sib, keys[m-1]
 }
 
 // growRoot replaces the root after splitting it. Caller holds old.mu
-// exclusively and has verified old is the current root.
+// exclusively and has verified old is the current root. Latch-free
+// readers may reach the new root the instant the CAS lands.
 func (t *Tree) growRoot(old *node, sep int64, sib *node) {
 	r := t.newNode(old.level + 1)
-	r.keys, r.children = []int64{sep}, []*node{old, sib}
-	if t.alg == OLC {
-		// Latch-free readers may reach the new root the instant the CAS
-		// lands.
-		r.setRouting(r.keys, r.children)
-	}
+	r.setRouting([]int64{sep}, []*node{old, sib})
 	if !t.root.CompareAndSwap(old, r) {
 		panic("cbtree: concurrent root replacement")
 	}
 }
 
-func insertAt[T any](s []T, i int, v T) []T {
-	var zero T
-	s = append(s, zero)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
-}
-
-func removeAt[T any](s []T, i int) []T {
-	copy(s[i:], s[i+1:])
-	return s[:len(s)-1]
-}
-
-// insertCopy is insertAt into a fresh slice, leaving s untouched.
+// insertCopy returns a fresh slice holding s with v inserted at i.
 func insertCopy[T any](s []T, i int, v T) []T {
 	out := make([]T, len(s)+1)
 	copy(out, s[:i])

@@ -425,10 +425,10 @@ func (*hookProbe) Gate() *lock.Gate     { return nil }
 // the one repair path a sequential test never takes and a concurrent one
 // takes when it pleases: the ancestor stack runs out during the ascent
 // because the root grew after the descent, so the parent level has to be
-// found from the new root (linkLocate). One goroutine does it all: a
-// probe on the target leaf's lock fires once the writer holds that leaf,
-// and inside it other inserts split the old root, grow two levels above
-// it, and refill the writer's stale parent to the brim.
+// found from the new root (linkDescend to that level). One goroutine does
+// it all: a probe on the target leaf's lock fires once the writer holds
+// that leaf, and inside it other inserts split the old root, grow two
+// levels above it, and refill the writer's stale parent to the brim.
 func TestSplitRepairAfterRootGrowth(t *testing.T) {
 	const cap = 3
 	for _, alg := range []Algorithm{LinkType, OLC} {

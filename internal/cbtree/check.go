@@ -33,10 +33,8 @@ func (t *Tree) checkNode(n *node, lo, hi int64, hiInf bool, leftmost map[int]*no
 	if n.items() > t.cap {
 		return fmt.Errorf("cbtree: level %d node over capacity: %d > %d", n.level, n.items(), t.cap)
 	}
-	if t.alg == OLC {
-		if err := t.checkLayout(n); err != nil {
-			return err
-		}
+	if err := t.checkLayout(n); err != nil {
+		return err
 	}
 	right := n.right.Load()
 	if hiInf {
@@ -89,29 +87,28 @@ func (t *Tree) checkNode(n *node, lo, hi int64, hiInf bool, leftmost map[int]*no
 	return nil
 }
 
-// checkLayout verifies what OLC's latch-free readers rely on (see node):
-// the version word is even at quiescence; a leaf's storage has exactly
-// the fixed size, so it was never reallocated into (checkNode has
-// already bounded the count by cap); an inner node's routing image is
-// the node's own arrays, with no pointer left behind them for the GC to
-// retain.
+// checkLayout verifies the one node layout (see node), which OLC's
+// latch-free readers rely on: the version word is even at quiescence; a
+// leaf's storage is exactly cap slots with nothing to grow into, so it
+// was never reallocated (checkNode has already bounded the count by
+// cap); an inner node's routing image is the node's own arrays, with no
+// pointer left behind them for the GC to retain.
 func (t *Tree) checkLayout(n *node) error {
 	if v := n.mu.Version(); v&1 != 0 {
 		return fmt.Errorf("cbtree: level %d node version %d odd while quiescent", n.level, v)
 	}
 	r := n.img.Load()
 	if n.isLeaf() {
-		size := t.cap + 1
-		if !n.fixed || len(n.keys) != size || cap(n.keys) != size || len(n.vals) != size || cap(n.vals) != size {
-			return fmt.Errorf("cbtree: leaf storage keys %d/%d vals %d/%d, want the fixed %d",
-				len(n.keys), cap(n.keys), len(n.vals), cap(n.vals), size)
+		if len(n.keys) != t.cap || cap(n.keys) != t.cap || len(n.vals) != t.cap || cap(n.vals) != t.cap {
+			return fmt.Errorf("cbtree: leaf storage keys %d/%d vals %d/%d, want %d slots",
+				len(n.keys), cap(n.keys), len(n.vals), cap(n.vals), t.cap)
 		}
 		if r != nil || n.children != nil {
 			return fmt.Errorf("cbtree: leaf with routing")
 		}
 		return nil
 	}
-	if n.fixed || r == nil || !sameArray(r.keys, n.keys) || !sameArray(r.children, n.children) {
+	if n.vals != nil || r == nil || !sameArray(r.keys, n.keys) || !sameArray(r.children, n.children) {
 		return fmt.Errorf("cbtree: level %d routing image is not the node's keys and children", n.level)
 	}
 	for _, c := range n.children[len(n.children):cap(n.children)] {

@@ -9,15 +9,15 @@ import (
 
 // Optimistic lock-coupling (OLC): the framework's fourth algorithm.
 //
-// Writers run the Link-type protocol (one W lock at a time, half-splits
-// repaired upward through right links) but enter every critical section
-// through LockV, so the node's version word is odd exactly while it is
-// being written, and change the node in place: a leaf insert or delete
-// shifts items inside the leaf's fixed storage with atomic stores and
-// allocates nothing. A section that changed something leaves through
-// UnlockV; one that changed nothing (passing through on the way right,
-// deleting an absent key) leaves through UnlockClean and restarts no
-// reader.
+// Writers are the Link-type writers (ops.go: one W lock at a time,
+// half-splits repaired upward through right links), who enter every
+// critical section through LockV, so the node's version word is odd
+// exactly while it is being written; the node kernel then changes the
+// node in place with atomic stores. A section that changed something
+// leaves through UnlockV; one that changed nothing (passing through on
+// the way right, deleting an absent key) leaves through UnlockClean and
+// restarts no reader. What is OLC's own is in this file: how a leaf is
+// found and how it is read.
 //
 // Readers descend with no locks at all: at each node they sample the
 // version (ReadBegin), read the node's live storage — an inner node's
@@ -87,7 +87,7 @@ func (t *Tree) olcSearch(key int64) (uint64, bool) {
 	// The locked fallback must be right-link aware: a lock-coupled
 	// descent with no moveRight would miss keys mid-half-split, so the
 	// Link-type locked read is the correct pessimistic twin.
-	return t.linkSearch(key)
+	return t.lockedSearch(key)
 }
 
 // olcTrySearch makes one latch-free lookup attempt. done is false when
@@ -167,7 +167,7 @@ func (t *Tree) olcDescendLeaf(key int64, stack []*node) (*node, []*node) {
 		}
 	}
 	t.noteFallback()
-	return t.linkDescend(key, stack)
+	return t.linkDescend(1, key, stack)
 }
 
 // olcChunk is the private copy a latch-free scan validates one leaf read
@@ -239,102 +239,4 @@ func (t *Tree) olcRangeLeaves(lo, hi int64, fn func(keys []int64, vals []uint64)
 		}
 		n = right
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Writes: the Link-type protocol under versioned locks, in place.
-
-// insertFixed puts (key, val) into slot i of an OLC leaf, shifting the
-// items from i up by one. Caller holds n.mu through LockV; the stores
-// are atomic because latch-free readers may be loading the same slots.
-func (n *node) insertFixed(i int, key int64, val uint64) {
-	keys, vals, c := n.keys, n.vals, int(n.cnt.Load())
-	for j := c; j > i; j-- {
-		atomic.StoreInt64(&keys[j], keys[j-1])
-		atomic.StoreUint64(&vals[j], vals[j-1])
-	}
-	atomic.StoreInt64(&keys[i], key)
-	atomic.StoreUint64(&vals[i], val)
-	n.cnt.Store(int32(c + 1))
-}
-
-// removeFixed deletes slot i of an OLC leaf, shifting the items above it
-// down by one. Caller holds n.mu through LockV.
-func (n *node) removeFixed(i int) {
-	keys, vals, c := n.keys, n.vals, int(n.cnt.Load())-1
-	for j := i; j < c; j++ {
-		atomic.StoreInt64(&keys[j], keys[j+1])
-		atomic.StoreUint64(&vals[j], vals[j+1])
-	}
-	n.cnt.Store(int32(c))
-}
-
-// olcMoveRightW follows right links while key lies beyond the node's
-// high key, holding one versioned W lock at a time. n must be locked
-// through LockV and unchanged; the returned node is locked through
-// LockV.
-func (t *Tree) olcMoveRightW(n *node, key int64) *node {
-	for !n.covers(key) {
-		r := n.right.Load()
-		n.mu.UnlockClean()
-		t.crossings.Add(1)
-		r.mu.LockV()
-		n = r
-	}
-	return n
-}
-
-func (t *Tree) olcInsert(key int64, val uint64) bool {
-	var room [stackDepth]*node
-	n, stack := t.olcDescendLeaf(key, room[:0])
-	n.mu.LockV()
-	n = t.olcMoveRightW(n, key)
-	i, ok := n.keyIndex(key)
-	if ok {
-		atomic.StoreUint64(&n.vals[i], val)
-		n.mu.UnlockV()
-		return false
-	}
-	n.insertFixed(i, key, val)
-	t.size.Add(1)
-
-	// Half-split repair, as linkInsert: split under the node's own lock,
-	// release, then lock the parent to install the new pointer.
-	for n.items() > t.cap {
-		sib, sep := t.split(n)
-		if len(stack) == 0 && t.root.Load() == n {
-			t.growRoot(n, sep, sib)
-			break
-		}
-		level := n.level + 1
-		n.mu.UnlockV()
-		var parent *node
-		if len(stack) > 0 {
-			parent = stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-		} else {
-			// The root grew since our descent; find the parent level
-			// under locks (rare, and correctness-critical).
-			parent = t.linkLocate(level, sep)
-		}
-		parent.mu.LockV()
-		parent = t.olcMoveRightW(parent, sep)
-		t.addChild(parent, sep, sib)
-		n = parent
-	}
-	n.mu.UnlockV()
-	return true
-}
-
-func (t *Tree) olcDelete(key int64) bool {
-	n, _ := t.olcDescendLeaf(key, nil)
-	n.mu.LockV()
-	n = t.olcMoveRightW(n, key)
-	ok := t.leafRemove(n, key)
-	if ok {
-		n.mu.UnlockV()
-	} else {
-		n.mu.UnlockClean()
-	}
-	return ok
 }

@@ -2,6 +2,7 @@ package cbtree
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -31,11 +32,12 @@ func leafStorage(t *Tree) map[*node][2]any {
 // and exactly once and in ascending order by Range — a read torn by a
 // concurrent shift or split and trusted anyway breaks one of the three.
 // Afterwards the layout invariants must hold and every leaf that existed
-// before the burst must still own the same storage. Capacity 4 makes
-// every fourth insert half-split a leaf; capacity 64 makes shifts long,
-// so a reader meets a leaf mid-shift about a hundred times as often.
+// before the burst must still own the same storage. Capacities 3 and 4
+// make every third or fourth insert half-split a leaf around the new
+// item, an odd and an even split; capacity 64 makes shifts long, so a
+// reader meets a leaf mid-shift about a hundred times as often.
 func TestOLCTornReadStress(t *testing.T) {
-	for _, cap := range []int{4, 64} {
+	for _, cap := range []int{3, 4, 64} {
 		t.Run(fmt.Sprint("cap", cap), func(t *testing.T) { tornReadStress(t, cap) })
 	}
 }
@@ -147,79 +149,119 @@ func tornReadStress(t *testing.T, cap int) {
 		len(before), len(after), st.Splits, st.ReadRestarts, st.ReadFallbacks)
 }
 
-// TestOLCMatchesLinkType replays one operation stream into an OLC tree, a
-// Link-type tree and a map. OLC writes are the Link-type protocol on a
-// different storage discipline, so every result, the stored contents,
-// and the shape (same splits at the same points) must agree.
+// leafRuns lists the keys and values of a quiescent tree leaf by leaf,
+// empty leaves included: its contents and its leaf boundaries.
+func leafRuns(t *Tree) (runs [][]int64, vals []uint64) {
+	n := t.root.Load()
+	for !n.isLeaf() {
+		n = n.children[0]
+	}
+	for ; n != nil; n = n.right.Load() {
+		k, v := n.leaf()
+		runs, vals = append(runs, slices.Clone(k)), append(vals, v...)
+	}
+	return runs, vals
+}
+
+// TestOLCMatchesLinkType replays one operation stream into a tree of each
+// algorithm and a map. The four are one node kernel under four locking
+// protocols, so every result, the stored contents, and the shape — same
+// splits at the same points, same height, same leaf boundaries — must
+// agree.
 func TestOLCMatchesLinkType(t *testing.T) {
 	for _, cap := range []int{3, 4, 16, 64, 100} {
-		olc, link := New(cap, OLC), New(cap, LinkType)
+		var trees []*Tree
+		for _, alg := range algorithms {
+			trees = append(trees, New(cap, alg))
+		}
+		// each runs op on every tree and fails unless all agree with the
+		// first, whose result it returns.
+		each := func(what string, i int, k int64, op func(*Tree) [3]uint64) [3]uint64 {
+			t.Helper()
+			want := op(trees[0])
+			for _, tr := range trees[1:] {
+				if got := op(tr); got != want {
+					t.Fatalf("cap %d op %d: %s(%d) = %v (%v) but %v (%v)", cap, i, what, k, got, tr.Algorithm(), want, trees[0].Algorithm())
+				}
+			}
+			return want
+		}
+		flag := func(b bool) uint64 {
+			if b {
+				return 1
+			}
+			return 0
+		}
 		oracle := map[int64]uint64{}
 		src := xrand.New(uint64(cap))
 		for i := 0; i < 30000; i++ {
 			k := src.Int63n(5000)
+			want, had := oracle[k]
 			switch src.IntN(8) {
 			case 0, 1, 2:
 				v := src.Uint64()
-				_, had := oracle[k]
 				oracle[k] = v
-				if a, b := olc.Insert(k, v), link.Insert(k, v); a != b || a == had {
-					t.Fatalf("cap %d op %d: Insert(%d) = %v (olc) %v (link), key present %v", cap, i, k, a, b, had)
+				if got := each("Insert", i, k, func(tr *Tree) [3]uint64 { return [3]uint64{flag(tr.Insert(k, v))} }); got[0] == flag(had) {
+					t.Fatalf("cap %d op %d: Insert(%d) = %v, key present %v", cap, i, k, got[0] == 1, had)
 				}
 			case 3, 4:
-				_, had := oracle[k]
 				delete(oracle, k)
-				if a, b := olc.Delete(k), link.Delete(k); a != b || a != had {
-					t.Fatalf("cap %d op %d: Delete(%d) = %v (olc) %v (link), key present %v", cap, i, k, a, b, had)
+				if got := each("Delete", i, k, func(tr *Tree) [3]uint64 { return [3]uint64{flag(tr.Delete(k))} }); got[0] != flag(had) {
+					t.Fatalf("cap %d op %d: Delete(%d) = %v, key present %v", cap, i, k, got[0] == 1, had)
 				}
 			case 5, 6:
-				want, had := oracle[k]
-				v1, ok1 := olc.Search(k)
-				v2, ok2 := link.Search(k)
-				if v1 != want || ok1 != had || v2 != want || ok2 != had {
-					t.Fatalf("cap %d op %d: Search(%d) = %d,%v (olc) %d,%v (link) want %d,%v", cap, i, k, v1, ok1, v2, ok2, want, had)
+				got := each("Search", i, k, func(tr *Tree) [3]uint64 {
+					v, ok := tr.Search(k)
+					return [3]uint64{flag(ok), v}
+				})
+				if got != [3]uint64{flag(had), want} {
+					t.Fatalf("cap %d op %d: Search(%d) = %v, want %d,%v", cap, i, k, got, want, had)
 				}
 			default:
-				k1, v1, ok1 := olc.SearchGE(k)
-				k2, v2, ok2 := link.SearchGE(k)
-				if k1 != k2 || v1 != v2 || ok1 != ok2 || (ok1 && (k1 < k || oracle[k1] != v1)) {
-					t.Fatalf("cap %d op %d: SearchGE(%d) = %d,%d,%v (olc) %d,%d,%v (link)", cap, i, k, k1, v1, ok1, k2, v2, ok2)
+				got := each("SearchGE", i, k, func(tr *Tree) [3]uint64 {
+					gk, v, ok := tr.SearchGE(k)
+					return [3]uint64{flag(ok), v, uint64(gk)}
+				})
+				if gk := int64(got[2]); got[0] == 1 && (gk < k || oracle[gk] != got[1]) {
+					t.Fatalf("cap %d op %d: SearchGE(%d) = %d,%d", cap, i, k, gk, got[1])
 				}
 			}
 		}
-		type item struct {
-			key int64
-			val uint64
-		}
-		var got []item
-		olc.Range(-1<<63, 1<<63-1, func(k int64, v uint64) bool {
-			got = append(got, item{k, v})
-			return true
-		})
-		i := 0
-		link.Range(-1<<63, 1<<63-1, func(k int64, v uint64) bool {
-			if i >= len(got) || got[i] != (item{k, v}) || oracle[k] != v {
-				t.Fatalf("cap %d: scans diverge at position %d (link has %d=%d)", cap, i, k, v)
+		wantRuns, wantVals := leafRuns(trees[0])
+		wantSplits, wantHeight := trees[0].Stats().Splits, trees[0].Height()
+		for _, tr := range trees {
+			type item struct {
+				key int64
+				val uint64
 			}
-			i++
-			return true
-		})
-		if i != len(got) || i != len(oracle) || olc.Len() != i || link.Len() != i {
-			t.Fatalf("cap %d: %d keys by olc scan, %d by link scan, %d in the oracle, Len %d/%d",
-				cap, len(got), i, len(oracle), olc.Len(), link.Len())
-		}
-		if a, b := olc.Stats().Splits, link.Stats().Splits; a != b || olc.Height() != link.Height() {
-			t.Fatalf("cap %d: shapes differ: %d splits height %d (olc), %d splits height %d (link)",
-				cap, a, olc.Height(), b, link.Height())
-		}
-		for _, tr := range []*Tree{olc, link} {
+			var got []item
+			tr.Range(-1<<63, 1<<63-1, func(k int64, v uint64) bool {
+				got = append(got, item{k, v})
+				return true
+			})
+			for i, it := range got {
+				if v, ok := oracle[it.key]; !ok || v != it.val || (i > 0 && got[i-1].key >= it.key) {
+					t.Fatalf("cap %d %v: scan position %d has %d=%d, oracle %d,%v", cap, tr.Algorithm(), i, it.key, it.val, v, ok)
+				}
+			}
+			if len(got) != len(oracle) || tr.Len() != len(oracle) {
+				t.Fatalf("cap %d %v: %d keys by scan, Len %d, %d in the oracle", cap, tr.Algorithm(), len(got), tr.Len(), len(oracle))
+			}
+			if got := tr.Stats().Splits; got != wantSplits || tr.Height() != wantHeight {
+				t.Fatalf("cap %d: shapes differ: %d splits height %d (%v), %d splits height %d (%v)",
+					cap, got, tr.Height(), tr.Algorithm(), wantSplits, wantHeight, trees[0].Algorithm())
+			}
+			runs, vals := leafRuns(tr)
+			if !slices.EqualFunc(runs, wantRuns, slices.Equal[[]int64]) || !slices.Equal(vals, wantVals) {
+				t.Fatalf("cap %d: %v and %v put their leaf boundaries in different places", cap, tr.Algorithm(), trees[0].Algorithm())
+			}
 			if err := tr.CheckInvariants(); err != nil {
 				t.Fatalf("cap %d %v: %v", cap, tr.Algorithm(), err)
 			}
-		}
-		olc.Compact()
-		if err := olc.CheckInvariants(); err != nil || olc.Len() != len(oracle) {
-			t.Fatalf("cap %d: after Compact: Len %d want %d, %v", cap, olc.Len(), len(oracle), err)
+			tr.Compact()
+			if err := tr.CheckInvariants(); err != nil || tr.Len() != len(oracle) {
+				t.Fatalf("cap %d %v: after Compact: Len %d want %d, %v", cap, tr.Algorithm(), tr.Len(), len(oracle), err)
+			}
 		}
 	}
 }

@@ -1,15 +1,17 @@
 package cbtree
 
+// The four protocols. Each is written once, over the node kernel in
+// cbtree.go: the two lock-coupling algorithms share one top-down descent
+// (coupledDescend), the two right-link algorithms share one write path
+// (linkInsert, linkDelete, moveRightW, linkDescend) and differ only in how
+// the leaf is found and read (olc.go).
+
 // Search returns the value stored under key.
 func (t *Tree) Search(key int64) (uint64, bool) {
-	switch t.alg {
-	case LinkType:
-		return t.linkSearch(key)
-	case OLC:
+	if t.alg == OLC {
 		return t.olcSearch(key)
-	default:
-		return t.coupledSearch(key)
 	}
+	return t.lockedSearch(key)
 }
 
 // Insert stores key→val. A fresh insertion reports true; replacing an
@@ -20,8 +22,6 @@ func (t *Tree) Insert(key int64, val uint64) bool {
 		return t.lcInsert(key, val)
 	case Optimistic:
 		return t.optInsert(key, val)
-	case OLC:
-		return t.olcInsert(key, val)
 	default:
 		return t.linkInsert(key, val)
 	}
@@ -32,29 +32,30 @@ func (t *Tree) Insert(key int64, val uint64) bool {
 func (t *Tree) Delete(key int64) bool {
 	switch t.alg {
 	case LockCoupling:
-		return t.lcDelete(key)
+		return t.coupledDelete(key, alwaysWrite)
 	case Optimistic:
-		return t.optDelete(key)
-	case OLC:
-		return t.olcDelete(key)
+		return t.coupledDelete(key, writeIfLeaf)
 	default:
 		return t.linkDelete(key)
 	}
 }
 
-// ---------------------------------------------------------------------------
-// Lock-coupled operations (LockCoupling searches/updates, Optimistic
-// searches and redo descents).
-
-// coupledSearch descends with shared-lock coupling.
-func (t *Tree) coupledSearch(key int64) (uint64, bool) {
-	n := t.lockRoot(alwaysRead)
-	for !n.isLeaf() {
-		child := n.children[n.childIndex(key)]
-		child.mu.RLock()
-		n.mu.RUnlock()
-		n = child
+// rlockLeaf returns the leaf covering key, R-locked: by shared-lock
+// coupling under the two algorithms whose trees are never seen mid-split,
+// by the Link-type descent otherwise.
+func (t *Tree) rlockLeaf(key int64) *node {
+	if t.alg == LockCoupling || t.alg == Optimistic {
+		return t.coupledDescend(key, alwaysRead)
 	}
+	n, _ := t.linkDescend(1, key, nil)
+	n.mu.RLock()
+	return t.moveRightR(n, key)
+}
+
+// lockedSearch is the point lookup of the three lock-based algorithms and
+// OLC's pessimistic fallback.
+func (t *Tree) lockedSearch(key int64) (uint64, bool) {
+	n := t.rlockLeaf(key)
 	i, ok := n.keyIndex(key)
 	var v uint64
 	if ok {
@@ -62,6 +63,24 @@ func (t *Tree) coupledSearch(key int64) (uint64, bool) {
 	}
 	n.mu.RUnlock()
 	return v, ok
+}
+
+// ---------------------------------------------------------------------------
+// Lock-coupled operations (LockCoupling searches/updates, Optimistic
+// searches, first descents and redo descents).
+
+// coupledDescend is the lock-coupled descent: from the root to the leaf
+// on key's path, locking each child in the class classOf gives it before
+// releasing its parent. The leaf is returned locked.
+func (t *Tree) coupledDescend(key int64, classOf func(*node) bool) *node {
+	n := t.lockRoot(classOf)
+	for !n.isLeaf() {
+		child := n.children[n.childIndex(key)]
+		child.lockAs(classOf(child))
+		n.unlockAs(classOf(n))
+		n = child
+	}
+	return n
 }
 
 // lcInsert is the Naive Lock-coupling insert: exclusive locks down the
@@ -80,63 +99,32 @@ func (t *Tree) lcInsert(key int64, val uint64) bool {
 		chain = append(chain, child)
 		n = child
 	}
-	if i, ok := n.keyIndex(key); ok {
-		n.vals[i] = val
-		unlockAll(chain)
-		return false
-	}
-	i, _ := n.keyIndex(key)
-	n.keys = insertAt(n.keys, i, key)
-	n.vals = insertAt(n.vals, i, val)
-	t.size.Add(1)
-
 	// Split upward through the retained chain; the topmost retained node
 	// is either safe (absorbs the split) or the root (grows the tree).
-	idx := len(chain) - 1
-	for n.items() > t.cap {
-		sib, sep := t.split(n)
+	fresh, sib, sep := t.leafPut(n, key, val)
+	for idx := len(chain) - 1; sib != nil; {
 		if idx == 0 {
 			t.growRoot(n, sep, sib)
 			break
 		}
 		idx--
 		n = chain[idx]
-		t.addChild(n, sep, sib)
+		sib, sep = t.addChild(n, sep, sib)
 	}
 	unlockAll(chain)
-	return true
+	return fresh
 }
 
-// lcDelete descends with exclusive-lock coupling. Deletes never
-// restructure under lazy merge-at-empty, so every child is delete-safe and
-// the parent lock is released immediately.
-func (t *Tree) lcDelete(key int64) bool {
-	n := t.lockRoot(alwaysWrite)
-	for !n.isLeaf() {
-		child := n.children[n.childIndex(key)]
-		child.mu.Lock()
-		n.mu.Unlock()
-		n = child
-	}
+// coupledDelete descends with lock coupling — exclusive all the way under
+// Naive Lock-coupling, exclusive on the leaf only under Optimistic
+// Descent — and removes key from the leaf. Deletes never restructure
+// under lazy merge-at-empty, so every child is delete-safe, the parent
+// lock is released at once and the optimistic descent never redoes.
+func (t *Tree) coupledDelete(key int64, classOf func(*node) bool) bool {
+	n := t.coupledDescend(key, classOf)
 	ok := t.leafRemove(n, key)
 	n.mu.Unlock()
 	return ok
-}
-
-// leafRemove deletes key from a leaf. Caller holds n.mu exclusively.
-func (t *Tree) leafRemove(n *node, key int64) bool {
-	i, ok := n.keyIndex(key)
-	if !ok {
-		return false
-	}
-	if n.fixed {
-		n.removeFixed(i)
-	} else {
-		n.keys = removeAt(n.keys, i)
-		n.vals = removeAt(n.vals, i)
-	}
-	t.size.Add(-1)
-	return true
 }
 
 func unlockAll(chain []*node) {
@@ -145,64 +133,27 @@ func unlockAll(chain []*node) {
 	}
 }
 
-// ---------------------------------------------------------------------------
-// Optimistic Descent.
-
 // optInsert descends optimistically (shared locks, exclusive only on the
 // leaf); if the leaf might split it releases everything and redoes the
 // descent with the lock-coupling protocol.
 func (t *Tree) optInsert(key int64, val uint64) bool {
-	n := t.lockRoot(writeIfLeaf)
-	for !n.isLeaf() {
-		child := n.children[n.childIndex(key)]
-		if child.isLeaf() {
-			child.mu.Lock()
-		} else {
-			child.mu.RLock()
-		}
-		n.mu.RUnlock()
-		n = child
-	}
+	n := t.coupledDescend(key, writeIfLeaf)
 	if !t.insertSafe(n) {
 		n.mu.Unlock()
 		t.restarts.Add(1)
 		return t.lcInsert(key, val)
 	}
-	fresh := true
-	if i, ok := n.keyIndex(key); ok {
-		n.vals[i] = val
-		fresh = false
-	} else {
-		i, _ := n.keyIndex(key)
-		n.keys = insertAt(n.keys, i, key)
-		n.vals = insertAt(n.vals, i, val)
-		t.size.Add(1)
-	}
+	fresh, _, _ := t.leafPut(n, key, val)
 	n.mu.Unlock()
 	return fresh
 }
 
-// optDelete's first descent always succeeds: deletes never restructure
-// under lazy merge-at-empty.
-func (t *Tree) optDelete(key int64) bool {
-	n := t.lockRoot(writeIfLeaf)
-	for !n.isLeaf() {
-		child := n.children[n.childIndex(key)]
-		if child.isLeaf() {
-			child.mu.Lock()
-		} else {
-			child.mu.RLock()
-		}
-		n.mu.RUnlock()
-		n = child
-	}
-	ok := t.leafRemove(n, key)
-	n.mu.Unlock()
-	return ok
-}
-
 // ---------------------------------------------------------------------------
-// Link-type (Lehman–Yao).
+// Right-link operations (Link-type, and OLC's writers and locked
+// fallbacks). Every W section is entered through LockV and left through
+// UnlockV when it changed something a reader can see, UnlockClean when
+// it did not — the version word OLC's latch-free readers validate
+// against; under Link-type nobody reads it.
 
 // moveRightR follows right links while key lies beyond the node's high
 // key, holding at most one shared lock at a time. n must be R-locked;
@@ -218,25 +169,26 @@ func (t *Tree) moveRightR(n *node, key int64) *node {
 	return n
 }
 
-// moveRightW is moveRightR with exclusive locks.
+// moveRightW is moveRightR with exclusive locks: n must be locked
+// through LockV and unchanged; the returned node is locked through LockV.
 func (t *Tree) moveRightW(n *node, key int64) *node {
 	for !n.covers(key) {
 		r := n.right.Load()
-		n.mu.Unlock()
+		n.mu.UnlockClean()
 		t.crossings.Add(1)
-		r.mu.Lock()
+		r.mu.LockV()
 		n = r
 	}
 	return n
 }
 
-// linkDescend returns the (unlocked) leaf candidate for key, appending
-// the ancestors it routed through — the stack split repair climbs — to
-// stack when stack is non-nil. Reading level without the lock is safe:
-// it is immutable.
-func (t *Tree) linkDescend(key int64, stack []*node) (*node, []*node) {
+// linkDescend returns the (unlocked) candidate for key at the given
+// level, 1 being the leaves, appending the ancestors it routed through —
+// the stack split repair climbs — to stack when stack is non-nil.
+// Reading a node's level without the lock is safe: it is immutable.
+func (t *Tree) linkDescend(level int, key int64, stack []*node) (*node, []*node) {
 	n := t.root.Load()
-	for n.level > 1 {
+	for n.level > level {
 		n.mu.RLock()
 		n = t.moveRightR(n, key)
 		child := n.children[n.childIndex(key)]
@@ -249,82 +201,58 @@ func (t *Tree) linkDescend(key int64, stack []*node) (*node, []*node) {
 	return n, stack
 }
 
-func (t *Tree) linkSearch(key int64) (uint64, bool) {
-	n, _ := t.linkDescend(key, nil)
-	n.mu.RLock()
-	n = t.moveRightR(n, key)
-	i, ok := n.keyIndex(key)
-	var v uint64
-	if ok {
-		v = n.vals[i]
+// wlockLeaf returns the leaf covering key, locked through LockV, and the
+// ancestor stack of the descent that found it (when stack is non-nil):
+// a latch-free descent under OLC, the Link-type one otherwise.
+func (t *Tree) wlockLeaf(key int64, stack []*node) (*node, []*node) {
+	var n *node
+	if t.alg == OLC {
+		n, stack = t.olcDescendLeaf(key, stack)
+	} else {
+		n, stack = t.linkDescend(1, key, stack)
 	}
-	n.mu.RUnlock()
-	return v, ok
+	n.mu.LockV()
+	return t.moveRightW(n, key), stack
 }
 
 func (t *Tree) linkInsert(key int64, val uint64) bool {
 	var room [stackDepth]*node
-	n, stack := t.linkDescend(key, room[:0])
-	n.mu.Lock()
-	n = t.moveRightW(n, key)
-	if i, ok := n.keyIndex(key); ok {
-		n.vals[i] = val
-		n.mu.Unlock()
-		return false
-	}
-	i, _ := n.keyIndex(key)
-	n.keys = insertAt(n.keys, i, key)
-	n.vals = insertAt(n.vals, i, val)
-	t.size.Add(1)
-
+	n, stack := t.wlockLeaf(key, room[:0])
 	// Half-split repair: split under the node's own lock, release, then
 	// lock the parent to install the new pointer.
-	for n.items() > t.cap {
-		sib, sep := t.split(n)
+	fresh, sib, sep := t.leafPut(n, key, val)
+	for sib != nil {
 		if len(stack) == 0 && t.root.Load() == n {
 			t.growRoot(n, sep, sib)
 			break
 		}
-		level := n.level + 1
-		n.mu.Unlock()
+		n.mu.UnlockV()
 		var parent *node
 		if len(stack) > 0 {
 			parent = stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 		} else {
-			// The root grew since our descent; find the parent level.
-			parent = t.linkLocate(level, sep)
+			// The root grew since our descent; find the parent level
+			// under locks (rare, and correctness-critical).
+			parent, _ = t.linkDescend(n.level+1, sep, nil)
 		}
-		parent.mu.Lock()
-		parent = t.moveRightW(parent, sep)
-		t.addChild(parent, sep, sib)
-		n = parent
+		parent.mu.LockV()
+		n = t.moveRightW(parent, sep)
+		sib, sep = t.addChild(n, sep, sib)
 	}
-	n.mu.Unlock()
-	return true
+	n.mu.UnlockV()
+	return fresh
 }
 
 func (t *Tree) linkDelete(key int64) bool {
-	n, _ := t.linkDescend(key, nil)
-	n.mu.Lock()
-	n = t.moveRightW(n, key)
+	n, _ := t.wlockLeaf(key, nil)
 	ok := t.leafRemove(n, key)
-	n.mu.Unlock()
-	return ok
-}
-
-// linkLocate descends from the current root to the node at the given
-// level responsible for key.
-func (t *Tree) linkLocate(level int, key int64) *node {
-	n := t.root.Load()
-	for n.level > level {
-		n.mu.RLock()
-		n = t.moveRightR(n, key)
-		child := n.children[n.childIndex(key)]
-		n.mu.RUnlock()
-		n = child
+	if ok {
+		n.mu.UnlockV()
+	} else {
+		n.mu.UnlockClean()
 	}
-	return n
+	return ok
 }
 
 // ---------------------------------------------------------------------------
@@ -348,24 +276,12 @@ func (t *Tree) RangeLeaves(lo, hi int64, fn func(keys []int64, vals []uint64) bo
 		t.olcRangeLeaves(lo, hi, fn)
 		return
 	}
-	var n *node
-	if t.alg == LinkType {
-		n, _ = t.linkDescend(lo, nil)
-		n.mu.RLock()
-		n = t.moveRightR(n, lo)
-	} else {
-		n = t.lockRoot(alwaysRead)
-		for !n.isLeaf() {
-			child := n.children[n.childIndex(lo)]
-			child.mu.RLock()
-			n.mu.RUnlock()
-			n = child
-		}
-	}
+	n := t.rlockLeaf(lo)
 	for {
-		i, j := lowerBoundLinear(n.keys, lo), runEnd(n.keys, hi)
+		keys, vals := n.leaf()
+		i, j := lowerBoundLinear(keys, lo), runEnd(keys, hi)
 		next := n.right.Load()
-		if (i < j && !fn(n.keys[i:j], n.vals[i:j])) || j < len(n.keys) || next == nil {
+		if (i < j && !fn(keys[i:j], vals[i:j])) || j < len(keys) || next == nil {
 			n.mu.RUnlock()
 			return
 		}

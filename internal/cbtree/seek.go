@@ -24,13 +24,7 @@ func (t *Tree) Min() (k int64, v uint64, ok bool) {
 // trailing leaves hide the maximum, a lock-coupled right-to-left descent
 // finds the rightmost non-empty leaf.
 func (t *Tree) Max() (k int64, v uint64, ok bool) {
-	n := t.lockRoot(alwaysRead)
-	for !n.isLeaf() {
-		child := n.children[len(n.children)-1]
-		child.mu.RLock()
-		n.mu.RUnlock()
-		n = child
-	}
+	n := t.coupledDescend(math.MaxInt64, alwaysRead)
 	// In LinkType mode a split may have pushed keys past the rightmost
 	// routed child; chase the links to the true end of the chain, keeping
 	// the last non-empty leaf's maximum.

@@ -2,11 +2,12 @@
 # Serving-path benchmark baseline: runs the protocol codec, batch
 # dispatch, and end-to-end loopback serving benchmarks — including the
 # BenchmarkServeLoopbackSharded shard-count sweep (N=1,2,4,8 on the
-# mixed depth-128 workload) — and writes the tracked JSON baseline
-# (median of -count runs per metric, plus allocs/op and sampled p50/p99
-# response times). The sharded sweep uses distinct benchmark names, so
-# the N=1 ServeLoopback baseline stays benchstat-comparable across
-# runs that predate sharding.
+# mixed depth-128 workload) — and writes the tracked JSON baseline: the
+# median of -count runs of every counted per-op unit (allocs/op, B/op,
+# keys/op, ops/fsync), which repeat from machine to machine. Timings
+# (ns/op, sampled p50/p99 response times) are in the raw text only. The
+# sharded sweep uses distinct benchmark names, so the N=1 ServeLoopback
+# baseline stays benchstat-comparable across runs that predate sharding.
 #
 #   scripts/bench.sh                 # full baseline, -count=3 (~6 min)
 #   scripts/bench.sh -quick          # one short pass, for CI smoke
@@ -24,8 +25,11 @@
 # third for the lock layer under the in-memory trees — the FCFS lock's two
 # paths, its contended hand-off, the version word — into
 # results/BENCH_lock.json (override with $BENCH_LOCK_OUT; raw text to
-# $BENCH_LOCK_RAW): one tracked JSON per layer group, gated on allocs/op
-# by `benchjson -compare` in CI.
+# $BENCH_LOCK_RAW), and a fourth for the in-memory tree itself — search,
+# insert, delete and leaf-chain scan under each of the four algorithms —
+# into results/BENCH_cbtree.json (override with $BENCH_CBTREE_OUT; raw
+# text to $BENCH_CBTREE_RAW): one tracked JSON per layer group, gated on
+# allocs/op by `benchjson -compare` in CI.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -69,5 +73,17 @@ go test ./internal/lock -run '^$' \
 
 go run ./cmd/benchjson \
   -note "scripts/bench.sh: count=$count benchtime=$benchtime; FCFS{RLock,Lock} and VersionLockV are one uncontended acquire/release pair on a lock with no probe, with a probe whose gate is closed (a served tree's locks between measurement epochs: the fast path, one compare-and-swap each way) and with a listening probe (inside an epoch: the internal mutex, one clock read and the reports each way); FCFSParallelRLock is the same shared pair from 2 and from GOMAXPROCS goroutines on one lock (the root's case; its ns/op depends on whether the goroutines run at once); FCFSHandoff is one release that grants a queued request, writer to writer and writer to a run of two readers, wake-up included, allocs/op being the waiter's queue entry and channel; VersionRead is one ReadBegin/Validate pair" \
+  <"$raw" >"$out"
+echo "wrote $out"
+
+out="${BENCH_CBTREE_OUT:-results/BENCH_cbtree.json}"
+raw="${BENCH_CBTREE_RAW:-$(mktemp)}"
+
+go test ./internal/cbtree -run '^$' \
+  -bench 'BenchmarkTree' \
+  -benchmem -benchtime "$benchtime" -count "$count" | tee "$raw"
+
+go run ./cmd/benchjson \
+  -note "scripts/bench.sh: count=$count benchtime=$benchtime; Tree{Search,Insert,Delete,RangeLeaves} are single-goroutine operations on a bulk-loaded 200k-key tree of capacity 64 (fill .69) under each of the four algorithms, which share one node kernel and differ only in locking protocol: Search draws stored keys uniformly, Insert adds one new key between every two stored ones in a scattered order and rebuilds the tree off the clock after each pass (every leaf splits once per pass: its B/op is the splits' share per op), Delete removes stored keys in a scattered order and refills off the clock, RangeLeaves scans 100 consecutive stored keys (keys/op)" \
   <"$raw" >"$out"
 echo "wrote $out"

@@ -10,7 +10,7 @@
 #   tests  go test ./... and (cd bench && go test .)
 #   runs   the four bench/ workloads (traced), smoke.sh, chaos.sh,
 #          crash.sh (plain, SHARDS=4, CKPT_KILL=1), failover.sh (plain,
-#          SHARDS=4), bench.sh -quick and the three benchjson -compare
+#          SHARDS=4), bench.sh -quick and the four benchjson -compare
 #          gates, btfigures -fig all, btmodel, btsim, btquery (inside
 #          smoke.sh) and the five examples
 #
@@ -86,8 +86,8 @@ run CKPT_KILL=1 CYCLES=3 scripts/crash.sh
 run CYCLES=2 scripts/failover.sh
 run SHARDS=4 CYCLES=2 scripts/failover.sh
 run BENCH_OUT="$work/BENCH_serving.json" BENCH_STORAGE_OUT="$work/BENCH_storage.json" \
-  BENCH_LOCK_OUT="$work/BENCH_lock.json" scripts/bench.sh -quick
-for b in serving storage lock; do
+  BENCH_LOCK_OUT="$work/BENCH_lock.json" BENCH_CBTREE_OUT="$work/BENCH_cbtree.json" scripts/bench.sh -quick
+for b in serving storage lock cbtree; do
   # CI's allocation gates. At -quick one benchmark rounds to 0 or 1
   # allocs/op from run to run; the audit wants the counters, not the verdict.
   go run ./cmd/benchjson -compare "results/BENCH_$b.json" "$work/BENCH_$b.json" >/dev/null 2>&1 || true

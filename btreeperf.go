@@ -3,9 +3,10 @@
 // production-quality Go library. It exposes three layers:
 //
 //   - A concurrent B⁺-tree (NewTree) safe for any number of goroutines,
-//     with the paper's three concurrency-control algorithms — naive lock
-//     coupling, optimistic descent, and the Link-type (Lehman–Yao)
-//     algorithm — selectable at construction.
+//     with four concurrency-control algorithms — the paper's naive lock
+//     coupling, optimistic descent and Link-type (Lehman–Yao), and
+//     optimistic lock-coupling (latch-free reads) — selectable at
+//     construction.
 //
 //   - The paper's analytical framework (NewModel, Analyze, MaxThroughput,
 //     rules of thumb): closed-form performance prediction of response

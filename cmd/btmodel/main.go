@@ -47,7 +47,7 @@ func main() {
 	flag.Parse()
 	sim.SetParallelism(*parallel)
 
-	alg, err := parseAlg(*algName)
+	alg, err := core.ParseAlgorithm(*algName)
 	check(err)
 	var sh *shape.Model
 	if *height > 0 {
@@ -76,7 +76,7 @@ func main() {
 	var res *core.Result
 	switch alg {
 	case core.OD:
-		rec, err := parseRecovery(*recovery)
+		rec, err := core.ParseRecovery(*recovery)
 		check(err)
 		res, err = core.AnalyzeOD(m, w, core.ODOptions{Recovery: rec, TTrans: *ttrans})
 		check(err)
@@ -102,7 +102,7 @@ func main() {
 	}
 
 	if *simSeeds > 0 {
-		rec, err := parseRecovery(*recovery)
+		rec, err := core.ParseRecovery(*recovery)
 		check(err)
 		cfg := sim.Paper(alg, *lambda, *disk)
 		cfg.NodeCap = *nodeCap
@@ -141,36 +141,6 @@ func main() {
 			r4, _ := core.RuleOfThumb4(m, mixOnly)
 			fmt.Printf("rule of thumb 3: %s   limit rule 4: %s\n", table.F(r3), table.F(r4))
 		}
-	}
-}
-
-func parseAlg(s string) (core.Algorithm, error) {
-	switch s {
-	case "nlc", "lock-coupling":
-		return core.NLC, nil
-	case "od", "optimistic":
-		return core.OD, nil
-	case "link", "lehman-yao":
-		return core.Link, nil
-	case "2pl", "two-phase":
-		return core.TwoPhase, nil
-	case "olc", "optimistic-lock-coupling":
-		return core.OLC, nil
-	default:
-		return 0, fmt.Errorf("unknown algorithm %q (want nlc, od, link, 2pl or olc)", s)
-	}
-}
-
-func parseRecovery(s string) (core.RecoveryPolicy, error) {
-	switch s {
-	case "none":
-		return core.NoRecovery, nil
-	case "leaf", "leaf-only":
-		return core.LeafOnly, nil
-	case "naive":
-		return core.NaiveRecovery, nil
-	default:
-		return 0, fmt.Errorf("unknown recovery %q (want none, leaf or naive)", s)
 	}
 }
 

@@ -45,9 +45,9 @@ func main() {
 	flag.Parse()
 	sim.SetParallelism(*parallel)
 
-	alg, err := parseAlg(*algName)
+	alg, err := core.ParseAlgorithm(*algName)
 	check(err)
-	rec, err := parseRecovery(*recovery)
+	rec, err := core.ParseRecovery(*recovery)
 	check(err)
 
 	cfg := sim.Paper(alg, *lambda, *disk)
@@ -101,36 +101,6 @@ func main() {
 			fmt.Sprint(lw.GrantsR), fmt.Sprint(lw.GrantsW))
 	}
 	check(tb.Render(os.Stdout))
-}
-
-func parseAlg(s string) (core.Algorithm, error) {
-	switch s {
-	case "nlc", "lock-coupling":
-		return core.NLC, nil
-	case "od", "optimistic":
-		return core.OD, nil
-	case "link", "lehman-yao":
-		return core.Link, nil
-	case "2pl", "two-phase":
-		return core.TwoPhase, nil
-	case "olc", "optimistic-lock-coupling":
-		return core.OLC, nil
-	default:
-		return 0, fmt.Errorf("unknown algorithm %q (want nlc, od, link, 2pl or olc)", s)
-	}
-}
-
-func parseRecovery(s string) (core.RecoveryPolicy, error) {
-	switch s {
-	case "none":
-		return core.NoRecovery, nil
-	case "leaf", "leaf-only":
-		return core.LeafOnly, nil
-	case "naive":
-		return core.NaiveRecovery, nil
-	default:
-		return 0, fmt.Errorf("unknown recovery %q", s)
-	}
 }
 
 func check(err error) {

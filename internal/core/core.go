@@ -10,20 +10,28 @@
 // response time of each operation class and the maximum sustainable
 // throughput.
 //
-// Three algorithms are analyzed:
+// Five algorithms are analyzed, the paper's three and two it does not
+// carry out:
 //
 //   - Naive Lock-coupling (AnalyzeNLC) — Theorems 1–5 of the paper,
 //   - Optimistic Descent (AnalyzeOD) — including the redo-insert class and
 //     the recovery variants of §7,
-//   - Link-type / Lehman–Yao (AnalyzeLink).
+//   - Link-type / Lehman–Yao (AnalyzeLink),
+//   - Two-Phase Locking (AnalyzeTwoPhase) — deferred to the paper's full
+//     version,
+//   - optimistic lock-coupling (AnalyzeOLC) — Link-type writers under
+//     latch-free, version-validated readers, with a restart model.
 //
-// The closed-form "rules of thumb" of §6 are in rules.go, and the maximum
-// throughput and effective-maximum (ρ_w = .5) solvers in throughput.go.
+// Each is one file saying what that algorithm's customers are at each
+// level and how long they hold the lock; the frame they share (validate,
+// per-level λ, solve, settle, saturate) and every theorem, written once,
+// are in analysis.go. The closed-form "rules of thumb" of §6 are in
+// rules.go, and the maximum throughput and effective-maximum (ρ_w = .5)
+// solvers in throughput.go.
 package core
 
 import (
 	"fmt"
-	"math"
 
 	"btreeperf/internal/shape"
 	"btreeperf/internal/workload"
@@ -200,6 +208,25 @@ func (a Algorithm) String() string {
 	}
 }
 
+// ParseAlgorithm resolves an algorithm's command-line name (nlc, od, link,
+// 2pl, olc), its longer alias or its String form.
+func ParseAlgorithm(s string) (Algorithm, error) {
+	switch s {
+	case "nlc", "lock-coupling", "naive-lock-coupling":
+		return NLC, nil
+	case "od", "optimistic", "optimistic-descent":
+		return OD, nil
+	case "link", "lehman-yao", "link-type":
+		return Link, nil
+	case "2pl", "two-phase", "two-phase-locking":
+		return TwoPhase, nil
+	case "olc", "optimistic-lock-coupling":
+		return OLC, nil
+	default:
+		return 0, fmt.Errorf("unknown algorithm %q (want nlc, od, link, 2pl or olc)", s)
+	}
+}
+
 // RecoveryPolicy selects the §7 recovery protocol layered on an algorithm.
 type RecoveryPolicy int
 
@@ -222,6 +249,21 @@ func (r RecoveryPolicy) String() string {
 		return "naive"
 	default:
 		return fmt.Sprintf("RecoveryPolicy(%d)", int(r))
+	}
+}
+
+// ParseRecovery resolves a recovery protocol's command-line name (none,
+// leaf, naive) or its String form.
+func ParseRecovery(s string) (RecoveryPolicy, error) {
+	switch s {
+	case "none":
+		return NoRecovery, nil
+	case "leaf", "leaf-only":
+		return LeafOnly, nil
+	case "naive":
+		return NaiveRecovery, nil
+	default:
+		return 0, fmt.Errorf("unknown recovery %q (want none, leaf or naive)", s)
 	}
 }
 
@@ -275,36 +317,4 @@ func (r *Result) RootRhoW() float64 { return r.Levels[len(r.Levels)-1].RhoW }
 // RespMean returns the mix-weighted mean response time.
 func (r *Result) RespMean(mix workload.Mix) float64 {
 	return mix.QS*r.RespSearch + mix.QI*r.RespInsert + mix.QD*r.RespDelete
-}
-
-// saturateFrom marks level i and everything above it as saturated:
-// ρ_w = 1, infinite waits, infinite response times. Levels below i keep
-// their solved values.
-func (r *Result) saturateFrom(i int, lam []float64, qs float64) {
-	r.Stable = false
-	inf := math.Inf(1)
-	for j := i; j <= len(r.Levels); j++ {
-		r.Levels[j-1] = LevelResult{
-			Level:   j,
-			LambdaR: qs * lam[j],
-			LambdaW: (1 - qs) * lam[j],
-			RhoW:    1,
-			R:       inf,
-			W:       inf,
-			Stable:  false,
-		}
-	}
-	r.RespSearch, r.RespInsert, r.RespDelete = inf, inf, inf
-}
-
-// levelLambdas distributes the root arrival rate down the tree:
-// λ_h = λ, λ_i = λ_{i+1}/E(i+1) (Proposition 2).
-func levelLambdas(s *shape.Model, lambda float64) []float64 {
-	h := s.Height
-	l := make([]float64, h+1)
-	l[h] = lambda
-	for i := h - 1; i >= 1; i-- {
-		l[i] = l[i+1] / s.E(i+1)
-	}
-	return l
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"btreeperf/internal/shape"
@@ -554,5 +555,39 @@ func TestEffectiveMaxTargetValidation(t *testing.T) {
 		if _, err := EffectiveMaxThroughput(NLC, m, mix, target, 1e-4); err == nil {
 			t.Errorf("target %v accepted", target)
 		}
+	}
+}
+
+// TestParseNames: every command-line spelling resolves, every String form
+// parses back to its value, and an unknown name's error lists what is
+// accepted.
+func TestParseNames(t *testing.T) {
+	algs := map[string]Algorithm{
+		"nlc": NLC, "lock-coupling": NLC, "od": OD, "optimistic": OD,
+		"link": Link, "lehman-yao": Link, "2pl": TwoPhase, "two-phase": TwoPhase,
+		"olc": OLC, "optimistic-lock-coupling": OLC,
+	}
+	for _, a := range []Algorithm{NLC, OD, Link, TwoPhase, OLC} {
+		algs[a.String()] = a
+	}
+	for name, want := range algs {
+		if got, err := ParseAlgorithm(name); err != nil || got != want {
+			t.Errorf("ParseAlgorithm(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	recs := map[string]RecoveryPolicy{"none": NoRecovery, "leaf": LeafOnly, "naive": NaiveRecovery}
+	for _, r := range []RecoveryPolicy{NoRecovery, LeafOnly, NaiveRecovery} {
+		recs[r.String()] = r
+	}
+	for name, want := range recs {
+		if got, err := ParseRecovery(name); err != nil || got != want {
+			t.Errorf("ParseRecovery(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	if _, err := ParseAlgorithm("b-link"); err == nil || !strings.Contains(err.Error(), "nlc, od, link, 2pl or olc") {
+		t.Errorf("ParseAlgorithm(b-link): %v", err)
+	}
+	if _, err := ParseRecovery("aries"); err == nil || !strings.Contains(err.Error(), "none, leaf or naive") {
+		t.Errorf("ParseRecovery(aries): %v", err)
 	}
 }

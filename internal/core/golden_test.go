@@ -36,19 +36,9 @@ func goldenVariants() []goldenVariant {
 	}
 	recovery := func(r RecoveryPolicy) goldenVariant {
 		opts := ODOptions{Recovery: r, TTrans: 100}
-		// The boundary search is MaxThroughput's, over the recovery
-		// variant's own stability.
 		return goldenVariant{"od+" + r.String(),
 			func(m Model, w Workload) (*Result, error) { return AnalyzeOD(m, w, opts) },
-			func(m Model, w Workload) (float64, error) {
-				return solveBoundary(func(lambda float64) (bool, error) {
-					res, err := AnalyzeOD(m, Workload{Lambda: lambda, Mix: w.Mix}, opts)
-					if err != nil {
-						return false, err
-					}
-					return res.Stable, nil
-				}, 1e-4)
-			}, nil}
+			func(m Model, w Workload) (float64, error) { return MaxThroughputOD(m, w, opts, 1e-4) }, nil}
 	}
 	return []goldenVariant{plain(NLC), plain(OD), plain(Link), plain(TwoPhase), plain(OLC),
 		recovery(LeafOnly), recovery(NaiveRecovery)}
@@ -93,7 +83,7 @@ func hashResult(r *Result) uint64 {
 
 // goldenAnalysis renders the pinned operating points: for every variant ×
 // tree × mix one "curve" line with the maximum and effective-maximum throughput, then one line
-// per load — three below the knee, two at it, two past it (saturateFrom) —
+// per load — three below the knee, two at it, two past it (saturate) —
 // with the three response times and the root's ρ_w as raw float bits and a
 // hash of every other field.
 func goldenAnalysis(t *testing.T) []byte {

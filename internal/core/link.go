@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"btreeperf/internal/qmodel"
-)
+import "btreeperf/internal/qmodel"
 
 // AnalyzeLink evaluates the Link-type (Lehman–Yao) algorithm (§5.1).
 // Operations hold at most one lock at a time, so the level queues are
@@ -22,78 +18,57 @@ import (
 // Link crossings are rare (Figure 9) and are ignored by the analysis,
 // exactly as in the paper.
 func AnalyzeLink(m Model, w Workload) (*Result, error) {
-	if err := m.Validate(); err != nil {
+	an, err := newAnalysis(m, w)
+	if err != nil {
 		return nil, err
 	}
-	if err := w.Validate(); err != nil {
-		return nil, err
-	}
-	s := m.Shape
-	c := m.Costs
-	h := s.Height
-	mix := w.Mix
-	lam := levelLambdas(s, w.Lambda)
-
-	res := &Result{Algorithm: Link, Lambda: w.Lambda, Stable: true}
-	res.Levels = make([]LevelResult, h)
-
-	rWait := make([]float64, h+1)
-	wWait := make([]float64, h+1)
-
-	for i := 1; i <= h; i++ {
-		var lr, lw, muR, muW float64
+	an.res.Algorithm = Link
+	for i := 1; i <= an.h; i++ {
+		lr := an.lam[i]
 		if i == 1 {
-			lr = mix.QS * lam[1]
-			lw = (mix.QI + mix.QD) * lam[1]
-			muR = 1 / c.Se(1, h)
-			wi, wd := updateShares(mix.QI, mix.QD)
-			// Inserts half-split a full leaf while holding its W lock;
-			// deletes never restructure under merge-at-empty with
-			// q_i > q_d.
-			tw := wi*(c.M(h)+s.PrF(1)*c.Sp(1, h)) +
-				wd*(c.M(h)+s.PrEm(1)*c.Mg(1, h))
-			if tw > 0 {
-				muW = 1 / tw
-			}
-		} else {
-			lr = lam[i]
-			lw = mix.QI * s.ProdPrF(i-1) * lam[i]
-			muR = 1 / c.Se(i, h)
-			tw := c.Mod(i, h) + s.PrF(i)*c.Sp(i, h)
-			muW = 1 / tw
+			lr = an.mix.QS * an.lam[1]
 		}
-		sol, err := qmodel.Solve(qmodel.Input{LambdaR: lr, LambdaW: lw, MuR: muR, MuW: muW})
-		if err != nil {
-			return nil, fmt.Errorf("core: level %d: %w", i, err)
+		lw, muW := an.linkWriters(i)
+		if _, err := an.solve(i, qmodel.Input{LambdaR: lr, LambdaW: lw, MuR: 1 / an.se(i), MuW: muW}); err != nil {
+			return nil, err
 		}
-		if !sol.Stable {
-			res.Stable = false
-		}
-		rWait[i] = qmodel.MM1Wait(sol.RhoW, sol.TA)
-		wWait[i] = rWait[i] + sol.RhoW*sol.RU + (1-sol.RhoW)*sol.RE
-
-		res.Levels[i-1] = LevelResult{
-			Level: i, LambdaR: lr, LambdaW: lw, MuR: muR, MuW: muW,
-			RhoW: sol.RhoW, RU: sol.RU, RE: sol.RE,
-			R: rWait[i], W: wWait[i], Stable: sol.Stable,
-		}
+		an.settle(i, an.mm1(i))
 	}
 
 	// Response times: a descent R-locks one node per level; updates wait
 	// for the leaf W lock, modify, and repair splits upward (rare).
-	for i := 1; i <= h; i++ {
-		res.RespSearch += c.Se(i, h) + rWait[i]
+	an.res.RespSearch = an.searchResp(0, 1)
+	update := an.leafWriteResp()
+	an.res.RespInsert = an.linkInsertResp(update)
+	an.res.RespDelete = update
+	return an.res, nil
+}
+
+// linkWriters returns the arrival and service rates of level i's W
+// customers under the Link-type write protocol: every update at the leaf,
+// above it only the splits that propagated there.
+func (an *analysis) linkWriters(i int) (lw, muW float64) {
+	s, mix := an.s, an.mix
+	if i > 1 {
+		return mix.QI * s.ProdPrF(i-1) * an.lam[i], 1 / (an.mod(i) + s.PrF(i)*an.sp(i))
 	}
-	update := c.M(h) + wWait[1]
-	for i := 2; i <= h; i++ {
-		update += c.Se(i, h) + rWait[i]
+	wi, wd := updateShares(mix.QI, mix.QD)
+	// Inserts half-split a full leaf while holding its W lock; deletes
+	// never restructure under merge-at-empty with q_i > q_d.
+	tw := wi*(an.m()+s.PrF(1)*an.sp(1)) +
+		wd*(an.m()+s.PrEm(1)*an.mg(1))
+	if tw > 0 {
+		muW = 1 / tw
 	}
-	res.RespInsert = update
-	for j := 1; j <= h-1; j++ {
-		// Split at level j: perform the half-split, then W-lock the
-		// parent and insert the new pointer.
-		res.RespInsert += s.ProdPrF(j) * (c.Sp(j, h) + wWait[j+1] + c.Mod(j+1, h))
+	return (mix.QI + mix.QD) * an.lam[1], muW
+}
+
+// linkInsertResp adds the split repair onto an update's response sum: a
+// split at level j performs the half-split, then W-locks the parent and
+// inserts the new pointer.
+func (an *analysis) linkInsertResp(sum float64) float64 {
+	for j := 1; j <= an.h-1; j++ {
+		sum += an.s.ProdPrF(j) * (an.sp(j) + an.wWait[j+1] + an.mod(j+1))
 	}
-	res.RespDelete = update
-	return res, nil
+	return sum
 }

@@ -1,11 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"math"
-
-	"btreeperf/internal/qmodel"
-)
+import "btreeperf/internal/qmodel"
 
 // AnalyzeNLC evaluates the Naive Lock-coupling algorithm (§5, Theorems
 // 1–5). Search operations are R customers, inserts and deletes W
@@ -15,147 +10,43 @@ import (
 // The returned Result is meaningful even when Stable is false: saturated
 // levels report ρ_w = 1 and infinite waits.
 func AnalyzeNLC(m Model, w Workload) (*Result, error) {
-	if err := m.Validate(); err != nil {
+	an, err := newAnalysis(m, w)
+	if err != nil {
 		return nil, err
 	}
-	if err := w.Validate(); err != nil {
-		return nil, err
-	}
-	s := m.Shape
-	c := m.Costs
-	h := s.Height
-	mix := w.Mix
-	lam := levelLambdas(s, w.Lambda)
-
-	res := &Result{Algorithm: NLC, Lambda: w.Lambda, Stable: true}
-	res.Levels = make([]LevelResult, h)
+	an.res.Algorithm = NLC
+	mix, h := an.mix, an.h
 
 	// Shares of insert and delete among W customers.
 	wi, wd := updateShares(mix.QI, mix.QD)
-
-	// Hold times T(o, i) built leaf-up (Theorem 1).
-	tS := make([]float64, h+1)
 	tI := make([]float64, h+1)
 	tD := make([]float64, h+1)
-	// Waiting times R(i), W(i).
-	rWait := make([]float64, h+1)
-	wWait := make([]float64, h+1)
-	sols := make([]qmodel.Solution, h+1)
 
 	for i := 1; i <= h; i++ {
-		if i == 1 {
-			tS[1] = c.Se(1, h)
-			tI[1] = c.M(h)
-			tD[1] = c.M(h)
-		} else {
-			tS[i] = c.Se(i, h) + rWait[i-1]
-			tI[i] = c.Se(i, h) + wWait[i-1] +
-				s.PrF(i-1)*tI[i-1] + c.Sp(i-1, h)*s.ProdPrF(i-1)
-			tD[i] = c.Se(i, h) + wWait[i-1] +
-				s.PrEm(i-1)*tD[i-1] + c.Mg(i-1, h)*prodPrEm(s, i-1)
-		}
-
-		lr := mix.QS * lam[i]
-		lw := (mix.QI + mix.QD) * lam[i]
-		in := qmodel.Input{
-			LambdaR: lr,
-			LambdaW: lw,
-			MuR:     1 / tS[i],
+		tI[i], tD[i] = an.coupledHolds(i, tI[i-1], tD[i-1], 0)
+		// A search holds level i while it reads the node and waits for
+		// the child's R lock (nothing below the leaf: R(0) = 0).
+		tS := an.se(i) + an.rWait[i-1]
+		sol, err := an.solve(i, qmodel.Input{
+			LambdaR: mix.QS * an.lam[i],
+			LambdaW: (mix.QI + mix.QD) * an.lam[i],
+			MuR:     1 / tS,
 			MuW:     1 / (wi*tI[i] + wd*tD[i]),
-		}
-		sol, err := qmodel.Solve(in)
+		})
 		if err != nil {
-			return nil, fmt.Errorf("core: level %d: %w", i, err)
+			return nil, err
 		}
-		sols[i] = sol
 		if !sol.Stable {
-			// A saturated level has unbounded waits; hold times above it
-			// are undefined. Mark everything from here up saturated.
-			res.saturateFrom(i, lam, mix.QS)
-			return res, nil
+			return an.saturate(i), nil
 		}
-
 		if i == 1 {
-			// Theorem 4: M/M/1 on aggregate customers at the leaves.
-			rWait[1] = qmodel.MM1Wait(sol.RhoW, sol.TA)
+			an.settle(1, an.mm1(1))
 		} else {
-			// Theorem 3: M/G/1 with the hyperexponential lock service.
-			pf := wi * s.PrF(i-1)
-			te := c.Se(i, h) + sol.RhoW*sol.RU + (1-sol.RhoW)*sol.RE
-			// Unsafe-child stage: the child is modified and — with the
-			// probability the split propagated up to it — split.
-			// ∏_{k=1}^{i-2} Pr[F(k)] is the empty product 1 when i = 2.
-			tf := tI[i-1] + c.Sp(i-1, h)*prodPrFBelow(s, i-2)
-			rhoO := sols[i-1].RhoW
-			muO := math.Inf(1)
-			if rhoO > 0 {
-				muO = 1 / (rWait[i-1]/rhoO + sols[i-1].RU)
-			}
-			_, ex2 := qmodel.Theorem3Moments(te, pf, tf, rhoO, muO, sols[i-1].RE)
-			rWait[i] = qmodel.MG1Wait(lw, ex2, sol.RhoW)
-		}
-		wWait[i] = rWait[i] + sol.RhoW*sol.RU + (1-sol.RhoW)*sol.RE
-
-		res.Levels[i-1] = LevelResult{
-			Level:   i,
-			LambdaR: lr,
-			LambdaW: lw,
-			MuR:     in.MuR,
-			MuW:     in.MuW,
-			RhoW:    sol.RhoW,
-			RU:      sol.RU,
-			RE:      sol.RE,
-			R:       rWait[i],
-			W:       wWait[i],
-			Stable:  sol.Stable,
+			an.settle(i, an.coupledWait(i, wi, tI[i-1], 0))
 		}
 	}
 
-	// Theorem 5: response times.
-	res.RespSearch = 0
-	for i := 1; i <= h; i++ {
-		res.RespSearch += c.Se(i, h) + rWait[i]
-	}
-	res.RespDelete = c.M(h) + wWait[1]
-	for i := 2; i <= h; i++ {
-		res.RespDelete += c.Se(i, h) + wWait[i]
-	}
-	res.RespInsert = c.M(h)
-	for i := 2; i <= h; i++ {
-		res.RespInsert += c.Se(i, h)
-	}
-	for i := 1; i <= h; i++ {
-		res.RespInsert += wWait[i]
-	}
-	for j := 1; j <= h-1; j++ {
-		res.RespInsert += s.ProdPrF(j) * c.Sp(j, h)
-	}
-	return res, nil
-}
-
-// updateShares returns the insert and delete shares among update
-// operations; both zero when there are no updates.
-func updateShares(qi, qd float64) (wi, wd float64) {
-	if qi+qd <= 0 {
-		return 0, 0
-	}
-	return qi / (qi + qd), qd / (qi + qd)
-}
-
-// prodPrEm is ∏_{k=1..i} Pr[Em(k)].
-func prodPrEm(s interface{ PrEm(int) float64 }, i int) float64 {
-	p := 1.0
-	for k := 1; k <= i; k++ {
-		p *= s.PrEm(k)
-	}
-	return p
-}
-
-// prodPrFBelow is ∏_{k=1..i} Pr[F(k)] with the empty product (i < 1)
-// defined as 1.
-func prodPrFBelow(s interface{ ProdPrF(int) float64 }, i int) float64 {
-	if i < 1 {
-		return 1
-	}
-	return s.ProdPrF(i)
+	an.res.RespSearch = an.searchResp(0, 1)
+	an.res.RespInsert, an.res.RespDelete = an.coupledUpdateResp()
+	return an.res, nil
 }

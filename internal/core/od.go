@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"btreeperf/internal/qmodel"
 )
@@ -34,23 +33,15 @@ type ODOptions struct {
 // LeafOnly), and the upper-level redo W hold times by Pr[F(i)]·TTrans
 // (Naive only).
 func AnalyzeOD(m Model, w Workload, opts ODOptions) (*Result, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	if err := w.Validate(); err != nil {
+	an, err := newAnalysis(m, w)
+	if err != nil {
 		return nil, err
 	}
 	if opts.TTrans < 0 {
 		return nil, fmt.Errorf("core: negative TTrans %v", opts.TTrans)
 	}
-	s := m.Shape
-	c := m.Costs
-	h := s.Height
-	mix := w.Mix
-	lam := levelLambdas(s, w.Lambda)
-
-	res := &Result{Algorithm: OD, Lambda: w.Lambda, Stable: true}
-	res.Levels = make([]LevelResult, h)
+	an.res.Algorithm = OD
+	s, mix, h, lam := an.s, an.mix, an.h, an.lam
 
 	// Redo arrival rates: updates that found an unsafe leaf re-descend.
 	redoShareI := mix.QI * s.PrF(1)  // redo-inserts per arriving operation
@@ -58,36 +49,32 @@ func AnalyzeOD(m Model, w Workload, opts ODOptions) (*Result, error) {
 	redoShare := redoShareI + redoShareD
 	wri, wrd := updateShares(redoShareI, redoShareD)
 
-	// Recovery additions to W hold times.
-	leafHold := 0.0
-	upperHold := func(i int) float64 { return 0 }
-	if opts.Recovery == LeafOnly || opts.Recovery == NaiveRecovery {
-		leafHold = opts.TTrans
-	}
-	if opts.Recovery == NaiveRecovery {
-		upperHold = func(i int) float64 { return s.PrF(i) * opts.TTrans }
+	// hold is what recovery adds to a W lock's hold time at level i.
+	hold := func(i int) float64 {
+		switch {
+		case i == 1 && (opts.Recovery == LeafOnly || opts.Recovery == NaiveRecovery):
+			return opts.TTrans
+		case i > 1 && opts.Recovery == NaiveRecovery:
+			return s.PrF(i) * opts.TTrans
+		}
+		return 0
 	}
 
 	// Redo hold times follow the NLC Theorem 1 recursion.
 	tRI := make([]float64, h+1)
 	tRD := make([]float64, h+1)
-	rWait := make([]float64, h+1)
-	wWait := make([]float64, h+1)
-	sols := make([]qmodel.Solution, h+1)
 
 	for i := 1; i <= h; i++ {
-		var lr, lw, muR, muW float64
+		tRI[i], tRD[i] = an.coupledHolds(i, tRI[i-1], tRD[i-1], hold(i))
+		var in qmodel.Input
 		if i == 1 {
-			tRI[1] = c.M(h) + leafHold
-			tRD[1] = c.M(h) + leafHold
-
-			lr = mix.QS * lam[1]
-			lw = (mix.QI+mix.QD)*lam[1] + redoShare*lam[1]
-			muR = 1 / c.Se(1, h)
+			in.LambdaR = mix.QS * lam[1]
+			in.LambdaW = (mix.QI+mix.QD)*lam[1] + redoShare*lam[1]
+			in.MuR = 1 / an.se(1)
 			// First-descent updates: modify when the leaf is safe,
 			// inspect-and-release when it is not (then redo separately).
-			tFirstI := (1-s.PrF(1))*(c.M(h)+leafHold) + s.PrF(1)*c.Se(1, h)
-			tFirstD := (1-s.PrEm(1))*(c.M(h)+leafHold) + s.PrEm(1)*c.Se(1, h)
+			tFirstI := (1-s.PrF(1))*(an.m()+hold(1)) + s.PrF(1)*an.se(1)
+			tFirstD := (1-s.PrEm(1))*(an.m()+hold(1)) + s.PrEm(1)*an.se(1)
 			wi, wd := updateShares(mix.QI, mix.QD)
 			firstShare := mix.QI + mix.QD
 			var tw float64
@@ -96,93 +83,47 @@ func AnalyzeOD(m Model, w Workload, opts ODOptions) (*Result, error) {
 					redoShare*(wri*tRI[1]+wrd*tRD[1])) / (firstShare + redoShare)
 			}
 			if tw > 0 {
-				muW = 1 / tw
+				in.MuW = 1 / tw
 			}
 		} else {
-			tRI[i] = c.Se(i, h) + wWait[i-1] +
-				s.PrF(i-1)*tRI[i-1] + c.Sp(i-1, h)*s.ProdPrF(i-1) + upperHold(i)
-			tRD[i] = c.Se(i, h) + wWait[i-1] +
-				s.PrEm(i-1)*tRD[i-1] + c.Mg(i-1, h)*prodPrEm(s, i-1) + upperHold(i)
-
-			lr = lam[i] // every operation R-locks on its first descent
-			lw = redoShare * lam[i]
+			in.LambdaR = lam[i] // every operation R-locks on its first descent
+			in.LambdaW = redoShare * lam[i]
 			// R hold: searches couple to the child's R lock; at level 2
 			// first-descent updates couple to the leaf's W lock instead.
-			var tr float64
+			tr := an.se(i) + an.rWait[i-1]
 			if i == 2 {
-				tr = mix.QS*(c.Se(2, h)+rWait[1]) +
-					(mix.QI+mix.QD)*(c.Se(2, h)+wWait[1])
-			} else {
-				tr = c.Se(i, h) + rWait[i-1]
+				tr = mix.QS*(an.se(2)+an.rWait[1]) +
+					(mix.QI+mix.QD)*(an.se(2)+an.wWait[1])
 			}
-			muR = 1 / tr
-			if lw > 0 {
-				muW = 1 / (wri*tRI[i] + wrd*tRD[i])
-			} else {
-				muW = 1 // unused
+			in.MuR = 1 / tr
+			in.MuW = 1 // unused without writers
+			if in.LambdaW > 0 {
+				in.MuW = 1 / (wri*tRI[i] + wrd*tRD[i])
 			}
 		}
 
-		sol, err := qmodel.Solve(qmodel.Input{LambdaR: lr, LambdaW: lw, MuR: muR, MuW: muW})
+		sol, err := an.solve(i, in)
 		if err != nil {
-			return nil, fmt.Errorf("core: level %d: %w", i, err)
+			return nil, err
 		}
-		sols[i] = sol
 		if !sol.Stable {
-			res.saturateFrom(i, lam, mix.QS)
-			return res, nil
+			return an.saturate(i), nil
 		}
-
-		if i == 1 || lw == 0 {
-			rWait[i] = qmodel.MM1Wait(sol.RhoW, sol.TA)
+		if i == 1 || in.LambdaW == 0 {
+			an.settle(i, an.mm1(i))
 		} else {
 			// Redo W customers use lock coupling: Theorem 3 applies with
 			// the redo-insert service structure.
-			pf := wri * s.PrF(i-1)
-			te := c.Se(i, h) + sol.RhoW*sol.RU + (1-sol.RhoW)*sol.RE + upperHold(i)
-			tf := tRI[i-1] + c.Sp(i-1, h)*prodPrFBelow(s, i-2)
-			rhoO := sols[i-1].RhoW
-			muO := math.Inf(1)
-			if rhoO > 0 {
-				muO = 1 / (rWait[i-1]/rhoO + sols[i-1].RU)
-			}
-			_, ex2 := qmodel.Theorem3Moments(te, pf, tf, rhoO, muO, sols[i-1].RE)
-			rWait[i] = qmodel.MG1Wait(lw, ex2, sol.RhoW)
-		}
-		wWait[i] = rWait[i] + sol.RhoW*sol.RU + (1-sol.RhoW)*sol.RE
-
-		res.Levels[i-1] = LevelResult{
-			Level: i, LambdaR: lr, LambdaW: lw, MuR: muR, MuW: muW,
-			RhoW: sol.RhoW, RU: sol.RU, RE: sol.RE,
-			R: rWait[i], W: wWait[i], Stable: sol.Stable,
+			an.settle(i, an.coupledWait(i, wri, tRI[i-1], hold(i)))
 		}
 	}
 
-	// Response times. Searches R-lock every level.
-	for i := 1; i <= h; i++ {
-		res.RespSearch += c.Se(i, h) + rWait[i]
-	}
-	// First descent of an update: R locks down to level 2, W lock on leaf.
-	firstDescent := c.M(h) + wWait[1]
-	for i := 2; i <= h; i++ {
-		firstDescent += c.Se(i, h) + rWait[i]
-	}
-	// Redo-insert response: the NLC insert formula (Theorem 5).
-	redoInsert := c.M(h)
-	for i := 2; i <= h; i++ {
-		redoInsert += c.Se(i, h)
-	}
-	for i := 1; i <= h; i++ {
-		redoInsert += wWait[i]
-	}
-	for j := 1; j <= h-1; j++ {
-		redoInsert += s.ProdPrF(j) * c.Sp(j, h)
-	}
-	redoDelete := c.M(h) + wWait[1]
-	for i := 2; i <= h; i++ {
-		redoDelete += c.Se(i, h) + wWait[i]
-	}
-	res.RespInsert = firstDescent + s.PrF(1)*redoInsert
-	res.RespDelete = firstDescent + s.PrEm(1)*redoDelete
-	return res, nil
+	// Searches R-lock every level; an update makes its first descent and,
+	// when the leaf was unsafe, a redo with the NLC formula (Theorem 5).
+	an.res.RespSearch = an.searchResp(0, 1)
+	firstDescent := an.leafWriteResp()
+	redoInsert, redoDelete := an.coupledUpdateResp()
+	an.res.RespInsert = firstDescent + s.PrF(1)*redoInsert
+	an.res.RespDelete = firstDescent + s.PrEm(1)*redoDelete
+	return an.res, nil
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"btreeperf/internal/lock"
 	"btreeperf/internal/qmodel"
 )
@@ -11,7 +9,7 @@ import (
 //
 // Writers behave exactly as in the Link-type analysis: W locks one node
 // at a time, splits propagate upward, so λ_w(i) and the W service times
-// are AnalyzeLink's. Readers descend latch-free, sampling each node's
+// come from linkWriters. Readers descend latch-free, sampling each node's
 // version word and re-validating after the read; the lock queues
 // therefore see almost no reader traffic, and what the framework must
 // price instead is the restart process:
@@ -56,50 +54,30 @@ import (
 // cold accesses are charged once, on the final (successful or fallback)
 // pass at the full Se(i).
 func AnalyzeOLC(m Model, w Workload) (*Result, error) {
-	if err := m.Validate(); err != nil {
+	an, err := newAnalysis(m, w)
+	if err != nil {
 		return nil, err
 	}
-	if err := w.Validate(); err != nil {
-		return nil, err
-	}
-	s := m.Shape
-	c := m.Costs
-	h := s.Height
-	mix := w.Mix
-	lam := levelLambdas(s, w.Lambda)
-
-	res := &Result{Algorithm: OLC, Lambda: w.Lambda, Stable: true}
-	res.Levels = make([]LevelResult, h)
+	res, c, mix, h, lam := an.res, an.c, an.mix, an.h, an.lam
+	res.Algorithm = OLC
 	res.ReadConflict = make([]float64, h+1)
 
-	// Writer rates and service times per level (AnalyzeLink's), and the
-	// single-attempt validation-failure probabilities they induce. These
-	// do not depend on the reader traffic, so no fixed point is needed:
-	// conflicts first, then one queue solve with the fallback readers.
+	// Writer rates and service times per level, and the single-attempt
+	// validation-failure probabilities they induce. These do not depend
+	// on the reader traffic, so no fixed point is needed: conflicts
+	// first, then one queue solve with the fallback readers.
 	lw := make([]float64, h+1)
 	muW := make([]float64, h+1)
 	for i := 1; i <= h; i++ {
-		if i == 1 {
-			lw[1] = (mix.QI + mix.QD) * lam[1]
-			wi, wd := updateShares(mix.QI, mix.QD)
-			tw := wi*(c.M(h)+s.PrF(1)*c.Sp(1, h)) +
-				wd*(c.M(h)+s.PrEm(1)*c.Mg(1, h))
-			if tw > 0 {
-				muW[1] = 1 / tw
-			}
-		} else {
-			lw[i] = mix.QI * s.ProdPrF(i-1) * lam[i]
-			muW[i] = 1 / (c.Mod(i, h) + s.PrF(i)*c.Sp(i, h))
-		}
+		lw[i], muW[i] = an.linkWriters(i)
 		u := 0.0
 		if muW[i] > 0 {
 			u = lw[i] / muW[i]
 		}
 		if u >= 1 {
-			res.saturateFrom(i, lam, mix.QS)
-			return res, nil
+			return an.saturate(i), nil
 		}
-		res.ReadConflict[i] = 1 - (1-u)/(1+lw[i]*c.Se(i, h))
+		res.ReadConflict[i] = 1 - (1-u)/(1+lw[i]*an.se(i))
 	}
 
 	// Descent restart probabilities for the two descent classes, and the
@@ -129,59 +107,38 @@ func AnalyzeOLC(m Model, w Workload) (*Result, error) {
 	// only: a fallback search R-locks one node per level; a fallback
 	// update R-locks the internal levels (its leaf lock is the W lock
 	// already counted in λ_w).
-	rWait := make([]float64, h+1)
-	wWait := make([]float64, h+1)
 	for i := 1; i <= h; i++ {
-		var lr float64
+		lr := (fbS*mix.QS + fbU*qu) * lam[i]
 		if i == 1 {
 			lr = fbS * mix.QS * lam[1]
-		} else {
-			lr = (fbS*mix.QS + fbU*qu) * lam[i]
 		}
-		muR := 1 / c.Se(i, h)
-		sol, err := qmodel.Solve(qmodel.Input{LambdaR: lr, LambdaW: lw[i], MuR: muR, MuW: muW[i]})
-		if err != nil {
-			return nil, fmt.Errorf("core: level %d: %w", i, err)
+		if _, err := an.solve(i, qmodel.Input{LambdaR: lr, LambdaW: lw[i], MuR: 1 / an.se(i), MuW: muW[i]}); err != nil {
+			return nil, err
 		}
-		if !sol.Stable {
-			res.Stable = false
-		}
-		rWait[i] = qmodel.MM1Wait(sol.RhoW, sol.TA)
-		wWait[i] = rWait[i] + sol.RhoW*sol.RU + (1-sol.RhoW)*sol.RE
-
-		res.Levels[i-1] = LevelResult{
-			Level: i, LambdaR: lr, LambdaW: lw[i], MuR: muR, MuW: muW[i],
-			RhoW: sol.RhoW, RU: sol.RU, RE: sol.RE,
-			R: rWait[i], W: wWait[i], Stable: sol.Stable,
-		}
+		an.settle(i, an.mm1(i))
 	}
 
 	// Response times. A latch-free descent pays the node accesses but no
 	// lock waits; a failed attempt aborts at its first failed validation
 	// and repays only the prefix walked; the fallback fraction pays the
 	// locked Link-type descent.
-	searchPath, searchLocked := 0.0, 0.0
+	searchPath := 0.0
 	for i := 1; i <= h; i++ {
-		searchPath += c.Se(i, h)
-		searchLocked += c.Se(i, h) + rWait[i]
+		searchPath += an.se(i)
 	}
 	failS := failedDescentCost(res.ReadConflict, c, 1, h)
 	res.RespSearch = failedAttempts(pS, qS, lock.OLCMaxAttempts)*failS +
-		(1-fbS)*searchPath + fbS*searchLocked
+		(1-fbS)*searchPath + fbS*an.searchResp(0, 1)
 
-	descPath, descLocked := 0.0, 0.0
+	descPath := 0.0
 	for i := 2; i <= h; i++ {
-		descPath += c.Se(i, h)
-		descLocked += c.Se(i, h) + rWait[i]
+		descPath += an.se(i)
 	}
 	failU := failedDescentCost(res.ReadConflict, c, 2, h)
 	update := failedAttempts(pU, qU, lock.OLCMaxAttempts)*failU +
-		(1-fbU)*descPath + fbU*descLocked +
-		c.M(h) + wWait[1]
-	res.RespInsert = update
-	for j := 1; j <= h-1; j++ {
-		res.RespInsert += s.ProdPrF(j) * (c.Sp(j, h) + wWait[j+1] + c.Mod(j+1, h))
-	}
+		(1-fbU)*descPath + fbU*an.searchResp(0, 2) +
+		an.m() + an.wWait[1]
+	res.RespInsert = an.linkInsertResp(update)
 	res.RespDelete = update
 	return res, nil
 }

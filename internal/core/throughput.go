@@ -30,17 +30,27 @@ func Analyze(a Algorithm, m Model, w Workload) (*Result, error) {
 // value is found by exponential search followed by bisection, to within
 // rtol relative accuracy.
 func MaxThroughput(a Algorithm, m Model, mix Workload, rtol float64) (float64, error) {
+	return maxStable(func(w Workload) (*Result, error) { return Analyze(a, m, w) }, mix, rtol)
+}
+
+// MaxThroughputOD is MaxThroughput for Optimistic Descent under a §7
+// recovery protocol.
+func MaxThroughputOD(m Model, mix Workload, opts ODOptions, rtol float64) (float64, error) {
+	return maxStable(func(w Workload) (*Result, error) { return AnalyzeOD(m, w, opts) }, mix, rtol)
+}
+
+// maxStable finds the largest λ at which analyze reports a stable system.
+func maxStable(analyze func(Workload) (*Result, error), mix Workload, rtol float64) (float64, error) {
 	if rtol <= 0 {
 		rtol = 1e-4
 	}
-	stable := func(lambda float64) (bool, error) {
-		res, err := Analyze(a, m, Workload{Lambda: lambda, Mix: mix.Mix})
+	return solveBoundary(func(lambda float64) (bool, error) {
+		res, err := analyze(Workload{Lambda: lambda, Mix: mix.Mix})
 		if err != nil {
 			return false, err
 		}
 		return res.Stable, nil
-	}
-	return solveBoundary(stable, rtol)
+	}, rtol)
 }
 
 // EffectiveMaxThroughput returns the arrival rate at which the root's

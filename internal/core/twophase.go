@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"btreeperf/internal/qmodel"
-)
+import "btreeperf/internal/qmodel"
 
 // AnalyzeTwoPhase evaluates strict Two-Phase Locking on the B-tree — the
 // extension the paper defers to its full version ("Results that will
@@ -26,73 +22,48 @@ import (
 // computed leaf-up exactly like Theorem 1, except no term is ever dropped
 // when a child is safe.
 func AnalyzeTwoPhase(m Model, w Workload) (*Result, error) {
-	if err := m.Validate(); err != nil {
+	an, err := newAnalysis(m, w)
+	if err != nil {
 		return nil, err
 	}
-	if err := w.Validate(); err != nil {
-		return nil, err
-	}
-	s := m.Shape
-	c := m.Costs
-	h := s.Height
-	mix := w.Mix
-	lam := levelLambdas(s, w.Lambda)
-
-	res := &Result{Algorithm: TwoPhase, Lambda: w.Lambda, Stable: true}
-	res.Levels = make([]LevelResult, h)
-
+	an.res.Algorithm = TwoPhase
+	mix, h := an.mix, an.h
 	wi, _ := updateShares(mix.QI, mix.QD)
+	splitWork := an.splitWork(0)
 
 	// Hold times: the level-i lock is held for the node search plus the
 	// entire remainder of the operation (wait + hold at i-1).
 	tS := make([]float64, h+1)
 	tU := make([]float64, h+1) // update (insert/delete weighted) hold
-	rWait := make([]float64, h+1)
-	wWait := make([]float64, h+1)
-
-	splitWork := 0.0
-	for j := 1; j <= h-1; j++ {
-		splitWork += s.ProdPrF(j) * c.Sp(j, h)
-	}
-
 	for i := 1; i <= h; i++ {
 		if i == 1 {
-			tS[1] = c.Se(1, h)
-			tU[1] = c.M(h) + splitWork*wi // restructuring done under the held path
+			tS[1] = an.se(1)
+			tU[1] = an.m() + splitWork*wi // restructuring done under the held path
 		} else {
-			tS[i] = c.Se(i, h) + rWait[i-1] + tS[i-1]
-			tU[i] = c.Se(i, h) + wWait[i-1] + tU[i-1]
+			tS[i] = an.se(i) + an.rWait[i-1] + tS[i-1]
+			tU[i] = an.se(i) + an.wWait[i-1] + tU[i-1]
 		}
-
-		lr := mix.QS * lam[i]
-		lw := (mix.QI + mix.QD) * lam[i]
-		in := qmodel.Input{LambdaR: lr, LambdaW: lw, MuR: 1 / tS[i], MuW: 1 / tU[i]}
-		sol, err := qmodel.Solve(in)
+		sol, err := an.solve(i, qmodel.Input{
+			LambdaR: mix.QS * an.lam[i],
+			LambdaW: (mix.QI + mix.QD) * an.lam[i],
+			MuR:     1 / tS[i],
+			MuW:     1 / tU[i],
+		})
 		if err != nil {
-			return nil, fmt.Errorf("core: level %d: %w", i, err)
+			return nil, err
 		}
 		if !sol.Stable {
-			res.saturateFrom(i, lam, mix.QS)
-			return res, nil
+			return an.saturate(i), nil
 		}
-		rWait[i] = qmodel.MM1Wait(sol.RhoW, sol.TA)
-		wWait[i] = rWait[i] + sol.RhoW*sol.RU + (1-sol.RhoW)*sol.RE
-
-		res.Levels[i-1] = LevelResult{
-			Level: i, LambdaR: lr, LambdaW: lw, MuR: in.MuR, MuW: in.MuW,
-			RhoW: sol.RhoW, RU: sol.RU, RE: sol.RE,
-			R: rWait[i], W: wWait[i], Stable: sol.Stable,
-		}
+		an.settle(i, an.mm1(i))
 	}
 
-	for i := 1; i <= h; i++ {
-		res.RespSearch += c.Se(i, h) + rWait[i]
-		if i >= 2 {
-			res.RespDelete += c.Se(i, h) + wWait[i]
-			res.RespInsert += c.Se(i, h) + wWait[i]
-		}
+	an.res.RespSearch = an.searchResp(0, 1)
+	path := 0.0 // W-locked descent above the leaf
+	for i := 2; i <= h; i++ {
+		path += an.se(i) + an.wWait[i]
 	}
-	res.RespDelete += c.M(h) + wWait[1]
-	res.RespInsert += c.M(h) + wWait[1] + splitWork
-	return res, nil
+	an.res.RespDelete = path + (an.m() + an.wWait[1])
+	an.res.RespInsert = path + (an.m() + an.wWait[1] + splitWork)
+	return an.res, nil
 }

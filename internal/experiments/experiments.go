@@ -58,17 +58,17 @@ type Figure struct {
 func All() []Figure {
 	return []Figure{
 		{"fig03", "Figure 3: Naive Lock-coupling insert response time vs. arrival rate",
-			"disk cost=5, 2 in-memory levels, N=13, ~40k items; analysis vs. simulation", fig34(workload.Insert)},
+			"disk cost=5, 2 in-memory levels, N=13, ~40k items; analysis vs. simulation", figCurve(core.NLC, workload.Insert)},
 		{"fig04", "Figure 4: Naive Lock-coupling search response time vs. arrival rate",
-			"disk cost=5, 2 in-memory levels; analysis vs. simulation", fig34(workload.Search)},
+			"disk cost=5, 2 in-memory levels; analysis vs. simulation", figCurve(core.NLC, workload.Search)},
 		{"fig05", "Figure 5: Optimistic Descent insert response time vs. arrival rate",
-			"disk cost=5, 2 in-memory levels; analysis vs. simulation", fig56(workload.Insert)},
+			"disk cost=5, 2 in-memory levels; analysis vs. simulation", figCurve(core.OD, workload.Insert)},
 		{"fig06", "Figure 6: Optimistic Descent search response time vs. arrival rate",
-			"disk cost=5, 2 in-memory levels; analysis vs. simulation", fig56(workload.Search)},
+			"disk cost=5, 2 in-memory levels; analysis vs. simulation", figCurve(core.OD, workload.Search)},
 		{"fig07", "Figure 7: Link-type insert response time vs. arrival rate",
-			"disk cost=5, 2 in-memory levels; analysis vs. simulation", fig78(workload.Insert)},
+			"disk cost=5, 2 in-memory levels; analysis vs. simulation", figCurve(core.Link, workload.Insert)},
 		{"fig08", "Figure 8: Link-type search response time vs. arrival rate",
-			"disk cost=5, 2 in-memory levels; analysis vs. simulation", fig78(workload.Search)},
+			"disk cost=5, 2 in-memory levels; analysis vs. simulation", figCurve(core.Link, workload.Search)},
 		{"fig09", "Figure 9: Link-type algorithm at disk cost 10",
 			"response times and link-crossing frequency (crossings are negligible)", fig9},
 		{"fig10", "Figure 10: Increasing root writer utilization in Naive Lock-coupling",
@@ -151,47 +151,83 @@ func simRespOf(rep *sim.Replicated, op workload.Op) (mean, ci float64) {
 	}
 }
 
-// runCurve produces the analysis-vs-simulation response curve shared by
-// Figures 3–8. Sweep points run concurrently under the sim worker pool;
-// rows are collected by point index, so the table is identical at any
-// worker count.
-func runCurve(a core.Algorithm, op workload.Op, d float64, lambdas []float64, o Options) (*table.Table, error) {
-	m, err := paperModel(d)
-	if err != nil {
-		return nil, err
+// simAt replicates the simulator at one operating point: the paper's
+// configuration for algorithm a at arrival rate lambda and disk cost d,
+// at o's run length, under seeds seeds. tune, when non-nil, moves the
+// configuration off the paper's baseline first.
+func (o Options) simAt(a core.Algorithm, lambda, d float64, seeds int, tune func(*sim.Config)) (*sim.Replicated, error) {
+	cfg := sim.Paper(a, lambda, d)
+	cfg.Ops = o.Ops
+	cfg.Warmup = o.Ops / 10
+	if tune != nil {
+		tune(&cfg)
 	}
-	tb := table.New("",
-		"lambda", "model_resp", "sim_resp", "sim_ci95", "model_rho_w", "sim_rho_w", "stable")
-	rows := make([][]string, len(lambdas))
-	err = sim.ForEachPoint(len(lambdas), func(i int) error {
-		lambda := lambdas[i]
-		res, err := core.Analyze(a, m, core.Workload{Lambda: lambda, Mix: workload.PaperMix})
-		if err != nil {
-			return err
-		}
-		cfg := sim.Paper(a, lambda, d)
-		cfg.Ops = o.Ops
-		cfg.Warmup = o.Ops / 10
-		rep, err := sim.RunSeeds(cfg, sim.DefaultSeeds(o.Seeds))
-		if err != nil {
-			return err
-		}
-		simResp, simCI := simRespOf(rep, op)
-		stable := "yes"
-		if !res.Stable || rep.Unstable {
-			stable = "no"
-		}
-		rows[i] = []string{table.F(lambda), table.F(respOf(res, op)), table.F(simResp),
-			table.F(simCI), table.F(res.RootRhoW()), table.F(rep.RootRhoW.Mean), stable}
-		return nil
+	return sim.RunSeeds(cfg, sim.DefaultSeeds(seeds))
+}
+
+// sweepTable fills tb with one row per sweep point. Points run
+// concurrently under the sim worker pool; rows are collected by point
+// index, so the table is identical at any worker count.
+func sweepTable(tb *table.Table, points int, row func(i int) ([]string, error)) (*table.Table, error) {
+	rows := make([][]string, points)
+	err := sim.ForEachPoint(points, func(i int) (err error) {
+		rows[i], err = row(i)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, row := range rows {
-		tb.AddRow(row...)
+	for _, r := range rows {
+		tb.AddRow(r...)
 	}
 	return tb, nil
+}
+
+// orUnstable is the simulated cell of a point: the value, or "unstable"
+// when a replication outgrew its operation space.
+func orUnstable(rep *sim.Replicated, v float64) string {
+	if rep.Unstable {
+		return "unstable"
+	}
+	return table.F(v)
+}
+
+// figCurve is the analysis-vs-simulation response curve of Figures 3–8:
+// algorithm a's response time for op at disk cost 5, over fractions of
+// the algorithm's maximum throughput.
+func figCurve(a core.Algorithm, op workload.Op) func(Options) (*table.Table, error) {
+	return func(o Options) (*table.Table, error) {
+		o = o.defaults()
+		const d = 5
+		m, err := paperModel(d)
+		if err != nil {
+			return nil, err
+		}
+		lambdas, err := lambdaSweepFor(a, d, o.Quick)
+		if err != nil {
+			return nil, err
+		}
+		tb := table.New("",
+			"lambda", "model_resp", "sim_resp", "sim_ci95", "model_rho_w", "sim_rho_w", "stable")
+		return sweepTable(tb, len(lambdas), func(i int) ([]string, error) {
+			lambda := lambdas[i]
+			res, err := core.Analyze(a, m, core.Workload{Lambda: lambda, Mix: workload.PaperMix})
+			if err != nil {
+				return nil, err
+			}
+			rep, err := o.simAt(a, lambda, d, o.Seeds, nil)
+			if err != nil {
+				return nil, err
+			}
+			simResp, simCI := simRespOf(rep, op)
+			stable := "yes"
+			if !res.Stable || rep.Unstable {
+				stable = "no"
+			}
+			return []string{table.F(lambda), table.F(respOf(res, op)), table.F(simResp),
+				table.F(simCI), table.F(res.RootRhoW()), table.F(rep.RootRhoW.Mean), stable}, nil
+		})
+	}
 }
 
 // lambdaSweepFor finds the λ values to sample for an algorithm.
@@ -214,39 +250,6 @@ func lambdaSweepFor(a core.Algorithm, d float64, quick bool) ([]float64, error) 
 	return out, nil
 }
 
-func fig34(op workload.Op) func(Options) (*table.Table, error) {
-	return func(o Options) (*table.Table, error) {
-		o = o.defaults()
-		lambdas, err := lambdaSweepFor(core.NLC, 5, o.Quick)
-		if err != nil {
-			return nil, err
-		}
-		return runCurve(core.NLC, op, 5, lambdas, o)
-	}
-}
-
-func fig56(op workload.Op) func(Options) (*table.Table, error) {
-	return func(o Options) (*table.Table, error) {
-		o = o.defaults()
-		lambdas, err := lambdaSweepFor(core.OD, 5, o.Quick)
-		if err != nil {
-			return nil, err
-		}
-		return runCurve(core.OD, op, 5, lambdas, o)
-	}
-}
-
-func fig78(op workload.Op) func(Options) (*table.Table, error) {
-	return func(o Options) (*table.Table, error) {
-		o = o.defaults()
-		lambdas, err := lambdaSweepFor(core.Link, 5, o.Quick)
-		if err != nil {
-			return nil, err
-		}
-		return runCurve(core.Link, op, 5, lambdas, o)
-	}
-}
-
 // fig9: Link-type at disk cost 10 with the link-crossing rate.
 func fig9(o Options) (*table.Table, error) {
 	o = o.defaults()
@@ -260,36 +263,24 @@ func fig9(o Options) (*table.Table, error) {
 	}
 	tb := table.New("",
 		"lambda", "model_search", "sim_search", "model_insert", "sim_insert", "crossings_per_op")
-	rows := make([][]string, len(lambdas))
-	err = sim.ForEachPoint(len(lambdas), func(i int) error {
+	return sweepTable(tb, len(lambdas), func(i int) ([]string, error) {
 		lambda := lambdas[i]
 		res, err := core.AnalyzeLink(m, core.Workload{Lambda: lambda, Mix: workload.PaperMix})
 		if err != nil {
-			return err
+			return nil, err
 		}
-		cfg := sim.Paper(core.Link, lambda, 10)
-		cfg.Ops = o.Ops
-		cfg.Warmup = o.Ops / 10
-		rep, err := sim.RunSeeds(cfg, sim.DefaultSeeds(o.Seeds))
+		rep, err := o.simAt(core.Link, lambda, 10, o.Seeds, nil)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		var crossings, completed float64
 		for _, r := range rep.Results {
 			crossings += float64(r.LinkCrossings)
 			completed += float64(r.Completed)
 		}
-		rows[i] = []string{table.F(lambda), table.F(res.RespSearch), table.F(rep.RespSearch.Mean),
-			table.F(res.RespInsert), table.F(rep.RespInsert.Mean), table.F(crossings / completed)}
-		return nil
+		return []string{table.F(lambda), table.F(res.RespSearch), table.F(rep.RespSearch.Mean),
+			table.F(res.RespInsert), table.F(rep.RespInsert.Mean), table.F(crossings / completed)}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	for _, row := range rows {
-		tb.AddRow(row...)
-	}
-	return tb, nil
 }
 
 // fig10: NLC root writer utilization vs arrival rate.
@@ -304,31 +295,19 @@ func fig10(o Options) (*table.Table, error) {
 		return nil, err
 	}
 	tb := table.New("", "lambda", "model_rho_w", "sim_rho_w", "sim_ci95")
-	rows := make([][]string, len(lambdas))
-	err = sim.ForEachPoint(len(lambdas), func(i int) error {
+	return sweepTable(tb, len(lambdas), func(i int) ([]string, error) {
 		lambda := lambdas[i]
 		res, err := core.AnalyzeNLC(m, core.Workload{Lambda: lambda, Mix: workload.PaperMix})
 		if err != nil {
-			return err
+			return nil, err
 		}
-		cfg := sim.Paper(core.NLC, lambda, 5)
-		cfg.Ops = o.Ops
-		cfg.Warmup = o.Ops / 10
-		rep, err := sim.RunSeeds(cfg, sim.DefaultSeeds(o.Seeds))
+		rep, err := o.simAt(core.NLC, lambda, 5, o.Seeds, nil)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		rows[i] = []string{table.F(lambda), table.F(res.RootRhoW()),
-			table.F(rep.RootRhoW.Mean), table.F(rep.RootRhoW.CI95)}
-		return nil
+		return []string{table.F(lambda), table.F(res.RootRhoW()),
+			table.F(rep.RootRhoW.Mean), table.F(rep.RootRhoW.CI95)}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	for _, row := range rows {
-		tb.AddRow(row...)
-	}
-	return tb, nil
 }
 
 // fig11: NLC maximum throughput vs disk cost.
@@ -385,49 +364,28 @@ func fig12(o Options) (*table.Table, error) {
 		}
 	}
 	tb := table.New("", "lambda", "nlc_model", "od_model", "link_model", "nlc_sim", "od_sim", "link_sim")
-	rows := make([][]string, len(lambdas))
-	err = sim.ForEachPoint(len(lambdas), func(i int) error {
+	algs := []core.Algorithm{core.NLC, core.OD, core.Link}
+	return sweepTable(tb, len(lambdas), func(i int) ([]string, error) {
 		lambda := lambdas[i]
 		row := []string{table.F(lambda)}
-		for _, a := range []core.Algorithm{core.NLC, core.OD, core.Link} {
+		sims := make([]string, len(algs))
+		for ai, a := range algs {
 			res, err := core.Analyze(a, m, core.Workload{Lambda: lambda, Mix: workload.PaperMix})
 			if err != nil {
-				return err
+				return nil, err
 			}
 			row = append(row, table.F(res.RespInsert))
-		}
-		for _, a := range []core.Algorithm{core.NLC, core.OD, core.Link} {
-			cell := "unstable"
-			res, err := core.Analyze(a, m, core.Workload{Lambda: lambda, Mix: workload.PaperMix})
-			if err != nil {
-				return err
-			}
+			sims[ai] = "unstable"
 			if res.Stable {
-				cfg := sim.Paper(a, lambda, 5)
-				cfg.Ops = o.Ops
-				cfg.Warmup = o.Ops / 10
-				rep, err := sim.RunSeeds(cfg, sim.DefaultSeeds(min(o.Seeds, 2)))
+				rep, err := o.simAt(a, lambda, 5, min(o.Seeds, 2), nil)
 				if err != nil {
-					return err
+					return nil, err
 				}
-				if rep.Unstable {
-					cell = "unstable"
-				} else {
-					cell = table.F(rep.RespInsert.Mean)
-				}
+				sims[ai] = orUnstable(rep, rep.RespInsert.Mean)
 			}
-			row = append(row, cell)
 		}
-		rows[i] = row
-		return nil
+		return append(row, sims...), nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	for _, row := range rows {
-		tb.AddRow(row...)
-	}
-	return tb, nil
 }
 
 // ruleFigure runs the Figure 13/14 sweeps over node size and disk cost.
@@ -490,96 +448,39 @@ func figRecovery(nodeSize, height int) func(Options) (*table.Table, error) {
 		mix := core.Workload{Mix: workload.PaperMix}
 		// Sweep relative to the Naive recovery variant's saturation, the
 		// earliest of the three.
-		naiveMax, err := maxODRecovery(m, mix, core.ODOptions{Recovery: core.NaiveRecovery, TTrans: ttrans})
+		naiveMax, err := core.MaxThroughputOD(m, mix, core.ODOptions{Recovery: core.NaiveRecovery, TTrans: ttrans}, 1e-4)
 		if err != nil {
 			return nil, err
 		}
 		tb := table.New("",
 			"lambda", "none_model", "leaf_model", "naive_model", "none_sim", "leaf_sim", "naive_sim")
-		items := s.Items
 		fracs := sweep(o.Quick)
-		rows := make([][]string, len(fracs))
-		err = sim.ForEachPoint(len(fracs), func(i int) error {
+		opts := []core.ODOptions{
+			{Recovery: core.NoRecovery},
+			{Recovery: core.LeafOnly, TTrans: ttrans},
+			{Recovery: core.NaiveRecovery, TTrans: ttrans},
+		}
+		return sweepTable(tb, len(fracs), func(i int) ([]string, error) {
 			lambda := fracs[i] * naiveMax
 			row := []string{table.F(lambda)}
-			opts := []core.ODOptions{
-				{Recovery: core.NoRecovery},
-				{Recovery: core.LeafOnly, TTrans: ttrans},
-				{Recovery: core.NaiveRecovery, TTrans: ttrans},
-			}
 			for _, op := range opts {
 				res, err := core.AnalyzeOD(m, core.Workload{Lambda: lambda, Mix: workload.PaperMix}, op)
 				if err != nil {
-					return err
+					return nil, err
 				}
 				row = append(row, table.F(res.RespInsert))
 			}
 			for _, op := range opts {
-				cfg := sim.Paper(core.OD, lambda, d)
-				cfg.NodeCap = nodeSize
-				cfg.InitialItems = items
-				cfg.Recovery = op.Recovery
-				cfg.TTrans = op.TTrans
-				cfg.Ops = o.Ops
-				cfg.Warmup = o.Ops / 10
-				rep, err := sim.RunSeeds(cfg, sim.DefaultSeeds(min(o.Seeds, 3)))
+				rep, err := o.simAt(core.OD, lambda, d, min(o.Seeds, 3), func(cfg *sim.Config) {
+					cfg.NodeCap, cfg.InitialItems = nodeSize, s.Items
+					cfg.Recovery, cfg.TTrans = op.Recovery, op.TTrans
+				})
 				if err != nil {
-					return err
+					return nil, err
 				}
-				if rep.Unstable {
-					row = append(row, "unstable")
-				} else {
-					row = append(row, table.F(rep.RespInsert.Mean))
-				}
+				row = append(row, orUnstable(rep, rep.RespInsert.Mean))
 			}
-			rows[i] = row
-			return nil
+			return row, nil
 		})
-		if err != nil {
-			return nil, err
-		}
-		for _, row := range rows {
-			tb.AddRow(row...)
-		}
-		return tb, nil
 	}
-}
-
-// maxODRecovery is MaxThroughput for OD with recovery options.
-func maxODRecovery(m core.Model, mix core.Workload, opts core.ODOptions) (float64, error) {
-	lo, hi := 0.0, 1e-3
-	stable := func(lambda float64) (bool, error) {
-		res, err := core.AnalyzeOD(m, core.Workload{Lambda: lambda, Mix: mix.Mix}, opts)
-		if err != nil {
-			return false, err
-		}
-		return res.Stable, nil
-	}
-	for {
-		ok, err := stable(hi)
-		if err != nil {
-			return 0, err
-		}
-		if !ok {
-			break
-		}
-		lo = hi
-		hi *= 2
-		if hi > 1e9 {
-			return math.Inf(1), nil
-		}
-	}
-	for hi-lo > 1e-4*hi {
-		mid := (lo + hi) / 2
-		ok, err := stable(mid)
-		if err != nil {
-			return 0, err
-		}
-		if ok {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2, nil
 }

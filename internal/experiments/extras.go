@@ -53,19 +53,15 @@ func extOLC(o Options) (*table.Table, error) {
 		"lambda", "model_restarts_per_op", "sim_restarts_per_op",
 		"model_fallback_prob", "sim_fallback_per_op",
 		"model_search", "sim_search")
-	rows := make([][]string, len(lambdas))
-	err = sim.ForEachPoint(len(lambdas), func(i int) error {
+	return sweepTable(tb, len(lambdas), func(i int) ([]string, error) {
 		lambda := lambdas[i]
 		res, err := core.AnalyzeOLC(m, core.Workload{Lambda: lambda, Mix: workload.PaperMix})
 		if err != nil {
-			return err
+			return nil, err
 		}
-		cfg := sim.Paper(core.OLC, lambda, 5)
-		cfg.Ops = o.Ops
-		cfg.Warmup = o.Ops / 10
-		rep, err := sim.RunSeeds(cfg, sim.DefaultSeeds(min(o.Seeds, 3)))
+		rep, err := o.simAt(core.OLC, lambda, 5, min(o.Seeds, 3), nil)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		var restarts, fallbacks, completed int64
 		for _, r := range rep.Results {
@@ -73,23 +69,11 @@ func extOLC(o Options) (*table.Table, error) {
 			fallbacks += r.ReadFallbacks
 			completed += int64(r.Completed)
 		}
-		simSearch := table.F(rep.RespSearch.Mean)
-		if rep.Unstable {
-			simSearch = "unstable"
-		}
-		rows[i] = []string{table.F(lambda),
+		return []string{table.F(lambda),
 			table.F(res.RestartsPerOp), table.F(float64(restarts) / float64(completed)),
 			table.F(res.FallbackProb), table.F(float64(fallbacks) / float64(completed)),
-			table.F(res.RespSearch), simSearch}
-		return nil
+			table.F(res.RespSearch), orUnstable(rep, rep.RespSearch.Mean)}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	for _, row := range rows {
-		tb.AddRow(row...)
-	}
-	return tb, nil
 }
 
 // extSkew measures the real LRU pool of internal/diskbtree under
@@ -185,53 +169,36 @@ func extBuffering(o Options) (*table.Table, error) {
 	}
 	tb := table.New("",
 		"pool_nodes", "hit_ratio", "nlc_max", "od_max", "model_search@0.1", "sim_search@0.1")
-	rows := make([][]string, len(pools))
-	err = sim.ForEachPoint(len(pools), func(i int) error {
+	return sweepTable(tb, len(pools), func(i int) ([]string, error) {
 		pool := pools[i]
 		costs, err := core.BufferedCosts(s, pool, base)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		m := core.Model{Shape: s, Costs: costs}
 		nlcMax, err := core.MaxThroughput(core.NLC, m, mix, 1e-4)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		odMax, err := core.MaxThroughput(core.OD, m, mix, 1e-4)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		res, err := core.AnalyzeNLC(m, core.Workload{Lambda: 0.1, Mix: workload.PaperMix})
 		if err != nil {
-			return err
+			return nil, err
 		}
-		cfg := sim.Paper(core.NLC, 0.1, 10)
-		cfg.Costs = costs
-		cfg.Ops = o.Ops
-		cfg.Warmup = o.Ops / 10
-		rep, err := sim.RunSeeds(cfg, sim.DefaultSeeds(min(o.Seeds, 2)))
+		rep, err := o.simAt(core.NLC, 0.1, 10, min(o.Seeds, 2), func(cfg *sim.Config) { cfg.Costs = costs })
 		if err != nil {
-			return err
-		}
-		simCell := table.F(rep.RespSearch.Mean)
-		if rep.Unstable {
-			simCell = "unstable"
+			return nil, err
 		}
 		modelCell := table.F(res.RespSearch)
 		if !res.Stable {
 			modelCell = "unstable"
 		}
-		rows[i] = []string{table.F(pool), table.F(core.ExpectedHitRatio(s, costs)),
-			table.F(nlcMax), table.F(odMax), modelCell, simCell}
-		return nil
+		return []string{table.F(pool), table.F(core.ExpectedHitRatio(s, costs)),
+			table.F(nlcMax), table.F(odMax), modelCell, orUnstable(rep, rep.RespSearch.Mean)}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	for _, row := range rows {
-		tb.AddRow(row...)
-	}
-	return tb, nil
 }
 
 // extMergePolicy measures restructuring rates of the two policies under
@@ -325,18 +292,11 @@ func extTwoPhase(o Options) (*table.Table, error) {
 
 	cells := make([]string, len(algs))
 	err = sim.ForEachPoint(len(algs), func(i int) error {
-		cfg := sim.Paper(algs[i], lambda, 5)
-		cfg.Ops = o.Ops
-		cfg.Warmup = o.Ops / 10
-		rep, err := sim.RunSeeds(cfg, sim.DefaultSeeds(min(o.Seeds, 3)))
+		rep, err := o.simAt(algs[i], lambda, 5, min(o.Seeds, 3), nil)
 		if err != nil {
 			return err
 		}
-		if rep.Unstable {
-			cells[i] = "unstable"
-		} else {
-			cells[i] = table.F(rep.RespInsert.Mean)
-		}
+		cells[i] = orUnstable(rep, rep.RespInsert.Mean)
 		return nil
 	})
 	if err != nil {

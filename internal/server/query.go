@@ -162,7 +162,9 @@ func (s *Server) execSeek(req Request, w *worker) Response {
 // req.Val, ascending, with the same per-shard cursor/merge machinery as
 // scans — the cursors range over the primary-key space. Answering
 // StatusBadRequest on an index-less server (rather than an empty OK
-// page) keeps "no index" distinguishable from "value not present".
+// page) keeps "no index" distinguishable from "value not present"; a
+// poisoned engine on any shard answers StatusUnavail, like every other
+// op that would have read it.
 func (s *Server) execLookup(req Request, w *worker) Response {
 	t := &w.tally
 	if s.shards[0].idx == nil {
@@ -177,6 +179,15 @@ func (s *Server) execLookup(req Request, w *worker) Response {
 		return badPage()
 	}
 	t[cLookups]++
+	for _, sh := range s.shards {
+		if sh.eng.Poisoned() != nil {
+			// The index is read without touching the engine: it may be a
+			// partial rebuild, and it stopped following the tree when the
+			// engine failed.
+			t[cUnavail]++
+			return Response{Status: StatusUnavail, Page: true}
+		}
+	}
 	ents, fetches := w.ents[:0], w.fetches[:0]
 	for i, sh := range s.shards {
 		var f query.ShardFetch
@@ -217,22 +228,15 @@ func (s *Server) execSeqs(t *opTally) Response {
 // primary tree, whose oplog already made these entries durable, so
 // kill -9 consistency is inherited from primary recovery.
 func (s *Server) rebuildIndexes() error {
-	const page = 1024
 	for _, sh := range s.shards {
-		cursor := int64(math.MinInt64)
-		buf := make([]query.KV, 0, page)
-		for {
-			ents, more, err := sh.eng.Scan(cursor, math.MaxInt64, page, buf[:0])
-			if err != nil {
-				return err
-			}
+		err := sh.scanAll(func(ents []query.KV) error {
 			for _, e := range ents {
 				sh.idx.Add(e.Key, e.Val)
 			}
-			if !more || len(ents) == 0 {
-				break
-			}
-			cursor = ents[len(ents)-1].Key + 1
+			return nil
+		})
+		if err != nil {
+			return err
 		}
 	}
 	return nil

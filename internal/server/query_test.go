@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"btreeperf/internal/cbtree"
+	"btreeperf/internal/pagestore"
 	"btreeperf/internal/query"
 	"btreeperf/internal/xrand"
 )
@@ -389,6 +390,73 @@ func TestLookupWithoutIndex(t *testing.T) {
 	if _, _, err := c.Lookup(100, 0, nil); err == nil {
 		t.Fatal("lookup on index-less server succeeded; want bad-request")
 	}
+}
+
+// TestLookupUnavailWhenPoisoned: a lookup reads only the index, which a
+// failed rebuild leaves partial and a poisoned engine leaves frozen, so
+// it must answer the page-shaped StatusUnavail like every op that reads
+// the engine — whether the engine failed before the server was built
+// over it or under traffic afterwards.
+func TestLookupUnavailWhenPoisoned(t *testing.T) {
+	probe := pagestore.NewFailFS(nil, pagestore.FailPlan{})
+	pe := newDiskEngine(t, DiskEngineConfig{Cap: 8, CacheNodes: 32, FS: probe})
+	openSyncs := probe.Syncs()
+	pe.Close()
+
+	// 20 keys under value 7 are committed by the engine's first fsync;
+	// its second fails.
+	build := func(t *testing.T) *DiskEngine {
+		fs := pagestore.NewFailFS(nil, pagestore.FailPlan{FailSyncAt: openSyncs + 2})
+		eng := newDiskEngine(t, DiskEngineConfig{Cap: 8, CacheNodes: 32, FS: fs})
+		for k := int64(0); k < 20; k++ {
+			if _, err := eng.Put(k, 7); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := eng.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+	lookupUnavail := func(t *testing.T, s *Server, c *Client) {
+		t.Helper()
+		before := s.shards[0].ctr[cUnavail].Load()
+		resp, err := c.DoPage(Request{Op: OpLookup, Val: 7, Limit: 100})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Status != StatusUnavail || len(resp.Entries) != 0 {
+			t.Fatalf("lookup over a poisoned engine: status %s with %d keys, want %s",
+				StatusName(resp.Status), len(resp.Entries), StatusName(StatusUnavail))
+		}
+		// The worker flushes its tally after it releases the response.
+		waitFor(t, "the lookup to be tallied unavail", func() bool {
+			return s.shards[0].ctr[cUnavail].Load() == before+1
+		})
+	}
+
+	t.Run("before New", func(t *testing.T) {
+		eng := build(t)
+		eng.Put(100, 7)
+		if eng.Commit() == nil || eng.Poisoned() == nil {
+			t.Fatal("the second fsync did not poison the engine")
+		}
+		s, addr, shutdown := startServer(t, Config{Engine: eng, Index: true})
+		defer shutdown()
+		lookupUnavail(t, s, dialT(t, addr))
+	})
+	t.Run("after New", func(t *testing.T) {
+		s, addr, shutdown := startServer(t, Config{Engine: build(t), Index: true})
+		defer shutdown()
+		c := dialT(t, addr)
+		if keys, _, err := c.Lookup(7, 100, nil); err != nil || len(keys) != 20 {
+			t.Fatalf("healthy lookup: %d keys, %v; want 20", len(keys), err)
+		}
+		if resp, err := c.Do(Request{Op: OpPut, Key: 100, Val: 7}); err != nil || resp.Status != StatusUnavail {
+			t.Fatalf("put whose fsync fails: %+v, %v; want StatusUnavail", resp, err)
+		}
+		lookupUnavail(t, s, c)
+	})
 }
 
 // TestLookupIndexSurvivesReopen is the durability half of the index

@@ -3,7 +3,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -114,28 +113,17 @@ func (s *Server) snapshotShard(i int) func(yield func([]repl.KV) error) (int64, 
 	sh := s.shards[i]
 	return func(yield func([]repl.KV) error) (int64, error) {
 		seq := sh.eng.(seqEngine).DurableSeq()
-		const page = 1024
-		cursor := int64(math.MinInt64)
-		buf := make([]query.KV, 0, page)
-		for {
-			ents, more, err := sh.eng.Scan(cursor, math.MaxInt64, page, buf[:0])
-			if err != nil {
-				return 0, err
+		err := sh.scanAll(func(ents []query.KV) error {
+			kvs := make([]repl.KV, len(ents))
+			for j, e := range ents {
+				kvs[j] = repl.KV{Key: e.Key, Val: e.Val}
 			}
-			if len(ents) > 0 {
-				kvs := make([]repl.KV, len(ents))
-				for j, e := range ents {
-					kvs[j] = repl.KV{Key: e.Key, Val: e.Val}
-				}
-				if err := yield(kvs); err != nil {
-					return 0, err
-				}
-			}
-			if !more || len(ents) == 0 {
-				return seq, nil
-			}
-			cursor = ents[len(ents)-1].Key + 1
+			return yield(kvs)
+		})
+		if err != nil {
+			return 0, err
 		}
+		return seq, nil
 	}
 }
 
@@ -165,21 +153,9 @@ func (s *Server) ApplierShards() []repl.ApplierShard {
 					var err error
 					switch op.Kind {
 					case journal.OpInsert:
-						if sh.idx != nil {
-							_, err = sh.idx.Put(op.Key, op.Val, func() (bool, error) {
-								return sh.eng.Put(op.Key, op.Val)
-							})
-						} else {
-							_, err = sh.eng.Put(op.Key, op.Val)
-						}
+						_, err = sh.put(op.Key, op.Val)
 					case journal.OpDelete:
-						if sh.idx != nil {
-							_, err = sh.idx.Del(op.Key, func() (bool, error) {
-								return sh.eng.Del(op.Key)
-							})
-						} else {
-							_, err = sh.eng.Del(op.Key)
-						}
+						_, err = sh.del(op.Key)
 					default:
 						err = fmt.Errorf("server: replicated op kind %d", op.Kind)
 					}
@@ -196,15 +172,7 @@ func (s *Server) ApplierShards() []repl.ApplierShard {
 			},
 			Load: func(kvs []repl.KV) error {
 				for _, kv := range kvs {
-					var err error
-					if sh.idx != nil {
-						_, err = sh.idx.Put(kv.Key, kv.Val, func() (bool, error) {
-							return sh.eng.Put(kv.Key, kv.Val)
-						})
-					} else {
-						_, err = sh.eng.Put(kv.Key, kv.Val)
-					}
-					if err != nil {
+					if _, err := sh.put(kv.Key, kv.Val); err != nil {
 						return err
 					}
 				}
@@ -220,29 +188,18 @@ func (s *Server) ApplierShards() []repl.ApplierShard {
 // in step. Slow for a large shard, but resync is already the degraded
 // path (the follower fell off the retained log).
 func (s *Server) resetShard(sh *shard) error {
-	const page = 1024
-	buf := make([]query.KV, 0, page)
-	for {
-		ents, _, err := sh.eng.Scan(math.MinInt64, math.MaxInt64, page, buf[:0])
-		if err != nil {
-			return err
-		}
-		if len(ents) == 0 {
-			return sh.eng.Commit()
-		}
+	err := sh.scanAll(func(ents []query.KV) error {
 		for _, e := range ents {
-			if sh.idx != nil {
-				_, err = sh.idx.Del(e.Key, func() (bool, error) {
-					return sh.eng.Del(e.Key)
-				})
-			} else {
-				_, err = sh.eng.Del(e.Key)
-			}
-			if err != nil {
+			if _, err := sh.del(e.Key); err != nil {
 				return err
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
+	return sh.eng.Commit()
 }
 
 // SetPromoteHook installs the role-flip procedure POST /promote runs.

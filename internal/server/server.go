@@ -244,8 +244,10 @@ func New(cfg Config) *Server {
 	if cfg.Index {
 		// Index the engines' current contents — prefill above, and any
 		// state a disk engine recovered from its journal — before taking
-		// traffic; from here on apply keeps the index in step per key.
-		s.rebuildIndexes()
+		// traffic; from here on apply keeps the index in step per key. A
+		// scan that fails has poisoned its engine, and lookups answer
+		// StatusUnavail while any engine is poisoned.
+		_ = s.rebuildIndexes()
 	}
 	for _, sh := range s.shards {
 		if sh.tree != nil {
@@ -810,17 +812,7 @@ func (s *Server) apply(sh *shard, req Request, w *worker) Response {
 			return Response{Status: StatusNotLeader}
 		}
 		t[cPuts]++
-		var ok bool
-		var err error
-		if sh.idx != nil {
-			// The index wraps the tree op so the pair commits as one
-			// per-key atomic step (see internal/query/index).
-			ok, err = sh.idx.Put(req.Key, req.Val, func() (bool, error) {
-				return sh.eng.Put(req.Key, req.Val)
-			})
-		} else {
-			ok, err = sh.eng.Put(req.Key, req.Val)
-		}
+		ok, err := sh.put(req.Key, req.Val)
 		if err != nil {
 			t[cUnavail]++
 			return Response{Status: StatusUnavail}
@@ -835,15 +827,7 @@ func (s *Server) apply(sh *shard, req Request, w *worker) Response {
 			return Response{Status: StatusNotLeader}
 		}
 		t[cDels]++
-		var ok bool
-		var err error
-		if sh.idx != nil {
-			ok, err = sh.idx.Del(req.Key, func() (bool, error) {
-				return sh.eng.Del(req.Key)
-			})
-		} else {
-			ok, err = sh.eng.Del(req.Key)
-		}
+		ok, err := sh.del(req.Key)
 		if err != nil {
 			t[cUnavail]++
 			return Response{Status: StatusUnavail}

@@ -1,11 +1,13 @@
 package server
 
 import (
+	"math"
 	"sync/atomic"
 	"time"
 
 	"btreeperf/internal/cbtree"
 	"btreeperf/internal/metrics"
+	"btreeperf/internal/query"
 	"btreeperf/internal/query/index"
 )
 
@@ -132,6 +134,48 @@ func shardIndex(key int64, n int) int {
 // shardIdx routes a key to this server's shard index.
 func (s *Server) shardIdx(key int64) int32 {
 	return int32(shardIndex(key, len(s.shards)))
+}
+
+// put and del apply one mutation to the shard's engine — through the
+// secondary index when there is one: the index wraps the tree op so the
+// pair commits as one per-key atomic step (see internal/query/index).
+func (sh *shard) put(key int64, val uint64) (bool, error) {
+	if sh.idx == nil {
+		return sh.eng.Put(key, val)
+	}
+	return sh.idx.Put(key, val, func() (bool, error) { return sh.eng.Put(key, val) })
+}
+
+func (sh *shard) del(key int64) (bool, error) {
+	if sh.idx == nil {
+		return sh.eng.Del(key)
+	}
+	return sh.idx.Del(key, func() (bool, error) { return sh.eng.Del(key) })
+}
+
+// scanAll pages through the engine in key order, handing fn each
+// non-empty page; the page's storage is reused for the next. fn may
+// delete the keys it was handed.
+func (sh *shard) scanAll(fn func([]query.KV) error) error {
+	const page = 1024
+	cursor := int64(math.MinInt64)
+	buf := make([]query.KV, 0, page)
+	for {
+		ents, more, err := sh.eng.Scan(cursor, math.MaxInt64, page, buf[:0])
+		if err != nil {
+			return err
+		}
+		if len(ents) == 0 {
+			return nil
+		}
+		if err := fn(ents); err != nil {
+			return err
+		}
+		if !more {
+			return nil
+		}
+		cursor = ents[len(ents)-1].Key + 1
+	}
 }
 
 // run is one worker of this shard's pool: it executes the shard's slice

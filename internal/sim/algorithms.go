@@ -7,69 +7,112 @@ import (
 	"btreeperf/internal/workload"
 )
 
-// held is one lock retained by a lock-coupling update.
+// held is one lock an operation still holds.
 type held struct {
 	node  *btree.Node
 	grant *des.Grant
 }
 
 // ---------------------------------------------------------------------------
-// Shared R-lock-coupled search (Naive Lock-coupling and Optimistic Descent
-// searches follow the identical protocol).
+// Lock-coupled operations: Naive Lock-coupling, Optimistic Descent (its
+// searches, first descents and redos) and Two-Phase Locking, which is
+// Naive Lock-coupling that never releases.
 
-// coupledSearch descends with R-lock coupling: the child is locked before
-// the parent's lock is released. It returns the operation's completion
-// time.
-func (s *session) coupledSearch(p *des.Proc, key int64) float64 {
-	n, g := s.lockRoot(p, readClass)
-	for {
-		s.access(p, n.Level())
-		if n.IsLeaf() {
-			n.LeafGet(key)
-			s.lockOf(n).Release(g)
-			return p.Now()
-		}
-		child := n.FindChild(key)
-		cg := s.lockOf(child).Acquire(p, des.Read)
-		s.lockOf(n).Release(g)
-		n, g = child, cg
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Naive Lock-coupling updates.
-
-// nlcUpdate descends placing W locks, releasing all ancestors whenever the
-// child is safe for the operation, then applies the leaf modification and
-// any restructuring under the retained locks.
-func (s *session) nlcUpdate(p *des.Proc, op workload.Op, key int64) float64 {
-	root, g := s.lockRoot(p, writeClass)
-	chain := []held{{root, g}}
-	n := root
+// coupledDescend is the lock-coupled descent: from the root to the leaf
+// on key's path, locking each child in the class classOf gives it before
+// deciding about its ancestors' locks — retain reports whether they stay
+// held now that child is locked. It returns the locks still held, the
+// leaf's last; the leaf has not been accessed yet.
+func (s *session) coupledDescend(p *des.Proc, key int64, classOf func(*btree.Node) des.Class, retain func(child *btree.Node) bool) []held {
+	n, g := s.lockRoot(p, classOf)
+	chain := []held{{n, g}}
 	for !n.IsLeaf() {
 		s.access(p, n.Level())
 		child := n.FindChild(key)
-		cg := s.lockOf(child).Acquire(p, des.Write)
-		safe := s.tree.InsertSafe(child)
-		if op == workload.Delete {
-			safe = s.tree.DeleteSafe(child)
-		}
-		if safe {
+		cg := s.lockOf(child).Acquire(p, classOf(child))
+		if !retain(child) {
 			s.releaseAll(chain)
 			chain = chain[:0]
 		}
 		chain = append(chain, held{child, cg})
 		n = child
 	}
+	return chain
+}
+
+// The three release disciplines of a lock-coupled descent.
+func never(*btree.Node) bool  { return false } // searches, OD first descents
+func always(*btree.Node) bool { return true }  // Two-Phase Locking
+
+// whileUnsafe retains the ancestors of a child that op might split or
+// empty: the Naive Lock-coupling update.
+func (s *session) whileUnsafe(op workload.Op) func(*btree.Node) bool {
+	if op == workload.Delete {
+		return func(child *btree.Node) bool { return !s.tree.DeleteSafe(child) }
+	}
+	return func(child *btree.Node) bool { return !s.tree.InsertSafe(child) }
+}
+
+// coupledSearch descends with R-lock coupling and reads the leaf. It
+// returns the operation's completion time.
+func (s *session) coupledSearch(p *des.Proc, key int64, retain func(*btree.Node) bool) float64 {
+	chain := s.coupledDescend(p, key, readClass, retain)
+	leaf := chain[len(chain)-1].node
+	s.access(p, 1)
+	leaf.LeafGet(key)
+	done := p.Now()
+	s.releaseAll(chain)
+	return done
+}
+
+// coupledUpdate descends placing W locks, applies the leaf modification
+// and any restructuring under the retained locks, and releases them as
+// the recovery protocol dictates.
+func (s *session) coupledUpdate(p *des.Proc, op workload.Op, key int64, retain func(*btree.Node) bool) float64 {
+	chain := s.coupledDescend(p, key, writeClass, retain)
+	leaf := chain[len(chain)-1].node
 	s.work(p, s.m())
 	if op == workload.Insert {
-		s.tree.LeafInsert(n, key, uint64(key))
+		s.tree.LeafInsert(leaf, key, uint64(key))
 		s.propagateSplits(p, chain)
 	} else {
-		s.tree.LeafDelete(n, key)
+		s.tree.LeafDelete(leaf, key)
 		s.propagateMerges(p, chain)
 	}
 	return s.finishUpdate(p, chain)
+}
+
+// odUpdate makes an optimistic first descent with R locks, W-locking only
+// the leaf (by lock coupling from its parent). If the leaf is unsafe it
+// releases everything and re-descends with the Naive Lock-coupling
+// protocol (a redo operation).
+func (s *session) odUpdate(p *des.Proc, op workload.Op, key int64) float64 {
+	unsafe := s.whileUnsafe(op)
+	chain := s.coupledDescend(p, key, firstClass, never)
+	leaf := chain[0].node
+	if unsafe(leaf) {
+		// Inspect-and-release, then redo pessimistically.
+		s.access(p, 1)
+		s.releaseAll(chain)
+		s.restarts++
+		return s.coupledUpdate(p, op, key, unsafe)
+	}
+	s.work(p, s.m())
+	if op == workload.Insert {
+		s.tree.LeafInsert(leaf, key, uint64(key))
+	} else {
+		s.tree.LeafDelete(leaf, key)
+	}
+	return s.finishUpdate(p, chain)
+}
+
+// firstClass is the lock class an OD first descent places on a node:
+// R everywhere except the leaf.
+func firstClass(n *btree.Node) des.Class {
+	if n.IsLeaf() {
+		return des.Write
+	}
+	return des.Read
 }
 
 // propagateSplits splits overfull nodes bottom-up through the retained
@@ -159,109 +202,30 @@ func (s *session) releaseNode(n *btree.Node, g *des.Grant) {
 }
 
 // ---------------------------------------------------------------------------
-// Two-Phase Locking (the paper's deferred extension): no lock is ever
-// released before the operation finishes.
-
-// twoPhaseSearch descends holding R locks on the whole path.
-func (s *session) twoPhaseSearch(p *des.Proc, key int64) float64 {
-	root, g := s.lockRoot(p, readClass)
-	chain := []held{{root, g}}
-	n := root
-	for {
-		s.access(p, n.Level())
-		if n.IsLeaf() {
-			n.LeafGet(key)
-			break
-		}
-		child := n.FindChild(key)
-		cg := s.lockOf(child).Acquire(p, des.Read)
-		chain = append(chain, held{child, cg})
-		n = child
-	}
-	done := p.Now()
-	s.releaseAll(chain)
-	return done
-}
-
-// twoPhaseUpdate descends holding W locks on the whole path, restructures
-// under them, and releases everything only at the end.
-func (s *session) twoPhaseUpdate(p *des.Proc, op workload.Op, key int64) float64 {
-	root, g := s.lockRoot(p, writeClass)
-	chain := []held{{root, g}}
-	n := root
-	for !n.IsLeaf() {
-		s.access(p, n.Level())
-		child := n.FindChild(key)
-		cg := s.lockOf(child).Acquire(p, des.Write)
-		chain = append(chain, held{child, cg})
-		n = child
-	}
-	s.work(p, s.m())
-	if op == workload.Insert {
-		s.tree.LeafInsert(n, key, uint64(key))
-		s.propagateSplits(p, chain)
-	} else {
-		s.tree.LeafDelete(n, key)
-		s.propagateMerges(p, chain)
-	}
-	return s.finishUpdate(p, chain)
-}
-
-// ---------------------------------------------------------------------------
-// Optimistic Descent updates.
-
-// odUpdate makes an optimistic first descent with R locks, W-locking only
-// the leaf (by lock coupling from its parent). If the leaf is unsafe it
-// releases everything and re-descends with the Naive Lock-coupling
-// protocol (a redo operation).
-func (s *session) odUpdate(p *des.Proc, op workload.Op, key int64) float64 {
-	n, g := s.lockRoot(p, firstClass)
-	for !n.IsLeaf() {
-		s.access(p, n.Level())
-		child := n.FindChild(key)
-		cg := s.lockOf(child).Acquire(p, firstClass(child))
-		s.lockOf(n).Release(g)
-		n, g = child, cg
-	}
-	safe := s.tree.InsertSafe(n)
-	if op == workload.Delete {
-		safe = s.tree.DeleteSafe(n)
-	}
-	if !safe {
-		// Inspect-and-release, then redo pessimistically.
-		s.access(p, 1)
-		s.lockOf(n).Release(g)
-		s.restarts++
-		return s.nlcUpdate(p, op, key)
-	}
-	s.work(p, s.m())
-	if op == workload.Insert {
-		s.tree.LeafInsert(n, key, uint64(key))
-	} else {
-		s.tree.LeafDelete(n, key)
-	}
-	return s.finishUpdate(p, []held{{n, g}})
-}
-
-// firstClass is the lock class an OD first descent places on a node:
-// R everywhere except the leaf.
-func firstClass(n *btree.Node) des.Class {
-	if n.IsLeaf() {
-		return des.Write
-	}
-	return des.Read
-}
-
-// ---------------------------------------------------------------------------
 // Link-type (Lehman–Yao) operations.
 
 // linkOp holds at most one lock at a time, using right links to recover
 // from concurrent splits. Updates W-lock only the nodes they modify.
 func (s *session) linkOp(p *des.Proc, op workload.Op, key int64) float64 {
-	// Descend with R locks, remembering the ancestor path for split repair.
+	n, stack := s.linkDescend(p, 1, key)
+	if op != workload.Search {
+		return s.linkUpdateAt(p, op, key, n, stack)
+	}
+	g := s.lockOf(n).Acquire(p, des.Read)
+	s.access(p, 1)
+	n, g = s.linkMoveRight(p, n, g, key, des.Read)
+	n.LeafGet(key)
+	s.lockOf(n).Release(g)
+	return p.Now()
+}
+
+// linkDescend returns the (unlocked) candidate for key at the given
+// level, 1 being the leaves, and the ancestors it routed through — the
+// stack split repair climbs. It R-locks one node at a time.
+func (s *session) linkDescend(p *des.Proc, level int, key int64) (*btree.Node, []*btree.Node) {
 	var stack []*btree.Node
 	n := s.tree.Root()
-	for !n.IsLeaf() {
+	for n.Level() > level {
 		g := s.lockOf(n).Acquire(p, des.Read)
 		s.access(p, n.Level())
 		n, g = s.linkMoveRight(p, n, g, key, des.Read)
@@ -270,16 +234,13 @@ func (s *session) linkOp(p *des.Proc, op workload.Op, key int64) float64 {
 		s.lockOf(n).Release(g)
 		n = child
 	}
+	return n, stack
+}
 
-	if op == workload.Search {
-		g := s.lockOf(n).Acquire(p, des.Read)
-		s.access(p, 1)
-		n, g = s.linkMoveRight(p, n, g, key, des.Read)
-		n.LeafGet(key)
-		s.lockOf(n).Release(g)
-		return p.Now()
-	}
-
+// linkUpdateAt applies op at the candidate leaf a descent located: the
+// right-link update tail shared by Link-type and OLC (whose W sections
+// the version-aware lock helpers bracket with version bumps).
+func (s *session) linkUpdateAt(p *des.Proc, op workload.Op, key int64, n *btree.Node, stack []*btree.Node) float64 {
 	g := s.acquireNode(p, n, des.Write)
 	s.work(p, s.m())
 	n, g = s.linkMoveRight(p, n, g, key, des.Write)
@@ -290,7 +251,6 @@ func (s *session) linkOp(p *des.Proc, op workload.Op, key int64) float64 {
 		s.tree.LeafDelete(n, key)
 		return s.finishUpdate(p, []held{{n, g}})
 	}
-
 	s.tree.LeafInsert(n, key, uint64(key))
 	return s.linkRepairSplits(p, n, g, stack)
 }
@@ -336,7 +296,7 @@ func (s *session) linkRepairSplits(p *des.Proc, n *btree.Node, g *des.Grant, sta
 		} else {
 			// The root grew since the descent began; locate the parent
 			// level from the current root.
-			parent = s.linkLocate(p, level, sep)
+			parent, _ = s.linkDescend(p, level, sep)
 		}
 		g = s.acquireNode(p, parent, des.Write)
 		s.access(p, level)
@@ -347,20 +307,4 @@ func (s *session) linkRepairSplits(p *des.Proc, n *btree.Node, g *des.Grant, sta
 	}
 	s.releaseNode(n, g)
 	return p.Now()
-}
-
-// linkLocate descends from the current root to the node at the given level
-// responsible for key (used when the remembered ancestor path has been
-// outgrown by root splits).
-func (s *session) linkLocate(p *des.Proc, level int, key int64) *btree.Node {
-	n := s.tree.Root()
-	for n.Level() > level {
-		g := s.lockOf(n).Acquire(p, des.Read)
-		s.access(p, n.Level())
-		n, g = s.linkMoveRight(p, n, g, key, des.Read)
-		child := n.FindChild(key)
-		s.lockOf(n).Release(g)
-		n = child
-	}
-	return n
 }

@@ -59,7 +59,7 @@ func (s *session) olcOp(p *des.Proc, op workload.Op, key int64) float64 {
 			s.readRestarts++
 			continue
 		}
-		return s.olcUpdateAt(p, op, key, leaf, stack)
+		return s.linkUpdateAt(p, op, key, leaf, stack)
 	}
 	s.readFallbacks++
 	return s.linkOp(p, op, key)
@@ -68,34 +68,26 @@ func (s *session) olcOp(p *des.Proc, op workload.Op, key int64) float64 {
 // olcTrySearch makes one latch-free descent to the leaf and reads it,
 // reporting failure on the first version conflict.
 func (s *session) olcTrySearch(p *des.Proc, key int64, visited map[*btree.Node]bool) (float64, bool) {
-	n := s.tree.Root()
+	n, _, ok := s.olcTryDescend(p, key, visited)
+	if !ok {
+		return 0, false
+	}
 	for {
 		v, stable := s.readBegin(n)
 		if !stable {
 			return 0, false
 		}
 		s.olcAccess(p, n, visited)
-		if !n.Covers(key) {
-			right := n.Right()
-			if !s.validate(n, v) {
-				return 0, false
-			}
-			s.crossings++
-			n = right
-			continue
-		}
-		if n.IsLeaf() {
+		if n.Covers(key) {
 			n.LeafGet(key)
-			if !s.validate(n, v) {
-				return 0, false
-			}
-			return p.Now(), true
+			return p.Now(), s.validate(n, v)
 		}
-		child := n.FindChild(key)
+		right := n.Right()
 		if !s.validate(n, v) {
 			return 0, false
 		}
-		n = child
+		s.crossings++
+		n = right
 	}
 }
 
@@ -128,20 +120,4 @@ func (s *session) olcTryDescend(p *des.Proc, key int64, visited map[*btree.Node]
 		n = child
 	}
 	return n, stack, true
-}
-
-// olcUpdateAt applies op at the latch-free-located leaf: the Link-type
-// update tail (W-lock, move right, modify, half-split repair) under
-// version-bumping locks.
-func (s *session) olcUpdateAt(p *des.Proc, op workload.Op, key int64, n *btree.Node, stack []*btree.Node) float64 {
-	g := s.acquireNode(p, n, des.Write)
-	s.work(p, s.m())
-	n, g = s.linkMoveRight(p, n, g, key, des.Write)
-
-	if op == workload.Delete {
-		s.tree.LeafDelete(n, key)
-		return s.finishUpdate(p, []held{{n, g}})
-	}
-	s.tree.LeafInsert(n, key, uint64(key))
-	return s.linkRepairSplits(p, n, g, stack)
 }

@@ -3,8 +3,9 @@
 // (with the same insert:delete proportion as the concurrent phase), then
 // performs concurrent operations arriving in a Poisson process, each
 // executing the real concurrency-control protocol — Naive Lock-coupling,
-// Optimistic Descent, or Link-type — against the real tree, in virtual
-// time with exponentially distributed service times.
+// Optimistic Descent, Link-type, Two-Phase Locking or optimistic
+// lock-coupling — against the real tree, in virtual time with
+// exponentially distributed service times.
 //
 // The simulator measures operation response times, per-level lock waiting
 // times, the root's writer presence ρ_w, Optimistic Descent restarts and
@@ -337,21 +338,21 @@ func (s *session) runOp(p *des.Proc, op workload.Op, key int64) float64 {
 	switch s.cfg.Algorithm {
 	case core.NLC:
 		if op == workload.Search {
-			return s.coupledSearch(p, key)
+			return s.coupledSearch(p, key, never)
 		}
-		return s.nlcUpdate(p, op, key)
+		return s.coupledUpdate(p, op, key, s.whileUnsafe(op))
 	case core.OD:
 		if op == workload.Search {
-			return s.coupledSearch(p, key)
+			return s.coupledSearch(p, key, never)
 		}
 		return s.odUpdate(p, op, key)
 	case core.Link:
 		return s.linkOp(p, op, key)
 	case core.TwoPhase:
 		if op == workload.Search {
-			return s.twoPhaseSearch(p, key)
+			return s.coupledSearch(p, key, always)
 		}
-		return s.twoPhaseUpdate(p, op, key)
+		return s.coupledUpdate(p, op, key, always)
 	case core.OLC:
 		return s.olcOp(p, op, key)
 	default:

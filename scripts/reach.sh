@@ -85,12 +85,11 @@ run SHARDS=4 CYCLES=3 scripts/crash.sh
 run CKPT_KILL=1 CYCLES=3 scripts/crash.sh
 run CYCLES=2 scripts/failover.sh
 run SHARDS=4 CYCLES=2 scripts/failover.sh
-run BENCH_OUT="$work/BENCH_serving.json" BENCH_STORAGE_OUT="$work/BENCH_storage.json" \
-  BENCH_LOCK_OUT="$work/BENCH_lock.json" BENCH_CBTREE_OUT="$work/BENCH_cbtree.json" scripts/bench.sh -quick
-for b in serving storage lock cbtree; do
+run BENCH_DIR="$work/bench" scripts/bench.sh -quick
+for f in results/BENCH_*.json; do
   # CI's allocation gates. At -quick one benchmark rounds to 0 or 1
   # allocs/op from run to run; the audit wants the counters, not the verdict.
-  go run ./cmd/benchjson -compare "results/BENCH_$b.json" "$work/BENCH_$b.json" >/dev/null 2>&1 || true
+  go run ./cmd/benchjson -compare "$f" "$work/bench/$(basename "$f")" >/dev/null 2>&1 || true
 done
 for c in btfigures btmodel btsim; do go build -o "$work/bin/$c" "./cmd/$c"; done
 run "$work/bin/btfigures" -fig all -progress=false -out "$work/figs"

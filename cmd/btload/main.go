@@ -413,7 +413,7 @@ func (s *slot) pump(w, r *server.Client, quota int) (did, lost int, err error) {
 		case workload.Search:
 			req, p = server.Request{Op: server.OpGet, Key: key}, rp
 			if s.rt != nil {
-				req.Op, req.MinSeq = server.OpGetSeq, s.rt.floor(key)
+				req.Op, req.MinSeq = server.OpGetSeq, s.rt.floors.For(key)
 			}
 			s.ctr.searches.Add(1)
 		case workload.Scan:
@@ -496,7 +496,7 @@ func (s *slot) onResp(st stamp, resp server.Response) {
 		case s.rt != nil && resp.HasVal:
 			// A replicated leader stamps each acked mutation with the
 			// shard's durable seq: fold it into the shared read floor.
-			s.rt.observe(st.key, int64(resp.Val))
+			s.rt.floors.Observe(st.key, int64(resp.Val))
 		}
 	default:
 		if s.rt != nil && (st.op == workload.Search || st.op == workload.Scan) {

@@ -130,7 +130,7 @@ func TestPumpAccountingOnConnLoss(t *testing.T) {
 			var stop atomic.Bool
 			s := testSlot(t, rstServer(t, answerN), &stop, &ctr)
 			s.rt = &replTargets{
-				nShards: 1, floors: make([]atomic.Int64, 1), addrs: []string{rstServer(t, answerN)},
+				floors: make(server.ReadFloor, 1), addrs: []string{rstServer(t, answerN)},
 				gets: make([]atomic.Int64, 1), scans: make([]atomic.Int64, 1),
 				lagging: make([]atomic.Int64, 1), errsT: make([]atomic.Int64, 1),
 			}

@@ -25,12 +25,11 @@ import (
 	"btreeperf/internal/server"
 )
 
-// replTargets is the shared replica-mode state: the leader's shard
-// count, the per-shard read floors, and per-target accounting.
+// replTargets is the shared replica-mode state: the per-shard read
+// floors (one slot per leader shard) and per-target accounting.
 type replTargets struct {
-	nShards int
-	floors  []atomic.Int64 // per shard: highest acked durable seq observed
-	addrs   []string
+	floors server.ReadFloor // highest acked durable seq observed, per shard
+	addrs  []string
 
 	gets    []atomic.Int64 // per target: getseqs answered OK/Miss
 	scans   []atomic.Int64 // per target: scan pages answered OK
@@ -58,30 +57,13 @@ func newReplTargets(dialTo func(addr string) (*server.Client, error), leader, sp
 		return nil, fmt.Errorf("leader %s seqs: %w", leader, err)
 	}
 	return &replTargets{
-		nShards: len(seqs),
-		floors:  make([]atomic.Int64, len(seqs)),
+		floors:  make(server.ReadFloor, len(seqs)),
 		addrs:   addrs,
 		gets:    make([]atomic.Int64, len(addrs)),
 		scans:   make([]atomic.Int64, len(addrs)),
 		lagging: make([]atomic.Int64, len(addrs)),
 		errsT:   make([]atomic.Int64, len(addrs)),
 	}, nil
-}
-
-// observe raises a shard's read floor to an acked durable sequence.
-func (rt *replTargets) observe(key int64, seq int64) {
-	f := &rt.floors[server.ShardIndex(key, rt.nShards)]
-	for {
-		cur := f.Load()
-		if seq <= cur || f.CompareAndSwap(cur, seq) {
-			return
-		}
-	}
-}
-
-// floor is the read floor a bounded-staleness get of key carries.
-func (rt *replTargets) floor(key int64) int64 {
-	return rt.floors[server.ShardIndex(key, rt.nShards)].Load()
 }
 
 // report prints the per-target split after the run.
@@ -97,11 +79,7 @@ func (rt *replTargets) report(elapsed time.Duration) {
 		fmt.Printf("replica %s: %d gets, %d scan pages (%.0f reads/s), %d lagging refusals (%.2f%%), %d errors\n",
 			addr, g, sc, float64(g+sc)/elapsed.Seconds(), lag, lagPct, e)
 	}
-	floors := make([]int64, rt.nShards)
-	for i := range floors {
-		floors[i] = rt.floors[i].Load()
-	}
-	fmt.Printf("read floors at exit (per shard): %v\n", floors)
+	fmt.Printf("read floors at exit (per shard): %v\n", rt.floors.Seqs())
 }
 
 // setupReplicas validates the replica-mode flag combination and builds

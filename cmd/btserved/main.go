@@ -208,26 +208,17 @@ func main() {
 	}
 	s := server.New(cfg)
 
-	// Replication wiring: leader hub, follower applier, or a promotable
-	// follower (both flags). See cmd/btserved/repl.go.
-	statePath := *replState
-	if statePath == "" && (*follow != "" || *replListen != "") && *engineName == "disk" {
-		if *shards > 1 {
-			statePath = filepath.Join(*path, "repl-state.json")
-		} else {
-			statePath = *path + ".repl"
-		}
+	// The replication role: leader hub, follower applier, or a promotable
+	// follower (both flags). Only a disk engine has a -path to keep the
+	// state file beside.
+	dataPath := ""
+	if *engineName == "disk" {
+		dataPath = *path
 	}
-	role, err := setupRepl(s, replOptions{
-		Listen:     *replListen,
-		Follow:     *follow,
-		RetainMB:   *replRetain,
-		StatePath:  statePath,
-		Resync:     *replResync,
-		DiskEngine: *engineName == "disk",
-	}, func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "btserved: "+format+"\n", args...)
-	})
+	err = s.StartRepl(replOptions(*replListen, *follow, *replRetain, *replState, *replResync, dataPath, *shards,
+		func(format string, args ...any) {
+			fmt.Fprintf(os.Stderr, "btserved: "+format+"\n", args...)
+		}))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "btserved:", err)
 		os.Exit(1)
@@ -291,11 +282,11 @@ func main() {
 	// the engines, so no new scrape can begin against a closing engine
 	// (Server.Close additionally excludes any scrape already in flight
 	// via the lifecycle lock). Serve has already drained — every acked
-	// batch's group commit returned before it did.
+	// batch's group commit returned before it did. Close ends the
+	// replication role before it closes the engines.
 	if hs != nil {
 		hs.Close()
 	}
-	role.shutdown()
 	keys := s.Len()
 	if err := s.Close(); err != nil {
 		fmt.Fprintln(os.Stderr, "btserved: engine close:", err)

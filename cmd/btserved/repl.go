@@ -1,244 +1,32 @@
 package main
 
 import (
-	"encoding/json"
-	"fmt"
-	"net"
-	"os"
-	"sync"
-	"time"
+	"path/filepath"
 
-	"btreeperf/internal/repl"
 	"btreeperf/internal/server"
 )
 
-// sidecarState is the node's persisted replication lineage. On a
-// follower it is the applied position: which leader epoch the seqs
-// belong to and how far each shard got. On a leader it is the epoch the
-// node leads (seqs empty) — persisted so that when a KILLED leader's
-// disk rejoins the cluster as a follower, its hello presents the dead
-// lineage's epoch and the new leader forces a snapshot resync instead
-// of tailing oplog onto diverged state (the old disk may hold writes
-// the new leader never acknowledged). It lives NEXT TO the engine, not
-// inside it, because the follower's own journal numbers local appends
-// (snapshot loads included), which is not the leader's sequence space.
-type sidecarState struct {
-	ID    uint64  `json:"id"`    // persistent node identity
-	Epoch uint64  `json:"epoch"` // lineage: leading it, or applying from it
-	Seqs  []int64 `json:"seqs"`  // per-shard applied leader seqs (followers)
-}
-
-// sidecar persists sidecarState atomically (tmp + rename), throttled so
-// the applier's per-batch progress hook stays cheap.
-type sidecar struct {
-	path string
-	id   uint64
-
-	mu   sync.Mutex
-	last time.Time
-}
-
-// loadSidecar reads the state file; a missing file is a fresh follower
-// (zero epoch forces a full snapshot resync against any live leader).
-func loadSidecar(path string) (sidecarState, error) {
-	var st sidecarState
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return st, nil
-	}
-	if err != nil {
-		return st, err
-	}
-	if err := json.Unmarshal(data, &st); err != nil {
-		return st, fmt.Errorf("%s: %w", path, err)
-	}
-	return st, nil
-}
-
-// save writes the state if forced or the throttle window has passed.
-// Safe ordering: the applier calls this only after Apply committed, so
-// the file never claims a seq the engine hasn't made durable.
-func (sc *sidecar) save(epoch uint64, seqs []int64, force bool) {
-	if sc == nil || sc.path == "" {
-		return
-	}
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	now := time.Now()
-	if !force && now.Sub(sc.last) < 200*time.Millisecond {
-		return
-	}
-	sc.last = now
-	data, err := json.Marshal(sidecarState{ID: sc.id, Epoch: epoch, Seqs: seqs})
-	if err != nil {
-		return
-	}
-	tmp := sc.path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "btserved: repl state:", err)
-		return
-	}
-	if err := os.Rename(tmp, sc.path); err != nil {
-		fmt.Fprintln(os.Stderr, "btserved: repl state:", err)
-	}
-}
-
-// replRole is the process's replication wiring, built before Serve and
-// torn down after it drains.
-type replRole struct {
-	s   *server.Server
-	hub *repl.Hub
-	ap  *repl.Applier
-	sc  *sidecar
-
-	mu          sync.Mutex
-	promotedHub *repl.Hub
-}
-
-// replOptions carries the parsed replication flags.
-type replOptions struct {
-	Listen     string // hub listener (leader now, or after promotion)
-	Follow     string // leader hub address (follower mode)
-	RetainMB   int64  // oplog retention budget per shard
-	StatePath  string // follower sidecar file ("" = don't persist)
-	Resync     bool   // ignore persisted state, force snapshot resync
-	DiskEngine bool   // engines are journal-backed
-}
-
-// newEpoch mints a lineage identifier for a fresh or promoted leader.
-// Wall-clock nanos are unique enough across restarts of one deployment,
-// and monotone enough that a promoted follower's epoch differs from the
-// dead leader's — equality is all the protocol checks.
-func newEpoch() uint64 { return uint64(time.Now().UnixNano()) }
-
-// setupRepl wires the process's replication role onto s. Leader mode
-// (-repl-listen without -follow) starts the hub immediately; follower
-// mode (-follow) starts the applier, and if -repl-listen is also given,
-// pre-opens the hub listener and installs a promote hook so POST
-// /promote can flip the process to leading without a restart.
-func setupRepl(s *server.Server, opt replOptions, logf func(string, ...any)) (*replRole, error) {
-	r := &replRole{s: s}
-	budget := opt.RetainMB << 20
-
-	// Both roles read the sidecar: a follower for its resume position, a
-	// leader only for its persistent identity (a fresh epoch is minted
-	// every time a node starts leading — the previous lineage might have
-	// diverged past what this disk can prove).
-	var st sidecarState
-	if opt.StatePath != "" && opt.DiskEngine && !opt.Resync {
-		var err error
-		if st, err = loadSidecar(opt.StatePath); err != nil {
-			return nil, err
+// replOptions turns the replication flags into the server's role options
+// (internal/server/repl.go owns the roles themselves): leader with
+// -repl-listen, follower with -follow, promotable follower with both.
+// Unless -repl-state names it, a disk node's state file sits beside its
+// data: dataPath+".repl" for one shard, repl-state.json inside the data
+// directory for several. A mem node has no dataPath and never persists.
+func replOptions(listen, follow string, retainMB int64, statePath string, resync bool,
+	dataPath string, shards int, logf func(string, ...any),
+) server.ReplOptions {
+	if statePath == "" && dataPath != "" && (listen != "" || follow != "") {
+		statePath = dataPath + ".repl"
+		if shards > 1 {
+			statePath = filepath.Join(dataPath, "repl-state.json")
 		}
 	}
-	if st.ID == 0 {
-		st.ID = uint64(time.Now().UnixNano())
-	}
-	if opt.Resync {
-		st.Epoch, st.Seqs = 0, nil
-	}
-	if opt.DiskEngine {
-		r.sc = &sidecar{path: opt.StatePath, id: st.ID}
-	}
-
-	if opt.Follow == "" {
-		if opt.Listen == "" {
-			return r, nil // unreplicated
-		}
-		hub, err := s.StartHub(newEpoch(), budget, logf)
-		if err != nil {
-			return nil, fmt.Errorf("repl leader: %w", err)
-		}
-		ln, err := net.Listen("tcp", opt.Listen)
-		if err != nil {
-			hub.Close()
-			return nil, err
-		}
-		go hub.Serve(ln)
-		r.hub = hub
-		// Record the lineage we lead: if this process is killed and its
-		// disk rejoins as a follower, the stale epoch in the sidecar is
-		// what forces the snapshot resync over tailing onto divergence.
-		r.sc.save(hub.Epoch(), nil, true)
-		fmt.Fprintf(os.Stderr, "btserved: repl leader epoch=%d shipping on %s (retain %d MiB/shard)\n",
-			hub.Epoch(), ln.Addr(), opt.RetainMB)
-		return r, nil
-	}
-
-	// Follower. Resume position comes from the sidecar only when the
-	// engine below it actually retained the applied state: a mem
-	// follower restarts empty, so resuming its seqs would silently serve
-	// holes — it must resync from scratch instead. A sidecar written by
-	// a dead LEADER carries its epoch with no seqs: the mismatch against
-	// the live leader's epoch forces the full resync that discards this
-	// disk's possibly-diverged tail.
-
-	ap := repl.NewApplier(repl.ApplierConfig{
-		Addr:   opt.Follow,
-		ID:     st.ID,
-		Epoch:  st.Epoch,
-		Seqs:   st.Seqs,
-		Shards: s.ApplierShards(),
-		OnProgress: func(epoch uint64, seqs []int64) {
-			r.sc.save(epoch, seqs, false)
-		},
-		Logf: logf,
-	})
-	s.AttachFollower(ap)
-	r.ap = ap
-	go ap.Run()
-	fmt.Fprintf(os.Stderr, "btserved: following %s id=%d epoch=%d seqs=%v\n",
-		opt.Follow, st.ID, st.Epoch, st.Seqs)
-
-	if opt.Listen != "" {
-		// Own the hub address now so promotion can't lose a port race;
-		// connections queue in the accept backlog until the hub serves.
-		ln, err := net.Listen("tcp", opt.Listen)
-		if err != nil {
-			ap.Stop()
-			return nil, err
-		}
-		s.SetPromoteHook(func() (uint64, error) {
-			ap.Stop()
-			ap.Wait() // quiesce: no straggler apply may race leader writes
-			s.DetachFollower()
-			r.sc.save(ap.Epoch(), ap.AppliedSeqs(), true)
-			hub, err := s.StartHub(newEpoch(), budget, logf)
-			if err != nil {
-				return 0, fmt.Errorf("promote: %w", err)
-			}
-			go hub.Serve(ln)
-			r.sc.save(hub.Epoch(), nil, true) // now leading this lineage
-			r.mu.Lock()
-			r.promotedHub = hub
-			r.mu.Unlock()
-			fmt.Fprintf(os.Stderr, "btserved: promoted to leader epoch=%d shipping on %s\n",
-				hub.Epoch(), ln.Addr())
-			return hub.Epoch(), nil
-		})
-	}
-	return r, nil
-}
-
-// shutdown tears the role down after Serve has drained.
-func (r *replRole) shutdown() {
-	if r.hub != nil {
-		r.hub.Close()
-	}
-	r.mu.Lock()
-	ph := r.promotedHub
-	r.mu.Unlock()
-	if ph != nil {
-		ph.Close()
-	}
-	if r.ap != nil {
-		r.ap.Stop()
-		r.ap.Wait()
-		// A promoted node's sidecar already records the lineage it
-		// leads; overwriting it with the pre-promotion applied position
-		// would claim follower state this node has since written past.
-		if ph == nil {
-			r.sc.save(r.ap.Epoch(), r.ap.AppliedSeqs(), true)
-		}
+	return server.ReplOptions{
+		Listen:      listen,
+		Follow:      follow,
+		RetainBytes: retainMB << 20,
+		StatePath:   statePath,
+		Resync:      resync,
+		Logf:        logf,
 	}
 }

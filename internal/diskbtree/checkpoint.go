@@ -23,6 +23,7 @@ package diskbtree
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
@@ -211,64 +212,110 @@ func (b *imageBuilder) finish(seq int64) error {
 	return b.store.Sync()
 }
 
-// Checkpoint is one incremental checkpoint in progress. The intended
-// sequence is Begin → Step until done → Finalize → Install; Abort at any
-// point discards the build. A single goroutine drives a Checkpoint, but
-// Steps run fully concurrently with tree readers and writers.
-type Checkpoint struct {
-	t         *Tree
-	seq       int64 // oplog head when the walk began
-	b         *imageBuilder
-	cursor    int64 // the walk resumes at the first key >= cursor
-	keys      []int64
-	vals      []uint64 // the chunk in flight, reused from Step to Step
-	done      bool
-	finalized bool
-	closed    bool
+// ErrCheckpointStopped is returned by Checkpoint when its between callback
+// stopped the walk; the build was discarded and nothing was installed.
+var ErrCheckpointStopped = errors.New("diskbtree: checkpoint stopped by its caller")
+
+// checkpoint is one incremental checkpoint in progress.
+type checkpoint struct {
+	t      *Tree
+	seq    int64 // oplog head when the walk began
+	b      *imageBuilder
+	cursor int64 // the walk resumes at the first key >= cursor
+	keys   []int64
+	vals   []uint64 // the chunk in flight, reused from step to step
 }
 
-// BeginCheckpoint starts an incremental checkpoint of a durable tree:
-// it captures the current oplog head S and opens the sidecar image
-// build. Every operation sequenced ≤ S is guaranteed into the image;
-// later ones stay in the rotated oplog.
-func (t *Tree) BeginCheckpoint() (*Checkpoint, error) {
+// Checkpoint takes one incremental checkpoint of a durable tree, start to
+// finish: it captures the oplog head S and opens the sidecar image build,
+// walks the live tree in chunks of chunkKeys keys, completes and fsyncs the
+// image, and installs it. Every operation sequenced ≤ S is guaranteed into
+// the image; later ones stay in the rotated oplog. between, if non-nil,
+// runs before every chunk with the number of chunks already walked — where
+// the caller yields, paces, publishes progress — and returning false stops
+// the checkpoint with ErrCheckpointStopped. On that, and on any error, the
+// build is discarded (always safe: nothing is visible before the install).
+//
+// One goroutine drives a checkpoint; the walk runs fully concurrently with
+// tree readers and writers, and only the install's bounded window blocks
+// appends. It returns that pause in nanoseconds.
+func (t *Tree) Checkpoint(chunkKeys int, between func(chunksDone int) bool) (pauseNs int64, err error) {
 	if err := t.Poisoned(); err != nil {
-		return nil, err
+		return 0, err
 	}
 	if t.jnl == nil {
-		return nil, fmt.Errorf("diskbtree: checkpoint of a non-durable tree")
+		return 0, fmt.Errorf("diskbtree: checkpoint of a non-durable tree")
 	}
-	pagestore.RemoveFile(t.fs, t.path+ImageTmpSuffix) // debris from an interrupted build
-	st, err := pagestore.OpenFS(t.path+ImageTmpSuffix, t.fs)
+	tmp := t.path + ImageTmpSuffix
+	pagestore.RemoveFile(t.fs, tmp) // debris from an interrupted build
+	st, err := pagestore.OpenFS(tmp, t.fs)
 	if err != nil {
-		return nil, t.poison(err)
+		return 0, t.poison(err)
 	}
-	b := newImageBuilder(st, t.cap, t.cap*imageFillNum/imageFillDen)
-	return &Checkpoint{t: t, seq: t.jnl.SeqAppended(), b: b, cursor: math.MinInt64}, nil
+	c := &checkpoint{
+		t:      t,
+		seq:    t.jnl.SeqAppended(),
+		b:      newImageBuilder(st, t.cap, t.cap*imageFillNum/imageFillDen),
+		cursor: math.MinInt64,
+	}
+	err = c.build(max(chunkKeys, 1), between)
+	if cerr := st.Close(); cerr != nil && err == nil {
+		err = c.fail(fmt.Errorf("diskbtree: checkpoint finalize: %w", cerr))
+	}
+	if err == nil {
+		// Install: journal.Rotate renames the image over path+".ckpt" (the
+		// commit point) and rebases the oplog to S inside one bounded
+		// blocking window — the only pause the checkpoint imposes,
+		// independent of tree size.
+		pauseNs, err = t.jnl.Rotate(c.seq, func() error {
+			return t.fs.Rename(tmp, t.path+ImageSuffix)
+		})
+		err = t.poison(err)
+	}
+	if err != nil {
+		pagestore.RemoveFile(t.fs, tmp)
+		return 0, err
+	}
+	t.ckptSeq.Store(c.seq)
+	t.checkpoints.Add(1)
+	return pauseNs, nil
+}
+
+// build walks the tree into the image and completes it: flushes the
+// builder's spine, stamps the meta page with S and fsyncs the sidecar. No
+// tree latches are held outside step.
+func (c *checkpoint) build(chunkKeys int, between func(chunksDone int) bool) error {
+	for chunks, done := 0, false; !done; chunks++ {
+		if between != nil && !between(chunks) {
+			return ErrCheckpointStopped
+		}
+		var err error
+		if done, err = c.step(chunkKeys); err != nil {
+			return err
+		}
+	}
+	if err := c.b.finish(c.seq); err != nil {
+		return c.fail(fmt.Errorf("diskbtree: checkpoint finalize: %w", err))
+	}
+	return nil
 }
 
 // fail poisons the tree and its journal fail-stop: a checkpoint that
 // cannot reach disk (ENOSPC, I/O error) leaves durability unprovable, so
 // nothing may be acknowledged afterwards.
-func (c *Checkpoint) fail(err error) error {
+func (c *checkpoint) fail(err error) error {
 	c.t.jnl.Poison(err)
 	return c.t.poison(err)
 }
 
-// Step walks one bounded chunk of the live tree — at least maxKeys keys,
+// step walks one bounded chunk of the live tree — at least maxKeys keys,
 // rounded up to the containing leaf — holding only short shared latches
 // on the leaf chain, and streams it into the image. It reports whether
 // the walk has reached the right edge of the tree.
-func (c *Checkpoint) Step(maxKeys int) (bool, error) {
+func (c *checkpoint) step(maxKeys int) (bool, error) {
 	t := c.t
-	if c.done || c.closed {
-		return true, nil
-	}
 	if err := t.Poisoned(); err != nil {
 		return false, err
-	}
-	if maxKeys < 1 {
-		maxKeys = 1
 	}
 	// Collect under the latches, feed the builder outside them: image I/O
 	// must not extend the window in which writers to a leaf are blocked.
@@ -287,100 +334,19 @@ func (c *Checkpoint) Step(maxKeys int) (bool, error) {
 	// A short chunk means the walk ran off the right edge. Otherwise
 	// resume just past the last key taken: keys never move left, so
 	// everything at or below it is behind the walk for good.
-	if n := len(c.keys); n < maxKeys || c.keys[n-1] == math.MaxInt64 {
-		c.done = true
-	} else {
-		c.cursor = c.keys[n-1] + 1
+	n := len(c.keys)
+	if n < maxKeys || c.keys[n-1] == math.MaxInt64 {
+		return true, nil
 	}
-	return c.done, nil
-}
-
-// Finalize completes the image after the walk is done: flushes the
-// builder's spine, stamps the meta page with S, fsyncs and closes the
-// sidecar file. No tree latches are taken.
-func (c *Checkpoint) Finalize() error {
-	if c.closed {
-		return fmt.Errorf("diskbtree: checkpoint already closed")
-	}
-	if !c.done {
-		return fmt.Errorf("diskbtree: checkpoint walk not finished")
-	}
-	if c.finalized {
-		return nil
-	}
-	if err := c.b.finish(c.seq); err != nil {
-		return c.fail(fmt.Errorf("diskbtree: checkpoint finalize: %w", err))
-	}
-	if err := c.b.store.Close(); err != nil {
-		return c.fail(fmt.Errorf("diskbtree: checkpoint finalize: %w", err))
-	}
-	c.finalized = true
-	return nil
-}
-
-// Install atomically commits the finalized image: journal.Rotate renames
-// it over path+".ckpt" (the commit point) and rebases the oplog to S
-// inside one bounded blocking window — the only pause the checkpoint
-// imposes, independent of tree size. It returns that pause in
-// nanoseconds.
-func (c *Checkpoint) Install() (pauseNs int64, err error) {
-	t := c.t
-	if c.closed {
-		return 0, fmt.Errorf("diskbtree: checkpoint already closed")
-	}
-	if !c.finalized {
-		return 0, fmt.Errorf("diskbtree: checkpoint not finalized")
-	}
-	pauseNs, err = t.jnl.Rotate(c.seq, func() error {
-		return t.fs.Rename(t.path+ImageTmpSuffix, t.path+ImageSuffix)
-	})
-	if err != nil {
-		return 0, t.poison(err)
-	}
-	c.closed = true
-	t.ckptSeq.Store(c.seq)
-	t.checkpoints.Add(1)
-	return pauseNs, nil
-}
-
-// Abort discards an unfinished or failed checkpoint, deleting the
-// sidecar build. Safe to call at any point, including after Install
-// (where it is a no-op).
-func (c *Checkpoint) Abort() {
-	if c.closed {
-		return
-	}
-	c.closed = true
-	if !c.finalized {
-		c.b.store.Close()
-	}
-	pagestore.RemoveFile(c.t.fs, c.t.path+ImageTmpSuffix)
+	c.cursor = c.keys[n-1] + 1
+	return false, nil
 }
 
 // CheckpointNow builds and installs a full checkpoint synchronously,
-// walking the tree in syncChunkKeys-sized chunks. It is safe to run
-// concurrently with readers and writers; only Install's bounded window
-// blocks appends. It returns the install pause in nanoseconds.
+// walking the tree in syncChunkKeys-sized chunks (Sync, Close, recovery
+// bootstrap).
 func (t *Tree) CheckpointNow() (pauseNs int64, err error) {
-	c, err := t.BeginCheckpoint()
-	if err != nil {
-		return 0, err
-	}
-	for {
-		done, err := c.Step(syncChunkKeys)
-		if err != nil {
-			c.Abort()
-			return 0, err
-		}
-		if done {
-			break
-		}
-	}
-	if err := c.Finalize(); err != nil {
-		c.Abort()
-		return 0, err
-	}
-	return c.Install()
+	return t.Checkpoint(syncChunkKeys, nil)
 }
 
 // CheckpointSeq returns the sequence of the last installed checkpoint

@@ -113,10 +113,10 @@ func TestReadErrorPoisonsEveryEntryPoint(t *testing.T) {
 				t.Fatalf("%s over an evicted page = %v, want the injected read failure", name, err)
 			}
 			after := map[string]error{
-				"Sync":            tr.Sync(),
-				"Commit":          tr.Commit(),
-				"CheckpointNow":   func() error { _, err := tr.CheckpointNow(); return err }(),
-				"BeginCheckpoint": func() error { _, err := tr.BeginCheckpoint(); return err }(),
+				"Sync":          tr.Sync(),
+				"Commit":        tr.Commit(),
+				"CheckpointNow": func() error { _, err := tr.CheckpointNow(); return err }(),
+				"Checkpoint":    func() error { _, err := tr.Checkpoint(4, nil); return err }(),
 			}
 			for n, v := range victims {
 				after[n] = v(tr)
@@ -292,45 +292,24 @@ func TestCrashSweepMidCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// One acked insert before each chunk of the walk, the rest after the
+	// install; the first failed call is the crash, and ends the workload.
 	workload := func(tr *Tree) (acked []int64) {
-		ck, _ := tr.BeginCheckpoint()
-		step := func() {
-			if ck == nil {
-				return
-			}
-			done, err := ck.Step(4)
-			if err != nil || !done {
-				if err != nil {
-					ck.Abort()
-					ck = nil
-				}
-				return
-			}
-			if err := ck.Finalize(); err != nil {
-				ck.Abort()
-				ck = nil
-				return
-			}
-			if _, err := ck.Install(); err != nil {
-				ck.Abort()
-			}
-			ck = nil
-		}
-		for i := int64(0); i < 20; i++ {
-			k := 1000 + i*3
+		insert := func() bool {
+			k := 1000 + int64(len(acked))*3
 			if _, err := tr.Insert(k, uint64(k)*7); err != nil {
-				return
+				return false
 			}
 			if err := tr.Commit(); err != nil {
-				return
+				return false
 			}
 			acked = append(acked, k)
-			step()
+			return true
 		}
-		for ck != nil {
-			step()
+		_, err := tr.Checkpoint(4, func(int) bool { return len(acked) == 20 || insert() })
+		for err == nil && len(acked) < 20 && insert() {
 		}
-		return
+		return acked
 	}
 
 	probe := pagestore.NewFailFS(nil, pagestore.FailPlan{})
@@ -434,6 +413,7 @@ func TestTornOplogTailSweep(t *testing.T) {
 		}
 	}
 
+	t.Logf("sweeping %d cuts and %d byte flips", st.Size()+1, journal.OpRecSize)
 	for cut := int64(0); cut <= st.Size(); cut++ {
 		trial := copyCrashState(t, crashed, t.TempDir())
 		if err := os.Truncate(trial+".oplog", cut); err != nil {

@@ -20,7 +20,7 @@
 // the tree follows the checkpoint-image model: every mutation is logged
 // to an oplog, Sync installs an atomically renamed image of the whole
 // tree (built incrementally, concurrent with serving — see
-// BeginCheckpoint in checkpoint.go), and crash recovery restores the
+// Checkpoint in checkpoint.go), and crash recovery restores the
 // image and replays the oplog suffix. Restructuring is lazy
 // merge-at-empty, as everywhere in this repository.
 package diskbtree

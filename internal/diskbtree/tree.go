@@ -74,7 +74,7 @@ type Options struct {
 	// (path + ".ckpt") plus a logical oplog of the operations since the
 	// image's sequence. Opening a durable tree after a crash copies the
 	// image over the (scratch) live file and replays the oplog suffix.
-	// Checkpoints are incremental and concurrent — see BeginCheckpoint.
+	// Checkpoints are incremental and concurrent — see Checkpoint.
 	Durable bool
 	// SyncOps, with Durable, fsyncs the oplog on every Insert/Delete so
 	// each acknowledged operation survives a crash (slower). Without it,

@@ -409,26 +409,12 @@ func (j *Journal) Rotate(upTo int64, commitImage func() error) (pauseNs int64, e
 		if _, err := j.of.ReadAt(buf[oplogHdr:], oplogHdr); err != nil {
 			return 0, j.poison(fmt.Errorf("journal: seal segment: %w", err))
 		}
-		tmp := j.oPath + ".segtmp"
-		sf, err := j.fs.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+		segPath := segmentPath(j.oPath, base)
+		sf, err := pagestore.ReplaceFile(j.fs, j.oPath+".segtmp", segPath, buf, nil)
 		if err != nil {
 			return 0, j.poison(err)
 		}
-		if _, err := sf.WriteAt(buf, 0); err != nil {
-			sf.Close()
-			return 0, j.poison(err)
-		}
-		if err := sf.Sync(); err != nil {
-			sf.Close()
-			return 0, j.poison(err)
-		}
-		if err := sf.Close(); err != nil {
-			return 0, j.poison(err)
-		}
-		segPath := segmentPath(j.oPath, base)
-		if err := j.fs.Rename(tmp, segPath); err != nil {
-			return 0, j.poison(err)
-		}
+		sf.Close()
 		seg = segment{base: base, count: upTo - base, bytes: int64(len(buf)), path: segPath}
 		sealed = true
 	}
@@ -452,29 +438,10 @@ func (j *Journal) Rotate(upTo int64, commitImage func() error) (pauseNs int64, e
 				return fmt.Errorf("journal: read rotate suffix: %w", err)
 			}
 		}
-		tmp := j.oPath + ".tmp"
-		f, err := j.fs.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+		// The suffix may hold acked records: the replacement is durable
+		// before commitImage runs and before the rename unlinks the old file.
+		f, err := pagestore.ReplaceFile(j.fs, j.oPath+".tmp", j.oPath, buf, commitImage)
 		if err != nil {
-			return err
-		}
-		if _, err := f.WriteAt(buf, 0); err != nil {
-			f.Close()
-			return err
-		}
-		// The suffix may hold acked records; it must be durable in the
-		// replacement before the old file can be unlinked by the rename.
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return err
-		}
-		if commitImage != nil {
-			if err := commitImage(); err != nil {
-				f.Close()
-				return err
-			}
-		}
-		if err := j.fs.Rename(tmp, j.oPath); err != nil {
-			f.Close()
 			return err
 		}
 		j.of.Close()
@@ -527,8 +494,8 @@ func (j *Journal) Recover(imageSeq int64) ([]Op, error) {
 	defer j.mu.Unlock()
 
 	// Clear temp files an interrupted rotation may have left behind.
-	removeFile(j.fs, j.oPath+".tmp")
-	removeFile(j.fs, j.oPath+".segtmp")
+	pagestore.RemoveFile(j.fs, j.oPath+".tmp")
+	pagestore.RemoveFile(j.fs, j.oPath+".segtmp")
 
 	obytes, err := readAll(j.of)
 	if err != nil {
@@ -573,23 +540,10 @@ func (j *Journal) Recover(imageSeq int64) ([]Op, error) {
 		buf := make([]byte, oplogHdr+len(suffix))
 		encodeOplogHdr(buf, imageSeq)
 		copy(buf[oplogHdr:], suffix)
-		tmp := j.oPath + ".tmp"
-		f, err := j.fs.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-		if err != nil {
-			return nil, j.poison(err)
-		}
-		if _, err := f.WriteAt(buf, 0); err != nil {
-			f.Close()
-			return nil, j.poison(err)
-		}
 		// The suffix records may have been acked before the crash — the
-		// rebase must be durable before it replaces the old file.
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, j.poison(err)
-		}
-		if err := j.fs.Rename(tmp, j.oPath); err != nil {
-			f.Close()
+		// rebase is durable before it replaces the old file.
+		f, err := pagestore.ReplaceFile(j.fs, j.oPath+".tmp", j.oPath, buf, nil)
+		if err != nil {
 			return nil, j.poison(err)
 		}
 		j.of.Close()

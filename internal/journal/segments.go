@@ -18,6 +18,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+
+	"btreeperf/internal/pagestore"
 )
 
 const int64max = int64(^uint64(0) >> 1)
@@ -63,23 +65,12 @@ func (j *Journal) pruneLocked(floor int64) {
 		drop++
 	}
 	for i := 0; i < drop; i++ {
-		removeFile(j.fs, j.segments[i].path)
+		pagestore.RemoveFile(j.fs, j.segments[i].path)
 	}
 	if drop > 0 {
 		j.segments = append([]segment(nil), j.segments[drop:]...)
 		j.segBytes = remaining
 	}
-}
-
-// removeFile deletes path through the FS when it supports removal,
-// falling back to the real filesystem (every FS in this repo is backed
-// by real files).
-func removeFile(fs interface{}, path string) {
-	if r, ok := fs.(interface{ Remove(string) error }); ok {
-		r.Remove(path)
-		return
-	}
-	os.Remove(path)
 }
 
 // discoverSegmentsLocked rebuilds the in-memory segment chain from disk
@@ -100,7 +91,7 @@ func (j *Journal) discoverSegmentsLocked() {
 		path := filepath.Join(dir, e.Name())
 		seg, ok := j.loadSegment(path)
 		if !ok {
-			removeFile(j.fs, path)
+			pagestore.RemoveFile(j.fs, path)
 			continue
 		}
 		found = append(found, seg)
@@ -117,7 +108,7 @@ func (j *Journal) discoverSegmentsLocked() {
 		keepFrom = i
 	}
 	for i := 0; i < keepFrom; i++ {
-		removeFile(j.fs, found[i].path)
+		pagestore.RemoveFile(j.fs, found[i].path)
 	}
 	j.segments = append([]segment(nil), found[keepFrom:]...)
 	j.segBytes = 0

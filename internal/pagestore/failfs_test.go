@@ -155,3 +155,70 @@ func TestFailFSReadError(t *testing.T) {
 		t.Fatalf("counted %d reads and %d mutating syscalls, want 3 and 1", fs.Reads(), fs.Ops())
 	}
 }
+
+// TestReplaceFileCrashSweep crashes ReplaceFile at every syscall, and tears
+// its one write at every length. Whatever survives under the final name is
+// the old content or the whole new content, never a mixture; the new
+// content is there only once its fsync really ran (a rename ahead of the
+// fsync would publish bytes a power loss can still take back); the
+// pre-rename hook ran after that fsync and before the rename; and a
+// failure is reported with the handle closed.
+func TestReplaceFileCrashSweep(t *testing.T) {
+	oldData, newData := []byte("old contents"), []byte("the new contents, longer")
+	run := func(t *testing.T, plan FailPlan) {
+		path := filepath.Join(t.TempDir(), "f")
+		if err := os.WriteFile(path, oldData, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fs := NewFailFS(nil, plan)
+		synced, hookAfterSync := false, false
+		fs.AroundSync = func(name string, f File) error {
+			synced = true
+			return f.Sync()
+		}
+		f, err := ReplaceFile(fs, path+".tmp", path, newData, func() error {
+			hookAfterSync = synced
+			got, _ := os.ReadFile(path)
+			if string(got) != string(oldData) {
+				t.Errorf("pre-rename hook saw %q under the final name, want the old contents", got)
+			}
+			return nil
+		})
+		got, rerr := os.ReadFile(path)
+		if rerr != nil {
+			t.Fatal(rerr)
+		}
+		switch {
+		case err != nil:
+			if f != nil {
+				t.Errorf("failed replace returned a handle")
+			}
+			if string(got) != string(oldData) {
+				t.Errorf("failed replace (%v) left %q under the final name, want the old contents", err, got)
+			}
+		case string(got) != string(newData) || !synced || !hookAfterSync:
+			t.Errorf("replace succeeded with %q under the final name (fsync ran: %v, hook after it: %v)", got, synced, hookAfterSync)
+		default:
+			f.Close()
+		}
+	}
+	probe := NewFailFS(nil, FailPlan{})
+	dir := t.TempDir()
+	f, err := ReplaceFile(probe, filepath.Join(dir, "f.tmp"), filepath.Join(dir, "f"), newData, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	total := probe.Ops()
+	if total != 3 {
+		t.Fatalf("ReplaceFile made %d mutating syscalls, want write, fsync, rename", total)
+	}
+	for n := int64(1); n <= total+1; n++ { // total+1: no crash at all
+		run(t, FailPlan{CrashAt: n})
+	}
+	for torn := 0; torn < len(newData); torn++ {
+		run(t, FailPlan{FailWriteAt: 1, TornBytes: torn})
+	}
+	run(t, FailPlan{FailSyncAt: 1})
+	t.Logf("swept %d crash points, %d torn writes and a failed fsync", total, len(newData))
+}

@@ -97,3 +97,36 @@ func CloneFile(fs FS, src, dst string) error {
 	}
 	return df.Close()
 }
+
+// ReplaceFile atomically replaces path with data: it writes data to tmp,
+// fsyncs it, runs beforeRename (nil = nothing) and renames tmp over path,
+// in that order — the new name is never visible before its bytes are
+// durable, and beforeRename is where a caller commits something that must
+// not outlive a failed replacement (the checkpoint image's own rename).
+// It returns tmp's handle, now open on path, for a caller that keeps
+// writing to the file; everyone else closes it. On an error the handle is
+// closed and tmp is left behind for the caller's next start to remove.
+func ReplaceFile(fs FS, tmp, path string, data []byte, beforeRename func() error) (File, error) {
+	if fs == nil {
+		fs = OSFS
+	}
+	f, err := fs.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	_, err = f.WriteAt(data, 0)
+	if err == nil {
+		err = f.Sync()
+	}
+	if err == nil && beforeRename != nil {
+		err = beforeRename()
+	}
+	if err == nil {
+		err = fs.Rename(tmp, path)
+	}
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return f, nil
+}

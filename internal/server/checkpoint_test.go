@@ -288,23 +288,7 @@ func TestScanStraddlesCheckpointInstall(t *testing.T) {
 
 	<-parked
 	before := eng.t.Checkpoints()
-	c, err := eng.t.BeginCheckpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for {
-		done, err := c.Step(64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if done {
-			break
-		}
-	}
-	if err := c.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Install(); err != nil {
+	if _, err := eng.t.Checkpoint(64, nil); err != nil {
 		t.Fatal(err)
 	}
 	if eng.t.Checkpoints() != before+1 {

@@ -110,7 +110,9 @@ func (c *Client) RecvPage() (Response, error) {
 	return ReadPageResponse(c.br, c.rbuf)
 }
 
-// Do sends one request and waits for its response (no pipelining).
+// Do sends one request and waits for its response (no pipelining), read in
+// the wire shape the op it just sent answers with: a page for the query
+// ops, a point response for the rest.
 func (c *Client) Do(req Request) (Response, error) {
 	if err := c.Send(req); err != nil {
 		return Response{}, err
@@ -118,18 +120,10 @@ func (c *Client) Do(req Request) (Response, error) {
 	if err := c.Flush(); err != nil {
 		return Response{}, err
 	}
+	if isQueryOp(req.Op) {
+		return c.RecvPage()
+	}
 	return c.Recv()
-}
-
-// DoPage sends one query request and waits for its page response.
-func (c *Client) DoPage(req Request) (Response, error) {
-	if err := c.Send(req); err != nil {
-		return Response{}, err
-	}
-	if err := c.Flush(); err != nil {
-		return Response{}, err
-	}
-	return c.RecvPage()
 }
 
 // Get looks key up.
@@ -165,7 +159,7 @@ func (c *Client) Del(key int64) (bool, error) {
 // a nil returned token means the range is exhausted. limit <= 0 asks for
 // the server default.
 func (c *Client) Scan(lo, hi int64, limit int, token []byte) ([]query.KV, []byte, error) {
-	resp, err := c.DoPage(Request{Op: OpScan, Key: lo, Hi: hi, Limit: limit, Token: token})
+	resp, err := c.Do(Request{Op: OpScan, Key: lo, Hi: hi, Limit: limit, Token: token})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -197,7 +191,7 @@ func (c *Client) ScanAll(lo, hi int64, limit int, emit func(key int64, val uint6
 // SeekGE returns the smallest stored key >= key and its value; ok is false
 // when no such key exists.
 func (c *Client) SeekGE(key int64) (int64, uint64, bool, error) {
-	resp, err := c.DoPage(Request{Op: OpSeek, Key: key})
+	resp, err := c.Do(Request{Op: OpSeek, Key: key})
 	if err != nil {
 		return 0, 0, false, err
 	}
@@ -214,7 +208,7 @@ func (c *Client) SeekGE(key int64) (int64, uint64, bool, error) {
 // val, ascending; the token contract matches Scan. Requires a server
 // built with -index (StatusBadRequest otherwise).
 func (c *Client) Lookup(val uint64, limit int, token []byte) ([]int64, []byte, error) {
-	resp, err := c.DoPage(Request{Op: OpLookup, Val: val, Limit: limit, Token: token})
+	resp, err := c.Do(Request{Op: OpLookup, Val: val, Limit: limit, Token: token})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -234,10 +228,16 @@ func (c *Client) Lookup(val uint64, limit int, token []byte) ([]int64, []byte, e
 // The slice length is the server's shard count — how replica-set
 // clients learn it.
 func (c *Client) Seqs() ([]int64, error) {
-	resp, err := c.DoPage(Request{Op: OpSeqs})
+	resp, err := c.Do(Request{Op: OpSeqs})
 	if err != nil {
 		return nil, err
 	}
+	return decodeSeqs(resp)
+}
+
+// decodeSeqs turns an OpSeqs page — one entry per shard, the shard in the
+// key and its sequence in the value — into a slice indexed by shard.
+func decodeSeqs(resp Response) ([]int64, error) {
 	if resp.Status != StatusOK {
 		return nil, fmt.Errorf("server: seqs: %s", StatusName(resp.Status))
 	}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -377,56 +378,37 @@ func (e *DiskEngine) checkpointLoop() {
 	}
 }
 
-// runCheckpoint takes one checkpoint: walk the tree in
-// bounded chunks, yielding between them, then finalize and install the
-// image. No engine lock is held — serving proceeds concurrently; only
-// the install step inside c.Install blocks appends, briefly.
+// runCheckpoint takes one checkpoint. No engine lock is held — serving
+// proceeds concurrently; only the install at the end of Tree.Checkpoint
+// blocks appends, briefly. Between chunks it yields the processor,
+// publishes the walk's progress and gives up if the engine is closing.
 func (e *DiskEngine) runCheckpoint() {
 	if e.lag() < e.ckptOps {
 		return
 	}
-	c, err := e.t.BeginCheckpoint()
-	if err != nil {
-		e.checkpointFails.Add(1)
-		return
-	}
 	e.chunksTotal.Store(int64(e.t.Len()/e.ckptChunk) + 1)
-	e.chunksDone.Store(0)
 	defer func() {
 		e.chunksDone.Store(0)
 		e.chunksTotal.Store(0)
 	}()
-	for {
+	pause, err := e.t.Checkpoint(e.ckptChunk, func(chunksDone int) bool {
+		if chunksDone > 0 {
+			e.chunksDone.Store(int64(chunksDone))
+			runtime.Gosched()
+		}
 		select {
 		case <-e.stop:
-			c.Abort()
-			return
+			return false
 		default:
+			return true
 		}
-		done, err := c.Step(e.ckptChunk)
-		if err != nil {
-			e.checkpointFails.Add(1)
-			c.Abort()
-			return
-		}
-		e.chunksDone.Add(1)
-		if done {
-			break
-		}
-		runtime.Gosched()
-	}
-	if err := c.Finalize(); err != nil {
+	})
+	switch {
+	case err == nil:
+		e.recordPause(pause)
+	case !errors.Is(err, diskbtree.ErrCheckpointStopped):
 		e.checkpointFails.Add(1)
-		c.Abort()
-		return
 	}
-	pause, err := c.Install()
-	if err != nil {
-		e.checkpointFails.Add(1)
-		c.Abort()
-		return
-	}
-	e.recordPause(pause)
 }
 
 // Journal exposes the engine's oplog journal — the replication hub tails

@@ -124,9 +124,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // handlePromote flips a follower into a leader (POST only). It answers
 // 409 on a server that is not currently following — promotion of a
-// leader or an unreplicated server is always an operator error — and
-// 500 when the installed hook fails partway (the server may be left
-// leaderless; the operator retries or restarts).
+// leader or an unreplicated server is always an operator error, and the
+// losers of concurrent promotions land here too — and 500 when the node
+// cannot lead (no replication listen address, or a shard without a
+// journal): Promote refused before touching the applier, so the node is
+// still following and the operator promotes another.
 func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)

@@ -261,7 +261,7 @@ func TestScanBadToken(t *testing.T) {
 		outOfRange,
 	}
 	for i, tok := range bad {
-		resp, err := c.DoPage(Request{Op: OpScan, Key: 0, Hi: 100, Limit: 8, Token: tok})
+		resp, err := c.Do(Request{Op: OpScan, Key: 0, Hi: 100, Limit: 8, Token: tok})
 		if err != nil {
 			t.Fatalf("bad token %d: transport error %v (content errors must not kill the conn)", i, err)
 		}
@@ -270,7 +270,7 @@ func TestScanBadToken(t *testing.T) {
 		}
 	}
 	// Lookup with a malformed token takes the same path.
-	if resp, err := c.DoPage(Request{Op: OpLookup, Val: 1, Token: []byte{9, 9}}); err != nil || resp.Status != StatusBadRequest {
+	if resp, err := c.Do(Request{Op: OpLookup, Val: 1, Token: []byte{9, 9}}); err != nil || resp.Status != StatusBadRequest {
 		t.Fatalf("lookup bad token: status=%v err=%v", resp.Status, err)
 	}
 
@@ -421,7 +421,7 @@ func TestLookupUnavailWhenPoisoned(t *testing.T) {
 	lookupUnavail := func(t *testing.T, s *Server, c *Client) {
 		t.Helper()
 		before := s.shards[0].ctr[cUnavail].Load()
-		resp, err := c.DoPage(Request{Op: OpLookup, Val: 7, Limit: 100})
+		resp, err := c.Do(Request{Op: OpLookup, Val: 7, Limit: 100})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -165,16 +165,11 @@ func (r *RClient) spendRetryToken() bool {
 // Do runs one request with retries. When every allowed attempt was shed,
 // it returns the last (Busy/Overload) response with a nil error — the
 // status carries the verdict; use the typed helpers for an error. When
-// every attempt hit a transport error it returns the last error.
-func (r *RClient) Do(req Request) (Response, error) { return r.do(req, false) }
-
-// DoPage is Do for query ops (scan, seek, lookup), reading the response
-// in the page wire shape. Shed pages (StatusBusy) are retried exactly
-// like shed point ops — the server keeps shed replies to query ops
-// page-shaped, so the retry loop sees the status either way.
-func (r *RClient) DoPage(req Request) (Response, error) { return r.do(req, true) }
-
-func (r *RClient) do(req Request, page bool) (Response, error) {
+// every attempt hit a transport error it returns the last error. Shed
+// pages are retried exactly like shed point ops — the server keeps shed
+// replies to query ops page-shaped, so the retry loop sees the status
+// either way.
+func (r *RClient) Do(req Request) (Response, error) {
 	r.ops.Add(1)
 	r.mu.Lock()
 	r.budget += r.cfg.BudgetRatio
@@ -186,7 +181,7 @@ func (r *RClient) do(req Request, page bool) (Response, error) {
 	var lastResp Response
 	var lastErr error
 	haveResp := false
-	for attempt := 0; ; attempt++ {
+	for attempt := 0; attempt == 0 || attempt < r.cfg.MaxAttempts; attempt++ {
 		if attempt > 0 {
 			if !r.spendRetryToken() {
 				r.budgetStops.Add(1)
@@ -197,50 +192,28 @@ func (r *RClient) do(req Request, page bool) (Response, error) {
 		}
 
 		r.mu.Lock()
-		if err := r.connectLocked(); err != nil {
-			r.mu.Unlock()
-			r.netErrors.Add(1)
-			lastErr, haveResp = err, false
-			if attempt+1 >= r.cfg.MaxAttempts {
-				break
-			}
-			continue
-		}
-		c := r.c
 		var resp Response
-		var err error
-		if page {
-			resp, err = c.DoPage(req)
-		} else {
-			resp, err = c.Do(req)
-		}
-		if err != nil {
-			// The conn is in an unknown state (a response may still be in
-			// flight); drop it so the next attempt starts clean.
-			c.Close()
-			if r.c == c {
+		err := r.connectLocked()
+		if err == nil {
+			if resp, err = r.c.Do(req); err != nil {
+				// The conn is in an unknown state (a response may still be in
+				// flight); drop it so the next attempt starts clean.
+				r.c.Close()
 				r.c = nil
+				r.reconnects.Add(1)
 			}
-			r.mu.Unlock()
-			r.netErrors.Add(1)
-			r.reconnects.Add(1)
-			lastErr, haveResp = err, false
-			if attempt+1 >= r.cfg.MaxAttempts {
-				break
-			}
-			continue
 		}
 		r.mu.Unlock()
-
-		if Retryable(resp.Status) {
-			r.shedResps.Add(1)
-			lastResp, lastErr, haveResp = resp, nil, true
-			if attempt+1 >= r.cfg.MaxAttempts {
-				break
-			}
+		if err != nil {
+			r.netErrors.Add(1)
+			lastErr, haveResp = err, false
 			continue
 		}
-		return resp, nil
+		if !Retryable(resp.Status) {
+			return resp, nil
+		}
+		r.shedResps.Add(1)
+		lastResp, haveResp = resp, true
 	}
 	if haveResp {
 		r.finalShed.Add(1)
@@ -250,61 +223,45 @@ func (r *RClient) do(req Request, page bool) (Response, error) {
 	return Response{}, lastErr
 }
 
-// shedErr wraps a still-shed final status.
-func shedErr(status byte) error {
-	name := "busy"
-	if status == StatusOverload {
-		name = "overloaded"
+// call is Do for the typed helpers: an op still shed after every allowed
+// retry is an error (ErrShed), not a status.
+func (r *RClient) call(req Request) (Response, error) {
+	resp, err := r.Do(req)
+	if err == nil && Retryable(resp.Status) {
+		name := "busy"
+		if resp.Status == StatusOverload {
+			name = "overloaded"
+		}
+		err = fmt.Errorf("%w (server %s)", ErrShed, name)
 	}
-	return fmt.Errorf("%w (server %s)", ErrShed, name)
+	return resp, err
 }
 
 // Get looks key up, retrying as configured.
 func (r *RClient) Get(key int64) (uint64, bool, error) {
-	resp, err := r.Do(Request{Op: OpGet, Key: key})
-	if err != nil {
-		return 0, false, err
-	}
-	if Retryable(resp.Status) {
-		return 0, false, shedErr(resp.Status)
-	}
-	return resp.Val, resp.Status == StatusOK, nil
+	resp, err := r.call(Request{Op: OpGet, Key: key})
+	return resp.Val, err == nil && resp.Status == StatusOK, err
 }
 
 // Put stores key→val, retrying as configured.
 func (r *RClient) Put(key int64, val uint64) (bool, error) {
-	resp, err := r.Do(Request{Op: OpPut, Key: key, Val: val})
-	if err != nil {
-		return false, err
-	}
-	if Retryable(resp.Status) {
-		return false, shedErr(resp.Status)
-	}
-	return resp.Status == StatusOK, nil
+	resp, err := r.call(Request{Op: OpPut, Key: key, Val: val})
+	return err == nil && resp.Status == StatusOK, err
 }
 
 // Del removes key, retrying as configured.
 func (r *RClient) Del(key int64) (bool, error) {
-	resp, err := r.Do(Request{Op: OpDel, Key: key})
-	if err != nil {
-		return false, err
-	}
-	if Retryable(resp.Status) {
-		return false, shedErr(resp.Status)
-	}
-	return resp.Status == StatusOK, nil
+	resp, err := r.call(Request{Op: OpDel, Key: key})
+	return err == nil && resp.Status == StatusOK, err
 }
 
 // Scan fetches one page of [lo, hi), retrying as configured; the token
 // contract matches Client.Scan. Stateless tokens make query retries
 // safe: a replayed token re-serves the same page.
 func (r *RClient) Scan(lo, hi int64, limit int, token []byte) ([]query.KV, []byte, error) {
-	resp, err := r.DoPage(Request{Op: OpScan, Key: lo, Hi: hi, Limit: limit, Token: token})
+	resp, err := r.call(Request{Op: OpScan, Key: lo, Hi: hi, Limit: limit, Token: token})
 	if err != nil {
 		return nil, nil, err
-	}
-	if Retryable(resp.Status) {
-		return nil, nil, shedErr(resp.Status)
 	}
 	if resp.Status != StatusOK {
 		return nil, nil, fmt.Errorf("server: scan: %s", StatusName(resp.Status))
@@ -315,36 +272,17 @@ func (r *RClient) Scan(lo, hi int64, limit int, token []byte) ([]query.KV, []byt
 // Seqs returns the server's per-shard replication sequences, retrying
 // as configured; see Client.Seqs.
 func (r *RClient) Seqs() ([]int64, error) {
-	resp, err := r.DoPage(Request{Op: OpSeqs})
+	resp, err := r.call(Request{Op: OpSeqs})
 	if err != nil {
 		return nil, err
 	}
-	if Retryable(resp.Status) {
-		return nil, shedErr(resp.Status)
-	}
-	if resp.Status != StatusOK {
-		return nil, fmt.Errorf("server: seqs: %s", StatusName(resp.Status))
-	}
-	seqs := make([]int64, len(resp.Entries))
-	for _, e := range resp.Entries {
-		if e.Key < 0 || e.Key >= int64(len(seqs)) {
-			return nil, fmt.Errorf("server: seqs: shard %d out of range", e.Key)
-		}
-		seqs[e.Key] = int64(e.Val)
-	}
-	return seqs, nil
+	return decodeSeqs(resp)
 }
 
 // Ping round-trips a no-op.
 func (r *RClient) Ping() error {
-	resp, err := r.Do(Request{Op: OpPing})
-	if err != nil {
-		return err
-	}
-	if Retryable(resp.Status) {
-		return shedErr(resp.Status)
-	}
-	return nil
+	_, err := r.call(Request{Op: OpPing})
+	return err
 }
 
 // Stats snapshots the resilience counters.

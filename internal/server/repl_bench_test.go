@@ -62,7 +62,7 @@ func benchReplicatedGet(b *testing.B, replicas int) {
 
 	cfgAddrs := make([]string, 0, replicas)
 	for r := 0; r < replicas; r++ {
-		fl := startFollower(b, Config{Shards: 1}, ld.replAddr, uint64(100+r))
+		fl := startFollower(b, Config{Shards: 1}, ReplOptions{Follow: ld.replAddr})
 		defer fl.shutdown()
 		cfgAddrs = append(cfgAddrs, fl.addr)
 	}

@@ -1,15 +1,19 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"math"
-	"net"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"btreeperf/internal/pagestore"
 	"btreeperf/internal/query"
 	"btreeperf/internal/repl"
 )
@@ -40,7 +44,6 @@ type leaderHarness struct {
 	s        *Server
 	addr     string // serving listener
 	replAddr string // replication listener
-	hub      *repl.Hub
 	shutdown func()
 }
 
@@ -52,23 +55,15 @@ func startLeader(t testing.TB, shards int, cfg Config) *leaderHarness {
 		cfg.Engines = diskEngines(t, t.TempDir(), shards)
 	}
 	s, addr, stop := startServer(t, cfg)
-	hub, err := s.StartHub(1, 4<<20, t.Logf)
-	if err != nil {
+	if err := s.StartRepl(ReplOptions{Listen: "127.0.0.1:0", RetainBytes: 4 << 20, Logf: t.Logf}); err != nil {
 		t.Fatal(err)
 	}
-	rln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go hub.Serve(rln)
 	return &leaderHarness{
 		s:        s,
 		addr:     addr,
-		replAddr: rln.Addr().String(),
-		hub:      hub,
+		replAddr: s.repl.ln.Addr().String(),
 		shutdown: func() {
 			stop()
-			hub.Close()
 			s.Close()
 		},
 	}
@@ -78,31 +73,23 @@ func startLeader(t testing.TB, shards int, cfg Config) *leaderHarness {
 type followerHarness struct {
 	s        *Server
 	addr     string
-	ap       *repl.Applier
 	shutdown func()
 }
 
 // startFollower runs a follower server (mem by default; pass Engines in
-// cfg for disk) attached to the leader's replication listener.
-func startFollower(t testing.TB, cfg Config, replAddr string, id uint64) *followerHarness {
+// cfg for disk) in the role opt describes; opt.Follow is the leader's
+// replication listener.
+func startFollower(t testing.TB, cfg Config, opt ReplOptions) *followerHarness {
 	t.Helper()
 	s, addr, stop := startServer(t, cfg)
-	ap := repl.NewApplier(repl.ApplierConfig{
-		Addr:       replAddr,
-		ID:         id,
-		Shards:     s.ApplierShards(),
-		Logf:       t.Logf,
-		RedialWait: 20 * time.Millisecond,
-	})
-	s.AttachFollower(ap)
-	go ap.Run()
+	opt.Logf = t.Logf
+	if err := s.StartRepl(opt); err != nil {
+		t.Fatal(err)
+	}
 	return &followerHarness{
 		s:    s,
 		addr: addr,
-		ap:   ap,
 		shutdown: func() {
-			ap.Stop()
-			ap.Wait()
 			stop()
 			s.Close()
 		},
@@ -211,7 +198,7 @@ func TestReplicationFollowerEquivalence(t *testing.T) {
 			if !tc.mem {
 				fcfg = Config{Engines: diskEngines(t, t.TempDir(), tc.shards)}
 			}
-			fl := startFollower(t, fcfg, ld.replAddr, 42)
+			fl := startFollower(t, fcfg, ReplOptions{Follow: ld.replAddr})
 			defer fl.shutdown()
 
 			// Phase 2: keep writing while the follower streams.
@@ -257,7 +244,8 @@ func (f fakeFollower) Stats() repl.ApplierStats {
 func TestFollowerRefusals(t *testing.T) {
 	s, addr, shutdown := startServer(t, Config{})
 	defer shutdown()
-	s.AttachFollower(fakeFollower{seqs: []int64{100}})
+	src := FollowerSource(fakeFollower{seqs: []int64{100}})
+	s.repl.follower.Store(&src)
 	s.shards[0].eng.Put(7, 77)
 
 	c, err := Dial(addr)
@@ -288,7 +276,7 @@ func TestFollowerRefusals(t *testing.T) {
 	}
 
 	// Detach: the same server serves mutations again.
-	s.DetachFollower()
+	s.repl.follower.Store(nil)
 	if fresh, err := c.Put(1, 2); err != nil || !fresh {
 		t.Fatalf("put after detach: fresh=%v err=%v", fresh, err)
 	}
@@ -357,7 +345,7 @@ func TestSemiSyncAckBarrier(t *testing.T) {
 		t.Fatalf("unacked write not readable: v=%d ok=%v err=%v", v, ok, err)
 	}
 
-	fl := startFollower(t, Config{Shards: 1}, ld.replAddr, 7)
+	fl := startFollower(t, Config{Shards: 1}, ReplOptions{Follow: ld.replAddr})
 	defer fl.shutdown()
 
 	deadline := time.Now().Add(10 * time.Second)
@@ -394,26 +382,16 @@ func TestSemiSyncWaitOverlapsNextFsync(t *testing.T) {
 	ld := startLeader(t, 1, Config{Workers: 1, ReplAcks: 1, ReplAckTimeout: 20 * time.Second})
 	defer ld.shutdown()
 
-	fs, _, stopFollower := startServer(t, Config{Shards: 1})
-	shards := fs.ApplierShards()
-	apply, gate := shards[0].Apply, make(chan struct{})
-	shards[0].Apply = func(o repl.Ops) error {
-		<-gate
-		return apply(o)
-	}
-	ap := repl.NewApplier(repl.ApplierConfig{Addr: ld.replAddr, ID: 11, Shards: shards, Logf: t.Logf, RedialWait: 20 * time.Millisecond})
-	fs.AttachFollower(ap)
-	go ap.Run()
+	gate := make(chan struct{})
 	var open sync.Once
+	held := gatedEngine{DiskEngine: diskEngines(t, t.TempDir(), 1)[0].(*DiskEngine), gate: gate}
+	fl := startFollower(t, Config{Engine: held}, ReplOptions{Follow: ld.replAddr})
 	defer func() {
 		open.Do(func() { close(gate) })
-		ap.Stop()
-		ap.Wait()
-		stopFollower()
-		fs.Close()
+		fl.shutdown()
 	}()
 	waitFor(t, "the follower to register", func() bool {
-		f := ld.hub.Stats().Followers
+		f := ld.s.repl.hub.Load().Stats().Followers
 		return len(f) == 1 && f[0].Connected
 	})
 
@@ -468,7 +446,7 @@ func TestReplicaSetRouting(t *testing.T) {
 	}
 	ld := startLeader(t, 2, Config{})
 	defer ld.shutdown()
-	fl := startFollower(t, Config{Shards: 2}, ld.replAddr, 9)
+	fl := startFollower(t, Config{Shards: 2}, ReplOptions{Follow: ld.replAddr})
 	defer fl.shutdown()
 
 	rs, err := DialReplicaSet(ReplicaSetConfig{
@@ -538,86 +516,389 @@ func TestReplicaSetRouting(t *testing.T) {
 		st.Targets[0].Gets, st.Targets[0].Scans, st.LeaderReads, st.LeaderFalls, st.StaleRefused)
 }
 
-// TestPromoteFlipsRoles pins the in-process promotion path: a follower
-// with a promote hook detaches its applier, starts a hub under a new
-// epoch, and serves mutations.
+// gatedEngine is a disk engine whose Put waits for the gate: a follower
+// built on one has its applier stuck inside an apply for as long as the
+// test likes. entered, if set, hears of every Put that reached the gate.
+type gatedEngine struct {
+	*DiskEngine
+	gate    <-chan struct{}
+	entered chan<- struct{}
+}
+
+func (e gatedEngine) Put(key int64, val uint64) (bool, error) {
+	if e.entered != nil {
+		e.entered <- struct{}{}
+	}
+	<-e.gate
+	return e.DiskEngine.Put(key, val)
+}
+
+// readState decodes the replication state file the way a restart would.
+func readState(t *testing.T, path string) repl.State {
+	t.Helper()
+	st, err := repl.LoadState(nil, path, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// TestPromoteFlipsRoles drives the real promotion (Server.Promote, the one
+// the /promote handler calls) under semi-sync replication and holds it to
+// the failover contract: every put the old leader answered OK is readable
+// on the promoted node, and no sequence the old leader stamped onto an ack
+// exceeds the promoted node's durable sequence. The leader is killed in
+// the middle of the load, so some puts are cut off unanswered; those may
+// or may not have made it, and are not checked. The state file ends up
+// recording the lineage now led, not the position applied before.
 func TestPromoteFlipsRoles(t *testing.T) {
 	if testing.Short() {
 		t.Skip("needs a live follower stream")
 	}
-	ld := startLeader(t, 1, Config{})
-	fl := &followerHarness{}
+	ld := startLeader(t, 1, Config{ReplAcks: 1, ReplAckTimeout: 5 * time.Second})
 	// The follower must be disk-backed to lead after promotion.
-	s, addr, stop := startServer(t, Config{Engines: diskEngines(t, t.TempDir(), 1)})
-	ap := repl.NewApplier(repl.ApplierConfig{
-		Addr:       ld.replAddr,
-		ID:         5,
-		Shards:     s.ApplierShards(),
-		Logf:       t.Logf,
-		RedialWait: 20 * time.Millisecond,
-	})
-	s.AttachFollower(ap)
-	go ap.Run()
-	fl.s, fl.addr, fl.ap = s, addr, ap
+	statePath := filepath.Join(t.TempDir(), "state.json")
+	fl := startFollower(t, Config{Engines: diskEngines(t, t.TempDir(), 1)},
+		ReplOptions{Follow: ld.replAddr, Listen: "127.0.0.1:0", RetainBytes: 4 << 20, StatePath: statePath})
+	stopped := false
 	defer func() {
-		stop()
-		s.Close()
+		if !stopped {
+			fl.shutdown()
+		}
 	}()
-
-	var hub *repl.Hub
-	s.SetPromoteHook(func() (uint64, error) {
-		ap.Stop()
-		ap.Wait()
-		s.DetachFollower()
-		h, err := s.StartHub(2, 4<<20, t.Logf)
-		if err != nil {
-			return 0, err
-		}
-		hub = h
-		return h.Epoch(), nil
+	waitFor(t, "the follower to register", func() bool {
+		f := ld.s.repl.hub.Load().Stats().Followers
+		return len(f) == 1 && f[0].Connected
 	})
+	oldEpoch := ld.s.repl.hub.Load().Epoch()
 
-	// Replicate some state, then kill the leader.
-	cl, err := Dial(ld.addr)
-	if err != nil {
-		t.Fatal(err)
+	// Four writers put distinct keys until the leader dies under them.
+	type acked struct {
+		key int64
+		seq uint64
 	}
-	for i := int64(0); i < 50; i++ {
-		if _, err := cl.Put(i, uint64(i)); err != nil {
-			t.Fatal(err)
-		}
+	const writers = 4
+	var (
+		wg     sync.WaitGroup
+		mu     sync.Mutex
+		oks    []acked
+		enough = make(chan struct{})
+		once   sync.Once
+	)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			c, err := Dial(ld.addr)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer c.Close()
+			for i := int64(0); ; i++ {
+				key := int64(w)<<32 | i
+				resp, err := c.Do(Request{Op: OpPut, Key: key, Val: uint64(key) + 1})
+				if err != nil {
+					return // the leader is gone
+				}
+				if resp.Status != StatusOK {
+					continue // draining; nothing was promised
+				}
+				if !resp.HasVal {
+					t.Errorf("put %d acked without a sequence: %+v", key, resp)
+					return
+				}
+				mu.Lock()
+				oks = append(oks, acked{key, resp.Val})
+				if len(oks) == 200 {
+					once.Do(func() { close(enough) })
+				}
+				mu.Unlock()
+			}
+		}(w)
 	}
-	cl.Close()
-	leaderSeqs := waitSeqs(t, ld.addr, func([]int64) bool { return true })
-	waitSeqs(t, fl.addr, func(seqs []int64) bool { return seqs[0] >= leaderSeqs[0] })
-	ld.shutdown()
+	<-enough
+	ld.shutdown() // mid-load: the writers find out by their connections dying
+	wg.Wait()
 
 	epoch, err := fl.s.Promote()
 	if err != nil {
 		t.Fatalf("promote: %v", err)
 	}
-	if epoch != 2 {
-		t.Fatalf("epoch: %d, want 2", epoch)
+	if epoch == 0 || epoch == oldEpoch {
+		t.Fatalf("promoted under epoch %d; the old leader led %d", epoch, oldEpoch)
 	}
-	defer hub.Close()
-	if fl.s.IsFollower() {
+	if fl.s.followerSource() != nil || fl.s.repl.hub.Load() == nil {
 		t.Fatal("still a follower after promote")
 	}
-	if _, err := fl.s.Promote(); err == nil {
-		t.Fatal("second promote should refuse")
+	if _, err := fl.s.Promote(); !errors.Is(err, ErrNotFollower) {
+		t.Fatalf("second promote = %v, want ErrNotFollower", err)
 	}
 
-	// The promoted node serves mutations, stamped (it now leads).
 	c, err := Dial(fl.addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	resp, err := c.Do(Request{Op: OpPut, Key: 1000, Val: 1})
+	seqs, err := c.Seqs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range oks {
+		if v, ok, err := c.Get(a.key); err != nil || !ok || v != uint64(a.key)+1 {
+			t.Fatalf("put %d was acked (seq %d) and is lost across promotion: v=%d ok=%v err=%v", a.key, a.seq, v, ok, err)
+		}
+		if int64(a.seq) > seqs[0] {
+			t.Fatalf("put %d was stamped %d, past the promoted node's durable sequence %d", a.key, a.seq, seqs[0])
+		}
+	}
+	// The promoted node serves mutations, stamped (it now leads).
+	resp, err := c.Do(Request{Op: OpPut, Key: -1, Val: 1})
 	if err != nil || resp.Status != StatusOK || !resp.HasVal {
 		t.Fatalf("put on promoted leader: %+v err=%v", resp, err)
 	}
-	if v, ok, err := c.Get(25); err != nil || !ok || v != 25 {
-		t.Fatalf("replicated state lost across promotion: v=%d ok=%v err=%v", v, ok, err)
+
+	if st := readState(t, statePath); st.Epoch != epoch || len(st.Seqs) != 0 {
+		t.Fatalf("state file after promotion = %+v, want the led lineage {epoch %d, no seqs}", st, epoch)
 	}
+	stopped = true
+	fl.shutdown()
+	if st := readState(t, statePath); st.Epoch != epoch || len(st.Seqs) != 0 {
+		t.Fatalf("state file after shutdown = %+v: the pre-promotion position came back over lineage %d", st, epoch)
+	}
+}
+
+// TestPromoteAllOrNothing pins the two ways a promotion must not go wrong,
+// through the /promote handler. A follower that cannot lead (a mem engine
+// has no journal to ship) refuses before touching its applier: every
+// attempt answers 500, never 409, and the node goes on following — puts
+// answer StatusNotLeader and the leader's writes keep arriving. And of
+// several concurrent promotions of a follower that can lead exactly one
+// answers 200; the rest find it leading already and answer 409.
+func TestPromoteAllOrNothing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("needs a live follower stream")
+	}
+	for _, tc := range []struct {
+		name     string
+		disk     bool
+		posts    int
+		want200  int
+		wantRest int
+	}{
+		{"cannot-lead", false, 3, 0, http.StatusInternalServerError},
+		{"concurrent", true, 8, 1, http.StatusConflict},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ld := startLeader(t, 1, Config{})
+			defer ld.shutdown()
+			cfg := Config{Shards: 1}
+			if tc.disk {
+				cfg = Config{Engines: diskEngines(t, t.TempDir(), 1)}
+			}
+			fl := startFollower(t, cfg, ReplOptions{Follow: ld.replAddr, Listen: "127.0.0.1:0", RetainBytes: 4 << 20})
+			defer fl.shutdown()
+
+			codes := make(chan int, tc.posts)
+			h := fl.s.Handler()
+			for i := 0; i < tc.posts; i++ {
+				go func() {
+					rec := httptest.NewRecorder()
+					h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/promote", nil))
+					codes <- rec.Code
+				}()
+			}
+			got200 := 0
+			for i := 0; i < tc.posts; i++ {
+				switch code := <-codes; code {
+				case http.StatusOK:
+					got200++
+				case tc.wantRest:
+				default:
+					t.Errorf("POST /promote answered %d, want 200 or %d", code, tc.wantRest)
+				}
+			}
+			if got200 != tc.want200 {
+				t.Fatalf("%d of %d promotions answered 200, want %d", got200, tc.posts, tc.want200)
+			}
+
+			c, err := Dial(fl.addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			resp, err := c.Do(Request{Op: OpPut, Key: 1, Val: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.want200 == 1 {
+				if resp.Status != StatusOK || !resp.HasVal {
+					t.Fatalf("put on the promoted node: %+v, want a stamped OK", resp)
+				}
+				return
+			}
+			if resp.Status != StatusNotLeader {
+				t.Fatalf("put after a refused promotion: %+v, want StatusNotLeader (the node must still follow)", resp)
+			}
+			lc, err := Dial(ld.addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer lc.Close()
+			if _, err := lc.Put(2, 22); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, "the leader's write to reach the still-following node", func() bool {
+				v, ok, err := c.Get(2)
+				return err == nil && ok && v == 22
+			})
+		})
+	}
+}
+
+// TestPromoteWaitsForLastApply pins the order inside Promote: the hub must
+// not exist, and the node must not accept writes, while an apply of the
+// old leader's stream is still in flight — a straggler landing after the
+// node began leading would diverge it from its own followers.
+func TestPromoteWaitsForLastApply(t *testing.T) {
+	if testing.Short() {
+		t.Skip("needs a live follower stream")
+	}
+	ld := startLeader(t, 1, Config{})
+	defer ld.shutdown()
+	gate, entered := make(chan struct{}), make(chan struct{}, 1)
+	eng := gatedEngine{DiskEngine: diskEngines(t, t.TempDir(), 1)[0].(*DiskEngine), gate: gate, entered: entered}
+	fl := startFollower(t, Config{Engine: eng}, ReplOptions{Follow: ld.replAddr, Listen: "127.0.0.1:0", RetainBytes: 4 << 20})
+	var open sync.Once
+	defer func() {
+		open.Do(func() { close(gate) })
+		fl.shutdown()
+	}()
+
+	lc, err := Dial(ld.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Close()
+	if _, err := lc.Put(1, 11); err != nil {
+		t.Fatal(err)
+	}
+	<-entered // the follower's applier is inside Apply, at the gate
+
+	promoted := make(chan error, 1)
+	go func() {
+		_, err := fl.s.Promote()
+		promoted <- err
+	}()
+	waitFor(t, "promote to take the role mutex", func() bool {
+		if fl.s.repl.mu.TryLock() {
+			fl.s.repl.mu.Unlock()
+			return false
+		}
+		return true
+	})
+	// Let a wrongly ordered Promote run on; a right one is parked in Wait.
+	time.Sleep(50 * time.Millisecond)
+	select {
+	case err := <-promoted:
+		t.Fatalf("promote returned (%v) while an apply was still in flight", err)
+	default:
+	}
+	if fl.s.repl.hub.Load() != nil || fl.s.followerSource() == nil {
+		t.Fatal("the node began leading while an apply was still in flight")
+	}
+	open.Do(func() { close(gate) })
+	if err := <-promoted; err != nil {
+		t.Fatalf("promote: %v", err)
+	}
+	c, err := Dial(fl.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if v, ok, err := c.Get(1); err != nil || !ok || v != 11 {
+		t.Fatalf("the in-flight apply did not land before promotion: v=%d ok=%v err=%v", v, ok, err)
+	}
+}
+
+// TestStateFileTornOrCut is the state file's contract at the role machine.
+// A disk follower whose state file was torn by a power loss starts anyway —
+// logged, epoch 0, everything shipped again — and converges on the leader
+// (btserved used to exit 1 until someone passed -resync). And when FailFS
+// cuts the role machine's own save at every syscall, and tears its write,
+// whatever file survives either decodes to a position the follower's
+// engines really hold — this epoch, no shard past what was applied and
+// committed — or to nothing, which resyncs.
+func TestStateFileTornOrCut(t *testing.T) {
+	if testing.Short() {
+		t.Skip("needs a live follower stream")
+	}
+	ld := startLeader(t, 2, Config{})
+	defer ld.shutdown()
+	lc, err := Dial(ld.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Close()
+	for i := int64(0); i < 100; i++ {
+		if _, err := lc.Put(i, uint64(i)+5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	leaderSeqs := waitSeqs(t, ld.addr, func([]int64) bool { return true })
+	caughtUp := func(seqs []int64) bool { return seqs[0] >= leaderSeqs[0] && seqs[1] >= leaderSeqs[1] }
+
+	statePath := filepath.Join(t.TempDir(), "state.json")
+	if err := os.WriteFile(statePath, []byte(`{"id":77,"epoch":1234,"se`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fl := startFollower(t, Config{Engines: diskEngines(t, t.TempDir(), 2)},
+		ReplOptions{Follow: ld.replAddr, StatePath: statePath})
+	defer fl.shutdown()
+	waitSeqs(t, fl.addr, caughtUp)
+	if got, want := scanAll(t, fl.addr), scanAll(t, ld.addr); !reflect.DeepEqual(got, want) {
+		t.Fatalf("follower holds %d keys after the resync, leader %d", len(got), len(want))
+	}
+
+	r, ap := &fl.s.repl, fl.s.repl.ap
+	held := func() repl.State {
+		return repl.State{ID: r.id, Epoch: ap.Epoch(), Seqs: ap.AppliedSeqs()}
+	}
+	r.save(ap.Epoch(), ap.AppliedSeqs(), true)
+	if st := readState(t, statePath); !reflect.DeepEqual(st, held()) {
+		t.Fatalf("state file %+v, want the applied position %+v", st, held())
+	}
+	// More writes, so the next save has a new position to write over the old.
+	for i := int64(100); i < 140; i++ {
+		if _, err := lc.Put(i, uint64(i)+5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	leaderSeqs = waitSeqs(t, ld.addr, func([]int64) bool { return true })
+	waitSeqs(t, fl.addr, caughtUp)
+	plans := []pagestore.FailPlan{{CrashAt: 1}, {CrashAt: 2}, {CrashAt: 3}, {FailSyncAt: 1}}
+	for torn := 0; torn < 40; torn += 3 {
+		plans = append(plans, pagestore.FailPlan{FailWriteAt: 1, TornBytes: torn})
+	}
+	for _, plan := range plans {
+		r.saveMu.Lock() // the applier saves too
+		r.fs = pagestore.NewFailFS(nil, plan)
+		r.saveMu.Unlock()
+		r.save(ap.Epoch(), ap.AppliedSeqs(), true)
+		st, now := readState(t, statePath), held()
+		if reflect.DeepEqual(st, repl.State{}) {
+			continue // resyncs
+		}
+		if st.ID != now.ID || st.Epoch != now.Epoch || len(st.Seqs) != len(now.Seqs) {
+			t.Fatalf("plan %+v: survivor %+v is not this follower's (%+v)", plan, st, now)
+		}
+		for i := range st.Seqs {
+			if st.Seqs[i] > now.Seqs[i] {
+				t.Fatalf("plan %+v: survivor claims shard %d at %d, the engine holds %d", plan, i, st.Seqs[i], now.Seqs[i])
+			}
+		}
+	}
+	r.saveMu.Lock()
+	r.fs = nil
+	r.saveMu.Unlock()
 }

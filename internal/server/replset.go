@@ -14,11 +14,38 @@ import (
 // callers of Client.GetSeq see it directly.
 var ErrLagging = errors.New("server: follower lagging behind read floor")
 
-// ShardIndex is the server's key→shard routing, exported so
-// replication-aware clients (ReplicaSet here, btload's replica mode)
-// can maintain per-shard read floors client-side. It is a pure function
-// of (key, n): stable across restarts and processes.
-func ShardIndex(key int64, n int) int { return shardIndex(key, n) }
+// ReadFloor is a replication-aware client's per-shard read floor: the
+// highest durable sequence the leader has acknowledged to it, one slot per
+// leader shard (make(ReadFloor, n)). Observe raises a key's shard to the
+// sequence stamped on an acked put or del; For is the MinSeq a
+// bounded-staleness get of that key carries, so no follower serves the
+// client a state older than its own acknowledged writes. The key→shard
+// routing is the server's, a pure function of (key, n): stable across
+// restarts and processes. Safe for concurrent use.
+type ReadFloor []atomic.Int64
+
+// Observe raises the floor of key's shard to seq; lower values are ignored.
+func (f ReadFloor) Observe(key, seq int64) {
+	slot := &f[shardIndex(key, len(f))]
+	for {
+		cur := slot.Load()
+		if seq <= cur || slot.CompareAndSwap(cur, seq) {
+			return
+		}
+	}
+}
+
+// For returns the floor of key's shard.
+func (f ReadFloor) For(key int64) int64 { return f[shardIndex(key, len(f))].Load() }
+
+// Seqs returns every shard's floor, indexed by shard.
+func (f ReadFloor) Seqs() []int64 {
+	out := make([]int64, len(f))
+	for i := range f {
+		out[i] = f[i].Load()
+	}
+	return out
+}
 
 // ReplicaSetConfig parameterizes DialReplicaSet.
 type ReplicaSetConfig struct {
@@ -58,8 +85,7 @@ type replicaTarget struct {
 type ReplicaSet struct {
 	leader   *RClient
 	replicas []*replicaTarget
-	nShards  int
-	minSeq   []atomic.Int64 // per shard: read floor learned from leader acks
+	floor    ReadFloor // learned from the leader's acks
 	rr       atomic.Uint64
 
 	leaderReads  atomic.Int64 // reads served by the leader (fallback or no replicas)
@@ -80,9 +106,8 @@ func DialReplicaSet(cfg ReplicaSetConfig) (*ReplicaSet, error) {
 		return nil, fmt.Errorf("server: replica set: leader seqs: %w", err)
 	}
 	rs := &ReplicaSet{
-		leader:  leader,
-		nShards: len(seqs),
-		minSeq:  make([]atomic.Int64, len(seqs)),
+		leader: leader,
+		floor:  make(ReadFloor, len(seqs)),
 	}
 	for _, addr := range cfg.Replicas {
 		c, err := DialResilient(addr, cfg.Retry)
@@ -96,51 +121,29 @@ func DialReplicaSet(cfg ReplicaSetConfig) (*ReplicaSet, error) {
 }
 
 // NumShards returns the leader's shard count.
-func (rs *ReplicaSet) NumShards() int { return rs.nShards }
-
-// observeSeq raises a shard's read floor to an acknowledged sequence.
-func (rs *ReplicaSet) observeSeq(shard int, seq int64) {
-	for {
-		cur := rs.minSeq[shard].Load()
-		if seq <= cur || rs.minSeq[shard].CompareAndSwap(cur, seq) {
-			return
-		}
-	}
-}
+func (rs *ReplicaSet) NumShards() int { return len(rs.floor) }
 
 // Put stores key→val on the leader and absorbs the acknowledged durable
 // sequence into the shard's read floor.
 func (rs *ReplicaSet) Put(key int64, val uint64) (bool, error) {
-	resp, err := rs.leader.Do(Request{Op: OpPut, Key: key, Val: val})
-	if err != nil {
-		return false, err
-	}
-	if Retryable(resp.Status) {
-		return false, shedErr(resp.Status)
-	}
-	if resp.Status == StatusNotLeader {
-		return false, errors.New("server: replica set: leader target is a follower")
-	}
-	if resp.HasVal {
-		rs.observeSeq(shardIndex(key, rs.nShards), int64(resp.Val))
-	}
-	return resp.Status == StatusOK, nil
+	return rs.mutate(Request{Op: OpPut, Key: key, Val: val})
 }
 
 // Del removes key on the leader, absorbing the acked sequence.
 func (rs *ReplicaSet) Del(key int64) (bool, error) {
-	resp, err := rs.leader.Do(Request{Op: OpDel, Key: key})
+	return rs.mutate(Request{Op: OpDel, Key: key})
+}
+
+func (rs *ReplicaSet) mutate(req Request) (bool, error) {
+	resp, err := rs.leader.call(req)
 	if err != nil {
 		return false, err
-	}
-	if Retryable(resp.Status) {
-		return false, shedErr(resp.Status)
 	}
 	if resp.Status == StatusNotLeader {
 		return false, errors.New("server: replica set: leader target is a follower")
 	}
 	if resp.HasVal {
-		rs.observeSeq(shardIndex(key, rs.nShards), int64(resp.Val))
+		rs.floor.Observe(req.Key, int64(resp.Val))
 	}
 	return resp.Status == StatusOK, nil
 }
@@ -163,8 +166,7 @@ func (rs *ReplicaSet) Get(key int64) (uint64, bool, error) {
 		rs.leaderReads.Add(1)
 		return rs.leader.Get(key)
 	}
-	floor := rs.minSeq[shardIndex(key, rs.nShards)].Load()
-	resp, err := t.c.Do(Request{Op: OpGetSeq, Key: key, MinSeq: floor})
+	resp, err := t.c.Do(Request{Op: OpGetSeq, Key: key, MinSeq: rs.floor.For(key)})
 	if err == nil {
 		switch resp.Status {
 		case StatusOK:

@@ -155,8 +155,8 @@ type Server struct {
 
 	stopped atomic.Bool
 
-	// repl is the server's replication role — leader hub, follower
-	// source, promote hook. Zero value = unreplicated. See repl.go.
+	// repl is the server's replication role. Zero value = unreplicated.
+	// See repl.go.
 	repl replState
 
 	// testApplyDelay slows apply down; set before Serve, tests only.
@@ -283,10 +283,12 @@ func (s *Server) Len() int {
 	return n
 }
 
-// Close releases every shard's engine. It must be called only after
-// Serve has returned (the worker pools own the engines while serving);
-// it then excludes the telemetry handlers, so a scrape can never race a
-// closing engine. Close is idempotent; later scrapes answer 503.
+// Close ends the replication role (hub, listener and applier stop; a
+// follower's applied position is saved) and then releases every shard's
+// engine. It must be called only after Serve has returned (the worker
+// pools own the engines while serving); it then excludes the telemetry
+// handlers, so a scrape can never race a closing engine. Close is
+// idempotent; later scrapes answer 503.
 func (s *Server) Close() error {
 	s.lifeMu.Lock()
 	defer s.lifeMu.Unlock()
@@ -294,6 +296,7 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.closed = true
+	s.stopRepl()
 	var err error
 	for _, sh := range s.shards {
 		if cerr := sh.eng.Close(); cerr != nil {
@@ -773,8 +776,19 @@ func (s *Server) apply(sh *shard, req Request, w *worker) Response {
 		time.Sleep(s.testApplyDelay)
 	}
 	switch req.Op {
-	case OpGet:
+	case OpGet, OpGetSeq:
+		// OpGetSeq is a bounded-staleness get: on a follower, refuse
+		// (StatusLagging) rather than serve state older than the client's
+		// floor — the client retries the leader. On a leader the floor is
+		// always met (clients learn MinSeq from this leader's own acks), and
+		// on an unreplicated server it degrades to a plain get.
 		t[cGets]++
+		if req.Op == OpGetSeq {
+			if f := s.followerSource(); f != nil && f.AppliedSeq(sh.id) < req.MinSeq {
+				t[cLagging]++
+				return Response{Status: StatusLagging}
+			}
+		}
 		v, ok, err := sh.eng.Get(req.Key)
 		if err != nil {
 			t[cUnavail]++
@@ -784,50 +798,22 @@ func (s *Server) apply(sh *shard, req Request, w *worker) Response {
 			return Response{Status: StatusMiss}
 		}
 		return Response{Status: StatusOK, HasVal: true, Val: v}
-	case OpGetSeq:
-		// A bounded-staleness get: on a follower, refuse (StatusLagging)
-		// rather than serve state older than the client's floor — the
-		// client retries the leader. On a leader the floor is always met
-		// (clients learn MinSeq from this leader's own acks), and on an
-		// unreplicated server it degrades to a plain get.
-		t[cGets]++
-		if f := s.Follower(); f != nil && f.AppliedSeq(sh.id) < req.MinSeq {
-			t[cLagging]++
-			return Response{Status: StatusLagging}
-		}
-		v, ok, err := sh.eng.Get(req.Key)
-		if err != nil {
-			t[cUnavail]++
-			return Response{Status: StatusUnavail}
-		}
-		if !ok {
-			return Response{Status: StatusMiss}
-		}
-		return Response{Status: StatusOK, HasVal: true, Val: v}
-	case OpPut:
-		if s.IsFollower() {
+	case OpPut, OpDel:
+		if s.repl.follower.Load() != nil {
 			// Followers never mutate outside the replication stream; the
 			// client re-routes this to the leader.
 			t[cNotLeader]++
 			return Response{Status: StatusNotLeader}
 		}
-		t[cPuts]++
-		ok, err := sh.put(req.Key, req.Val)
-		if err != nil {
-			t[cUnavail]++
-			return Response{Status: StatusUnavail}
+		var ok bool
+		var err error
+		if req.Op == OpPut {
+			t[cPuts]++
+			ok, err = sh.put(req.Key, req.Val)
+		} else {
+			t[cDels]++
+			ok, err = sh.del(req.Key)
 		}
-		if ok {
-			return Response{Status: StatusOK}
-		}
-		return Response{Status: StatusMiss}
-	case OpDel:
-		if s.IsFollower() {
-			t[cNotLeader]++
-			return Response{Status: StatusNotLeader}
-		}
-		t[cDels]++
-		ok, err := sh.del(req.Key)
 		if err != nil {
 			t[cUnavail]++
 			return Response{Status: StatusUnavail}

@@ -318,7 +318,7 @@ func (sh *shard) commitLoop() {
 				// The engine is poisoned (fail stop); nothing of the group
 				// may be acknowledged.
 				failed = true
-			} else if hub := s.Hub(); hub != nil {
+			} else if hub := s.repl.hub.Load(); hub != nil {
 				seq = sh.eng.(seqEngine).DurableSeq()
 				hub.Poke()
 			}
@@ -349,7 +349,7 @@ func (sh *shard) ackLoop() {
 	for bt := range sh.ackq {
 		if l := &bt.legs[sh.id]; l.seq != 0 && l.group != group {
 			group = l.group
-			acked = s.Hub().WaitAcked(sh.id, l.seq, s.cfg.ReplAcks, s.cfg.ReplAckTimeout)
+			acked = s.repl.hub.Load().WaitAcked(sh.id, l.seq, s.cfg.ReplAcks, s.cfg.ReplAckTimeout)
 		}
 		sh.settle(bt, acked)
 	}

@@ -225,19 +225,14 @@ func (c *Client) Lookup(val uint64, limit int, token []byte) ([]int64, []byte, e
 // Seqs returns the server's per-shard replication sequences, indexed by
 // shard: the durable sequence on a journal-backed leader, the applied
 // sequence on a follower, zeros on an unreplicated in-memory server.
-// The slice length is the server's shard count — how replica-set
-// clients learn it.
+// The slice length is the server's shard count — how a ReadFloor is
+// sized. The page carries one entry per shard, the shard in the key and
+// its sequence in the value.
 func (c *Client) Seqs() ([]int64, error) {
 	resp, err := c.Do(Request{Op: OpSeqs})
 	if err != nil {
 		return nil, err
 	}
-	return decodeSeqs(resp)
-}
-
-// decodeSeqs turns an OpSeqs page — one entry per shard, the shard in the
-// key and its sequence in the value — into a slice indexed by shard.
-func decodeSeqs(resp Response) ([]int64, error) {
 	if resp.Status != StatusOK {
 		return nil, fmt.Errorf("server: seqs: %s", StatusName(resp.Status))
 	}
@@ -249,27 +244,6 @@ func decodeSeqs(resp Response) ([]int64, error) {
 		seqs[e.Key] = int64(e.Val)
 	}
 	return seqs, nil
-}
-
-// GetSeq is a bounded-staleness Get: the read is served only by a
-// replica whose applied sequence has reached minSeq. A follower answers
-// StatusLagging when behind — surfaced here as ErrLagging so callers
-// (see DialReplicaSet) retry the leader instead of reading stale state.
-func (c *Client) GetSeq(key int64, minSeq int64) (uint64, bool, error) {
-	resp, err := c.Do(Request{Op: OpGetSeq, Key: key, MinSeq: minSeq})
-	if err != nil {
-		return 0, false, err
-	}
-	switch resp.Status {
-	case StatusOK:
-		return resp.Val, true, nil
-	case StatusMiss:
-		return 0, false, nil
-	case StatusLagging:
-		return 0, false, ErrLagging
-	default:
-		return 0, false, fmt.Errorf("server: getseq: %s", StatusName(resp.Status))
-	}
 }
 
 // Close tears the connection down.

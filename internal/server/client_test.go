@@ -96,3 +96,76 @@ func TestRecvArmsDeadlineOnlyWhenItMayBlock(t *testing.T) {
 		t.Fatal("Recv waited for the rest of a frame without a deadline")
 	}
 }
+
+// muteServer accepts connections on an ephemeral port and reads from
+// them without ever answering; it returns the address.
+func muteServer(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer c.Close()
+				buf := make([]byte, 1024)
+				for {
+					if _, err := c.Read(buf); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestClientRecvDeadline is the regression for the hang: the server
+// accepts and reads but never answers; Recv must fail with a deadline
+// error instead of blocking forever.
+func TestClientRecvDeadline(t *testing.T) {
+	c, err := Dial(muteServer(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetOpTimeout(100 * time.Millisecond)
+	t0 := time.Now()
+	_, err = c.Do(Request{Op: OpPing})
+	if !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("Do on a mute server: %v, want deadline exceeded", err)
+	}
+	if d := time.Since(t0); d > 2*time.Second {
+		t.Fatalf("deadline took %v to fire", d)
+	}
+}
+
+// TestClientRecvClosed: a Close from another goroutine surfaces
+// net.ErrClosed out of a blocked Recv, not a hang or a panic.
+func TestClientRecvClosed(t *testing.T) {
+	c, err := Dial(muteServer(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	errCh := make(chan error, 1)
+	go func() {
+		_, err := c.Recv()
+		errCh <- err
+	}()
+	time.Sleep(50 * time.Millisecond)
+	c.Close()
+	select {
+	case err := <-errCh:
+		if !errors.Is(err, net.ErrClosed) {
+			t.Fatalf("Recv after Close: %v, want net.ErrClosed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Recv still blocked after Close")
+	}
+}

@@ -45,7 +45,7 @@ func TestDiskEngineEndToEnd(t *testing.T) {
 	if v, ok, err := c.Get(7); err != nil || !ok || v != 21 {
 		t.Fatalf("get: v=%d ok=%v err=%v", v, ok, err)
 	}
-	if s.Tree() != nil {
+	if s.shards[0].tree != nil {
 		t.Fatal("disk-engine server still exposes an in-memory tree")
 	}
 	c.Close()
@@ -199,8 +199,8 @@ func TestDiskEngineCheckpointing(t *testing.T) {
 func TestMemEngineDefault(t *testing.T) {
 	s, addr, shutdown := startServer(t, Config{Prefill: 10})
 	defer shutdown()
-	if s.Engine().Kind() != "mem" || s.Tree() == nil {
-		t.Fatalf("default engine = %q, tree nil=%v", s.Engine().Kind(), s.Tree() == nil)
+	if s.Engine().Kind() != "mem" || s.shards[0].tree == nil {
+		t.Fatalf("default engine = %q, tree nil=%v", s.Engine().Kind(), s.shards[0].tree == nil)
 	}
 	if s.Engine().Len() != 10 {
 		t.Fatalf("prefill through engine: Len = %d", s.Engine().Len())

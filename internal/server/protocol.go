@@ -93,6 +93,15 @@ const (
 	// OpScan pages through [lo, hi); OpSeek returns the smallest key >=
 	// key; OpLookup pages through the primary keys holding a value (needs
 	// the secondary index). See the package comment for wire shapes.
+	//
+	// The index contract: at every quiescent point (no mutation in
+	// flight, every follower caught up) Lookup agrees with the primary —
+	// its pages are exactly the keys a full scan finds holding the value,
+	// in the same order, on a leader and on any follower built with the
+	// index, whether the follower streamed the oplog or took a snapshot
+	// resync — and it answers StatusUnavail, never a page, while any
+	// engine is poisoned. Checked by TestLookupVsBruteForce,
+	// TestFollowerIndexMatchesLeader and TestLookupUnavailWhenPoisoned.
 	OpScan   byte = 5
 	OpSeek   byte = 6
 	OpLookup byte = 7
@@ -102,6 +111,14 @@ const (
 	// carrying a bounded-staleness floor: a follower whose applied
 	// sequence for the key's shard is below MinSeq answers StatusLagging
 	// instead of possibly-stale data.
+	//
+	// The read-floor contract: a client that feeds the sequence stamped
+	// on each of its acked puts and dels into a ReadFloor, and sends
+	// ReadFloor.For(key) as the MinSeq of every OpGetSeq, never reads
+	// from a follower a value older than its own last acked write of that
+	// key: until the follower has applied that write the answer is
+	// StatusLagging, and afterwards it is the written value or a later
+	// one. Checked by TestReadFloorContract.
 	OpSeqs   byte = 8
 	OpGetSeq byte = 9
 )

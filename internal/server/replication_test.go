@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -14,8 +15,8 @@ import (
 	"time"
 
 	"btreeperf/internal/pagestore"
-	"btreeperf/internal/query"
 	"btreeperf/internal/repl"
+	"btreeperf/internal/xrand"
 )
 
 // diskEngines builds one disk engine per shard under dir.
@@ -263,11 +264,11 @@ func TestFollowerRefusals(t *testing.T) {
 	if resp, err := c.Do(Request{Op: OpGetSeq, Key: 7, MinSeq: 101}); err != nil || resp.Status != StatusLagging {
 		t.Fatalf("getseq past applied: %+v err=%v, want StatusLagging", resp, err)
 	}
-	if v, ok, err := c.GetSeq(7, 100); err != nil || !ok || v != 77 {
-		t.Fatalf("getseq at applied: v=%d ok=%v err=%v", v, ok, err)
+	if resp, err := c.Do(Request{Op: OpGetSeq, Key: 7, MinSeq: 100}); err != nil || resp.Status != StatusOK || resp.Val != 77 {
+		t.Fatalf("getseq at applied: %+v err=%v, want OK 77", resp, err)
 	}
-	if _, ok, err := c.GetSeq(99, 0); err != nil || ok {
-		t.Fatalf("getseq miss: ok=%v err=%v", ok, err)
+	if resp, err := c.Do(Request{Op: OpGetSeq, Key: 99}); err != nil || resp.Status != StatusMiss {
+		t.Fatalf("getseq miss: %+v err=%v, want StatusMiss", resp, err)
 	}
 	// Seqs reports the follower's applied positions.
 	seqs, err := c.Seqs()
@@ -436,84 +437,255 @@ func TestSemiSyncWaitOverlapsNextFsync(t *testing.T) {
 	}
 }
 
-// TestReplicaSetRouting pins the replication-aware client: writes land
-// on the leader, reads fan out to the follower under the client's own
-// read floor, and read-your-writes holds — a get after an acked put
-// never observes the pre-put state, no matter which target serves it.
-func TestReplicaSetRouting(t *testing.T) {
+// TestReadFloorContract checks the read-floor contract (OpGetSeq in
+// protocol.go) over a real disk leader and follower: a get carrying the
+// client's ReadFloor for its key answers StatusLagging, never the value
+// the key held before an acked put, for as long as the follower has not
+// applied that put, and the new value once it has. The follower's engines
+// let through exactly the applies made before the hold, so "not yet
+// applied" is certain, not timed. Shard 0 takes ten times shard 1's
+// writes, so the two shards' floors straddle the follower's position: a
+// floor read from the other shard's slot would let it serve stale values.
+func TestReadFloorContract(t *testing.T) {
 	if testing.Short() {
 		t.Skip("needs a live follower stream")
 	}
 	ld := startLeader(t, 2, Config{})
 	defer ld.shutdown()
-	fl := startFollower(t, Config{Shards: 2}, ReplOptions{Follow: ld.replAddr})
-	defer fl.shutdown()
 
-	rs, err := DialReplicaSet(ReplicaSetConfig{
-		Leader:   ld.addr,
-		Replicas: []string{fl.addr},
-		Retry:    RetryConfig{MaxAttempts: 2, OpTimeout: 2 * time.Second},
-	})
+	var keys [2][]int64 // twenty keys per shard
+	for k := int64(0); len(keys[0]) < 20 || len(keys[1]) < 20; k++ {
+		if i := shardIndex(k, 2); len(keys[i]) < 20 {
+			keys[i] = append(keys[i], k)
+		}
+	}
+	const rounds = 10 // shard 0's writes per key before the hold; shard 1's is 1
+	applies := rounds*len(keys[0]) + len(keys[1])
+	gate := make(chan struct{}, applies)
+	for i := 0; i < applies; i++ {
+		gate <- struct{}{}
+	}
+	var open sync.Once
+	engs := diskEngines(t, t.TempDir(), 2)
+	fl := startFollower(t, Config{Engines: []Engine{
+		gatedEngine{DiskEngine: engs[0].(*DiskEngine), gate: gate},
+		gatedEngine{DiskEngine: engs[1].(*DiskEngine), gate: gate},
+	}}, ReplOptions{Follow: ld.replAddr})
+	defer func() {
+		open.Do(func() { close(gate) })
+		fl.shutdown()
+	}()
+
+	lc, fc := dialT(t, ld.addr), dialT(t, fl.addr)
+	seqs, err := lc.Seqs()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rs.Close()
-	if rs.NumShards() != 2 {
-		t.Fatalf("shard count: %d, want 2", rs.NumShards())
+	floor := make(ReadFloor, len(seqs))
+	acked := make(map[int64]uint64) // each key's last acked value
+	put := func(k int64, round int) {
+		t.Helper()
+		v := uint64(k)<<8 | uint64(round)
+		resp, err := lc.Do(Request{Op: OpPut, Key: k, Val: v})
+		if err != nil || (resp.Status != StatusOK && resp.Status != StatusMiss) || !resp.HasVal {
+			t.Fatalf("put %d: %+v err=%v, want a stamped ack", k, resp, err)
+		}
+		floor.Observe(k, int64(resp.Val))
+		acked[k] = v
 	}
-
-	for i := int64(0); i < 200; i++ {
-		if _, err := rs.Put(i, uint64(i)+1); err != nil {
-			t.Fatalf("put %d: %v", i, err)
-		}
-		// Immediate read-back: must never be stale, whoever serves it.
-		v, ok, err := rs.Get(i)
-		if err != nil {
-			t.Fatalf("get %d: %v", i, err)
-		}
-		if !ok || v != uint64(i)+1 {
-			t.Fatalf("stale read after acked put: key %d v=%d ok=%v", i, v, ok)
-		}
-	}
-	for i := int64(0); i < 200; i += 7 {
-		if _, err := rs.Del(i); err != nil {
-			t.Fatalf("del %d: %v", i, err)
-		}
-		if _, ok, err := rs.Get(i); err != nil || ok {
-			t.Fatalf("stale read after acked del: key %d ok=%v err=%v", i, ok, err)
-		}
-	}
-
-	// Scans go to the follower (or fall back); either way the merged
-	// view must reflect every acked write.
-	var got []query.KV
-	var token []byte
-	for {
-		page, next, err := rs.Scan(math.MinInt64, math.MaxInt64, 64, token)
+	getSeq := func(k int64) Response {
+		t.Helper()
+		resp, err := fc.Do(Request{Op: OpGetSeq, Key: k, MinSeq: floor.For(k)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got = append(got, page...)
-		if next == nil {
-			break
-		}
-		token = next
+		return resp
 	}
-	want := scanAll(t, ld.addr)
-	if len(got) != len(want) {
-		t.Fatalf("scan saw %d keys, leader has %d", len(got), len(want))
+	caughtUp := func() {
+		t.Helper()
+		head := waitSeqs(t, ld.addr, func([]int64) bool { return true })
+		waitSeqs(t, fl.addr, func(s []int64) bool { return s[0] >= head[0] && s[1] >= head[1] })
+	}
+	expectAcked := func(when string) {
+		t.Helper()
+		for i, ks := range keys {
+			for _, k := range ks {
+				if resp := getSeq(k); resp.Status != StatusOK || resp.Val != acked[k] {
+					t.Fatalf("%s: getseq %d (shard %d, floor %d) = %s %#x, want OK %#x",
+						when, k, i, floor.For(k), StatusName(resp.Status), resp.Val, acked[k])
+				}
+			}
+		}
 	}
 
-	st := rs.Stats()
-	if len(st.Targets) != 1 {
-		t.Fatalf("targets: %+v", st.Targets)
+	for r := 0; r < rounds; r++ {
+		for _, k := range keys[0] {
+			put(k, r)
+		}
 	}
-	reads := st.Targets[0].Gets + st.LeaderReads
-	if reads == 0 {
-		t.Fatal("no reads counted")
+	for _, k := range keys[1] {
+		put(k, 0)
 	}
-	t.Logf("replica served %d gets, %d scan pages; leader served %d reads (%d fallbacks, %d lagging refusals)",
-		st.Targets[0].Gets, st.Targets[0].Scans, st.LeaderReads, st.LeaderFalls, st.StaleRefused)
+	caughtUp()
+	expectAcked("caught up")
+
+	// The hold: every key gets a new value the leader acks and the
+	// follower cannot apply.
+	for _, ks := range keys {
+		for _, k := range ks {
+			put(k, rounds)
+		}
+	}
+	for i, ks := range keys {
+		for _, k := range ks {
+			switch resp := getSeq(k); {
+			case resp.Status == StatusOK:
+				t.Fatalf("held follower served key %d (shard %d) at floor %d: %#x, the value from before its acked put",
+					k, i, floor.For(k), resp.Val)
+			case resp.Status != StatusLagging:
+				t.Fatalf("held follower answered key %d %s, want lagging", k, StatusName(resp.Status))
+			}
+		}
+	}
+
+	open.Do(func() { close(gate) })
+	caughtUp()
+	expectAcked("after the hold")
+}
+
+// TestFollowerIndexMatchesLeader checks the secondary index's contract on
+// a follower (OpLookup in protocol.go): with Index on both ends, Lookup on
+// the follower answers what Lookup on the leader answers, page by page and
+// token by token, at each quiescent point — after streaming the leader's
+// oplog (the applier's Apply), and again after a forced snapshot resync
+// (Reset, then Load) of the same disk follower.
+func TestFollowerIndexMatchesLeader(t *testing.T) {
+	if testing.Short() {
+		t.Skip("needs a live follower stream")
+	}
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			ld := startLeader(t, shards, Config{Index: true})
+			defer ld.shutdown()
+			lc := dialT(t, ld.addr)
+			rng := xrand.New(uint64(shards))
+			// write pipelines n writes over 300 keys per shard: puts of one
+			// of 16 values, and every tenth or so a del.
+			write := func(n int) {
+				t.Helper()
+				for sent := 0; sent < n; sent += 64 {
+					for i := 0; i < 64; i++ {
+						req := Request{Op: OpPut, Key: int64(rng.IntN(300 * shards)), Val: uint64(rng.IntN(16))}
+						if rng.IntN(10) == 0 {
+							req = Request{Op: OpDel, Key: req.Key}
+						}
+						if err := lc.Send(req); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := lc.Flush(); err != nil {
+						t.Fatal(err)
+					}
+					for i := 0; i < 64; i++ {
+						if resp, err := lc.Recv(); err != nil || resp.Status > StatusMiss {
+							t.Fatalf("write: %+v err=%v", resp, err)
+						}
+					}
+				}
+			}
+			dir, state := t.TempDir(), filepath.Join(t.TempDir(), "state.json")
+			follow := func(resync bool) *followerHarness {
+				return startFollower(t, Config{Engines: diskEngines(t, dir, shards), Index: true},
+					ReplOptions{Follow: ld.replAddr, StatePath: state, Resync: resync})
+			}
+			caughtUp := func(fl *followerHarness) {
+				head := waitSeqs(t, ld.addr, func([]int64) bool { return true })
+				waitSeqs(t, fl.addr, func(s []int64) bool {
+					for i := range s {
+						if s[i] < head[i] {
+							return false
+						}
+					}
+					return true
+				})
+			}
+			snapshots := func() int64 { return ld.s.repl.hub.Load().Stats().Snapshots }
+
+			// Streaming: the follower attaches to an empty leader and applies
+			// every write from the stream, while every leader shard
+			// checkpoints at least once.
+			fl := follow(false)
+			write(700 * shards)
+			waitFor(t, "a checkpoint on every leader shard", func() bool {
+				for _, sh := range ld.s.shards {
+					if sh.eng.Stats().Checkpoints == 0 {
+						return false
+					}
+				}
+				return true
+			})
+			caughtUp(fl)
+			if n := snapshots(); n != 0 {
+				t.Fatalf("%d snapshots while streaming", n)
+			}
+			sameLookups(t, ld.addr, fl.addr)
+			fl.shutdown()
+
+			// Resync: with the follower gone, the next checkpoints drop every
+			// record it had acked and retain the rest, so the retained log no
+			// longer reaches back to sequence 0, and a follower that forgets
+			// its position must take every shard from a snapshot.
+			write(700 * shards)
+			waitFor(t, "the leader's retained log to start past sequence 0", func() bool {
+				for _, sh := range ld.s.shards {
+					if sh.eng.(*DiskEngine).Journal().LowestSeq() == 0 {
+						return false
+					}
+				}
+				return true
+			})
+			fl = follow(true)
+			defer fl.shutdown()
+			caughtUp(fl)
+			if n := snapshots(); n != int64(shards) {
+				t.Fatalf("%d snapshots for the resync, want one per shard (%d)", n, shards)
+			}
+			sameLookups(t, ld.addr, fl.addr)
+		})
+	}
+}
+
+// sameLookups fails unless every value's Lookup pages, three keys at a
+// time, are identical on both servers — keys and continuation tokens —
+// and the pages hold at least one key between them.
+func sameLookups(t *testing.T, leader, follower string) {
+	t.Helper()
+	lc, fc := dialT(t, leader), dialT(t, follower)
+	total := 0
+	for v := uint64(0); v < 16; v++ {
+		var token []byte
+		for page := 0; ; page++ {
+			want, wantNext, err := lc.Lookup(v, 3, token)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, gotNext, err := fc.Lookup(v, 3, token)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) || !bytes.Equal(gotNext, wantNext) {
+				t.Fatalf("lookup %d page %d: follower %v (token %x), leader %v (token %x)", v, page, got, gotNext, want, wantNext)
+			}
+			total += len(want)
+			if wantNext == nil {
+				break
+			}
+			token = wantNext
+		}
+	}
+	if total == 0 {
+		t.Fatal("no value is indexed on the leader; the comparison proves nothing")
+	}
 }
 
 // gatedEngine is a disk engine whose Put waits for the gate: a follower

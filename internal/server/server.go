@@ -266,14 +266,6 @@ func (s *Server) NumShards() int { return len(s.shards) }
 // shard servers have one engine per shard; see Len for the merged size.
 func (s *Server) Engine() Engine { return s.shards[0].eng }
 
-// Tree exposes shard 0's in-memory tree (tests, stats); nil when the
-// shard runs on another engine.
-func (s *Server) Tree() *cbtree.Tree { return s.shards[0].tree }
-
-// Probe exposes shard 0's telemetry probe; nil when the shard runs on an
-// engine whose locks report to none.
-func (s *Server) Probe() *metrics.TreeProbe { return s.shards[0].probe }
-
 // Len returns the total key count across all shards.
 func (s *Server) Len() int {
 	n := 0

@@ -121,7 +121,7 @@ func TestServerPipelining(t *testing.T) {
 		}
 	}
 	wg.Wait()
-	if got := s.Tree().Len(); got != n {
+	if got := s.shards[0].tree.Len(); got != n {
 		t.Fatalf("tree has %d keys, want %d", got, n)
 	}
 }

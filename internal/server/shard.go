@@ -131,6 +131,40 @@ func shardIndex(key int64, n int) int {
 	return int(h % uint64(n))
 }
 
+// ReadFloor is a replication-aware client's per-shard read floor: the
+// highest durable sequence the leader has acknowledged to it, one slot per
+// leader shard (make(ReadFloor, n)). Observe raises a key's shard to the
+// sequence stamped on an acked put or del; For is the MinSeq a
+// bounded-staleness get of that key carries (the OpGetSeq contract), so no
+// follower serves the client a state older than its own acknowledged
+// writes. The slot is shardIndex's, so the floor routes a key exactly as
+// the leader does: stable across restarts and processes. Safe for
+// concurrent use.
+type ReadFloor []atomic.Int64
+
+// Observe raises the floor of key's shard to seq; lower values are ignored.
+func (f ReadFloor) Observe(key, seq int64) {
+	slot := &f[shardIndex(key, len(f))]
+	for {
+		cur := slot.Load()
+		if seq <= cur || slot.CompareAndSwap(cur, seq) {
+			return
+		}
+	}
+}
+
+// For returns the floor of key's shard.
+func (f ReadFloor) For(key int64) int64 { return f[shardIndex(key, len(f))].Load() }
+
+// Seqs returns every shard's floor, indexed by shard.
+func (f ReadFloor) Seqs() []int64 {
+	out := make([]int64, len(f))
+	for i := range f {
+		out[i] = f[i].Load()
+	}
+	return out
+}
+
 // shardIdx routes a key to this server's shard index.
 func (s *Server) shardIdx(key int64) int32 {
 	return int32(shardIndex(key, len(s.shards)))

@@ -758,11 +758,12 @@ func TestShardedSingleShardDelegates(t *testing.T) {
 	if s.NumShards() != 1 {
 		t.Fatalf("default NumShards = %d, want 1", s.NumShards())
 	}
-	if s.Tree() == nil || s.Engine() == nil || s.Probe() == nil {
-		t.Fatal("shard-0 delegate accessors returned nil")
+	sh := s.shards[0]
+	if sh.tree == nil || s.Engine() != sh.eng || sh.probe == nil {
+		t.Fatal("shard 0 has no tree or probe, or Engine is not shard 0's")
 	}
-	if s.Len() != s.Tree().Len() {
-		t.Fatalf("Len %d != tree len %d", s.Len(), s.Tree().Len())
+	if s.Len() != sh.tree.Len() {
+		t.Fatalf("Len %d != tree len %d", s.Len(), sh.tree.Len())
 	}
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()

@@ -39,7 +39,7 @@ func TestLiveTelemetryAgreesWithOpCounters(t *testing.T) {
 			defer shutdown()
 			hs := httptest.NewServer(s.Handler())
 			defer hs.Close()
-			height := s.Tree().Height()
+			height := s.shards[0].tree.Height()
 			if height < 3 {
 				t.Fatalf("prefilled tree has height %d, want >= 3", height)
 			}

@@ -39,7 +39,7 @@ passes=(
   serving
   "./internal/server"
   'BenchmarkAppendRequest|BenchmarkAppendResponse|BenchmarkReadRequest|BenchmarkReadResponse|BenchmarkBatchDispatch|BenchmarkServeLoopback|BenchmarkScanLoopback|BenchmarkReplicatedGet'
-  "ServeLoopback is a mixed get/put/del pipeline over loopback TCP, client and server in one process, swept over all four algorithms; ServeLoopbackReadHeavy is the 87.5%-get mix head-to-head between link-type and olc (latch-free reads); ServeLoopbackSharded sweeps the hash-routed shard count on the depth-128 mix; ScanLoopback is one paged range-scan request per op (fan-out + k-way merge), keys/op = page fill; ReplicatedGet is one bounded-staleness get through a ReplicaSet against a disk leader plus N oplog-streaming followers, writes quiesced"
+  "ServeLoopback is a mixed get/put/del pipeline over loopback TCP, client and server in one process, swept over all four algorithms; ServeLoopbackReadHeavy is the 87.5%-get mix head-to-head between link-type and olc (latch-free reads); ServeLoopbackSharded sweeps the hash-routed shard count on the depth-128 mix; ScanLoopback is one paged range-scan request per op (fan-out + k-way merge), keys/op = page fill; ReplicatedGet is one bounded-staleness get (OpGetSeq carrying a shared ReadFloor) on a per-goroutine Client against a disk leader plus N oplog-streaming followers, writes quiesced"
 
   storage
   "./internal/diskbtree ./internal/journal ./internal/pagestore ./internal/server"

@@ -21,9 +21,13 @@
 # Before the first kill a short `btload -replicas` pass splits a mixed
 # load across the pair — mutations to the leader, bounded-staleness reads
 # to the follower under the read floor the leader's acks raise — and the
-# follower must answer reads with no errors. After the last cycle both
-# survivors get SIGTERM and must drain and exit 0: a promoted node's
-# clean shutdown is checked here and nowhere else.
+# follower must answer reads with no errors. After the last cycle the
+# final leader must acknowledge a write burst through its follower's acks,
+# and both survivors get SIGTERM and must drain and exit 0: a promoted
+# node's clean shutdown is checked here and nowhere else. Last, a pass on
+# their disks stops the follower, writes until the leader seals what the
+# follower misses into segments, and requires the restarted follower to
+# catch up from them without a snapshot.
 #
 #   scripts/failover.sh             # 3 cycles
 #   CYCLES=5 scripts/failover.sh
@@ -54,14 +58,14 @@ db_path() {
 
 # start_node NODE [FOLLOW_NODE] — leader when no follow target. Both
 # roles pass -repl-listen: a follower's hub listener sits pre-opened
-# until promotion. Semi-sync (-repl-acks 1) is what turns the audit's
-# acks into cross-node promises.
+# until promotion. The cycles run semi-sync (nodeflags, -repl-acks 1),
+# which is what turns the audit's acks into cross-node promises.
 start_node() {
   local n="$1" followflags=()
   [ $# -gt 1 ] && followflags=(-follow "${repl[$2]}")
   "$bin/btserved" -engine disk -path "$(db_path "$n")" -shards "$shards" -cap 64 \
     -listen "${listen[$n]}" -http "${http[$n]}" -repl-listen "${repl[$n]}" \
-    -repl-acks 1 -repl-ack-timeout 10s "${followflags[@]}" \
+    "${nodeflags[@]}" "${followflags[@]}" \
     >>"$bin/$n.log" 2>&1 &
   eval "pid_$n=\$!"
   local pid; eval "pid=\$pid_$n"
@@ -91,6 +95,22 @@ wait_caught_up() {
   exit 1
 }
 
+# stop_node NODE — SIGTERM; the node must drain and exit 0.
+stop_node() {
+  local pid; eval "pid=\$pid_$1"
+  kill -TERM "$pid"
+  wait "$pid" || { echo "FAIL: node $1 exited nonzero on SIGTERM" >&2; tail "$bin/$1.log" >&2; exit 1; }
+  tail -1 "$bin/$1.log" | grep -q drained || {
+    echo "FAIL: node $1 did not drain cleanly" >&2; tail "$bin/$1.log" >&2; exit 1; }
+}
+
+# metric NODE NAME — NAME's value on the first /metrics line that has it
+# (at SHARDS>1 the merged line, ahead of the per-shard ones).
+metric() {
+  curl -sf "http://${http[$1]}/metrics" | grep -m1 -oE "(^| )$2=[0-9]+" | cut -d= -f2
+}
+
+nodeflags=(-repl-acks 1 -repl-ack-timeout 10s)
 leader=a; follower=b
 start_node "$leader"
 start_node "$follower" "$leader"
@@ -180,15 +200,61 @@ curl -s "http://${http[$leader]}/metrics" | grep -qE '^replication .*snapshots=[
   exit 1
 }
 
+# The semi-sync barrier on a process that exits cleanly (a kill -9ed one
+# keeps no coverage counters, scripts/reach.sh): writes to the final leader
+# with its follower attached are acknowledged through the follower's acks,
+# and none is shed.
+"$bin/btload" -addr "${listen[$leader]}" -qs 0 -qi 1 -qd 0 -n 2000 -conns 2 -depth 16 \
+  >"$bin/semisync.out" 2>&1 || {
+  echo "FAIL: btload against the final leader exited nonzero" >&2; tail "$bin/semisync.out" >&2; exit 1; }
+if grep '^shed:' "$bin/semisync.out" >&2; then
+  echo "FAIL: the final leader shed writes with its follower attached" >&2; exit 1
+fi
+
 # Both survivors drain on SIGTERM: the follower first, so the leader's
 # hub closes with no stream attached, then the promoted leader itself.
-for n in "$follower" "$leader"; do
-  eval "pid=\$pid_$n"
-  kill -TERM "$pid"
-  wait "$pid" || { echo "FAIL: node $n exited nonzero on SIGTERM" >&2; tail "$bin/$n.log" >&2; exit 1; }
-  tail -1 "$bin/$n.log" | grep -q drained || {
-    echo "FAIL: node $n did not drain cleanly" >&2; tail "$bin/$n.log" >&2; exit 1; }
-done
+stop_node "$follower"
+stop_node "$leader"
+
+# Segment catch-up, on the survivors' disks. A stopped follower stays
+# registered with the hub, holding the leader's retention floor where it
+# stopped, so the leader's checkpoints, its shutdown's included, seal the
+# records it misses into segments instead of truncating them. The restarted
+# follower must catch up from those segments, not from a snapshot. A leader
+# reopened from its disk validates the segments it finds and then drops
+# them: it leads a new epoch, which no follower could tail them into.
+# Semi-sync would hold every write made with the follower stopped for the
+# whole ack timeout, so this pass acknowledges asynchronously, and it
+# checkpoints every 64 mutations.
+nodeflags=(-checkpoint-ops 64)
+seal_behind() { # stop the follower, then write until the leader seals
+  stop_node "$follower"
+  "$bin/btload" -addr "${listen[$leader]}" -qs 0 -qi 1 -qd 0 -n "$((shards * 256))" -conns 4 -depth 64 \
+    >"$bin/seal.out" 2>&1 || {
+    echo "FAIL: btload against the leader with its follower stopped exited nonzero" >&2; tail "$bin/seal.out" >&2; exit 1; }
+  segs="$(metric "$leader" retained_segments)"
+  [ "${segs:-0}" -gt 0 ] || {
+    echo "FAIL: no segment sealed while the follower was stopped" >&2; curl -s "http://${http[$leader]}/metrics" | grep '^seqs' >&2; exit 1; }
+}
+segfiles() { find "$bin/$1" -name '*.seg-*' | wc -l; }
+start_node "$leader"
+start_node "$follower" "$leader" # a new epoch: the follower resyncs
+wait_caught_up "$leader"
+seal_behind
+snaps="$(metric "$leader" snapshots)"
+start_node "$follower" "$leader"
+wait_caught_up "$leader"
+[ "$(metric "$leader" snapshots)" = "$snaps" ] || {
+  echo "FAIL: the restarted follower took a snapshot, not the $segs retained segment(s)" >&2; exit 1; }
+caught_up_from="$segs"
+seal_behind
+stop_node "$leader"
+kept="$(segfiles "$leader")"
+[ "$kept" -gt 0 ] || { echo "FAIL: the leader's shutdown dropped the segments its stopped follower needs" >&2; exit 1; }
+start_node "$leader"
+[ "$(segfiles "$leader")" -eq 0 ] || { echo "FAIL: the reopened leader kept segments of an epoch it no longer leads" >&2; exit 1; }
+stop_node "$leader"
 
 echo "failover: $cycles kill-the-leader cycles at shards=$shards, $acked acked writes, zero lost"
 echo "failover: promote-to-serving times (ms): ${failover_times[*]}"
+echo "failover: segments: $caught_up_from sealed behind a stopped follower and caught up from without a snapshot; $kept kept through a shutdown, dropped on reopen"

@@ -90,7 +90,7 @@ func main() {
 		follow      = flag.String("follow", "", "follow the leader whose replication hub is at this address (mutations answer NotLeader; reads serve with bounded staleness)")
 		replRetain  = flag.Int64("repl-retain-mb", 64, "per-shard oplog retention budget in MiB; followers farther behind than retained history resync via snapshot")
 		replState   = flag.String("repl-state", "", "follower sidecar file persisting {epoch, applied seqs} across restarts (default: derived from -path for disk followers; mem followers never persist)")
-		replResync  = flag.Bool("resync", false, "discard persisted replication state and resync from a full leader snapshot")
+		replResync  = flag.Bool("resync", false, "discard persisted replication state: claim no position, so the leader resyncs every shard from a snapshot")
 		replAcks    = flag.Int("repl-acks", 0, "semi-sync: acknowledge mutations only after this many followers applied them (0 = async)")
 		replAckWait = flag.Duration("repl-ack-timeout", 0, "semi-sync wait bound; a batch missing it answers Busy though locally durable (0 = default 2s)")
 	)

@@ -2,6 +2,7 @@ package btree
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
@@ -72,7 +73,7 @@ func TestInsertDuplicateReplaces(t *testing.T) {
 func TestInsertReverseAndRandomOrders(t *testing.T) {
 	for _, order := range []string{"reverse", "random"} {
 		tr := New(7, MergeAtEmpty)
-		src := xrand.New(5)
+		src := rand.New(rand.NewPCG(5, 0))
 		const n = 2000
 		keys := make([]int64, n)
 		for i := range keys {
@@ -157,7 +158,7 @@ func TestDeleteAllMergeAtEmpty(t *testing.T) {
 func TestDeleteAllMergeAtHalf(t *testing.T) {
 	tr := New(5, MergeAtHalf)
 	const n = 500
-	src := xrand.New(9)
+	src := rand.New(rand.NewPCG(9, 0))
 	perm := src.Perm(n)
 	for i := int64(0); i < n; i++ {
 		tr.Insert(i, uint64(i))
@@ -186,11 +187,11 @@ func TestRandomOpsAgainstModel(t *testing.T) {
 			t.Run(fmt.Sprintf("%v/cap%d", policy, cap), func(t *testing.T) {
 				tr := New(cap, policy)
 				model := map[int64]uint64{}
-				src := xrand.New(uint64(cap) * 1000)
+				src := rand.New(rand.NewPCG(uint64(cap)*1000, 0))
 				const ops = 20000
 				const keyspace = 3000
 				for i := 0; i < ops; i++ {
-					k := src.Int63n(keyspace)
+					k := src.Int64N(keyspace)
 					switch src.IntN(3) {
 					case 0: // insert
 						v := src.Uint64()

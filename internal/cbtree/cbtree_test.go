@@ -2,6 +2,7 @@ package cbtree
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"sync"
 	"testing"
 
@@ -100,9 +101,9 @@ func TestSequentialRandomAgainstModel(t *testing.T) {
 		t.Run(alg.String(), func(t *testing.T) {
 			tr := New(7, alg)
 			model := map[int64]uint64{}
-			src := xrand.New(uint64(alg) + 100)
+			src := rand.New(rand.NewPCG(uint64(alg)+100, 0))
 			for i := 0; i < 20000; i++ {
-				k := src.Int63n(2000)
+				k := src.Int64N(2000)
 				switch src.IntN(3) {
 				case 0:
 					v := src.Uint64()
@@ -176,11 +177,11 @@ func TestConcurrentOwnedKeys(t *testing.T) {
 				wg.Add(1)
 				go func(w int) {
 					defer wg.Done()
-					src := xrand.New(uint64(w)*7919 + uint64(alg))
+					src := rand.New(rand.NewPCG(uint64(w)*7919+uint64(alg), 0))
 					mine := map[int64]uint64{}
 					for i := 0; i < opsPer; i++ {
 						// Keys owned by worker w: k ≡ w (mod workers).
-						k := src.Int63n(4000)*workers + int64(w)
+						k := src.Int64N(4000)*workers + int64(w)
 						switch src.IntN(3) {
 						case 0:
 							v := src.Uint64()

@@ -2,6 +2,7 @@ package cbtree
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -193,9 +194,9 @@ func TestOLCMatchesLinkType(t *testing.T) {
 			return 0
 		}
 		oracle := map[int64]uint64{}
-		src := xrand.New(uint64(cap))
+		src := rand.New(rand.NewPCG(uint64(cap), 0))
 		for i := 0; i < 30000; i++ {
-			k := src.Int63n(5000)
+			k := src.Int64N(5000)
 			want, had := oracle[k]
 			switch src.IntN(8) {
 			case 0, 1, 2:

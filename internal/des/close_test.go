@@ -24,11 +24,13 @@ func TestCloseReleasesGoroutines(t *testing.T) {
 			l.Release(g)
 		})
 	}
-	env.Run(1) // start everyone; all park far in the future
-	if env.Live() != 100 {
-		t.Fatalf("Live = %d, want 100", env.Live())
-	}
-	env.Close()
+	env.Schedule(1, func() { // everyone has started and parked far in the future
+		if env.Live() != 100 {
+			t.Errorf("Live = %d, want 100", env.Live())
+		}
+		env.Close()
+	})
+	env.RunAll()
 	if env.Live() != 0 {
 		t.Fatalf("Live after Close = %d", env.Live())
 	}
@@ -52,7 +54,7 @@ func TestCloseKillsNeverStarted(t *testing.T) {
 	env.Spawn("unstarted", func(p *Proc) {
 		ran = true
 	})
-	// No Run: the start event never fires.
+	// No RunAll: the start event never fires.
 	env.Close()
 	if env.Live() != 0 {
 		t.Fatalf("Live after Close = %d", env.Live())
@@ -67,8 +69,8 @@ func TestCloseKillsNeverStarted(t *testing.T) {
 func TestCloseIdempotent(t *testing.T) {
 	env := NewEnvironment()
 	env.Spawn("a", func(p *Proc) { p.Delay(100) })
-	env.Run(1)
-	env.Close()
+	env.Schedule(1, env.Close)
+	env.RunAll()
 	env.Close()
 	if env.Live() != 0 || env.Pending() != 0 {
 		t.Fatalf("Live=%d Pending=%d after double Close", env.Live(), env.Pending())

@@ -26,7 +26,6 @@ type Environment struct {
 	yielded chan struct{}
 	procs   map[*Proc]struct{}
 	killed  bool
-	running bool
 }
 
 // NewEnvironment returns an empty environment at virtual time 0.
@@ -37,11 +36,9 @@ func NewEnvironment() *Environment {
 	}
 }
 
-// Now returns the current virtual time.
-func (env *Environment) Now() float64 { return env.now }
-
 // Schedule arranges for fn to run in scheduler context at virtual time at
-// (>= Now). Events at equal times fire in scheduling order.
+// (not before the current time). Events at equal times fire in scheduling
+// order.
 func (env *Environment) Schedule(at float64, fn func()) {
 	if at < env.now {
 		panic(fmt.Sprintf("des: scheduling into the past: %v < %v", at, env.now))
@@ -52,7 +49,7 @@ func (env *Environment) Schedule(at float64, fn func()) {
 
 // Spawn creates a process running fn and schedules its start at the current
 // virtual time. fn runs in process context: it may call Delay and block on
-// locks. Spawn may be called both before Run and from within running
+// locks. Spawn may be called both before RunAll and from within running
 // processes or events.
 func (env *Environment) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{
@@ -70,7 +67,7 @@ func (env *Environment) Spawn(name string, fn func(p *Proc)) *Proc {
 			delete(env.procs, p)
 			env.yielded <- struct{}{}
 		}()
-		// A process first resumed by Close/Shutdown (its start event never
+		// A process first resumed by Close (its start event never
 		// fired) must unwind immediately instead of running fn: killing an
 		// environment must not execute not-yet-started process bodies.
 		if env.killed {
@@ -82,29 +79,8 @@ func (env *Environment) Spawn(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// Run executes events until the heap is empty or until virtual time would
-// exceed until (use Run(math.Inf(1)) — or RunAll — to drain). It returns
-// the virtual time reached.
-func (env *Environment) Run(until float64) float64 {
-	if env.running {
-		panic("des: Run re-entered")
-	}
-	env.running = true
-	defer func() { env.running = false }()
-	for len(env.events) > 0 {
-		next := env.events[0]
-		if next.t > until {
-			env.now = until
-			return env.now
-		}
-		heap.Pop(&env.events)
-		env.now = next.t
-		next.fn()
-	}
-	return env.now
-}
-
-// RunAll drains every event.
+// RunAll drains every event and returns the virtual time reached. An
+// event that calls Close ends the run early.
 func (env *Environment) RunAll() float64 {
 	for len(env.events) > 0 {
 		next := heap.Pop(&env.events).(*event)
@@ -119,9 +95,10 @@ func (env *Environment) RunAll() float64 {
 // the kill sentinel so its goroutine exits, and all pending events are
 // dropped (a stale event waking a dead process would otherwise block
 // forever on its resume channel). Close is idempotent and must be called
-// from scheduler context, i.e. not from within a running process. A run
-// that terminates early (an unstable abort, an error return) would
-// otherwise leak one parked goroutine per abandoned process.
+// from scheduler context — outside RunAll or from an event — never from
+// within a running process. A run that terminates early (an unstable
+// abort, an error return) would otherwise leak one parked goroutine per
+// abandoned process.
 func (env *Environment) Close() {
 	env.killed = true
 	for len(env.procs) > 0 {
@@ -132,14 +109,6 @@ func (env *Environment) Close() {
 	}
 	env.events = nil
 }
-
-// Shutdown terminates all parked processes (their pending Delay/lock waits
-// panic internally and the goroutines exit). Call after Run when abandoning
-// a simulation early, e.g. when it is detected to be unstable.
-//
-// Deprecated: use Close, which additionally drops pending events so the
-// environment cannot wake dead processes.
-func (env *Environment) Shutdown() { env.Close() }
 
 // unpark hands control to p until it parks again or finishes. Must only be
 // called from scheduler context (inside an event function).

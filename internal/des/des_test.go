@@ -16,12 +16,12 @@ func TestDelayAdvancesClock(t *testing.T) {
 		p.Delay(2.5)
 		times = append(times, p.Now())
 	})
-	env.RunAll()
+	end := env.RunAll()
 	if len(times) != 2 || times[0] != 5 || times[1] != 7.5 {
 		t.Fatalf("times = %v", times)
 	}
-	if env.Now() != 7.5 {
-		t.Fatalf("final time %v", env.Now())
+	if end != 7.5 {
+		t.Fatalf("final time %v", end)
 	}
 }
 
@@ -80,18 +80,19 @@ func TestSchedulePastPanics(t *testing.T) {
 	env.RunAll()
 }
 
+// A run stops early when an event closes the environment: the clock ends
+// at that event and later events never fire.
 func TestRunUntilStopsEarly(t *testing.T) {
 	env := NewEnvironment()
 	fired := 0
 	env.Schedule(1, func() { fired++ })
 	env.Schedule(10, func() { fired++ })
-	got := env.Run(5)
-	if fired != 1 || got != 5 {
+	env.Schedule(5, env.Close)
+	if got := env.RunAll(); fired != 1 || got != 5 {
 		t.Fatalf("fired=%d now=%v", fired, got)
 	}
-	env.RunAll()
-	if fired != 2 {
-		t.Fatalf("drain fired=%d", fired)
+	if got := env.RunAll(); fired != 1 || got != 5 {
+		t.Fatalf("after Close: fired=%d now=%v", fired, got)
 	}
 }
 
@@ -153,6 +154,8 @@ func TestSpawnFromProcess(t *testing.T) {
 	}
 }
 
+// Shutting the environment down from an event, mid-run, kills a parked
+// process without letting it run past its Delay.
 func TestShutdownKillsParked(t *testing.T) {
 	env := NewEnvironment()
 	reached := false
@@ -160,11 +163,13 @@ func TestShutdownKillsParked(t *testing.T) {
 		p.Delay(1e9)
 		reached = true
 	})
-	env.Run(10)
-	if env.Live() != 1 {
-		t.Fatalf("Live = %d, want 1", env.Live())
-	}
-	env.Shutdown()
+	env.Schedule(10, func() {
+		if env.Live() != 1 {
+			t.Errorf("Live = %d, want 1", env.Live())
+		}
+		env.Close()
+	})
+	env.RunAll()
 	if env.Live() != 0 {
 		t.Fatalf("Live after shutdown = %d", env.Live())
 	}
@@ -213,12 +218,12 @@ func TestRWLockWriterExclusive(t *testing.T) {
 			l.Release(g)
 		})
 	}
-	env.RunAll()
+	end := env.RunAll()
 	if violations != 0 {
 		t.Fatalf("%d mutual-exclusion violations", violations)
 	}
-	if env.Now() != 12 {
-		t.Fatalf("4 serialized writers of 3 units should end at 12, got %v", env.Now())
+	if end != 12 {
+		t.Fatalf("4 serialized writers of 3 units should end at 12, got %v", end)
 	}
 }
 

@@ -87,16 +87,6 @@ type CacheStats struct {
 	Capacity  int
 }
 
-// HitRatio returns hits/(hits+misses), or 0 when there were no accesses —
-// an untouched pool must not report a perfect cache.
-func (c CacheStats) HitRatio() float64 {
-	total := c.Hits + c.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.Hits) / float64(total)
-}
-
 // resetStats zeroes the access counters so stats measure the workload,
 // not Open's recovery replay and bootstrap checkpoint walk.
 func (c *cache) resetStats() {

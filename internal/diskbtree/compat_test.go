@@ -3,11 +3,10 @@ package diskbtree
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"testing"
-
-	"btreeperf/internal/xrand"
 )
 
 // Format compatibility. The page, image and oplog formats are contracts
@@ -31,11 +30,13 @@ func goldenBuild(t *testing.T) (dir string, sums map[string]string, plainModel, 
 	dir = t.TempDir()
 	plainModel, durModel = map[int64]uint64{}, map[int64]uint64{}
 	mutate := func(tr *Tree, model map[int64]uint64, seed uint64, n int) {
-		src := xrand.New(seed)
+		// The PCG stream xrand.New(seed) draws from: the history the
+		// golden sums were recorded with.
+		src := rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
 		for i := 0; i < n; i++ {
-			k := src.Int63n(400)
+			k := src.Int64N(400)
 			var err error
-			if src.Bernoulli(0.75) {
+			if src.Float64() < 0.75 {
 				v := src.Uint64()
 				_, err = tr.Insert(k, v)
 				model[k] = v

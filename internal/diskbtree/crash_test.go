@@ -3,11 +3,10 @@ package diskbtree
 import (
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"testing"
-
-	"btreeperf/internal/xrand"
 )
 
 // copyCrashState simulates a crash: it copies the data file, checkpoint
@@ -228,13 +227,13 @@ func TestCrashFuzz(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			src := xrand.New(uint64(trial)*131 + 7)
+			src := rand.New(rand.NewPCG(uint64(trial)*131+7, 0))
 			model := map[int64]uint64{}
 			nOps := 200 + src.IntN(1200)
 			syncEvery := 50 + src.IntN(300)
 			for i := 0; i < nOps; i++ {
-				k := src.Int63n(500)
-				if src.Bernoulli(0.7) {
+				k := src.Int64N(500)
+				if src.Float64() < 0.7 {
 					v := src.Uint64()
 					if _, err := tr.Insert(k, v); err != nil {
 						t.Fatal(err)

@@ -7,6 +7,7 @@ package diskbtree
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -16,7 +17,6 @@ import (
 	"testing"
 
 	"btreeperf/internal/pagestore"
-	"btreeperf/internal/xrand"
 )
 
 // watchFS wraps the real FS and watches the page I/O of one file. It
@@ -353,11 +353,11 @@ func TestPoolStress(t *testing.T) {
 		workers.Add(1)
 		go func(w int) {
 			defer workers.Done()
-			src := xrand.New(uint64(w)*977 + 5)
+			src := rand.New(rand.NewPCG(uint64(w)*977+5, 0))
 			mine := map[int64]uint64{}
 			oracles[w] = mine
 			for i := 0; i < opsPer; i++ {
-				k := 8*src.Int63n(stable) + int64(w) // interleaved with the stable keys
+				k := 8*src.Int64N(stable) + int64(w) // interleaved with the stable keys
 				switch src.IntN(4) {
 				case 0, 1:
 					v := src.Uint64()
@@ -394,9 +394,9 @@ func TestPoolStress(t *testing.T) {
 		workers.Add(1)
 		go func(r int) {
 			defer workers.Done()
-			src := xrand.New(uint64(r)*131 + 3)
+			src := rand.New(rand.NewPCG(uint64(r)*131+3, 0))
 			for i := 0; i < opsPer; i++ {
-				j := src.Int63n(stable)
+				j := src.Int64N(stable)
 				if got, ok, err := tr.Search(8*j + 7); err != nil || !ok || got != uint64(j) {
 					t.Errorf("reader %d: stable key %d = %d,%v,%v", r, 8*j+7, got, ok, err)
 					return

@@ -38,12 +38,6 @@ type Config struct {
 	PDrop float64 // probability a new conn is closed before any I/O
 }
 
-// Enabled reports whether the config injects anything at all.
-func (c Config) Enabled() bool {
-	return c.Latency > 0 || c.Jitter > 0 || c.PStall > 0 || c.PReset > 0 ||
-		c.PTrunc > 0 || c.PDrop > 0
-}
-
 func (c *Config) fill() {
 	if c.Seed == 0 {
 		c.Seed = 1

@@ -54,10 +54,7 @@ func TestParseSpec(t *testing.T) {
 	if c != want {
 		t.Fatalf("got %+v want %+v", c, want)
 	}
-	if !c.Enabled() {
-		t.Fatal("spec not Enabled")
-	}
-	if c, err := ParseSpec("  "); err != nil || c.Enabled() {
+	if c, err := ParseSpec("  "); err != nil || c != (Config{}) {
 		t.Fatalf("empty spec: %+v, %v", c, err)
 	}
 	for _, bad := range []string{"nope=1", "latency", "preset=2", "latency=xyz"} {

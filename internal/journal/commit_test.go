@@ -120,7 +120,7 @@ func TestFailedSyncPoisonsJournal(t *testing.T) {
 	if err := j.Append(Op{Kind: OpInsert, Key: 2}); !errors.Is(err, ErrPoisoned) {
 		t.Fatalf("Append after poison = %v, want ErrPoisoned", err)
 	}
-	if err := j.Checkpoint(); !errors.Is(err, ErrPoisoned) {
+	if _, err := j.Rotate(j.SeqAppended(), nil); !errors.Is(err, ErrPoisoned) {
 		t.Fatalf("Checkpoint after poison = %v, want ErrPoisoned", err)
 	}
 	if _, _, _, commits := j.Stats(); commits != 0 {
@@ -214,7 +214,7 @@ func TestStatsDoesNotWaitForFsync(t *testing.T) {
 
 	// A rotation moves the epoch base; the count is per epoch.
 	fs.AroundSync = nil
-	if err := j.Checkpoint(); err != nil {
+	if _, err := j.Rotate(j.SeqAppended(), nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Append(Op{Kind: OpInsert, Key: 9, Val: 1}); err != nil {

@@ -149,17 +149,11 @@ type Journal struct {
 
 type failure struct{ err error }
 
-// Open attaches an oplog at path+".oplog". If the file holds a prior
-// run's records, the caller must run Recover (then replay the returned
-// ops and checkpoint) before appending. syncOps controls whether every
-// logged operation is fsync'd (durable per op) or left to Commit (group
-// commit).
-func Open(path string, syncOps bool) (*Journal, error) {
-	return OpenFS(path, syncOps, nil)
-}
-
-// OpenFS is Open through an explicit pagestore.FS (nil = OSFS) — the
-// injection point for failpoint testing.
+// OpenFS attaches an oplog at path+".oplog" through fs (nil = OSFS, a
+// FailFS for failpoint testing). If the file holds a prior run's records,
+// the caller must run Recover (then replay the returned ops and
+// checkpoint) before appending. syncOps controls whether every logged
+// operation is fsync'd (durable per op) or left to Commit (group commit).
 func OpenFS(path string, syncOps bool, fs pagestore.FS) (*Journal, error) {
 	if fs == nil {
 		fs = pagestore.OSFS
@@ -464,16 +458,6 @@ func (j *Journal) Rotate(upTo int64, commitImage func() error) (pauseNs int64, e
 	return time.Since(start).Nanoseconds(), nil
 }
 
-// Checkpoint rotates the oplog to its current head with no image
-// install: every appended record is retired from the active file
-// (sealed for followers or dropped). It is the epoch-advance primitive
-// for callers that manage durability elsewhere — the tree always
-// rotates through Rotate with a real image.
-func (j *Journal) Checkpoint() error {
-	_, err := j.Rotate(j.SeqAppended(), nil)
-	return err
-}
-
 // Recover aligns the oplog with the checkpoint image the caller
 // recovered from (imageSeq = the image's stamped sequence) and returns
 // the operations to replay on top of it, in order, with global
@@ -486,7 +470,8 @@ func (j *Journal) Checkpoint() error {
 // Rotate's image and oplog renames) is rebased by rewriting it with
 // only the surviving suffix; without that, the next run would reuse
 // sequence numbers the image already covers, and a follower that saw
-// the originals would silently diverge.
+// the originals would silently diverge. Sealed segments a previous run
+// left are deleted (segments.go).
 func (j *Journal) Recover(imageSeq int64) ([]Op, error) {
 	j.rotMu.Lock()
 	defer j.rotMu.Unlock()
@@ -557,7 +542,7 @@ func (j *Journal) Recover(imageSeq int64) ([]Op, error) {
 	j.fileEnd = oplogHdr + int64(len(ops))*opRecSize
 	j.tail = j.tail[:0]
 	j.durable.Store(imageSeq + int64(len(ops)))
-	j.discoverSegmentsLocked()
+	j.removeSegmentsLocked()
 	return ops, nil
 }
 

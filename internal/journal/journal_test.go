@@ -10,7 +10,7 @@ import (
 func openJournal(t *testing.T) (*Journal, string) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "data.db")
-	j, err := Open(path, false)
+	j, err := OpenFS(path, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestCheckpointRetiresOplog(t *testing.T) {
 	j, _ := openJournal(t)
 	j.Recover(0)
 	j.Append(Op{Kind: OpInsert, Key: 1, Val: 1})
-	if err := j.Checkpoint(); err != nil {
+	if _, err := j.Rotate(j.SeqAppended(), nil); err != nil {
 		t.Fatal(err)
 	}
 	ops, err := j.Recover(j.SeqAppended())
@@ -260,7 +260,7 @@ func TestRecoverOplogAheadOfImageRejected(t *testing.T) {
 	j, _ := openJournal(t)
 	j.Recover(0)
 	j.Append(Op{Kind: OpInsert, Key: 1, Val: 1})
-	j.Checkpoint() // base is now 1
+	j.Rotate(j.SeqAppended(), nil) // base is now 1
 	if _, err := j.Recover(0); err == nil {
 		t.Fatal("oplog base ahead of image accepted")
 	}
@@ -271,7 +271,7 @@ func TestRecoverForeignFileStartsClean(t *testing.T) {
 	if err := os.WriteFile(path+".oplog", []byte("not an oplog at all"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	j, err := Open(path, false)
+	j, err := OpenFS(path, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

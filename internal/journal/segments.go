@@ -12,12 +12,17 @@ package journal
 // past it the oldest segments are evicted regardless of need, and a
 // follower whose position was evicted must take a snapshot resync
 // (Tail.Next reports ErrEvicted) — bounded disk beats silent divergence.
+//
+// Segments live no longer than the process that sealed them: a restarted
+// node leads under a fresh epoch, and a follower tails only positions of
+// the hub's current epoch, so no segment sealed before a restart can ever
+// be tailed. Recover deletes them.
 
 import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"strings"
 
 	"btreeperf/internal/pagestore"
 )
@@ -73,79 +78,19 @@ func (j *Journal) pruneLocked(floor int64) {
 	}
 }
 
-// discoverSegmentsLocked rebuilds the in-memory segment chain from disk
-// after recovery: every well-formed segment file that chains contiguously
-// up to the current epoch base is adopted; anything else (stale leftovers
-// from evictions or an older tree) is deleted. Caller holds mu.
-func (j *Journal) discoverSegmentsLocked() {
-	dir, name := filepath.Dir(j.oPath), filepath.Base(j.oPath)+".seg-"
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return
-	}
-	var found []segment
+// removeSegmentsLocked deletes every sealed segment file a previous run
+// left behind. An unreadable directory is not an error here: the chain
+// starts empty either way, and no follower can ask for those files.
+// Caller holds mu.
+func (j *Journal) removeSegmentsLocked() {
+	dir, prefix := filepath.Dir(j.oPath), filepath.Base(j.oPath)+".seg-"
+	entries, _ := os.ReadDir(dir)
 	for _, e := range entries {
-		if e.IsDir() || len(e.Name()) <= len(name) || e.Name()[:len(name)] != name {
-			continue
+		if strings.HasPrefix(e.Name(), prefix) {
+			pagestore.RemoveFile(j.fs, filepath.Join(dir, e.Name()))
 		}
-		path := filepath.Join(dir, e.Name())
-		seg, ok := j.loadSegment(path)
-		if !ok {
-			pagestore.RemoveFile(j.fs, path)
-			continue
-		}
-		found = append(found, seg)
 	}
-	sort.Slice(found, func(a, b int) bool { return found[a].base < found[b].base })
-	// Keep the maximal contiguous suffix ending exactly at the epoch base.
-	keepFrom := len(found)
-	next := j.baseSeq
-	for i := len(found) - 1; i >= 0; i-- {
-		if found[i].base+found[i].count != next {
-			break
-		}
-		next = found[i].base
-		keepFrom = i
-	}
-	for i := 0; i < keepFrom; i++ {
-		pagestore.RemoveFile(j.fs, found[i].path)
-	}
-	j.segments = append([]segment(nil), found[keepFrom:]...)
-	j.segBytes = 0
-	for _, s := range j.segments {
-		j.segBytes += s.bytes
-	}
-}
-
-// loadSegment validates a segment file: its oplog header's base must
-// match the base encoded in its name, and its count is the CRC-valid
-// record prefix (a sealed segment was fsync'd before the rename, so a
-// short prefix means foreign or damaged data — the caller deletes it
-// unless it still chains).
-func (j *Journal) loadSegment(path string) (segment, bool) {
-	f, err := j.fs.OpenFile(path, os.O_RDONLY, 0)
-	if err != nil {
-		return segment{}, false
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil || st.Size() < oplogHdr {
-		return segment{}, false
-	}
-	hdr := make([]byte, oplogHdr)
-	if _, err := f.ReadAt(hdr, 0); err != nil {
-		return segment{}, false
-	}
-	base, ok := parseOplogHdr(hdr)
-	if !ok {
-		return segment{}, false
-	}
-	var nameBase int64
-	if _, err := fmt.Sscanf(filepath.Base(path), filepath.Base(j.oPath)+".seg-%d", &nameBase); err != nil || nameBase != base {
-		return segment{}, false
-	}
-	count := (st.Size() - oplogHdr) / opRecSize
-	return segment{base: base, count: count, bytes: st.Size(), path: path}, true
+	j.segments, j.segBytes = nil, 0
 }
 
 // SeqAppended returns the global sequence of the most recently appended

@@ -8,7 +8,7 @@ import (
 
 func reopenJournal(t *testing.T, path string) *Journal {
 	t.Helper()
-	j, err := Open(path, false)
+	j, err := OpenFS(path, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestSeqContinuityAcrossCheckpointAndRecover(t *testing.T) {
 		t.Fatalf("SeqDurable after commit = %d, want 3", got)
 	}
 
-	if err := j.Checkpoint(); err != nil {
+	if _, err := j.Rotate(j.SeqAppended(), nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := j.SeqAppended(); got != 3 {
@@ -97,10 +97,10 @@ func TestRetentionSealPruneEvict(t *testing.T) {
 
 	appendN(t, j, 0, 3) // seqs 1..3
 	j.Commit()
-	j.Checkpoint()      // seals [0,3]
-	appendN(t, j, 3, 4) // seqs 4..7
+	j.Rotate(j.SeqAppended(), nil) // seals [0,3]
+	appendN(t, j, 3, 4)            // seqs 4..7
 	j.Commit()
-	j.Checkpoint() // seals (3,7]
+	j.Rotate(j.SeqAppended(), nil) // seals (3,7]
 
 	if n, bytes := j.RetainedSegments(); n != 2 || bytes != 2*OplogHdrSize+7*OpRecSize {
 		t.Fatalf("retained = %d segs / %d bytes, want 2 / %d", n, bytes, 2*OplogHdrSize+7*OpRecSize)
@@ -113,7 +113,7 @@ func TestRetentionSealPruneEvict(t *testing.T) {
 	floor = 3
 	appendN(t, j, 7, 1)
 	j.Commit()
-	j.Checkpoint()
+	j.Rotate(j.SeqAppended(), nil)
 	if n, _ := j.RetainedSegments(); n != 2 {
 		t.Fatalf("retained = %d segs after prune, want 2 ((3,7] and (7,8])", n)
 	}
@@ -153,7 +153,7 @@ func TestRetentionSealPruneEvict(t *testing.T) {
 	j.SetRetention(func() int64 { return floor }, OplogHdrSize+OpRecSize)
 	appendN(t, j, 8, 1)
 	j.Commit()
-	j.Checkpoint()
+	j.Rotate(j.SeqAppended(), nil)
 	if n, bytes := j.RetainedSegments(); n != 1 || bytes > OplogHdrSize+OpRecSize {
 		t.Fatalf("retained = %d segs / %d bytes after eviction, want 1 within budget", n, bytes)
 	}
@@ -162,71 +162,58 @@ func TestRetentionSealPruneEvict(t *testing.T) {
 	}
 }
 
-// The segment chain must survive a restart: recovery re-discovers the
-// sealed files and a tail can still resume from any retained sequence.
-func TestSegmentsSurviveRestart(t *testing.T) {
+// No segment outlives Recover: a restarted node leads a new epoch, which
+// no follower can tail from a segment of the old one, so recovery deletes
+// every sealed file — the chain it sealed and any stray file matching the
+// pattern alike — and the retained log starts at the image.
+func TestSegmentsNeverOutliveRecover(t *testing.T) {
 	j, path := openJournal(t)
 	j.Recover(0)
 	j.SetRetention(func() int64 { return 0 }, 1<<20)
 
 	appendN(t, j, 0, 3)
 	j.Commit()
-	j.Checkpoint()
+	j.Rotate(j.SeqAppended(), nil)
 	appendN(t, j, 3, 2)
 	j.Commit()
 	j.Close()
-
-	j2 := reopenJournal(t, path)
-	if _, err := j2.Recover(3); err != nil {
-		t.Fatal(err)
+	if n, _ := j.RetainedSegments(); n != 1 {
+		t.Fatalf("test setup: %d sealed segments, want 1", n)
 	}
-	if got := j2.LowestSeq(); got != 0 {
-		t.Fatalf("LowestSeq after restart = %d, want 0 (segment lost?)", got)
-	}
-	tl := j2.Tail(0)
-	defer tl.Close()
-	var got []Op
-	for len(got) < 5 {
-		first, ops, err := tl.Next(2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(ops) == 0 {
-			t.Fatalf("tail dried up at %d/5 ops", len(got))
-		}
-		if want := int64(len(got)) + 1; first != want {
-			t.Fatalf("chunk starts at seq %d, want %d", first, want)
-		}
-		got = append(got, ops...)
-	}
-	for i, op := range got {
-		if op.Key != int64(i) || op.Val != uint64(i)+1 {
-			t.Fatalf("op %d = %+v, want key %d val %d", i, op, i, i+1)
-		}
-	}
-	// A stray file matching the segment pattern but not chaining must be
-	// discarded at the next recovery, not adopted.
-	j2.Close()
 	stray := segmentPath(path+".oplog", 9999)
 	if err := os.WriteFile(stray, []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	j3 := reopenJournal(t, path)
-	if _, err := j3.Recover(3); err != nil {
+
+	j2 := reopenJournal(t, path)
+	defer j2.Close()
+	ops, err := j2.Recover(3)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(stray); !os.IsNotExist(err) {
-		t.Fatalf("stray segment file survived recovery: %v", err)
+	if len(ops) != 2 || j2.SeqAppended() != 5 {
+		t.Fatalf("recovered %d ops to seq %d, want 2 to 5", len(ops), j2.SeqAppended())
 	}
-	j3.Close()
+	if matches, _ := filepath.Glob(path + ".oplog.seg-*"); len(matches) != 0 {
+		t.Fatalf("segment files survived recovery: %v", matches)
+	}
+	if n, bytes := j2.RetainedSegments(); n != 0 || bytes != 0 {
+		t.Fatalf("retained after recovery = %d segs / %d bytes, want none", n, bytes)
+	}
+	if got := j2.LowestSeq(); got != 3 {
+		t.Fatalf("LowestSeq after recovery = %d, want 3 (the image)", got)
+	}
+	if _, _, err := j2.Tail(0).Next(100); err != ErrEvicted {
+		t.Fatalf("Tail(0).Next after recovery: %v, want ErrEvicted", err)
+	}
 }
 
 // A rotation can crash after renaming the new image but before renaming
 // the replacement oplog. The oplog on disk then belongs to the previous
 // epoch (its base is behind the image's sequence): recovery must rebase
-// it — not replay its prefix into the sequence space again — and the
-// catch-up chain stays whole, because Rotate seals the outgoing records
-// BEFORE the image rename.
+// it — not replay its prefix into the sequence space again — and, like
+// every recovery, leave no sealed segment behind: the retained log starts
+// at the image.
 func TestStaleOplogRebasedOnRecovery(t *testing.T) {
 	j, path := openJournal(t)
 	j.Recover(0)
@@ -234,8 +221,8 @@ func TestStaleOplogRebasedOnRecovery(t *testing.T) {
 
 	appendN(t, j, 0, 3) // epoch base 0: seqs 1..3
 	j.Commit()
-	j.Checkpoint()      // seals [0,3]
-	appendN(t, j, 3, 2) // epoch base 3: seqs 4,5
+	j.Rotate(j.SeqAppended(), nil) // seals [0,3]
+	appendN(t, j, 3, 2)            // epoch base 3: seqs 4,5
 	j.Commit()
 
 	// Save the base-3 epoch's oplog, run the real rotation (sealing
@@ -247,7 +234,7 @@ func TestStaleOplogRebasedOnRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Checkpoint(); err != nil {
+	if _, err := j.Rotate(j.SeqAppended(), nil); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
@@ -266,26 +253,21 @@ func TestStaleOplogRebasedOnRecovery(t *testing.T) {
 	if got := j2.SeqAppended(); got != 5 {
 		t.Fatalf("SeqAppended = %d, want 5", got)
 	}
-	if got := j2.LowestSeq(); got != 0 {
-		t.Fatalf("LowestSeq = %d, want 0 (segment chain broken)", got)
+	if got := j2.LowestSeq(); got != 5 {
+		t.Fatalf("LowestSeq = %d, want 5 (the image)", got)
 	}
-	tl := j2.Tail(0)
+	if matches, _ := filepath.Glob(path + ".oplog.seg-*"); len(matches) != 0 {
+		t.Fatalf("segment files survived recovery: %v", matches)
+	}
+	// The rebased oplog takes the next record at sequence 6.
+	appendN(t, j2, 5, 1)
+	if err := j2.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	tl := j2.Tail(5)
 	defer tl.Close()
-	var got []Op
-	for len(got) < 5 {
-		_, ops, err := tl.Next(100)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(ops) == 0 {
-			t.Fatalf("tail dried up at %d/5 ops", len(got))
-		}
-		got = append(got, ops...)
-	}
-	for i, op := range got {
-		if op.Key != int64(i) {
-			t.Fatalf("op %d has key %d, want %d", i, op.Key, i)
-		}
+	if first, ops, err := tl.Next(100); err != nil || first != 6 || len(ops) != 1 || ops[0].Key != 5 {
+		t.Fatalf("Tail(5).Next = %d, %+v, %v; want the one record at seq 6", first, ops, err)
 	}
 	j2.Close()
 }
@@ -298,7 +280,7 @@ func TestSegmentFilesDeletedByPrune(t *testing.T) {
 
 	appendN(t, j, 0, 2)
 	j.Commit()
-	j.Checkpoint()
+	j.Rotate(j.SeqAppended(), nil)
 	seg := segmentPath(path+".oplog", 0)
 	if _, err := os.Stat(seg); err != nil {
 		t.Fatalf("sealed segment missing: %v", err)
@@ -306,7 +288,7 @@ func TestSegmentFilesDeletedByPrune(t *testing.T) {
 	floor = 2
 	appendN(t, j, 2, 1)
 	j.Commit()
-	j.Checkpoint()
+	j.Rotate(j.SeqAppended(), nil)
 	if _, err := os.Stat(seg); !os.IsNotExist(err) {
 		t.Fatalf("pruned segment still on disk: %v", err)
 	}

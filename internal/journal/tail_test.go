@@ -15,8 +15,8 @@ func TestTailFromZeroAcrossBoundary(t *testing.T) {
 
 	appendN(t, j, 0, 4)
 	j.Commit()
-	j.Checkpoint()      // seals seqs 1..4
-	appendN(t, j, 4, 3) // active: seqs 5..7
+	j.Rotate(j.SeqAppended(), nil) // seals seqs 1..4
+	appendN(t, j, 4, 3)            // active: seqs 5..7
 	j.Commit()
 
 	tl := j.Tail(0)
@@ -154,7 +154,7 @@ func TestTailConcurrentWriter(t *testing.T) {
 				}
 			}
 			if i%479 == 478 {
-				if err := j.Checkpoint(); err != nil {
+				if _, err := j.Rotate(j.SeqAppended(), nil); err != nil {
 					t.Error(err)
 					return
 				}

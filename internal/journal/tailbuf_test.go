@@ -105,7 +105,7 @@ func TestTailReachesFileAtCommit(t *testing.T) {
 
 func TestSyncOpsWritesThrough(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "data.db")
-	j, err := Open(path, true)
+	j, err := OpenFS(path, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,21 +7,26 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"btreeperf/internal/journal"
 )
 
-// ApplierShard is the follower-side view of one shard. Apply must make
-// the batch durable (or as durable as the follower's engine is
-// configured to be) before returning: the sequence is acked to the
-// leader right after, and an acked sequence is a promise the write
-// survives a follower restart on durable engines.
+// ApplierShard is the follower-side view of one shard. The applier calls
+// Commit before every ack, and an acked sequence is a promise the write
+// survives a follower restart on durable engines, so Commit must make
+// everything applied so far as durable as the follower's engine is
+// configured to be.
 type ApplierShard struct {
-	// Apply replays a batch of oplog records in order and commits.
-	Apply func(ops Ops) error
+	// Apply replays records in order: a tail batch or a snapshot page.
+	Apply func(ops []journal.Op) error
+	// Commit makes everything applied so far durable.
+	Commit func() error
 	// Reset discards the shard's entire state (snapshot resync begins).
 	Reset func() error
-	// Load inserts a snapshot batch (between Reset and snapshot end).
-	Load func(kvs []KV) error
 }
+
+// redialWait is the pause between connection attempts.
+const redialWait = 250 * time.Millisecond
 
 // ApplierConfig configures a follower's replication client.
 type ApplierConfig struct {
@@ -35,8 +40,6 @@ type ApplierConfig struct {
 	// btserved persists its replication sidecar state. It must not block.
 	OnProgress func(epoch uint64, seqs []int64)
 	Logf       func(format string, args ...any)
-	// RedialWait is the pause between connection attempts (default 250ms).
-	RedialWait time.Duration
 }
 
 // Applier connects to a leader and replays its oplog stream. Run retries
@@ -65,9 +68,6 @@ type Applier struct {
 func NewApplier(cfg ApplierConfig) *Applier {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
-	}
-	if cfg.RedialWait <= 0 {
-		cfg.RedialWait = 250 * time.Millisecond
 	}
 	seqs := make([]int64, len(cfg.Shards))
 	copy(seqs, cfg.Seqs)
@@ -101,7 +101,7 @@ func (a *Applier) Run() {
 			return
 		}
 		a.reconnects.Add(1)
-		time.Sleep(a.cfg.RedialWait)
+		time.Sleep(redialWait)
 	}
 }
 
@@ -235,16 +235,20 @@ func (a *Applier) session() error {
 	if err != nil {
 		return err
 	}
-	if len(ack.Modes) != len(a.cfg.Shards) {
+	if ack.Shards != len(a.cfg.Shards) {
 		return errors.New("leader shard count mismatch")
 	}
 	a.mu.Lock()
-	a.epoch = ack.Epoch
+	if ack.Epoch != a.epoch {
+		// Positions of another lineage claim nothing in this one.
+		a.epoch = ack.Epoch
+		clear(a.applied)
+	}
 	a.mu.Unlock()
 	c.SetReadDeadline(time.Time{})
 
-	// inSnap tracks shards mid-resync: Reset has run, applied seq is not
-	// yet meaningful, ops for them are not expected until SnapEnd.
+	// inSnap marks shards mid-resync, between SnapBegin and SnapEnd: their
+	// position is 0 and their Ops frames are snapshot pages.
 	inSnap := make([]bool, len(a.cfg.Shards))
 	for {
 		typ, payload, err := ReadFrame(c)
@@ -257,41 +261,22 @@ func (a *Applier) session() error {
 			if err != nil || s < 0 || s >= len(a.cfg.Shards) {
 				return errors.New("bad snapbegin")
 			}
+			a.mu.Lock()
+			a.applied[s] = 0
+			a.mu.Unlock()
 			if err := a.cfg.Shards[s].Reset(); err != nil {
 				return fmt.Errorf("shard %d reset: %w", s, err)
 			}
 			inSnap[s] = true
-
-		case FrameSnapData:
-			sd, err := ParseSnapData(payload)
-			if err != nil || sd.Shard < 0 || sd.Shard >= len(a.cfg.Shards) || !inSnap[sd.Shard] {
-				return errors.New("bad snapdata")
-			}
-			if err := a.cfg.Shards[sd.Shard].Load(sd.KVs); err != nil {
-				return fmt.Errorf("shard %d load: %w", sd.Shard, err)
-			}
 
 		case FrameSnapEnd:
 			se, err := ParseSnapEnd(payload)
 			if err != nil || se.Shard < 0 || se.Shard >= len(a.cfg.Shards) || !inSnap[se.Shard] {
 				return errors.New("bad snapend")
 			}
-			// Seal the loaded state with an empty apply (commits the
-			// engine) before adopting the snapshot's sequence.
-			if err := a.cfg.Shards[se.Shard].Apply(Ops{Shard: se.Shard, First: se.Seq + 1, Head: se.Seq}); err != nil {
-				return fmt.Errorf("shard %d snapshot commit: %w", se.Shard, err)
-			}
 			inSnap[se.Shard] = false
-			a.mu.Lock()
-			a.applied[se.Shard] = se.Seq
-			if se.Seq > a.heads[se.Shard] {
-				a.heads[se.Shard] = se.Seq
-			}
-			a.mu.Unlock()
 			a.snapshots.Add(1)
-			a.progress()
-			c.SetWriteDeadline(time.Now().Add(writeTimeout))
-			if err := WriteFrame(c, FrameAck, EncodeAck(Ack{Shard: se.Shard, Seq: se.Seq})); err != nil {
+			if err := a.commitAndAck(c, se.Shard, se.Seq, se.Seq); err != nil {
 				return err
 			}
 
@@ -300,8 +285,14 @@ func (a *Applier) session() error {
 			if err != nil {
 				return err
 			}
-			if o.Shard < 0 || o.Shard >= len(a.cfg.Shards) || inSnap[o.Shard] {
+			if o.Shard < 0 || o.Shard >= len(a.cfg.Shards) {
 				return errors.New("ops for unexpected shard")
+			}
+			if inSnap[o.Shard] {
+				if err := a.cfg.Shards[o.Shard].Apply(o.Ops); err != nil {
+					return fmt.Errorf("shard %d snapshot: %w", o.Shard, err)
+				}
+				continue
 			}
 			a.mu.Lock()
 			applied := a.applied[o.Shard]
@@ -318,21 +309,12 @@ func (a *Applier) session() error {
 			}
 			if skip := applied + 1 - o.First; skip > 0 {
 				o.Ops = o.Ops[skip:]
-				o.First = applied + 1
 			}
-			if err := a.cfg.Shards[o.Shard].Apply(o); err != nil {
+			if err := a.cfg.Shards[o.Shard].Apply(o.Ops); err != nil {
 				return fmt.Errorf("shard %d apply: %w", o.Shard, err)
 			}
 			a.opsApplied.Add(int64(len(o.Ops)))
-			a.mu.Lock()
-			a.applied[o.Shard] = last
-			if o.Head > a.heads[o.Shard] {
-				a.heads[o.Shard] = o.Head
-			}
-			a.mu.Unlock()
-			a.progress()
-			c.SetWriteDeadline(time.Now().Add(writeTimeout))
-			if err := WriteFrame(c, FrameAck, EncodeAck(Ack{Shard: o.Shard, Seq: last})); err != nil {
+			if err := a.commitAndAck(c, o.Shard, last, o.Head); err != nil {
 				return err
 			}
 
@@ -343,4 +325,21 @@ func (a *Applier) session() error {
 			return fmt.Errorf("unexpected frame %d", typ)
 		}
 	}
+}
+
+// commitAndAck is the one way a position rises: commit shard s, adopt seq
+// as its position, report progress, then ack seq to the leader.
+func (a *Applier) commitAndAck(c net.Conn, s int, seq, head int64) error {
+	if err := a.cfg.Shards[s].Commit(); err != nil {
+		return fmt.Errorf("shard %d commit: %w", s, err)
+	}
+	a.mu.Lock()
+	a.applied[s] = seq
+	if head > a.heads[s] {
+		a.heads[s] = head
+	}
+	a.mu.Unlock()
+	a.progress()
+	c.SetWriteDeadline(time.Now().Add(writeTimeout))
+	return WriteFrame(c, FrameAck, EncodeAck(Ack{Shard: s, Seq: seq}))
 }

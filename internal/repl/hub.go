@@ -9,17 +9,18 @@ import (
 	"time"
 
 	"btreeperf/internal/journal"
+	"btreeperf/internal/query"
 )
 
 // HubShard is the leader-side view of one shard: the journal whose oplog
-// is shipped, and a fuzzy snapshot scan for followers too far behind the
-// retained log. Snapshot must capture the shard's durable sequence
-// BEFORE scanning and return it: the snapshot then needs only an
-// idempotent replay of records after that sequence to converge, no
-// matter what the scan raced with.
+// is shipped, and a fuzzy snapshot scan for followers the log cannot
+// serve. Snapshot yields the shard's pages in its own buffers, and must
+// capture the shard's durable sequence BEFORE scanning and return it: the
+// snapshot then needs only an idempotent replay of records after that
+// sequence to converge, no matter what the scan raced with.
 type HubShard struct {
 	Journal  *journal.Journal
-	Snapshot func(yield func(kvs []KV) error) (snapSeq int64, err error)
+	Snapshot func(yield func(page []query.KV) error) (snapSeq int64, err error)
 }
 
 // writeTimeout bounds a single frame write to a follower; a stuck peer
@@ -41,7 +42,6 @@ type followerState struct {
 	addr      string
 	connected bool
 	acked     []int64 // per shard; guarded by Hub.mu
-	heads     []int64 // leader durable head at last ship; guarded by Hub.mu
 	poke      chan struct{}
 }
 
@@ -227,24 +227,14 @@ func (h *Hub) handleConn(c net.Conn) {
 	}
 	c.SetReadDeadline(time.Time{})
 
-	// A follower from another epoch carries positions from a history that
-	// may have diverged at a failover: resync everything from snapshots.
-	startSeqs := append([]int64(nil), hello.Seqs...)
-	if hello.Epoch != 0 && hello.Epoch != h.epoch {
-		for i := range startSeqs {
-			startSeqs[i] = 0
-		}
+	// The one position rule (package comment): tail a shard only from a
+	// position applied in this epoch and still retained, snapshot it in
+	// every other case.
+	tail := make([]bool, len(h.shards))
+	for s, seq := range hello.Seqs {
+		tail[s] = hello.Epoch == h.epoch && seq > 0 && seq >= h.shards[s].Journal.LowestSeq()
 	}
-
-	modes := make([]byte, len(h.shards))
-	for s := range h.shards {
-		if hello.Epoch != 0 && hello.Epoch != h.epoch {
-			modes[s] = ModeSnapshot
-		} else if startSeqs[s] < h.shards[s].Journal.LowestSeq() {
-			modes[s] = ModeSnapshot
-		}
-	}
-	if hello.Epoch != 0 && hello.Epoch != h.epoch {
+	if hello.Epoch != h.epoch {
 		h.logf("repl: follower %x from epoch %d (ours %d): full snapshot resync", hello.ID, hello.Epoch, h.epoch)
 	}
 
@@ -254,7 +244,6 @@ func (h *Hub) handleConn(c net.Conn) {
 		f = &followerState{
 			id:    hello.ID,
 			acked: make([]int64, len(h.shards)),
-			heads: make([]int64, len(h.shards)),
 		}
 		h.followers[hello.ID] = f
 	}
@@ -262,8 +251,8 @@ func (h *Hub) handleConn(c net.Conn) {
 	f.connected = true
 	poke := make(chan struct{}, 1)
 	f.poke = poke
-	for s, seq := range startSeqs {
-		if modes[s] == ModeTail && seq > f.acked[s] {
+	for s, seq := range hello.Seqs {
+		if tail[s] && seq > f.acked[s] {
 			f.acked[s] = seq
 		}
 	}
@@ -279,7 +268,7 @@ func (h *Hub) handleConn(c net.Conn) {
 	}()
 
 	c.SetWriteDeadline(time.Now().Add(writeTimeout))
-	if err := WriteFrame(c, FrameHelloAck, EncodeHelloAck(HelloAck{Epoch: h.epoch, Modes: modes})); err != nil {
+	if err := WriteFrame(c, FrameHelloAck, EncodeHelloAck(HelloAck{Epoch: h.epoch, Shards: len(h.shards)})); err != nil {
 		return
 	}
 
@@ -312,12 +301,13 @@ func (h *Hub) handleConn(c net.Conn) {
 		}
 	}()
 
-	h.ship(c, f, poke, startSeqs, modes)
+	h.ship(c, f, poke, hello.Seqs, tail)
 }
 
-// ship is a follower's shipping loop: snapshot what must be resynced,
-// then stream every shard's retained log and live tail, round-robin.
-func (h *Hub) ship(c net.Conn, f *followerState, poke chan struct{}, startSeqs []int64, modes []byte) {
+// ship is a follower's shipping loop: snapshot every shard not to be
+// tailed, then stream every shard's retained log and live tail,
+// round-robin.
+func (h *Hub) ship(c net.Conn, f *followerState, poke chan struct{}, from []int64, tail []bool) {
 	tails := make([]*journal.Tail, len(h.shards))
 	defer func() {
 		for _, t := range tails {
@@ -328,15 +318,15 @@ func (h *Hub) ship(c net.Conn, f *followerState, poke chan struct{}, startSeqs [
 	}()
 
 	for s := range h.shards {
-		if modes[s] == ModeSnapshot {
+		if !tail[s] {
 			snapSeq, err := h.sendSnapshot(c, s)
 			if err != nil {
 				h.logf("repl: follower %x shard %d snapshot: %v", f.id, s, err)
 				return
 			}
-			startSeqs[s] = snapSeq
+			from[s] = snapSeq
 		}
-		tails[s] = h.shards[s].Journal.Tail(startSeqs[s])
+		tails[s] = h.shards[s].Journal.Tail(from[s])
 	}
 
 	ticker := time.NewTicker(pokeInterval)
@@ -375,9 +365,6 @@ func (h *Hub) ship(c net.Conn, f *followerState, poke chan struct{}, startSeqs [
 			}
 			h.opsShipped.Add(int64(len(ops)))
 			h.bytesShipped.Add(int64(len(frame) + 5))
-			h.mu.Lock()
-			f.heads[s] = head
-			h.mu.Unlock()
 			progress = true
 		}
 		if !progress {
@@ -395,25 +382,26 @@ func (h *Hub) ship(c net.Conn, f *followerState, poke chan struct{}, startSeqs [
 	}
 }
 
-// sendSnapshot streams one shard's fuzzy snapshot.
+// sendSnapshot streams one shard's fuzzy snapshot: its pages as Ops
+// insert records between SnapBegin and SnapEnd.
 func (h *Hub) sendSnapshot(c net.Conn, s int) (int64, error) {
 	c.SetWriteDeadline(time.Now().Add(writeTimeout))
 	if err := WriteFrame(c, FrameSnapBegin, EncodeSnapBegin(s)); err != nil {
 		return 0, err
 	}
-	snapSeq, err := h.shards[s].Snapshot(func(kvs []KV) error {
-		for len(kvs) > 0 {
-			n := len(kvs)
-			if n > MaxSnapBatch {
-				n = MaxSnapBatch
+	snapSeq, err := h.shards[s].Snapshot(func(page []query.KV) error {
+		for len(page) > 0 {
+			n := min(len(page), MaxOpsBatch)
+			frame := opsHeader(s, 0, 0, n)
+			for _, kv := range page[:n] {
+				frame = journal.AppendEncodedOp(frame, journal.Op{Kind: journal.OpInsert, Key: kv.Key, Val: kv.Val})
 			}
-			frame := EncodeSnapData(SnapData{Shard: s, KVs: kvs[:n]})
 			c.SetWriteDeadline(time.Now().Add(writeTimeout))
-			if err := WriteFrame(c, FrameSnapData, frame); err != nil {
+			if err := WriteFrame(c, FrameOps, frame); err != nil {
 				return err
 			}
 			h.bytesShipped.Add(int64(len(frame) + 5))
-			kvs = kvs[n:]
+			page = page[n:]
 		}
 		return nil
 	})

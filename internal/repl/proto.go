@@ -9,16 +9,21 @@
 //   - The Hub only ever ships records at or below the shard journal's
 //     durable sequence (journal.Tail enforces this), so a leader crash
 //     can never retract a shipped record.
-//   - A follower that falls behind the leader's retained log — its
-//     resume sequence was pruned or budget-evicted — is degraded to a
-//     snapshot resync: the leader streams a fuzzy engine snapshot
-//     captured at a known sequence, then tails the log from there.
-//     Replay is idempotent (insert/delete are set-semantics), so a
-//     snapshot overlapping subsequent ops converges.
-//   - Epochs guard lineage: a promoted leader runs under a fresh random
-//     epoch, and a follower whose stored epoch disagrees is resynced
-//     from a snapshot rather than tailed — its log position belongs to a
-//     history that may have diverged at the failover point.
+//   - A follower's per-shard position means one thing: a sequence applied
+//     in the hub's current epoch, or 0 for "claims nothing". The hub tails
+//     shard s only when the Hello's epoch is its own and the position is
+//     above 0 and still retained (>= Journal.LowestSeq()); in every other
+//     case — a fresh node, -resync, a torn state file, another lineage, an
+//     evicted position, an interrupted resync — it sends a snapshot.
+//   - A snapshot is a fuzzy engine scan captured at a known sequence,
+//     shipped as Ops insert records between SnapBegin and SnapEnd, then
+//     the log is tailed from that sequence. Replay is idempotent
+//     (insert/delete are set-semantics), so a snapshot overlapping
+//     subsequent ops converges.
+//   - A position drops to 0 at two moments only: a shard's SnapBegin, and
+//     the applier adopting an epoch other than the one it held. So no
+//     saved or served position ever claims a half-loaded shard or a
+//     sequence of another lineage.
 package repl
 
 import (
@@ -32,39 +37,24 @@ import (
 
 // Frame types on the replication connection. Every frame is a 4-byte
 // big-endian length (of what follows, type byte included), a type byte,
-// and a type-specific payload with little-endian integer fields.
+// and a type-specific payload with little-endian integer fields. Type 6
+// (snapshot key/value pairs) is retired: snapshot pages are FrameOps.
 const (
 	FrameHello     = 1 // follower → leader: id, epoch, per-shard resume seqs
-	FrameHelloAck  = 2 // leader → follower: leader epoch, per-shard mode
-	FrameOps       = 3 // leader → follower: a batch of oplog records for one shard
+	FrameHelloAck  = 2 // leader → follower: leader epoch, shard count
+	FrameOps       = 3 // leader → follower: oplog records (or snapshot inserts) for one shard
 	FrameAck       = 4 // follower → leader: highest contiguously applied seq
-	FrameSnapBegin = 5 // leader → follower: snapshot resync starts at snapSeq
-	FrameSnapData  = 6 // leader → follower: a batch of key/value pairs
+	FrameSnapBegin = 5 // leader → follower: snapshot resync of one shard starts
 	FrameSnapEnd   = 7 // leader → follower: snapshot complete, log tail follows
 	FrameError     = 8 // either direction: fatal protocol error, then close
-)
-
-// Per-shard modes in a HelloAck.
-const (
-	ModeTail     = 0 // resume seq is retained: log catch-up, then stream
-	ModeSnapshot = 1 // resume seq evicted (or epoch mismatch): full resync
 )
 
 // MaxFrame bounds a frame's encoded size; a peer announcing more is
 // corrupt or hostile and the connection is dropped.
 const MaxFrame = 1 << 20
 
-// MaxSnapBatch is the number of key/value pairs per SnapData frame.
-const MaxSnapBatch = 512
-
 // MaxOpsBatch is the number of oplog records per Ops frame.
 const MaxOpsBatch = 1024
-
-// KV is one key/value pair in a snapshot stream.
-type KV struct {
-	Key int64
-	Val uint64
-}
 
 // ErrFrameTooLarge reports a length prefix above MaxFrame.
 var ErrFrameTooLarge = errors.New("repl: frame exceeds MaxFrame")
@@ -142,42 +132,34 @@ func ParseHello(b []byte) (Hello, error) {
 
 // HelloAck is the leader's handshake reply.
 type HelloAck struct {
-	Epoch uint64 // the leader's current epoch; the follower adopts it
-	Modes []byte // per-shard ModeTail / ModeSnapshot
+	Epoch  uint64 // the leader's current epoch; the follower adopts it
+	Shards int    // the leader's shard count
 }
 
 // EncodeHelloAck encodes a.
 func EncodeHelloAck(a HelloAck) []byte {
-	b := make([]byte, 8+4+len(a.Modes))
+	b := make([]byte, 12)
 	binary.LittleEndian.PutUint64(b[0:], a.Epoch)
-	binary.LittleEndian.PutUint32(b[8:], uint32(len(a.Modes)))
-	copy(b[12:], a.Modes)
+	binary.LittleEndian.PutUint32(b[8:], uint32(a.Shards))
 	return b
 }
 
 // ParseHelloAck decodes a HelloAck payload.
 func ParseHelloAck(b []byte) (HelloAck, error) {
-	if len(b) < 12 {
-		return HelloAck{}, errors.New("repl: short helloack")
-	}
-	n := int(binary.LittleEndian.Uint32(b[8:]))
-	if n < 0 || len(b) != 12+n {
+	if len(b) != 12 {
 		return HelloAck{}, errors.New("repl: malformed helloack")
 	}
-	for _, m := range b[12 : 12+n] {
-		if m != ModeTail && m != ModeSnapshot {
-			return HelloAck{}, errors.New("repl: unknown shard mode")
-		}
-	}
 	return HelloAck{
-		Epoch: binary.LittleEndian.Uint64(b[0:]),
-		Modes: append([]byte(nil), b[12:12+n]...),
+		Epoch:  binary.LittleEndian.Uint64(b[0:]),
+		Shards: int(binary.LittleEndian.Uint32(b[8:])),
 	}, nil
 }
 
 // Ops is a batch of oplog records for one shard: records carrying global
 // sequences First..First+len(Ops)-1. Head is the leader's durable head
 // for the shard at send time, letting the follower measure its own lag.
+// Between a shard's SnapBegin and SnapEnd an Ops frame is a snapshot page
+// instead: inserts with First and Head zero, applied without a sequence.
 type Ops struct {
 	Shard int
 	First int64
@@ -187,14 +169,20 @@ type Ops struct {
 
 // EncodeOps encodes o.
 func EncodeOps(o Ops) []byte {
-	b := make([]byte, 4+8+8+4, 4+8+8+4+len(o.Ops)*journal.OpRecSize)
-	binary.LittleEndian.PutUint32(b[0:], uint32(o.Shard))
-	binary.LittleEndian.PutUint64(b[4:], uint64(o.First))
-	binary.LittleEndian.PutUint64(b[12:], uint64(o.Head))
-	binary.LittleEndian.PutUint32(b[20:], uint32(len(o.Ops)))
+	b := opsHeader(o.Shard, o.First, o.Head, len(o.Ops))
 	for _, op := range o.Ops {
 		b = journal.AppendEncodedOp(b, op)
 	}
+	return b
+}
+
+// opsHeader starts an Ops payload with room for n records.
+func opsHeader(shard int, first, head int64, n int) []byte {
+	b := make([]byte, 24, 24+n*journal.OpRecSize)
+	binary.LittleEndian.PutUint32(b[0:], uint32(shard))
+	binary.LittleEndian.PutUint64(b[4:], uint64(first))
+	binary.LittleEndian.PutUint64(b[12:], uint64(head))
+	binary.LittleEndian.PutUint32(b[20:], uint32(n))
 	return b
 }
 
@@ -247,7 +235,8 @@ func ParseAck(b []byte) (Ack, error) {
 }
 
 // EncodeSnapBegin opens a snapshot resync for one shard: the follower
-// discards its shard state and loads the SnapData stream that follows.
+// drops the shard's position to 0, discards its state and applies the
+// Ops pages that follow.
 func EncodeSnapBegin(shard int) []byte {
 	b := make([]byte, 4)
 	binary.LittleEndian.PutUint32(b, uint32(shard))
@@ -260,44 +249,6 @@ func ParseSnapBegin(b []byte) (int, error) {
 		return 0, errors.New("repl: malformed snapbegin")
 	}
 	return int(binary.LittleEndian.Uint32(b)), nil
-}
-
-// SnapData is a batch of pairs within a snapshot stream.
-type SnapData struct {
-	Shard int
-	KVs   []KV
-}
-
-// EncodeSnapData encodes s.
-func EncodeSnapData(s SnapData) []byte {
-	b := make([]byte, 4+4+16*len(s.KVs))
-	binary.LittleEndian.PutUint32(b[0:], uint32(s.Shard))
-	binary.LittleEndian.PutUint32(b[4:], uint32(len(s.KVs)))
-	for i, kv := range s.KVs {
-		binary.LittleEndian.PutUint64(b[8+16*i:], uint64(kv.Key))
-		binary.LittleEndian.PutUint64(b[16+16*i:], kv.Val)
-	}
-	return b
-}
-
-// ParseSnapData decodes a SnapData payload.
-func ParseSnapData(b []byte) (SnapData, error) {
-	if len(b) < 8 {
-		return SnapData{}, errors.New("repl: short snapdata")
-	}
-	n := int(binary.LittleEndian.Uint32(b[4:]))
-	if n < 0 || n > MaxSnapBatch || len(b) != 8+16*n {
-		return SnapData{}, errors.New("repl: malformed snapdata")
-	}
-	s := SnapData{
-		Shard: int(binary.LittleEndian.Uint32(b[0:])),
-		KVs:   make([]KV, n),
-	}
-	for i := range s.KVs {
-		s.KVs[i].Key = int64(binary.LittleEndian.Uint64(b[8+16*i:]))
-		s.KVs[i].Val = binary.LittleEndian.Uint64(b[16+16*i:])
-	}
-	return s, nil
 }
 
 // SnapEnd closes a shard's snapshot stream. Seq is the durable sequence

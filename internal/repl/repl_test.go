@@ -1,6 +1,7 @@
 package repl
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"net"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"btreeperf/internal/journal"
+	"btreeperf/internal/query"
 )
 
 func TestProtoRoundTrips(t *testing.T) {
@@ -19,7 +21,7 @@ func TestProtoRoundTrips(t *testing.T) {
 	if got, err := ParseHello(EncodeHello(h)); err != nil || !reflect.DeepEqual(got, h) {
 		t.Fatalf("hello: %+v / %v", got, err)
 	}
-	a := HelloAck{Epoch: 9, Modes: []byte{ModeTail, ModeSnapshot}}
+	a := HelloAck{Epoch: 9, Shards: 2}
 	if got, err := ParseHelloAck(EncodeHelloAck(a)); err != nil || !reflect.DeepEqual(got, a) {
 		t.Fatalf("helloack: %+v / %v", got, err)
 	}
@@ -36,10 +38,6 @@ func TestProtoRoundTrips(t *testing.T) {
 	}
 	if got, err := ParseSnapBegin(EncodeSnapBegin(4)); err != nil || got != 4 {
 		t.Fatalf("snapbegin: %d / %v", got, err)
-	}
-	sd := SnapData{Shard: 1, KVs: []KV{{Key: 1, Val: 2}, {Key: -3, Val: 4}}}
-	if got, err := ParseSnapData(EncodeSnapData(sd)); err != nil || !reflect.DeepEqual(got, sd) {
-		t.Fatalf("snapdata: %+v / %v", got, err)
 	}
 	se := SnapEnd{Shard: 0, Seq: 31}
 	if got, err := ParseSnapEnd(EncodeSnapEnd(se)); err != nil || got != se {
@@ -73,7 +71,7 @@ type leaderShard struct {
 func newLeaderShard(t *testing.T, dir string, i int) *leaderShard {
 	t.Helper()
 	path := filepath.Join(dir, fmt.Sprintf("shard-%d.db", i))
-	j, err := journal.Open(path, false)
+	j, err := journal.OpenFS(path, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,19 +108,28 @@ func (ls *leaderShard) del(t *testing.T, key int64) {
 func (ls *leaderShard) hubShard() HubShard {
 	return HubShard{
 		Journal: ls.jnl,
-		Snapshot: func(yield func([]KV) error) (int64, error) {
+		Snapshot: func(yield func([]query.KV) error) (int64, error) {
 			// Capture the durable bound BEFORE reading state — the fuzzy
 			// snapshot contract.
 			snapSeq := ls.jnl.SeqDurable()
 			ls.mu.Lock()
-			kvs := make([]KV, 0, len(ls.data))
+			kvs := make([]query.KV, 0, len(ls.data))
 			for k, v := range ls.data {
-				kvs = append(kvs, KV{Key: k, Val: v})
+				kvs = append(kvs, query.KV{Key: k, Val: v})
 			}
 			ls.mu.Unlock()
 			sort.Slice(kvs, func(a, b int) bool { return kvs[a].Key < kvs[b].Key })
 			return snapSeq, yield(kvs)
 		},
+	}
+}
+
+// checkpoint rotates the journal to its head with no image: every record
+// is retired from the active oplog, sealed for followers or dropped.
+func (ls *leaderShard) checkpoint(t *testing.T) {
+	t.Helper()
+	if _, err := ls.jnl.Rotate(ls.jnl.SeqAppended(), nil); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -144,10 +151,10 @@ type followerShard struct {
 
 func (fs *followerShard) applierShard() ApplierShard {
 	return ApplierShard{
-		Apply: func(o Ops) error {
+		Apply: func(ops []journal.Op) error {
 			fs.mu.Lock()
 			defer fs.mu.Unlock()
-			for _, op := range o.Ops {
+			for _, op := range ops {
 				switch op.Kind {
 				case journal.OpInsert:
 					fs.data[op.Key] = op.Val
@@ -157,17 +164,10 @@ func (fs *followerShard) applierShard() ApplierShard {
 			}
 			return nil
 		},
+		Commit: func() error { return nil },
 		Reset: func() error {
 			fs.mu.Lock()
 			fs.data = make(map[int64]uint64)
-			fs.mu.Unlock()
-			return nil
-		},
-		Load: func(kvs []KV) error {
-			fs.mu.Lock()
-			for _, kv := range kvs {
-				fs.data[kv.Key] = kv.Val
-			}
 			fs.mu.Unlock()
 			return nil
 		},
@@ -270,7 +270,8 @@ func (p *replPair) waitCaughtUp(t *testing.T) {
 }
 
 // Live streaming: a connected follower converges on the leader's state
-// across multiple shards, with deletes mixed in.
+// across multiple shards, with deletes mixed in. A fresh follower claims
+// nothing, so it joins by one snapshot per shard and takes none after.
 func TestHubApplierLiveStream(t *testing.T) {
 	p := startPair(t, 2, 11)
 	for i := int64(0); i < 400; i++ {
@@ -293,47 +294,57 @@ func TestHubApplierLiveStream(t *testing.T) {
 	}
 	p.hub.Poke()
 	p.waitCaughtUp(t)
-	if st := p.applier.Stats(); st.Snapshots != 0 {
-		t.Fatalf("live stream took %d snapshots, want 0", st.Snapshots)
+	if st := p.applier.Stats(); st.Snapshots != 2 {
+		t.Fatalf("live stream took %d snapshots, want 2 (one per shard to join)", st.Snapshots)
 	}
 }
 
-// A follower connecting late catches up from sealed segments spanning
-// several checkpoints — the retained-log path, no snapshot.
+// A follower that claimed a position and went away catches up from
+// sealed segments spanning several checkpoints — the retained-log path,
+// no snapshot.
 func TestCatchUpFromRetainedSegments(t *testing.T) {
-	dir := t.TempDir()
-	ls := newLeaderShard(t, dir, 0)
+	p := startPair(t, 1, 21)
+	ls := p.leaders[0]
 	// A registered-follower floor of 0 retains everything.
 	ls.jnl.SetRetention(func() int64 { return 0 }, 1<<20)
+	ls.put(t, -1, 1)
+	if err := ls.jnl.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	p.hub.Poke()
+	p.waitCaughtUp(t)
+	p.applier.Stop()
+	p.applier.Wait()
+	epoch, seqs := p.applier.Epoch(), p.applier.AppliedSeqs()
+	if seqs[0] == 0 {
+		t.Fatal("test setup: the follower claims no position")
+	}
+
 	for i := int64(0); i < 300; i++ {
 		ls.put(t, i, uint64(i)+1)
 		if i%100 == 99 {
 			if err := ls.jnl.Commit(); err != nil {
 				t.Fatal(err)
 			}
-			if err := ls.jnl.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
+			ls.checkpoint(t)
 		}
 	}
-	ls.jnl.Commit()
-
-	hub, addr := startHub(t, []*leaderShard{ls}, 1)
-	fs := &followerShard{data: make(map[int64]uint64)}
-	ap := NewApplier(ApplierConfig{Addr: addr, ID: 21, Shards: []ApplierShard{fs.applierShard()}, Logf: t.Logf})
-	go ap.Run()
-	defer ap.Stop()
-
-	p := &replPair{leaders: []*leaderShard{ls}, followers: []*followerShard{fs}, hub: hub, applier: ap}
+	if n, _ := ls.jnl.RetainedSegments(); n < 3 {
+		t.Fatalf("test setup: %d sealed segments, want 3 or more", n)
+	}
+	p.applier = NewApplier(ApplierConfig{Addr: p.addr, ID: 21, Epoch: epoch, Seqs: seqs,
+		Shards: []ApplierShard{p.followers[0].applierShard()}, Logf: t.Logf})
+	go p.applier.Run()
+	defer p.applier.Stop()
 	p.waitCaughtUp(t)
-	if st := ap.Stats(); st.Snapshots != 0 {
+	if st := p.applier.Stats(); st.Snapshots != 0 {
 		t.Fatalf("segment catch-up took %d snapshots, want 0", st.Snapshots)
 	}
 	// The applier is caught up, but the hub only learns that when the
 	// ack frame lands; poll rather than racing the wire.
 	ackDeadline := time.Now().Add(10 * time.Second)
 	for {
-		st := hub.Stats()
+		st := p.hub.Stats()
 		if len(st.Followers) == 1 && st.Followers[0].LagSeqs == 0 {
 			break
 		}
@@ -355,7 +366,7 @@ func TestEvictedFollowerSnapshotResync(t *testing.T) {
 		ls.put(t, i, uint64(i)+1)
 	}
 	ls.jnl.Commit()
-	ls.jnl.Checkpoint()
+	ls.checkpoint(t)
 	for i := int64(150); i < 200; i++ {
 		ls.put(t, i, uint64(i)+1)
 	}
@@ -408,6 +419,106 @@ func TestEpochMismatchForcesSnapshot(t *testing.T) {
 	}
 	if got := ap.Epoch(); got != 7 {
 		t.Fatalf("follower epoch = %d, want 7 (adopted from leader)", got)
+	}
+}
+
+// A lineage change resyncs every shard. While the second shard's snapshot
+// is still loading, no reported position may claim it — the first shard's
+// SnapEnd already reports the new epoch — and an applier restarted from
+// the last report must snapshot that shard again, not tail over the half
+// of it that was loaded.
+func TestLineageResyncNeverClaimsHalfAShard(t *testing.T) {
+	dir := t.TempDir()
+	leaders := []*leaderShard{newLeaderShard(t, dir, 0), newLeaderShard(t, dir, 1)}
+	for i := int64(0); i < 100; i++ {
+		leaders[i%2].put(t, i, uint64(i)+1)
+	}
+	for _, ls := range leaders {
+		if err := ls.jnl.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hub, addr := startHub(t, leaders, 7)
+	followers := []*followerShard{{data: map[int64]uint64{}}, {data: map[int64]uint64{}}}
+
+	var mu sync.Mutex
+	var reports []State
+	held, release := make(chan struct{}), make(chan struct{})
+	shards := []ApplierShard{followers[0].applierShard(), followers[1].applierShard()}
+	// Shard 1's first snapshot page waits for release, then fails: the
+	// follower dies with shard 1 reset and nothing of it loaded.
+	shards[1].Apply = func([]journal.Op) error {
+		close(held)
+		<-release
+		return errors.New("follower killed mid-load")
+	}
+	ap := NewApplier(ApplierConfig{
+		Addr:   addr,
+		ID:     91,
+		Epoch:  3,               // a dead leader's epoch
+		Seqs:   []int64{50, 50}, // plausible positions in the old lineage
+		Shards: shards,
+		OnProgress: func(epoch uint64, seqs []int64) {
+			mu.Lock()
+			reports = append(reports, State{Epoch: epoch, Seqs: append([]int64(nil), seqs...)})
+			mu.Unlock()
+		},
+		Logf: t.Logf,
+	})
+	go ap.Run()
+	select {
+	case <-held:
+	case <-time.After(10 * time.Second):
+		t.Fatal("shard 1's snapshot never started")
+	}
+	mu.Lock()
+	for _, r := range reports {
+		if r.Seqs[1] != 0 {
+			t.Errorf("progress reported %+v while shard 1 was still loading, want shard 1 at 0", r)
+		}
+	}
+	mu.Unlock()
+	ap.Stop()
+	close(release)
+	ap.Wait()
+
+	mu.Lock()
+	last := reports[len(reports)-1]
+	mu.Unlock()
+	ap = NewApplier(ApplierConfig{Addr: addr, ID: 91, Epoch: last.Epoch, Seqs: last.Seqs,
+		Shards: []ApplierShard{followers[0].applierShard(), followers[1].applierShard()}, Logf: t.Logf})
+	go ap.Run()
+	defer ap.Stop()
+	p := &replPair{leaders: leaders, followers: followers, hub: hub, applier: ap}
+	p.waitCaughtUp(t)
+	if st := ap.Stats(); st.Snapshots != 1 {
+		t.Fatalf("restart from %+v took %d snapshots, want 1 (shard 1 only)", last, st.Snapshots)
+	}
+}
+
+// A follower that claims nothing — epoch 0: a fresh node, -resync, a torn
+// state file — is snapshotted even while the leader still holds its log
+// from sequence 1, so state the leader never wrote does not survive.
+func TestUnclaimedPositionIsSnapshotted(t *testing.T) {
+	dir := t.TempDir()
+	ls := newLeaderShard(t, dir, 0)
+	for i := int64(0); i < 50; i++ {
+		ls.put(t, i, uint64(i)+1)
+	}
+	ls.jnl.Commit()
+	if low := ls.jnl.LowestSeq(); low != 0 {
+		t.Fatalf("test setup: LowestSeq = %d, want 0", low)
+	}
+	hub, addr := startHub(t, []*leaderShard{ls}, 7)
+	fs := &followerShard{data: map[int64]uint64{-42: 1}} // a key the leader never wrote
+	ap := NewApplier(ApplierConfig{Addr: addr, ID: 81, Shards: []ApplierShard{fs.applierShard()}, Logf: t.Logf})
+	go ap.Run()
+	defer ap.Stop()
+
+	p := &replPair{leaders: []*leaderShard{ls}, followers: []*followerShard{fs}, hub: hub, applier: ap}
+	p.waitCaughtUp(t)
+	if st := ap.Stats(); st.Snapshots != 1 {
+		t.Fatalf("epoch-0 follower took %d snapshots, want 1", st.Snapshots)
 	}
 }
 

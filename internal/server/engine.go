@@ -213,7 +213,6 @@ type DiskEngine struct {
 	// the next checkpoint attempt (success or failure) completes.
 	genMu   sync.Mutex
 	genCond *sync.Cond
-	ckptGen int64
 	closed  bool
 
 	// Pause telemetry: how long the last checkpoint's install window
@@ -359,9 +358,9 @@ func (e *DiskEngine) recordPause(ns int64) {
 	}
 }
 
-// checkpointLoop is the background checkpointer. Every
-// attempt — success or failure — bumps the generation and wakes blocked
-// committers so backpressure can re-evaluate (or observe the poison).
+// checkpointLoop is the background checkpointer. Every attempt — success
+// or failure — wakes blocked committers so backpressure can re-evaluate
+// (or observe the poison).
 func (e *DiskEngine) checkpointLoop() {
 	defer close(e.done)
 	for {
@@ -372,7 +371,6 @@ func (e *DiskEngine) checkpointLoop() {
 		}
 		e.runCheckpoint()
 		e.genMu.Lock()
-		e.ckptGen++
 		e.genCond.Broadcast()
 		e.genMu.Unlock()
 	}

@@ -141,10 +141,6 @@ func TestCommitFailureNeverAcks(t *testing.T) {
 			t.Fatalf("op %d after poison answered status %d, want StatusUnavail", req.Op, resp.Status)
 		}
 	}
-	if Retryable(StatusUnavail) {
-		t.Fatal("StatusUnavail must not be retryable on the same server")
-	}
-
 	// Health and metrics report the poisoning.
 	h := httptest.NewServer(s.Handler())
 	defer h.Close()

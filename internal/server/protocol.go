@@ -164,12 +164,6 @@ const (
 	StatusNotLeader byte = 7
 )
 
-// Retryable reports whether a response status signals a transient
-// capacity condition the client may retry after backing off.
-func Retryable(status byte) bool {
-	return status == StatusBusy || status == StatusOverload
-}
-
 // StatusName renders a status byte for error messages and logs.
 func StatusName(status byte) string {
 	switch status {

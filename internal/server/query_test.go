@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -86,7 +87,7 @@ func TestScanPagingVsOracle(t *testing.T) {
 				defer shutdown()
 				c := dialT(t, addr)
 
-				rng := xrand.New(31)
+				rng := rand.New(rand.NewPCG(31, 0))
 				oracle := map[int64]uint64{}
 				for len(oracle) < 700 {
 					k := int64(rng.IntN(1 << 14))
@@ -172,7 +173,7 @@ func TestScanUnderMutation(t *testing.T) {
 							return
 						}
 						defer c.Close()
-						rng := xrand.New(seed)
+						rng := rand.New(rand.NewPCG(seed, 0))
 						for i := 0; ; i++ {
 							select {
 							case <-stop:

@@ -293,8 +293,9 @@ func (r *replState) save(epoch uint64, seqs []int64, force bool) {
 // fuzzy snapshot scan, which captures the shard's durable sequence BEFORE
 // scanning, so the snapshot plus an idempotent replay of every record
 // after that sequence converges regardless of the mutations the scan raced
-// with. It fails on the first shard that cannot lead — only journal-backed
-// engines have the global sequences replication ships.
+// with. The scan's own pages go to the hub uncopied. It fails on the first
+// shard that cannot lead — only journal-backed engines have the global
+// sequences replication ships.
 func (s *Server) hubShards() ([]repl.HubShard, error) {
 	shards := make([]repl.HubShard, len(s.shards))
 	for i, sh := range s.shards {
@@ -303,15 +304,9 @@ func (s *Server) hubShards() ([]repl.HubShard, error) {
 			return nil, fmt.Errorf("server: shard %d engine %q cannot lead: no journal", i, sh.eng.Kind())
 		}
 		sh := sh
-		shards[i] = repl.HubShard{Journal: se.Journal(), Snapshot: func(yield func([]repl.KV) error) (int64, error) {
+		shards[i] = repl.HubShard{Journal: se.Journal(), Snapshot: func(yield func([]query.KV) error) (int64, error) {
 			seq := se.DurableSeq()
-			return seq, sh.scanAll(func(ents []query.KV) error {
-				kvs := make([]repl.KV, len(ents))
-				for j, e := range ents {
-					kvs[j] = repl.KV{Key: e.Key, Val: e.Val}
-				}
-				return yield(kvs)
-			})
+			return seq, sh.scanAll(yield)
 		}}
 	}
 	return shards, nil
@@ -320,14 +315,14 @@ func (s *Server) hubShards() ([]repl.HubShard, error) {
 // applierShards builds the follower-side replay callbacks over the
 // server's shards, index maintenance included — the follower's engines
 // and secondary index track the leader exactly as if the ops had arrived
-// over the wire.
+// over the wire. Tail batches and snapshot pages take the same path.
 func (s *Server) applierShards() []repl.ApplierShard {
 	out := make([]repl.ApplierShard, len(s.shards))
 	for i := range s.shards {
 		sh := s.shards[i]
 		out[i] = repl.ApplierShard{
-			Apply: func(o repl.Ops) error {
-				for _, op := range o.Ops {
+			Apply: func(ops []journal.Op) error {
+				for _, op := range ops {
 					var err error
 					switch op.Kind {
 					case journal.OpInsert:
@@ -341,20 +336,11 @@ func (s *Server) applierShards() []repl.ApplierShard {
 						return err
 					}
 				}
-				// The ack that follows promises durability: group-commit
-				// the engine before returning.
-				return sh.eng.Commit()
-			},
-			Reset: func() error {
-				return s.resetShard(sh)
-			},
-			Load: func(kvs []repl.KV) error {
-				for _, kv := range kvs {
-					if _, err := sh.put(kv.Key, kv.Val); err != nil {
-						return err
-					}
-				}
 				return nil
+			},
+			Commit: sh.eng.Commit,
+			Reset: func() error {
+				return resetShard(sh)
 			},
 		}
 	}
@@ -364,9 +350,9 @@ func (s *Server) applierShards() []repl.ApplierShard {
 // resetShard empties one shard for a snapshot resync by scanning and
 // deleting page by page — engine-agnostic, and keeps the secondary index
 // in step. Slow for a large shard, but resync is already the degraded
-// path (the follower fell off the retained log).
-func (s *Server) resetShard(sh *shard) error {
-	err := sh.scanAll(func(ents []query.KV) error {
+// path (the follower's position claims nothing the leader can tail).
+func resetShard(sh *shard) error {
+	return sh.scanAll(func(ents []query.KV) error {
 		for _, e := range ents {
 			if _, err := sh.del(e.Key); err != nil {
 				return err
@@ -374,10 +360,6 @@ func (s *Server) resetShard(sh *shard) error {
 		}
 		return nil
 	})
-	if err != nil {
-		return err
-	}
-	return sh.eng.Commit()
 }
 
 // shardSeq is the replication sequence OpSeqs reports for one shard:

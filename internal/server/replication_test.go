@@ -439,13 +439,16 @@ func TestSemiSyncWaitOverlapsNextFsync(t *testing.T) {
 
 // TestReadFloorContract checks the read-floor contract (OpGetSeq in
 // protocol.go) over a real disk leader and follower: a get carrying the
-// client's ReadFloor for its key answers StatusLagging, never the value
-// the key held before an acked put, for as long as the follower has not
-// applied that put, and the new value once it has. The follower's engines
-// let through exactly the applies made before the hold, so "not yet
-// applied" is certain, not timed. Shard 0 takes ten times shard 1's
-// writes, so the two shards' floors straddle the follower's position: a
-// floor read from the other shard's slot would let it serve stale values.
+// client's ReadFloor for its key answers StatusLagging, never a missing key
+// or the value the key held before an acked put, for as long as the
+// follower has not applied that put, and the new value once it has. The
+// follower's engines let through exactly the applies the test allows, so
+// "not yet applied" is certain, not timed. Shard 0 takes ten times shard
+// 1's writes, so the two shards' floors straddle the follower's position:
+// a floor read from the other shard's slot would let it serve stale
+// values. The last phase holds the follower inside a snapshot resync,
+// after Reset has emptied shard 0: its position there must read 0, or a
+// floor it had already passed would be served from the emptied shard.
 func TestReadFloorContract(t *testing.T) {
 	if testing.Short() {
 		t.Skip("needs a live follower stream")
@@ -459,24 +462,7 @@ func TestReadFloorContract(t *testing.T) {
 			keys[i] = append(keys[i], k)
 		}
 	}
-	const rounds = 10 // shard 0's writes per key before the hold; shard 1's is 1
-	applies := rounds*len(keys[0]) + len(keys[1])
-	gate := make(chan struct{}, applies)
-	for i := 0; i < applies; i++ {
-		gate <- struct{}{}
-	}
-	var open sync.Once
-	engs := diskEngines(t, t.TempDir(), 2)
-	fl := startFollower(t, Config{Engines: []Engine{
-		gatedEngine{DiskEngine: engs[0].(*DiskEngine), gate: gate},
-		gatedEngine{DiskEngine: engs[1].(*DiskEngine), gate: gate},
-	}}, ReplOptions{Follow: ld.replAddr})
-	defer func() {
-		open.Do(func() { close(gate) })
-		fl.shutdown()
-	}()
-
-	lc, fc := dialT(t, ld.addr), dialT(t, fl.addr)
+	lc := dialT(t, ld.addr)
 	seqs, err := lc.Seqs()
 	if err != nil {
 		t.Fatal(err)
@@ -492,6 +478,26 @@ func TestReadFloorContract(t *testing.T) {
 		}
 		floor.Observe(k, int64(resp.Val))
 		acked[k] = v
+	}
+
+	// follow starts the follower on the disk engines in dir behind one gate
+	// that lets through the given number of applies; open opens it for good.
+	dir, state := t.TempDir(), filepath.Join(t.TempDir(), "state.json")
+	var fl *followerHarness
+	var fc *Client
+	follow := func(applies int) (open func()) {
+		gate := make(chan struct{}, applies)
+		for i := 0; i < applies; i++ {
+			gate <- struct{}{}
+		}
+		var once sync.Once
+		engs := diskEngines(t, dir, 2)
+		fl = startFollower(t, Config{Engines: []Engine{
+			gatedEngine{DiskEngine: engs[0].(*DiskEngine), gate: gate},
+			gatedEngine{DiskEngine: engs[1].(*DiskEngine), gate: gate},
+		}}, ReplOptions{Follow: ld.replAddr, StatePath: state})
+		fc = dialT(t, fl.addr)
+		return func() { once.Do(func() { close(gate) }) }
 	}
 	getSeq := func(k int64) Response {
 		t.Helper()
@@ -518,6 +524,18 @@ func TestReadFloorContract(t *testing.T) {
 		}
 	}
 
+	// One write per shard before the follower joins, and the join finished
+	// before any other: whether the follower takes those two from a
+	// snapshot or the log, they are exactly two applies.
+	const rounds = 10 // shard 0's writes per key before the hold; shard 1's is 1
+	put(keys[0][0], 0)
+	put(keys[1][0], 0)
+	open := follow(2 + rounds*len(keys[0]) + len(keys[1]))
+	defer func() {
+		open()
+		fl.shutdown()
+	}()
+	caughtUp()
 	for r := 0; r < rounds; r++ {
 		for _, k := range keys[0] {
 			put(k, r)
@@ -547,18 +565,68 @@ func TestReadFloorContract(t *testing.T) {
 			}
 		}
 	}
-
-	open.Do(func() { close(gate) })
+	open()
 	caughtUp()
 	expectAcked("after the hold")
+
+	// The resync: the follower stops, another writer moves the leader's
+	// log past the follower's saved position (a one-byte retention budget
+	// evicts what its registration holds), and the follower restarts with
+	// no applies allowed. The client's floor is unchanged and below the
+	// follower's old position.
+	open()
+	fl.shutdown()
+	pos := readState(t, state).Seqs
+	hub := ld.s.repl.hub.Load()
+	for i, sh := range ld.s.shards {
+		i := i
+		sh.eng.(*DiskEngine).Journal().SetRetention(func() int64 { return hub.RetentionFloor(i) }, 1)
+	}
+	wc, next := dialT(t, ld.addr), int64(1<<20)
+	waitFor(t, "the leader's log to move past the follower's position", func() bool {
+		for i := 0; i < 64; i++ {
+			if _, err := wc.Put(next, 1); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+		for i, sh := range ld.s.shards {
+			if sh.eng.(*DiskEngine).Journal().LowestSeq() <= pos[i] {
+				return false
+			}
+		}
+		return true
+	})
+	open = follow(0)
+	waitFor(t, "the follower to empty shard 0 for its snapshot", func() bool {
+		for _, k := range keys[0] {
+			if _, ok, err := fc.Get(k); err != nil || ok {
+				return false
+			}
+		}
+		return true
+	})
+	for i, ks := range keys {
+		for _, k := range ks {
+			resp := getSeq(k)
+			if resp.Status == StatusLagging || (i == 1 && resp.Status == StatusOK && resp.Val == acked[k]) {
+				continue // shard 1 still waits for its snapshot, data and position intact
+			}
+			t.Fatalf("follower resyncing shard 0 answered key %d (shard %d) at floor %d: %s %#x, want lagging",
+				k, i, floor.For(k), StatusName(resp.Status), resp.Val)
+		}
+	}
+	open()
+	caughtUp()
+	expectAcked("after the resync")
 }
 
 // TestFollowerIndexMatchesLeader checks the secondary index's contract on
 // a follower (OpLookup in protocol.go): with Index on both ends, Lookup on
 // the follower answers what Lookup on the leader answers, page by page and
 // token by token, at each quiescent point — after streaming the leader's
-// oplog (the applier's Apply), and again after a forced snapshot resync
-// (Reset, then Load) of the same disk follower.
+// oplog, and again after a forced snapshot resync (Reset, then the
+// snapshot's pages through Apply) of the same disk follower.
 func TestFollowerIndexMatchesLeader(t *testing.T) {
 	if testing.Short() {
 		t.Skip("needs a live follower stream")
@@ -611,9 +679,9 @@ func TestFollowerIndexMatchesLeader(t *testing.T) {
 			}
 			snapshots := func() int64 { return ld.s.repl.hub.Load().Stats().Snapshots }
 
-			// Streaming: the follower attaches to an empty leader and applies
-			// every write from the stream, while every leader shard
-			// checkpoints at least once.
+			// Streaming: the follower joins an empty leader by one snapshot
+			// per shard and applies every later write from the stream,
+			// while every leader shard checkpoints at least once.
 			fl := follow(false)
 			write(700 * shards)
 			waitFor(t, "a checkpoint on every leader shard", func() bool {
@@ -625,30 +693,20 @@ func TestFollowerIndexMatchesLeader(t *testing.T) {
 				return true
 			})
 			caughtUp(fl)
-			if n := snapshots(); n != 0 {
-				t.Fatalf("%d snapshots while streaming", n)
+			if n := snapshots(); n != int64(shards) {
+				t.Fatalf("%d snapshots while streaming, want one per shard (%d) to join", n, shards)
 			}
 			sameLookups(t, ld.addr, fl.addr)
 			fl.shutdown()
 
-			// Resync: with the follower gone, the next checkpoints drop every
-			// record it had acked and retain the rest, so the retained log no
-			// longer reaches back to sequence 0, and a follower that forgets
-			// its position must take every shard from a snapshot.
+			// Resync: a follower that forgets its position claims nothing, so
+			// it takes every shard from a snapshot again.
 			write(700 * shards)
-			waitFor(t, "the leader's retained log to start past sequence 0", func() bool {
-				for _, sh := range ld.s.shards {
-					if sh.eng.(*DiskEngine).Journal().LowestSeq() == 0 {
-						return false
-					}
-				}
-				return true
-			})
 			fl = follow(true)
 			defer fl.shutdown()
 			caughtUp(fl)
-			if n := snapshots(); n != int64(shards) {
-				t.Fatalf("%d snapshots for the resync, want one per shard (%d)", n, shards)
+			if n := snapshots(); n != 2*int64(shards) {
+				t.Fatalf("%d snapshots after the resync, want one more per shard (%d)", n, 2*shards)
 			}
 			sameLookups(t, ld.addr, fl.addr)
 		})

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand/v2"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -17,7 +18,6 @@ import (
 	"time"
 
 	"btreeperf/internal/cbtree"
-	"btreeperf/internal/xrand"
 )
 
 // TestShardIndexDeterministic pins the routing contract every durability
@@ -26,7 +26,7 @@ import (
 // restarts and across processes (btload -audit-verify replays against a
 // restarted server).
 func TestShardIndexDeterministic(t *testing.T) {
-	rng := xrand.New(7)
+	rng := rand.New(rand.NewPCG(7, 0))
 	for _, n := range []int{1, 2, 3, 4, 8, 16} {
 		for i := 0; i < 10000; i++ {
 			k := int64(rng.Uint64()) % (1 << 40)
@@ -90,7 +90,7 @@ func TestShardedRouterMatchesOracle(t *testing.T) {
 			const nOps = 20000
 			const keySpace = 512 // small: lots of same-key collisions across ops
 			oracle := make(map[int64]uint64)
-			rng := xrand.New(42)
+			rng := rand.New(rand.NewPCG(42, 0))
 			type sent struct {
 				req      Request
 				wantStat uint8
@@ -581,7 +581,7 @@ func TestDrainThenCloseUnderScrape(t *testing.T) {
 							return
 						}
 						defer c.Close()
-						rng := xrand.New(seed)
+						rng := rand.New(rand.NewPCG(seed, 0))
 						inFlight := 0
 						for {
 							select {

@@ -190,7 +190,7 @@ func TestODRestartsMatchSplitProbability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	updates := float64(cfg.Ops) * cfg.Mix.UpdateShare()
+	updates := float64(cfg.Ops) * (cfg.Mix.QI + cfg.Mix.QD)
 	rate := float64(res.Restarts) / updates
 	// Inserts restart on full leaves; deletes on 1-item leaves (rare).
 	if rate < 0.015 || rate > 0.15 {

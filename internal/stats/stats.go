@@ -7,7 +7,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Welford is a streaming mean/variance accumulator (Welford's algorithm).
@@ -169,7 +168,6 @@ type Histogram struct {
 	under   int64
 	over    int64
 	n       int64
-	sum     float64
 }
 
 // NewHistogram creates a histogram with n buckets spanning [lo, hi).
@@ -183,7 +181,6 @@ func NewHistogram(lo, hi float64, n int) *Histogram {
 // Add records a sample.
 func (h *Histogram) Add(x float64) {
 	h.n++
-	h.sum += x
 	switch {
 	case x < h.lo:
 		h.under++
@@ -196,17 +193,6 @@ func (h *Histogram) Add(x float64) {
 		}
 		h.buckets[i]++
 	}
-}
-
-// N returns the number of samples.
-func (h *Histogram) N() int64 { return h.n }
-
-// Mean returns the sample mean.
-func (h *Histogram) Mean() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return h.sum / float64(h.n)
 }
 
 // Quantile returns an approximate q-quantile (0<=q<=1) assuming samples are
@@ -265,18 +251,4 @@ func Summarize(values []float64) Summary {
 		w.Add(v)
 	}
 	return Summary{Mean: w.Mean(), CI95: w.CI95(), N: int(w.N()), Min: w.Min(), Max: w.Max()}
-}
-
-// Median returns the median of values (not streaming). Empty input yields 0.
-func Median(values []float64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), values...)
-	sort.Float64s(s)
-	n := len(s)
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
 }

@@ -71,9 +71,6 @@ func (m Mix) Validate() error {
 	return nil
 }
 
-// UpdateShare returns q_i + q_d.
-func (m Mix) UpdateShare() float64 { return m.QI + m.QD }
-
 // Scenario returns a named mix preset for btload's -scenario flag.
 // "paper" is the paper's §4 proportion; "point" is read-heavy point
 // traffic; "scan-heavy" and "scan-mixed" are the query-subsystem

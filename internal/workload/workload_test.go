@@ -24,8 +24,8 @@ func TestMixValidate(t *testing.T) {
 			t.Errorf("Mix %+v accepted", m)
 		}
 	}
-	if PaperMix.UpdateShare() != 0.7 {
-		t.Fatalf("UpdateShare = %v", PaperMix.UpdateShare())
+	if u := PaperMix.QI + PaperMix.QD; u != 0.7 {
+		t.Fatalf("update share = %v", u)
 	}
 }
 

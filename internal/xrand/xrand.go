@@ -50,9 +50,6 @@ func mix(a, b uint64) uint64 {
 // Float64 returns a uniform variate in [0, 1).
 func (s *Source) Float64() float64 { return s.rng.Float64() }
 
-// Uint64 returns a uniform 64-bit value.
-func (s *Source) Uint64() uint64 { return s.rng.Uint64() }
-
 // Int63n returns a uniform variate in [0, n). It panics if n <= 0.
 func (s *Source) Int63n(n int64) int64 { return s.rng.Int64N(n) }
 
@@ -142,9 +139,6 @@ func (s *Source) Choose(weights []float64) int {
 	}
 	return len(weights) - 1
 }
-
-// Perm returns a random permutation of [0, n).
-func (s *Source) Perm(n int) []int { return s.rng.Perm(n) }
 
 // Zipf returns an index in [0, n) drawn with probability approximately
 // proportional to 1/(i+1)^skew, by inverting the continuous analogue of

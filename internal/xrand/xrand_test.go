@@ -10,7 +10,7 @@ func TestDeterminism(t *testing.T) {
 	a := New(42)
 	b := New(42)
 	for i := 0; i < 1000; i++ {
-		if a.Uint64() != b.Uint64() {
+		if a.Float64() != b.Float64() {
 			t.Fatalf("streams diverged at draw %d", i)
 		}
 	}
@@ -21,7 +21,7 @@ func TestDifferentSeedsDiffer(t *testing.T) {
 	b := New(2)
 	same := 0
 	for i := 0; i < 100; i++ {
-		if a.Uint64() == b.Uint64() {
+		if a.Float64() == b.Float64() {
 			same++
 		}
 	}
@@ -36,7 +36,7 @@ func TestSplitIndependence(t *testing.T) {
 	c2 := parent.Split(2)
 	c1again := New(7).Split(1)
 	for i := 0; i < 100; i++ {
-		v1, v2, v1a := c1.Uint64(), c2.Uint64(), c1again.Uint64()
+		v1, v2, v1a := c1.Float64(), c2.Float64(), c1again.Float64()
 		if v1 != v1a {
 			t.Fatalf("Split(1) not reproducible at draw %d", i)
 		}
@@ -215,27 +215,6 @@ func TestChoosePanics(t *testing.T) {
 			}()
 			New(1).Choose(w)
 		}()
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	err := quick.Check(func(seed uint64, nRaw uint8) bool {
-		n := int(nRaw%64) + 1
-		p := New(seed).Perm(n)
-		if len(p) != n {
-			return false
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}, nil)
-	if err != nil {
-		t.Error(err)
 	}
 }
 

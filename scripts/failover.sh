@@ -27,7 +27,8 @@
 # node's clean shutdown is checked here and nowhere else. Last, a pass on
 # their disks stops the follower, writes until the leader seals what the
 # follower misses into segments, and requires the restarted follower to
-# catch up from them without a snapshot.
+# catch up from them without a snapshot; it ends by restarting a caught-up
+# follower with -resync, which must cost the leader one snapshot per shard.
 #
 #   scripts/failover.sh             # 3 cycles
 #   CYCLES=5 scripts/failover.sh
@@ -221,8 +222,8 @@ stop_node "$leader"
 # stopped, so the leader's checkpoints, its shutdown's included, seal the
 # records it misses into segments instead of truncating them. The restarted
 # follower must catch up from those segments, not from a snapshot. A leader
-# reopened from its disk validates the segments it finds and then drops
-# them: it leads a new epoch, which no follower could tail them into.
+# reopened from its disk deletes every segment at recovery: it leads a new
+# epoch, which no follower could tail them into.
 # Semi-sync would hold every write made with the follower stopped for the
 # whole ack timeout, so this pass acknowledges asynchronously, and it
 # checkpoints every 64 mutations.
@@ -253,8 +254,30 @@ kept="$(segfiles "$leader")"
 [ "$kept" -gt 0 ] || { echo "FAIL: the leader's shutdown dropped the segments its stopped follower needs" >&2; exit 1; }
 start_node "$leader"
 [ "$(segfiles "$leader")" -eq 0 ] || { echo "FAIL: the reopened leader kept segments of an epoch it no longer leads" >&2; exit 1; }
+# -resync's promise: a follower that could tail (it caught up in this
+# leader's epoch) claims no position when restarted with the flag, so the
+# leader snapshots every shard.
+start_node "$follower" "$leader" # a new epoch: the follower resyncs
+wait_caught_up "$leader"
+stop_node "$follower"
+snaps="$(metric "$leader" snapshots)"
+nodeflags=(-checkpoint-ops 64 -resync)
+start_node "$follower" "$leader"
+# The stopped follower's registration can still read connected with zero
+# lag (the hub notices a closed stream at its next write), so wait for the
+# snapshots themselves before the caught-up check.
+for _ in $(seq 100); do
+  [ "$(metric "$leader" snapshots)" -ge "$((snaps + shards))" ] && break
+  sleep 0.1
+done
+wait_caught_up "$leader"
+resynced="$(($(metric "$leader" snapshots) - snaps))"
+[ "$resynced" -eq "$shards" ] || {
+  echo "FAIL: a -resync restart cost $resynced snapshot(s), want one per shard ($shards)" >&2; exit 1; }
+stop_node "$follower"
 stop_node "$leader"
 
 echo "failover: $cycles kill-the-leader cycles at shards=$shards, $acked acked writes, zero lost"
 echo "failover: promote-to-serving times (ms): ${failover_times[*]}"
 echo "failover: segments: $caught_up_from sealed behind a stopped follower and caught up from without a snapshot; $kept kept through a shutdown, dropped on reopen"
+echo "failover: -resync: $resynced snapshot(s), one per shard"

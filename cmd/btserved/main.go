@@ -14,8 +14,8 @@
 // The serving layer defends itself: connections past -max-conns are
 // refused with a Busy frame, idle or byte-trickling connections are
 // reaped after -idle-timeout, peers that stop draining responses are
-// cut after -write-timeout, a full worker queue sheds with Busy after
-// -admit-timeout, and the overload governor sheds update traffic with
+// cut after -write-timeout, a durable shard's full work queue sheds with
+// Busy after -admit-timeout, and the overload governor sheds update traffic with
 // Overload frames while measured root ρ_w stays above -governor-rho
 // (the paper's §6 saturation threshold), recovering hysteretically.
 //
@@ -57,11 +57,11 @@ func main() {
 		capacity = flag.Int("cap", 64, "node capacity (items per node)")
 		listen   = flag.String("listen", ":9400", "binary protocol listen address")
 		httpAddr = flag.String("http", ":9401", "telemetry listen address (/metrics, /debug/model, /healthz); empty disables")
-		shards   = flag.Int("shards", 1, "keyspace shards, each an independent engine with its own worker pool and governor")
-		workers  = flag.Int("workers", 0, "worker pool size per shard (0 = GOMAXPROCS/shards)")
+		shards   = flag.Int("shards", 1, "keyspace shards, each an independent engine with its own governor (and with -engine disk, worker pool)")
+		workers  = flag.Int("workers", 0, "-engine disk: worker pool size per shard (0 = GOMAXPROCS/shards); a mem server's parallelism is its connections")
 		depth    = flag.Int("depth", 128, "per-connection pipeline bound")
 		prefill  = flag.Int("prefill", 0, "keys inserted before serving")
-		maxBatch = flag.Int("max-batch", 0, "max requests dispatched to the worker pool as one batch (0 = default)")
+		maxBatch = flag.Int("max-batch", 0, "max requests executed as one batch (0 = default)")
 
 		pprofOn        = flag.Bool("pprof", false, "mount net/http/pprof on the telemetry server under /debug/pprof/")
 		pprofBlockRate = flag.Int("pprof-block-rate", 0, "block profile rate in ns per sampled blocking event (0 disables; needs -pprof)")
@@ -70,7 +70,7 @@ func main() {
 		maxConns     = flag.Int("max-conns", 0, "connection cap, refused with Busy past it (0 = unlimited)")
 		idleTimeout  = flag.Duration("idle-timeout", server.DefaultIdleTimeout, "reap connections idle this long (0 disables)")
 		writeTimeout = flag.Duration("write-timeout", server.DefaultWriteTimeout, "cut peers that stall response writes this long (0 disables)")
-		admitTimeout = flag.Duration("admit-timeout", server.DefaultAdmitTimeout, "shed Busy after waiting this long for a queue slot (0 = fail-fast)")
+		admitTimeout = flag.Duration("admit-timeout", server.DefaultAdmitTimeout, "-engine disk: shed Busy after waiting this long for a work-queue slot (0 = fail-fast)")
 
 		govOff = flag.Bool("governor-off", false, "disable the overload governor")
 		govRho = flag.Float64("governor-rho", server.SaturationRho, "root rho_w above which update traffic is shed (shedding stops after 4 samples, 250ms apart, below 0.8x this)")

@@ -5,9 +5,10 @@
 //
 // # Consistency
 //
-// A shard's worker pool mutates the same key from several goroutines, so
-// "in step" needs an ordering guarantee: if put(k,v1) and put(k,v2) race,
-// the index must end up describing whichever write the tree kept. The
+// Several goroutines mutate one shard's keys — a durable shard's worker
+// pool, a mem server's connections — so "in step" needs an ordering
+// guarantee: if put(k,v1) and put(k,v2) race, the index must end up
+// describing whichever write the tree kept. The
 // index serializes same-key updates with a striped key lock held across
 // both the tree operation and the postings update; updates to different
 // keys only contend on the short critical section of the postings map

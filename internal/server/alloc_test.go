@@ -139,13 +139,13 @@ func TestScanPageAllocs(t *testing.T) {
 	const limit, pagesPerBatch = 64, 8
 	for _, nShards := range []int{1, 4} {
 		s := New(Config{Algorithm: cbtree.LinkType, Shards: nShards, Prefill: 20000})
-		var w worker
+		w := &worker{tallies: make([]opTally, nShards)}
 		first := Request{Op: OpScan, Key: 0, Hi: 1 << 40, Limit: limit}
 		cycle := func(req Request) (last Response) {
 			bt := getBatch(nShards)
 			w.arena = &bt.arenas[0]
 			for i := 0; i < pagesPerBatch; i++ {
-				last = s.execScan(req, &w)
+				last = s.execScan(req, w, &w.tallies[0])
 				if last.Status != StatusOK || len(last.Entries) != limit || len(last.Token) == 0 {
 					t.Fatalf("shards=%d: page status %d, %d entries, %d token bytes",
 						nShards, last.Status, len(last.Entries), len(last.Token))

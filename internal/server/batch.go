@@ -16,25 +16,23 @@ import (
 // channel handoffs — cost more than the tree. The fast path amortizes
 // all of it across pipeline depth: the connection reader decodes every
 // frame already buffered on the wire into one pooled batch (a slab of
-// jobs, no per-request channels), the batch crosses the worker queue as
-// a single unit, the worker executes its jobs in slab order, completion
-// is one token on the batch's reused ready channel, and the writer
-// coalesces the whole batch's responses into one buffered write. In the
-// steady state nothing on this path allocates: batches, their job slabs
-// and the memory their scan pages live in are recycled through a
-// sync.Pool.
+// jobs, no per-request channels), the batch is executed as a single unit
+// in slab order, completion is one token on the batch's reused ready
+// channel, and the writer coalesces the whole batch's responses into one
+// buffered write. In the steady state nothing on this path allocates:
+// batches, their job slabs and the memory their scan pages live in are
+// recycled through a sync.Pool.
 //
-// With a sharded server the batch is still the unit of pipelining: the
-// reader stamps each job with its key's shard and the batch is handed to
-// every involved shard's worker queue. Each shard's worker executes only
-// its own jobs (disjoint slab entries, so no coordination is needed) and
-// retires one completion; the writer's token fires when the last shard
-// finishes. A single-shard server degenerates to exactly the old
-// one-dispatch one-token path.
+// Who executes the batch is the engine's choice. On a mem server the
+// reader runs it, every shard's jobs in one pass, so a connection's
+// batches apply one at a time. On a durable server each involved shard's
+// worker runs its own jobs (disjoint slab entries, no coordination), its
+// commit pipeline retires one completion, and the writer's token fires
+// when the last shard's has.
 
 // job is one request in flight inside a batch. Requests whose response
 // was decided at admission time (governor or queue shedding) carry
-// skip=true and are not executed by the worker.
+// skip=true and are not executed.
 type job struct {
 	req   Request
 	resp  Response
@@ -42,13 +40,13 @@ type job struct {
 	skip  bool
 }
 
-// batch is one reader→worker→writer unit of pipelined requests, in
-// request order. The ready channel (capacity 1, reused across the
-// batch's pooled lifetimes) carries the single completion token to the
-// connection writer once every armed completion has been retired.
+// batch is one reader→writer unit of pipelined requests, in request
+// order. The ready channel (capacity 1, reused across the batch's pooled
+// lifetimes) carries the single completion token to the connection
+// writer once every armed completion has been retired.
 type batch struct {
 	jobs    []job
-	nexec   int         // jobs the workers must execute (len(jobs) minus skips)
+	nexec   int         // jobs to execute (len(jobs) minus skips)
 	nexecSh []int32     // per-shard executable counts; len = server shard count
 	arenas  []pageArena // per-shard page memory; len = server shard count
 	legs    []leg       // per-shard commit-pipeline state; len = server shard count
@@ -61,7 +59,7 @@ type batch struct {
 // so the pickup stamp and the tally the release step reports cross the
 // hand-off on the batch itself. Like the jobs, a leg has one owner at a time —
 // worker, then committer, then ack stage — and each channel send publishes
-// it to the next. A mem shard releases inline and never writes its leg.
+// it to the next. A mem batch never writes its legs.
 type leg struct {
 	pickup  time.Time // the worker took the batch off the shard's queue
 	handoff time.Time // the worker put it on the commit queue
@@ -73,11 +71,11 @@ type leg struct {
 	seq    int64  // durable sequence to stamp acknowledged mutations with; 0 when not leading
 }
 
-// pageArena is the memory one shard's worker writes a batch's query
-// pages into: Response.Entries and Response.Token of the page-shaped
+// pageArena is the memory a batch's query pages on one shard are written
+// into: Response.Entries and Response.Token of the page-shaped
 // responses are sub-slices of it, capped at their own length so that no
 // later append can reach them. It lives and dies with the batch — emptied
-// by getBatch, filled by the one worker that executes the batch's jobs
+// by getBatch, filled by the one goroutine that executes the batch's jobs
 // for this shard, read by the connection writer once the completion
 // token (the edge that already publishes job.resp) has arrived — and
 // keeps the capacity it grew to across the batch's pooled lives. A page
@@ -125,7 +123,7 @@ func (b *batch) reset(nShards int) {
 }
 
 // putBatch recycles b. The caller must hold the completion token (have
-// returned from wait), so no worker can still touch the slab.
+// returned from wait), so nothing can still touch the slab.
 func putBatch(b *batch) { batchPool.Put(b) }
 
 // add appends one zeroed job slot and returns it for in-place decoding.

@@ -3,12 +3,9 @@ package server
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"fmt"
-	"net"
 	"reflect"
 	"sort"
-	"sync"
 	"testing"
 	"time"
 
@@ -77,29 +74,90 @@ func TestResponseOrderAcrossDepths(t *testing.T) {
 	}
 }
 
-// BenchmarkBatchDispatch measures the batch handoff alone — queue
-// admission, worker apply, completion signal — without the network or
-// codec, by feeding pooled batches of gets straight into the worker
-// queue. ns/op is per request; the spread across batch sizes is the
-// per-batch overhead being amortized.
+// TestPipelinedRequestsApplyInOrder checks the ordering contract of a mem
+// server (protocol.go): one connection's requests apply in request order,
+// so a read sees the put sent just before it although the two are in
+// flight together. MaxBatch 1 makes every request a batch of its own: the
+// case in which two batches of one connection could run on two workers
+// at once, were there a pool. The two-shard case reads with a scan, which
+// is dealt to a home shard that is not its key's every other time, in
+// batches of up to DefaultMaxBatch: request order holds across the shards
+// of one batch too.
+func TestPipelinedRequestsApplyInOrder(t *testing.T) {
+	get := func(k int64) Request { return Request{Op: OpGet, Key: k} }
+	scan := func(k int64) Request { return Request{Op: OpScan, Key: k, Hi: k + 1, Limit: 1} }
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		read func(key int64) Request
+	}{
+		{"link-type", Config{Algorithm: cbtree.LinkType, MaxBatch: 1}, get},
+		{"olc", Config{Algorithm: cbtree.OLC, MaxBatch: 1}, get},
+		{"link-type/shards=2/scan", Config{Algorithm: cbtree.LinkType, Shards: 2}, scan},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, addr, shutdown := startServer(t, tc.cfg)
+			defer shutdown()
+			c, err := Dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+
+			const rounds, pairs = 200, 64 // 128 requests: the default Depth
+			missed := 0
+			for r := 0; r < rounds; r++ {
+				for i := 0; i < pairs; i++ {
+					c.Send(Request{Op: OpPut, Key: int64(i), Val: uint64(r*pairs + i + 1)})
+					c.Send(tc.read(int64(i)))
+				}
+				if err := c.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < pairs; i++ {
+					put, err := c.Recv()
+					if err != nil || put.Status != StatusOK && put.Status != StatusMiss {
+						t.Fatalf("round %d put %d: %+v, %v", r, i, put, err)
+					}
+					want := uint64(r*pairs + i + 1)
+					if tc.cfg.Shards > 1 {
+						page, err := c.RecvPage()
+						if err != nil {
+							t.Fatalf("round %d scan %d: %v", r, i, err)
+						}
+						if len(page.Entries) != 1 || page.Entries[0].Val != want {
+							missed++
+						}
+						continue
+					}
+					get, err := c.Recv()
+					if err != nil {
+						t.Fatalf("round %d get %d: %v", r, i, err)
+					}
+					if !get.HasVal || get.Val != want {
+						missed++
+					}
+				}
+			}
+			if missed > 0 {
+				t.Errorf("%d of %d reads missed the put sent just before them", missed, rounds*pairs)
+			}
+		})
+	}
+}
+
+// BenchmarkBatchDispatch measures a batch's dispatch alone — on a mem
+// server: execute in place, tally, completion signal — without the
+// network or codec, by dispatching pooled batches of gets the way a
+// connection reader does. ns/op is per request; the spread across batch
+// sizes is the per-batch overhead being amortized.
 func BenchmarkBatchDispatch(b *testing.B) {
 	for _, size := range []int{1, 8, DefaultMaxBatch} {
 		b.Run(fmt.Sprintf("batch=%d", size), func(b *testing.B) {
 			s := New(Config{Algorithm: cbtree.LinkType, Prefill: benchPrefill})
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				b.Fatal(err)
-			}
-			ctx, cancel := context.WithCancel(context.Background())
-			done := make(chan error, 1)
-			go func() { done <- s.Serve(ctx, ln) }()
-			defer func() {
-				cancel()
-				if err := <-done; err != nil {
-					b.Errorf("Serve: %v", err)
-				}
-			}()
-
+			defer s.Close()
+			w := &worker{tallies: make([]opTally, 1)}
+			var admitTimer *time.Timer
 			rng := uint64(1)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -113,8 +171,7 @@ func BenchmarkBatchDispatch(b *testing.B) {
 					bt.nexecSh[0]++
 					n++
 				}
-				bt.arm(1)
-				s.shards[0].work <- bt
+				s.dispatch(bt, w, &admitTimer)
 				bt.wait()
 				putBatch(bt)
 			}
@@ -152,14 +209,7 @@ func TestPageArenaAliasing(t *testing.T) {
 		}
 		sort.Slice(oracle, func(i, j int) bool { return oracle[i].Key < oracle[j].Key })
 
-		var workers sync.WaitGroup
-		for _, sh := range s.shards {
-			workers.Add(1)
-			go func(sh *shard) {
-				defer workers.Done()
-				sh.run()
-			}(sh)
-		}
+		w := &worker{tallies: make([]opTally, nShards)}
 		var admitTimer *time.Timer
 		run := func(bt *batch, reqs []Request) {
 			for i, req := range reqs {
@@ -169,7 +219,7 @@ func TestPageArenaAliasing(t *testing.T) {
 				bt.nexec++
 				bt.nexecSh[j.shard]++
 			}
-			s.dispatch(bt, &admitTimer)
+			s.dispatch(bt, w, &admitTimer)
 			bt.wait()
 		}
 
@@ -235,10 +285,6 @@ func TestPageArenaAliasing(t *testing.T) {
 			}
 		}
 		putBatch(bt)
-		for _, sh := range s.shards {
-			close(sh.work)
-		}
-		workers.Wait()
 		s.Close()
 	}
 }

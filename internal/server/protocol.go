@@ -44,6 +44,13 @@
 // number of requests on one connection without tagging them; the client
 // knows which response shape to expect from the op it sent.
 //
+// On a mem server one connection's requests also apply in request order:
+// a request sees the effect of every earlier request of its connection,
+// answered or not (TestPipelinedRequestsApplyInOrder). On a durable server
+// each shard applies its requests of one batch in request order, but two
+// batches of one connection may apply at the same time, so a request is
+// ordered after an earlier one only once that one's response is read.
+//
 // # Status × op semantics
 //
 //	               get          put           del          ping  scan/seek/lookup
@@ -51,7 +58,8 @@
 //	Miss           absent key   replaced old  absent key   —     never: an empty page is OK
 //	BadRequest     unknown opcode on any op   —            —     malformed/mismatched token,
 //	                                                             or lookup without -index
-//	Busy           queue/conn capacity shed; retryable; applies to every op
+//	Busy           capacity shed, retryable, on every op: the connection cap
+//	               (all servers) or a full work queue (durable servers)
 //	Overload       governor shedding updates: put and del only — query ops are
 //	               read traffic and are never governor-shed
 //	Unavail        storage engine poisoned (failed fsync); applies to every
@@ -137,8 +145,8 @@ const (
 	// the secondary index.
 	StatusBadRequest byte = 2
 	// StatusBusy: the server refused the request for capacity reasons —
-	// the connection cap was hit (sent once, then the conn closes) or the
-	// worker queue stayed full past the admission timeout. Retryable.
+	// the connection cap was hit (sent once, then the conn closes) or a
+	// durable shard's work queue stayed full past AdmitTimeout. Retryable.
 	StatusBusy byte = 3
 	// StatusOverload: the overload governor is shedding update traffic
 	// because the measured root writer utilization ρ_w crossed the

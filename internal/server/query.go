@@ -95,8 +95,7 @@ func clampLimit(limit int) int {
 // entries per shard from that shard's cursor, merge the globally
 // smallest limit of them, and re-encode the advanced cursors as the next
 // token (empty when the range is exhausted).
-func (s *Server) execScan(req Request, w *worker) Response {
-	t := &w.tally
+func (s *Server) execScan(req Request, w *worker, t *opTally) Response {
 	lo, hi := req.Key, req.Hi
 	if hi <= lo {
 		t[cScans]++
@@ -131,8 +130,7 @@ func (s *Server) execScan(req Request, w *worker) Response {
 
 // execSeek answers the smallest stored key >= req.Key as a page of at
 // most one entry: the per-shard minimum of a limit-1 scan to +inf.
-func (s *Server) execSeek(req Request, w *worker) Response {
-	t := &w.tally
+func (s *Server) execSeek(req Request, w *worker, t *opTally) Response {
 	t[cSeeks]++
 	var best query.KV
 	found := false
@@ -165,8 +163,7 @@ func (s *Server) execSeek(req Request, w *worker) Response {
 // page) keeps "no index" distinguishable from "value not present"; a
 // poisoned engine on any shard answers StatusUnavail, like every other
 // op that would have read it.
-func (s *Server) execLookup(req Request, w *worker) Response {
-	t := &w.tally
+func (s *Server) execLookup(req Request, w *worker, t *opTally) Response {
 	if s.shards[0].idx == nil {
 		t[cBad]++
 		return badPage()

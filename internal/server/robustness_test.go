@@ -273,14 +273,15 @@ func TestStalledWriterReaped(t *testing.T) {
 	}
 }
 
-// TestQueueFullShedsBusyAndDrains is the regression for the worker-queue
+// TestQueueFullShedsBusyAndDrains is the regression for the work-queue
 // admission semantics: when the queue stays full past AdmitTimeout the
 // request is answered StatusBusy in order (never silently dropped), and
 // a drain that starts with the queue full completes without deadlock.
+// Only a durable server has the queue.
 func TestQueueFullShedsBusyAndDrains(t *testing.T) {
 	defer leakCheck(t)()
 	s := New(Config{
-		Algorithm:    cbtree.LinkType,
+		Engine:       newDiskEngine(t, DiskEngineConfig{}),
 		Workers:      1,
 		QueueDepth:   2,
 		AdmitTimeout: -1, // fail-fast admission
@@ -358,7 +359,10 @@ func TestQueueFullShedsBusyAndDrains(t *testing.T) {
 			t.Fatalf("Serve: %v", err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("drain deadlocked with a full worker queue")
+		t.Fatal("drain deadlocked with a full work queue")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

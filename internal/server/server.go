@@ -30,10 +30,9 @@ const (
 )
 
 // DefaultMaxBatch is the default cap on how many pipelined requests the
-// connection reader coalesces into one worker-pool dispatch. It trades
-// handoff amortization (bigger is cheaper per op) against intra-
-// connection parallelism (a deep pipeline split into several batches can
-// occupy several workers at once).
+// connection reader coalesces into one batch. It trades handoff
+// amortization (bigger is cheaper per op) against a durable server's
+// intra-connection parallelism (several batches on several workers).
 const DefaultMaxBatch = 32
 
 // Config parameterizes a Server.
@@ -41,18 +40,18 @@ type Config struct {
 	Algorithm cbtree.Algorithm
 	Capacity  int // node capacity; default 64
 	Shards    int // keyspace shards, each an independent engine; default 1
-	Workers   int // worker-pool size per shard; default ceil(GOMAXPROCS/Shards)
+	Workers   int // durable shards' pool size per shard (a mem server's parallelism is its connections); default ceil(GOMAXPROCS/Shards)
 	Depth     int // per-connection pipeline bound; default 128
 	Prefill   int // keys inserted before serving; default 0
-	MaxBatch  int // max requests per worker-pool dispatch; default DefaultMaxBatch
+	MaxBatch  int // max requests per batch; default DefaultMaxBatch
 
 	// Self-defense. Zero values resolve to the Default* constants;
 	// negative durations disable the guard.
 	MaxConns     int           // concurrent connection cap; 0 = unlimited
 	IdleTimeout  time.Duration // per-read deadline: a conn that sends no complete frame within it is closed
 	WriteTimeout time.Duration // per-write deadline: a peer that won't drain responses is closed
-	AdmitTimeout time.Duration // how long a batch may wait for a worker-queue slot before StatusBusy
-	QueueDepth   int           // worker queue bound per shard, in batches; default 4*Workers
+	AdmitTimeout time.Duration // how long a batch may wait for a durable shard's work-queue slot before StatusBusy
+	QueueDepth   int           // durable shards' work queue bound per shard, in batches; default 4*Workers
 
 	// Index enables the secondary index (value → primary keys, one per
 	// shard): Put/Del maintain it transactionally per key, OpLookup
@@ -134,11 +133,11 @@ func (c *Config) fill() {
 }
 
 // Server owns the shard set — each shard an independent engine with its
-// own telemetry probe, worker pool, and overload governor — plus the
-// connection layer that routes each request's key to its shard. Create
-// one with New, serve the binary protocol with Serve, and mount Handler
-// on an HTTP listener for /metrics and /debug/model. A single-shard
-// server behaves exactly like the pre-sharding one.
+// own telemetry probe and overload governor (a durable one also its worker
+// pool) — plus the connection layer that routes each request's key to its
+// shard. Create one with New, serve the binary protocol with Serve, and
+// mount Handler on an HTTP listener for /metrics and /debug/model. A
+// single-shard server behaves exactly like the pre-sharding one.
 type Server struct {
 	cfg    Config
 	shards []*shard
@@ -175,7 +174,8 @@ type Server struct {
 
 // New builds the shard set (prefilled if requested), instruments every
 // in-memory node lock with its shard's per-level telemetry probe, and
-// sizes the per-shard worker pools.
+// sizes the worker pools of the durable shards, the only ones that have a
+// pool: the engine decides, not a flag (see dispatch).
 func New(cfg Config) *Server {
 	cfg.fill()
 	s := &Server{
@@ -185,11 +185,7 @@ func New(cfg Config) *Server {
 	}
 	s.shards = make([]*shard, cfg.Shards)
 	for i := range s.shards {
-		sh := &shard{
-			id:   i,
-			srv:  s,
-			work: make(chan *batch, cfg.QueueDepth),
-		}
+		sh := &shard{id: i, srv: s}
 		switch {
 		case len(cfg.Engines) > 0:
 			sh.eng = cfg.Engines[i]
@@ -200,6 +196,7 @@ func New(cfg Config) *Server {
 			sh.eng = &memEngine{t: sh.tree}
 		}
 		if sh.eng.Durable() {
+			sh.work = make(chan *batch, cfg.QueueDepth)
 			// The commit queue is as deep as the work queue. Under a device
 			// slower than the tree the queue is where a group forms, so its
 			// depth is the largest group one fsync can cover beyond the
@@ -225,6 +222,9 @@ func New(cfg Config) *Server {
 			sh.idx = index.New()
 		}
 		s.shards[i] = sh
+	}
+	if s.shards[0].work == nil {
+		s.cfg.Workers = 0 // no pool: Serve starts none, and /metrics says so
 	}
 	for i := 0; i < cfg.Prefill; i++ {
 		// A simple odd multiplier scatters the prefill across the key
@@ -277,9 +277,9 @@ func (s *Server) Len() int {
 
 // Close ends the replication role (hub, listener and applier stop; a
 // follower's applied position is saved) and then releases every shard's
-// engine. It must be called only after Serve has returned (the worker
-// pools own the engines while serving); it then excludes the telemetry
-// handlers, so a scrape can never race a closing engine. Close is
+// engine. It must be called only after Serve has returned (connections and
+// worker pools own the engines while serving); it then excludes the
+// telemetry handlers, so a scrape can never race a closing engine. Close is
 // idempotent; later scrapes answer 503.
 func (s *Server) Close() error {
 	s.lifeMu.Lock()
@@ -312,19 +312,19 @@ func closeRead(c net.Conn) {
 // Serve accepts connections on ln until ctx is cancelled, then drains: it
 // stops accepting, lets every already-read request finish and its
 // response be written, and closes the connections. It returns nil on a
-// clean drain. Every shard's worker pool and, after it, its commit
+// clean drain. Every durable shard's worker pool and, after it, its commit
 // pipeline have exited — and therefore every acknowledged batch's group
 // commit has returned — before Serve returns, so Close after Serve can
 // never race a final fsync.
 //
 // Admission is bounded end to end: at most MaxConns connections (excess
 // conns get one StatusBusy frame and are closed), at most Depth requests
-// pipelined per connection, and at most QueueDepth batches queued per
-// shard — a batch that cannot get a queue slot within AdmitTimeout has
-// that shard's requests answered StatusBusy in order, so a full queue
-// sheds load instead of deadlocking or growing without bound. When a
-// shard's overload governor is shedding, puts and deletes routed to that
-// shard are answered StatusOverload without touching its tree.
+// pipelined per connection, and on a durable server at most QueueDepth
+// batches queued per shard — a batch that cannot get a slot within
+// AdmitTimeout has that shard's requests answered StatusBusy in order, so
+// a full queue sheds load instead of deadlocking or growing unbounded.
+// When a shard's overload governor is shedding, puts and deletes routed
+// to it are answered StatusOverload without touching its tree.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	var workerWG sync.WaitGroup
 	for _, sh := range s.shards {
@@ -449,7 +449,9 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 
 	connWG.Wait()
 	for _, sh := range s.shards {
-		close(sh.work)
+		if sh.work != nil {
+			close(sh.work)
+		}
 	}
 	workerWG.Wait()
 	for _, sh := range s.shards {
@@ -471,11 +473,11 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 }
 
 // handle runs one connection's batched fast path: this goroutine reads
-// frames and dispatches them in pooled batches, a second (connWriter)
-// writes responses in request order. The pending channel carries batch
-// ordering; the freed channel returns each written batch's job count to
-// the reader, bounding the pipeline at Depth requests in flight with one
-// channel op per batch instead of one per request.
+// frames into pooled batches and dispatches (on a mem server, runs) them,
+// a second (connWriter) writes responses in request order. The pending
+// channel carries batch ordering; the freed channel returns each written
+// batch's job count to the reader, bounding the pipeline at Depth requests
+// in flight with one channel op per batch instead of one per request.
 //
 // Batch accumulation never stalls the pipeline: after the (blocking,
 // idle-deadlined) read of a batch's first frame, only frames already
@@ -487,8 +489,8 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 // IdleTimeout deadline (reaping idle peers and slow-loris
 // byte-trickling alike), every response write carries a WriteTimeout
 // deadline (reaping peers that pipeline requests but never drain
-// responses), and batches that cannot be admitted to a shard's worker
-// queue within AdmitTimeout have that shard's requests answered
+// responses), and batches that cannot be admitted to a durable shard's
+// work queue within AdmitTimeout have that shard's requests answered
 // StatusBusy in request order.
 func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
@@ -515,13 +517,14 @@ func (s *Server) handle(conn net.Conn) {
 	buf := make([]byte, MaxPayload)
 	credits := s.cfg.Depth
 	nShards := len(s.shards)
-	queryRR := int32(0) // round-robin home shard for cross-shard query ops
-	var bt *batch       // accumulating batch; nil between batches
+	w := &worker{tallies: make([]opTally, nShards)} // runs a mem server's batches
+	queryRR := int32(0)                             // round-robin home shard for cross-shard query ops
+	var bt *batch                                   // accumulating batch; nil between batches
 	submit := func() {
 		if bt == nil {
 			return
 		}
-		s.dispatch(bt, &admitTimer)
+		s.dispatch(bt, w, &admitTimer)
 		pending <- bt
 		bt = nil
 	}
@@ -663,16 +666,17 @@ func (s *Server) connWriter(conn net.Conn, pending <-chan *batch, freed chan<- i
 	bw.Flush()
 }
 
-// dispatch hands a full batch to every involved shard's worker queue, or
-// answers jobs on the spot: a batch whose every job was already decided
-// (governor shedding) never crosses a queue, and a shard that cannot
-// admit the batch within AdmitTimeout has its jobs answered StatusBusy
-// in request order — other shards' jobs still execute. The batch is
-// armed with one completion per involved shard before the first
-// dispatch, so the writer's token can only fire after every shard (and
-// every admission-path shed) has retired its share. After dispatch the
-// batch belongs to the workers/writer; the caller must not touch it.
-func (s *Server) dispatch(bt *batch, admitTimer **time.Timer) {
+// dispatch runs a full batch on a mem server — the calling connection
+// goroutine executes it, so a connection's batches apply one at a time —
+// and on a durable server hands it to every involved shard's work queue.
+// A batch whose every job was already decided (governor shedding) is done
+// at once, and a shard that cannot admit it within AdmitTimeout has its
+// jobs answered StatusBusy in request order — other shards' jobs still
+// execute. The batch is armed with one completion per involved shard
+// first, so the writer's token can only fire after every shard (and every
+// admission-path shed) has retired its share. After dispatch the batch
+// belongs to the workers/writer; the caller must not touch it.
+func (s *Server) dispatch(bt *batch, w *worker, admitTimer **time.Timer) {
 	if bt.nexec == 0 {
 		bt.arm(1)
 		bt.completeOne()
@@ -685,6 +689,19 @@ func (s *Server) dispatch(bt *batch, admitTimer **time.Timer) {
 		}
 	}
 	bt.arm(involved)
+	if s.shards[0].work == nil {
+		// No device to wait for, so no queue. The batch's time is shared
+		// among its shards by op count, as a shard's among its ops.
+		t0 := time.Now()
+		s.exec(bt, w, -1)
+		ns := time.Since(t0).Nanoseconds()
+		for si, n := range bt.nexecSh {
+			if n > 0 {
+				s.shards[si].release(bt, &w.tallies[si], ns*int64(n)/int64(bt.nexec))
+			}
+		}
+		return
+	}
 	for si, n := range bt.nexecSh {
 		if n == 0 {
 			continue
@@ -743,14 +760,15 @@ func (s *Server) admit(sh *shard, bt *batch, admitTimer **time.Timer) bool {
 	}
 }
 
-// worker is the private state of one shard-pool goroutine: the tally of
-// the batch it is executing, that batch's page arena for its shard, and
+// worker is the private state of a goroutine that executes batches (a
+// durable shard's pool worker, a mem server's connection reader): the
+// batch's tallies, one per shard, the page arena of the job at hand, and
 // the working memory of the query ops (per-shard cursors and fetches),
 // which keeps the capacity it grew to, so a query page allocates nothing
 // once warm.
 type worker struct {
-	tally opTally
-	arena *pageArena
+	tallies []opTally
+	arena   *pageArena
 
 	cursors []int64
 	fetches []query.ShardFetch
@@ -758,12 +776,28 @@ type worker struct {
 	keys    []int64    // one shard's index postings (lookups)
 }
 
+// exec applies the batch's jobs in request order — every shard's, or with
+// only >= 0 that shard's alone — tallying each from zero in its shard's
+// slot and cutting its pages from its shard's arena. Slab entries are
+// disjoint across shards, so workers of two shards never share a job.
+func (s *Server) exec(bt *batch, w *worker, only int) {
+	clear(w.tallies)
+	for i := range bt.jobs {
+		j := &bt.jobs[i]
+		if j.skip || only >= 0 && int(j.shard) != only {
+			continue
+		}
+		w.arena = &bt.arenas[j.shard]
+		j.resp = s.apply(s.shards[j.shard], j.req, w)
+	}
+}
+
 // apply executes one request against the shard's engine, recording it in
-// the worker's batch tally. Engine errors (a poisoned disk engine)
+// the worker's tally for the shard. Engine errors (a poisoned disk engine)
 // answer StatusUnavail: the server keeps the wire protocol up but
 // acknowledges nothing it cannot guarantee.
 func (s *Server) apply(sh *shard, req Request, w *worker) Response {
-	t := &w.tally
+	t := &w.tallies[sh.id]
 	if s.testApplyDelay > 0 {
 		time.Sleep(s.testApplyDelay)
 	}
@@ -821,11 +855,11 @@ func (s *Server) apply(sh *shard, req Request, w *worker) Response {
 	// a bad request, not as a scan, so each request lands in exactly one
 	// op-kind bucket.
 	case OpScan:
-		return s.execScan(req, w)
+		return s.execScan(req, w, t)
 	case OpSeek:
-		return s.execSeek(req, w)
+		return s.execSeek(req, w, t)
 	case OpLookup:
-		return s.execLookup(req, w)
+		return s.execLookup(req, w, t)
 	case OpSeqs:
 		return s.execSeqs(t)
 	default:

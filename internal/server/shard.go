@@ -12,24 +12,25 @@ import (
 )
 
 // shard is one independent serving partition: its own storage engine,
-// tree telemetry probe, worker queue, overload governor, operation
-// counters, and scrape windows. The paper's queueing model caps a single
-// tree's throughput at root ρ_w = .5; partitioning the keyspace across N
-// shards gives N independent root locks, so the model's per-tree
-// saturation analysis applies shard by shard and aggregate throughput
-// scales with the shard count until the hardware runs out.
+// tree telemetry probe, overload governor, operation counters, scrape
+// windows, and if durable its work queue and commit pipeline. The paper's
+// queueing model caps a single tree's throughput at root ρ_w = .5;
+// partitioning the keyspace across N shards gives N independent root
+// locks, so the model's per-tree saturation analysis applies shard by
+// shard and aggregate throughput scales with the shard count until the
+// hardware runs out.
 type shard struct {
 	id    int
 	srv   *Server
 	eng   Engine
 	tree  *cbtree.Tree       // nil unless the shard's engine is the in-memory one
 	probe *metrics.TreeProbe // nil unless tree is set: only its locks report
-	work  chan *batch
 	gov   *governor
 
-	// The commit pipeline of a shard whose engine has a durability point
-	// (see commitLoop); all nil or unused on a mem shard, whose workers
-	// release their batches themselves.
+	// The worker queue and commit pipeline of a shard whose engine has a
+	// durability point (see commitLoop); all nil or unused on a mem shard,
+	// whose batches run on the connection that read them (see dispatch).
+	work     chan *batch  // reader → worker
 	commitq  chan *batch  // worker → committer, in hand-off order
 	ackq     chan *batch  // committer → ack stage; nil unless Config.ReplAcks > 0
 	applying atomic.Int32 // workers between pickup and hand-off
@@ -212,38 +213,18 @@ func (sh *shard) scanAll(fn func([]query.KV) error) error {
 	}
 }
 
-// run is one worker of this shard's pool: it executes the shard's slice
-// of each batch and then either retires the shard's completion itself (a
-// mem shard: nothing to make durable) or hands the batch to the shard's
-// committer and takes the next one at once (a durable shard: the fsync
-// that covers the batch is the committer's wait, not this worker's). Jobs
-// of other shards in the same batch are skipped — slab entries are
-// disjoint across shards, so concurrent shard workers never touch the
-// same job.
+// run is one worker of a durable shard's pool: it executes the shard's
+// slice of each batch and hands the batch to the shard's committer, then
+// takes the next one at once — the fsync that covers the batch is the
+// committer's wait, not this worker's.
 func (sh *shard) run() {
-	s := sh.srv
-	var w worker
-	tally := &w.tally
+	w := &worker{tallies: make([]opTally, len(sh.srv.shards))}
 	for bt := range sh.work {
-		if sh.commitq != nil {
-			sh.applying.Add(1)
-		}
-		*tally = opTally{}
-		w.arena = &bt.arenas[sh.id]
+		sh.applying.Add(1)
 		t0 := time.Now()
-		for i := range bt.jobs {
-			j := &bt.jobs[i]
-			if j.skip || int(j.shard) != sh.id {
-				continue
-			}
-			j.resp = s.apply(sh, j.req, &w)
-		}
-		if sh.commitq == nil {
-			sh.release(bt, tally, time.Since(t0).Nanoseconds())
-			continue
-		}
+		sh.srv.exec(bt, w, sh.id)
 		l := &bt.legs[sh.id]
-		l.pickup, l.tally, l.handoff = t0, *tally, time.Now()
+		l.pickup, l.tally, l.handoff = t0, w.tallies[sh.id], time.Now()
 		// Down before the send, never after: the committer blocks for a
 		// sibling only while applying > 0, and that is sound only if every
 		// worker it counts still has its send ahead of it. A full queue

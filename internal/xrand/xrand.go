@@ -1,5 +1,5 @@
 // Package xrand provides the random variates used throughout btreeperf:
-// exponential and hyperexponential service times, Poisson arrival gaps,
+// exponential service times, Poisson arrival gaps, skewed key indices,
 // and reproducible, splittable random sources.
 //
 // Every stochastic component in the repository draws from an xrand.Source
@@ -77,34 +77,6 @@ func (s *Source) ExpRate(rate float64) float64 {
 	return s.Exp(1 / rate)
 }
 
-// HyperExp returns a variate from a hyperexponential distribution: with
-// probability p[i] the sample is exponential with mean means[i].
-// The probabilities must sum to 1 (within 1e-9).
-func (s *Source) HyperExp(p, means []float64) float64 {
-	if len(p) != len(means) || len(p) == 0 {
-		panic("xrand: HyperExp needs matching non-empty probability and mean slices")
-	}
-	sum := 0.0
-	for _, pi := range p {
-		if pi < 0 {
-			panic("xrand: HyperExp negative probability")
-		}
-		sum += pi
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		panic(fmt.Sprintf("xrand: HyperExp probabilities sum to %v, want 1", sum))
-	}
-	u := s.rng.Float64()
-	acc := 0.0
-	for i, pi := range p {
-		acc += pi
-		if u < acc {
-			return s.Exp(means[i])
-		}
-	}
-	return s.Exp(means[len(means)-1])
-}
-
 // Bernoulli returns true with probability p.
 func (s *Source) Bernoulli(p float64) bool {
 	if p <= 0 {
@@ -114,30 +86,6 @@ func (s *Source) Bernoulli(p float64) bool {
 		return true
 	}
 	return s.rng.Float64() < p
-}
-
-// Choose returns an index in [0, len(weights)) drawn with probability
-// proportional to weights[i]. It panics on an empty or all-zero slice.
-func (s *Source) Choose(weights []float64) int {
-	total := 0.0
-	for _, w := range weights {
-		if w < 0 {
-			panic("xrand: Choose negative weight")
-		}
-		total += w
-	}
-	if total <= 0 {
-		panic("xrand: Choose needs a positive total weight")
-	}
-	u := s.rng.Float64() * total
-	acc := 0.0
-	for i, w := range weights {
-		acc += w
-		if u < acc {
-			return i
-		}
-	}
-	return len(weights) - 1
 }
 
 // Zipf returns an index in [0, n) drawn with probability approximately

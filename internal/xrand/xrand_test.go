@@ -101,63 +101,6 @@ func TestExpNegativeMeanPanics(t *testing.T) {
 	New(1).Exp(-1)
 }
 
-func TestHyperExpMean(t *testing.T) {
-	src := New(17)
-	p := []float64{0.3, 0.7}
-	means := []float64{10, 1}
-	want := 0.3*10 + 0.7*1
-	const n = 200000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += src.HyperExp(p, means)
-	}
-	m := sum / n
-	if math.Abs(m-want) > 0.05*want {
-		t.Errorf("HyperExp mean %v, want ~%v", m, want)
-	}
-}
-
-func TestHyperExpSecondMoment(t *testing.T) {
-	// For a hyperexponential, E[X^2] = sum p_i * 2*mean_i^2; its
-	// coefficient of variation exceeds 1, unlike a plain exponential.
-	src := New(19)
-	p := []float64{0.5, 0.5}
-	means := []float64{9, 1}
-	wantM2 := 0.5*2*81 + 0.5*2*1
-	const n = 400000
-	sumSq := 0.0
-	for i := 0; i < n; i++ {
-		x := src.HyperExp(p, means)
-		sumSq += x * x
-	}
-	m2 := sumSq / n
-	if math.Abs(m2-wantM2) > 0.1*wantM2 {
-		t.Errorf("HyperExp second moment %v, want ~%v", m2, wantM2)
-	}
-}
-
-func TestHyperExpValidation(t *testing.T) {
-	src := New(1)
-	cases := []struct {
-		p, m []float64
-	}{
-		{nil, nil},
-		{[]float64{0.5}, []float64{1, 2}},
-		{[]float64{0.5, 0.4}, []float64{1, 2}}, // sums to 0.9
-		{[]float64{-0.5, 1.5}, []float64{1, 2}},
-	}
-	for i, c := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d: HyperExp(%v,%v) did not panic", i, c.p, c.m)
-				}
-			}()
-			src.HyperExp(c.p, c.m)
-		}()
-	}
-}
-
 func TestBernoulli(t *testing.T) {
 	src := New(23)
 	if src.Bernoulli(0) {
@@ -176,45 +119,6 @@ func TestBernoulli(t *testing.T) {
 	frac := float64(hits) / n
 	if math.Abs(frac-0.25) > 0.01 {
 		t.Errorf("Bernoulli(0.25) hit rate %v", frac)
-	}
-}
-
-func TestChooseProportions(t *testing.T) {
-	src := New(29)
-	w := []float64{1, 3, 6}
-	counts := make([]int, 3)
-	const n = 100000
-	for i := 0; i < n; i++ {
-		counts[src.Choose(w)]++
-	}
-	for i, want := range []float64{0.1, 0.3, 0.6} {
-		got := float64(counts[i]) / n
-		if math.Abs(got-want) > 0.02 {
-			t.Errorf("Choose index %d frequency %v, want ~%v", i, got, want)
-		}
-	}
-}
-
-func TestChooseZeroWeightNeverPicked(t *testing.T) {
-	src := New(31)
-	w := []float64{0, 1, 0}
-	for i := 0; i < 1000; i++ {
-		if idx := src.Choose(w); idx != 1 {
-			t.Fatalf("Choose picked zero-weight index %d", idx)
-		}
-	}
-}
-
-func TestChoosePanics(t *testing.T) {
-	for _, w := range [][]float64{{}, {0, 0}, {-1, 2}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Choose(%v) did not panic", w)
-				}
-			}()
-			New(1).Choose(w)
-		}()
 	}
 }
 

@@ -10,8 +10,8 @@ package main
 //
 // Keys are disjoint across connections (key = keystart + seq*conns +
 // connID) and across kill cycles (each cycle passes a fresh -keystart),
-// so verification is exact: no same-key reordering across the server's
-// worker pool can change the final value. Values are derived from the
+// so verification is exact: no same-key reordering across connections
+// can change the final value. Values are derived from the
 // key (val = key * auditValMul), so the file itself carries enough to
 // verify without trusting btload's memory.
 //

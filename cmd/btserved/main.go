@@ -1,7 +1,7 @@
 // Command btserved serves the concurrent B-tree as a network key-value
 // store, with the paper's lock-queue telemetry measured live.
 //
-//	btserved -alg link-type -cap 64 -listen :9400 -http :9401 -workers 8
+//	btserved -alg link-type -cap 64 -listen :9400 -http :9401 -shards 2
 //
 // The binary protocol (see internal/server) listens on -listen; the
 // telemetry endpoints /metrics, /debug/model, and /healthz listen on
@@ -14,10 +14,12 @@
 // The serving layer defends itself: connections past -max-conns are
 // refused with a Busy frame, idle or byte-trickling connections are
 // reaped after -idle-timeout, peers that stop draining responses are
-// cut after -write-timeout, a durable shard's full work queue sheds with
-// Busy after -admit-timeout, and the overload governor sheds update traffic with
-// Overload frames while measured root ρ_w stays above -governor-rho
-// (the paper's §6 saturation threshold), recovering hysteretically.
+// cut after -write-timeout, a full pipeline (-depth requests per
+// connection; with -engine disk, a shard's full commit queue) stops reading
+// from the connection until it drains, and on a mem server the overload
+// governor sheds update traffic with Overload frames while measured root
+// ρ_w stays above -governor-rho (the paper's §6 saturation threshold),
+// recovering hysteretically.
 //
 // -pprof mounts net/http/pprof on the telemetry server (/debug/pprof/),
 // exposing CPU, heap, goroutine, mutex, and block profiles of the live
@@ -57,8 +59,7 @@ func main() {
 		capacity = flag.Int("cap", 64, "node capacity (items per node)")
 		listen   = flag.String("listen", ":9400", "binary protocol listen address")
 		httpAddr = flag.String("http", ":9401", "telemetry listen address (/metrics, /debug/model, /healthz); empty disables")
-		shards   = flag.Int("shards", 1, "keyspace shards, each an independent engine with its own governor (and with -engine disk, worker pool)")
-		workers  = flag.Int("workers", 0, "-engine disk: worker pool size per shard (0 = GOMAXPROCS/shards); a mem server's parallelism is its connections")
+		shards   = flag.Int("shards", 1, "keyspace shards, each an independent engine with its own governor (with -engine disk, its own commit pipeline instead)")
 		depth    = flag.Int("depth", 128, "per-connection pipeline bound")
 		prefill  = flag.Int("prefill", 0, "keys inserted before serving")
 		maxBatch = flag.Int("max-batch", 0, "max requests executed as one batch (0 = default)")
@@ -70,7 +71,6 @@ func main() {
 		maxConns     = flag.Int("max-conns", 0, "connection cap, refused with Busy past it (0 = unlimited)")
 		idleTimeout  = flag.Duration("idle-timeout", server.DefaultIdleTimeout, "reap connections idle this long (0 disables)")
 		writeTimeout = flag.Duration("write-timeout", server.DefaultWriteTimeout, "cut peers that stall response writes this long (0 disables)")
-		admitTimeout = flag.Duration("admit-timeout", server.DefaultAdmitTimeout, "-engine disk: shed Busy after waiting this long for a work-queue slot (0 = fail-fast)")
 
 		govOff = flag.Bool("governor-off", false, "disable the overload governor")
 		govRho = flag.Float64("governor-rho", server.SaturationRho, "root rho_w above which update traffic is shed (shedding stops after 4 samples, 250ms apart, below 0.8x this)")
@@ -183,7 +183,6 @@ func main() {
 		Algorithm:    alg,
 		Shards:       *shards,
 		Capacity:     *capacity,
-		Workers:      *workers,
 		Depth:        *depth,
 		Prefill:      *prefill,
 		MaxBatch:     *maxBatch,
@@ -191,7 +190,6 @@ func main() {
 		MaxConns:     *maxConns,
 		IdleTimeout:  cliTimeout(*idleTimeout),
 		WriteTimeout: cliTimeout(*writeTimeout),
-		AdmitTimeout: cliTimeout(*admitTimeout), // CLI 0 = fail-fast = Config negative
 		Governor: server.GovernorConfig{
 			Disabled: *govOff,
 			Rho:      *govRho,

@@ -23,16 +23,14 @@ import (
 // batches, their job slabs and the memory their scan pages live in are
 // recycled through a sync.Pool.
 //
-// Who executes the batch is the engine's choice. On a mem server the
-// reader runs it, every shard's jobs in one pass, so a connection's
-// batches apply one at a time. On a durable server each involved shard's
-// worker runs its own jobs (disjoint slab entries, no coordination), its
-// commit pipeline retires one completion, and the writer's token fires
-// when the last shard's has.
+// The reader runs the batch, every shard's jobs in one pass, so a
+// connection's batches apply one at a time. Each involved shard retires
+// one completion — a mem shard at once, a durable one from its commit
+// pipeline — and the writer's token fires when the last shard's has.
 
 // job is one request in flight inside a batch. Requests whose response
-// was decided at admission time (governor or queue shedding) carry
-// skip=true and are not executed.
+// was decided at admission time (governor shedding) carry skip=true and
+// are not executed.
 type job struct {
 	req   Request
 	resp  Response
@@ -54,15 +52,15 @@ type batch struct {
 	ready   chan struct{}
 }
 
-// leg is what a durable shard's worker leaves on a batch for the stages
-// after it (see shard.commitLoop): the batch outlives the worker's visit,
-// so the pickup stamp and the tally the release step reports cross the
-// hand-off on the batch itself. Like the jobs, a leg has one owner at a time —
-// worker, then committer, then ack stage — and each channel send publishes
-// it to the next. A mem batch never writes its legs.
+// leg is what the connection leaves on a batch for a durable shard's
+// stages after it (see shard.commitLoop): the batch outlives the apply, so
+// the pickup stamp and the tally the release step reports cross the
+// hand-off on the batch itself. Like the jobs, a leg has one owner at a
+// time — connection, then committer, then ack stage — and each channel
+// send publishes it to the next. A mem batch never writes its legs.
 type leg struct {
-	pickup  time.Time // the worker took the batch off the shard's queue
-	handoff time.Time // the worker put it on the commit queue
+	pickup  time.Time // the start of the shard's share of the apply
+	handoff time.Time // the connection put the batch on the commit queue
 	tally   opTally
 
 	// The committer's verdict on the batch's group.
@@ -75,10 +73,10 @@ type leg struct {
 // into: Response.Entries and Response.Token of the page-shaped
 // responses are sub-slices of it, capped at their own length so that no
 // later append can reach them. It lives and dies with the batch — emptied
-// by getBatch, filled by the one goroutine that executes the batch's jobs
-// for this shard, read by the connection writer once the completion
-// token (the edge that already publishes job.resp) has arrived — and
-// keeps the capacity it grew to across the batch's pooled lives. A page
+// by getBatch, filled by the connection that executes the batch, read by
+// the connection writer once the completion token (the edge that already
+// publishes job.resp) has arrived — and keeps the capacity it grew to
+// across the batch's pooled lives. A page
 // that outgrows the arena moves it to a larger array; the pages already
 // cut keep the old one, which nothing writes again.
 type pageArena struct {

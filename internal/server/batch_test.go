@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"sort"
 	"testing"
-	"time"
 
 	"btreeperf/internal/cbtree"
 	"btreeperf/internal/query"
@@ -74,29 +73,34 @@ func TestResponseOrderAcrossDepths(t *testing.T) {
 	}
 }
 
-// TestPipelinedRequestsApplyInOrder checks the ordering contract of a mem
+// TestPipelinedRequestsApplyInOrder checks the ordering contract of every
 // server (protocol.go): one connection's requests apply in request order,
 // so a read sees the put sent just before it although the two are in
 // flight together. MaxBatch 1 makes every request a batch of its own: the
-// case in which two batches of one connection could run on two workers
-// at once, were there a pool. The two-shard case reads with a scan, which
-// is dealt to a home shard that is not its key's every other time, in
-// batches of up to DefaultMaxBatch: request order holds across the shards
-// of one batch too.
+// case in which two batches of one connection could run on two goroutines
+// at once, were there a pool — on a durable server too, where a put's
+// batch is still waiting for its fsync when the read's batch applies. The
+// two-shard case reads with a scan, which is dealt to a home shard that is
+// not its key's every other time, in batches of up to DefaultMaxBatch:
+// request order holds across the shards of one batch too.
 func TestPipelinedRequestsApplyInOrder(t *testing.T) {
 	get := func(k int64) Request { return Request{Op: OpGet, Key: k} }
 	scan := func(k int64) Request { return Request{Op: OpScan, Key: k, Hi: k + 1, Limit: 1} }
 	for _, tc := range []struct {
 		name string
-		cfg  Config
+		cfg  func(t *testing.T) Config
 		read func(key int64) Request
 	}{
-		{"link-type", Config{Algorithm: cbtree.LinkType, MaxBatch: 1}, get},
-		{"olc", Config{Algorithm: cbtree.OLC, MaxBatch: 1}, get},
-		{"link-type/shards=2/scan", Config{Algorithm: cbtree.LinkType, Shards: 2}, scan},
+		{"link-type", func(*testing.T) Config { return Config{Algorithm: cbtree.LinkType, MaxBatch: 1} }, get},
+		{"olc", func(*testing.T) Config { return Config{Algorithm: cbtree.OLC, MaxBatch: 1} }, get},
+		{"link-type/shards=2/scan", func(*testing.T) Config { return Config{Algorithm: cbtree.LinkType, Shards: 2} }, scan},
+		{"disk", func(t *testing.T) Config {
+			return Config{Engine: newDiskEngine(t, DiskEngineConfig{}), MaxBatch: 1}
+		}, get},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, addr, shutdown := startServer(t, tc.cfg)
+			s, addr, shutdown := startServer(t, tc.cfg(t))
+			defer s.Close()
 			defer shutdown()
 			c, err := Dial(addr)
 			if err != nil {
@@ -120,7 +124,7 @@ func TestPipelinedRequestsApplyInOrder(t *testing.T) {
 						t.Fatalf("round %d put %d: %+v, %v", r, i, put, err)
 					}
 					want := uint64(r*pairs + i + 1)
-					if tc.cfg.Shards > 1 {
+					if s.NumShards() > 1 {
 						page, err := c.RecvPage()
 						if err != nil {
 							t.Fatalf("round %d scan %d: %v", r, i, err)
@@ -157,7 +161,6 @@ func BenchmarkBatchDispatch(b *testing.B) {
 			s := New(Config{Algorithm: cbtree.LinkType, Prefill: benchPrefill})
 			defer s.Close()
 			w := &worker{tallies: make([]opTally, 1)}
-			var admitTimer *time.Timer
 			rng := uint64(1)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -171,7 +174,7 @@ func BenchmarkBatchDispatch(b *testing.B) {
 					bt.nexecSh[0]++
 					n++
 				}
-				s.dispatch(bt, w, &admitTimer)
+				s.dispatch(bt, w)
 				bt.wait()
 				putBatch(bt)
 			}
@@ -210,7 +213,6 @@ func TestPageArenaAliasing(t *testing.T) {
 		sort.Slice(oracle, func(i, j int) bool { return oracle[i].Key < oracle[j].Key })
 
 		w := &worker{tallies: make([]opTally, nShards)}
-		var admitTimer *time.Timer
 		run := func(bt *batch, reqs []Request) {
 			for i, req := range reqs {
 				j := bt.add()
@@ -219,7 +221,7 @@ func TestPageArenaAliasing(t *testing.T) {
 				bt.nexec++
 				bt.nexecSh[j.shard]++
 			}
-			s.dispatch(bt, w, &admitTimer)
+			s.dispatch(bt, w)
 			bt.wait()
 		}
 

@@ -86,7 +86,6 @@ type GovStatus struct {
 	ExitRho      float64
 	Transitions  int64 // state changes since start (merged view: summed)
 	ShedOverload int64 // updates shed with StatusOverload (merged view: summed)
-	ShedBusy     int64 // requests shed with StatusBusy (merged view: summed)
 	ConnRejects  int64 // connections refused at the MaxConns cap (server-wide)
 	Disabled     bool
 }
@@ -125,7 +124,6 @@ func (g *governor) Status() GovStatus {
 		ExitRho:      g.cfg.ExitRho,
 		Transitions:  g.trans.Load(),
 		ShedOverload: g.sh.ctr[cShedOverload].Load(),
-		ShedBusy:     g.sh.ctr[cShedBusy].Load(),
 		ConnRejects:  g.sh.srv.connRejects.Load(),
 		Disabled:     g.cfg.Disabled,
 	}
@@ -238,5 +236,4 @@ func (st *GovStatus) merge(o GovStatus) {
 	st.RootRhoW = max(st.RootRhoW, o.RootRhoW)
 	st.Transitions += o.Transitions
 	st.ShedOverload += o.ShedOverload
-	st.ShedBusy += o.ShedBusy
 }

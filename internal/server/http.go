@@ -93,8 +93,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusServiceUnavailable)
 	}
 	fmt.Fprintln(w, g.State)
-	fmt.Fprintf(w, "root_rho_w=%.4f threshold=%.2f exit=%.2f shed_overload=%d shed_busy=%d conn_rejects=%d\n",
-		g.RootRhoW, g.Rho, g.ExitRho, g.ShedOverload, g.ShedBusy, g.ConnRejects)
+	fmt.Fprintf(w, "governor=%s root_rho_w=%.4f threshold=%.2f exit=%.2f shed_overload=%d conn_rejects=%d\n",
+		govName(g), g.RootRhoW, g.Rho, g.ExitRho, g.ShedOverload, g.ConnRejects)
 	if rs := s.replicationStats(); rs != nil {
 		fmt.Fprintf(w, "replication role=%s seqs=%v lag_seqs=%d\n", rs.Role, seqs, rs.LagSeqs)
 	} else if se, ok := s.shards[0].eng.(seqEngine); ok && se.Journal() != nil {
@@ -105,8 +105,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if len(s.shards) > 1 {
 		for i, sh := range s.shards {
 			gs := sh.gov.Status()
-			fmt.Fprintf(w, "shard=%d state=%s rho_w=%.4f shed_overload=%d shed_busy=%d\n",
-				i, gs.State, gs.RootRhoW, gs.ShedOverload, gs.ShedBusy)
+			fmt.Fprintf(w, "shard=%d state=%s rho_w=%.4f shed_overload=%d\n",
+				i, govName(gs), gs.RootRhoW, gs.ShedOverload)
 		}
 	}
 }

@@ -44,12 +44,9 @@
 // number of requests on one connection without tagging them; the client
 // knows which response shape to expect from the op it sent.
 //
-// On a mem server one connection's requests also apply in request order:
-// a request sees the effect of every earlier request of its connection,
-// answered or not (TestPipelinedRequestsApplyInOrder). On a durable server
-// each shard applies its requests of one batch in request order, but two
-// batches of one connection may apply at the same time, so a request is
-// ordered after an earlier one only once that one's response is read.
+// On every server one connection's requests apply in request order: a
+// request sees the effect of every earlier request of its connection,
+// answered or not (TestPipelinedRequestsApplyInOrder).
 //
 // # Status × op semantics
 //
@@ -58,8 +55,8 @@
 //	Miss           absent key   replaced old  absent key   —     never: an empty page is OK
 //	BadRequest     unknown opcode on any op   —            —     malformed/mismatched token,
 //	                                                             or lookup without -index
-//	Busy           capacity shed, retryable, on every op: the connection cap
-//	               (all servers) or a full work queue (durable servers)
+//	Busy           retryable: the connection cap was hit (any op), or a put/del's
+//	               semi-sync follower acks missed ReplAckTimeout on a leader
 //	Overload       governor shedding updates: put and del only — query ops are
 //	               read traffic and are never governor-shed
 //	Unavail        storage engine poisoned (failed fsync); applies to every
@@ -144,9 +141,9 @@ const (
 	// server's shard count, or a lookup against a server running without
 	// the secondary index.
 	StatusBadRequest byte = 2
-	// StatusBusy: the server refused the request for capacity reasons —
-	// the connection cap was hit (sent once, then the conn closes) or a
-	// durable shard's work queue stayed full past AdmitTimeout. Retryable.
+	// StatusBusy: the connection cap was hit (sent once, then the conn
+	// closes), or on a semi-sync leader a mutation's follower acks missed
+	// ReplAckTimeout (durable here, possibly applied). Retryable.
 	StatusBusy byte = 3
 	// StatusOverload: the overload governor is shedding update traffic
 	// because the measured root writer utilization ρ_w crossed the

@@ -370,17 +370,17 @@ func TestSemiSyncAckBarrier(t *testing.T) {
 
 // TestSemiSyncWaitOverlapsNextFsync pins where the follower-ack barrier
 // stands in the commit pipeline: behind the committer, not inside it. A
-// leader with one worker has a single follower that is held before its
-// first apply; while the first put waits for that follower's ack, a second
-// put from another connection must still reach its own fsync. With the
-// wait inside the fsync loop (or, before the pipeline, inside the only
-// worker) the second group could not become durable until the first one's
-// wait was over.
+// leader has a single follower that is held before its first apply; while
+// the first put waits for that follower's ack, a second put pipelined on
+// the same connection must still reach its own fsync. With the wait inside
+// the fsync loop (or inside the connection that applied the first put) the
+// second group could not become durable until the first one's wait was
+// over.
 func TestSemiSyncWaitOverlapsNextFsync(t *testing.T) {
 	if testing.Short() {
 		t.Skip("needs a live follower stream")
 	}
-	ld := startLeader(t, 1, Config{Workers: 1, ReplAcks: 1, ReplAckTimeout: 20 * time.Second})
+	ld := startLeader(t, 1, Config{ReplAcks: 1, ReplAckTimeout: 20 * time.Second})
 	defer ld.shutdown()
 
 	gate := make(chan struct{})
@@ -398,36 +398,39 @@ func TestSemiSyncWaitOverlapsNextFsync(t *testing.T) {
 
 	eng := ld.s.shards[0].eng.(*DiskEngine)
 	base := eng.DurableSeq()
-	put := func(key int64) <-chan Response {
-		out := make(chan Response, 1)
-		c, err := Dial(ld.addr)
-		if err != nil {
+	c := dialT(t, ld.addr)
+	put := func(key int64) {
+		if err := c.Send(Request{Op: OpPut, Key: key, Val: uint64(key)}); err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { c.Close() })
-		go func() {
-			resp, err := c.Do(Request{Op: OpPut, Key: key, Val: uint64(key)})
-			if err != nil {
-				t.Errorf("put %d: %v", key, err)
-			}
-			out <- resp
-		}()
-		return out
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	first := put(1)
+	resps := make(chan Response, 2)
+	go func() {
+		for i := 0; i < 2; i++ {
+			resp, err := c.Recv()
+			if err != nil {
+				t.Errorf("put %d: %v", i+1, err)
+			}
+			resps <- resp
+		}
+	}()
+	put(1)
 	waitFor(t, "the first put's fsync", func() bool { return eng.DurableSeq() == base+1 })
-	second := put(2)
+	put(2)
 	waitFor(t, "the second put's fsync while the first still waits for its follower", func() bool {
 		return eng.DurableSeq() == base+2
 	})
 	select {
-	case resp := <-first:
+	case resp := <-resps:
 		t.Fatalf("first put answered %+v before any follower had acked it", resp)
 	default:
 	}
 	open.Do(func() { close(gate) })
-	for i, ch := range []<-chan Response{first, second} {
-		resp := <-ch
+	for i := 0; i < 2; i++ {
+		resp := <-resps
 		if resp.Status != StatusOK || !resp.HasVal || int64(resp.Val) < base+int64(i)+1 {
 			t.Fatalf("put %d after the follower caught up: %+v, want OK stamped at or past sequence %d", i+1, resp, base+int64(i)+1)
 		}

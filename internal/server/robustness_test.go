@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,6 +17,7 @@ import (
 
 	"btreeperf/internal/cbtree"
 	"btreeperf/internal/faults"
+	"btreeperf/internal/pagestore"
 )
 
 // leakCheck snapshots the goroutine count and returns a func that fails
@@ -273,26 +275,24 @@ func TestStalledWriterReaped(t *testing.T) {
 	}
 }
 
-// TestQueueFullShedsBusyAndDrains is the regression for the work-queue
-// admission semantics: when the queue stays full past AdmitTimeout the
-// request is answered StatusBusy in order (never silently dropped), and
-// a drain that starts with the queue full completes without deadlock.
-// Only a durable server has the queue.
-func TestQueueFullShedsBusyAndDrains(t *testing.T) {
+// TestFullCommitQueueBlocksAndDrains is the regression for a durable
+// server's backpressure: with the committer held in its fsync, one
+// connection's flood fills the commit queue and then blocks in its send.
+// Nothing is answered — and nothing is shed Busy — until the fsync
+// returns, after which every put is answered OK; and a drain that starts
+// while the connection is blocked completes once the fsync is released.
+func TestFullCommitQueueBlocksAndDrains(t *testing.T) {
 	defer leakCheck(t)()
-	s := New(Config{
-		Engine:       newDiskEngine(t, DiskEngineConfig{}),
-		Workers:      1,
-		QueueDepth:   2,
-		AdmitTimeout: -1, // fail-fast admission
-		Depth:        512,
-	})
-	s.testApplyDelay = 2 * time.Millisecond
+	fs := newGatedFS(pagestore.FailPlan{})
+	// Every request a batch of its own: the flood is many more batches
+	// than one group and a full queue hold.
+	s := New(Config{Engine: newDiskEngine(t, DiskEngineConfig{FS: fs}), Depth: 512, MaxBatch: 1})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	done := make(chan error, 1)
 	go func() { done <- s.Serve(ctx, ln) }()
 
@@ -301,57 +301,50 @@ func TestQueueFullShedsBusyAndDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	c.SetOpTimeout(10 * time.Second)
+	c.SetOpTimeout(20 * time.Second)
+	release := fs.hold()
 	const n = 300
-	sent := make(chan struct{})
-	go func() {
-		defer close(sent)
-		for i := 0; i < n; i++ {
-			c.Send(Request{Op: OpPut, Key: int64(i), Val: 1})
-		}
-		c.Flush()
-	}()
-	okCnt, busyCnt := 0, 0
 	for i := 0; i < n; i++ {
-		resp, err := c.Recv()
-		if err != nil {
-			t.Fatalf("response %d/%d lost: %v", i, n, err)
+		c.Send(Request{Op: OpPut, Key: int64(i), Val: 1})
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	resps := make(chan Response, n)
+	go func() {
+		defer close(resps)
+		for i := 0; i < n; i++ {
+			resp, err := c.Recv()
+			if err != nil {
+				t.Errorf("response %d/%d lost: %v", i, n, err)
+				return
+			}
+			resps <- resp
 		}
-		switch resp.Status {
-		case StatusOK, StatusMiss:
-			okCnt++
-		case StatusBusy:
-			busyCnt++
-		default:
-			t.Fatalf("response %d: unexpected status %d", i, resp.Status)
-		}
-	}
-	if busyCnt == 0 {
-		t.Fatalf("queue never shed: ok=%d busy=%d (apply delay too small?)", okCnt, busyCnt)
-	}
-	if okCnt == 0 {
-		t.Fatal("every request shed: admission never admits")
-	}
-	if got := s.Governor().ShedBusy; got != int64(busyCnt) {
-		t.Fatalf("shed_busy=%d, client saw %d", got, busyCnt)
+	}()
+	sh := s.shards[0]
+	<-fs.entered // the committer is in the first group's fsync
+	waitFor(t, "the connection to fill the commit queue", func() bool { return len(sh.commitq) == cap(sh.commitq) })
+	cancel()
+	time.Sleep(50 * time.Millisecond)
+	select {
+	case resp := <-resps:
+		t.Fatalf("answered %+v while the fsync was held", resp)
+	case err := <-done:
+		t.Fatalf("Serve returned (%v) with puts waiting for their commit", err)
+	default:
 	}
 
-	// Refill the pipeline and cancel mid-flood: the drain must complete
-	// even though the queue is full the whole time. (Wait for the first
-	// sender so the two floods never share the bufio.Writer unsynced.)
-	<-sent
-	go func() {
-		for i := 0; i < n; i++ {
-			c.Send(Request{Op: OpPut, Key: int64(i), Val: 2})
+	release()
+	got := 0
+	for resp := range resps {
+		if resp.Status != StatusOK {
+			t.Fatalf("put %d answered status %d after the release, want OK", got, resp.Status)
 		}
-		c.Flush()
-	}()
-	time.Sleep(5 * time.Millisecond)
-	cancel()
-	for {
-		if _, err := c.Recv(); err != nil {
-			break
-		}
+		got++
+	}
+	if got != n {
+		t.Fatalf("%d of %d puts answered", got, n)
 	}
 	select {
 	case err := <-done:
@@ -359,10 +352,83 @@ func TestQueueFullShedsBusyAndDrains(t *testing.T) {
 			t.Fatalf("Serve: %v", err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("drain deadlocked with a full work queue")
+		t.Fatal("drain deadlocked behind a full commit queue")
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDurableShardHasNoGovernor: a durable shard has no lock probe, so
+// no root ρ_w to govern by, and Serve starts no governor for it. Fed a
+// saturated ρ_w source at a short interval — a running governor would be
+// shedding within one — and flooded with puts, it answers no Overload and
+// reports its governor disabled on /metrics and /healthz.
+func TestDurableShardHasNoGovernor(t *testing.T) {
+	s, addr, shutdown := startServer(t, Config{
+		Engines:  diskEngines(t, t.TempDir(), 2),
+		Governor: GovernorConfig{Interval: time.Millisecond, RecoverTicks: 1},
+	})
+	defer s.Close()
+	defer shutdown()
+	for _, sh := range s.shards {
+		sh.gov.rhoFn = func() float64 { return 0.9 }
+	}
+	var wg sync.WaitGroup
+	var overloads atomic.Int64
+	for ci := 0; ci < 4; ci++ {
+		wg.Add(1)
+		go func(ci int) {
+			defer wg.Done()
+			c, err := Dial(addr)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer c.Close()
+			c.SetOpTimeout(10 * time.Second)
+			for r := 0; r < 20; r++ {
+				if err := burst(c, int64(ci)<<32|int64(r*64), 64); err != nil {
+					t.Error(err)
+					return
+				}
+				for i := 0; i < 64; i++ {
+					resp, err := c.Recv()
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if resp.Status == StatusOverload {
+						overloads.Add(1)
+					}
+				}
+			}
+		}(ci)
+	}
+	wg.Wait()
+	if n := overloads.Load(); n != 0 {
+		t.Fatalf("%d puts answered Overload by a durable server", n)
+	}
+	if g := s.Governor(); !g.Disabled || g.Transitions != 0 || g.ShedOverload != 0 {
+		t.Fatalf("governor status %+v, want disabled and idle", g)
+	}
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+	for _, ep := range []struct{ path, want string }{
+		{"/metrics", "governor state=disabled "},
+		{"/metrics", "governor=disabled poisoned=false"}, // a shard block
+		{"/healthz", "governor=disabled "},
+		{"/healthz", "shard=1 state=disabled "},
+	} {
+		resp, err := http.Get(hs.URL + ep.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), ep.want) {
+			t.Fatalf("%s answered %d without %q:\n%s", ep.path, resp.StatusCode, ep.want, body)
+		}
 	}
 }
 

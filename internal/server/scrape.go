@@ -210,7 +210,6 @@ type capture struct {
 	algorithm     string
 	engine        string // mem | disk
 	capacity      int64
-	workers       int64
 	conns         int64
 	indexed       bool
 	badFrames     int64 // malformed frames (wire-level; op-level bads are per shard)
@@ -227,7 +226,6 @@ func (s *Server) capture() *capture {
 		algorithm:     eng.Algorithm(),
 		engine:        eng.Kind(),
 		capacity:      int64(eng.Cap()),
-		workers:       int64(s.cfg.Workers),
 		conns:         s.connsNow.Load(),
 		indexed:       s.shards[0].idx != nil,
 		badFrames:     s.badReqs.Load(),

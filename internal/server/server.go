@@ -26,13 +26,12 @@ import (
 const (
 	DefaultIdleTimeout  = 5 * time.Minute
 	DefaultWriteTimeout = 30 * time.Second
-	DefaultAdmitTimeout = 100 * time.Millisecond
 )
 
 // DefaultMaxBatch is the default cap on how many pipelined requests the
-// connection reader coalesces into one batch. It trades handoff
-// amortization (bigger is cheaper per op) against a durable server's
-// intra-connection parallelism (several batches on several workers).
+// connection reader coalesces into one batch. It trades per-batch
+// amortization (bigger is cheaper per op) against how long a batch's first
+// request waits behind its last before the batch's responses are written.
 const DefaultMaxBatch = 32
 
 // Config parameterizes a Server.
@@ -40,7 +39,6 @@ type Config struct {
 	Algorithm cbtree.Algorithm
 	Capacity  int // node capacity; default 64
 	Shards    int // keyspace shards, each an independent engine; default 1
-	Workers   int // durable shards' pool size per shard (a mem server's parallelism is its connections); default ceil(GOMAXPROCS/Shards)
 	Depth     int // per-connection pipeline bound; default 128
 	Prefill   int // keys inserted before serving; default 0
 	MaxBatch  int // max requests per batch; default DefaultMaxBatch
@@ -50,8 +48,6 @@ type Config struct {
 	MaxConns     int           // concurrent connection cap; 0 = unlimited
 	IdleTimeout  time.Duration // per-read deadline: a conn that sends no complete frame within it is closed
 	WriteTimeout time.Duration // per-write deadline: a peer that won't drain responses is closed
-	AdmitTimeout time.Duration // how long a batch may wait for a durable shard's work-queue slot before StatusBusy
-	QueueDepth   int           // durable shards' work queue bound per shard, in batches; default 4*Workers
 
 	// Index enables the secondary index (value → primary keys, one per
 	// shard): Put/Del maintain it transactionally per key, OpLookup
@@ -105,9 +101,6 @@ func (c *Config) fill() {
 	if c.Shards <= 0 {
 		c.Shards = 1
 	}
-	if c.Workers <= 0 {
-		c.Workers = (runtime.GOMAXPROCS(0) + c.Shards - 1) / c.Shards
-	}
 	if c.Depth <= 0 {
 		c.Depth = 128
 	}
@@ -120,12 +113,6 @@ func (c *Config) fill() {
 	if c.WriteTimeout == 0 {
 		c.WriteTimeout = DefaultWriteTimeout
 	}
-	if c.AdmitTimeout == 0 {
-		c.AdmitTimeout = DefaultAdmitTimeout
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 4 * c.Workers
-	}
 	if c.ReplAckTimeout == 0 {
 		c.ReplAckTimeout = 2 * time.Second
 	}
@@ -133,10 +120,10 @@ func (c *Config) fill() {
 }
 
 // Server owns the shard set — each shard an independent engine with its
-// own telemetry probe and overload governor (a durable one also its worker
-// pool) — plus the connection layer that routes each request's key to its
-// shard. Create one with New, serve the binary protocol with Serve, and
-// mount Handler on an HTTP listener for /metrics and /debug/model. A
+// own telemetry probe and overload governor, or if durable its commit
+// pipeline — plus the connection layer that routes each request's key to
+// its shard. Create one with New, serve the binary protocol with Serve,
+// and mount Handler on an HTTP listener for /metrics and /debug/model. A
 // single-shard server behaves exactly like the pre-sharding one.
 type Server struct {
 	cfg    Config
@@ -158,9 +145,6 @@ type Server struct {
 	// See repl.go.
 	repl replState
 
-	// testApplyDelay slows apply down; set before Serve, tests only.
-	testApplyDelay time.Duration
-
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
 
@@ -174,8 +158,8 @@ type Server struct {
 
 // New builds the shard set (prefilled if requested), instruments every
 // in-memory node lock with its shard's per-level telemetry probe, and
-// sizes the worker pools of the durable shards, the only ones that have a
-// pool: the engine decides, not a flag (see dispatch).
+// gives every durable shard its commit pipeline: the engine decides, not a
+// flag (see dispatch).
 func New(cfg Config) *Server {
 	cfg.fill()
 	s := &Server{
@@ -183,6 +167,10 @@ func New(cfg Config) *Server {
 		start: time.Now(),
 		conns: make(map[net.Conn]struct{}),
 	}
+	// A durable shard's queues are sized by its share of the cores, c: the
+	// commit queue holds 4c batches; a group (a full queue and one more
+	// batch per core) and the ack queue hold 5c.
+	perCore := (runtime.GOMAXPROCS(0) + cfg.Shards - 1) / cfg.Shards
 	s.shards = make([]*shard, cfg.Shards)
 	for i := range s.shards {
 		sh := &shard{id: i, srv: s}
@@ -196,35 +184,34 @@ func New(cfg Config) *Server {
 			sh.eng = &memEngine{t: sh.tree}
 		}
 		if sh.eng.Durable() {
-			sh.work = make(chan *batch, cfg.QueueDepth)
-			// The commit queue is as deep as the work queue. Under a device
-			// slower than the tree the queue is where a group forms, so its
-			// depth is the largest group one fsync can cover beyond the
-			// workers' own batches: a full work queue's worth amortizes a
-			// slow fsync over everything the shard had admitted, and nothing
-			// deeper could ever fill. A full queue blocks the workers, which
-			// is what bounds the replay debt when DiskEngine.Commit holds the
-			// committer at 2× the checkpoint threshold: past the group in the
-			// committer's hands (≤ QueueDepth+Workers batches) only a full
-			// queue and one batch per blocked worker can still append, so the
-			// debt peaks below 2×CheckpointOps + 2×(QueueDepth+Workers)×
-			// MaxBatch mutations — 640 over with the defaults on two cores.
-			sh.commitq = make(chan *batch, cfg.QueueDepth)
+			// Under a device slower than the tree the commit queue is where
+			// a group forms. A full queue blocks the connections' sends,
+			// which is what bounds the replay debt when DiskEngine.Commit
+			// holds the committer at 2× the checkpoint threshold: past the
+			// group in the committer's hands only a full queue and one batch
+			// per blocked connection can still append, so the debt peaks
+			// below 2×CheckpointOps + (5c + 4c + connections)×MaxBatch
+			// mutations. It grows with the connection count, which MaxConns
+			// caps.
+			sh.commitq = make(chan *batch, 4*perCore)
 			if cfg.ReplAcks > 0 {
 				// One whole group fits, so the committer is back at its
 				// queue — and the next fsync — while the ack stage still
 				// waits for this group's followers.
-				sh.ackq = make(chan *batch, cfg.QueueDepth+cfg.Workers)
+				sh.ackq = make(chan *batch, 5*perCore)
 			}
 		}
-		sh.gov = newGovernor(sh, cfg.Governor)
+		gov := cfg.Governor
+		if sh.tree == nil {
+			// No lock probe, no root ρ_w to govern by: the shard reports
+			// its governor disabled, and Serve starts none.
+			gov.Disabled = true
+		}
+		sh.gov = newGovernor(sh, gov)
 		if cfg.Index {
 			sh.idx = index.New()
 		}
 		s.shards[i] = sh
-	}
-	if s.shards[0].work == nil {
-		s.cfg.Workers = 0 // no pool: Serve starts none, and /metrics says so
 	}
 	for i := 0; i < cfg.Prefill; i++ {
 		// A simple odd multiplier scatters the prefill across the key
@@ -278,7 +265,7 @@ func (s *Server) Len() int {
 // Close ends the replication role (hub, listener and applier stop; a
 // follower's applied position is saved) and then releases every shard's
 // engine. It must be called only after Serve has returned (connections and
-// worker pools own the engines while serving); it then excludes the
+// commit pipelines own the engines while serving); it then excludes the
 // telemetry handlers, so a scrape can never race a closing engine. Close is
 // idempotent; later scrapes answer 503.
 func (s *Server) Close() error {
@@ -312,31 +299,20 @@ func closeRead(c net.Conn) {
 // Serve accepts connections on ln until ctx is cancelled, then drains: it
 // stops accepting, lets every already-read request finish and its
 // response be written, and closes the connections. It returns nil on a
-// clean drain. Every durable shard's worker pool and, after it, its commit
-// pipeline have exited — and therefore every acknowledged batch's group
-// commit has returned — before Serve returns, so Close after Serve can
-// never race a final fsync.
+// clean drain. Every connection and, after them, every durable shard's
+// commit pipeline have exited — and therefore every acknowledged batch's
+// group commit has returned — before Serve returns, so Close after Serve
+// can never race a final fsync.
 //
 // Admission is bounded end to end: at most MaxConns connections (excess
 // conns get one StatusBusy frame and are closed), at most Depth requests
-// pipelined per connection, and on a durable server at most QueueDepth
-// batches queued per shard — a batch that cannot get a slot within
-// AdmitTimeout has that shard's requests answered StatusBusy in order, so
-// a full queue sheds load instead of deadlocking or growing unbounded.
-// When a shard's overload governor is shedding, puts and deletes routed
-// to it are answered StatusOverload without touching its tree.
+// pipelined per connection, and on a durable server at most a commit
+// queue's worth of batches per shard — a full queue blocks the connection
+// that would add to it, so load backs up to its client instead of growing
+// unbounded. When a shard's overload governor is shedding, puts and
+// deletes routed to it are answered StatusOverload without touching its
+// tree.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
-	var workerWG sync.WaitGroup
-	for _, sh := range s.shards {
-		for i := 0; i < s.cfg.Workers; i++ {
-			workerWG.Add(1)
-			go func(sh *shard) {
-				defer workerWG.Done()
-				sh.run()
-			}(sh)
-		}
-	}
-
 	govDones := make([]<-chan struct{}, len(s.shards))
 	for i, sh := range s.shards {
 		govDones[i] = sh.gov.start()
@@ -449,12 +425,6 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 
 	connWG.Wait()
 	for _, sh := range s.shards {
-		if sh.work != nil {
-			close(sh.work)
-		}
-	}
-	workerWG.Wait()
-	for _, sh := range s.shards {
 		if sh.commitq != nil {
 			close(sh.commitq)
 		}
@@ -473,11 +443,11 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 }
 
 // handle runs one connection's batched fast path: this goroutine reads
-// frames into pooled batches and dispatches (on a mem server, runs) them,
-// a second (connWriter) writes responses in request order. The pending
-// channel carries batch ordering; the freed channel returns each written
-// batch's job count to the reader, bounding the pipeline at Depth requests
-// in flight with one channel op per batch instead of one per request.
+// frames into pooled batches and runs them (see dispatch), a second
+// (connWriter) writes responses in request order. The pending channel
+// carries batch ordering; the freed channel returns each written batch's
+// job count to the reader, bounding the pipeline at Depth requests in
+// flight with one channel op per batch instead of one per request.
 //
 // Batch accumulation never stalls the pipeline: after the (blocking,
 // idle-deadlined) read of a batch's first frame, only frames already
@@ -489,9 +459,9 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 // IdleTimeout deadline (reaping idle peers and slow-loris
 // byte-trickling alike), every response write carries a WriteTimeout
 // deadline (reaping peers that pipeline requests but never drain
-// responses), and batches that cannot be admitted to a durable shard's
-// work queue within AdmitTimeout have that shard's requests answered
-// StatusBusy in request order.
+// responses), and a durable shard's full commit queue blocks the reader
+// until the committer takes a group, so the peer's requests back up on
+// the wire.
 func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
 	if tc, ok := conn.(*net.TCPConn); ok {
@@ -504,27 +474,18 @@ func (s *Server) handle(conn net.Conn) {
 	writerDone := make(chan struct{})
 	go s.connWriter(conn, pending, freed, writerDone)
 
-	// admitTimer is the connection's one reusable admission timer; the
-	// old path allocated a time.Timer per contended request.
-	var admitTimer *time.Timer
-	defer func() {
-		if admitTimer != nil {
-			admitTimer.Stop()
-		}
-	}()
-
 	br := bufio.NewReaderSize(conn, 32<<10)
 	buf := make([]byte, MaxPayload)
 	credits := s.cfg.Depth
 	nShards := len(s.shards)
-	w := &worker{tallies: make([]opTally, nShards)} // runs a mem server's batches
-	queryRR := int32(0)                             // round-robin home shard for cross-shard query ops
-	var bt *batch                                   // accumulating batch; nil between batches
+	w := &worker{tallies: make([]opTally, nShards)}
+	queryRR := int32(0) // round-robin home shard for cross-shard query ops
+	var bt *batch       // accumulating batch; nil between batches
 	submit := func() {
 		if bt == nil {
 			return
 		}
-		s.dispatch(bt, w, &admitTimer)
+		s.dispatch(bt, w)
 		pending <- bt
 		bt = nil
 	}
@@ -577,8 +538,8 @@ func (s *Server) handle(conn net.Conn) {
 		j := bt.add()
 		j.req = req
 		if isQueryOp(req.Op) {
-			// Query ops are cross-shard (the executing worker merges over
-			// every shard's engine), so they have no home shard by key:
+			// Query ops are cross-shard (the connection merges over every
+			// shard's engine), so they have no home shard by key:
 			// deal them round-robin to spread the merge work. The governor
 			// never sheds them — scans are read traffic.
 			j.shard = queryRR
@@ -666,106 +627,67 @@ func (s *Server) connWriter(conn net.Conn, pending <-chan *batch, freed chan<- i
 	bw.Flush()
 }
 
-// dispatch runs a full batch on a mem server — the calling connection
-// goroutine executes it, so a connection's batches apply one at a time —
-// and on a durable server hands it to every involved shard's work queue.
-// A batch whose every job was already decided (governor shedding) is done
-// at once, and a shard that cannot admit it within AdmitTimeout has its
-// jobs answered StatusBusy in request order — other shards' jobs still
-// execute. The batch is armed with one completion per involved shard
-// first, so the writer's token can only fire after every shard (and every
-// admission-path shed) has retired its share. After dispatch the batch
-// belongs to the workers/writer; the caller must not touch it.
-func (s *Server) dispatch(bt *batch, w *worker, admitTimer **time.Timer) {
+// dispatch runs a batch on the connection goroutine that decoded it,
+// every shard's jobs in one pass, so on every server one connection's
+// requests apply in request order. A mem shard's share is released at
+// once. A durable shard's goes to its committer: the connection writes the
+// shard's leg, lowers its applying count and sends the batch on, then
+// goes back to reading — only the connection writer waits for the
+// verdict. A batch whose every job was already decided (governor
+// shedding) is done at once. The batch is armed with one completion per
+// involved shard first, so the writer's token fires only after every
+// shard has retired its share. After dispatch the batch belongs to the
+// committers and the writer; the caller must not touch it.
+func (s *Server) dispatch(bt *batch, w *worker) {
 	if bt.nexec == 0 {
 		bt.arm(1)
 		bt.completeOne()
 		return
 	}
 	involved := int32(0)
-	for _, n := range bt.nexecSh {
+	for si, n := range bt.nexecSh {
 		if n > 0 {
 			involved++
+			if sh := s.shards[si]; sh.commitq != nil {
+				sh.applying.Add(1)
+			}
 		}
 	}
 	bt.arm(involved)
-	if s.shards[0].work == nil {
-		// No device to wait for, so no queue. The batch's time is shared
-		// among its shards by op count, as a shard's among its ops.
-		t0 := time.Now()
-		s.exec(bt, w, -1)
-		ns := time.Since(t0).Nanoseconds()
-		for si, n := range bt.nexecSh {
-			if n > 0 {
-				s.shards[si].release(bt, &w.tallies[si], ns*int64(n)/int64(bt.nexec))
-			}
-		}
-		return
-	}
+	t0 := time.Now()
+	s.exec(bt, w)
+	t1 := time.Now()
+	ns := t1.Sub(t0).Nanoseconds()
 	for si, n := range bt.nexecSh {
 		if n == 0 {
 			continue
 		}
+		// The batch's time is shared among its shards by op count, as a
+		// shard's among its ops.
+		share := ns * int64(n) / int64(bt.nexec)
 		sh := s.shards[si]
-		if s.admit(sh, bt, admitTimer) {
+		if sh.commitq == nil {
+			sh.release(bt, &w.tallies[si], share)
 			continue
 		}
-		// This shard's queue stayed full past AdmitTimeout: shed its
-		// jobs. Only the reader touches them — the shard's workers never
-		// saw the batch.
-		shed := 0
-		for i := range bt.jobs {
-			j := &bt.jobs[i]
-			if j.skip || int(j.shard) != si {
-				continue
-			}
-			j.skip = true
-			// Query ops get the page-shaped Busy so shape-by-sent-op
-			// clients stay in sync (readers accept the bare form too).
-			j.resp = Response{Status: StatusBusy, Page: isQueryOp(j.req.Op)}
-			shed++
-		}
-		sh.ctr[cShedBusy].Add(int64(shed))
-		bt.completeOne()
+		l := &bt.legs[si]
+		l.pickup, l.tally, l.handoff = t1.Add(-time.Duration(share)), w.tallies[si], t1
+		// Down before the send, never after: the committer blocks for a
+		// sibling only while applying > 0, and that is sound only if every
+		// connection it counts still has its send ahead of it. Sends go in
+		// shard order, so a connection blocked on one shard's full queue
+		// holds no lower shard's count. A full queue blocks the send: the
+		// pipeline's backpressure (see New).
+		sh.applying.Add(-1)
+		sh.commitq <- bt
 	}
 }
 
-// admit places bt on the shard's worker queue, waiting at most
-// AdmitTimeout for a slot when the queue is full. It reports false when
-// the batch must be shed for that shard (the caller answers StatusBusy).
-// The contended path reuses the connection's timer instead of allocating
-// one per attempt.
-func (s *Server) admit(sh *shard, bt *batch, admitTimer **time.Timer) bool {
-	select {
-	case sh.work <- bt:
-		return true
-	default:
-	}
-	if s.cfg.AdmitTimeout <= 0 {
-		return false // fail-fast admission
-	}
-	t := *admitTimer
-	if t == nil {
-		t = time.NewTimer(s.cfg.AdmitTimeout)
-		*admitTimer = t
-	} else {
-		t.Reset(s.cfg.AdmitTimeout)
-	}
-	select {
-	case sh.work <- bt:
-		t.Stop()
-		return true
-	case <-t.C:
-		return false
-	}
-}
-
-// worker is the private state of a goroutine that executes batches (a
-// durable shard's pool worker, a mem server's connection reader): the
-// batch's tallies, one per shard, the page arena of the job at hand, and
-// the working memory of the query ops (per-shard cursors and fetches),
-// which keeps the capacity it grew to, so a query page allocates nothing
-// once warm.
+// worker is the private state of a connection reader that executes
+// batches: the batch's tallies, one per shard, the page arena of the job
+// at hand, and the working memory of the query ops (per-shard cursors and
+// fetches), which keeps the capacity it grew to, so a query page allocates
+// nothing once warm.
 type worker struct {
 	tallies []opTally
 	arena   *pageArena
@@ -776,15 +698,13 @@ type worker struct {
 	keys    []int64    // one shard's index postings (lookups)
 }
 
-// exec applies the batch's jobs in request order — every shard's, or with
-// only >= 0 that shard's alone — tallying each from zero in its shard's
-// slot and cutting its pages from its shard's arena. Slab entries are
-// disjoint across shards, so workers of two shards never share a job.
-func (s *Server) exec(bt *batch, w *worker, only int) {
+// exec applies the batch's jobs in request order, tallying each from zero
+// in its shard's slot and cutting its pages from its shard's arena.
+func (s *Server) exec(bt *batch, w *worker) {
 	clear(w.tallies)
 	for i := range bt.jobs {
 		j := &bt.jobs[i]
-		if j.skip || only >= 0 && int(j.shard) != only {
+		if j.skip {
 			continue
 		}
 		w.arena = &bt.arenas[j.shard]
@@ -798,9 +718,6 @@ func (s *Server) exec(bt *batch, w *worker, only int) {
 // acknowledges nothing it cannot guarantee.
 func (s *Server) apply(sh *shard, req Request, w *worker) Response {
 	t := &w.tallies[sh.id]
-	if s.testApplyDelay > 0 {
-		time.Sleep(s.testApplyDelay)
-	}
 	switch req.Op {
 	case OpGet, OpGetSeq:
 		// OpGetSeq is a bounded-staleness get: on a follower, refuse

@@ -129,7 +129,7 @@ func TestServerPipelining(t *testing.T) {
 // TestServerConcurrentConnections hammers the server from several
 // pipelined connections at once.
 func TestServerConcurrentConnections(t *testing.T) {
-	s, addr, shutdown := startServer(t, Config{Algorithm: cbtree.Optimistic, Workers: 4})
+	s, addr, shutdown := startServer(t, Config{Algorithm: cbtree.Optimistic})
 	defer shutdown()
 
 	const conns, per = 8, 2000

@@ -13,12 +13,11 @@ import (
 
 // shard is one independent serving partition: its own storage engine,
 // tree telemetry probe, overload governor, operation counters, scrape
-// windows, and if durable its work queue and commit pipeline. The paper's
-// queueing model caps a single tree's throughput at root ρ_w = .5;
-// partitioning the keyspace across N shards gives N independent root
-// locks, so the model's per-tree saturation analysis applies shard by
-// shard and aggregate throughput scales with the shard count until the
-// hardware runs out.
+// windows, and if durable its commit pipeline. The paper's queueing model
+// caps a single tree's throughput at root ρ_w = .5; partitioning the
+// keyspace across N shards gives N independent root locks, so the model's
+// per-tree saturation analysis applies shard by shard and aggregate
+// throughput scales with the shard count until the hardware runs out.
 type shard struct {
 	id    int
 	srv   *Server
@@ -27,13 +26,12 @@ type shard struct {
 	probe *metrics.TreeProbe // nil unless tree is set: only its locks report
 	gov   *governor
 
-	// The worker queue and commit pipeline of a shard whose engine has a
-	// durability point (see commitLoop); all nil or unused on a mem shard,
-	// whose batches run on the connection that read them (see dispatch).
-	work     chan *batch  // reader → worker
-	commitq  chan *batch  // worker → committer, in hand-off order
+	// The commit pipeline of a shard whose engine has a durability point
+	// (see commitLoop); nil or unused on a mem shard. Every shard's batches
+	// run on the connection that read them (see dispatch).
+	commitq  chan *batch  // connection → committer, in hand-off order
 	ackq     chan *batch  // committer → ack stage; nil unless Config.ReplAcks > 0
-	applying atomic.Int32 // workers between pickup and hand-off
+	applying atomic.Int32 // connections between pickup and hand-off
 
 	// idx is the shard's secondary index (value → primary keys); nil
 	// unless the server was built with Config.Index.
@@ -62,8 +60,8 @@ type shard struct {
 // counter indexes a shard's event counters. A counter exists in three
 // places only: its constant here, the sites that tally it, and its row in
 // the telemetry table (telemetry.go) — a shard holds them as one array of
-// atomics, a worker tallies a batch into a plain array of the same shape,
-// and a scrape copies the array once.
+// atomics, a connection tallies a batch into a plain array of the same
+// shape, and a scrape copies the array once.
 type counter int
 
 const (
@@ -91,7 +89,6 @@ const (
 	cCommitFails  // batches whose group commit failed
 	cAckTimeouts  // batches that missed the semi-sync follower-ack barrier
 	cShedOverload // updates shed with StatusOverload; the governor acts on the shard whose root is saturated, not globally
-	cShedBusy     // requests shed with StatusBusy (queue full)
 	// The commit pipeline (durable shards only).
 	cCommitGroups  // groups the committer synced: one eng.Commit each
 	cCommitBatches // batches with a mutation in those groups
@@ -100,10 +97,10 @@ const (
 	nOpKinds = cNotLeader + 1
 )
 
-// opTally is a worker-local count of the events of one batch, flushed to
-// the shard's counters once per batch: per-op atomic adds from every
-// worker bounce the counters' cache lines and were a measurable share of
-// service time.
+// opTally is a connection-local count of the events of one batch, flushed
+// to the shard's counters once per batch: per-op atomic adds from every
+// connection bounce the counters' cache lines and were a measurable share
+// of service time.
 type opTally [nCounters]int64
 
 // ops is the number of requests tallied.
@@ -213,27 +210,6 @@ func (sh *shard) scanAll(fn func([]query.KV) error) error {
 	}
 }
 
-// run is one worker of a durable shard's pool: it executes the shard's
-// slice of each batch and hands the batch to the shard's committer, then
-// takes the next one at once — the fsync that covers the batch is the
-// committer's wait, not this worker's.
-func (sh *shard) run() {
-	w := &worker{tallies: make([]opTally, len(sh.srv.shards))}
-	for bt := range sh.work {
-		sh.applying.Add(1)
-		t0 := time.Now()
-		sh.srv.exec(bt, w, sh.id)
-		l := &bt.legs[sh.id]
-		l.pickup, l.tally, l.handoff = t0, w.tallies[sh.id], time.Now()
-		// Down before the send, never after: the committer blocks for a
-		// sibling only while applying > 0, and that is sound only if every
-		// worker it counts still has its send ahead of it. A full queue
-		// blocks the send — the pipeline's backpressure (see New).
-		sh.applying.Add(-1)
-		sh.commitq <- bt
-	}
-}
-
 // release reports one executed batch — ns from its pickup to now, tally
 // its events — and retires the shard's completion, which hands the batch
 // to its connection's writer once every involved shard has done the same.
@@ -262,14 +238,14 @@ func (sh *shard) release(bt *batch, tally *opTally, ns int64) {
 // one committer (and, under semi-sync replication, one ack stage behind
 // it); batches cross it in the order
 //
-//	worker → commitq → committer → [ackq → ack stage] → completeOne → writer
+//	connection → commitq → committer → [ackq → ack stage] → completeOne → writer
 //
-// and the ack contract is the one the worker-inline commit kept: no
-// mutation's OK leaves the last stage before the fsync that covers its
-// oplog record has returned, nor — with Config.ReplAcks > 0 — before that
-// many followers have acked a sequence at or past it. What moved is who
-// waits: the workers apply the next batch while the committer sits in the
-// fsync, and one fsync covers every batch handed off since the last.
+// and the ack contract is: no mutation's OK leaves the last stage before
+// the fsync that covers its oplog record has returned, nor — with
+// Config.ReplAcks > 0 — before that many followers have acked a sequence
+// at or past it. The connections apply their next batches while the
+// committer sits in the fsync, and one fsync covers every batch handed off
+// since the last.
 
 // commitLoop is the shard's committer. It takes everything on the commit
 // queue as one group, makes the group durable with a single eng.Commit —
@@ -277,24 +253,27 @@ func (sh *shard) release(bt *batch, tally *opTally, ns int64) {
 // one fsync covers them — and passes the group on in hand-off order with
 // its verdict written on each batch's leg. A group in which nothing
 // mutated is passed on without a commit: every batch of a durable shard
-// comes this way, since a worker cannot know at pickup whether it will
-// have something to sync.
+// comes this way, since a connection cannot know before it applies a
+// batch whether it will have something to sync.
 //
 // Before it syncs a group that needs it, the committer also waits for the
-// siblings: while another worker is mid-batch (applying > 0) it blocks on
-// the queue for that hand-off, once per other worker at most. Two batches
-// of one burst finish tens of microseconds apart; without the wait the
-// first starts an fsync alone and the second sits a full fsync behind it,
-// and the fsync chain, not the tree, sets the shard's throughput. The
-// wait is for an event that is certain to come — a counted worker has its
-// send ahead of it — so it needs no clock, and it is bounded by one
-// batch's apply time.
+// siblings: while a connection is mid-apply on the shard (applying > 0) it
+// blocks on the queue for that hand-off, once per connection that was
+// mid-apply when the group opened at most. Two batches of one burst finish
+// tens of microseconds apart; without the wait the first starts an fsync
+// alone and the second sits a full fsync behind it, and the fsync chain,
+// not the tree, sets the shard's throughput. A batch begun after the group
+// opened goes to the next group, so its apply overlaps this group's fsync.
+// The wait is for an event that is certain to come — a counted connection
+// has its send ahead of it — so it needs no clock, and it is bounded by
+// one batch's apply time.
 func (sh *shard) commitLoop() {
 	s := sh.srv
 	if sh.ackq != nil {
 		defer close(sh.ackq)
 	}
-	group := make([]*batch, 0, cap(sh.commitq)+s.cfg.Workers)
+	// A group is a full queue and one more batch per core (see New).
+	group := make([]*batch, 0, cap(sh.commitq)*5/4)
 	var n uint32
 	for bt := range sh.commitq {
 		group = append(group[:0], bt)
@@ -302,7 +281,7 @@ func (sh *shard) commitLoop() {
 		if bt.legs[sh.id].mutated() {
 			mutating++
 		}
-		waits := s.cfg.Workers - 1
+		waits := sh.applying.Load()
 	gather:
 		for len(group) < cap(group) {
 			var next *batch
@@ -310,14 +289,14 @@ func (sh *shard) commitLoop() {
 			select {
 			case next, ok = <-sh.commitq:
 			default:
-				if waits == 0 || mutating == 0 || sh.applying.Load() == 0 {
+				if waits <= 0 || mutating == 0 || sh.applying.Load() == 0 {
 					break gather
 				}
 				waits--
 				next, ok = <-sh.commitq
 			}
 			if !ok {
-				break // closed: Serve is draining and the workers are gone
+				break // closed: Serve is draining and the connections are gone
 			}
 			group = append(group, next)
 			if next.legs[sh.id].mutated() {
@@ -423,8 +402,8 @@ func (sh *shard) settle(bt *batch, acked bool) {
 	sh.release(bt, &l.tally, now.Sub(l.pickup).Nanoseconds())
 }
 
-// mutationOf reports whether the job is a put or del the given shard's
-// worker executed.
+// mutationOf reports whether the job is a put or del executed on the given
+// shard.
 func (j *job) mutationOf(shard int) bool {
 	return !j.skip && int(j.shard) == shard && (j.req.Op == OpPut || j.req.Op == OpDel)
 }

@@ -408,8 +408,12 @@ func TestIdleServerTelemetryFinite(t *testing.T) {
 				if got := decoded["ops_per_sec"].(float64); got != 0 {
 					t.Errorf("round %d: idle ops_per_sec = %v, want 0", round, got)
 				}
-				if got := decoded["governor"].(string); got != "ok" {
-					t.Errorf("round %d: idle governor = %q, want ok (stale gauge?)", round, got)
+				wantGov := "ok"
+				if tc.disk {
+					wantGov = "disabled" // a durable shard has no governor
+				}
+				if got := decoded["governor"].(string); got != wantGov {
+					t.Errorf("round %d: idle governor = %q, want %s (stale gauge?)", round, got, wantGov)
 				}
 				if share := decoded["measured_share"].(float64); share == 0 {
 					quiet = true

@@ -85,7 +85,6 @@ var telemetry = []metric{
 	stat("shard", block, unmerged, func(sc *shardScrape) any { return int64(sc.id) }),
 	stat("keys", top|block, sumOf, func(sc *shardScrape) any { return sc.keys }),
 	stat("height", top|block, maxOf, func(sc *shardScrape) any { return int64(sc.height) }),
-	wide("workers", func(c *capture) any { return c.workers }),
 	wide("connections", func(c *capture) any { return c.conns }),
 	stat("window_s", top|block, maxOf, func(sc *shardScrape) any { return sc.win.Dt }),
 	stat("ops_per_sec", top|block, sumOf, func(sc *shardScrape) any { return sc.win.OpRate }),
@@ -172,7 +171,6 @@ var telemetry = []metric{
 	stat("governor_exit", top, pooled, func(sc *shardScrape) any { return sc.gov.ExitRho }),
 	stat("governor_transitions", top, pooled, func(sc *shardScrape) any { return sc.gov.Transitions }),
 	count("shed_overload", top|block, cShedOverload),
-	count("shed_busy", top|block, cShedBusy),
 	stat("conn_rejects", top, pooled, func(sc *shardScrape) any { return sc.gov.ConnRejects }),
 	wide("read_timeouts", func(c *capture) any { return c.readTimeouts }),
 	wide("write_timeouts", func(c *capture) any { return c.writeTimeouts }),
@@ -183,8 +181,8 @@ var telemetry = []metric{
 // The text layout: each {name} or {name:verb} slot is the view's value of
 // that metric, printed with %v or %verb.
 const (
-	headerLine = "btserved uptime_s={uptime_s:.1f} algorithm={algorithm} cap={capacity} keys={keys} height={height} workers={workers} conns={connections}"
-	shardLine  = "shard={shard} keys={keys} height={height} rate={ops_per_sec:.0f} root_rho_w={root_rho_w} model_rho_w={model_rho_w} saturated={saturated} governor={governor} poisoned={poisoned} shed_overload={shed_overload} shed_busy={shed_busy} commit_fails={commit_fails} unavail={unavail} seq={seq}\n"
+	headerLine = "btserved uptime_s={uptime_s:.1f} algorithm={algorithm} cap={capacity} keys={keys} height={height} conns={connections}"
+	shardLine  = "shard={shard} keys={keys} height={height} rate={ops_per_sec:.0f} root_rho_w={root_rho_w} model_rho_w={model_rho_w} saturated={saturated} governor={governor} poisoned={poisoned} shed_overload={shed_overload} commit_fails={commit_fails} unavail={unavail} seq={seq}\n"
 )
 
 var summaryLines = []string{
@@ -199,7 +197,7 @@ var summaryLines = []string{
 }
 
 var closingLines = []string{
-	"governor state={governor} rho_w={governor_rho_w:.4f} threshold={governor_threshold:.2f} exit={governor_exit:.2f} transitions={governor_transitions} shed_overload={shed_overload} shed_busy={shed_busy} conn_rejects={conn_rejects} read_timeouts={read_timeouts} write_timeouts={write_timeouts}\n",
+	"governor state={governor} rho_w={governor_rho_w:.4f} threshold={governor_threshold:.2f} exit={governor_exit:.2f} transitions={governor_transitions} shed_overload={shed_overload} conn_rejects={conn_rejects} read_timeouts={read_timeouts} write_timeouts={write_timeouts}\n",
 	fmt.Sprintf("saturation root_rho_w={root_rho_w} threshold=%.2f saturated={saturated}\n", SaturationRho),
 }
 

@@ -55,6 +55,10 @@ func synthShard(r *rough, id, levels int, measured, disk, olc bool) shardScrape 
 	for c := range sc.ctr[:cCommitGroups] {
 		sc.ctr[c] = r.n(1 << 33)
 	}
+	// The draw of a counter since deleted (requests shed Busy at a full
+	// work queue), so every later number in the files is still the
+	// recorded one.
+	r.n(1 << 33)
 	sc.win = window{
 		Dt:        r.f(20),
 		Ops:       r.n(1 << 22),
@@ -114,7 +118,7 @@ func synthShard(r *rough, id, levels int, measured, disk, olc bool) shardScrape 
 func goldenCaptures() map[string]*capture {
 	base := func(alg, engine string, shards ...shardScrape) *capture {
 		return &capture{
-			uptime: 4321.0987, algorithm: alg, engine: engine, capacity: 64, workers: 8, conns: 17,
+			uptime: 4321.0987, algorithm: alg, engine: engine, capacity: 64, conns: 17,
 			badFrames: 5, readTimeouts: 2, writeTimeouts: 1, shards: shards,
 		}
 	}

@@ -229,7 +229,7 @@ func TestShardBlocksSumToMerged(t *testing.T) {
 	}
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()
-	summed := []string{"keys", "gets", "puts", "dels", "scan_pages", "scan_keys", "commit_fails", "unavail", "shed_overload", "shed_busy"}
+	summed := []string{"keys", "gets", "puts", "dels", "scan_pages", "scan_keys", "commit_fails", "unavail", "shed_overload"}
 	for scrape := 0; scrape < 200; scrape++ {
 		var doc struct {
 			Top    map[string]any

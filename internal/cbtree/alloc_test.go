@@ -11,9 +11,10 @@ import (
 // straight back to the garbage collector. Under OLC the point lookup,
 // the leaf-chain scan and seek must stay at zero allocations per
 // operation, including their restart bookkeeping; under every algorithm
-// so must a write that does not split, from the first one on: a leaf
-// owns all its slots from birth and the ancestor stack rides on the
-// descent's own stack frame.
+// so must a write that does not split, from the first one on, and a
+// located one (Locate, then the hinted call): a leaf owns all its slots
+// from birth and the ancestor stack rides on the descent's own stack
+// frame or in the hint.
 
 // TestNodeSize pins what every node of every tree costs before its keys:
 // 112 bytes of fields on top of lock.VersionLock (TestLockSize there). At
@@ -129,6 +130,31 @@ func TestWriteAllocs(t *testing.T) {
 			if tr.Delete(2) {
 				t.Fatal("deleted an absent key")
 			}
+			// The same keys again, each located first (a group of one):
+			// Locate and the hinted calls (under OLC the hints are full,
+			// under the locking algorithms empty).
+			keys, at := make([]int64, 1), make([]Hint, 1)
+			located := func(op func(key int64, h *Hint) bool) func(int64) bool {
+				return func(key int64) bool {
+					keys[0] = key
+					tr.Locate(keys, at)
+					if alg == OLC && at[0].leaf == nil {
+						t.Fatalf("Locate(%d) left an OLC hint empty", key)
+					}
+					return op(key, &at[0])
+				}
+			}
+			insertAt := located(func(k int64, h *Hint) bool { return tr.InsertAt(k, 7, h) })
+			each("Locate+InsertAt (new key, no split)", true, insertAt)
+			if got := tr.Stats().Splits; got != splits {
+				t.Fatalf("%d splits during the no-split insert run", got-splits)
+			}
+			each("Locate+InsertAt (overwrite)", false, insertAt)
+			each("Locate+SearchAt", true, located(func(k int64, h *Hint) bool {
+				_, ok := tr.SearchAt(k, h)
+				return ok
+			}))
+			each("Locate+DeleteAt", true, located(tr.DeleteAt))
 			if err := tr.CheckInvariants(); err != nil {
 				t.Fatal(err)
 			}

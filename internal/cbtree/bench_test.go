@@ -52,6 +52,30 @@ func BenchmarkTreeSearch(b *testing.B) {
 	})
 }
 
+// Locate is BenchmarkTreeSearch a group at a time, the way a served
+// batch is located: groups of 32 uniform keys, each group's descents side
+// by side, then every key answered from its hint. ns/op is per key, so
+// the OLC line reads against BenchmarkTreeSearch/olc; the three locking
+// algorithms leave the hints empty and search from the root.
+func BenchmarkTreeLocate(b *testing.B) {
+	const group = 32
+	benchAlgorithms(b, func(b *testing.B, tr *Tree, src *xrand.Source) {
+		var keys [group]int64
+		var at [group]Hint
+		for i := 0; i < b.N; i += group {
+			for k := range keys {
+				keys[k] = src.Int63n(benchKeys) * 10
+			}
+			tr.Locate(keys[:], at[:])
+			for k, key := range keys {
+				if _, ok := tr.SearchAt(key, &at[k]); !ok {
+					b.Fatal("a stored key is missing")
+				}
+			}
+		}
+	})
+}
+
 // Insert adds one new key between every two stored ones, in a scattered
 // order, so each leaf of the .69-full tree fills and splits once per
 // pass; after each pass the tree is rebuilt off the clock, which keeps

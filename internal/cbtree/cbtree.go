@@ -78,6 +78,7 @@ type Stats struct {
 	Crossings     int64 // LinkType/OLC right-link follows
 	ReadRestarts  int64 // OLC failed version validations
 	ReadFallbacks int64 // OLC descents that fell back to locking
+	StaleHints    int64 // OLC Locate hints found changed when used
 }
 
 // node is a B⁺-tree node guarded by its own FCFS reader/writer lock
@@ -282,6 +283,7 @@ type Tree struct {
 	crossings     atomic.Int64
 	readRestarts  atomic.Int64 // OLC failed version validations
 	readFallbacks atomic.Int64 // OLC descents that fell back to locking
+	staleHints    atomic.Int64 // OLC Locate hints found changed when used
 
 	// probe, when set (see Instrument), supplies the telemetry sink every
 	// newly created node's lock reports into, keyed by tree level. Written
@@ -334,6 +336,7 @@ func (t *Tree) Stats() Stats {
 		Crossings:     t.crossings.Load(),
 		ReadRestarts:  t.readRestarts.Load(),
 		ReadFallbacks: t.readFallbacks.Load(),
+		StaleHints:    t.staleHints.Load(),
 	}
 }
 

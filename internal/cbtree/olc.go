@@ -76,11 +76,22 @@ func (n *node) olcCovers(key int64) (*node, bool) {
 	return r, r == nil || key < n.high.Load()
 }
 
-// olcSearch is the latch-free point lookup with bounded retry.
-func (t *Tree) olcSearch(key int64) (uint64, bool) {
+// olcSearch is the latch-free point lookup with bounded retry. Given a
+// hint (see Locate) whose leaf still has the version it was read at, it
+// answers from the hint: the leaf has not changed since, so what the hint
+// holds is what the leaf holds at this validation, where the lookup
+// linearizes. Otherwise it counts the hint stale and searches from the
+// root.
+func (t *Tree) olcSearch(key int64, h *Hint) (uint64, bool) {
+	if t.current(h, false) {
+		return h.val, h.found
+	}
 	for attempt := 0; attempt < lock.OLCMaxAttempts; attempt++ {
-		if v, ok, done := t.olcTrySearch(key); done {
-			return v, ok
+		if n, _ := t.olcTryDescend(key, nil); n != nil {
+			if n, _, v, ok := t.olcReadKey(n, key); n != nil {
+				return v, ok
+			}
+			t.noteRestart(1)
 		}
 	}
 	t.noteFallback()
@@ -90,17 +101,16 @@ func (t *Tree) olcSearch(key int64) (uint64, bool) {
 	return t.lockedSearch(key)
 }
 
-// olcTrySearch makes one latch-free lookup attempt. done is false when
-// a validation failed and the caller should restart from the root.
-func (t *Tree) olcTrySearch(key int64) (val uint64, ok, done bool) {
-	n, _ := t.olcTryDescend(key, nil)
-	if n == nil {
-		return 0, false, false
-	}
+// olcReadKey reads what the leaf covering key holds for it, starting
+// from leaf n and following right links: the covering leaf, the version
+// its read validated against, and the value and presence of key. It
+// returns a nil leaf when a validation failed; the caller counts the
+// restart.
+func (t *Tree) olcReadKey(n *node, key int64) (leaf *node, ver, val uint64, ok bool) {
 	for {
 		v, stable := n.mu.ReadBegin()
 		if !stable {
-			break
+			return nil, 0, 0, false
 		}
 		right, covered := n.olcCovers(key)
 		if covered {
@@ -111,16 +121,31 @@ func (t *Tree) olcTrySearch(key int64) (val uint64, ok, done bool) {
 			}
 		}
 		if !n.mu.Validate(v) {
-			break
+			return nil, 0, 0, false
 		}
 		if covered {
-			return val, ok, true
+			return n, v, val, ok
 		}
 		t.crossings.Add(1)
 		n = right
 	}
-	t.noteRestart(1)
-	return 0, false, false
+}
+
+// olcRoute makes one latch-free step from inner node n toward key: the
+// child n routes key to, or (covered false) n's right sibling when key
+// lies beyond n's high key, and the version the read validated against.
+// valid is false when it did not validate; then next means nothing.
+func (n *node) olcRoute(key int64) (next *node, v uint64, covered, valid bool) {
+	v, stable := n.mu.ReadBegin()
+	if !stable {
+		return nil, 0, false, false
+	}
+	next, covered = n.olcCovers(key)
+	if covered {
+		r := n.img.Load()
+		next = r.children[route(r.keys, key)]
+	}
+	return next, v, covered, n.mu.Validate(v)
 }
 
 // olcTryDescend makes one latch-free attempt to reach the leaf level on
@@ -130,17 +155,10 @@ func (t *Tree) olcTrySearch(key int64) (val uint64, ok, done bool) {
 func (t *Tree) olcTryDescend(key int64, stack []*node) (*node, []*node) {
 	n := t.root.Load()
 	for n.level > 1 {
-		v, stable := n.mu.ReadBegin()
-		if !stable {
-			break
-		}
-		next, covered := n.olcCovers(key)
-		if covered {
-			r := n.img.Load()
-			next = r.children[route(r.keys, key)]
-		}
-		if !n.mu.Validate(v) {
-			break
+		next, _, covered, valid := n.olcRoute(key)
+		if !valid {
+			t.noteRestart(n.level)
+			return nil, stack
 		}
 		if !covered {
 			t.crossings.Add(1)
@@ -148,10 +166,6 @@ func (t *Tree) olcTryDescend(key int64, stack []*node) (*node, []*node) {
 			stack = append(stack, n)
 		}
 		n = next
-	}
-	if n.level > 1 {
-		t.noteRestart(n.level)
-		return nil, stack
 	}
 	return n, stack
 }

@@ -7,36 +7,53 @@ package cbtree
 // the leaf is found and read (olc.go).
 
 // Search returns the value stored under key.
-func (t *Tree) Search(key int64) (uint64, bool) {
+func (t *Tree) Search(key int64) (uint64, bool) { return t.SearchAt(key, nil) }
+
+// SearchAt is Search starting from h, key's hint from Locate (nil or
+// empty: from the root). Under OLC, if the hinted leaf still has the
+// version Locate read it at, the answer is the hint's, and the lookup
+// linearizes at that validation; otherwise it is an ordinary Search.
+func (t *Tree) SearchAt(key int64, h *Hint) (uint64, bool) {
 	if t.alg == OLC {
-		return t.olcSearch(key)
+		return t.olcSearch(key, h)
 	}
 	return t.lockedSearch(key)
 }
 
 // Insert stores key→val. A fresh insertion reports true; replacing an
 // existing key's value reports false.
-func (t *Tree) Insert(key int64, val uint64) bool {
+func (t *Tree) Insert(key int64, val uint64) bool { return t.InsertAt(key, val, nil) }
+
+// InsertAt is Insert starting from h, key's hint from Locate (nil or
+// empty: from the root). If neither the hinted leaf nor any node on its
+// path has changed since Locate read it, it locks that leaf, moves right
+// if a split has since moved key on, and repairs its own split through
+// the hinted path; otherwise it is an ordinary Insert.
+func (t *Tree) InsertAt(key int64, val uint64, h *Hint) bool {
 	switch t.alg {
 	case LockCoupling:
 		return t.lcInsert(key, val)
 	case Optimistic:
 		return t.optInsert(key, val)
 	default:
-		return t.linkInsert(key, val)
+		return t.linkInsert(key, val, h)
 	}
 }
 
 // Delete removes key, reporting whether it was present. Emptied nodes are
 // left in place (lazy merge-at-empty); see Compact.
-func (t *Tree) Delete(key int64) bool {
+func (t *Tree) Delete(key int64) bool { return t.DeleteAt(key, nil) }
+
+// DeleteAt is Delete starting from h, key's hint from Locate (nil or
+// empty: from the root), as InsertAt.
+func (t *Tree) DeleteAt(key int64, h *Hint) bool {
 	switch t.alg {
 	case LockCoupling:
 		return t.coupledDelete(key, alwaysWrite)
 	case Optimistic:
 		return t.coupledDelete(key, writeIfLeaf)
 	default:
-		return t.linkDelete(key)
+		return t.linkDelete(key, h)
 	}
 }
 
@@ -203,21 +220,27 @@ func (t *Tree) linkDescend(level int, key int64, stack []*node) (*node, []*node)
 
 // wlockLeaf returns the leaf covering key, locked through LockV, and the
 // ancestor stack of the descent that found it (when stack is non-nil):
-// a latch-free descent under OLC, the Link-type one otherwise.
-func (t *Tree) wlockLeaf(key int64, stack []*node) (*node, []*node) {
+// the hint's leaf and path when h holds a current one, else a latch-free
+// descent under OLC, the Link-type one otherwise. A writer may still
+// change the hinted leaf before the lock is granted; keys never move left
+// (a node's range only loses its top to splits), so moveRightW finds key.
+func (t *Tree) wlockLeaf(key int64, stack []*node, h *Hint) (*node, []*node) {
 	var n *node
-	if t.alg == OLC {
+	switch {
+	case t.current(h, true):
+		n, stack = h.leaf, h.path[:h.depth]
+	case t.alg == OLC:
 		n, stack = t.olcDescendLeaf(key, stack)
-	} else {
+	default:
 		n, stack = t.linkDescend(1, key, stack)
 	}
 	n.mu.LockV()
 	return t.moveRightW(n, key), stack
 }
 
-func (t *Tree) linkInsert(key int64, val uint64) bool {
+func (t *Tree) linkInsert(key int64, val uint64, h *Hint) bool {
 	var room [stackDepth]*node
-	n, stack := t.wlockLeaf(key, room[:0])
+	n, stack := t.wlockLeaf(key, room[:0], h)
 	// Half-split repair: split under the node's own lock, release, then
 	// lock the parent to install the new pointer.
 	fresh, sib, sep := t.leafPut(n, key, val)
@@ -244,8 +267,8 @@ func (t *Tree) linkInsert(key int64, val uint64) bool {
 	return fresh
 }
 
-func (t *Tree) linkDelete(key int64) bool {
-	n, _ := t.wlockLeaf(key, nil)
+func (t *Tree) linkDelete(key int64, h *Hint) bool {
+	n, _ := t.wlockLeaf(key, nil, h)
 	ok := t.leafRemove(n, key)
 	if ok {
 		n.mu.UnlockV()

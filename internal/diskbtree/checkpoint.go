@@ -232,9 +232,11 @@ type checkpoint struct {
 // image, and installs it. Every operation sequenced ≤ S is guaranteed into
 // the image; later ones stay in the rotated oplog. between, if non-nil,
 // runs before every chunk with the number of chunks already walked — where
-// the caller yields, paces, publishes progress — and returning false stops
-// the checkpoint with ErrCheckpointStopped. On that, and on any error, the
-// build is discarded (always safe: nothing is visible before the install).
+// the caller yields, paces, publishes progress — and once more after the
+// last, with the total, before the image is completed and fsynced.
+// Returning false stops the checkpoint with ErrCheckpointStopped. On that,
+// and on any error, the build is discarded (always safe: nothing is
+// visible before the install).
 //
 // One goroutine drives a checkpoint; the walk runs fully concurrently with
 // tree readers and writers, and only the install's bounded window blocks
@@ -285,9 +287,12 @@ func (t *Tree) Checkpoint(chunkKeys int, between func(chunksDone int) bool) (pau
 // builder's spine, stamps the meta page with S and fsyncs the sidecar. No
 // tree latches are held outside step.
 func (c *checkpoint) build(chunkKeys int, between func(chunksDone int) bool) error {
-	for chunks, done := 0, false; !done; chunks++ {
+	for chunks, done := 0, false; ; chunks++ {
 		if between != nil && !between(chunks) {
 			return ErrCheckpointStopped
+		}
+		if done {
+			break
 		}
 		var err error
 		if done, err = c.step(chunkKeys); err != nil {

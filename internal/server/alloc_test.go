@@ -139,7 +139,7 @@ func TestScanPageAllocs(t *testing.T) {
 	const limit, pagesPerBatch = 64, 8
 	for _, nShards := range []int{1, 4} {
 		s := New(Config{Algorithm: cbtree.LinkType, Shards: nShards, Prefill: 20000})
-		w := &worker{tallies: make([]opTally, nShards)}
+		w := s.newWorker()
 		first := Request{Op: OpScan, Key: 0, Hi: 1 << 40, Limit: limit}
 		cycle := func(req Request) (last Response) {
 			bt := getBatch(nShards)

@@ -14,9 +14,11 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"btreeperf/internal/diskbtree"
 	"btreeperf/internal/pagestore"
 	"btreeperf/internal/query"
 )
@@ -309,5 +311,51 @@ func TestScanStraddlesCheckpointInstall(t *testing.T) {
 	}
 	if err := eng.t.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCkptChunksDoneAtImageSync holds a background checkpoint's image
+// fsync — the walk is over, the install not yet begun — and reads the
+// progress gauge there: it must count every chunk walked, the last one
+// included. 210 keys in chunks of 64 are walked in exactly four chunks:
+// a chunk takes whole leaves (of at most 8 keys) until it holds 64 keys,
+// so three chunks leave fewer than 64 keys behind, and three chunks of at
+// most 71 cannot exhaust the walk before the third; the fourth is short.
+func TestCkptChunksDoneAtImageSync(t *testing.T) {
+	const chunk, keys, walked = 64, 210, 4
+	fs := pagestore.NewFailFS(nil, pagestore.FailPlan{})
+	held, release := make(chan struct{}), make(chan struct{})
+	var armed atomic.Bool // not the checkpoint Open takes
+	var once sync.Once
+	fs.AroundSync = func(name string, f pagestore.File) error {
+		if armed.Load() && strings.HasSuffix(name, diskbtree.ImageTmpSuffix) {
+			once.Do(func() {
+				close(held)
+				<-release
+			})
+		}
+		return f.Sync()
+	}
+	eng := newDiskEngine(t, DiskEngineConfig{Cap: 8, CacheNodes: 64, CheckpointOps: keys, CheckpointChunk: chunk, FS: fs})
+	defer eng.Close()
+	armed.Store(true)
+	for i := int64(0); i < keys; i++ {
+		if _, err := eng.Put(i, uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := eng.Commit(); err != nil { // the debt reaches CheckpointOps: kicks the checkpoint
+		t.Fatal(err)
+	}
+	select {
+	case <-held:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no checkpoint reached its image fsync")
+	}
+	st := eng.Stats()
+	close(release)
+	if st.CkptChunksDone != walked || st.CkptChunksTotal != walked {
+		t.Fatalf("at the image fsync: ckpt_chunks_done=%d ckpt_chunks_total=%d, want %d of %d",
+			st.CkptChunksDone, st.CkptChunksTotal, walked, walked)
 	}
 }

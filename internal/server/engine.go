@@ -61,6 +61,7 @@ type EngineStats struct {
 	// OLC latch-free read telemetry; zero under the locking algorithms.
 	ReadRestarts  int64 // failed version validations
 	ReadFallbacks int64 // descents that fell back to the locked path
+	StaleHints    int64 // located leaves that had changed when their op ran
 
 	// Durability progress; all zero on the in-memory engine.
 	Recovered       int64 // ops replayed at open
@@ -158,6 +159,7 @@ func (e *memEngine) Stats() EngineStats {
 	return EngineStats{
 		Splits: ts.Splits, Restarts: ts.Restarts, Crossings: ts.Crossings,
 		ReadRestarts: ts.ReadRestarts, ReadFallbacks: ts.ReadFallbacks,
+		StaleHints: ts.StaleHints,
 	}
 }
 

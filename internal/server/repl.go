@@ -326,9 +326,9 @@ func (s *Server) applierShards() []repl.ApplierShard {
 					var err error
 					switch op.Kind {
 					case journal.OpInsert:
-						_, err = sh.put(op.Key, op.Val)
+						_, err = sh.put(op.Key, op.Val, nil)
 					case journal.OpDelete:
-						_, err = sh.del(op.Key)
+						_, err = sh.del(op.Key, nil)
 					default:
 						err = fmt.Errorf("server: replicated op kind %d", op.Kind)
 					}
@@ -354,7 +354,7 @@ func (s *Server) applierShards() []repl.ApplierShard {
 func resetShard(sh *shard) error {
 	return sh.scanAll(func(ents []query.KV) error {
 		for _, e := range ents {
-			if _, err := sh.del(e.Key); err != nil {
+			if _, err := sh.del(e.Key, nil); err != nil {
 				return err
 			}
 		}

@@ -478,7 +478,7 @@ func (s *Server) handle(conn net.Conn) {
 	buf := make([]byte, MaxPayload)
 	credits := s.cfg.Depth
 	nShards := len(s.shards)
-	w := &worker{tallies: make([]opTally, nShards)}
+	w := s.newWorker()
 	queryRR := int32(0) // round-robin home shard for cross-shard query ops
 	var bt *batch       // accumulating batch; nil between batches
 	submit := func() {
@@ -685,38 +685,68 @@ func (s *Server) dispatch(bt *batch, w *worker) {
 
 // worker is the private state of a connection reader that executes
 // batches: the batch's tallies, one per shard, the page arena of the job
-// at hand, and the working memory of the query ops (per-shard cursors and
-// fetches), which keeps the capacity it grew to, so a query page allocates
-// nothing once warm.
+// at hand, the hints of its located ops (see exec) and the working memory
+// of the query ops, which keeps the capacity it grew to, so a batch
+// allocates nothing once warm.
 type worker struct {
 	tallies []opTally
 	arena   *pageArena
+	hints   []cbtree.Hint // MaxBatch of them, a shard's ops contiguous
+	next    []int32       // per shard: the hint of its next located op
 
 	cursors []int64
 	fetches []query.ShardFetch
 	ents    []query.KV // every shard's fetch of one page, back to back
-	keys    []int64    // one shard's index postings (lookups)
+	keys    []int64    // the located keys, then one shard's index postings (lookups)
+}
+
+func (s *Server) newWorker() *worker {
+	n := len(s.shards)
+	return &worker{tallies: make([]opTally, n), hints: make([]cbtree.Hint, s.cfg.MaxBatch), next: make([]int32, n)}
 }
 
 // exec applies the batch's jobs in request order, tallying each from zero
-// in its shard's slot and cutting its pages from its shard's arena.
+// in its shard's slot and cutting its pages from its shard's arena. Each
+// shard that locates point ops (shard.locates) first runs their descents
+// side by side (cbtree.Tree.Locate), and each then starts from its hint.
+// The hints are cleared after, so an idle connection keeps no node alive.
 func (s *Server) exec(bt *batch, w *worker) {
 	clear(w.tallies)
+	keys := w.keys[:0]
+	for si, sh := range s.shards {
+		if bt.nexecSh[si] > 0 && sh.locates(OpGet) {
+			w.next[si] = int32(len(keys))
+			for i := range bt.jobs {
+				if j := &bt.jobs[i]; int(j.shard) == si && !j.skip && sh.locates(j.req.Op) {
+					keys = append(keys, j.req.Key)
+				}
+			}
+			sh.tree.Locate(keys[w.next[si]:], w.hints[w.next[si]:])
+		}
+	}
+	w.keys = keys
 	for i := range bt.jobs {
 		j := &bt.jobs[i]
 		if j.skip {
 			continue
 		}
+		sh := s.shards[j.shard]
+		var h *cbtree.Hint
+		if sh.locates(j.req.Op) {
+			h = &w.hints[w.next[j.shard]]
+			w.next[j.shard]++
+		}
 		w.arena = &bt.arenas[j.shard]
-		j.resp = s.apply(s.shards[j.shard], j.req, w)
+		j.resp = s.apply(sh, j.req, w, h)
 	}
+	clear(w.hints[:len(keys)])
 }
 
 // apply executes one request against the shard's engine, recording it in
 // the worker's tally for the shard. Engine errors (a poisoned disk engine)
 // answer StatusUnavail: the server keeps the wire protocol up but
 // acknowledges nothing it cannot guarantee.
-func (s *Server) apply(sh *shard, req Request, w *worker) Response {
+func (s *Server) apply(sh *shard, req Request, w *worker, h *cbtree.Hint) Response {
 	t := &w.tallies[sh.id]
 	switch req.Op {
 	case OpGet, OpGetSeq:
@@ -732,7 +762,7 @@ func (s *Server) apply(sh *shard, req Request, w *worker) Response {
 				return Response{Status: StatusLagging}
 			}
 		}
-		v, ok, err := sh.eng.Get(req.Key)
+		v, ok, err := sh.get(req.Key, h)
 		if err != nil {
 			t[cUnavail]++
 			return Response{Status: StatusUnavail}
@@ -752,10 +782,10 @@ func (s *Server) apply(sh *shard, req Request, w *worker) Response {
 		var err error
 		if req.Op == OpPut {
 			t[cPuts]++
-			ok, err = sh.put(req.Key, req.Val)
+			ok, err = sh.put(req.Key, req.Val, h)
 		} else {
 			t[cDels]++
-			ok, err = sh.del(req.Key)
+			ok, err = sh.del(req.Key, h)
 		}
 		if err != nil {
 			t[cUnavail]++

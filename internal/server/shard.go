@@ -168,21 +168,48 @@ func (s *Server) shardIdx(key int64) int32 {
 	return int32(shardIndex(key, len(s.shards)))
 }
 
-// put and del apply one mutation to the shard's engine — through the
-// secondary index when there is one: the index wraps the tree op so the
-// pair commits as one per-key atomic step (see internal/query/index).
-func (sh *shard) put(key int64, val uint64) (bool, error) {
-	if sh.idx == nil {
-		return sh.eng.Put(key, val)
+// locates reports whether op on this shard is located with the rest of
+// its batch (Server.exec): a point op on an in-memory OLC tree.
+func (sh *shard) locates(op byte) bool {
+	switch op {
+	case OpGet, OpGetSeq, OpPut, OpDel:
+		return sh.tree != nil && sh.tree.Algorithm() == cbtree.OLC
 	}
-	return sh.idx.Put(key, val, func() (bool, error) { return sh.eng.Put(key, val) })
+	return false
 }
 
-func (sh *shard) del(key int64) (bool, error) {
-	if sh.idx == nil {
-		return sh.eng.Del(key)
+// get, put and del apply one point op to the shard's engine, from h, its
+// hint, when it was located (else h is nil). put and del go through the
+// secondary index when there is one: the index wraps the tree op so the
+// pair commits as one per-key atomic step (see internal/query/index).
+func (sh *shard) get(key int64, h *cbtree.Hint) (uint64, bool, error) {
+	if h == nil {
+		return sh.eng.Get(key)
 	}
-	return sh.idx.Del(key, func() (bool, error) { return sh.eng.Del(key) })
+	v, ok := sh.tree.SearchAt(key, h)
+	return v, ok, nil
+}
+
+func (sh *shard) put(key int64, val uint64, h *cbtree.Hint) (bool, error) {
+	apply := func() (bool, error) { return sh.tree.InsertAt(key, val, h), nil }
+	if h == nil {
+		apply = func() (bool, error) { return sh.eng.Put(key, val) }
+	}
+	if sh.idx == nil {
+		return apply()
+	}
+	return sh.idx.Put(key, val, apply)
+}
+
+func (sh *shard) del(key int64, h *cbtree.Hint) (bool, error) {
+	apply := func() (bool, error) { return sh.tree.DeleteAt(key, h), nil }
+	if h == nil {
+		apply = func() (bool, error) { return sh.eng.Del(key) }
+	}
+	if sh.idx == nil {
+		return apply()
+	}
+	return sh.idx.Del(key, apply)
 }
 
 // scanAll pages through the engine in key order, handing fn each

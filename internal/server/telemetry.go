@@ -123,6 +123,7 @@ var telemetry = []metric{
 	// OLC latch-free read telemetry; zero under the locking algorithms.
 	stat("read_restarts", top|block, sumOf, func(sc *shardScrape) any { return sc.es.ReadRestarts }),
 	stat("read_fallbacks", top|block, sumOf, func(sc *shardScrape) any { return sc.es.ReadFallbacks }),
+	stat("stale_hints", top|block, sumOf, func(sc *shardScrape) any { return sc.es.StaleHints }),
 	stat("root_rho_w", block, unmerged, func(sc *shardScrape) any { return sc.rho(sc.rhoMeas) }),
 	stat("model_rho_w", block, unmerged, func(sc *shardScrape) any { return sc.rho(sc.rhoModel) }),
 	stat("saturated", block, unmerged, func(sc *shardScrape) any { return sc.saturated }),
@@ -189,7 +190,7 @@ var summaryLines = []string{
 	"ops window_s={window_s:.2f} rate={ops_per_sec:.0f} gets={gets} puts={puts} dels={dels} bad={bad_requests} measured_share={measured_share:.4f}\n",
 	"query scan_pages={scan_pages} scan_keys={scan_keys} seeks={seeks} lookup_pages={lookup_pages} lookup_keys={lookup_keys} indexed={indexed} index_keys={index_keys}\n",
 	"op_latency_us mean={op_mean_us:.1f} p50={op_p50_us:.1f} p99={op_p99_us:.1f}\n",
-	"tree splits={splits} restarts={restarts} crossings={crossings} read_restarts={read_restarts} read_fallbacks={read_fallbacks}\n",
+	"tree splits={splits} restarts={restarts} crossings={crossings} read_restarts={read_restarts} read_fallbacks={read_fallbacks} stale_hints={stale_hints}\n",
 	"engine kind={engine} poisoned={poisoned} recovered={recovered_ops} oplog_appended={oplog_appended} oplog_synced={oplog_synced} oplog_bytes={oplog_bytes} fsyncs={group_commit_fsyncs} checkpoints={checkpoints} checkpoint_lag={checkpoint_lag} ckpt_fails={ckpt_fails} commit_fails={commit_fails} unavail={unavail}\n",
 	"commit groups={commit_groups} batches={commit_batches} wait_mean_us={commit_wait_mean_us:.1f} wait_p99_us={commit_wait_p99_us:.1f}\n",
 	"checkpoint pause_last_us={ckpt_pause_last_us:.1f} pause_max_us={ckpt_pause_max_us:.1f} chunks_done={ckpt_chunks_done} chunks_total={ckpt_chunks_total} behind={checkpoint_lag}\n",

@@ -69,6 +69,10 @@ func synthShard(r *rough, id, levels int, measured, disk, olc bool) shardScrape 
 	sc.es = EngineStats{Splits: r.n(1 << 20), Restarts: r.n(1 << 12), Crossings: r.n(1 << 12)}
 	if olc {
 		sc.es.ReadRestarts, sc.es.ReadFallbacks = r.n(1<<16), r.n(1<<8)
+		// Younger than the recording too, so drawn from a stream of its
+		// own (see the commit-pipeline rows below).
+		r3 := rough(2035 + id)
+		sc.es.StaleHints = r3.n(1 << 10)
 	}
 	if disk {
 		sc.es.Recovered, sc.es.Appended, sc.es.Synced = r.n(1<<20), r.n(1<<24), r.n(1<<24)

@@ -18,13 +18,14 @@
 // connection; with -engine disk, a shard's full commit queue) stops reading
 // from the connection until it drains, and on a mem server the overload
 // governor sheds update traffic with Overload frames while measured root
-// ρ_w stays above -governor-rho (the paper's §6 saturation threshold),
-// recovering hysteretically.
+// ρ_w stays at or above .5 (the paper's §6 saturation threshold),
+// recovering hysteretically below .4; -governor-off disables it.
 //
 // -pprof mounts net/http/pprof on the telemetry server (/debug/pprof/),
 // exposing CPU, heap, goroutine, mutex, and block profiles of the live
-// serving path; -pprof-block-rate and -pprof-mutex-frac turn on the
-// runtime's block and mutex sampling for the latter two.
+// serving path, and turns on the runtime's block sampling (one event per
+// 10 µs blocked) and mutex sampling (1 contention event in 5) so the
+// latter two are never empty.
 //
 // -chaos wraps the listener in the internal/faults injector for
 // self-inflicted failure testing:
@@ -62,24 +63,19 @@ func main() {
 		shards   = flag.Int("shards", 1, "keyspace shards, each an independent engine with its own governor (with -engine disk, its own commit pipeline instead)")
 		depth    = flag.Int("depth", 128, "per-connection pipeline bound")
 		prefill  = flag.Int("prefill", 0, "keys inserted before serving")
-		maxBatch = flag.Int("max-batch", 0, "max requests executed as one batch (0 = default)")
 
-		pprofOn        = flag.Bool("pprof", false, "mount net/http/pprof on the telemetry server under /debug/pprof/")
-		pprofBlockRate = flag.Int("pprof-block-rate", 0, "block profile rate in ns per sampled blocking event (0 disables; needs -pprof)")
-		pprofMutexFrac = flag.Int("pprof-mutex-frac", 0, "mutex profile sampling: 1/n contention events recorded (0 disables; needs -pprof)")
+		pprofOn = flag.Bool("pprof", false, "mount net/http/pprof on the telemetry server under /debug/pprof/, with block and mutex sampling on")
 
 		maxConns     = flag.Int("max-conns", 0, "connection cap, refused with Busy past it (0 = unlimited)")
 		idleTimeout  = flag.Duration("idle-timeout", server.DefaultIdleTimeout, "reap connections idle this long (0 disables)")
 		writeTimeout = flag.Duration("write-timeout", server.DefaultWriteTimeout, "cut peers that stall response writes this long (0 disables)")
 
-		govOff = flag.Bool("governor-off", false, "disable the overload governor")
-		govRho = flag.Float64("governor-rho", server.SaturationRho, "root rho_w above which update traffic is shed (shedding stops after 4 samples, 250ms apart, below 0.8x this)")
+		govOff = flag.Bool("governor-off", false, "disable the overload governor (it sheds updates at root rho_w >= .5, and stops after 4 samples, 250ms apart, below .4)")
 
 		chaosSpec = flag.String("chaos", "", "fault-injection spec for the listener, e.g. 'latency=100us,preset=0.001,pdrop=0.01,seed=7'")
 
 		engineName = flag.String("engine", "mem", "storage engine: mem (volatile) or disk (durable, group-committed)")
 		path       = flag.String("path", "", "disk engine data file (required with -engine disk)")
-		fsyncMode  = flag.String("fsync", "batch", "disk engine fsync policy: batch (group commit, one fsync per group of batches) or op (fsync every mutation)")
 		ckptOps    = flag.Int64("checkpoint-ops", 0, "disk engine: mutations of replay debt that trigger a checkpoint (0 = default 262144, negative disables)")
 		ckptChunk  = flag.Int("checkpoint-chunk", 4096, "disk engine: keys walked per latched chunk of an incremental checkpoint")
 		cacheNodes = flag.Int("cache-nodes", 0, "disk engine buffer-pool size in nodes (0 = default 4096)")
@@ -115,6 +111,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "btserved: -shards %d (want >= 1)\n", *shards)
 		os.Exit(2)
 	}
+	if *capacity < 3 {
+		fmt.Fprintf(os.Stderr, "btserved: -cap %d (want >= 3)\n", *capacity)
+		os.Exit(2)
+	}
+	if *replAckWait < 0 {
+		fmt.Fprintf(os.Stderr, "btserved: -repl-ack-timeout %v (want >= 0)\n", *replAckWait)
+		os.Exit(2)
+	}
 
 	// Disk mode builds one engine per shard. A single shard keeps the
 	// legacy layout (-path is the data file); with -shards=N the path is
@@ -124,10 +128,6 @@ func main() {
 	switch *engineName {
 	case "mem":
 	case "disk":
-		if *fsyncMode != "batch" && *fsyncMode != "op" {
-			fmt.Fprintf(os.Stderr, "btserved: -fsync %q (want batch or op)\n", *fsyncMode)
-			os.Exit(2)
-		}
 		if *ckptChunk <= 0 {
 			fmt.Fprintf(os.Stderr, "btserved: -checkpoint-chunk %d (want > 0: an incremental checkpoint must make progress each latched chunk)\n", *ckptChunk)
 			os.Exit(2)
@@ -139,13 +139,9 @@ func main() {
 		// A positive threshold below the batch size would demand a
 		// checkpoint mid-batch, which group commit can never satisfy:
 		// every committed batch would immediately re-cross the threshold.
-		effBatch := int64(*maxBatch)
-		if effBatch <= 0 {
-			effBatch = int64(server.DefaultMaxBatch)
-		}
-		if *ckptOps > 0 && *ckptOps < effBatch {
-			fmt.Fprintf(os.Stderr, "btserved: -checkpoint-ops %d is below the commit batch size %d; every batch would re-cross the threshold (raise -checkpoint-ops or lower -max-batch)\n",
-				*ckptOps, effBatch)
+		if *ckptOps > 0 && *ckptOps < server.DefaultMaxBatch {
+			fmt.Fprintf(os.Stderr, "btserved: -checkpoint-ops %d is below the commit batch size %d; every batch would re-cross the threshold\n",
+				*ckptOps, server.DefaultMaxBatch)
 			os.Exit(2)
 		}
 		for i := 0; i < *shards; i++ {
@@ -162,7 +158,6 @@ func main() {
 				Path:            p,
 				Cap:             *capacity,
 				CacheNodes:      *cacheNodes,
-				SyncEveryOp:     *fsyncMode == "op",
 				CheckpointOps:   *ckptOps,
 				CheckpointChunk: *ckptChunk,
 			})
@@ -171,8 +166,8 @@ func main() {
 				os.Exit(1)
 			}
 			engines = append(engines, diskEng)
-			fmt.Fprintf(os.Stderr, "btserved: disk engine at %s: %d keys, %d ops recovered, fsync=%s\n",
-				p, diskEng.Len(), diskEng.Recovered(), *fsyncMode)
+			fmt.Fprintf(os.Stderr, "btserved: disk engine at %s: %d keys, %d ops recovered\n",
+				p, diskEng.Len(), diskEng.Recovered())
 		}
 	default:
 		fmt.Fprintf(os.Stderr, "btserved: unknown engine %q (want mem or disk)\n", *engineName)
@@ -180,20 +175,16 @@ func main() {
 	}
 
 	cfg := server.Config{
-		Algorithm:    alg,
-		Shards:       *shards,
-		Capacity:     *capacity,
-		Depth:        *depth,
-		Prefill:      *prefill,
-		MaxBatch:     *maxBatch,
-		Index:        *indexOn,
-		MaxConns:     *maxConns,
-		IdleTimeout:  cliTimeout(*idleTimeout),
-		WriteTimeout: cliTimeout(*writeTimeout),
-		Governor: server.GovernorConfig{
-			Disabled: *govOff,
-			Rho:      *govRho,
-		},
+		Algorithm:      alg,
+		Shards:         *shards,
+		Capacity:       *capacity,
+		Depth:          *depth,
+		Prefill:        *prefill,
+		Index:          *indexOn,
+		MaxConns:       *maxConns,
+		IdleTimeout:    cliTimeout(*idleTimeout),
+		WriteTimeout:   cliTimeout(*writeTimeout),
+		Governor:       server.GovernorConfig{Disabled: *govOff},
 		ReplAcks:       *replAcks,
 		ReplAckTimeout: *replAckWait,
 	}
@@ -253,14 +244,10 @@ func main() {
 		handler := s.Handler()
 		if *pprofOn {
 			handler = s.HandlerWithProfiling()
-			if *pprofBlockRate > 0 {
-				runtime.SetBlockProfileRate(*pprofBlockRate)
-			}
-			if *pprofMutexFrac > 0 {
-				runtime.SetMutexProfileFraction(*pprofMutexFrac)
-			}
+			runtime.SetBlockProfileRate(pprofBlockRate)
+			runtime.SetMutexProfileFraction(pprofMutexFrac)
 			fmt.Fprintf(os.Stderr, "btserved: pprof on http://%s/debug/pprof/ (block-rate=%d mutex-frac=%d)\n",
-				hln.Addr(), *pprofBlockRate, *pprofMutexFrac)
+				hln.Addr(), pprofBlockRate, pprofMutexFrac)
 		}
 		hs = &http.Server{Handler: handler}
 		go hs.Serve(hln)
@@ -292,6 +279,14 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "btserved: drained; %d keys in tree at exit\n", keys)
 }
+
+// The block and mutex sampling -pprof turns on (ns blocked per sampled
+// event, 1/n contention events), so the two profiles it mounts are
+// never empty.
+const (
+	pprofBlockRate = 10000
+	pprofMutexFrac = 5
+)
 
 func parseAlg(name string) (cbtree.Algorithm, error) {
 	switch name {

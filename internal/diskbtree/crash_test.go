@@ -302,26 +302,3 @@ func TestDurableCleanReopenReplaysNothing(t *testing.T) {
 		t.Fatalf("Len = %d", rec.Len())
 	}
 }
-
-func TestSyncOpsMode(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "tree.db")
-	tr, err := Open(path, Options{Cap: 8, CacheNodes: 16, Durable: true, SyncOps: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(0); i < 50; i++ {
-		if _, err := tr.Insert(i, uint64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	crashed := copyCrashState(t, path, t.TempDir())
-	rec, err := Open(crashed, Options{Cap: 8, CacheNodes: 16, Durable: true, SyncOps: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rec.Close()
-	if rec.Len() != 50 {
-		t.Fatalf("Len = %d", rec.Len())
-	}
-}

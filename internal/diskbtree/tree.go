@@ -75,13 +75,10 @@ type Options struct {
 	// image's sequence. Opening a durable tree after a crash copies the
 	// image over the (scratch) live file and replays the oplog suffix.
 	// Checkpoints are incremental and concurrent — see Checkpoint.
+	// Operations are durable at the next Commit or Sync (group commit)
+	// and not before: until then their oplog records are in memory only,
+	// and a process kill loses them.
 	Durable bool
-	// SyncOps, with Durable, fsyncs the oplog on every Insert/Delete so
-	// each acknowledged operation survives a crash (slower). Without it,
-	// operations are durable at the next Commit or Sync (group commit) and
-	// not before: until then their oplog records are in memory only, and
-	// a process kill loses them.
-	SyncOps bool
 	// FS overrides the file layer for the store and journal (failpoint
 	// testing). Nil means the real filesystem.
 	FS pagestore.FS
@@ -154,7 +151,7 @@ func openDurable(path string, opts Options, fs pagestore.FS) (*Tree, error) {
 		err = t.initEmpty()
 	}
 	if err == nil {
-		err = t.attachJournal(path, opts.SyncOps, opts.FS)
+		err = t.attachJournal(path, opts.FS)
 	}
 	if err != nil {
 		if t.jnl != nil {
@@ -195,8 +192,8 @@ func (t *Tree) loadMeta() error {
 // attachJournal opens the oplog, aligns it with the recovered image
 // (rebasing it if a crash interrupted a rotation), replays the suffix,
 // and installs a fresh image at the replayed head.
-func (t *Tree) attachJournal(path string, syncOps bool, fs pagestore.FS) error {
-	j, err := journal.OpenFS(path, syncOps, fs)
+func (t *Tree) attachJournal(path string, fs pagestore.FS) error {
+	j, err := journal.OpenFS(path, false, fs)
 	if err != nil {
 		return err
 	}

@@ -10,16 +10,12 @@ import (
 
 // The batched serving fast path.
 //
-// The old request path heap-allocated a job and a done channel per
-// request and crossed the worker queue one operation at a time, so at
-// high pipeline depth the serving scaffolding — allocator, scheduler,
-// channel handoffs — cost more than the tree. The fast path amortizes
-// all of it across pipeline depth: the connection reader decodes every
-// frame already buffered on the wire into one pooled batch (a slab of
-// jobs, no per-request channels), the batch is executed as a single unit
-// in slab order, completion is one token on the batch's reused ready
-// channel, and the writer coalesces the whole batch's responses into one
-// buffered write. In the steady state nothing on this path allocates:
+// The serving scaffolding is amortized across pipeline depth: the
+// connection reader decodes every frame already buffered on the wire into
+// one pooled batch (a slab of jobs, no per-request channels), the batch
+// is executed as a single unit in slab order, completion is one token on
+// the batch's reused ready channel, and the writer coalesces the whole
+// batch's responses into one buffered write. In the steady state nothing on this path allocates:
 // batches, their job slabs and the memory their scan pages live in are
 // recycled through a sync.Pool.
 //

@@ -169,11 +169,6 @@ type DiskEngineConfig struct {
 	Cap        int // node capacity; default 128
 	CacheNodes int // buffer-pool size; default 4096
 
-	// SyncEveryOp fsyncs the oplog on every mutation instead of once per
-	// batch — the per-op-fsync baseline the durability study measures
-	// group commit against.
-	SyncEveryOp bool
-
 	// CheckpointOps bounds the oplog: once this many mutations have
 	// accumulated past the last installed image, a checkpoint is taken —
 	// a background goroutine walks the tree in bounded chunks, fully
@@ -196,8 +191,8 @@ type DiskEngineConfig struct {
 // concurrently; a background goroutine checkpoints concurrently with
 // serving, and Commit only blocks — backpressure — when the replay debt
 // reaches twice the threshold. Under a server the caller it blocks is the
-// shard's committer, and the workers stop behind it once the commit queue
-// is full (see the bound where New sizes the queue).
+// shard's committer, and the connections stop behind it once the commit
+// queue is full (see the bound where New sizes the queue).
 type DiskEngine struct {
 	t         *diskbtree.Tree
 	mu        sync.RWMutex // fences Close: RLock for ops and Commit, Lock for Close
@@ -248,7 +243,6 @@ func NewDiskEngine(cfg DiskEngineConfig) (*DiskEngine, error) {
 		Cap:        cfg.Cap,
 		CacheNodes: cfg.CacheNodes,
 		Durable:    true,
-		SyncOps:    cfg.SyncEveryOp,
 		FS:         cfg.FS,
 	})
 	if err != nil {

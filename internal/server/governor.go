@@ -47,27 +47,22 @@ func (g GovState) String() string {
 // a per-tree phenomenon in the model, so a hot shard sheds its own
 // update traffic while the others keep serving at full admission.
 //
-// The governor is hysteretic in two ways: it enters shedding at Rho but
-// only leaves once ρ_w has stayed below ExitRho for RecoverTicks
-// consecutive intervals, and it passes through GovDegraded on the way
-// back to GovOK. Under a sustained overload this duty-cycles admission:
+// The governor is hysteretic in two ways: it enters shedding at
+// SaturationRho but only leaves once ρ_w has stayed below exitRho for
+// RecoverTicks consecutive intervals, and it passes through GovDegraded
+// on the way back to GovOK. Under a sustained overload this duty-cycles admission:
 // shed until the root cools off, re-admit, shed again — bounding root
 // ρ_w near the threshold instead of collapsing past it.
 type GovernorConfig struct {
 	Disabled     bool
-	Rho          float64       // enter threshold on root ρ_w; default SaturationRho (.5)
-	ExitRho      float64       // leave threshold; default 0.8·Rho
 	Interval     time.Duration // measurement interval; default 250ms
-	RecoverTicks int           // consecutive below-ExitRho intervals to stop shedding; default 4
+	RecoverTicks int           // consecutive below-exitRho intervals to stop shedding; default 4
 }
 
+// exitRho is the governor's leave threshold on root ρ_w.
+const exitRho = 0.8 * SaturationRho
+
 func (c *GovernorConfig) fill() {
-	if c.Rho == 0 {
-		c.Rho = SaturationRho
-	}
-	if c.ExitRho == 0 {
-		c.ExitRho = 0.8 * c.Rho
-	}
 	if c.Interval == 0 {
 		c.Interval = 250 * time.Millisecond
 	}
@@ -82,7 +77,7 @@ func (c *GovernorConfig) fill() {
 type GovStatus struct {
 	State        GovState
 	RootRhoW     float64 // last measured root ρ_w (merged view: max over shards)
-	Rho          float64 // enter threshold
+	Rho          float64 // enter threshold (SaturationRho)
 	ExitRho      float64
 	Transitions  int64 // state changes since start (merged view: summed)
 	ShedOverload int64 // updates shed with StatusOverload (merged view: summed)
@@ -100,7 +95,7 @@ type governor struct {
 	shed  atomic.Bool
 	rho   atomic.Uint64 // float64 bits of last measurement
 	trans atomic.Int64
-	below int // consecutive intervals below ExitRho while overloaded
+	below int // consecutive intervals below exitRho while overloaded
 
 	stopCh chan struct{}
 
@@ -120,8 +115,8 @@ func (g *governor) Status() GovStatus {
 	return GovStatus{
 		State:        GovState(g.state.Load()),
 		RootRhoW:     math.Float64frombits(g.rho.Load()),
-		Rho:          g.cfg.Rho,
-		ExitRho:      g.cfg.ExitRho,
+		Rho:          SaturationRho,
+		ExitRho:      exitRho,
 		Transitions:  g.trans.Load(),
 		ShedOverload: g.sh.ctr[cShedOverload].Load(),
 		ConnRejects:  g.sh.srv.connRejects.Load(),
@@ -189,20 +184,20 @@ func (g *governor) tick(rho float64) {
 	switch st {
 	case GovOK:
 		switch {
-		case rho >= g.cfg.Rho:
+		case rho >= SaturationRho:
 			next = GovOverloaded
-		case rho >= g.cfg.ExitRho:
+		case rho >= exitRho:
 			next = GovDegraded
 		}
 	case GovDegraded:
 		switch {
-		case rho >= g.cfg.Rho:
+		case rho >= SaturationRho:
 			next = GovOverloaded
-		case rho < g.cfg.ExitRho:
+		case rho < exitRho:
 			next = GovOK
 		}
 	case GovOverloaded:
-		if rho < g.cfg.ExitRho {
+		if rho < exitRho {
 			g.below++
 			if g.below >= g.cfg.RecoverTicks {
 				next = GovDegraded

@@ -23,8 +23,7 @@ func (s *Server) Handler() http.Handler { return s.handler(false) }
 // /debug/pprof/, exposing the CPU, heap, goroutine, mutex, and block
 // profiles on the telemetry listener. Mutex and block profiles are empty
 // unless the process also sets runtime.SetMutexProfileFraction and
-// runtime.SetBlockProfileRate (btserved's -pprof-mutex-frac and
-// -pprof-block-rate flags).
+// runtime.SetBlockProfileRate, as btserved's -pprof does.
 func (s *Server) HandlerWithProfiling() http.Handler { return s.handler(true) }
 
 func (s *Server) handler(profiled bool) http.Handler {

@@ -525,7 +525,7 @@ func TestGovernorShedsWritesAndRecovers(t *testing.T) {
 		t.Fatalf("tree mutated while shedding: %d keys, want 1", got)
 	}
 
-	// Hysteretic recovery: below ExitRho for RecoverTicks → degraded →
+	// Hysteretic recovery: below exitRho for RecoverTicks → degraded →
 	// ok, and updates are admitted again.
 	setRho(0.01)
 	waitState(GovOK)

@@ -207,7 +207,7 @@ func TestShardedGovernorShedsPerShard(t *testing.T) {
 	var hotRho atomic.Bool
 	s := New(Config{
 		Algorithm: cbtree.LinkType, Shards: shards,
-		Governor: GovernorConfig{Interval: 5 * time.Millisecond, Rho: 0.5},
+		Governor: GovernorConfig{Interval: 5 * time.Millisecond},
 	})
 	for i, sh := range s.shards {
 		i := i

@@ -6,6 +6,8 @@
 # column). Exercises the real binaries over loopback TCP, not the test
 # harness.
 #
+# First, btserved must refuse bad and deleted flags with exit 2.
+#
 #   scripts/smoke.sh            # ~20 s, four server runs
 set -euo pipefail
 
@@ -19,6 +21,26 @@ go build -o "$bin/btquery" ./cmd/btquery
 
 listen=127.0.0.1:9470
 http=127.0.0.1:9471
+
+# The flag surface: a bad value is refused at parse with exit 2 and one
+# line saying why, and a deleted flag is refused as undefined; neither
+# may panic.
+for args in "-cap 2" "-repl-ack-timeout -1s" \
+  "-fsync op" "-governor-rho 0.6" "-max-batch 8" "-pprof-block-rate 10000" "-pprof-mutex-frac 5"; do
+  code=0
+  timeout 10 "$bin/btserved" $args -listen "$listen" -http "" 2>"$bin/flag.err" || code=$?
+  [ "$code" -eq 2 ] || { echo "FAIL(flags): btserved $args exited $code, want 2" >&2; cat "$bin/flag.err" >&2; exit 1; }
+  ! grep -q panic "$bin/flag.err" || { echo "FAIL(flags): btserved $args panicked" >&2; cat "$bin/flag.err" >&2; exit 1; }
+  case "$args" in
+  "-cap "* | "-repl-ack-timeout "*)
+    [ "$(wc -l <"$bin/flag.err")" -eq 1 ] || {
+      echo "FAIL(flags): btserved $args printed more than one line" >&2; cat "$bin/flag.err" >&2; exit 1; } ;;
+  *)
+    grep -q "flag provided but not defined: ${args%% *}" "$bin/flag.err" || {
+      echo "FAIL(flags): btserved $args was not refused as undefined" >&2; cat "$bin/flag.err" >&2; exit 1; } ;;
+  esac
+  echo "ok: btserved $args refused: $(head -1 "$bin/flag.err")"
+done
 
 for alg in lock-coupling optimistic link-type olc; do
   echo "== $alg =="

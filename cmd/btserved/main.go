@@ -119,6 +119,22 @@ func main() {
 		fmt.Fprintf(os.Stderr, "btserved: -repl-ack-timeout %v (want >= 0)\n", *replAckWait)
 		os.Exit(2)
 	}
+	if *depth < 1 {
+		fmt.Fprintf(os.Stderr, "btserved: -depth %d (want >= 1)\n", *depth)
+		os.Exit(2)
+	}
+	if *maxConns < 0 {
+		fmt.Fprintf(os.Stderr, "btserved: -max-conns %d (want >= 0; 0 = unlimited)\n", *maxConns)
+		os.Exit(2)
+	}
+	if *prefill < 0 {
+		fmt.Fprintf(os.Stderr, "btserved: -prefill %d (want >= 0)\n", *prefill)
+		os.Exit(2)
+	}
+	if *replAcks < 0 {
+		fmt.Fprintf(os.Stderr, "btserved: -repl-acks %d (want >= 0; 0 = async)\n", *replAcks)
+		os.Exit(2)
+	}
 
 	// Disk mode builds one engine per shard. A single shard keeps the
 	// legacy layout (-path is the data file); with -shards=N the path is

@@ -91,10 +91,11 @@ func TestInstrumentCoversAllLevels(t *testing.T) {
 				t.Fatalf("telemetry at %d levels, tree height %d", len(snap.Levels), height)
 			}
 			for _, ls := range snap.Levels {
-				if ls.AcquiredR+ls.AcquiredW == 0 {
+				acquired := ls.WaitHistR.N() + ls.WaitHistW.N()
+				if acquired == 0 {
 					t.Errorf("level %d saw no acquisitions", ls.Level)
 				}
-				if got, want := ls.ReleasedR+ls.ReleasedW, ls.AcquiredR+ls.AcquiredW; got != want {
+				if got, want := ls.ReleasedR+ls.ReleasedW, acquired; got != want {
 					t.Errorf("level %d releases %d != acquisitions %d", ls.Level, got, want)
 				}
 			}

@@ -318,20 +318,16 @@ func (c *checkpoint) fail(err error) error {
 // on the leaf chain, and streams it into the image. It reports whether
 // the walk has reached the right edge of the tree.
 func (c *checkpoint) step(maxKeys int) (bool, error) {
-	t := c.t
-	if err := t.Poisoned(); err != nil {
-		return false, err
-	}
 	// Collect under the latches, feed the builder outside them: image I/O
 	// must not extend the window in which writers to a leaf are blocked.
 	c.keys, c.vals = c.keys[:0], c.vals[:0]
-	err := t.rangeLeaves(c.cursor, math.MaxInt64, func(keys []int64, vals []uint64) bool {
+	err := c.t.RangeLeaves(c.cursor, math.MaxInt64, func(keys []int64, vals []uint64) bool {
 		c.keys = append(c.keys, keys...)
 		c.vals = append(c.vals, vals...)
 		return len(c.keys) < maxKeys
 	})
 	if err != nil {
-		return false, t.poison(err)
+		return false, err
 	}
 	if err := c.b.addRun(c.keys, c.vals); err != nil {
 		return false, c.fail(fmt.Errorf("diskbtree: checkpoint image write: %w", err))

@@ -80,13 +80,13 @@ func TestFsyncPoisoning(t *testing.T) {
 func TestReadErrorPoisonsEveryEntryPoint(t *testing.T) {
 	// Each victim is an entry point that has to read an evicted page.
 	victims := map[string]func(tr *Tree) error{
-		"Search":    func(tr *Tree) error { _, _, err := tr.Search(5000); return err },
-		"SearchGE":  func(tr *Tree) error { _, _, _, err := tr.SearchGE(5001); return err },
-		"Min":       func(tr *Tree) error { _, _, _, err := tr.Min(); return err },
-		"Range":     func(tr *Tree) error { return tr.Range(5000, 5100, func(int64, uint64) bool { return true }) },
-		"ScanRange": func(tr *Tree) error { return tr.ScanRange(5000, 5100, func(int64, uint64) bool { return true }) },
-		"Insert":    func(tr *Tree) error { _, err := tr.Insert(5001, 1); return err },
-		"Delete":    func(tr *Tree) error { _, err := tr.Delete(5000); return err },
+		"Search":      func(tr *Tree) error { _, _, err := tr.Search(5000); return err },
+		"SearchGE":    func(tr *Tree) error { _, _, _, err := tr.SearchGE(5001); return err },
+		"Min":         func(tr *Tree) error { _, _, _, err := tr.Min(); return err },
+		"Range":       func(tr *Tree) error { return tr.Range(5000, 5100, func(int64, uint64) bool { return true }) },
+		"RangeLeaves": func(tr *Tree) error { return tr.RangeLeaves(5000, 5100, func([]int64, []uint64) bool { return true }) },
+		"Insert":      func(tr *Tree) error { _, err := tr.Insert(5001, 1); return err },
+		"Delete":      func(tr *Tree) error { _, err := tr.Delete(5000); return err },
 	}
 	build := func(t *testing.T, fs pagestore.FS) *Tree {
 		tr, err := Open(filepath.Join(t.TempDir(), "t.db"), Options{Cap: 8, CacheNodes: 8, Durable: true, FS: fs})

@@ -127,7 +127,7 @@ func pinsOf(c *cache, id pagestore.PageID) int {
 // leafOf returns the page id of the leaf covering key.
 func leafOf(t *testing.T, tr *Tree, key int64) pagestore.PageID {
 	t.Helper()
-	n, _, err := tr.descend(key, false, nil)
+	n, _, err := tr.descend(1, key, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

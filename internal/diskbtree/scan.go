@@ -2,12 +2,13 @@ package diskbtree
 
 import "math"
 
-// rangeLeaves is the one leaf-chain walk under every ordered read: it
+// RangeLeaves is the one leaf-chain walk under every ordered read: it
 // calls fn with each leaf's run of the keys in [lo, hi] and their values,
 // in ascending key order, stopping when fn returns false. Runs are never
 // empty. The slices are the leaf's own storage in its buffer-pool slot
 // and are valid only during the call: fn runs under the leaf's shared
 // latch and must not retain or modify them, nor call back into the tree.
+// A storage failure met on the walk poisons the tree and is returned.
 //
 // It descends to the leaf covering lo, then follows right links with
 // shared-latch coupling — the next leaf is latched before this one is
@@ -15,13 +16,16 @@ import "math"
 // for longer than one leaf visit. Concurrent splits are neither missed
 // nor double-visited (the Lehman–Yao right-link argument: a split only
 // ever moves keys to the right, where the walk is headed).
-func (t *Tree) rangeLeaves(lo, hi int64, fn func(keys []int64, vals []uint64) bool) error {
+func (t *Tree) RangeLeaves(lo, hi int64, fn func(keys []int64, vals []uint64) bool) error {
+	if err := t.Poisoned(); err != nil {
+		return err
+	}
 	if hi < lo {
 		return nil
 	}
-	n, _, err := t.descend(lo, false, nil)
+	n, _, err := t.descend(1, lo, false, nil)
 	if err != nil {
-		return err
+		return t.poison(err)
 	}
 	for {
 		keys := n.keys()
@@ -37,7 +41,7 @@ func (t *Tree) rangeLeaves(lo, hi int64, fn func(keys []int64, vals []uint64) bo
 		next, err := t.rLatch(n.right)
 		t.rUnlatch(n)
 		if err != nil {
-			return err
+			return t.poison(err)
 		}
 		n = next
 	}
@@ -46,37 +50,23 @@ func (t *Tree) rangeLeaves(lo, hi int64, fn func(keys []int64, vals []uint64) bo
 // Range calls fn for each key in [lo, hi] ascending, stopping early if fn
 // returns false.
 func (t *Tree) Range(lo, hi int64, fn func(key int64, val uint64) bool) error {
-	if err := t.Poisoned(); err != nil {
-		return err
-	}
-	return t.poison(t.rangeLeaves(lo, hi, func(keys []int64, vals []uint64) bool {
+	return t.RangeLeaves(lo, hi, func(keys []int64, vals []uint64) bool {
 		for i, k := range keys {
 			if !fn(k, vals[i]) {
 				return false
 			}
 		}
 		return true
-	}))
-}
-
-// ScanRange is Range over the half-open interval [lo, hi).
-func (t *Tree) ScanRange(lo, hi int64, emit func(key int64, val uint64) bool) error {
-	if hi == math.MinInt64 {
-		return t.Poisoned()
-	}
-	return t.Range(lo, hi-1, emit)
+	})
 }
 
 // SearchGE returns the smallest stored key >= key and its value
 // (an ordered "seek"); ok is false when no such key exists.
 func (t *Tree) SearchGE(key int64) (k int64, v uint64, ok bool, err error) {
-	if err := t.Poisoned(); err != nil {
-		return 0, 0, false, err
-	}
-	err = t.poison(t.rangeLeaves(key, math.MaxInt64, func(keys []int64, vals []uint64) bool {
+	err = t.RangeLeaves(key, math.MaxInt64, func(keys []int64, vals []uint64) bool {
 		k, v, ok = keys[0], vals[0], true
 		return false
-	}))
+	})
 	return k, v, ok, err
 }
 

@@ -414,34 +414,34 @@ func (t *Tree) moveRight(n node, key int64, write bool) (node, error) {
 // ancestor page ids; a taller tree spills it to the heap.
 const stackDepth = 16
 
-// descend returns the leaf covering key, pinned and latched — exclusively
-// when write is set — appending the page ids of the ancestors it passed to
-// stack when that is non-nil (split repair wants them). Internal nodes are
-// visited under shared latches, one at a time; the walk stops at level 2
-// and latches the leaf directly in the mode the operation needs, so each
-// level costs one page access.
-func (t *Tree) descend(key int64, write bool, stack []pagestore.PageID) (node, []pagestore.PageID, error) {
-	id, level := t.rootID(), 0 // level of page id; 0 = whatever the root's is
+// descend returns the node at the given level covering key — the leaf at
+// level 1 — pinned and latched, exclusively when write is set, appending
+// the page ids of the ancestors it passed to stack when that is non-nil
+// (split repair wants them). The nodes above the target are visited under
+// shared latches, one at a time; the walk latches the target directly in
+// the mode the operation needs, so each level costs one page access.
+func (t *Tree) descend(level int, key int64, write bool, stack []pagestore.PageID) (node, []pagestore.PageID, error) {
+	id, at := t.rootID(), 0 // level of page id; 0 = whatever the root's is
 	for {
-		leaf := level == 1
-		n, err := t.latch(id, write && leaf)
+		target := at == level
+		n, err := t.latch(id, write && target)
 		if err == nil {
-			n, err = t.moveRight(n, key, write && leaf)
+			n, err = t.moveRight(n, key, write && target)
 		}
 		if err != nil {
 			return node{}, nil, err
 		}
-		if n.isLeaf() {
-			if leaf || !write {
+		if int(n.level) == level {
+			if target || !write {
 				return n, stack, nil
 			}
-			// A lone leaf root met under a shared latch: come back for it
-			// exclusively.
-			id, level = n.id, 1
+			// A root at the target level met under a shared latch: come
+			// back for it exclusively.
+			id, at = n.id, level
 			t.rUnlatch(n)
 			continue
 		}
-		id, level = n.child(n.childIndex(key)), int(n.level)-1
+		id, at = n.child(n.childIndex(key)), int(n.level)-1
 		if stack != nil {
 			stack = append(stack, n.id)
 		}
@@ -462,7 +462,7 @@ func (t *Tree) Search(key int64) (uint64, bool, error) {
 }
 
 func (t *Tree) search(key int64) (uint64, bool, error) {
-	n, _, err := t.descend(key, false, nil)
+	n, _, err := t.descend(1, key, false, nil)
 	if err != nil {
 		return 0, false, err
 	}
@@ -487,7 +487,7 @@ func (t *Tree) Insert(key int64, val uint64) (bool, error) {
 
 func (t *Tree) insert(key int64, val uint64) (bool, error) {
 	var buf [stackDepth]pagestore.PageID
-	n, stack, err := t.descend(key, true, buf[:0])
+	n, stack, err := t.descend(1, key, true, buf[:0])
 	if err != nil {
 		return false, err
 	}
@@ -522,21 +522,17 @@ func (t *Tree) insertItem(n node, ki int, key int64, pi int, ptr uint64, stack [
 		level := int(n.level) + 1
 		t.wUnlatch(n, true)
 
-		var parentID pagestore.PageID
 		if len(stack) > 0 {
-			parentID = stack[len(stack)-1]
+			n, err = t.wLatch(stack[len(stack)-1])
 			stack = stack[:len(stack)-1]
-		} else {
-			parentID, err = t.locate(level, sep)
-			if err != nil {
-				return err
+			if err == nil {
+				n, err = t.moveRight(n, sep, true)
 			}
+		} else {
+			// The root grew past the remembered ancestors: find the
+			// parent level from the new root.
+			n, _, err = t.descend(level, sep, true, nil)
 		}
-		n, err = t.wLatch(parentID)
-		if err != nil {
-			return err
-		}
-		n, err = t.moveRight(n, sep, true)
 		if err != nil {
 			return err
 		}
@@ -601,29 +597,6 @@ func (t *Tree) growRoot(old node, sep int64, sib pagestore.PageID) error {
 	return nil
 }
 
-// locate descends to the page at the given level covering key (used when
-// the root grew past the remembered ancestor stack).
-func (t *Tree) locate(level int, key int64) (pagestore.PageID, error) {
-	id := t.rootID()
-	for {
-		n, err := t.rLatch(id)
-		if err != nil {
-			return 0, err
-		}
-		if int(n.level) == level {
-			t.rUnlatch(n)
-			return id, nil
-		}
-		n, err = t.moveRight(n, key, false)
-		if err != nil {
-			return 0, err
-		}
-		child := n.child(n.childIndex(key))
-		t.rUnlatch(n)
-		id = child
-	}
-}
-
 // Delete removes key, reporting whether it was present. Emptied leaves
 // stay in place (lazy merge-at-empty). A storage failure poisons the
 // tree: every later operation returns ErrPoisoned.
@@ -636,7 +609,7 @@ func (t *Tree) Delete(key int64) (bool, error) {
 }
 
 func (t *Tree) del(key int64) (bool, error) {
-	n, _, err := t.descend(key, true, nil)
+	n, _, err := t.descend(1, key, true, nil)
 	if err != nil {
 		return false, err
 	}

@@ -434,9 +434,10 @@ func TestSearchGEEmpty(t *testing.T) {
 // A writer that descended while the root was a lone leaf holds an empty
 // ancestor stack. If the root grows before that writer's leaf splits, the
 // split has no remembered parent and must find it from the new root
-// (locate). The window is a few instructions wide, so the test stands in
-// for the writer: on a tree that already has inner levels it latches a
-// full leaf and inserts with the empty stack that writer would hold.
+// (descend to the parent's level). The window is a few instructions
+// wide, so the test stands in for the writer: on a tree that already has
+// inner levels it latches a full leaf and inserts with the empty stack
+// that writer would hold.
 func TestSplitRepairAfterRootGrowth(t *testing.T) {
 	tr, _ := openTemp(t, Options{Cap: 4, CacheNodes: 64})
 	defer tr.Close()
@@ -456,7 +457,7 @@ func TestSplitRepairAfterRootGrowth(t *testing.T) {
 	}
 	splits, _ := tr.Stats()
 	for k := int64(1); ; k += 2 {
-		n, _, err := tr.descend(k, true, nil)
+		n, _, err := tr.descend(1, k, true, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

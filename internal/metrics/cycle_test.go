@@ -226,7 +226,7 @@ func TestRatesNoSampleBetweenEpochs(t *testing.T) {
 	if got := Rates(s0, s1); got != nil {
 		t.Fatalf("window with no measured time produced %+v", got)
 	}
-	if len(s1.Levels) != 1 || s1.Levels[0].AcquiredW != 1 || s1.Levels[0].AcquiredR != 0 {
+	if len(s1.Levels) != 1 || s1.Levels[0].WaitHistW.N() != 1 || s1.Levels[0].WaitHistR.N() != 0 {
 		t.Fatalf("traffic in the gap was heard: %+v", s1.Levels)
 	}
 	close(stop)

@@ -7,7 +7,8 @@
 //
 //	λ_r, λ_w — lock arrival rates per class (acquisitions/second)
 //	μ_r, μ_w — lock service rates per class (completions per held-second)
-//	W_r, W_w — mean queue waits, plus log-bucketed wait histograms
+//	W_r, W_w — mean queue waits: the means of log-bucketed wait
+//	           histograms, whose counts are the arrivals λ is taken from
 //	ρ_w      — fraction of time a writer is active or queued (the
 //	           root-level value is the paper's saturation gauge)
 //
@@ -37,16 +38,19 @@ import (
 	"btreeperf/internal/qmodel"
 )
 
-// HistBuckets is the number of log₂ nanosecond buckets in a Hist: bucket i
+// histBuckets is the number of log₂ nanosecond buckets in a Hist: bucket i
 // holds samples whose nanosecond value has bit length i, i.e. roughly
 // [2^(i−1), 2^i). Bucket 0 holds zero/negative samples; the last bucket
 // saturates (2^38 ns ≈ 4.6 min).
-const HistBuckets = 40
+const histBuckets = 40
 
-// Hist is a lock-free histogram of durations with power-of-two buckets.
-// The zero value is ready to use; all methods are safe for concurrent use.
+// Hist is a lock-free histogram of durations with power-of-two buckets
+// and their exact running sum: a snapshot's count, mean and quantiles all
+// come from the one record. The zero value is ready to use; all methods
+// are safe for concurrent use.
 type Hist struct {
-	buckets [HistBuckets]atomic.Int64
+	buckets [histBuckets]atomic.Int64
+	sum     atomic.Int64
 }
 
 func bucketOf(ns int64) int {
@@ -54,8 +58,8 @@ func bucketOf(ns int64) int {
 		return 0
 	}
 	b := bits.Len64(uint64(ns))
-	if b >= HistBuckets {
-		b = HistBuckets - 1
+	if b >= histBuckets {
+		b = histBuckets - 1
 	}
 	return b
 }
@@ -63,41 +67,50 @@ func bucketOf(ns int64) int {
 // Observe records a duration in nanoseconds.
 func (h *Hist) Observe(ns int64) {
 	h.buckets[bucketOf(ns)].Add(1)
+	h.sum.Add(ns)
 }
 
-// ObserveN records n samples of the same duration with one atomic add —
-// the batched serving path attributes a batch's amortized per-op service
-// time to all of its operations at once.
-func (h *Hist) ObserveN(ns int64, n int64) {
-	h.buckets[bucketOf(ns)].Add(n)
+// ObserveN records n samples that took total nanoseconds together: each
+// lands in the bucket of total/n, and the sum gains total, remainder
+// included — the batched serving path attributes a batch's amortized
+// per-op service time to all of its operations at once, exact in the
+// mean and batch-smoothed in the tails.
+func (h *Hist) ObserveN(total int64, n int64) {
+	h.buckets[bucketOf(total/n)].Add(n)
+	h.sum.Add(total)
 }
 
-// Snapshot copies the bucket counts.
+// Snapshot copies the bucket counts and the sum. Each is loaded on its
+// own: their mutual skew is bounded by in-flight observations.
 func (h *Hist) Snapshot() HistSnapshot {
 	var s HistSnapshot
 	for i := range h.buckets {
-		s[i] = h.buckets[i].Load()
+		s.Buckets[i] = h.buckets[i].Load()
 	}
+	s.Sum = h.sum.Load()
 	return s
 }
 
-// HistSnapshot is an immutable copy of a Hist's bucket counts.
-type HistSnapshot [HistBuckets]int64
+// HistSnapshot is an immutable copy of a Hist.
+type HistSnapshot struct {
+	Buckets [histBuckets]int64
+	Sum     int64 // nanoseconds over every sample
+}
 
-// Sub returns the bucket-wise difference s − prev (the window histogram).
+// Sub returns the difference s − prev (the window histogram).
 func (s HistSnapshot) Sub(prev HistSnapshot) HistSnapshot {
-	var d HistSnapshot
-	for i := range s {
-		d[i] = s[i] - prev[i]
+	d := HistSnapshot{Sum: s.Sum - prev.Sum}
+	for i := range s.Buckets {
+		d.Buckets[i] = s.Buckets[i] - prev.Buckets[i]
 	}
 	return d
 }
 
-// Add returns the bucket-wise sum s + o (merging shards' histograms).
+// Add returns the sum s + o (merging shards' histograms).
 func (s HistSnapshot) Add(o HistSnapshot) HistSnapshot {
-	var d HistSnapshot
-	for i := range s {
-		d[i] = s[i] + o[i]
+	d := HistSnapshot{Sum: s.Sum + o.Sum}
+	for i := range s.Buckets {
+		d.Buckets[i] = s.Buckets[i] + o.Buckets[i]
 	}
 	return d
 }
@@ -105,10 +118,19 @@ func (s HistSnapshot) Add(o HistSnapshot) HistSnapshot {
 // N returns the total sample count.
 func (s HistSnapshot) N() int64 {
 	var n int64
-	for _, c := range s {
+	for _, c := range s.Buckets {
 		n += c
 	}
 	return n
+}
+
+// Mean returns the exact mean sample in nanoseconds; 0 when empty.
+func (s HistSnapshot) Mean() float64 {
+	n := s.N()
+	if n == 0 {
+		return 0
+	}
+	return float64(s.Sum) / float64(n)
 }
 
 // Quantile returns an approximate q-quantile in nanoseconds, using the
@@ -126,7 +148,7 @@ func (s HistSnapshot) Quantile(q float64) int64 {
 	}
 	target := q * float64(n)
 	acc := 0.0
-	for i, c := range s {
+	for i, c := range s.Buckets {
 		acc += float64(c)
 		if acc >= target && c > 0 {
 			if i == 0 {
@@ -136,7 +158,7 @@ func (s HistSnapshot) Quantile(q float64) int64 {
 			return lo + lo/2
 		}
 	}
-	return int64(1) << (HistBuckets - 1)
+	return int64(1) << (histBuckets - 1)
 }
 
 // LevelStats accumulates lock telemetry for one B-tree level. It
@@ -146,19 +168,15 @@ func (s HistSnapshot) Quantile(q float64) int64 {
 type LevelStats struct {
 	gate *lock.Gate
 
-	acquiredR  atomic.Int64
-	acquiredW  atomic.Int64
-	contendedR atomic.Int64
-	contendedW atomic.Int64
-	waitNsR    atomic.Int64
-	waitNsW    atomic.Int64
-	heldNsR    atomic.Int64
-	heldNsW    atomic.Int64
-	releasedR  atomic.Int64
-	releasedW  atomic.Int64
-	presentNs  atomic.Int64
-	waitHistR  Hist
-	waitHistW  Hist
+	// One wait sample per acquisition, 0 when it did not queue: a
+	// class's count is its arrivals and its mean the model's W.
+	waitHistR Hist
+	waitHistW Hist
+	heldNsR   atomic.Int64
+	heldNsW   atomic.Int64
+	releasedR atomic.Int64
+	releasedW atomic.Int64
+	presentNs atomic.Int64
 
 	// Latch-free (OLC) read telemetry, fed through lock.VersionProbe:
 	// optimistic readers never enter the lock queue, so their cost
@@ -170,18 +188,8 @@ type LevelStats struct {
 // Acquired implements lock.Probe.
 func (s *LevelStats) Acquired(write bool, waitNs int64) {
 	if write {
-		s.acquiredW.Add(1)
-		if waitNs > 0 {
-			s.contendedW.Add(1)
-			s.waitNsW.Add(waitNs)
-		}
 		s.waitHistW.Observe(waitNs)
 	} else {
-		s.acquiredR.Add(1)
-		if waitNs > 0 {
-			s.contendedR.Add(1)
-			s.waitNsR.Add(waitNs)
-		}
 		s.waitHistR.Observe(waitNs)
 	}
 }
@@ -223,20 +231,14 @@ func (s *LevelStats) ReadFallback() {
 
 // LevelSnapshot is a point-in-time copy of a LevelStats.
 type LevelSnapshot struct {
-	Level      int
-	AcquiredR  int64
-	AcquiredW  int64
-	ContendedR int64
-	ContendedW int64
-	WaitNsR    int64
-	WaitNsW    int64
-	HeldNsR    int64
-	HeldNsW    int64
-	ReleasedR  int64
-	ReleasedW  int64
-	PresentNs  int64
-	WaitHistR  HistSnapshot
-	WaitHistW  HistSnapshot
+	Level     int
+	WaitHistR HistSnapshot // its count is the class's acquisitions
+	WaitHistW HistSnapshot
+	HeldNsR   int64
+	HeldNsW   int64
+	ReleasedR int64
+	ReleasedW int64
+	PresentNs int64
 
 	ReadRestarts  int64 // OLC failed version validations
 	ReadFallbacks int64 // OLC descents that fell back to locking
@@ -246,19 +248,13 @@ type LevelSnapshot struct {
 // exact, their mutual skew is bounded by in-flight operations.
 func (s *LevelStats) Snapshot() LevelSnapshot {
 	return LevelSnapshot{
-		AcquiredR:  s.acquiredR.Load(),
-		AcquiredW:  s.acquiredW.Load(),
-		ContendedR: s.contendedR.Load(),
-		ContendedW: s.contendedW.Load(),
-		WaitNsR:    s.waitNsR.Load(),
-		WaitNsW:    s.waitNsW.Load(),
-		HeldNsR:    s.heldNsR.Load(),
-		HeldNsW:    s.heldNsW.Load(),
-		ReleasedR:  s.releasedR.Load(),
-		ReleasedW:  s.releasedW.Load(),
-		PresentNs:  s.presentNs.Load(),
-		WaitHistR:  s.waitHistR.Snapshot(),
-		WaitHistW:  s.waitHistW.Snapshot(),
+		WaitHistR: s.waitHistR.Snapshot(),
+		WaitHistW: s.waitHistW.Snapshot(),
+		HeldNsR:   s.heldNsR.Load(),
+		HeldNsW:   s.heldNsW.Load(),
+		ReleasedR: s.releasedR.Load(),
+		ReleasedW: s.releasedW.Load(),
+		PresentNs: s.presentNs.Load(),
 
 		ReadRestarts:  s.readRestarts.Load(),
 		ReadFallbacks: s.readFallbacks.Load(),
@@ -359,7 +355,7 @@ func (p *TreeProbe) Snapshot() Snapshot {
 		ls := p.levels[lv].Snapshot()
 		// OLC internal levels may see only latch-free traffic: restarts
 		// without a single lock acquisition still count as activity.
-		if ls.AcquiredR == 0 && ls.AcquiredW == 0 && ls.ReadRestarts == 0 {
+		if ls.WaitHistR.N() == 0 && ls.WaitHistW.N() == 0 && ls.ReadRestarts == 0 {
 			continue
 		}
 		ls.Level = lv
@@ -382,8 +378,6 @@ type LevelRates struct {
 	RhoW      float64 // writer-presence fraction of the window's measured time
 	WaitHistR HistSnapshot
 	WaitHistW HistSnapshot
-	Acquired  int64 // total acquisitions in the window, both classes
-	Released  int64 // total releases in the window, both classes
 
 	ReadRestarts  int64   // OLC validation failures in the window
 	ReadFallbacks int64   // OLC locked fallbacks in the window
@@ -409,10 +403,8 @@ func Rates(prev, cur Snapshot) []LevelRates {
 	for _, ls := range cur.Levels {
 		p := prevByLevel[ls.Level] // zero value when the level is new
 		d := LevelSnapshot{
-			AcquiredR: ls.AcquiredR - p.AcquiredR,
-			AcquiredW: ls.AcquiredW - p.AcquiredW,
-			WaitNsR:   ls.WaitNsR - p.WaitNsR,
-			WaitNsW:   ls.WaitNsW - p.WaitNsW,
+			WaitHistR: ls.WaitHistR.Sub(p.WaitHistR),
+			WaitHistW: ls.WaitHistW.Sub(p.WaitHistW),
 			HeldNsR:   ls.HeldNsR - p.HeldNsR,
 			HeldNsW:   ls.HeldNsW - p.HeldNsW,
 			ReleasedR: ls.ReleasedR - p.ReleasedR,
@@ -424,13 +416,13 @@ func Rates(prev, cur Snapshot) []LevelRates {
 		}
 		r := LevelRates{
 			Level:     ls.Level,
-			LambdaR:   float64(d.AcquiredR) / dt,
-			LambdaW:   float64(d.AcquiredW) / dt,
+			LambdaR:   float64(d.WaitHistR.N()) / dt,
+			LambdaW:   float64(d.WaitHistW.N()) / dt,
+			MeanWaitR: d.WaitHistR.Mean() / 1e9,
+			MeanWaitW: d.WaitHistW.Mean() / 1e9,
 			RhoW:      float64(d.PresentNs) / 1e9 / dt,
-			WaitHistR: ls.WaitHistR.Sub(p.WaitHistR),
-			WaitHistW: ls.WaitHistW.Sub(p.WaitHistW),
-			Acquired:  d.AcquiredR + d.AcquiredW,
-			Released:  d.ReleasedR + d.ReleasedW,
+			WaitHistR: d.WaitHistR,
+			WaitHistW: d.WaitHistW,
 
 			ReadRestarts:  d.ReadRestarts,
 			ReadFallbacks: d.ReadFallbacks,
@@ -444,12 +436,6 @@ func Rates(prev, cur Snapshot) []LevelRates {
 		if d.ReleasedW > 0 && d.HeldNsW > 0 {
 			r.MeanHoldW = float64(d.HeldNsW) / 1e9 / float64(d.ReleasedW)
 			r.MuW = 1 / r.MeanHoldW
-		}
-		if d.AcquiredR > 0 {
-			r.MeanWaitR = float64(d.WaitNsR) / 1e9 / float64(d.AcquiredR)
-		}
-		if d.AcquiredW > 0 {
-			r.MeanWaitW = float64(d.WaitNsW) / 1e9 / float64(d.AcquiredW)
 		}
 		if r.RhoW < 0 {
 			r.RhoW = 0

@@ -37,6 +37,37 @@ func TestHistQuantile(t *testing.T) {
 	}
 }
 
+// TestHistSumIsExact: a batch of n samples whose total does not divide
+// by n lands in one bucket, yet the sum keeps every nanosecond, so the
+// mean is the exact total over n; window and merge carry the sum along.
+func TestHistSumIsExact(t *testing.T) {
+	var h Hist
+	const total, n = 1_000_003, 7 // total % n != 0
+	h.ObserveN(total, n)
+	s := h.Snapshot()
+	if s.Sum != total || s.N() != n {
+		t.Fatalf("sum=%d N=%d, want %d and %d", s.Sum, s.N(), total, n)
+	}
+	if got, want := s.Mean(), float64(total)/float64(n); got != want {
+		t.Errorf("mean = %v, want %v", got, want)
+	}
+	if got, want := s.Buckets[bucketOf(total/n)], int64(n); got != want {
+		t.Errorf("bucket of total/n holds %d, want %d", got, want)
+	}
+	h.Observe(5)
+	d := h.Snapshot().Sub(s)
+	if d.Sum != 5 || d.N() != 1 {
+		t.Errorf("window sum=%d N=%d, want 5 and 1", d.Sum, d.N())
+	}
+	m := s.Add(d)
+	if m.Sum != total+5 || m.N() != n+1 || m != h.Snapshot() {
+		t.Errorf("merged %+v, want the live snapshot %+v", m, h.Snapshot())
+	}
+	if (HistSnapshot{}).Mean() != 0 {
+		t.Error("an empty snapshot's mean must be 0")
+	}
+}
+
 func TestHistZeroAndOverflow(t *testing.T) {
 	var h Hist
 	h.Observe(0)
@@ -103,8 +134,10 @@ func TestLevelStatsAsLockProbe(t *testing.T) {
 	if r.RhoW <= 0 || r.RhoW > 1 {
 		t.Errorf("rho_w = %v, want in (0, 1]", r.RhoW)
 	}
-	if r.Acquired != 800 || r.Released != 800 {
-		t.Errorf("window acquired=%d released=%d, want 800/800", r.Acquired, r.Released)
+	acquired := r.WaitHistR.N() + r.WaitHistW.N()
+	released := s1.Levels[0].ReleasedR + s1.Levels[0].ReleasedW
+	if acquired != 800 || released != 800 {
+		t.Errorf("window acquired=%d released=%d, want 800/800", acquired, released)
 	}
 
 	mp := Evaluate(r)

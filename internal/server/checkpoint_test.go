@@ -270,7 +270,7 @@ func TestScanStraddlesCheckpointInstall(t *testing.T) {
 	scanDone := make(chan error, 1)
 	go func() {
 		var next int64
-		err := eng.t.ScanRange(0, n, func(k int64, v uint64) bool {
+		err := eng.t.Range(0, n-1, func(k int64, v uint64) bool {
 			if k != next || v != uint64(k) {
 				scanDone <- fmt.Errorf("scan out of order: got %d (val %d), want %d", k, v, next)
 				return false

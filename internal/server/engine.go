@@ -284,23 +284,24 @@ func (e *DiskEngine) Del(key int64) (bool, error) {
 	return e.t.Delete(key)
 }
 
-// Scan walks the diskbtree leaf chain; checkpoints need no exclusion from
-// it.
+// Scan walks the diskbtree leaf chain a leaf run at a time, as
+// memEngine.Scan walks cbtree's; checkpoints need no exclusion from it.
 func (e *DiskEngine) Scan(lo, hi int64, limit int, dst []query.KV) ([]query.KV, bool, error) {
 	if hi <= lo || limit <= 0 {
 		return dst, false, nil
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	base := len(dst)
+	base, end := len(dst), len(dst)+limit
 	more := false
-	err := e.t.ScanRange(lo, hi, func(k int64, v uint64) bool {
-		if len(dst)-base == limit {
-			more = true
-			return false
+	err := e.t.RangeLeaves(lo, hi-1, func(keys []int64, vals []uint64) bool {
+		if room := end - len(dst); len(keys) > room {
+			keys, more = keys[:room], true
 		}
-		dst = append(dst, query.KV{Key: k, Val: v})
-		return true
+		for i, k := range keys {
+			dst = append(dst, query.KV{Key: k, Val: vals[i]})
+		}
+		return !more
 	})
 	if err != nil {
 		return dst[:base], false, err

@@ -24,13 +24,10 @@ const SaturationRho = 0.5
 type windowState struct {
 	mu           sync.Mutex
 	prev         metrics.Snapshot
-	prevOps      int64
-	prevNs       int64
+	prevOp       metrics.HistSnapshot
+	prevCommit   metrics.HistSnapshot
 	prevHeardOps int64
 	prevHeardNs  int64
-	prevHist     metrics.HistSnapshot
-	prevCommitNs int64
-	prevCommit   metrics.HistSnapshot
 }
 
 // window is one evaluated scrape interval. The operation counters are
@@ -73,39 +70,27 @@ func (w *windowState) advance(sh *shard) window {
 	if sh.probe != nil {
 		cur = sh.probe.Snapshot()
 	}
-	ops := sh.opCount.Load()
-	opNs := sh.opNsSum.Load()
-	hist := sh.opLat.Snapshot()
+	op, commit := sh.opLat.Snapshot(), sh.commitWait.Snapshot()
 
 	out := window{
-		Dt:       cur.At.Sub(w.prev.At).Seconds(),
-		Measured: (cur.Listened - w.prev.Listened).Seconds(),
-		Rates:    metrics.Rates(w.prev, cur),
-		Ops:      ops - w.prevOps,
-		OpHist:   hist.Sub(w.prevHist),
+		Dt:             cur.At.Sub(w.prev.At).Seconds(),
+		Measured:       (cur.Listened - w.prev.Listened).Seconds(),
+		Rates:          metrics.Rates(w.prev, cur),
+		OpHist:         op.Sub(w.prevOp),
+		CommitWaitHist: commit.Sub(w.prevCommit),
 	}
+	out.Ops, out.ObsMeanNs = out.OpHist.N(), out.OpHist.Mean()
+	out.CommitWaitMeanNs = out.CommitWaitHist.Mean()
 	if out.Dt > 0 {
 		out.OpRate = float64(out.Ops) / out.Dt
 	}
-	if out.Ops > 0 {
-		out.ObsMeanNs = float64(opNs-w.prevNs) / float64(out.Ops)
-	}
-	commitNs, commit := sh.commitWaitNs.Load(), sh.commitWait.Snapshot()
-	out.CommitWaitHist = commit.Sub(w.prevCommit)
-	if n := out.CommitWaitHist.N(); n > 0 {
-		out.CommitWaitMeanNs = float64(commitNs-w.prevCommitNs) / float64(n)
-	}
-	w.prevCommitNs, w.prevCommit = commitNs, commit
 	heardOps, heardNs := sh.heardOps.Load(), sh.heardNs.Load()
 	if n := heardOps - w.prevHeardOps; n > 0 && out.Measured > 0 {
 		out.HeardRate = float64(n) / out.Measured
 		out.HeardMeanNs = float64(heardNs-w.prevHeardNs) / float64(n)
 	}
+	w.prev, w.prevOp, w.prevCommit = cur, op, commit
 	w.prevHeardOps, w.prevHeardNs = heardOps, heardNs
-	w.prev = cur
-	w.prevOps = ops
-	w.prevNs = opNs
-	w.prevHist = hist
 	return out
 }
 

@@ -169,8 +169,8 @@ func TestServerConcurrentConnections(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if s.shards[0].opCount.Load() != conns*per {
-		t.Fatalf("served %d ops, want %d", s.shards[0].opCount.Load(), conns*per)
+	if n := s.shards[0].opLat.Snapshot().N(); n != conns*per {
+		t.Fatalf("served %d ops, want %d", n, conns*per)
 	}
 }
 

@@ -37,16 +37,13 @@ type shard struct {
 	// unless the server was built with Config.Index.
 	idx *index.Index
 
-	opLat   metrics.Hist // per-op service time, pickup → release
-	opNsSum atomic.Int64
-	opCount atomic.Int64
+	opLat      metrics.Hist // per-op service time, pickup → release
+	commitWait metrics.Hist // per mutating batch, hand-off → release
 
-	commitWait   metrics.Hist // per mutating batch, hand-off → release
-	commitWaitNs atomic.Int64
-
-	// The same two sums over the batches that finished while the probe
-	// listened: the work the lock telemetry was taken over, which is what
-	// the model's prediction from that telemetry is to be set against.
+	// opLat's count and sum over the batches that finished while the
+	// probe listened: the work the lock telemetry was taken over, which
+	// is what the model's prediction from that telemetry is to be set
+	// against.
 	heardNs  atomic.Int64
 	heardOps atomic.Int64
 
@@ -242,12 +239,7 @@ func (sh *shard) scanAll(fn func([]query.KV) error) error {
 // to its connection's writer once every involved shard has done the same.
 func (sh *shard) release(bt *batch, tally *opTally, ns int64) {
 	if n := tally.ops(); n > 0 {
-		// The histogram records the batch's amortized per-op service
-		// time for each op (exact in the mean, batch-smoothed in the
-		// tails).
-		sh.opLat.ObserveN(ns/n, n)
-		sh.opNsSum.Add(ns)
-		sh.opCount.Add(n)
+		sh.opLat.ObserveN(ns, n)
 		if sh.probe != nil && sh.probe.Listening() {
 			sh.heardNs.Add(ns)
 			sh.heardOps.Add(n)
@@ -397,9 +389,7 @@ func (sh *shard) settle(bt *batch, acked bool) {
 	l := &bt.legs[sh.id]
 	now := time.Now()
 	if l.mutated() {
-		wait := now.Sub(l.handoff).Nanoseconds()
-		sh.commitWait.Observe(wait)
-		sh.commitWaitNs.Add(wait)
+		sh.commitWait.Observe(now.Sub(l.handoff).Nanoseconds())
 		switch {
 		case l.failed:
 			sh.ctr[cCommitFails].Add(1)

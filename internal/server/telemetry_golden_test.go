@@ -32,7 +32,7 @@ func (r *rough) f(scale float64) float64 { return scale * (float64(r.next()%9999
 // hist fills the buckets around 2^mid ns.
 func (r *rough) hist(mid int) (h metrics.HistSnapshot) {
 	for b := mid - 3; b <= mid+4; b++ {
-		h[b] = r.n(5000)
+		h.Buckets[b] = r.n(5000)
 	}
 	return h
 }

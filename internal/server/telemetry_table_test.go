@@ -60,7 +60,7 @@ func TestEveryCounterHasOneRow(t *testing.T) {
 	probe.shards[0].win.Ops = 1
 	probe.shards[0].win.ObsMeanNs = opMeanUs * 1e3
 	probe.shards[0].win.CommitWaitMeanNs = commitWaitMeanUs * 1e3
-	probe.shards[0].win.CommitWaitHist[12] = 1
+	probe.shards[0].win.CommitWaitHist.Buckets[12] = 1
 	rows := map[float64]int{}
 	names := map[place]map[string]bool{top: {}, block: {}}
 	for i, m := range telemetry {

@@ -46,24 +46,21 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"btreeperf/internal/faults"
+	"btreeperf/internal/metrics"
 	"btreeperf/internal/server"
 	"btreeperf/internal/workload"
 	"btreeperf/internal/xrand"
 )
 
-const maxSamplesPerConn = 1 << 21 // reservoir bound: 2Mi samples ≈ 16 MB
-
-// counters aggregates load statistics across connections.
+// counters aggregates load statistics across connections; the answered
+// requests are the count of the slots' merged latency histograms.
 type counters struct {
 	sent     atomic.Int64
-	recvd    atomic.Int64
-	latSum   atomic.Int64
 	hits     atomic.Int64
 	searches atomic.Int64
 	inserts  atomic.Int64
@@ -103,14 +100,23 @@ func main() {
 		keystart    = flag.Int64("keystart", 0, "first key of the audit key range (give each kill cycle a disjoint range)")
 	)
 	flag.Parse()
-	if *conns < 1 || *depth < 1 {
-		fmt.Fprintln(os.Stderr, "btload: conns and depth must be >= 1")
-		os.Exit(2)
+	// A value that would measure nothing, or that would be silently
+	// rewritten, is refused with exit 2 and one line saying why.
+	refuse := func(bad bool, format string, v any) {
+		if bad {
+			fmt.Fprintf(os.Stderr, "btload: "+format+"\n", v)
+			os.Exit(2)
+		}
 	}
-	if *rate < 0 {
-		fmt.Fprintln(os.Stderr, "btload: rate must be >= 0")
-		os.Exit(2)
-	}
+	refuse(*conns < 1, "-conns %d (want >= 1)", *conns)
+	refuse(*depth < 1, "-depth %d (want >= 1)", *depth)
+	refuse(*rate < 0, "-rate %v (want >= 0; 0 = closed loop)", *rate)
+	refuse(*zipf < 0, "-zipf %v (want >= 0; 0 = uniform)", *zipf)
+	refuse(*nOps < 0, "-n %d (want >= 0; 0 = run for -duration)", *nOps)
+	refuse(*nOps == 0 && *duration <= 0, "-duration %v with -n 0 (want > 0: the run would measure nothing)", *duration)
+	refuse(*scanSpan < 0, "-scan-span %d (want >= 0; 0 = keyspace/512)", *scanSpan)
+	refuse(*scanLimit < 0, "-scan-limit %d (want >= 0; 0 = server default)", *scanLimit)
+	refuse(*opTimeout < 0, "-op-timeout %v (want >= 0; 0 = none)", *opTimeout)
 	perConnRate := *rate / float64(*conns)
 
 	var inj *faults.Injector
@@ -136,19 +142,12 @@ func main() {
 		mix = m
 		*qs, *qi, *qd, *qr = m.QS, m.QI, m.QD, m.QR
 	}
-	if *scanSpan <= 0 {
-		*scanSpan = *keySpace / 512
-		if *scanSpan < 1 {
-			*scanSpan = 1
-		}
+	if *scanSpan == 0 {
+		*scanSpan = max(*keySpace/512, 1)
 	}
 	master, err := workload.NewGenerator(mix, workload.NewKeyPool(), *keySpace, xrand.New(*seed))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "btload:", err)
-		os.Exit(2)
-	}
-	if *zipf < 0 {
-		fmt.Fprintln(os.Stderr, "btload: -zipf must be >= 0")
 		os.Exit(2)
 	}
 	master.SetSkew(*zipf)
@@ -214,7 +213,6 @@ func main() {
 			depth: *depth, quota: quota[i], quotaMode: *nOps > 0, tolerant: inj != nil,
 			rate: perConnRate, pace: xrand.New(connSeed),
 			scanSpan: *scanSpan, scanLimit: *scanLimit, stop: &stop, ctr: &ctr,
-			res: reservoir{max: maxSamplesPerConn, rnd: xrand.New(connSeed + 1)},
 		}
 		if rt != nil {
 			s.target = i % len(rt.addrs)
@@ -238,7 +236,11 @@ func main() {
 	default:
 	}
 
-	n := ctr.recvd.Load()
+	var lat metrics.HistSnapshot
+	for _, s := range slots {
+		lat = lat.Add(s.lat.Snapshot())
+	}
+	n := lat.N()
 	loop := "closed loop"
 	if *rate > 0 {
 		loop = fmt.Sprintf("open loop λ=%.0f/s", *rate)
@@ -257,20 +259,9 @@ func main() {
 			*rate, applied, 100*applied/(*rate))
 	}
 	if n > 0 {
-		var lats []int64
-		for _, s := range slots {
-			lats = append(lats, s.res.lat...)
-		}
-		sort.Slice(lats, func(a, b int) bool { return lats[a] < lats[b] })
-		q := func(p float64) float64 {
-			if len(lats) == 0 {
-				return 0
-			}
-			i := int(p * float64(len(lats)-1))
-			return float64(lats[i]) / 1e3
-		}
+		q := func(p float64) float64 { return float64(lat.Quantile(p)) / 1e3 }
 		fmt.Printf("latency µs: mean %.1f p50 %.1f p95 %.1f p99 %.1f max %.1f\n",
-			float64(ctr.latSum.Load())/float64(n)/1e3, q(0.50), q(0.95), q(0.99), q(1))
+			lat.Mean()/1e3, q(0.50), q(0.95), q(0.99), q(1))
 		sr := ctr.searches.Load()
 		hitPct := 0.0
 		if sr > 0 {
@@ -305,29 +296,9 @@ func main() {
 	}
 }
 
-// reservoir keeps a uniform sample of at most max latencies out of all
-// it is shown. The two receivers of a replica-mode slot share one.
-type reservoir struct {
-	mu   sync.Mutex
-	max  int
-	lat  []int64
-	seen int
-	rnd  *xrand.Source
-}
-
-func (r *reservoir) add(lat int64) {
-	r.mu.Lock()
-	r.seen++
-	if len(r.lat) < r.max {
-		r.lat = append(r.lat, lat)
-	} else if j := r.rnd.IntN(r.seen); j < r.max {
-		r.lat[j] = lat
-	}
-	r.mu.Unlock()
-}
-
 // slot is one connection slot of a load run: a generator, a pipelined
-// connection for its requests and the latency sample of their answers.
+// connection for its requests and the latencies of their answers (one
+// histogram, which both receivers of a replica-mode slot record into).
 // In replica mode (rt != nil) the slot holds two connections: mutations
 // go to the leader, reads to follower rt.addrs[target].
 type slot struct {
@@ -346,7 +317,7 @@ type slot struct {
 	scanLimit int
 	stop      *atomic.Bool
 	ctr       *counters
-	res       reservoir
+	lat       metrics.Hist
 }
 
 // run drives the slot until stop or quota. In tolerant mode a connection
@@ -465,10 +436,7 @@ func (s *slot) pump(w, r *server.Client, quota int) (did, lost int, err error) {
 
 // onResp books one answered request; it runs on a pipe's receiver.
 func (s *slot) onResp(st stamp, resp server.Response) {
-	lat := time.Now().UnixNano() - st.t
-	s.ctr.latSum.Add(lat)
-	s.ctr.recvd.Add(1)
-	s.res.add(lat)
+	s.lat.Observe(time.Now().UnixNano() - st.t)
 	switch resp.Status {
 	case server.StatusBusy, server.StatusOverload:
 		s.ctr.shed.Add(1)

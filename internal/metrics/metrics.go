@@ -7,7 +7,7 @@
 //
 //	λ_r, λ_w — lock arrival rates per class (acquisitions/second)
 //	μ_r, μ_w — lock service rates per class (completions per held-second)
-//	W_r, W_w — mean queue waits: the means of log-bucketed wait
+//	W_r, W_w — mean queue waits: the means of log-linear wait
 //	           histograms, whose counts are the arrivals λ is taken from
 //	ρ_w      — fraction of time a writer is active or queued (the
 //	           root-level value is the paper's saturation gauge)
@@ -38,30 +38,54 @@ import (
 	"btreeperf/internal/qmodel"
 )
 
-// histBuckets is the number of log₂ nanosecond buckets in a Hist: bucket i
-// holds samples whose nanosecond value has bit length i, i.e. roughly
-// [2^(i−1), 2^i). Bucket 0 holds zero/negative samples; the last bucket
-// saturates (2^38 ns ≈ 4.6 min).
-const histBuckets = 40
+// A Hist is log-linear over nanoseconds: 0–7 ns have a bucket each, and
+// every power-of-two octave above is cut into histSub equal sub-buckets,
+// so a bucket is at most 1/histSub (12.5 %) as wide as its lower edge and
+// its midpoint lies within 1/16 of every sample in it. Samples of 2^38 ns
+// (≈ 4.6 min) and more saturate into the last bucket.
+const (
+	histSubBits = 3
+	histSub     = 1 << histSubBits
+	histBuckets = (38-histSubBits+1)<<histSubBits + 1 // bucketOf(1<<38) + 1
+)
 
-// Hist is a lock-free histogram of durations with power-of-two buckets
-// and their exact running sum: a snapshot's count, mean and quantiles all
-// come from the one record. The zero value is ready to use; all methods
-// are safe for concurrent use.
+// Hist is a lock-free log-linear histogram of durations and their exact
+// running sum: a snapshot's count, mean and quantiles all come from the
+// one record. The zero value is ready to use; all methods are safe for
+// concurrent use.
 type Hist struct {
 	buckets [histBuckets]atomic.Int64
 	sum     atomic.Int64
 }
 
+// bucketOf returns the bucket a sample lands in; zero and negative
+// samples land in bucket 0.
 func bucketOf(ns int64) int {
-	if ns <= 0 {
-		return 0
+	if ns < histSub {
+		return int(max(ns, 0))
 	}
-	b := bits.Len64(uint64(ns))
-	if b >= histBuckets {
-		b = histBuckets - 1
+	shift := bits.Len64(uint64(ns)) - histSubBits - 1
+	return min((shift+1)<<histSubBits+int(ns>>shift)-histSub, histBuckets-1)
+}
+
+// bucketLower returns the smallest sample that lands in bucket i.
+func bucketLower(i int) int64 {
+	if i < histSub {
+		return int64(i)
 	}
-	return b
+	shift := i>>histSubBits - 1
+	return int64(histSub+i&(histSub-1)) << shift
+}
+
+// bucketMid returns the midpoint of bucket i, the value quantiles report;
+// the saturating bucket reports its lower edge.
+func bucketMid(i int) int64 {
+	lo := bucketLower(i)
+	hi := lo + 1
+	if i+1 < histBuckets {
+		hi = bucketLower(i + 1)
+	}
+	return (lo + hi - 1) / 2
 }
 
 // Observe records a duration in nanoseconds.
@@ -133,32 +157,22 @@ func (s HistSnapshot) Mean() float64 {
 	return float64(s.Sum) / float64(n)
 }
 
-// Quantile returns an approximate q-quantile in nanoseconds, using the
-// geometric midpoint of the containing bucket. Empty snapshots yield 0.
+// Quantile returns the q-quantile in nanoseconds: the midpoint of the
+// bucket that holds the nearest-rank sample, the ⌈q·n⌉-th smallest (the
+// smallest for q ≤ 0, the largest for q ≥ 1). Empty snapshots yield 0.
 func (s HistSnapshot) Quantile(q float64) int64 {
 	n := s.N()
 	if n == 0 {
 		return 0
 	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := q * float64(n)
-	acc := 0.0
-	for i, c := range s.Buckets {
-		acc += float64(c)
-		if acc >= target && c > 0 {
-			if i == 0 {
-				return 0
-			}
-			lo := int64(1) << (i - 1)
-			return lo + lo/2
+	rank := min(max(int64(math.Ceil(q*float64(n))), 1), n)
+	var acc int64
+	for i, c := range s.Buckets[:histBuckets-1] {
+		if acc += c; acc >= rank {
+			return bucketMid(i)
 		}
 	}
-	return int64(1) << (histBuckets - 1)
+	return bucketMid(histBuckets - 1)
 }
 
 // LevelStats accumulates lock telemetry for one B-tree level. It

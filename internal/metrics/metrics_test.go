@@ -1,6 +1,9 @@
 package metrics
 
 import (
+	"math"
+	"math/rand/v2"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -22,12 +25,12 @@ func TestHistQuantile(t *testing.T) {
 		t.Fatalf("N = %d", s.N())
 	}
 	p50 := s.Quantile(0.5)
-	if p50 < 512 || p50 > 2048 {
-		t.Errorf("p50 = %dns, want ~1µs", p50)
+	if p50 < 1000-1000/16 || p50 > 1000+1000/16 {
+		t.Errorf("p50 = %dns, want 1µs within 1/16", p50)
 	}
 	p999 := s.Quantile(0.999)
-	if p999 < 512*1024 || p999 > 2*1024*1024 {
-		t.Errorf("p99.9 = %dns, want ~1ms", p999)
+	if p999 < 1e6-1e6/16 || p999 > 1e6+1e6/16 {
+		t.Errorf("p99.9 = %dns, want 1ms within 1/16", p999)
 	}
 	// Window subtraction: a fresh window sees only the new samples.
 	h.Observe(1 << 20)
@@ -54,13 +57,18 @@ func TestHistSumIsExact(t *testing.T) {
 	if got, want := s.Buckets[bucketOf(total/n)], int64(n); got != want {
 		t.Errorf("bucket of total/n holds %d, want %d", got, want)
 	}
-	h.Observe(5)
+	// A window holding a zero, a negative and a saturating sample still
+	// carries their exact sum.
+	const win = 5 + 0 - 3 + 1<<40
+	for _, v := range []int64{5, 0, -3, 1 << 40} {
+		h.Observe(v)
+	}
 	d := h.Snapshot().Sub(s)
-	if d.Sum != 5 || d.N() != 1 {
-		t.Errorf("window sum=%d N=%d, want 5 and 1", d.Sum, d.N())
+	if d.Sum != win || d.N() != 4 {
+		t.Errorf("window sum=%d N=%d, want %d and 4", d.Sum, d.N(), int64(win))
 	}
 	m := s.Add(d)
-	if m.Sum != total+5 || m.N() != n+1 || m != h.Snapshot() {
+	if m.Sum != total+win || m.N() != n+4 || m != h.Snapshot() {
 		t.Errorf("merged %+v, want the live snapshot %+v", m, h.Snapshot())
 	}
 	if (HistSnapshot{}).Mean() != 0 {
@@ -68,17 +76,105 @@ func TestHistSumIsExact(t *testing.T) {
 	}
 }
 
+// TestHistZeroAndOverflow runs the bucket edges one sample at a time:
+// zero and negative samples, every power of two, and every sub-bucket's
+// lower edge, each ±1 ns, up to and past the 2^38 ns saturation. Each
+// lands in the bucket whose edges hold it, is counted once with its exact
+// sum, and is reported within 1/16 of its value; zero and below report 0,
+// and 2^38 and above report 2^38.
 func TestHistZeroAndOverflow(t *testing.T) {
-	var h Hist
-	h.Observe(0)
-	h.Observe(-5)
-	h.Observe(1 << 62) // beyond the last bucket: saturates
-	s := h.Snapshot()
-	if s.N() != 3 {
-		t.Fatalf("N = %d", s.N())
+	const sat = int64(1) << 38
+	samples := []int64{0, -1, -5, math.MinInt64, 1 << 62, math.MaxInt64}
+	for k := range 63 {
+		samples = append(samples, 1<<k-1, 1<<k, 1<<k+1)
 	}
-	if s.Quantile(0) != 0 {
-		t.Errorf("q0 = %d, want 0", s.Quantile(0))
+	for i := range histBuckets {
+		samples = append(samples, bucketLower(i)-1, bucketLower(i), bucketLower(i)+1)
+	}
+	for _, v := range samples {
+		var h Hist
+		h.Observe(v)
+		s := h.Snapshot()
+		i := bucketOf(v)
+		if s.N() != 1 || s.Buckets[i] != 1 || s.Sum != v {
+			t.Fatalf("%d: N=%d, bucket %d holds %d, sum %d", v, s.N(), i, s.Buckets[i], s.Sum)
+		}
+		if lo := bucketLower(i); v > 0 && (v < lo || i+1 < histBuckets && v >= bucketLower(i+1)) {
+			t.Errorf("%d landed in bucket %d, whose lower edge is %d", v, i, lo)
+		}
+		got, want := s.Quantile(0), min(max(v, 0), sat)
+		if got != s.Quantile(1) || float64(got-want) > float64(want)/16 || float64(want-got) > float64(want)/16 {
+			t.Errorf("%d: quantiles %d…%d, want %d within 1/16", v, got, s.Quantile(1), want)
+		}
+	}
+	if bucketOf(sat-1) != histBuckets-2 || bucketOf(sat) != histBuckets-1 {
+		t.Errorf("2^38-1 and 2^38 land in buckets %d and %d, want the last two", bucketOf(sat-1), bucketOf(sat))
+	}
+}
+
+// TestHistQuantileWidth holds every reported quantile of a seeded stream,
+// log-uniform over 1 ns to 60 s plus a point mass at 250 µs, within 1/16
+// of the exact nearest-rank quantile of the sorted stream.
+func TestHistQuantileWidth(t *testing.T) {
+	rnd := rand.New(rand.NewPCG(41, 1))
+	var h Hist
+	var sum int64
+	stream := make([]int64, 120_000)
+	for i := range stream {
+		v := int64(250_000)
+		if i%5 != 0 {
+			v = int64(math.Exp(rnd.Float64() * math.Log(60e9)))
+		}
+		stream[i] = v
+		sum += v
+		h.Observe(v)
+	}
+	slices.Sort(stream)
+	s := h.Snapshot()
+	if s.N() != int64(len(stream)) || s.Sum != sum {
+		t.Fatalf("N=%d sum=%d, want %d and %d", s.N(), s.Sum, len(stream), sum)
+	}
+	for _, q := range []float64{0, .5, .9, .99, .999, 1} {
+		rank := max(int(math.Ceil(q*float64(len(stream)))), 1)
+		exact, got := float64(stream[rank-1]), float64(s.Quantile(q))
+		if math.Abs(got-exact) > exact/16 {
+			t.Errorf("q=%v: %v ns, exact %v ns: off by %.1f%%", q, got, exact, 100*(got-exact)/exact)
+		}
+	}
+}
+
+// benchSamples are log-uniform over 1 ns to 1 s, so the benchmarks below
+// visit the buckets a served tree's latencies do.
+func benchSamples() []int64 {
+	rnd := rand.New(rand.NewPCG(1, 2))
+	v := make([]int64, 1024)
+	for i := range v {
+		v[i] = int64(math.Exp(rnd.Float64() * math.Log(1e9)))
+	}
+	return v
+}
+
+// BenchmarkHistObserve is one lock-wait sample into a shared Hist.
+func BenchmarkHistObserve(b *testing.B) {
+	var h Hist
+	v := benchSamples()
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		h.Observe(v[i&1023])
+		i++
+	}
+}
+
+// BenchmarkHistObserveN is one 32-op batch's service time.
+func BenchmarkHistObserveN(b *testing.B) {
+	var h Hist
+	v := benchSamples()
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		h.ObserveN(32*v[i&1023], 32)
+		i++
 	}
 }
 

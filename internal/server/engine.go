@@ -35,7 +35,7 @@ type Engine interface {
 	// Durable reports whether Commit is a durability point — whether an
 	// acknowledgement has to wait for it. It decides, per shard, between
 	// the commit pipeline and releasing each batch straight from the
-	// worker that executed it.
+	// connection that executed it.
 	Durable() bool
 	// Scan appends to dst up to limit entries whose keys lie in [lo, hi),
 	// in ascending key order, reporting whether more remain in range.

@@ -113,6 +113,9 @@ var telemetry = []metric{
 	wide("indexed", func(c *capture) any { return c.indexed }),
 	stat("index_keys", top, sumOf, func(sc *shardScrape) any { return sc.indexKeys }),
 	stat("op_mean_us", top|block, pooled, func(sc *shardScrape) any { return sc.win.ObsMeanNs / 1e3 }),
+	// Served op tails are quantiles of per-batch means: ObserveN puts a
+	// batch's ops in the bucket of their mean, so the mean above is
+	// exact and these are batch-smoothed.
 	stat("op_p50_us", top|block, pooled, func(sc *shardScrape) any { return nsUs(sc.win.OpHist.Quantile(0.5)) }),
 	stat("op_p99_us", top|block, pooled, func(sc *shardScrape) any { return nsUs(sc.win.OpHist.Quantile(0.99)) }),
 	stat("splits", top|block, sumOf, func(sc *shardScrape) any { return sc.es.Splits }),

@@ -29,12 +29,16 @@ func (r *rough) n(max int64) int64 { return 1 + int64(r.next()%uint64(max)) }
 // f is a float in (0, scale).
 func (r *rough) f(scale float64) float64 { return scale * (float64(r.next()%999983) + 0.37) / 999984 }
 
-// hist fills the buckets around 2^mid ns.
-func (r *rough) hist(mid int) (h metrics.HistSnapshot) {
+// hist draws a count for each of eight powers of two around 2^mid ns and
+// records that many samples at three quarters of it (the values the
+// recording's log₂ buckets reported).
+func (r *rough) hist(mid int) metrics.HistSnapshot {
+	var h metrics.Hist
 	for b := mid - 3; b <= mid+4; b++ {
-		h.Buckets[b] = r.n(5000)
+		n := r.n(5000)
+		h.ObserveN(n*(3<<(b-2)), n)
 	}
-	return h
+	return h.Snapshot()
 }
 
 // synthShard is a shard scrape as the gather step would have captured it:

@@ -18,7 +18,8 @@
 # names, so the N=1 ServeLoopback baseline stays comparable with runs that
 # predate sharding); storage — the layers under the disk engine and the
 # durable serving path that sits on all three; lock — the FCFS lock's two
-# paths, its contended hand-off, the version word; cbtree — the in-memory
+# paths, its contended hand-off, the version word, and the latency
+# histogram its probe and the serving path record into; cbtree — the in-memory
 # tree under each of the four algorithms.
 set -euo pipefail
 
@@ -47,9 +48,9 @@ passes=(
   "DiskTree{Search,Insert,Delete} are point operations on a bulk-loaded, non-durable 200k-key tree whose buffer pool holds all of it (fit) or a fifth (spill); JournalAppend is one logged mutation plus its share of a 25-mutation group commit over a file layer that swallows writes and syncs (the journal's own cost), JournalCommit one such batch and its commit on a real file (the tail's write and the fsync); PagestoreReadInto/WritePage are the buffer pool's two calls on a page-cache-resident file; ServeDurable is the paper mix from 2 pipelined connections (depth 128) against the disk engine on a real file, through the commit pipeline, ops/fsync = mutations covered per group-commit fsync, allocs/op covering client and server"
 
   lock
-  "./internal/lock"
-  'BenchmarkFCFS|BenchmarkVersion'
-  "FCFS{RLock,Lock} and VersionLockV are one uncontended acquire/release pair on a lock with no probe, with a probe whose gate is closed (a served tree's locks between measurement epochs: the fast path, one compare-and-swap each way) and with a listening probe (inside an epoch: the internal mutex, one clock read and the reports each way); FCFSParallelRLock is the same shared pair from 2 and from GOMAXPROCS goroutines on one lock (the root's case; its ns/op depends on whether the goroutines run at once); FCFSHandoff is one release that grants a queued request, writer to writer and writer to a run of two readers, wake-up included, allocs/op being the waiter's queue entry and channel; VersionRead is one ReadBegin/Validate pair"
+  "./internal/metrics ./internal/lock"
+  'BenchmarkFCFS|BenchmarkVersion|BenchmarkHist'
+  "HistObserve is one sample into a shared metrics.Hist (a lock wait inside an epoch), HistObserveN one 32-op batch's service time (the serving path), both over values log-uniform on 1 ns to 1 s; FCFS{RLock,Lock} and VersionLockV are one uncontended acquire/release pair on a lock with no probe, with a probe whose gate is closed (a served tree's locks between measurement epochs: the fast path, one compare-and-swap each way) and with a listening probe (inside an epoch: the internal mutex, one clock read and the reports each way); FCFSParallelRLock is the same shared pair from 2 and from GOMAXPROCS goroutines on one lock (the root's case; its ns/op depends on whether the goroutines run at once); FCFSHandoff is one release that grants a queued request, writer to writer and writer to a run of two readers, wake-up included, allocs/op being the waiter's queue entry and channel; VersionRead is one ReadBegin/Validate pair"
 
   cbtree
   "./internal/cbtree"

@@ -6,7 +6,8 @@
 # column). Exercises the real binaries over loopback TCP, not the test
 # harness.
 #
-# First, btserved must refuse bad and deleted flags with exit 2.
+# First, btserved must refuse bad and deleted flags with exit 2, and
+# btload bad values likewise.
 #
 #   scripts/smoke.sh            # ~20 s, four server runs
 set -euo pipefail
@@ -40,6 +41,16 @@ for args in "-cap 2" "-repl-ack-timeout -1s" "-depth 0" "-depth -1" "-max-conns 
       echo "FAIL(flags): btserved $args was not refused as undefined" >&2; cat "$bin/flag.err" >&2; exit 1; } ;;
   esac
   echo "ok: btserved $args refused: $(head -1 "$bin/flag.err")"
+done
+# btload likewise refuses, before it dials, a run that would measure
+# nothing and a value it would otherwise silently rewrite.
+for args in "-n -5" "-duration 0s" "-n -5 -duration 0s" "-scan-span -1" "-scan-limit -1" "-op-timeout -1s"; do
+  code=0
+  timeout 10 "$bin/btload" $args -addr "$listen" >/dev/null 2>"$bin/flag.err" || code=$?
+  [ "$code" -eq 2 ] || { echo "FAIL(flags): btload $args exited $code, want 2" >&2; cat "$bin/flag.err" >&2; exit 1; }
+  [ "$(wc -l <"$bin/flag.err")" -eq 1 ] || {
+    echo "FAIL(flags): btload $args printed more than one line" >&2; cat "$bin/flag.err" >&2; exit 1; }
+  echo "ok: btload $args refused: $(head -1 "$bin/flag.err")"
 done
 
 for alg in lock-coupling optimistic link-type olc; do

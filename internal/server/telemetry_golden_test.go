@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -181,6 +182,33 @@ func TestGoldenMetrics(t *testing.T) {
 			if !bytes.Equal(got, want) {
 				t.Errorf("%s differs from the recorded rendering\n got: %s\nwant: %s", path, got, want)
 			}
+		}
+	}
+}
+
+// TestGoldenModel pins /debug/model's per-shard section — the per-level
+// table, the predicted-vs-observed response line and the root ρ_w line —
+// over the same five captures.
+func TestGoldenModel(t *testing.T) {
+	for name, c := range goldenCaptures() {
+		var got bytes.Buffer
+		for _, sc := range c.shards {
+			fmt.Fprintf(&got, "--- shard %d ---\n", sc.id)
+			modelSection(&got, sc)
+		}
+		path := filepath.Join("testdata", "model_"+name+".txt")
+		if *update {
+			if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("%s differs from the recorded rendering\n got: %s\nwant: %s", path, got.Bytes(), want)
 		}
 	}
 }

@@ -44,9 +44,10 @@ func goldenVariants() []goldenVariant {
 		recovery(LeafOnly), recovery(NaiveRecovery)}
 }
 
-// hashResult folds every field of a Result — each level's eleven, the
-// response times and the OLC restart diagnostics — into one word, float
-// by float at full precision.
+// hashResult folds every field of a Result — each level's eleven solved
+// values (TA and Solved follow from them), the response times and the
+// OLC restart diagnostics — into one word, float by float at full
+// precision.
 func hashResult(r *Result) uint64 {
 	h := fnv.New64a()
 	var b [8]byte

@@ -235,14 +235,6 @@ func TestLevelStatsAsLockProbe(t *testing.T) {
 	if acquired != 800 || released != 800 {
 		t.Errorf("window acquired=%d released=%d, want 800/800", acquired, released)
 	}
-
-	mp := Evaluate(r)
-	if !mp.Evaluated {
-		t.Fatal("model did not evaluate")
-	}
-	if mp.Sol.RhoW < 0 || mp.Sol.RhoW > 1 {
-		t.Errorf("model rho_w = %v", mp.Sol.RhoW)
-	}
 }
 
 func TestRatesEmptyWindow(t *testing.T) {
@@ -253,44 +245,6 @@ func TestRatesEmptyWindow(t *testing.T) {
 	}
 	if len(s.Levels) != 0 {
 		t.Fatalf("idle probe has %d active levels", len(s.Levels))
-	}
-}
-
-func TestEvaluateLightVsHeavy(t *testing.T) {
-	light := LevelRates{Level: 3, LambdaR: 100, LambdaW: 10, MuR: 1e5, MuW: 1e5}
-	mp := Evaluate(light)
-	if !mp.Evaluated || !mp.Sol.Stable {
-		t.Fatalf("light load should be stable: %+v", mp)
-	}
-	if mp.Sol.RhoW >= 0.5 {
-		t.Errorf("light load rho_w = %v, want < .5", mp.Sol.RhoW)
-	}
-	heavy := LevelRates{Level: 3, LambdaR: 9e4, LambdaW: 5e4, MuR: 1e5, MuW: 1e5}
-	mh := Evaluate(heavy)
-	if !mh.Evaluated {
-		t.Fatal("heavy load did not evaluate")
-	}
-	if mh.Sol.RhoW < 0.5 {
-		t.Errorf("overloaded queue rho_w = %v, want >= .5", mh.Sol.RhoW)
-	}
-	if mh.Sol.RhoW <= mp.Sol.RhoW {
-		t.Errorf("rho_w not monotone: heavy %v <= light %v", mh.Sol.RhoW, mp.Sol.RhoW)
-	}
-}
-
-func TestPredictedResponse(t *testing.T) {
-	// Two levels, ops visit each once at 1000 ops/s; holds of 1µs and 2µs
-	// with no waits predict ~3µs response.
-	points := []ModelPoint{
-		{LevelRates: LevelRates{Level: 1, LambdaR: 800, LambdaW: 200, MeanHoldR: 1e-6, MeanHoldW: 1e-6}},
-		{LevelRates: LevelRates{Level: 2, LambdaR: 1000, MeanHoldR: 2e-6}},
-	}
-	got := PredictedResponse(points, 1000)
-	if got < 2.5e-6 || got > 3.5e-6 {
-		t.Fatalf("predicted response %v s, want ~3µs", got)
-	}
-	if PredictedResponse(points, 0) != 0 {
-		t.Fatal("zero op rate should predict 0")
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -18,6 +19,7 @@ import (
 	"time"
 
 	"btreeperf/internal/cbtree"
+	"btreeperf/internal/core"
 )
 
 // TestShardIndexDeterministic pins the routing contract every durability
@@ -523,6 +525,21 @@ func TestMultiShardMetrics(t *testing.T) {
 	}
 	if !strings.Contains(model, "aggregate:") {
 		t.Errorf("/debug/model missing aggregate verdict:\n%s", model)
+	}
+	// Each shard is its own tree: the forecast models one, at the mean
+	// per-shard key count, with one λ_eff line per algorithm (the form
+	// bench/trace.go reads).
+	if want := fmt.Sprintf("per shard, at one shard's tree (%d keys each, the mean over %d shards,", s.Len()/shards, shards); !strings.Contains(model, want) {
+		t.Errorf("/debug/model forecast header lacks %q:\n%s", want, model)
+	}
+	perAlg := map[string]int{}
+	for _, m := range regexp.MustCompile(`(?m)^\s+(\S+)\s+λ_eff = (\S+)$`).FindAllStringSubmatch(model, -1) {
+		perAlg[m[1]]++
+	}
+	for _, alg := range []core.Algorithm{core.NLC, core.OD, core.Link, core.OLC} {
+		if perAlg[alg.String()] != 1 {
+			t.Errorf("/debug/model has %d λ_eff lines for %s, want 1:\n%s", perAlg[alg.String()], alg, model)
+		}
 	}
 }
 

@@ -37,8 +37,7 @@ func BulkLoad(cap int, alg Algorithm, keys []int64, vals []uint64, fill float64)
 			end = len(keys)
 		}
 		n := t.newNode(1)
-		n.cnt.Store(int32(copy(n.keys, keys[off:end])))
-		copy(n.vals, vals[off:end])
+		n.lay(keys[off:end], vals[off:end], -1, 0, 0, alg == OLC)
 		level = append(level, built{n: n, min: keys[off]})
 	}
 	linkLevel(level)

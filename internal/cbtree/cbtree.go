@@ -24,7 +24,9 @@
 // comparable (see the benchmarks at the repository root, the modern
 // analogue of the paper's Figure 12) and a sequential stream builds the
 // same tree under all of them. The kernel asks which algorithm it serves
-// only to choose atomic or plain stores into a leaf.
+// only to choose how a leaf is written: under OLC it keeps its free slots
+// as gaps between its items and takes atomic stores, under the other
+// three it stays dense and takes plain ones.
 //
 // Restructuring is merge-at-empty in the lazy sense the paper adopts for
 // the Link-type algorithm: nodes emptied by deletes remain in place and
@@ -95,9 +97,17 @@ type Stats struct {
 //
 //   - a leaf gets keys and vals once, at exactly cap slots, and the two
 //     slice headers never change again, so no index a reader computes can
-//     leave the storage. cnt is the item count; writers shift items in
-//     place (with atomic stores when the algorithm has latch-free
-//     readers, who use atomic loads). Storage ends at a full node: an
+//     leave the storage. Slots [0, end) hold non-decreasing keys, and
+//     fill packs end with the item count into one word. A slot whose key
+//     equals its right neighbour's is a gap: a copy of that neighbour's
+//     key and value, so a search over [0, end) lands on an item's first
+//     copy. Only OLC's leaves keep gaps (splits and BulkLoad spread their
+//     items over all cap slots): an insert takes the nearest gap or the
+//     free tail and moves only the items in between, a delete turns the
+//     item's slots into copies of its right neighbour, and every store is
+//     atomic, because latch-free readers load the same slots. The three
+//     locking algorithms keep a leaf dense (end equals the item count)
+//     and shift its items with copy. Storage ends at a full node: an
 //     insert into a full leaf half-splits around the new item into a
 //     sibling nobody can reach yet (splitLeaf);
 //   - an inner node's routing is replaced, never edited: a writer builds
@@ -114,10 +124,10 @@ type Stats struct {
 type node struct {
 	mu       lock.VersionLock
 	level    int
-	cnt      atomic.Int32 // leaf: items in keys/vals
-	keys     []int64      // leaf: cap slots; inner: the current separators
-	vals     []uint64     // leaf: cap slots
-	children []*node      // inner: the current children
+	fill     atomic.Uint64 // leaf: item count << 32 | slots in use
+	keys     []int64       // leaf: cap slots; inner: the current separators
+	vals     []uint64      // leaf: cap slots
+	children []*node       // inner: the current children
 	right    atomic.Pointer[node]
 	high     atomic.Int64
 	img      atomic.Pointer[routing] // inner: {keys, children}
@@ -139,17 +149,24 @@ func (n *node) setRouting(keys []int64, children []*node) {
 
 func (n *node) isLeaf() bool { return n.level == 1 }
 
-// leaf returns the keys and values a leaf holds. Caller must hold n.mu.
+// slots returns how many of a leaf's slots are in use, gaps included.
+func (n *node) slots() int { return int(uint32(n.fill.Load())) }
+
+// setFill records a leaf's slots in use and its item count in one store.
+func (n *node) setFill(slots, items int) { n.fill.Store(uint64(items)<<32 | uint64(slots)) }
+
+// leaf returns a leaf's slots in use: its items in ascending order, each
+// preceded by its gaps, if it keeps any. Caller must hold n.mu.
 func (n *node) leaf() ([]int64, []uint64) {
-	c := n.cnt.Load()
-	return n.keys[:c], n.vals[:c]
+	s := n.slots()
+	return n.keys[:s], n.vals[:s]
 }
 
 // items is the paper's occupancy: keys for leaves, children for internal
 // nodes. Caller must hold n.mu.
 func (n *node) items() int {
 	if n.isLeaf() {
-		return int(n.cnt.Load())
+		return int(n.fill.Load() >> 32)
 	}
 	return len(n.children)
 }
@@ -176,8 +193,8 @@ func route(keys []int64, key int64) int {
 // childIndex returns the child slot routing key. Caller must hold n.mu.
 func (n *node) childIndex(key int64) int { return route(n.keys, key) }
 
-// keyIndex locates key in a leaf, returning its slot (or the slot it
-// would occupy) and whether it is present. Caller must hold n.mu.
+// keyIndex locates key in a leaf, returning its first slot (or the slot
+// it would go before) and whether it is present. Caller must hold n.mu.
 func (n *node) keyIndex(key int64) (int, bool) {
 	keys, _ := n.leaf()
 	var lo int
@@ -255,7 +272,7 @@ func lowerBoundBinary(keys []int64, key int64) int {
 }
 
 // lowerBoundAtomic is lowerBoundBinary for a latch-free reader: a writer
-// may be shifting keys meanwhile, so every probe is an atomic load and
+// may be moving keys meanwhile, so every probe is an atomic load and
 // the result means nothing until the node's version validates.
 func lowerBoundAtomic(keys []int64, key int64) int {
 	lo, hi := 0, len(keys)
@@ -422,19 +439,26 @@ func (t *Tree) leafPut(n *node, key int64, val uint64) (fresh bool, sib *node, s
 	i, ok := n.keyIndex(key)
 	if ok {
 		if latchFree {
-			atomic.StoreUint64(&n.vals[i], val)
+			// Every copy: a reader's search lands on the first one.
+			for keys := n.keys[:n.slots()]; i < len(keys) && keys[i] == key; i++ {
+				atomic.StoreUint64(&n.vals[i], val)
+			}
 		} else {
 			n.vals[i] = val
 		}
 		return false, nil, 0
 	}
 	t.size.Add(1)
-	if n.items() < t.cap {
-		n.insertSlot(i, key, val, latchFree)
-		return true, nil, 0
+	switch {
+	case n.items() == t.cap:
+		sib, sep = t.splitLeaf(n, i, key, val)
+		return true, sib, sep
+	case latchFree:
+		n.gapInsert(i, key, val)
+	default:
+		n.insertSlot(i, key, val)
 	}
-	sib, sep = t.splitLeaf(n, i, key, val, latchFree)
-	return true, sib, sep
+	return true, nil, 0
 }
 
 // leafRemove deletes key from a leaf, reporting whether it was there.
@@ -446,66 +470,140 @@ func (t *Tree) leafRemove(n *node, key int64) bool {
 	}
 	keys, vals := n.leaf()
 	if t.alg == OLC {
-		for j := i + 1; j < len(keys); j++ {
-			atomic.StoreInt64(&keys[j-1], keys[j])
-			atomic.StoreUint64(&vals[j-1], vals[j])
-		}
+		n.gapRemove(i)
 	} else {
 		copy(keys[i:], keys[i+1:])
 		copy(vals[i:], vals[i+1:])
+		n.setFill(len(keys)-1, len(keys)-1)
 	}
-	n.cnt.Store(int32(len(keys) - 1))
 	t.size.Add(-1)
 	return true
 }
 
-// insertSlot puts (key, val) into slot i of a leaf with room, shifting
-// the items from i up by one. Caller holds n.mu exclusively; latchFree
-// says the stores must be atomic because latch-free readers may be
-// loading the same slots.
-func (n *node) insertSlot(i int, key int64, val uint64, latchFree bool) {
-	c := int(n.cnt.Load())
+// insertSlot puts (key, val) into slot i of a dense leaf with room,
+// shifting the items from i up by one. Caller holds n.mu exclusively.
+func (n *node) insertSlot(i int, key int64, val uint64) {
+	c := n.items()
 	keys, vals := n.keys[:c+1], n.vals[:c+1]
-	if latchFree {
-		for j := c; j > i; j-- {
-			atomic.StoreInt64(&keys[j], keys[j-1])
-			atomic.StoreUint64(&vals[j], vals[j-1])
+	copy(keys[i+1:], keys[i:])
+	copy(vals[i+1:], vals[i:])
+	keys[i], vals[i] = key, val
+	n.setFill(c+1, c+1)
+}
+
+// gapInsert puts (key, val), which belongs before slot i, into an OLC
+// leaf with room. It takes the nearest gap, or the free tail, and moves
+// the items between it and slot i one slot toward it: a gap k slots to
+// the right of i costs k+1 writes, and so does one k+2 slots to its left
+// (the new item then lands in slot i-1). Caller holds n.mu exclusively;
+// every store is atomic, because latch-free readers may be loading the
+// same slots.
+func (n *node) gapInsert(i int, key int64, val uint64) {
+	keys, vals := n.keys, n.vals
+	end := n.slots()
+	for d := 0; ; d++ {
+		if j := i + d; j < end-1 && keys[j] == keys[j+1] || j == end && end < len(keys) {
+			if j == end {
+				end++
+			}
+			for ; j > i; j-- {
+				atomic.StoreInt64(&keys[j], keys[j-1])
+				atomic.StoreUint64(&vals[j], vals[j-1])
+			}
+			break
 		}
-		atomic.StoreInt64(&keys[i], key)
-		atomic.StoreUint64(&vals[i], val)
-	} else {
-		copy(keys[i+1:], keys[i:])
-		copy(vals[i+1:], vals[i:])
-		keys[i], vals[i] = key, val
+		if j := i - 2 - d; j >= 0 && keys[j] == keys[j+1] {
+			for j++; j < i-1; j++ {
+				atomic.StoreInt64(&keys[j], keys[j+1])
+				atomic.StoreUint64(&vals[j], vals[j+1])
+			}
+			i--
+			break
+		}
+		if i+d > end && i-2-d < 0 {
+			panic("cbtree: leaf with room has neither a gap nor a free tail")
+		}
 	}
-	n.cnt.Store(int32(c + 1))
+	atomic.StoreInt64(&keys[i], key)
+	atomic.StoreUint64(&vals[i], val)
+	n.setFill(end, n.items()+1)
+}
+
+// gapRemove deletes the item whose first copy is slot i from an OLC leaf:
+// its slots become copies of its right neighbour, or, when it is the last
+// item, free tail. Caller holds n.mu exclusively; stores are atomic.
+func (n *node) gapRemove(i int) {
+	keys, vals := n.leaf()
+	r := i + 1
+	for r < len(keys) && keys[r] == keys[i] {
+		r++
+	}
+	if r == len(keys) {
+		n.setFill(i, n.items()-1)
+		return
+	}
+	for ; i < r; i++ {
+		atomic.StoreInt64(&keys[i], keys[r])
+		atomic.StoreUint64(&vals[i], vals[r])
+	}
+	n.setFill(len(keys), n.items()-1)
+}
+
+// lay writes a run of items into leaf n, replacing what it held: the items
+// of keys and vals in order, with (key, val) inserted before item at when
+// at ≥ 0. latchFree lays them out the OLC way, evenly over all cap slots,
+// each item after its gaps, with atomic stores; otherwise they go one per
+// slot from slot 0 with plain ones. keys and vals may be the front of n's
+// own storage: an item never moves left, and items are written from the
+// last.
+func (n *node) lay(keys []int64, vals []uint64, at int, key int64, val uint64, latchFree bool) {
+	items := len(keys)
+	if at >= 0 {
+		items++
+	}
+	w := items
+	if latchFree && items > 0 {
+		w = len(n.keys)
+	}
+	for x := items - 1; x >= 0; x-- {
+		k, v := key, val
+		if at < 0 || x < at {
+			k, v = keys[x], vals[x]
+		} else if x > at {
+			k, v = keys[x-1], vals[x-1]
+		}
+		for s := x * w / items; s < (x+1)*w/items; s++ {
+			if latchFree {
+				atomic.StoreInt64(&n.keys[s], k)
+				atomic.StoreUint64(&n.vals[s], v)
+			} else {
+				n.keys[s], n.vals[s] = k, v
+			}
+		}
+	}
+	n.setFill(w, items)
 }
 
 // splitLeaf puts (key, val), which belongs at slot i, into the full leaf
 // n by a Lehman–Yao half-split around it: of the cap+1 items the lower
 // ⌈(cap+1)/2⌉ stay, the rest go to a new right sibling — the halves an
 // insert followed by a halving would make, without the slot of overflow.
-// Caller holds n.mu exclusively. The sibling is complete before n's
-// right link makes it reachable, n sheds its upper half before the new
-// item moves into the lower one (storage ends at a full node), and
-// everything a latch-free reader can see of n changes by atomic stores.
-func (t *Tree) splitLeaf(n *node, i int, key int64, val uint64, latchFree bool) (*node, int64) {
+// A full leaf has no gaps, so its items are its slots; under OLC each
+// half is spread over its leaf's cap slots. Caller holds n.mu
+// exclusively. The sibling is complete before n's right link makes it
+// reachable, and everything a latch-free reader can see of n changes by
+// atomic stores.
+func (t *Tree) splitLeaf(n *node, i int, key int64, val uint64) (*node, int64) {
 	t.splits.Add(1)
 	sib := t.newNode(1)
+	latchFree := t.alg == OLC
 	m := (t.cap + 2) / 2 // what n keeps
 	if i < m {
-		sib.cnt.Store(int32(copy(sib.keys, n.keys[m-1:])))
-		copy(sib.vals, n.vals[m-1:])
-		n.cnt.Store(int32(m - 1))
-		n.insertSlot(i, key, val, latchFree)
+		sib.lay(n.keys[m-1:], n.vals[m-1:], -1, 0, 0, latchFree)
+		n.lay(n.keys[:m-1], n.vals[:m-1], i, key, val, latchFree)
 	} else {
-		j := i - m
-		copy(sib.keys, n.keys[m:i])
-		copy(sib.vals, n.vals[m:i])
-		sib.keys[j], sib.vals[j] = key, val
-		sib.cnt.Store(int32(j + 1 + copy(sib.keys[j+1:], n.keys[i:])))
-		copy(sib.vals[j+1:], n.vals[i:])
-		n.cnt.Store(int32(m))
+		sib.lay(n.keys[m:], n.vals[m:], i-m, key, val, latchFree)
+		n.lay(n.keys[:m], n.vals[:m], -1, 0, 0, latchFree)
 	}
 	sep := sib.keys[0]
 	linkRight(n, sib, sep)

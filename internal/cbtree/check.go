@@ -44,26 +44,20 @@ func (t *Tree) checkNode(n *node, lo, hi int64, hiInf bool, leftmost map[int]*no
 	} else if right == nil || n.high.Load() != hi {
 		return fmt.Errorf("cbtree: level %d high key %d (right %p), want %d", n.level, n.high.Load(), right, hi)
 	}
-	keys := n.keys
 	if n.isLeaf() {
-		var vals []uint64
-		if keys, vals = n.leaf(); len(vals) != len(keys) {
-			return fmt.Errorf("cbtree: leaf key/val mismatch")
-		}
-	}
-	for i := 1; i < len(keys); i++ {
-		if keys[i-1] >= keys[i] {
-			return fmt.Errorf("cbtree: level %d keys out of order", n.level)
-		}
-	}
-	if n.isLeaf() {
+		keys, _ := n.leaf()
 		for _, k := range keys {
 			if k < lo || (!hiInf && k >= hi) {
 				return fmt.Errorf("cbtree: leaf key %d outside [%d, %d)", k, lo, hi)
 			}
 		}
-		*count += len(keys)
+		*count += n.items()
 		return nil
+	}
+	for i := 1; i < len(n.keys); i++ {
+		if n.keys[i-1] >= n.keys[i] {
+			return fmt.Errorf("cbtree: level %d keys out of order", n.level)
+		}
 	}
 	if len(n.children) != len(n.keys)+1 || len(n.children) == 0 {
 		return fmt.Errorf("cbtree: level %d has %d children, %d routers", n.level, len(n.children), len(n.keys))
@@ -90,9 +84,11 @@ func (t *Tree) checkNode(n *node, lo, hi int64, hiInf bool, leftmost map[int]*no
 // checkLayout verifies the one node layout (see node), which OLC's
 // latch-free readers rely on: the version word is even at quiescence; a
 // leaf's storage is exactly cap slots with nothing to grow into, so it
-// was never reallocated (checkNode has already bounded the count by
-// cap); an inner node's routing image is the node's own arrays, with no
-// pointer left behind them for the GC to retain.
+// was never reallocated; its slots in use fit in it and hold
+// non-decreasing keys, each run of equal keys (an item after its gaps)
+// carries one value, the item count is the number of runs, and only an
+// OLC leaf has gaps; an inner node's routing image is the node's own
+// arrays, with no pointer left behind them for the GC to retain.
 func (t *Tree) checkLayout(n *node) error {
 	if v := n.mu.Version(); v&1 != 0 {
 		return fmt.Errorf("cbtree: level %d node version %d odd while quiescent", n.level, v)
@@ -106,7 +102,7 @@ func (t *Tree) checkLayout(n *node) error {
 		if r != nil || n.children != nil {
 			return fmt.Errorf("cbtree: leaf with routing")
 		}
-		return nil
+		return t.checkSlots(n)
 	}
 	if n.vals != nil || r == nil || !sameArray(r.keys, n.keys) || !sameArray(r.children, n.children) {
 		return fmt.Errorf("cbtree: level %d routing image is not the node's keys and children", n.level)
@@ -115,6 +111,31 @@ func (t *Tree) checkLayout(n *node) error {
 		if c != nil {
 			return fmt.Errorf("cbtree: level %d keeps a child pointer beyond its %d children", n.level, len(n.children))
 		}
+	}
+	return nil
+}
+
+// checkSlots verifies a leaf's slots in use against its gap invariant.
+func (t *Tree) checkSlots(n *node) error {
+	if end := n.slots(); end > t.cap {
+		return fmt.Errorf("cbtree: leaf uses %d slots of %d", end, t.cap)
+	}
+	keys, vals := n.leaf()
+	runs := 0
+	for s, k := range keys {
+		switch {
+		case s == 0 || keys[s-1] < k:
+			runs++
+		case keys[s-1] > k:
+			return fmt.Errorf("cbtree: leaf keys out of order at slot %d", s)
+		case t.alg != OLC:
+			return fmt.Errorf("cbtree: %v leaf has a gap at slot %d", t.alg, s-1)
+		case vals[s-1] != vals[s]:
+			return fmt.Errorf("cbtree: leaf key %d carries values %d and %d", k, vals[s-1], vals[s])
+		}
+	}
+	if runs != n.items() {
+		return fmt.Errorf("cbtree: leaf counts %d items in %d runs of keys", n.items(), runs)
 	}
 	return nil
 }

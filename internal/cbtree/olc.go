@@ -21,12 +21,12 @@ import (
 //
 // Readers descend with no locks at all: at each node they sample the
 // version (ReadBegin), read the node's live storage — an inner node's
-// current routing image, a leaf's count, keys and values by atomic
-// loads, right links and high keys — and re-validate the version before
-// trusting anything they read (this also validates the parent link: the
-// child pointer came from a read the parent's version still vouches
-// for). Until then a read may be torn by a concurrent shift, but it
-// cannot go wrong: leaf storage never moves or changes size, routing
+// current routing image, a leaf's slots in use, keys and values by
+// atomic loads, right links and high keys — and re-validate the version
+// before trusting anything they read (this also validates the parent
+// link: the child pointer came from a read the parent's version still
+// vouches for). Until then a read may be torn by a concurrent write, but
+// it cannot go wrong: leaf storage never moves or changes size, routing
 // images are immutable, and node pointers stay valid. A failed validation
 // restarts the descent from the root; after lock.OLCMaxAttempts failed
 // descents the operation falls back to the locked Link-type path, whose
@@ -114,7 +114,7 @@ func (t *Tree) olcReadKey(n *node, key int64) (leaf *node, ver, val uint64, ok b
 		}
 		right, covered := n.olcCovers(key)
 		if covered {
-			c := int(n.cnt.Load())
+			c := n.slots()
 			i := lowerBoundAtomic(n.keys[:c], key)
 			if ok = i < c && atomic.LoadInt64(&n.keys[i]) == key; ok {
 				val = atomic.LoadUint64(&n.vals[i])
@@ -196,12 +196,14 @@ type olcChunk struct {
 var olcChunks = sync.Pool{New: func() any { return new(olcChunk) }}
 
 // olcReadLeaf copies the items of leaf n with key >= from into buf, in
-// order, until buf is full, and returns how many it copied, whether the
-// leaf holds more beyond them, and the leaf's right sibling — all as of
-// one instant: a validated latch-free read after bounded per-node
-// retries, else (counting a fallback) a read under the node's R lock.
-// The leaf-chain walk uses this instead of restarting from the root,
-// which would lose its position.
+// order and with the gaps skipped (one load per slot: a slot whose key is
+// the one just taken is a later copy of it), until buf is full, and
+// returns how many it copied, whether the leaf holds more beyond them,
+// and the leaf's right sibling — all as of one instant: a validated
+// latch-free read after bounded per-node retries, else (counting a
+// fallback) a read under the node's R lock. The leaf-chain walk uses
+// this instead of restarting from the root, which would lose its
+// position.
 func (t *Tree) olcReadLeaf(n *node, from int64, buf *olcChunk) (got int, more bool, right *node) {
 	for attempt := 0; ; attempt++ {
 		locked := attempt == lock.OLCMaxAttempts
@@ -216,10 +218,18 @@ func (t *Tree) olcReadLeaf(n *node, from int64, buf *olcChunk) (got int, more bo
 				continue
 			}
 		}
-		c := int(n.cnt.Load())
+		c := n.slots()
 		i := lowerBoundAtomic(n.keys[:c], from)
-		for got = 0; i < c && got < olcScanChunk; i, got = i+1, got+1 {
-			buf.keys[got], buf.vals[got] = atomic.LoadInt64(&n.keys[i]), atomic.LoadUint64(&n.vals[i])
+		for got = 0; i < c; i++ {
+			k := atomic.LoadInt64(&n.keys[i])
+			if got > 0 && k == buf.keys[got-1] {
+				continue // a later copy of the item just taken
+			}
+			if got == olcScanChunk {
+				break
+			}
+			buf.keys[got], buf.vals[got] = k, atomic.LoadUint64(&n.vals[i])
+			got++
 		}
 		more, right = i < c, n.right.Load()
 		if locked {

@@ -31,12 +31,13 @@ func leafStorage(t *Tree) map[*node][2]any {
 // that nobody touches after set-up; latch-free readers must find every
 // resident key with its value, every time, by Search and by SearchGE,
 // and exactly once and in ascending order by Range — a read torn by a
-// concurrent shift or split and trusted anyway breaks one of the three.
+// concurrent write or split and trusted anyway breaks one of the three.
 // Afterwards the layout invariants must hold and every leaf that existed
 // before the burst must still own the same storage. Capacities 3 and 4
 // make every third or fourth insert half-split a leaf around the new
-// item, an odd and an even split; capacity 64 makes shifts long, so a
-// reader meets a leaf mid-shift about a hundred times as often.
+// item, an odd and an even split; at capacity 64 a leaf keeps many gaps,
+// so inserts move items toward gaps on either side, deletes leave gaps
+// behind, and each split rewrites all 64 slots of the leaf it splits.
 func TestOLCTornReadStress(t *testing.T) {
 	for _, cap := range []int{3, 4, 64} {
 		t.Run(fmt.Sprint("cap", cap), func(t *testing.T) { tornReadStress(t, cap) })
@@ -150,16 +151,17 @@ func tornReadStress(t *testing.T, cap int) {
 		len(before), len(after), st.Splits, st.ReadRestarts, st.ReadFallbacks)
 }
 
-// leafRuns lists the keys and values of a quiescent tree leaf by leaf,
-// empty leaves included: its contents and its leaf boundaries.
+// leafRuns lists the items of a quiescent tree leaf by leaf, gaps
+// skipped and empty leaves included: its contents and its leaf
+// boundaries.
 func leafRuns(t *Tree) (runs [][]int64, vals []uint64) {
 	n := t.root.Load()
 	for !n.isLeaf() {
 		n = n.children[0]
 	}
 	for ; n != nil; n = n.right.Load() {
-		k, v := n.leaf()
-		runs, vals = append(runs, slices.Clone(k)), append(vals, v...)
+		k, v := leafItems(n)
+		runs, vals = append(runs, k), append(vals, v...)
 	}
 	return runs, vals
 }

@@ -77,7 +77,6 @@ func main() {
 		engineName = flag.String("engine", "mem", "storage engine: mem (volatile) or disk (durable, group-committed)")
 		path       = flag.String("path", "", "disk engine data file (required with -engine disk)")
 		ckptOps    = flag.Int64("checkpoint-ops", 0, "disk engine: mutations of replay debt that trigger a checkpoint (0 = default 262144, negative disables)")
-		ckptChunk  = flag.Int("checkpoint-chunk", 4096, "disk engine: keys walked per latched chunk of an incremental checkpoint")
 		cacheNodes = flag.Int("cache-nodes", 0, "disk engine buffer-pool size in nodes (0 = default 4096)")
 
 		indexOn = flag.Bool("index", false, "maintain the secondary value index (enables the lookup op; rebuilt from the primary at startup)")
@@ -144,10 +143,6 @@ func main() {
 	switch *engineName {
 	case "mem":
 	case "disk":
-		if *ckptChunk <= 0 {
-			fmt.Fprintf(os.Stderr, "btserved: -checkpoint-chunk %d (want > 0: an incremental checkpoint must make progress each latched chunk)\n", *ckptChunk)
-			os.Exit(2)
-		}
 		if *cacheNodes < 0 {
 			fmt.Fprintf(os.Stderr, "btserved: -cache-nodes %d (want >= 0)\n", *cacheNodes)
 			os.Exit(2)
@@ -171,11 +166,10 @@ func main() {
 				p = filepath.Join(dir, "tree.db")
 			}
 			diskEng, err := server.NewDiskEngine(server.DiskEngineConfig{
-				Path:            p,
-				Cap:             *capacity,
-				CacheNodes:      *cacheNodes,
-				CheckpointOps:   *ckptOps,
-				CheckpointChunk: *ckptChunk,
+				Path:          p,
+				Cap:           *capacity,
+				CacheNodes:    *cacheNodes,
+				CheckpointOps: *ckptOps,
 			})
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "btserved:", err)

@@ -195,16 +195,17 @@ type olcChunk struct {
 
 var olcChunks = sync.Pool{New: func() any { return new(olcChunk) }}
 
-// olcReadLeaf copies the items of leaf n with key >= from into buf, in
-// order and with the gaps skipped (one load per slot: a slot whose key is
-// the one just taken is a later copy of it), until buf is full, and
-// returns how many it copied, whether the leaf holds more beyond them,
-// and the leaf's right sibling — all as of one instant: a validated
-// latch-free read after bounded per-node retries, else (counting a
-// fallback) a read under the node's R lock. The leaf-chain walk uses
-// this instead of restarting from the root, which would lose its
-// position.
-func (t *Tree) olcReadLeaf(n *node, from int64, buf *olcChunk) (got int, more bool, right *node) {
+// olcReadLeaf copies the items of leaf n with from <= key <= hi into buf,
+// in order and with the gaps skipped (one load per slot: a slot whose key
+// is the one just taken is a later copy of it), until buf is full, and
+// returns how many it copied, whether the leaf holds more within the
+// bound beyond them, and the leaf's right sibling — nil once the leaf
+// held a key past hi, where the walk ends — all as of one instant: a
+// validated latch-free read after bounded per-node retries, else
+// (counting a fallback) a read under the node's R lock. The leaf-chain
+// walk uses this instead of restarting from the root, which would lose
+// its position.
+func (t *Tree) olcReadLeaf(n *node, from, hi int64, buf *olcChunk) (got int, more bool, right *node) {
 	for attempt := 0; ; attempt++ {
 		locked := attempt == lock.OLCMaxAttempts
 		var v uint64
@@ -220,18 +221,22 @@ func (t *Tree) olcReadLeaf(n *node, from int64, buf *olcChunk) (got int, more bo
 		}
 		c := n.slots()
 		i := lowerBoundAtomic(n.keys[:c], from)
+		past := false
 		for got = 0; i < c; i++ {
 			k := atomic.LoadInt64(&n.keys[i])
 			if got > 0 && k == buf.keys[got-1] {
 				continue // a later copy of the item just taken
 			}
-			if got == olcScanChunk {
+			if past = k > hi; past || got == olcScanChunk {
 				break
 			}
 			buf.keys[got], buf.vals[got] = k, atomic.LoadUint64(&n.vals[i])
 			got++
 		}
-		more, right = i < c, n.right.Load()
+		more, right = i < c && !past, nil
+		if !past {
+			right = n.right.Load()
+		}
 		if locked {
 			n.mu.RUnlock()
 			return
@@ -251,9 +256,8 @@ func (t *Tree) olcRangeLeaves(lo, hi int64, fn func(keys []int64, vals []uint64)
 	defer olcChunks.Put(buf)
 	n, _ := t.olcDescendLeaf(lo, nil)
 	for n != nil {
-		got, more, right := t.olcReadLeaf(n, lo, buf)
-		j := runEnd(buf.keys[:got], hi)
-		if (j > 0 && !fn(buf.keys[:j], buf.vals[:j])) || j < got {
+		got, more, right := t.olcReadLeaf(n, lo, hi, buf)
+		if got > 0 && !fn(buf.keys[:got], buf.vals[:got]) {
 			return
 		}
 		if more {

@@ -9,16 +9,16 @@ import (
 	"testing"
 )
 
-// copyCrashState simulates a crash: it copies the data file, checkpoint
-// image and oplog while the tree object still holds dirty pages in its
-// buffer pool (those are "lost" — exactly what a crash does to an OS page
-// cache that was never flushed; evicted pages HAVE reached the file, but
-// recovery never trusts the live file anyway — it restores from the
-// image and replays the oplog suffix).
+// copyCrashState simulates a crash: it copies the tree file and the
+// oplog while the tree object still holds dirty pages in its buffer pool
+// (those are "lost" — exactly what a crash does to an OS page cache that
+// was never flushed; evicted pages HAVE reached the file, but only in
+// slots the committed checkpoint does not name, so recovery opens that
+// checkpoint and replays the oplog suffix).
 func copyCrashState(t *testing.T, path, dstDir string) string {
 	t.Helper()
 	dst := filepath.Join(dstDir, "crashed.db")
-	for _, suffix := range []string{"", ".oplog", ImageSuffix, ImageTmpSuffix} {
+	for _, suffix := range []string{"", ".oplog"} {
 		src, err := os.Open(path + suffix)
 		if os.IsNotExist(err) {
 			continue

@@ -113,10 +113,9 @@ func TestReadErrorPoisonsEveryEntryPoint(t *testing.T) {
 				t.Fatalf("%s over an evicted page = %v, want the injected read failure", name, err)
 			}
 			after := map[string]error{
-				"Sync":          tr.Sync(),
-				"Commit":        tr.Commit(),
-				"CheckpointNow": func() error { _, err := tr.CheckpointNow(); return err }(),
-				"Checkpoint":    func() error { _, err := tr.Checkpoint(4, nil); return err }(),
+				"Sync":       tr.Sync(),
+				"Commit":     tr.Commit(),
+				"Checkpoint": func() error { _, err := tr.Checkpoint(); return err }(),
 			}
 			for n, v := range victims {
 				after[n] = v(tr)
@@ -268,12 +267,14 @@ func TestCrashSweepAckedDurability(t *testing.T) {
 	t.Logf("swept %d crash points", total)
 }
 
-// TestCrashSweepMidCheckpoint interleaves an incremental checkpoint's
-// chunk walk with acked inserts and crashes at every syscall of the
-// combined trace, so the kill lands inside image-page writes, the image
-// fsync and rename, and the oplog rotation — with concurrent appends in
-// flight. Every op acked before the crash must survive recovery,
-// whichever image (old or newly installed) recovery starts from.
+// TestCrashSweepMidCheckpoint puts acked inserts between a checkpoint's
+// cut and its commit — into pages the cut marked, so writers save cut
+// pages and evictions write them — and crashes at every syscall of the
+// combined trace, Close's last checkpoint and compaction included: the
+// kill lands inside cut-page writes, the map write and fsync, the meta
+// page flip and the oplog rotation, with appends in flight. Every op
+// acked before the crash must survive recovery, whichever checkpoint
+// (old or newly committed) recovery starts from.
 func TestCrashSweepMidCheckpoint(t *testing.T) {
 	opts := func(fs pagestore.FS) Options {
 		return Options{Cap: 5, CacheNodes: 8, Durable: true, FS: fs}
@@ -292,11 +293,14 @@ func TestCrashSweepMidCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// One acked insert before each chunk of the walk, the rest after the
-	// install; the first failed call is the crash, and ends the workload.
+	// Acked inserts before the checkpoint, between its cut and commit, and
+	// after it; the first failed call is the crash, and ends the workload.
 	workload := func(tr *Tree) (acked []int64) {
 		insert := func() bool {
-			k := 1000 + int64(len(acked))*3
+			k := int64(len(acked)) * 3 // among the base keys: marked pages
+			if len(acked) >= 14 {
+				k = 1000 + k
+			}
 			if _, err := tr.Insert(k, uint64(k)*7); err != nil {
 				return false
 			}
@@ -306,7 +310,14 @@ func TestCrashSweepMidCheckpoint(t *testing.T) {
 			acked = append(acked, k)
 			return true
 		}
-		_, err := tr.Checkpoint(4, func(int) bool { return len(acked) == 20 || insert() })
+		for len(acked) < 6 && insert() {
+		}
+		testHookCut = func(held bool) {
+			for !held && len(acked) < 14 && insert() {
+			}
+		}
+		defer func() { testHookCut = nil }()
+		_, err := tr.Checkpoint()
 		for err == nil && len(acked) < 20 && insert() {
 		}
 		return acked
@@ -342,9 +353,13 @@ func TestCrashSweepMidCheckpoint(t *testing.T) {
 		if err := rec.CheckInvariants(); err != nil {
 			t.Fatalf("crash at syscall %d: recovered tree corrupt: %v", n, err)
 		}
+		ackedVal := map[int64]bool{}
+		for _, k := range acked {
+			ackedVal[k] = true
+		}
 		for i := int64(0); i < 40; i++ {
 			v, ok, err := rec.Search(i)
-			if err != nil || !ok || v != uint64(i) {
+			if err != nil || !ok || (v != uint64(i) && !(v == uint64(i)*7 && i%3 == 0)) || (ackedVal[i] && v != uint64(i)*7) {
 				t.Fatalf("crash at syscall %d: base key %d = %d,%v,%v", n, i, v, ok, err)
 			}
 		}

@@ -15,19 +15,19 @@
 // instrumented FCFS lock: the disk tree never reported per-level lock
 // telemetry, and a buffer-pool slot has no room for 150 bytes of it.
 //
-// Durability: a non-durable tree flushes dirty pages on Sync/Close and
-// is NOT crash-atomic (a clean Close is required). With Options.Durable
-// the tree follows the checkpoint-image model: every mutation is logged
-// to an oplog, Sync installs an atomically renamed image of the whole
-// tree (built incrementally, concurrent with serving — see
-// Checkpoint in checkpoint.go), and crash recovery restores the
-// image and replays the oplog suffix. Restructuring is lazy
-// merge-at-empty, as everywhere in this repository.
+// Durability: the tree file holds the last checkpoint, which Sync and
+// Close commit page by page through the store's slot map (see Checkpoint
+// in checkpoint.go); a non-durable tree opens at its last Sync or Close.
+// With Options.Durable every mutation is also logged to an oplog, and
+// crash recovery opens the last checkpoint and replays the oplog suffix
+// past it. Restructuring is lazy merge-at-empty, as everywhere in this
+// repository.
 package diskbtree
 
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"btreeperf/internal/pagestore"
 )
@@ -60,12 +60,12 @@ type node struct {
 // newNode returns a free-standing node (no pool behind it) with storage
 // for items items.
 func newNode(level, items int) node {
-	return node{frame: &frame{level: uint16(level)}, k: make([]int64, items), p: make([]uint64, items)}
+	return node{frame: &frame{level: uint8(level)}, k: make([]int64, items), p: make([]uint64, items)}
 }
 
 // reset empties the node for reuse as a fresh rightmost node of level.
 func (n node) reset(level int) {
-	n.level, n.n = uint16(level), 0
+	n.level, n.n = uint8(level), 0
 	n.right, n.high, n.hasHigh = 0, 0, false
 }
 
@@ -142,7 +142,7 @@ func (n node) set(keys []int64, ptrs []uint64) {
 // holds the latch.
 func (n node) encode(page []byte) {
 	keys, ptrs := n.keys(), n.ptrs()
-	binary.LittleEndian.PutUint16(page[0:], n.level)
+	binary.LittleEndian.PutUint16(page[0:], uint16(n.level))
 	var flags byte
 	if n.hasHigh {
 		flags |= 1
@@ -170,7 +170,7 @@ func (n node) decode(buf []byte) error {
 		return fmt.Errorf("diskbtree: short page (%d bytes)", len(buf))
 	}
 	level := binary.LittleEndian.Uint16(buf[0:])
-	if level < 1 {
+	if level < 1 || level > math.MaxUint8 {
 		return fmt.Errorf("diskbtree: bad node level %d", level)
 	}
 	nkeys := int(binary.LittleEndian.Uint32(buf[4:]))
@@ -184,7 +184,7 @@ func (n node) decode(buf []byte) error {
 	if need := headerSize + 8*nkeys + 8*nptrs; len(buf) < need {
 		return fmt.Errorf("diskbtree: truncated node (%d < %d)", len(buf), need)
 	}
-	n.level, n.n = level, uint16(nptrs)
+	n.level, n.n = uint8(level), uint16(nptrs)
 	n.hasHigh = buf[2]&1 != 0
 	n.high = int64(binary.LittleEndian.Uint64(buf[8:]))
 	n.right = pagestore.PageID(binary.LittleEndian.Uint64(buf[16:]))

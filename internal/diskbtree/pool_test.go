@@ -19,23 +19,24 @@ import (
 	"btreeperf/internal/pagestore"
 )
 
-// watchFS wraps the real FS and watches the page I/O of one file. It
-// records a violation whenever a page is read while a write of the same
-// page is in flight (the stale-copy read the write-back protocol must
-// rule out), counts reads per page, and can hold page reads or writes at
-// a gate so a test can line goroutines up inside the window.
+// watchFS wraps the real FS and watches the slot I/O of one file. It
+// records a violation whenever a slot is read while a write of the same
+// slot is in flight (the stale-copy read the write-back protocol must
+// rule out), counts reads per slot, and can hold slot reads or writes at
+// a gate so a test can line goroutines up inside the window. Slots 0 and
+// 1, the meta pages, are not watched.
 type watchFS struct {
 	suffix string // the watched file's name ends with this
 
 	mu      sync.Mutex
-	writing map[int64]int // page → writes in flight
-	reads   map[int64]int // page → reads issued
+	writing map[int64]int // slot → writes in flight
+	reads   map[int64]int // slot → reads issued
 	stale   []string
 
 	yield     atomic.Bool   // widen every write's window by yielding inside it
 	gateRead  chan struct{} // non-nil: page reads announce on entered, then wait here
 	gateWrite chan struct{} // non-nil: page writes announce on entered, then wait here
-	entered   chan int64    // page numbers of gated calls, in order of arrival
+	entered   chan int64    // slots of gated calls, in order of arrival
 }
 
 func newWatchFS(suffix string) *watchFS {
@@ -77,7 +78,7 @@ func (f *watchFile) ReadAt(p []byte, off int64) (int, error) {
 	page := off / pagestore.PageSize
 	fs := f.fs
 	fs.mu.Lock()
-	if page != 0 {
+	if page > 1 {
 		fs.reads[page]++
 		if fs.writing[page] > 0 {
 			fs.stale = append(fs.stale, fmt.Sprintf("page %d read while its write was in flight", page))
@@ -85,7 +86,7 @@ func (f *watchFile) ReadAt(p []byte, off int64) (int, error) {
 	}
 	gate := fs.gateRead
 	fs.mu.Unlock()
-	if gate != nil && page != 0 {
+	if gate != nil && page > 1 {
 		fs.entered <- page
 		<-gate
 	}
@@ -99,7 +100,7 @@ func (f *watchFile) WriteAt(p []byte, off int64) (int, error) {
 	fs.writing[page]++
 	gate := fs.gateWrite
 	fs.mu.Unlock()
-	if gate != nil && page != 0 {
+	if gate != nil && page > 1 {
 		fs.entered <- page
 		<-gate
 	}
@@ -174,7 +175,8 @@ func TestPoolOneReadPerPage(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before := fs.readsOf(int64(leaf))
+	slot := int64(tr.store.Slot(leaf))
+	before := fs.readsOf(slot)
 
 	gate := make(chan struct{})
 	fs.mu.Lock()
@@ -191,7 +193,7 @@ func TestPoolOneReadPerPage(t *testing.T) {
 	go search()
 	// The first searcher's descent reads are gated too: let them through
 	// until it is parked inside the read of the leaf itself.
-	for page := <-fs.entered; page != int64(leaf); page = <-fs.entered {
+	for page := <-fs.entered; page != slot; page = <-fs.entered {
 		gate <- struct{}{}
 	}
 	go search()
@@ -208,7 +210,7 @@ func TestPoolOneReadPerPage(t *testing.T) {
 	fs.mu.Unlock()
 	close(gate)
 	wg.Wait()
-	if got := fs.readsOf(int64(leaf)) - before; got != 1 {
+	if got := fs.readsOf(slot) - before; got != 1 {
 		t.Errorf("leaf page read %d times for two concurrent misses, want 1", got)
 	}
 }
@@ -240,7 +242,8 @@ func TestPoolWriteBackBeforeReread(t *testing.T) {
 			}
 		}
 	}()
-	for page := <-fs.entered; page != int64(leaf); page = <-fs.entered {
+	// The write-back's slot is chosen before its write reaches the gate.
+	for page := <-fs.entered; page != int64(tr.store.Slot(leaf)); page = <-fs.entered {
 		gate <- struct{}{} // some other dirty page: let it land
 	}
 	// The leaf's write-back is in flight and held. Re-read it now.
@@ -341,7 +344,7 @@ func TestPoolStress(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := tr.CheckpointNow(); err != nil {
+			if _, err := tr.Checkpoint(); err != nil {
 				t.Error(err)
 				return
 			}

@@ -115,7 +115,7 @@ func TestFailFSCrashFreezesEverything(t *testing.T) {
 // planned sync failure must surface through Store.Sync.
 func TestFailFSUnderStore(t *testing.T) {
 	dir := t.TempDir()
-	fs := NewFailFS(nil, FailPlan{FailSyncAt: 1})
+	fs := NewFailFS(nil, FailPlan{FailSyncAt: 2}) // the first makes the new store's meta page durable
 	s, err := OpenFS(filepath.Join(dir, "s.db"), fs)
 	if err != nil {
 		t.Fatal(err)

@@ -1,9 +1,9 @@
 package server
 
-// Incremental-checkpoint regression tests: disk-full fail-stop, the
-// checkpoint running concurrently with serving traffic (puts, deletes
-// driving merge-at-empty compaction, and scans) on 1- and 4-shard disk
-// engines, and a scan pinned across the image install step.
+// Checkpoint regression tests: disk-full fail-stop, the checkpoint
+// running concurrently with serving traffic (puts, deletes driving
+// merge-at-empty compaction, and scans) on 1- and 4-shard disk engines, a
+// scan pinned across a whole checkpoint, and the progress gauges.
 
 import (
 	"fmt"
@@ -18,18 +18,17 @@ import (
 	"testing"
 	"time"
 
-	"btreeperf/internal/diskbtree"
 	"btreeperf/internal/pagestore"
 	"btreeperf/internal/query"
 )
 
 // TestCheckpointENOSPCPoisonsEngine fills the simulated disk so the
-// background checkpoint's image build hits ENOSPC: the engine must go
+// background checkpoint's page writes hit ENOSPC: the engine must go
 // fail-stop (StatusUnavail on every op, 503 /healthz) rather than ack
-// writes against a half-written image.
+// writes against a half-written checkpoint.
 func TestCheckpointENOSPCPoisonsEngine(t *testing.T) {
 	// Probe run: the identical workload with checkpointing disabled
-	// sizes the budget. The slack is smaller than one 4 KiB image page
+	// sizes the budget. The slack is smaller than one 4 KiB page
 	// but covers ~90 more oplog records, so the checkpoint's first page
 	// write — not the serving path — is what exceeds the budget.
 	probe := pagestore.NewFailFS(nil, pagestore.FailPlan{})
@@ -47,7 +46,7 @@ func TestCheckpointENOSPCPoisonsEngine(t *testing.T) {
 
 	fs := pagestore.NewFailFS(nil, pagestore.FailPlan{WriteBudget: budget})
 	eng := newDiskEngine(t, DiskEngineConfig{
-		Cap: 8, CacheNodes: 32, CheckpointOps: 50, CheckpointChunk: 16, FS: fs,
+		Cap: 8, CacheNodes: 32, CheckpointOps: 50, FS: fs,
 	})
 	s, addr, shutdown := startServer(t, Config{Engine: eng})
 	defer shutdown()
@@ -58,7 +57,7 @@ func TestCheckpointENOSPCPoisonsEngine(t *testing.T) {
 	defer c.Close()
 
 	// The first 60 puts mirror the probe byte for byte; commit 50 kicks
-	// the background checkpoint, which runs out of disk mid-image. Keep
+	// the background checkpoint, which runs out of disk mid-cut. Keep
 	// writing until the poison surfaces as StatusUnavail.
 	poisoned := false
 	deadline := time.Now().Add(15 * time.Second)
@@ -109,11 +108,11 @@ func TestCheckpointENOSPCPoisonsEngine(t *testing.T) {
 
 // TestCheckpointConcurrentWithTraffic hammers 1- and 4-shard disk
 // servers with concurrent puts, deletes (emptying leaves exercises the
-// merge-at-empty compaction path under the walk), and scans while the
-// low-threshold background checkpointer installs images continuously.
-// Run under -race this is the data-race proof for the latch-coupled
-// chunk walk; afterwards every shard's tree must pass its invariant
-// check and hold exactly the surviving keys.
+// merge-at-empty compaction path under the cut), and scans while the
+// low-threshold background checkpointer commits continuously. Run under
+// -race this is the data-race proof for the cut's barrier and its page
+// writes beside the writers'; afterwards every shard's tree must pass its
+// invariant check and hold exactly the surviving keys.
 func TestCheckpointConcurrentWithTraffic(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -122,11 +121,10 @@ func TestCheckpointConcurrentWithTraffic(t *testing.T) {
 			var disks []*DiskEngine
 			for i := 0; i < shards; i++ {
 				e := newDiskEngine(t, DiskEngineConfig{
-					Path:            filepath.Join(dir, fmt.Sprintf("shard-%d.db", i)),
-					Cap:             8,
-					CacheNodes:      64,
-					CheckpointOps:   200,
-					CheckpointChunk: 32,
+					Path:          filepath.Join(dir, fmt.Sprintf("shard-%d.db", i)),
+					Cap:           8,
+					CacheNodes:    64,
+					CheckpointOps: 200,
 				})
 				engines = append(engines, e)
 				disks = append(disks, e)
@@ -216,14 +214,14 @@ func TestCheckpointConcurrentWithTraffic(t *testing.T) {
 					t.Fatalf("shard %d close: %v", i, err)
 				}
 			}
-			// Each shard bootstraps one image at open; traffic past the
-			// 200-mutation threshold must have installed more.
+			// Traffic past the 200-mutation threshold must have committed
+			// more than one checkpoint per shard.
 			if checkpoints <= int64(shards) {
 				t.Fatalf("only %d checkpoints across %d shards: the background checkpointer never ran", checkpoints, shards)
 			}
 
-			// Reopen and verify the surviving keys — the installed image
-			// plus oplog suffix must reconstruct exactly the model.
+			// Reopen and verify the surviving keys — the committed
+			// checkpoint plus oplog suffix must reconstruct exactly the model.
 			for i := 0; i < shards; i++ {
 				re := newDiskEngine(t, DiskEngineConfig{
 					Path: filepath.Join(dir, fmt.Sprintf("shard-%d.db", i)), Cap: 8, CacheNodes: 64,
@@ -247,11 +245,11 @@ func TestCheckpointConcurrentWithTraffic(t *testing.T) {
 }
 
 // TestScanStraddlesCheckpointInstall pins a scan mid-leaf-chain, runs a
-// complete incremental checkpoint — walk, finalize, install — while the
-// scan is parked, commits more writes against the freshly installed
-// image, and then lets the scan finish. The scan must deliver every key
-// exactly once in order: the install swaps the recovery image and
-// rebases the oplog but never touches the live tree the scan is walking.
+// complete checkpoint — cut, page writes, commit — while the scan is
+// parked, commits more writes after it, and then lets the scan finish.
+// The scan must deliver every key exactly once in order: the checkpoint
+// writes the pages the scan may hold under shared latches only and
+// rebases the oplog, but never changes the tree the scan is walking.
 func TestScanStraddlesCheckpointInstall(t *testing.T) {
 	eng := newDiskEngine(t, DiskEngineConfig{Cap: 8, CacheNodes: 64, CheckpointOps: -1})
 	defer eng.Close()
@@ -266,7 +264,7 @@ func TestScanStraddlesCheckpointInstall(t *testing.T) {
 	}
 
 	parked := make(chan struct{})  // scan reached the middle
-	release := make(chan struct{}) // install done, scan may proceed
+	release := make(chan struct{}) // checkpoint done, scan may proceed
 	scanDone := make(chan error, 1)
 	go func() {
 		var next int64
@@ -290,11 +288,11 @@ func TestScanStraddlesCheckpointInstall(t *testing.T) {
 
 	<-parked
 	before := eng.t.Checkpoints()
-	if _, err := eng.t.Checkpoint(64, nil); err != nil {
+	if _, err := eng.t.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if eng.t.Checkpoints() != before+1 {
-		t.Fatalf("install did not count: %d -> %d", before, eng.t.Checkpoints())
+		t.Fatalf("checkpoint did not count: %d -> %d", before, eng.t.Checkpoints())
 	}
 	// The rebased oplog must accept appends while the scan is parked.
 	for i := int64(0); i < 50; i++ {
@@ -314,21 +312,19 @@ func TestScanStraddlesCheckpointInstall(t *testing.T) {
 	}
 }
 
-// TestCkptChunksDoneAtImageSync holds a background checkpoint's image
-// fsync — the walk is over, the install not yet begun — and reads the
-// progress gauge there: it must count every chunk walked, the last one
-// included. 210 keys in chunks of 64 are walked in exactly four chunks:
-// a chunk takes whole leaves (of at most 8 keys) until it holds 64 keys,
-// so three chunks leave fewer than 64 keys behind, and three chunks of at
-// most 71 cannot exhaust the walk before the third; the fourth is short.
-func TestCkptChunksDoneAtImageSync(t *testing.T) {
-	const chunk, keys, walked = 64, 210, 4
+// TestCkptPagesDoneAtMapSync holds a background checkpoint's first
+// fsync of the tree file — every marked page and the map are written, the
+// commit not yet begun — and reads the progress gauges there: done must
+// equal total, which counts the map too, and both must be back to zero
+// once the checkpoint is over.
+func TestCkptPagesDoneAtMapSync(t *testing.T) {
+	const keys = 210
 	fs := pagestore.NewFailFS(nil, pagestore.FailPlan{})
 	held, release := make(chan struct{}), make(chan struct{})
-	var armed atomic.Bool // not the checkpoint Open takes
+	var armed atomic.Bool // not the store's creation
 	var once sync.Once
 	fs.AroundSync = func(name string, f pagestore.File) error {
-		if armed.Load() && strings.HasSuffix(name, diskbtree.ImageTmpSuffix) {
+		if armed.Load() && strings.HasSuffix(name, "tree.db") {
 			once.Do(func() {
 				close(held)
 				<-release
@@ -336,7 +332,7 @@ func TestCkptChunksDoneAtImageSync(t *testing.T) {
 		}
 		return f.Sync()
 	}
-	eng := newDiskEngine(t, DiskEngineConfig{Cap: 8, CacheNodes: 64, CheckpointOps: keys, CheckpointChunk: chunk, FS: fs})
+	eng := newDiskEngine(t, DiskEngineConfig{Cap: 8, CacheNodes: 64, CheckpointOps: keys, FS: fs})
 	defer eng.Close()
 	armed.Store(true)
 	for i := int64(0); i < keys; i++ {
@@ -350,12 +346,20 @@ func TestCkptChunksDoneAtImageSync(t *testing.T) {
 	select {
 	case <-held:
 	case <-time.After(10 * time.Second):
-		t.Fatal("no checkpoint reached its image fsync")
+		t.Fatal("no checkpoint reached its map fsync")
 	}
 	st := eng.Stats()
 	close(release)
-	if st.CkptChunksDone != walked || st.CkptChunksTotal != walked {
-		t.Fatalf("at the image fsync: ckpt_chunks_done=%d ckpt_chunks_total=%d, want %d of %d",
-			st.CkptChunksDone, st.CkptChunksTotal, walked, walked)
+	if st.CkptChunksTotal < 2 || st.CkptChunksDone != st.CkptChunksTotal {
+		t.Fatalf("at the map fsync: ckpt_chunks_done=%d ckpt_chunks_total=%d, want all of at least one page and the map",
+			st.CkptChunksDone, st.CkptChunksTotal)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for st = eng.Stats(); (st.Checkpoints == 0 || st.CkptChunksTotal != 0) && time.Now().Before(deadline); st = eng.Stats() {
+		time.Sleep(time.Millisecond)
+	}
+	if st.Checkpoints == 0 || st.CkptChunksDone != 0 || st.CkptChunksTotal != 0 {
+		t.Fatalf("after the checkpoint: checkpoints=%d ckpt_chunks_done=%d ckpt_chunks_total=%d, want 1, 0, 0",
+			st.Checkpoints, st.CkptChunksDone, st.CkptChunksTotal)
 	}
 }

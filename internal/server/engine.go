@@ -1,9 +1,7 @@
 package server
 
 import (
-	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -69,8 +67,8 @@ type EngineStats struct {
 	Synced          int64 // oplog records fsync-covered this epoch
 	OplogBytes      int64
 	Fsyncs          int64 // group-commit fsyncs issued this epoch
-	Checkpoints     int64 // checkpoint images installed
-	CheckpointLag   int64 // mutations behind the last installed image (replay debt)
+	Checkpoints     int64 // checkpoints committed
+	CheckpointLag   int64 // mutations behind the last committed checkpoint (replay debt)
 	CheckpointFails int64 // checkpoint attempts that failed (each one poisons)
 
 	// Global sequence positions (see internal/journal): every mutation
@@ -88,16 +86,22 @@ type EngineStats struct {
 	RetainedSegs  int64
 	RetainedBytes int64
 
-	// Checkpoint pause: how long the last checkpoint's install window
-	// blocked appends (bounded, independent of tree size) and the maximum
-	// observed, in nanoseconds.
+	// Checkpoint pause: how long the last checkpoint held writers (its
+	// cut) and appends (its commit window), bounded by the pool's size
+	// and not the tree's, and the maximum observed, in nanoseconds.
 	CkptPauseLastNs int64
 	CkptPauseMaxNs  int64
 
-	// Incremental checkpoint progress: walk chunks completed / planned
-	// for the in-flight checkpoint (both zero when idle).
+	// Checkpoint progress: pages written / pages to write by the
+	// checkpoint in flight — its cut's pages, then its map. Total is
+	// nonzero exactly while one runs.
 	CkptChunksDone  int64
 	CkptChunksTotal int64
+
+	// The tree file's length in slots (its high-water mark while
+	// running) and the free slots under it.
+	StoreSlots     int64
+	StoreFreeSlots int64
 }
 
 // memEngine adapts the instrumented in-memory cbtree. Commit is a no-op:
@@ -170,18 +174,13 @@ type DiskEngineConfig struct {
 	CacheNodes int // buffer-pool size; default 4096
 
 	// CheckpointOps bounds the oplog: once this many mutations have
-	// accumulated past the last installed image, a checkpoint is taken —
-	// a background goroutine walks the tree in bounded chunks, fully
-	// concurrent with serving, and only the image install blocks appends,
-	// for a bounded window independent of tree size — so recovery replay
-	// stays bounded. Default 1 << 18 (a ~5.5 MB oplog, sub-second
-	// replay); negative disables checkpointing (the oplog grows until
-	// Close).
+	// accumulated past the last committed checkpoint, a background
+	// goroutine takes one — concurrent with serving but for its cut and
+	// its commit window, both bounded by the pool's size, not the tree's
+	// — so recovery replay stays bounded. Default 1 << 18 (a ~5.5 MB
+	// oplog, sub-second replay); negative disables checkpointing (the
+	// oplog grows until Close).
 	CheckpointOps int64
-
-	// CheckpointChunk is the number of keys a checkpoint walks per
-	// latched chunk. Default 4096.
-	CheckpointChunk int
 
 	// FS overrides the file layer (failpoint tests). Nil = real files.
 	FS pagestore.FS
@@ -194,10 +193,9 @@ type DiskEngineConfig struct {
 // shard's committer, and the connections stop behind it once the commit
 // queue is full (see the bound where New sizes the queue).
 type DiskEngine struct {
-	t         *diskbtree.Tree
-	mu        sync.RWMutex // fences Close: RLock for ops and Commit, Lock for Close
-	ckptOps   int64
-	ckptChunk int
+	t       *diskbtree.Tree
+	mu      sync.RWMutex // fences Close: RLock for ops and Commit, Lock for Close
+	ckptOps int64
 
 	checkpointFails atomic.Int64
 
@@ -212,14 +210,10 @@ type DiskEngine struct {
 	genCond *sync.Cond
 	closed  bool
 
-	// Pause telemetry: how long the last checkpoint's install window
-	// blocked appends, and the maximum observed.
+	// Pause telemetry: how long the last checkpoint held writers and
+	// appends, and the maximum observed.
 	pauseLastNs atomic.Int64
 	pauseMaxNs  atomic.Int64
-
-	// In-flight walk progress.
-	chunksDone  atomic.Int64
-	chunksTotal atomic.Int64
 }
 
 // NewDiskEngine opens (creating or recovering) the tree at cfg.Path.
@@ -233,12 +227,6 @@ func NewDiskEngine(cfg DiskEngineConfig) (*DiskEngine, error) {
 	if cfg.CheckpointOps == 0 {
 		cfg.CheckpointOps = 1 << 18
 	}
-	if cfg.CheckpointChunk == 0 {
-		cfg.CheckpointChunk = 4096
-	}
-	if cfg.CheckpointChunk < 0 {
-		return nil, fmt.Errorf("server: checkpoint chunk %d must be positive", cfg.CheckpointChunk)
-	}
 	t, err := diskbtree.Open(cfg.Path, diskbtree.Options{
 		Cap:        cfg.Cap,
 		CacheNodes: cfg.CacheNodes,
@@ -248,11 +236,7 @@ func NewDiskEngine(cfg DiskEngineConfig) (*DiskEngine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &DiskEngine{
-		t:         t,
-		ckptOps:   cfg.CheckpointOps,
-		ckptChunk: cfg.CheckpointChunk,
-	}
+	e := &DiskEngine{t: t, ckptOps: cfg.CheckpointOps}
 	e.genCond = sync.NewCond(&e.genMu)
 	if e.ckptOps > 0 {
 		e.kick = make(chan struct{}, 1)
@@ -336,8 +320,8 @@ func (e *DiskEngine) Commit() error {
 	return nil
 }
 
-// lag is the replay debt: mutations appended past the last installed
-// checkpoint image. Recovery replays exactly this many operations.
+// lag is the replay debt: mutations appended past the last committed
+// checkpoint. Recovery replays exactly this many operations.
 func (e *DiskEngine) lag() int64 {
 	if j := e.t.Journal(); j != nil {
 		return j.SeqAppended() - e.t.CheckpointSeq()
@@ -374,35 +358,15 @@ func (e *DiskEngine) checkpointLoop() {
 }
 
 // runCheckpoint takes one checkpoint. No engine lock is held — serving
-// proceeds concurrently; only the install at the end of Tree.Checkpoint
-// blocks appends, briefly. Between chunks it yields the processor,
-// publishes the walk's progress and gives up if the engine is closing.
+// proceeds concurrently, but for the checkpoint's cut and commit window.
 func (e *DiskEngine) runCheckpoint() {
 	if e.lag() < e.ckptOps {
 		return
 	}
-	e.chunksTotal.Store(int64(e.t.Len()/e.ckptChunk) + 1)
-	defer func() {
-		e.chunksDone.Store(0)
-		e.chunksTotal.Store(0)
-	}()
-	pause, err := e.t.Checkpoint(e.ckptChunk, func(chunksDone int) bool {
-		if chunksDone > 0 {
-			e.chunksDone.Store(int64(chunksDone))
-			runtime.Gosched()
-		}
-		select {
-		case <-e.stop:
-			return false
-		default:
-			return true
-		}
-	})
-	switch {
-	case err == nil:
-		e.recordPause(pause)
-	case !errors.Is(err, diskbtree.ErrCheckpointStopped):
+	if pause, err := e.t.Checkpoint(); err != nil {
 		e.checkpointFails.Add(1)
+	} else {
+		e.recordPause(pause)
 	}
 }
 
@@ -430,6 +394,8 @@ func (e *DiskEngine) Poisoned() error   { return e.t.Poisoned() }
 func (e *DiskEngine) Stats() EngineStats {
 	splits, crossings := e.t.Stats()
 	app, syn, bytes, commits := e.t.DurabilityStats()
+	done, total := e.t.CheckpointProgress()
+	slots, free := e.t.StoreSlots()
 	st := EngineStats{
 		Splits:          splits,
 		Crossings:       crossings,
@@ -443,8 +409,10 @@ func (e *DiskEngine) Stats() EngineStats {
 		CheckpointFails: e.checkpointFails.Load(),
 		CkptPauseLastNs: e.pauseLastNs.Load(),
 		CkptPauseMaxNs:  e.pauseMaxNs.Load(),
-		CkptChunksDone:  e.chunksDone.Load(),
-		CkptChunksTotal: e.chunksTotal.Load(),
+		CkptChunksDone:  done,
+		CkptChunksTotal: total,
+		StoreSlots:      int64(slots),
+		StoreFreeSlots:  int64(free),
 	}
 	if j := e.t.Journal(); j != nil {
 		st.SeqAppended = j.SeqAppended()

@@ -152,8 +152,9 @@ var telemetry = []metric{
 	count("unavail", top|block, cUnavail),
 	// Sequence positions are summed at the top (each shard's own is its
 	// block's seq, and on /healthz); retention is what the oplog holds for
-	// lagging followers; the checkpoint pause is how long an image's
-	// install window blocked appends, the worst shard's.
+	// lagging followers; the checkpoint pause is how long a checkpoint's
+	// cut and commit window held writers, the worst shard's, and its
+	// chunks are the pages it writes.
 	stat("seq_appended", top, sumOf, func(sc *shardScrape) any { return sc.es.SeqAppended }),
 	stat("seq_durable", top, sumOf, func(sc *shardScrape) any { return sc.es.SeqDurable }),
 	stat("seq_lowest", top, sumOf, func(sc *shardScrape) any { return sc.es.SeqLowest }),
@@ -163,6 +164,10 @@ var telemetry = []metric{
 	stat("ckpt_pause_max_us", top, maxOf, func(sc *shardScrape) any { return nsUs(sc.es.CkptPauseMaxNs) }),
 	stat("ckpt_chunks_done", top, sumOf, func(sc *shardScrape) any { return sc.es.CkptChunksDone }),
 	stat("ckpt_chunks_total", top, sumOf, func(sc *shardScrape) any { return sc.es.CkptChunksTotal }),
+	// The tree files' length in slots — a running high-water mark, which
+	// only a clean close's compaction lowers — and the free slots in it.
+	stat("store_slots", top, sumOf, func(sc *shardScrape) any { return sc.es.StoreSlots }),
+	stat("store_free_slots", top, sumOf, func(sc *shardScrape) any { return sc.es.StoreFreeSlots }),
 	wide("replication", func(c *capture) any {
 		if c.repl == nil {
 			return nil // present only on a leader or follower
@@ -196,7 +201,7 @@ var summaryLines = []string{
 	"tree splits={splits} restarts={restarts} crossings={crossings} read_restarts={read_restarts} read_fallbacks={read_fallbacks} stale_hints={stale_hints}\n",
 	"engine kind={engine} poisoned={poisoned} recovered={recovered_ops} oplog_appended={oplog_appended} oplog_synced={oplog_synced} oplog_bytes={oplog_bytes} fsyncs={group_commit_fsyncs} checkpoints={checkpoints} checkpoint_lag={checkpoint_lag} ckpt_fails={ckpt_fails} commit_fails={commit_fails} unavail={unavail}\n",
 	"commit groups={commit_groups} batches={commit_batches} wait_mean_us={commit_wait_mean_us:.1f} wait_p99_us={commit_wait_p99_us:.1f}\n",
-	"checkpoint pause_last_us={ckpt_pause_last_us:.1f} pause_max_us={ckpt_pause_max_us:.1f} chunks_done={ckpt_chunks_done} chunks_total={ckpt_chunks_total} behind={checkpoint_lag}\n",
+	"checkpoint pause_last_us={ckpt_pause_last_us:.1f} pause_max_us={ckpt_pause_max_us:.1f} chunks_done={ckpt_chunks_done} chunks_total={ckpt_chunks_total} behind={checkpoint_lag} store_slots={store_slots} store_free_slots={store_free_slots}\n",
 	"seqs appended={seq_appended} durable={seq_durable} lowest={seq_lowest} retained_segments={retained_segments} retained_bytes={retained_bytes}\n",
 }
 

@@ -115,6 +115,10 @@ func synthShard(r *rough, id, levels int, measured, disk, olc bool) shardScrape 
 		r2 := rough(2019 + id)
 		sc.ctr[cCommitGroups], sc.ctr[cCommitBatches] = r2.n(1<<20), r2.n(1<<22)
 		sc.win.CommitWaitMeanNs, sc.win.CommitWaitHist = r2.f(6e5), r2.hist(18)
+		// The store's slot gauges are younger still: a stream of their own.
+		r4 := rough(2046 + id)
+		sc.es.StoreSlots = r4.n(1 << 16)
+		sc.es.StoreFreeSlots = r4.n(sc.es.StoreSlots + 1)
 	}
 	sc.evaluate()
 	return sc

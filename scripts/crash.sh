@@ -20,10 +20,10 @@
 #   SHARDS=4 scripts/crash.sh     # sharded disk engine: one journal per
 #                                 # shard, all must replay on recovery
 #   CKPT_KILL=1 scripts/crash.sh  # retune the server to checkpoint
-#                                 # constantly (low threshold, small
-#                                 # chunks) and time each kill into the
-#                                 # checkpoint window, so recovery runs
-#                                 # against a half-written image / oplog
+#                                 # constantly (low threshold) and time
+#                                 # each kill into the checkpoint window,
+#                                 # so recovery runs against half-written
+#                                 # cut pages / map / meta page / oplog
 #                                 # rotation left by a mid-checkpoint
 #                                 # death
 set -euo pipefail
@@ -51,7 +51,7 @@ chaos='latency=50us,preset=0.0005,seed=11'
 start_server() {
   local chaosflags=() ckptflags=()
   [ $# -gt 0 ] && chaosflags=(-chaos "$1")
-  [ "$ckptkill" = 1 ] && ckptflags=(-checkpoint-ops 2000 -checkpoint-chunk 256)
+  [ "$ckptkill" = 1 ] && ckptflags=(-checkpoint-ops 2000)
   "$bin/btserved" -engine disk -path "$db" -shards "$shards" -cap 64 \
     -listen "$listen" -http "$http" "${chaosflags[@]}" "${ckptflags[@]}" \
     >>"$bin/serv.log" 2>&1 &
@@ -67,6 +67,7 @@ start_server() {
 # Deterministic "random-ish" kill delays, cycling so kills land at
 # different phases of the load: mid-rampup, steady state, etc.
 delays=(0.30 0.70 0.45 1.00 0.25 0.85 0.55 0.40 0.90 0.60)
+inside=0 # CKPT_KILL=1: kills that found a checkpoint writing its pages
 
 for ((i = 0; i < cycles; i++)); do
   start_server "$chaos"
@@ -75,17 +76,20 @@ for ((i = 0; i < cycles; i++)); do
     -conns 4 -depth 128 -duration 30s >>"$bin/load.log" 2>&1 &
   lpid=$!
   if [ "$ckptkill" = 1 ]; then
-    # Let the load ramp, then kill the instant /metrics shows an
-    # incremental checkpoint walk in flight (chunks_done > 0). If no
-    # walk shows within the budget (tiny tree in early cycles), the
-    # fallback kill still lands near an install: the 2000-mutation
-    # threshold keeps checkpoints nearly back-to-back under load.
-    sleep 0.15
+    # Kill the instant /metrics shows a checkpoint writing its pages
+    # (chunks_done > 0). Polling starts with the load: a checkpoint now
+    # writes only the pages dirtied since the last one, a few
+    # milliseconds' work, and the audit load's connections end at the
+    # first injected reset, so the window with traffic is short. If none
+    # shows within the budget, the fallback kill still lands near a
+    # commit: the 2000-mutation threshold keeps checkpoints nearly
+    # back-to-back under load. The count of kills that met one is printed
+    # at the end.
     for _ in $(seq 150); do
       m="$(curl -sf "http://$http/metrics" 2>/dev/null | grep '^checkpoint ' || true)"
       case "$m" in
       *"chunks_done=0 "*) ;;
-      *chunks_done=*) break ;;
+      *chunks_done=*) inside=$((inside + 1)); break ;;
       esac
       sleep 0.01
     done
@@ -118,5 +122,5 @@ kill -TERM "$spid"
 wait "$spid" || { echo "FAIL: final btserved exited nonzero" >&2; exit 1; }
 
 mode="random kills"
-[ "$ckptkill" = 1 ] && mode="kills timed into the checkpoint window"
+[ "$ckptkill" = 1 ] && mode="kills timed into the checkpoint window, $inside of them inside one"
 echo "crash: $cycles kill -9 cycles ($mode) at shards=$shards, $acked acked writes, zero lost"

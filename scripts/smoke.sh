@@ -27,7 +27,7 @@ http=127.0.0.1:9471
 # line saying why, and a deleted flag is refused as undefined; neither
 # may panic.
 for args in "-cap 2" "-repl-ack-timeout -1s" "-depth 0" "-depth -1" "-max-conns -1" "-prefill -1" "-repl-acks -1" \
-  "-fsync op" "-governor-rho 0.6" "-max-batch 8" "-pprof-block-rate 10000" "-pprof-mutex-frac 5"; do
+  "-fsync op" "-governor-rho 0.6" "-max-batch 8" "-pprof-block-rate 10000" "-pprof-mutex-frac 5" "-checkpoint-chunk 256"; do
   code=0
   timeout 10 "$bin/btserved" $args -listen "$listen" -http "" 2>"$bin/flag.err" || code=$?
   [ "$code" -eq 2 ] || { echo "FAIL(flags): btserved $args exited $code, want 2" >&2; cat "$bin/flag.err" >&2; exit 1; }

@@ -1,31 +1,30 @@
 // Package journal is the logical oplog under a pagestore-backed tree:
 // every committed operation (insert key→val, delete key) is appended as
 // a CRC-framed record with a global sequence number. Durability and
-// recovery follow the checkpoint-image model (ARIES-style fuzzy
-// checkpoints, LMDB-style atomic image installs):
+// recovery follow the checkpoint-plus-log model:
 //
-//   - The tree's durable state is a checkpoint image — a complete,
-//     fsync'd pagestore file stamped with the sequence S of the last
-//     operation it reflects. The live tree file is scratch: recovery
-//     never reads it.
-//   - Recovery = copy the image over the live file, then replay the
-//     oplog suffix with sequences > S. Insert/delete have set semantics,
-//     so replay is idempotent; a torn trailing record (in flight at the
-//     crash) is detected by CRC and dropped.
-//   - Installing a new image is Rotate: the oplog is atomically replaced
-//     (single rename) by one whose epoch base is the image's sequence,
-//     inside a bounded blocking window that excludes appenders — the
-//     only pause a checkpoint imposes, independent of tree size.
+//   - The tree's durable state is its last committed checkpoint — the
+//     pages its store's newer meta page names, stamped with the sequence
+//     S of the last operation it holds (see internal/diskbtree).
+//   - Recovery = open that checkpoint, then replay the oplog suffix with
+//     sequences > S. Insert/delete have set semantics, so replay is
+//     idempotent; a torn trailing record (in flight at the crash) is
+//     detected by CRC and dropped.
+//   - Committing a new checkpoint is Rotate: the oplog is atomically
+//     replaced (single rename) by one whose epoch base is the
+//     checkpoint's sequence, inside a bounded blocking window that
+//     excludes appenders.
 //
-// Rotate's crash ordering makes the image rename the commit point: the
-// new oplog (holding the records concurrent with the image build) is
-// written and fsync'd to a temp file first, then the image is renamed
-// into place, then the oplog. A crash before the image rename recovers
-// from the old image with the old oplog; a crash between the renames
-// recovers from the new image with the old oplog, whose obsolete prefix
-// Recover drops by rebasing the file to base S — the rebase invariant:
-// after recovery the oplog's base always equals the image's sequence,
-// so sequence numbers are never reused across a crash.
+// Rotate's crash ordering makes the caller's commit (the checkpoint's
+// meta page) the commit point: the new oplog (holding the records
+// appended since S) is written and fsync'd to a temp file first, then
+// the checkpoint commits, then the oplog is renamed. A crash before the
+// commit recovers from the old checkpoint with the old oplog; a crash
+// between the commit and the rename recovers from the new checkpoint with
+// the old oplog, whose obsolete prefix Recover drops by rebasing the file
+// to base S — the rebase invariant: after recovery the oplog's base
+// always equals the checkpoint's sequence, so sequence numbers are never
+// reused across a crash.
 //
 // # Durability points and group commit
 //
@@ -52,7 +51,7 @@
 // whose writeback failed, so retrying the fsync and getting success
 // proves nothing (the fsyncgate failure mode) — the only sound reaction
 // is to stop acknowledging writes for good. Checkpoint failures (a
-// half-written image on a full disk, say) poison through the same path
+// half-written checkpoint on a full disk, say) poison through the same path
 // via Poison.
 package journal
 
@@ -248,7 +247,7 @@ func (j *Journal) Failed() error {
 
 // Poison records err as the journal's sticky failure (first one wins):
 // the fail-stop entry point for storage errors detected outside the
-// journal itself, like a half-written checkpoint image. Nil is ignored.
+// journal itself, like a half-written checkpoint. Nil is ignored.
 func (j *Journal) Poison(err error) error { return j.poison(err) }
 
 // poison records err as the sticky failure (first one wins) and returns it.
@@ -349,22 +348,21 @@ func (j *Journal) Stats() (appended, synced, oplogBytes, commits int64) {
 	return appended, synced, appended * opRecSize, j.commits.Load()
 }
 
-// Rotate installs a checkpoint image covering sequences up to upTo: it
+// Rotate commits a checkpoint covering sequences up to upTo: it
 // atomically replaces the oplog with one whose epoch base is upTo
-// (keeping only the records appended concurrently with the image build)
-// and, when a registered follower still needs the outgoing records,
-// seals them as a catch-up segment first. commitImage, if non-nil, runs
-// inside the blocking window after the replacement oplog is durable and
-// must perform the image's atomic install (its rename): its success is
-// the commit point of the whole checkpoint.
+// (keeping only the records appended since) and, when a registered
+// follower still needs the outgoing records, seals them as a catch-up
+// segment first. commit, if non-nil, runs inside the blocking window
+// after the replacement oplog is durable and must make the checkpoint
+// durable (its meta page): its success is the commit point of the whole
+// checkpoint.
 //
 // Phase 1 (sealing) runs concurrently with appends and commits; only
-// phase 2 — write + fsync of the small replacement oplog, the two
-// renames, and the in-memory rebase — excludes them. The returned
-// pause is phase 2's duration: the entire serving stall a checkpoint
-// imposes, bounded by the append rate during the image build rather
-// than the tree size.
-func (j *Journal) Rotate(upTo int64, commitImage func() error) (pauseNs int64, err error) {
+// phase 2 — write + fsync of the small replacement oplog, commit, the
+// rename, and the in-memory rebase — excludes them. The returned pause
+// is phase 2's duration, bounded by the appends since upTo rather than
+// the tree size.
+func (j *Journal) Rotate(upTo int64, commit func() error) (pauseNs int64, err error) {
 	if err := j.Failed(); err != nil {
 		return 0, err
 	}
@@ -433,8 +431,8 @@ func (j *Journal) Rotate(upTo int64, commitImage func() error) (pauseNs int64, e
 			}
 		}
 		// The suffix may hold acked records: the replacement is durable
-		// before commitImage runs and before the rename unlinks the old file.
-		f, err := pagestore.ReplaceFile(j.fs, j.oPath+".tmp", j.oPath, buf, commitImage)
+		// before commit runs and before the rename unlinks the old file.
+		f, err := pagestore.ReplaceFile(j.fs, j.oPath+".tmp", j.oPath, buf, commit)
 		if err != nil {
 			return err
 		}
@@ -458,21 +456,20 @@ func (j *Journal) Rotate(upTo int64, commitImage func() error) (pauseNs int64, e
 	return time.Since(start).Nanoseconds(), nil
 }
 
-// Recover aligns the oplog with the checkpoint image the caller
-// recovered from (imageSeq = the image's stamped sequence) and returns
-// the operations to replay on top of it, in order, with global
-// sequences (imageSeq, imageSeq+n]. Torn or corrupt trailing records
-// are dropped — they were never covered by an fsync, so they were never
-// acknowledged.
+// Recover aligns the oplog with the checkpoint the caller recovered from
+// (ckptSeq = the checkpoint's stamped sequence) and returns the
+// operations to replay on top of it, in order, with global sequences
+// (ckptSeq, ckptSeq+n]. Torn or corrupt trailing records are dropped —
+// they were never covered by an fsync, so they were never acknowledged.
 //
-// The rebase invariant: on return the oplog's base equals imageSeq,
+// The rebase invariant: on return the oplog's base equals ckptSeq,
 // whatever the file held. A file with an older base (a crash between
-// Rotate's image and oplog renames) is rebased by rewriting it with
+// Rotate's commit and its oplog rename) is rebased by rewriting it with
 // only the surviving suffix; without that, the next run would reuse
-// sequence numbers the image already covers, and a follower that saw
+// sequence numbers the checkpoint already covers, and a follower that saw
 // the originals would silently diverge. Sealed segments a previous run
 // left are deleted (segments.go).
-func (j *Journal) Recover(imageSeq int64) ([]Op, error) {
+func (j *Journal) Recover(ckptSeq int64) ([]Op, error) {
 	j.rotMu.Lock()
 	defer j.rotMu.Unlock()
 	j.mu.Lock()
@@ -495,19 +492,19 @@ func (j *Journal) Recover(imageSeq int64) ([]Op, error) {
 
 	switch {
 	case !ok:
-		// Fresh, foreign, or short file: start the epoch clean at the image.
+		// Fresh, foreign, or short file: start the epoch clean at the checkpoint.
 		if err := j.of.Truncate(0); err != nil {
 			return nil, j.poison(err)
 		}
-		if err := j.writeOplogHdr(imageSeq); err != nil {
+		if err := j.writeOplogHdr(ckptSeq); err != nil {
 			return nil, j.poison(err)
 		}
 		ops = nil
-	case base > imageSeq:
-		// The log claims to start after the image ends: records
-		// (imageSeq, base] are gone. Nothing sound can be replayed.
-		return nil, fmt.Errorf("journal: oplog base %d ahead of image sequence %d", base, imageSeq)
-	case base == imageSeq:
+	case base > ckptSeq:
+		// The log claims to start after the checkpoint ends: records
+		// (ckptSeq, base] are gone. Nothing sound can be replayed.
+		return nil, fmt.Errorf("journal: oplog base %d ahead of checkpoint sequence %d", base, ckptSeq)
+	case base == ckptSeq:
 		// Aligned. Drop any torn bytes past the valid prefix so appended
 		// records land at the offsets their sequences imply.
 		if valid := int64(oplogHdr) + int64(len(ops))*opRecSize; valid < int64(len(obytes)) {
@@ -515,15 +512,15 @@ func (j *Journal) Recover(imageSeq int64) ([]Op, error) {
 				return nil, j.poison(err)
 			}
 		}
-	default: // base < imageSeq: rebase to the image (the invariant above)
-		keep := head - imageSeq
+	default: // base < ckptSeq: rebase to the checkpoint (the invariant above)
+		keep := head - ckptSeq
 		if keep < 0 {
 			keep = 0
 		}
 		cut := oplogHdr + int(int64(len(ops))-keep)*opRecSize
 		suffix := obytes[cut : cut+int(keep)*opRecSize]
 		buf := make([]byte, oplogHdr+len(suffix))
-		encodeOplogHdr(buf, imageSeq)
+		encodeOplogHdr(buf, ckptSeq)
 		copy(buf[oplogHdr:], suffix)
 		// The suffix records may have been acked before the crash — the
 		// rebase is durable before it replaces the old file.
@@ -536,12 +533,12 @@ func (j *Journal) Recover(imageSeq int64) ([]Op, error) {
 		ops = ops[int64(len(ops))-keep:]
 	}
 
-	j.baseSeq = imageSeq
+	j.baseSeq = ckptSeq
 	j.appendSeq = int64(len(ops))
 	j.syncSeq = int64(len(ops))
 	j.fileEnd = oplogHdr + int64(len(ops))*opRecSize
 	j.tail = j.tail[:0]
-	j.durable.Store(imageSeq + int64(len(ops)))
+	j.durable.Store(ckptSeq + int64(len(ops)))
 	j.removeSegmentsLocked()
 	return ops, nil
 }

@@ -56,3 +56,34 @@ func (r *Result) RespAt(opRate float64) float64 {
 	}
 	return total / opRate
 }
+
+// Capacity is λ_{ρ=.5} read off a result measured at opRate operations
+// per second: the rate at which the first solved level's model ρ_w
+// reaches target, and that level. Each level keeps its μ_r, μ_w and
+// visits per operation (λ/opRate) while every λ scales with the rate.
+// The rate is in opRate's units, to within 1e-4. With no writer traffic
+// at a solvable level, or opRate ≤ 0, nothing binds and both are 0.
+func (r *Result) Capacity(opRate, target float64) (rate float64, level int) {
+	if opRate <= 0 {
+		return 0, 0
+	}
+	// The last rate a level failed at is the boundary's upper end: that
+	// level binds.
+	rate, _ = solveBoundary(func(rate float64) (bool, error) {
+		in, f := make([]qmodel.Input, len(r.Levels)), rate/opRate
+		for i, l := range r.Levels {
+			in[i] = qmodel.Input{LambdaR: l.LambdaR * f, LambdaW: l.LambdaW * f, MuR: l.MuR, MuW: l.MuW}
+		}
+		for _, l := range AnalyzeMeasured(in).Levels {
+			if l.Solved && (!l.Stable || l.RhoW >= target) {
+				level = l.Level
+				return false, nil
+			}
+		}
+		return true, nil
+	}, 1e-4)
+	if level == 0 {
+		rate = 0 // solveBoundary's +Inf: nothing binds below 1e12
+	}
+	return rate, level
+}

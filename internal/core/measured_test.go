@@ -85,3 +85,77 @@ func TestAnalyzeMeasured(t *testing.T) {
 		t.Errorf("ρ_w light %v (stable %v), heavy %v: want light < .5 <= heavy", light.RhoW, light.Stable, heavy.RhoW)
 	}
 }
+
+// TestCapacity holds Capacity to a closed form where there is one — a
+// writers-only level is an M/M/1 queue of writers, ρ_w = λ_w/μ_w, so it
+// binds at μ_w/(2·v_w) operations per second — and everywhere else to
+// its definition: just below the returned rate every solved level is
+// below the target, just above it the named level is not, and the
+// forecast does not move when the same visits and holds are measured at
+// another rate.
+func TestCapacity(t *testing.T) {
+	const target = 0.5
+	scaled := func(levels []qmodel.Input, f float64) []qmodel.Input {
+		out := make([]qmodel.Input, len(levels))
+		for i, in := range levels {
+			out[i] = qmodel.Input{LambdaR: in.LambdaR * f, LambdaW: in.LambdaW * f, MuR: in.MuR, MuW: in.MuW}
+		}
+		return out
+	}
+	cases := []struct {
+		name   string
+		levels []qmodel.Input
+		opRate float64
+		want   float64 // the closed form, or 0 for none
+		level  int     // 0: no forecast
+	}{
+		// v_w = .3 writes per op, μ_w = 1e5/s: 1e5/(2·.3) ops/s.
+		{"writers only", []qmodel.Input{{LambdaW: 300, MuW: 1e5}}, 1000, 1e5 / 0.6, 1},
+		// The leaf takes .9 writes per op at μ_w 2e5/s, the root .05 at
+		// 1e5/s: the leaf binds near 1.1e5 ops/s, the root not before 1e6.
+		{"leaf binds before the root", []qmodel.Input{
+			{LambdaR: 100, LambdaW: 900, MuR: 1e6, MuW: 2e5},
+			{LambdaR: 950, LambdaW: 50, MuR: 1e6, MuW: 1e5},
+		}, 1000, 0, 1},
+		// Lock coupling: every op visits every level, readers take R
+		// locks and updates W locks all the way down, and the root's
+		// slow W holds bind.
+		{"lock coupling", []qmodel.Input{
+			{LambdaR: 300, LambdaW: 700, MuR: 1e6, MuW: 5e5},
+			{LambdaR: 300, LambdaW: 700, MuR: 3e5, MuW: 1e5},
+			{LambdaR: 300, LambdaW: 700, MuR: 3e5, MuW: 7e4},
+		}, 1000, 0, 3},
+		{"no traffic", []qmodel.Input{{}, {}}, 0, 0, 0},
+		{"no traffic at a positive rate", []qmodel.Input{{}, {}}, 1000, 0, 0},
+		{"readers only", []qmodel.Input{{LambdaR: 1000, MuR: 1e6}, {LambdaR: 1000, MuR: 5e5}}, 1000, 0, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rate, level := AnalyzeMeasured(tc.levels).Capacity(tc.opRate, target)
+			if level != tc.level {
+				t.Fatalf("Capacity = %v ops/s at level %d, want level %d", rate, level, tc.level)
+			}
+			if level == 0 {
+				if rate != 0 {
+					t.Errorf("no forecast, but rate %v", rate)
+				}
+				return
+			}
+			if tc.want > 0 && math.Abs(rate/tc.want-1) > 1e-3 {
+				t.Errorf("Capacity = %v ops/s, want %v", rate, tc.want)
+			}
+			for _, l := range AnalyzeMeasured(scaled(tc.levels, rate*(1-1e-3)/tc.opRate)).Levels {
+				if l.Solved && (!l.Stable || l.RhoW >= target) {
+					t.Errorf("just below %v ops/s level %d is at ρ_w %v (stable %v)", rate, l.Level, l.RhoW, l.Stable)
+				}
+			}
+			if l := AnalyzeMeasured(scaled(tc.levels, rate*(1+1e-3)/tc.opRate)).Level(level); l.Stable && l.RhoW < target {
+				t.Errorf("just above %v ops/s level %d is still at ρ_w %v", rate, level, l.RhoW)
+			}
+			again, at := AnalyzeMeasured(scaled(tc.levels, 2)).Capacity(2*tc.opRate, target)
+			if at != level || math.Abs(again/rate-1) > 1e-3 {
+				t.Errorf("measured at twice the rate: %v ops/s at level %d, want %v at %d", again, at, rate, level)
+			}
+		})
+	}
+}

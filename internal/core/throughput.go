@@ -30,27 +30,13 @@ func Analyze(a Algorithm, m Model, w Workload) (*Result, error) {
 // value is found by exponential search followed by bisection, to within
 // rtol relative accuracy.
 func MaxThroughput(a Algorithm, m Model, mix Workload, rtol float64) (float64, error) {
-	return maxStable(func(w Workload) (*Result, error) { return Analyze(a, m, w) }, mix, rtol)
+	return maxStable(func(w Workload) (*Result, error) { return Analyze(a, m, w) }, mix, 1, rtol)
 }
 
 // MaxThroughputOD is MaxThroughput for Optimistic Descent under a §7
 // recovery protocol.
 func MaxThroughputOD(m Model, mix Workload, opts ODOptions, rtol float64) (float64, error) {
-	return maxStable(func(w Workload) (*Result, error) { return AnalyzeOD(m, w, opts) }, mix, rtol)
-}
-
-// maxStable finds the largest λ at which analyze reports a stable system.
-func maxStable(analyze func(Workload) (*Result, error), mix Workload, rtol float64) (float64, error) {
-	if rtol <= 0 {
-		rtol = 1e-4
-	}
-	return solveBoundary(func(lambda float64) (bool, error) {
-		res, err := analyze(Workload{Lambda: lambda, Mix: mix.Mix})
-		if err != nil {
-			return false, err
-		}
-		return res.Stable, nil
-	}, rtol)
+	return maxStable(func(w Workload) (*Result, error) { return AnalyzeOD(m, w, opts) }, mix, 1, rtol)
 }
 
 // EffectiveMaxThroughput returns the arrival rate at which the root's
@@ -61,17 +47,22 @@ func EffectiveMaxThroughput(a Algorithm, m Model, mix Workload, target, rtol flo
 	if target <= 0 || target >= 1 {
 		return 0, fmt.Errorf("core: target ρ_w %v outside (0,1)", target)
 	}
+	return maxStable(func(w Workload) (*Result, error) { return Analyze(a, m, w) }, mix, target, rtol)
+}
+
+// maxStable finds the largest λ at which analyze reports a stable system
+// whose root ρ_w is below target (a stable root always is below 1).
+func maxStable(analyze func(Workload) (*Result, error), mix Workload, target, rtol float64) (float64, error) {
 	if rtol <= 0 {
 		rtol = 1e-4
 	}
-	below := func(lambda float64) (bool, error) {
-		res, err := Analyze(a, m, Workload{Lambda: lambda, Mix: mix.Mix})
+	return solveBoundary(func(lambda float64) (bool, error) {
+		res, err := analyze(Workload{Lambda: lambda, Mix: mix.Mix})
 		if err != nil {
 			return false, err
 		}
 		return res.Stable && res.RootRhoW() < target, nil
-	}
-	return solveBoundary(below, rtol)
+	}, rtol)
 }
 
 // solveBoundary finds the largest λ for which ok(λ) holds, assuming ok is

@@ -161,7 +161,13 @@ func TestVersionLockSeqlockProperties(t *testing.T) {
 		}()
 	}
 
+	// At least 200 ms, and on until a reader has validated beside the
+	// running writers: on a loaded machine the writers, which never
+	// pause, can overtake every read started in a fixed window.
 	time.Sleep(200 * time.Millisecond)
+	for deadline := time.Now().Add(10 * time.Second); validated.Load() == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	stop.Store(true)
 	wg.Wait()
 

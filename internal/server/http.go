@@ -5,13 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/pprof"
 
 	"btreeperf/internal/core"
-	"btreeperf/internal/shape"
 	"btreeperf/internal/table"
-	"btreeperf/internal/workload"
 )
 
 // Handler returns the HTTP mux serving /metrics, /debug/model, and
@@ -188,6 +187,11 @@ func modelSection(w io.Writer, sc shardScrape) {
 			fmt.Fprintf(w, " (pred/obs = %.2f)", ratio)
 		}
 		fmt.Fprintln(w)
+		if sc.win.OpRate > 0 && sc.win.ObsMeanNs > 0 {
+			// Timing the locks slows the tree the model's rates come from.
+			fmt.Fprintf(w, "epoch tax: heard rate / window rate = %.2f, heard mean / observed mean = %.2f\n",
+				sc.win.HeardRate/sc.win.OpRate, sc.win.HeardMeanNs/sc.win.ObsMeanNs)
+		}
 	}
 	fmt.Fprintf(w, "root rho_w: measured %s, model %s, threshold %.2f\n",
 		sc.rho(sc.rhoMeas), sc.rho(sc.rhoModel), SaturationRho)
@@ -245,62 +249,33 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	s.saturationForecast(w, scrapes)
 }
 
-// saturationForecast prints the framework's predicted effective maximum
-// arrival rate λ_{ρ=.5} for each analyzable algorithm — NLC, OD, Link and
-// the fourth, OLC — at the live tree's shape and measured operation mix.
-// Each shard is a tree of its own, so on a sharded server the forecast is
-// one shard's: a tree of the mean per-shard key count.
-// This is the §6 planning view behind the "raise capacity or shard"
-// advice: it shows what ceiling each protocol choice would buy at this
-// tree size. OLC's ceiling matches Link-type's (its writers are
-// Link-type writers; its readers never occupy a queue), so the line
-// quantifies how far the weaker protocols fall short rather than ranking
-// OLC above Link here — OLC's advantage is response time below the
-// ceiling, visible in the per-level wait columns above.
+// saturationForecast prints the server's λ_{ρ=.5} in ops/s (§6, rules
+// of thumb 1–4): the least over shards of capacity_i ÷ share_i, where
+// capacity_i is read off shard i's measured levels in its heard ops/s
+// (core.Result.Capacity) and share_i is its share of the window's ops
+// (none divides to +Inf). A window with no lock sample or no writer
+// traffic prints nothing. btmodel holds the what-if across algorithms.
 func (s *Server) saturationForecast(w io.Writer, scrapes []shardScrape) {
-	eng := s.shards[0].eng
-	keys := 0
-	var gets, puts, dels int64
+	var ops int64
 	for _, sc := range scrapes {
-		keys += int(sc.keys)
-		gets += sc.ctr[cGets]
-		puts += sc.ctr[cPuts]
-		dels += sc.ctr[cDels]
+		ops += sc.win.Ops
 	}
-	keys /= len(scrapes)
-	tot := gets + puts + dels
-	if tot == 0 || keys <= eng.Cap() {
-		return // no traffic or a root-only tree: nothing to forecast
+	best, bind, level := math.Inf(1), 0, 0
+	for i, sc := range scrapes {
+		rate, lv := sc.model.Capacity(sc.win.HeardRate, SaturationRho)
+		if c := rate * float64(ops) / float64(sc.win.Ops); lv > 0 && c < best {
+			best, bind, level = c, i, lv
+		}
 	}
-	mix := workload.Mix{
-		QS: float64(gets) / float64(tot),
-		QI: float64(puts) / float64(tot),
-		QD: float64(dels) / float64(tot),
-	}
-	// The shape model describes a tree grown by its workload; it needs a
-	// growing mix. A read-only or shrinking window still gets a forecast,
-	// pinned at the paper's canonical mix.
-	if mix.QI <= mix.QD {
-		mix = workload.PaperMix
-	}
-	shp, err := shape.New(keys, eng.Cap(), mix.QI, mix.QD)
-	if err != nil {
+	alg, err := core.ParseAlgorithm(s.shards[0].eng.Algorithm())
+	if level == 0 || err != nil {
 		return
 	}
-	costs := core.PaperCosts(1)
-	costs.MemLevels = shp.Height // the serving tree is memory-resident
-	m := core.Model{Shape: shp, Costs: costs}
-	at, each := "at this tree", ""
-	if n := len(scrapes); n > 1 {
-		at, each = "per shard, at one shard's tree", fmt.Sprintf(" each, the mean over %d shards", n)
+	sc, where := scrapes[bind], ""
+	if len(scrapes) > 1 {
+		where = fmt.Sprintf(" of shard %d (%.1f%% of the window's ops)", bind, 100*float64(sc.win.Ops)/float64(ops))
 	}
-	fmt.Fprintf(w, "\npredicted λ_{ρ=.5} per algorithm %s (%d keys%s, cap %d, mix qs=%.2f qi=%.2f qd=%.2f; model time units):\n",
-		at, keys, each, eng.Cap(), mix.QS, mix.QI, mix.QD)
-	for _, alg := range []core.Algorithm{core.NLC, core.OD, core.Link, core.OLC} {
-		leff, err := core.EffectiveMaxThroughput(alg, m, core.Workload{Mix: mix}, SaturationRho, 1e-3)
-		if err != nil {
-			continue
-		}
-		fmt.Fprintf(w, "  %-4s λ_eff = %s\n", alg, table.F(leff))
-	}
+	fmt.Fprintf(w, "\npredicted λ_{ρ=.5} in ops/s: level %d%s reaches model ρ_w %.2f first, its measured μ and λ per op held and scaled from the %.0f ops/s heard while its locks were timed\n",
+		level, where, SaturationRho, sc.win.HeardRate)
+	fmt.Fprintf(w, "  %s  λ_eff = %.0f\n", alg, best)
 }

@@ -3,16 +3,21 @@ package server
 import (
 	"context"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"btreeperf/internal/cbtree"
+	"btreeperf/internal/core"
 	"btreeperf/internal/metrics"
+	"btreeperf/internal/qmodel"
 )
 
 // startServer runs a Server on an ephemeral loopback port, returning its
@@ -290,6 +295,33 @@ func TestMetricsEndpoints(t *testing.T) {
 		if !strings.Contains(mbody, want) {
 			t.Errorf("/debug/model missing %q:\n%s", want, mbody)
 		}
+	}
+
+	// One forecast, for the served algorithm under core's name, read off
+	// the printed rows alone: recomputed from their λ and μ and the
+	// heard rate in its header, it agrees to the rows' rounding.
+	head := regexp.MustCompile(`predicted λ_\{ρ=\.5\} in ops/s: level (\d+) reaches .* scaled from the (\d+) ops/s heard`).FindStringSubmatch(mbody)
+	lines := regexp.MustCompile(`(?m)^\s+(\S+)\s+λ_eff = (\S+)$`).FindAllStringSubmatch(mbody, -1)
+	if head == nil || len(lines) != 1 || lines[0][1] != core.NLC.String() {
+		t.Fatalf("/debug/model: want one forecast header and one λ_eff line for %s:\n%s", core.NLC, mbody)
+	}
+	num := func(s string) float64 {
+		v, err := strconv.ParseFloat(s, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	var rows []qmodel.Input
+	for _, r := range regexp.MustCompile(`(?m)^(\d+)\s+(\S+)\s+(\S+)\s+(\S+)\s+(\S+)\s`).FindAllStringSubmatch(mbody, -1) {
+		for len(rows) < int(num(r[1])) {
+			rows = append(rows, qmodel.Input{})
+		}
+		rows[int(num(r[1]))-1] = qmodel.Input{LambdaR: num(r[2]), LambdaW: num(r[3]), MuR: num(r[4]), MuW: num(r[5])}
+	}
+	rate, level := core.AnalyzeMeasured(rows).Capacity(num(head[2]), SaturationRho)
+	if printed := num(lines[0][2]); level != int(num(head[1])) || math.Abs(printed/rate-1) > 5e-3 {
+		t.Errorf("printed λ_eff %v at level %s; the printed rows give %v at level %d:\n%s", printed, head[1], rate, level, mbody)
 	}
 }
 

@@ -13,7 +13,10 @@
 #
 # Mild network chaos (injected latency + resets) runs on the server's
 # listener throughout, so the kills land while connections are already
-# misbehaving.
+# misbehaving. The reset rate is low enough that the audit load (which
+# ends a connection at its first error) outlives the longest kill delay:
+# every kill must find btload still running, or the cycle killed an idle
+# server and audited nothing past its first moments.
 #
 #   scripts/crash.sh              # 25 cycles, ~45 s
 #   CYCLES=5 scripts/crash.sh     # quicker local run
@@ -44,7 +47,11 @@ http=127.0.0.1:9471
 # shard-N/tree.db under it; at 1 it is the legacy single db file.
 if [ "$shards" -gt 1 ]; then db="$bin/db"; else db="$bin/tree.db"; fi
 audit="$bin/audit.log"
-chaos='latency=50us,preset=0.0005,seed=11'
+# The injector's per-connection streams are one sequence a step apart,
+# so all four audit connections reset together: at seed 11, at their
+# ~120th read or write under preset=0.0005 (~0.1 s in, before any kill)
+# and their ~19,800th under 0.0001, seconds past the longest delay.
+chaos='latency=50us,preset=0.0001,seed=11'
 
 # start_server [chaos-spec] — no argument serves a clean listener (the
 # final verification pass must not have its gets reset mid-replay).
@@ -68,6 +75,8 @@ start_server() {
 # different phases of the load: mid-rampup, steady state, etc.
 delays=(0.30 0.70 0.45 1.00 0.25 0.85 0.55 0.40 0.90 0.60)
 inside=0 # CKPT_KILL=1: kills that found a checkpoint writing its pages
+idle=0   # kills that found the load already gone
+idle_budget=$((cycles / 10))
 
 for ((i = 0; i < cycles; i++)); do
   start_server "$chaos"
@@ -79,12 +88,10 @@ for ((i = 0; i < cycles; i++)); do
     # Kill the instant /metrics shows a checkpoint writing its pages
     # (chunks_done > 0). Polling starts with the load: a checkpoint now
     # writes only the pages dirtied since the last one, a few
-    # milliseconds' work, and the audit load's connections end at the
-    # first injected reset, so the window with traffic is short. If none
-    # shows within the budget, the fallback kill still lands near a
-    # commit: the 2000-mutation threshold keeps checkpoints nearly
-    # back-to-back under load. The count of kills that met one is printed
-    # at the end.
+    # milliseconds' work. If none shows within the budget, the fallback
+    # kill still lands near a commit: the 2000-mutation threshold keeps
+    # checkpoints nearly back-to-back under load. The count of kills that
+    # met one is printed at the end.
     for _ in $(seq 150); do
       m="$(curl -sf "http://$http/metrics" 2>/dev/null | grep '^checkpoint ' || true)"
       case "$m" in
@@ -96,12 +103,17 @@ for ((i = 0; i < cycles; i++)); do
   else
     sleep "${delays[$((i % ${#delays[@]}))]}"
   fi
+  kill -0 "$lpid" 2>/dev/null || idle=$((idle + 1))
   kill -9 "$spid"
   wait "$spid" 2>/dev/null || true
   wait "$lpid" || { echo "FAIL: btload did not survive the kill (cycle $i)" >&2; tail "$bin/load.log" >&2; exit 1; }
 done
 
 acked="$(wc -l <"$audit")"
+[ "$idle" -le "$idle_budget" ] || {
+  echo "FAIL: $idle of $cycles kills found btload already gone (budget $idle_budget) — the kills landed on an idle server" >&2
+  exit 1
+}
 floor="$((cycles * 50))"
 [ "$acked" -ge "$floor" ] || {
   echo "FAIL: only $acked acked writes across $cycles cycles (floor $floor) — the harness is not exercising the ack path" >&2
@@ -123,4 +135,4 @@ wait "$spid" || { echo "FAIL: final btserved exited nonzero" >&2; exit 1; }
 
 mode="random kills"
 [ "$ckptkill" = 1 ] && mode="kills timed into the checkpoint window, $inside of them inside one"
-echo "crash: $cycles kill -9 cycles ($mode) at shards=$shards, $acked acked writes, zero lost"
+echo "crash: $cycles kill -9 cycles ($mode) at shards=$shards, $idle on an idle server, $acked acked writes ($((acked / cycles)) per cycle), zero lost"

@@ -15,10 +15,11 @@ package diskbtree
 //  2. Outside the barrier, the marked pages are written to free slots —
 //     by the checkpoint, or by a writer about to change one, or by the
 //     eviction that takes one out of the pool — and then the map; fsync.
-//  3. The commit: the store writes the alternate meta page inside
-//     journal.Rotate's window, which also rebases the oplog to S.
-//  4. The store frees the slots the previous checkpoint named and this
-//     one does not.
+//  3. The commit: the store writes the alternate meta page, and frees the
+//     slots the previous checkpoint named and this one does not.
+//  4. The trim: journal.Trim(S) seals the active oplog file and deletes
+//     the sealed ones the commit covers. No journal lock is held across
+//     the commit, and the journal never calls into the store.
 //
 // No slot the committed checkpoint names is written before the next
 // commit, so a crash anywhere recovers from one whole checkpoint plus the
@@ -46,10 +47,10 @@ func (t *Tree) releaseCut() {
 
 // Checkpoint takes one checkpoint, start to finish (see the file comment):
 // every operation sequenced at or before the cut is in the committed
-// checkpoint, and a durable tree's oplog is rebased to the cut's sequence.
+// checkpoint, and a durable tree's oplog is trimmed to the cut's sequence.
 // It runs concurrently with readers and writers; only the cut holds the
-// writers, and only the commit's window holds oplog appends. It returns
-// those two pauses' sum in nanoseconds. A failure poisons the tree (and
+// writers, and only the trim holds oplog commits. It returns those two
+// pauses' sum in nanoseconds. A failure poisons the tree (and
 // its oplog): a checkpoint that cannot reach disk leaves durability
 // unprovable, so nothing may be acknowledged afterwards.
 func (t *Tree) Checkpoint() (pauseNs int64, err error) {
@@ -92,14 +93,12 @@ func (t *Tree) Checkpoint() (pauseNs int64, err error) {
 		binary.LittleEndian.PutUint64(ud[0:8], uint64(size))
 		binary.LittleEndian.PutUint64(ud[8:16], uint64(t.cap))
 		binary.LittleEndian.PutUint64(ud[16:24], uint64(seq))
-		commit := func() error { return t.store.Commit(root, ud) }
-		if t.jnl == nil {
-			err = commit()
-		} else {
-			var window int64
-			window, err = t.jnl.Rotate(seq, commit)
-			pauseNs += window
-		}
+		err = t.store.Commit(root, ud)
+	}
+	if err == nil && t.jnl != nil {
+		var trim int64
+		trim, err = t.jnl.Trim(seq)
+		pauseNs += trim
 	}
 	if err != nil {
 		err = fmt.Errorf("diskbtree: checkpoint: %w", err)

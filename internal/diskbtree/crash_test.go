@@ -6,19 +6,26 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
 // copyCrashState simulates a crash: it copies the tree file and the
-// oplog while the tree object still holds dirty pages in its buffer pool
-// (those are "lost" — exactly what a crash does to an OS page cache that
-// was never flushed; evicted pages HAVE reached the file, but only in
-// slots the committed checkpoint does not name, so recovery opens that
-// checkpoint and replays the oplog suffix).
+// oplog chain (active file and sealed segments) while the tree object
+// still holds dirty pages in its buffer pool (those are "lost" — exactly
+// what a crash does to an OS page cache that was never flushed; evicted
+// pages HAVE reached the file, but only in slots the committed checkpoint
+// does not name, so recovery opens that checkpoint and replays the oplog
+// past it).
 func copyCrashState(t *testing.T, path, dstDir string) string {
 	t.Helper()
 	dst := filepath.Join(dstDir, "crashed.db")
-	for _, suffix := range []string{"", ".oplog"} {
+	segs, _ := filepath.Glob(path + ".oplog.seg-*")
+	suffixes := []string{"", ".oplog"}
+	for _, seg := range segs {
+		suffixes = append(suffixes, strings.TrimPrefix(seg, path))
+	}
+	for _, suffix := range suffixes {
 		src, err := os.Open(path + suffix)
 		if os.IsNotExist(err) {
 			continue

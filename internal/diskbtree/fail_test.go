@@ -200,7 +200,7 @@ func TestCrashSweepAckedDurability(t *testing.T) {
 			}
 			acked = append(acked, k)
 			// A full checkpoint mid-workload puts every syscall of the
-			// image build, install rename, and oplog rotation into the
+			// page writes, the meta page flip and the oplog trim into the
 			// sweep's crash range.
 			if i == 12 {
 				if err := tr.Sync(); err != nil {
@@ -272,7 +272,7 @@ func TestCrashSweepAckedDurability(t *testing.T) {
 // pages and evictions write them — and crashes at every syscall of the
 // combined trace, Close's last checkpoint and compaction included: the
 // kill lands inside cut-page writes, the map write and fsync, the meta
-// page flip and the oplog rotation, with appends in flight. Every op
+// page flip and the oplog trim, with appends in flight. Every op
 // acked before the crash must survive recovery, whichever checkpoint
 // (old or newly committed) recovery starts from.
 func TestCrashSweepMidCheckpoint(t *testing.T) {

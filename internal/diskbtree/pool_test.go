@@ -336,7 +336,7 @@ func TestPoolStress(t *testing.T) {
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	wg.Add(1)
-	go func() { // checkpoints: leaf-chain walks and oplog rotations under load
+	go func() { // checkpoints: leaf-chain walks and oplog trims under load
 		defer wg.Done()
 		for {
 			select {

@@ -148,9 +148,9 @@ func (t *Tree) loadMeta() error {
 	return nil
 }
 
-// attachJournal opens the oplog, aligns it with the checkpoint (rebasing
-// it if a crash interrupted a rotation), replays the suffix, and, if it
-// replayed anything, checkpoints at the replayed head.
+// attachJournal opens the oplog, reads its chain against the checkpoint,
+// replays the records past it, and, if it replayed anything, checkpoints
+// at the replayed head.
 func (t *Tree) attachJournal(path string, fs pagestore.FS) error {
 	j, err := journal.OpenFS(path, false, fs)
 	if err != nil {
@@ -183,7 +183,7 @@ func (t *Tree) attachJournal(path string, fs pagestore.FS) error {
 		return nil
 	}
 	// Recovery is idempotent (a crash here reruns the same replay); the
-	// checkpoint shrinks the oplog back to empty.
+	// checkpoint's trim deletes the old run's segments.
 	_, err = t.Checkpoint()
 	return err
 }
@@ -245,8 +245,8 @@ func (t *Tree) Close() error {
 func (t *Tree) Journal() *journal.Journal { return t.jnl }
 
 // DurabilityStats reports oplog progress on a durable tree: operations
-// appended and fsync-covered this epoch, the oplog size in bytes, and
-// group-commit fsyncs issued. Zeroes on a non-durable tree.
+// appended to the active oplog file and durable in it, its size in record
+// bytes, and group-commit fsyncs issued. Zeroes on a non-durable tree.
 func (t *Tree) DurabilityStats() (appended, synced, oplogBytes, commits int64) {
 	if t.jnl == nil {
 		return 0, 0, 0, 0

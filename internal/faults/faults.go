@@ -176,8 +176,10 @@ func (i *Injector) Conn(c net.Conn) net.Conn {
 		inj:  i,
 		cfg:  i.cfg,
 	}
-	// splitmix64-style per-conn stream: decorrelate conns without locks.
-	fc.rng.Store(i.cfg.Seed + (i.connSeq.Add(1) * 0x9e3779b97f4a7c15))
+	// Each conn's splitmix64 stream starts at a mixed value: starting at
+	// Seed + n·φ would make conn n's stream conn 1's shifted n−1 steps,
+	// since every step adds φ.
+	fc.rng.Store(mix64(i.cfg.Seed + i.connSeq.Add(1)*golden))
 	if fc.chance(i.cfg.PDrop) {
 		i.drops.Add(1)
 		hardClose(c)
@@ -197,13 +199,18 @@ type Conn struct {
 	dead atomic.Bool
 }
 
-// next is a lock-free splitmix64 step.
-func (c *Conn) next() uint64 {
-	z := c.rng.Add(0x9e3779b97f4a7c15)
+// golden is splitmix64's increment, 2⁶⁴/φ.
+const golden = 0x9e3779b97f4a7c15
+
+// mix64 is splitmix64's finaliser.
+func mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
 }
+
+// next is a lock-free splitmix64 step.
+func (c *Conn) next() uint64 { return mix64(c.rng.Add(golden)) }
 
 func (c *Conn) chance(p float64) bool {
 	if p <= 0 {

@@ -221,3 +221,32 @@ func TestDeterminism(t *testing.T) {
 		t.Fatal("different seeds produced identical schedules")
 	}
 }
+
+// TestConnStreamsNotShifted: two connections of one injector draw
+// unrelated streams. A stream that is another's shifted by some steps
+// shares all but that many of its values with it; these share none.
+func TestConnStreamsNotShifted(t *testing.T) {
+	const n = 10000
+	inj := New(Config{Seed: 11})
+	draws := func() map[uint64]bool {
+		a, b := net.Pipe()
+		defer a.Close()
+		defer b.Close()
+		c := inj.Conn(a).(*Conn)
+		seen := make(map[uint64]bool, n)
+		for range n {
+			seen[c.next()] = true
+		}
+		return seen
+	}
+	first, second := draws(), draws()
+	shared := 0
+	for v := range second {
+		if first[v] {
+			shared++
+		}
+	}
+	if shared != 0 {
+		t.Fatalf("connections 1 and 2 share %d of their first %d draws", shared, n)
+	}
+}

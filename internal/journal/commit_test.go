@@ -120,8 +120,8 @@ func TestFailedSyncPoisonsJournal(t *testing.T) {
 	if err := j.Append(Op{Kind: OpInsert, Key: 2}); !errors.Is(err, ErrPoisoned) {
 		t.Fatalf("Append after poison = %v, want ErrPoisoned", err)
 	}
-	if _, err := j.Rotate(j.SeqAppended(), nil); !errors.Is(err, ErrPoisoned) {
-		t.Fatalf("Checkpoint after poison = %v, want ErrPoisoned", err)
+	if _, err := j.Trim(j.SeqAppended()); !errors.Is(err, ErrPoisoned) {
+		t.Fatalf("Trim after poison = %v, want ErrPoisoned", err)
 	}
 	if _, _, _, commits := j.Stats(); commits != 0 {
 		t.Fatalf("poisoned journal recorded %d successful commits", commits)
@@ -172,7 +172,7 @@ func TestFailedTailWritePoisons(t *testing.T) {
 // TestStatsDoesNotWaitForFsync: a telemetry read must come back while a
 // commit is inside its device flush — with a committer syncing back to
 // back there is always one in flight — and must report the synced count
-// on either side of it, across a rotation's rebase too.
+// on either side of it, across a seal too.
 func TestStatsDoesNotWaitForFsync(t *testing.T) {
 	entered, gate := make(chan struct{}), make(chan struct{})
 	fs := pagestore.NewFailFS(nil, pagestore.FailPlan{})
@@ -212,15 +212,15 @@ func TestStatsDoesNotWaitForFsync(t *testing.T) {
 		t.Fatalf("after the commit: appended %d synced %d, want 5 and 5", app, syn)
 	}
 
-	// A rotation moves the epoch base; the count is per epoch.
+	// A seal starts a new active file; the count is per file.
 	fs.AroundSync = nil
-	if _, err := j.Rotate(j.SeqAppended(), nil); err != nil {
+	if _, err := j.Trim(j.SeqAppended()); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Append(Op{Kind: OpInsert, Key: 9, Val: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if app, syn, _, _ := j.Stats(); app != 1 || syn != 0 {
-		t.Fatalf("after the rotation: appended %d synced %d, want 1 and 0", app, syn)
+		t.Fatalf("after the seal: appended %d synced %d, want 1 and 0", app, syn)
 	}
 }

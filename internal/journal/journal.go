@@ -6,25 +6,31 @@
 //   - The tree's durable state is its last committed checkpoint — the
 //     pages its store's newer meta page names, stamped with the sequence
 //     S of the last operation it holds (see internal/diskbtree).
-//   - Recovery = open that checkpoint, then replay the oplog suffix with
-//     sequences > S. Insert/delete have set semantics, so replay is
+//   - Recovery = open that checkpoint, then replay the logged records
+//     with sequences > S. Insert/delete have set semantics, so replay is
 //     idempotent; a torn trailing record (in flight at the crash) is
 //     detected by CRC and dropped.
-//   - Committing a new checkpoint is Rotate: the oplog is atomically
-//     replaced (single rename) by one whose epoch base is the
-//     checkpoint's sequence, inside a bounded blocking window that
-//     excludes appenders.
 //
-// Rotate's crash ordering makes the caller's commit (the checkpoint's
-// meta page) the commit point: the new oplog (holding the records
-// appended since S) is written and fsync'd to a temp file first, then
-// the checkpoint commits, then the oplog is renamed. A crash before the
-// commit recovers from the old checkpoint with the old oplog; a crash
-// between the commit and the rename recovers from the new checkpoint with
-// the old oplog, whose obsolete prefix Recover drops by rebasing the file
-// to base S — the rebase invariant: after recovery the oplog's base
-// always equals the checkpoint's sequence, so sequence numbers are never
-// reused across a crash.
+// # The chain
+//
+// The oplog is a chain of files that are only ever appended to, sealed
+// by rename, or deleted; no record is ever copied. Records are appended
+// to the active file, path+".oplog", whose 16-byte header names its base
+// (the sequence of the record before its first). After a checkpoint at S
+// is committed, Trim(S) seals the active file — renames it to
+// path+".oplog.seg-<base>" — and starts a fresh active file whose base is
+// the head, then deletes every sealed segment whose records all lie at or
+// below S (and below the replication floor; segments.go). Records above
+// S that no fsync covers yet are fsync'd in the outgoing file before the
+// seal publishes them, so a sealed segment is durable end to end.
+//
+// Recover(S) reads whatever a crash left: the sealed segments by base,
+// then the active file. It replays each record above S once, in order,
+// deletes the segments that lie wholly at or below S, and restarts
+// numbering at max(S, last valid sequence)+1, so no sequence is ever
+// reused. Every crash point of Trim — before the rename, between the
+// rename and the new file's header, before the deletes — leaves a chain
+// that reads back this way; nothing in it needs rewriting.
 //
 // # Durability points and group commit
 //
@@ -38,15 +44,15 @@
 // Between those points an appended record lives only in the journal's
 // in-memory tail: Append encodes it there and touches no file. The tail
 // reaches the file in one write — at the next Commit, at every Append
-// under syncOps, before Rotate reads the file, and at Close — so a record
-// that was appended but never committed does not survive a process kill,
-// not even through the OS page cache. Nothing may be acknowledged before
-// Commit returns, and nothing acknowledged is ever lost.
+// under syncOps, at Trim, and at Close — so a record that was appended
+// but never committed does not survive a process kill, not even through
+// the OS page cache. Nothing may be acknowledged before Commit returns,
+// and nothing acknowledged is ever lost.
 //
 // # Fail-stop on storage errors
 //
 // After any write or fsync failure, the journal poisons itself: every
-// later Append, Commit, and Rotate returns the sticky first error. A
+// later Append, Commit, and Trim returns the sticky first error. A
 // failed fsync leaves the kernel free to have dropped the dirty pages
 // whose writeback failed, so retrying the fsync and getting success
 // proves nothing (the fsyncgate failure mode) — the only sound reaction
@@ -107,37 +113,30 @@ var ErrPoisoned = errors.New("journal: poisoned by an earlier storage failure")
 type Journal struct {
 	mu      sync.Mutex
 	fs      pagestore.FS
-	of      pagestore.File
+	of      pagestore.File // the active file
 	oPath   string
 	syncOps bool
 
-	// rotMu serializes Rotate/Recover against each other; appends and
-	// commits are excluded only inside Rotate's bounded phase 2.
-	rotMu sync.Mutex
+	// Lock order: syncMu before mu, never the reverse. syncMu is held by
+	// everything that writes the tail out, fsyncs, or swaps the active
+	// file (group commit, Trim, Recover, Close); mu guards base, head,
+	// tail, fileEnd and the segment chain.
+	syncMu  sync.Mutex
+	base    int64        // global sequence before the active file's first record
+	head    int64        // global sequence of the last appended record
+	tail    []byte       // encoded records appended since the last flush
+	fileEnd int64        // active-file offset the tail will be written at
+	commits atomic.Int64 // fsyncs issued by Commit (group commits)
 
-	// Group-commit state. Lock order: syncMu before mu, never the
-	// reverse. appendSeq, tail and fileEnd are guarded by mu; syncSeq by
-	// syncMu.
-	syncMu    sync.Mutex
-	appendSeq int64        // records appended this epoch
-	syncSeq   int64        // records covered by the last oplog fsync
-	tail      []byte       // encoded records appended since the last flush
-	fileEnd   int64        // file offset the tail will be written at
-	commits   atomic.Int64 // fsyncs issued by Commit (group commits)
+	// durable is the highest global sequence no crash can lose: covered by
+	// an oplog fsync, or by a committed checkpoint (see Trim). It only
+	// grows, and only under syncMu.
+	durable atomic.Int64
 
-	// Global sequence numbering for log shipping. Every appended record
-	// has a global sequence number baseSeq+i (i = 1-based position in the
-	// epoch); baseSeq is persisted in the epoch header and advances at
-	// each rotation, so sequence numbers survive restarts and epochs.
-	// durable is the highest fsync-covered global sequence.
-	baseSeq int64        // guarded by mu
-	durable atomic.Int64 // baseSeq + syncSeq, published after each fsync
-
-	// Sealed oplog segments retained for follower catch-up (oldest
-	// first), and the retention policy; all guarded by mu. retain reports
-	// the lowest global sequence some registered follower still needs
-	// (math.MaxInt64 = none); segments wholly at or below it are pruned
-	// at rotation, and the byte budget evicts oldest-first beyond it.
+	// Sealed oplog segments (oldest first), and the retention policy; all
+	// guarded by mu. retain reports the lowest global sequence some
+	// registered follower still needs (math.MaxInt64 = none); see
+	// segments.go.
 	segments     []segment
 	segBytes     int64
 	retain       func() int64
@@ -182,20 +181,16 @@ func OpenFS(path string, syncOps bool, fs pagestore.FS) (*Journal, error) {
 	return j, nil
 }
 
-// writeOplogHdr stamps the oplog's epoch header at offset 0: the global
-// sequence of the record before the file's first (= the epoch base).
+// writeOplogHdr stamps the active file's epoch header at offset 0: the
+// global sequence of the record before the file's first (its base).
 func (j *Journal) writeOplogHdr(base int64) error {
-	hdr := make([]byte, oplogHdr)
-	encodeOplogHdr(hdr, base)
-	_, err := j.of.WriteAt(hdr, 0)
-	j.fileEnd = oplogHdr
-	return err
-}
-
-func encodeOplogHdr(hdr []byte, base int64) {
+	var hdr [oplogHdr]byte
 	binary.LittleEndian.PutUint32(hdr[0:], oplogMagic)
 	binary.LittleEndian.PutUint64(hdr[4:], uint64(base))
 	binary.LittleEndian.PutUint32(hdr[12:], crc32.ChecksumIEEE(hdr[:12]))
+	_, err := j.of.WriteAt(hdr[:], 0)
+	j.fileEnd = oplogHdr
+	return err
 }
 
 // parseOplogHdr validates an oplog epoch header, returning its base.
@@ -209,9 +204,11 @@ func parseOplogHdr(b []byte) (int64, bool) {
 	return int64(binary.LittleEndian.Uint64(b[4:])), true
 }
 
-// Close writes out the tail (unless poisoned) and closes the oplog file,
+// Close writes out the tail (unless poisoned) and closes the active file,
 // without fsync and without checkpointing.
 func (j *Journal) Close() error {
+	j.syncMu.Lock()
+	defer j.syncMu.Unlock()
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.Failed() == nil {
@@ -223,8 +220,9 @@ func (j *Journal) Close() error {
 	return j.of.Close()
 }
 
-// flushLocked writes the in-memory tail to the file with one WriteAt at
-// the tracked end offset. Caller holds mu. A failed write poisons.
+// flushLocked writes the in-memory tail to the active file with one
+// WriteAt at the tracked end offset. Caller holds syncMu and mu. A failed
+// write poisons.
 func (j *Journal) flushLocked() error {
 	if len(j.tail) == 0 {
 		return nil
@@ -261,15 +259,15 @@ func (j *Journal) poison(err error) error {
 
 // Append logs a logical operation: it encodes the record into the
 // in-memory tail and, without syncOps, touches no file and allocates
-// nothing — the record is durable at the next Commit (or rotation). With
-// syncOps the record is written through and fsync'd before Append returns.
+// nothing — the record is durable at the next Commit. With syncOps the
+// record is written through and fsync'd before Append returns.
 func (j *Journal) Append(op Op) error {
 	if err := j.Failed(); err != nil {
 		return err
 	}
 	j.mu.Lock()
 	j.tail = AppendEncodedOp(j.tail, op)
-	j.appendSeq++
+	j.head++
 	j.mu.Unlock()
 	if j.syncOps {
 		j.syncMu.Lock()
@@ -280,18 +278,18 @@ func (j *Journal) Append(op Op) error {
 }
 
 // Commit makes every record appended before the call durable: group
-// commit. If a concurrent Commit's fsync already covered this caller's
-// records, it returns without touching the disk; otherwise one write of
-// the tail and one fsync cover everything appended so far, including
-// records raced in by other appenders. After a failed write or fsync the
-// journal is poisoned — the records may or may not be on disk, and no
-// later Commit may claim otherwise.
+// commit. If a concurrent Commit's fsync (or a Trim) already covered this
+// caller's records, it returns without touching the disk; otherwise one
+// write of the tail and one fsync cover everything appended so far,
+// including records raced in by other appenders. After a failed write or
+// fsync the journal is poisoned — the records may or may not be on disk,
+// and no later Commit may claim otherwise.
 func (j *Journal) Commit() error {
 	if err := j.Failed(); err != nil {
 		return err
 	}
 	j.mu.Lock()
-	target := j.appendSeq
+	target := j.head
 	j.mu.Unlock()
 
 	j.syncMu.Lock()
@@ -299,7 +297,7 @@ func (j *Journal) Commit() error {
 	if err := j.Failed(); err != nil {
 		return err // poisoned while we waited for the leader's fsync
 	}
-	if j.syncSeq >= target {
+	if j.durable.Load() >= target {
 		return nil // a concurrent commit's fsync covered us
 	}
 	if err := j.syncLocked(); err != nil {
@@ -309,13 +307,13 @@ func (j *Journal) Commit() error {
 	return nil
 }
 
-// syncLocked writes the tail to the file and fsyncs it. Caller holds
-// syncMu.
+// syncLocked writes the tail to the active file and fsyncs it. Caller
+// holds syncMu.
 func (j *Journal) syncLocked() error {
 	j.mu.Lock()
 	// Read the covered sequence BEFORE the fsync: records appended by
 	// racing writers after the fsync starts are not covered by it.
-	covered, base := j.appendSeq, j.baseSeq
+	covered := j.head
 	err := j.flushLocked()
 	j.mu.Unlock()
 	if err != nil {
@@ -324,223 +322,201 @@ func (j *Journal) syncLocked() error {
 	if err := j.of.Sync(); err != nil {
 		return j.poison(err)
 	}
-	if covered > j.syncSeq {
-		j.syncSeq = covered
-		j.durable.Store(base + covered)
+	if covered > j.durable.Load() {
+		j.durable.Store(covered)
 	}
 	return nil
 }
 
-// Stats reports durability progress for the current epoch: records
-// appended, records covered by an oplog fsync, current oplog size in
-// bytes, and group-commit fsyncs issued.
+// Stats reports durability progress for the active file: records
+// appended to it, records of it that no crash can lose, its size in
+// record bytes, and group-commit fsyncs issued.
 //
 // It does not take syncMu, which Commit holds across the whole fsync: a
 // telemetry scrape must not queue behind a device flush. The synced count
-// is the published durable sequence less the epoch base instead — both
-// move together under mu at a rotation, and between rotations durable
-// only ever trails syncSeq by the store that publishes it.
+// is the published durable sequence less the file's base; a seal moves
+// both under mu, and durable never trails the base.
 func (j *Journal) Stats() (appended, synced, oplogBytes, commits int64) {
 	j.mu.Lock()
-	appended = j.appendSeq
-	synced = j.durable.Load() - j.baseSeq
+	appended = j.head - j.base
+	synced = j.durable.Load() - j.base
 	j.mu.Unlock()
 	return appended, synced, appended * opRecSize, j.commits.Load()
 }
 
-// Rotate commits a checkpoint covering sequences up to upTo: it
-// atomically replaces the oplog with one whose epoch base is upTo
-// (keeping only the records appended since) and, when a registered
-// follower still needs the outgoing records, seals them as a catch-up
-// segment first. commit, if non-nil, runs inside the blocking window
-// after the replacement oplog is durable and must make the checkpoint
-// durable (its meta page): its success is the commit point of the whole
-// checkpoint.
+// Trim retires the oplog up to a checkpoint that is already committed at
+// upTo: it seals the active file and starts a fresh one based at the
+// head, then deletes the sealed segments whose records all lie at or
+// below upTo and that no follower still needs (segments.go). No record is
+// read or copied. The outgoing file is fsync'd only if it holds records
+// above upTo that no fsync covers yet; the ones at or below upTo are in
+// the checkpoint.
 //
-// Phase 1 (sealing) runs concurrently with appends and commits; only
-// phase 2 — write + fsync of the small replacement oplog, commit, the
-// rename, and the in-memory rebase — excludes them. The returned pause
-// is phase 2's duration, bounded by the appends since upTo rather than
-// the tree size.
-func (j *Journal) Rotate(upTo int64, commit func() error) (pauseNs int64, err error) {
+// Appends wait only for the seal itself (a rename, a create and a header
+// write); commits wait for the whole call. The returned pause is the
+// latter.
+func (j *Journal) Trim(upTo int64) (pauseNs int64, err error) {
 	if err := j.Failed(); err != nil {
 		return 0, err
 	}
-	j.rotMu.Lock()
-	defer j.rotMu.Unlock()
-
-	// Both phases read records back from the file, so the tail goes out
-	// first: everything up to head is in the file from here on.
 	j.mu.Lock()
-	base := j.baseSeq
-	head := base + j.appendSeq
-	retain, retainBudget := j.retain, j.retainBudget
+	retain, budget := j.retain, j.retainBudget
+	j.mu.Unlock()
+	floor := upTo
+	if retain != nil && budget > 0 {
+		floor = min(floor, retain())
+	}
+
+	start := time.Now()
+	j.syncMu.Lock()
+	defer j.syncMu.Unlock()
+	j.mu.Lock()
+	cut, base := j.head, j.base
+	if upTo > cut {
+		j.mu.Unlock()
+		return 0, fmt.Errorf("journal: trim to %d past the head %d", upTo, cut)
+	}
 	err = j.flushLocked()
 	j.mu.Unlock()
 	if err != nil {
 		return 0, err
 	}
-	if upTo < base || upTo > head {
-		return 0, fmt.Errorf("journal: rotate to %d outside [%d, %d]", upTo, base, head)
-	}
-
-	// Phase 1: seal the outgoing records (base, upTo] as a segment while
-	// appends continue. The bytes are stable — records never move once
-	// appended, only the file's tail grows — so an unlocked ReadAt is
-	// safe. The copy is fsync'd before it is renamed into the chain: a
-	// sealed segment is durable end to end.
-	floor := int64(int64max)
-	if retain != nil {
-		floor = retain()
-	}
-	var seg segment
-	sealed := false
-	if retainBudget > 0 && upTo > base && floor < upTo {
-		buf := make([]byte, oplogHdr+(upTo-base)*opRecSize)
-		encodeOplogHdr(buf, base)
-		if _, err := j.of.ReadAt(buf[oplogHdr:], oplogHdr); err != nil {
-			return 0, j.poison(fmt.Errorf("journal: seal segment: %w", err))
-		}
-		segPath := segmentPath(j.oPath, base)
-		sf, err := pagestore.ReplaceFile(j.fs, j.oPath+".segtmp", segPath, buf, nil)
-		if err != nil {
+	if cut > max(upTo, j.durable.Load()) {
+		if err := j.of.Sync(); err != nil {
 			return 0, j.poison(err)
 		}
-		sf.Close()
-		seg = segment{base: base, count: upTo - base, bytes: int64(len(buf)), path: segPath}
-		sealed = true
 	}
 
-	// Phase 2: the bounded install pause.
-	start := time.Now()
-	j.syncMu.Lock()
-	defer j.syncMu.Unlock()
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	err = func() error {
-		if err := j.flushLocked(); err != nil { // appends may have raced in since phase 1
-			return err
-		}
-		head = j.baseSeq + j.appendSeq
-		suffix := head - upTo
-		buf := make([]byte, oplogHdr+suffix*opRecSize)
-		encodeOplogHdr(buf, upTo)
-		if suffix > 0 {
-			if _, err := j.of.ReadAt(buf[oplogHdr:], oplogHdr+(upTo-base)*opRecSize); err != nil {
-				return fmt.Errorf("journal: read rotate suffix: %w", err)
-			}
-		}
-		// The suffix may hold acked records: the replacement is durable
-		// before commit runs and before the rename unlinks the old file.
-		f, err := pagestore.ReplaceFile(j.fs, j.oPath+".tmp", j.oPath, buf, commit)
-		if err != nil {
-			return err
-		}
-		j.of.Close()
-		j.of = f
-		j.baseSeq = upTo
-		j.appendSeq = suffix
-		j.syncSeq = suffix
-		j.fileEnd = int64(len(buf))
-		j.durable.Store(head) // the replacement's fsync covered everything
-		if sealed {
-			j.segments = append(j.segments, seg)
-			j.segBytes += seg.bytes
-		}
-		j.pruneLocked(floor)
-		return nil
-	}()
+	if cut > base {
+		err = j.sealLocked(base, cut)
+	}
+	var drop []string
+	if err == nil {
+		// Every record up to cut is fsync'd above or in the checkpoint.
+		j.durable.Store(max(j.durable.Load(), cut))
+		drop = j.pruneLocked(upTo, floor)
+	}
+	j.mu.Unlock()
 	if err != nil {
 		return 0, j.poison(err)
+	}
+	for _, path := range drop {
+		// A file that fails to go lies wholly at or below a committed
+		// checkpoint, so the next Recover deletes it.
+		_ = pagestore.RemoveFile(j.fs, path)
 	}
 	return time.Since(start).Nanoseconds(), nil
 }
 
-// Recover aligns the oplog with the checkpoint the caller recovered from
+// sealLocked renames the active file, holding records (base, cut], to
+// its segment name and opens a fresh active file based at cut. Records
+// appended since the flush stay in the tail and go to the new file.
+// Caller holds syncMu and mu.
+func (j *Journal) sealLocked(base, cut int64) error {
+	path := segmentPath(j.oPath, base)
+	if err := j.fs.Rename(j.oPath, path); err != nil {
+		return err
+	}
+	f, err := j.fs.OpenFile(j.oPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	j.of.Close()
+	j.of = f
+	j.base = cut
+	seg := segment{base: base, count: cut - base, path: path}
+	j.segments = append(j.segments, seg)
+	j.segBytes += seg.bytes()
+	return j.writeOplogHdr(cut)
+}
+
+// Recover reads the chain a previous run left (sealed segments by base,
+// then the active file) against the checkpoint the caller recovered from
 // (ckptSeq = the checkpoint's stamped sequence) and returns the
-// operations to replay on top of it, in order, with global sequences
-// (ckptSeq, ckptSeq+n]. Torn or corrupt trailing records are dropped —
-// they were never covered by an fsync, so they were never acknowledged.
+// operations to replay on top of it: each record above ckptSeq once, in
+// order, with global sequences (ckptSeq, ckptSeq+n]. Torn or corrupt
+// trailing records are dropped — they were never covered by an fsync, so
+// they were never acknowledged.
 //
-// The rebase invariant: on return the oplog's base equals ckptSeq,
-// whatever the file held. A file with an older base (a crash between
-// Rotate's commit and its oplog rename) is rebased by rewriting it with
-// only the surviving suffix; without that, the next run would reuse
-// sequence numbers the checkpoint already covers, and a follower that saw
-// the originals would silently diverge. Sealed segments a previous run
-// left are deleted (segments.go).
+// Segments wholly at or below ckptSeq are deleted, and so is a sealed
+// copy that overlaps the active file (an interrupted rotation of an
+// earlier format wrote those). Segments holding records above ckptSeq
+// stay until the caller's next checkpoint trims them. Numbering restarts
+// at max(ckptSeq, last valid sequence)+1; a missing, empty or foreign
+// active file, or one that does not end the chain, is recreated based
+// there. A chain with records missing above ckptSeq is refused.
 func (j *Journal) Recover(ckptSeq int64) ([]Op, error) {
-	j.rotMu.Lock()
-	defer j.rotMu.Unlock()
+	j.syncMu.Lock()
+	defer j.syncMu.Unlock()
 	j.mu.Lock()
 	defer j.mu.Unlock()
-
-	// Clear temp files an interrupted rotation may have left behind.
-	pagestore.RemoveFile(j.fs, j.oPath+".tmp")
-	pagestore.RemoveFile(j.fs, j.oPath+".segtmp")
 
 	obytes, err := readAll(j.of)
 	if err != nil {
 		return nil, err
 	}
 	base, ok := parseOplogHdr(obytes)
-	var ops []Op
+	var active []Op
 	if ok {
-		ops = DecodeOps(obytes[oplogHdr:])
+		active = DecodeOps(obytes[oplogHdr:])
 	}
-	head := base + int64(len(ops))
+	segs, ops, drop := j.readSegments()
 
-	switch {
-	case !ok:
-		// Fresh, foreign, or short file: start the epoch clean at the checkpoint.
-		if err := j.of.Truncate(0); err != nil {
-			return nil, j.poison(err)
+	// The chain: the segments that hold records above ckptSeq and end
+	// before the active file's records begin, then the active file.
+	pos := ckptSeq
+	var replay []Op
+	j.segments, j.segBytes = nil, 0
+	for i, s := range segs {
+		if s.end() <= pos || (len(active) > 0 && s.base >= base) {
+			drop = append(drop, s.path)
+			continue
 		}
-		if err := j.writeOplogHdr(ckptSeq); err != nil {
-			return nil, j.poison(err)
+		if s.base > pos {
+			return nil, fmt.Errorf("journal: records (%d, %d] missing from the oplog chain", pos, s.base)
 		}
-		ops = nil
-	case base > ckptSeq:
-		// The log claims to start after the checkpoint ends: records
-		// (ckptSeq, base] are gone. Nothing sound can be replayed.
-		return nil, fmt.Errorf("journal: oplog base %d ahead of checkpoint sequence %d", base, ckptSeq)
-	case base == ckptSeq:
-		// Aligned. Drop any torn bytes past the valid prefix so appended
-		// records land at the offsets their sequences imply.
-		if valid := int64(oplogHdr) + int64(len(ops))*opRecSize; valid < int64(len(obytes)) {
+		replay = append(replay, ops[i][pos-s.base:]...)
+		pos = s.end()
+		j.segments = append(j.segments, s)
+		j.segBytes += s.bytes()
+	}
+	if ok {
+		if base > pos {
+			return nil, fmt.Errorf("journal: records (%d, %d] missing from the oplog chain", pos, base)
+		}
+		if end := base + int64(len(active)); end > pos {
+			replay = append(replay, active[pos-base:]...)
+			pos = end
+		}
+	}
+
+	if ok && base+int64(len(active)) == pos {
+		// The active file ends the chain. Drop any torn bytes past its
+		// valid prefix so appended records land at the offsets their
+		// sequences imply.
+		if valid := int64(oplogHdr) + int64(len(active))*opRecSize; valid < int64(len(obytes)) {
 			if err := j.of.Truncate(valid); err != nil {
 				return nil, j.poison(err)
 			}
 		}
-	default: // base < ckptSeq: rebase to the checkpoint (the invariant above)
-		keep := head - ckptSeq
-		if keep < 0 {
-			keep = 0
-		}
-		cut := oplogHdr + int(int64(len(ops))-keep)*opRecSize
-		suffix := obytes[cut : cut+int(keep)*opRecSize]
-		buf := make([]byte, oplogHdr+len(suffix))
-		encodeOplogHdr(buf, ckptSeq)
-		copy(buf[oplogHdr:], suffix)
-		// The suffix records may have been acked before the crash — the
-		// rebase is durable before it replaces the old file.
-		f, err := pagestore.ReplaceFile(j.fs, j.oPath+".tmp", j.oPath, buf, nil)
-		if err != nil {
+		j.base, j.fileEnd = base, oplogHdr+int64(len(active))*opRecSize
+	} else {
+		if err := j.of.Truncate(0); err != nil {
 			return nil, j.poison(err)
 		}
-		j.of.Close()
-		j.of = f
-		ops = ops[int64(len(ops))-keep:]
+		if err := j.writeOplogHdr(pos); err != nil {
+			return nil, j.poison(err)
+		}
+		j.base = pos
 	}
-
-	j.baseSeq = ckptSeq
-	j.appendSeq = int64(len(ops))
-	j.syncSeq = int64(len(ops))
-	j.fileEnd = oplogHdr + int64(len(ops))*opRecSize
+	j.head = pos
 	j.tail = j.tail[:0]
-	j.durable.Store(ckptSeq + int64(len(ops)))
-	j.removeSegmentsLocked()
-	return ops, nil
+	j.durable.Store(pos)
+	for _, path := range drop {
+		_ = pagestore.RemoveFile(j.fs, path) // holds nothing to replay; retried at the next Recover
+	}
+	return replay, nil
 }
 
 // DecodeOps parses oplog bytes into the valid prefix of logical
@@ -577,6 +553,16 @@ func AppendEncodedOp(dst []byte, op Op) []byte {
 	binary.LittleEndian.PutUint64(rec[9:], op.Val)
 	binary.LittleEndian.PutUint32(rec[17:], crc32.ChecksumIEEE(rec[:17]))
 	return dst
+}
+
+// readFile reads the whole file at path through fs.
+func readFile(fs pagestore.FS, path string) ([]byte, error) {
+	f, err := fs.OpenFile(path, os.O_RDONLY, 0)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return io.ReadAll(f)
 }
 
 func readAll(f pagestore.File) ([]byte, error) {

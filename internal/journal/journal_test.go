@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"btreeperf/internal/pagestore"
 )
 
 func openJournal(t *testing.T) (*Journal, string) {
@@ -63,62 +65,65 @@ func TestOplogRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRotateDropsImagedPrefix(t *testing.T) {
-	j, _ := openJournal(t)
+// A checkpoint at 3 of 5 records keeps 4 and 5: the sealed file holds
+// them until a checkpoint covers them, and a restart replays exactly
+// them.
+func TestTrimKeepsRecordsAboveCheckpoint(t *testing.T) {
+	j, path := openJournal(t)
 	j.Recover(0)
 	for i := int64(1); i <= 5; i++ {
 		j.Append(Op{Kind: OpInsert, Key: i, Val: uint64(i)})
 	}
-	installed := false
-	pause, err := j.Rotate(3, func() error { installed = true; return nil })
+	pause, err := j.Trim(3)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !installed {
-		t.Fatal("commitImage not invoked")
 	}
 	if pause < 0 {
 		t.Fatalf("pause = %d", pause)
 	}
-	// The rotation itself made everything durable (the replacement file
-	// was fsync'd with the suffix in it).
+	// The seal made everything durable: 4 and 5 by an fsync of the
+	// outgoing file, 1–3 by the checkpoint.
 	if j.SeqAppended() != 5 || j.SeqDurable() != 5 {
-		t.Fatalf("seqs after rotate: appended=%d durable=%d", j.SeqAppended(), j.SeqDurable())
+		t.Fatalf("seqs after trim: appended=%d durable=%d", j.SeqAppended(), j.SeqDurable())
 	}
-	ops, err := j.Recover(3)
+	if _, err := os.Stat(segmentPath(path+".oplog", 0)); err != nil {
+		t.Fatalf("the segment holding 4 and 5 is gone: %v", err)
+	}
+	ops, err := reopenJournal(t, path).Recover(3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ops) != 2 || ops[0].Key != 4 || ops[1].Key != 5 {
-		t.Fatalf("suffix after rotate = %+v", ops)
+		t.Fatalf("replay after trim = %+v", ops)
 	}
 }
 
-func TestRotateBoundsChecked(t *testing.T) {
+func TestTrimBoundsChecked(t *testing.T) {
 	j, _ := openJournal(t)
 	j.Recover(0)
 	j.Append(Op{Kind: OpInsert, Key: 1, Val: 1})
-	if _, err := j.Rotate(2, nil); err == nil {
-		t.Fatal("rotate past head accepted")
+	if _, err := j.Trim(2); err == nil {
+		t.Fatal("trim past head accepted")
 	}
 	if err := j.Failed(); err != nil {
 		t.Fatalf("bounds error poisoned the journal: %v", err)
 	}
 }
 
-func TestRotateFailedInstallPoisons(t *testing.T) {
-	j, _ := openJournal(t)
-	j.Recover(0)
+// A seal that cannot make its records durable poisons the journal.
+func TestTrimFailedSealPoisons(t *testing.T) {
+	fs := pagestore.NewFailFS(nil, pagestore.FailPlan{FailSyncAt: 1})
+	j := openFailJournal(t, fs)
 	j.Append(Op{Kind: OpInsert, Key: 1, Val: 1})
-	boom := errors.New("image rename exploded")
-	if _, err := j.Rotate(1, func() error { return boom }); !errors.Is(err, boom) {
-		t.Fatalf("rotate error = %v", err)
+	j.Append(Op{Kind: OpInsert, Key: 2, Val: 2})
+	if _, err := j.Trim(1); !errors.Is(err, pagestore.ErrInjected) {
+		t.Fatalf("trim error = %v, want the injected fsync failure", err)
 	}
-	if err := j.Append(Op{Kind: OpInsert, Key: 2, Val: 2}); !errors.Is(err, ErrPoisoned) {
-		t.Fatalf("append after failed install = %v", err)
+	if err := j.Append(Op{Kind: OpInsert, Key: 3, Val: 3}); !errors.Is(err, ErrPoisoned) {
+		t.Fatalf("append after failed seal = %v", err)
 	}
 	if err := j.Commit(); !errors.Is(err, ErrPoisoned) {
-		t.Fatalf("commit after failed install = %v", err)
+		t.Fatalf("commit after failed seal = %v", err)
 	}
 }
 
@@ -126,7 +131,7 @@ func TestCheckpointRetiresOplog(t *testing.T) {
 	j, _ := openJournal(t)
 	j.Recover(0)
 	j.Append(Op{Kind: OpInsert, Key: 1, Val: 1})
-	if _, err := j.Rotate(j.SeqAppended(), nil); err != nil {
+	if _, err := j.Trim(j.SeqAppended()); err != nil {
 		t.Fatal(err)
 	}
 	ops, err := j.Recover(j.SeqAppended())
@@ -198,49 +203,46 @@ func TestCorruptOplogRecordStopsReplay(t *testing.T) {
 	}
 }
 
-func TestRecoverRebasesOldEpoch(t *testing.T) {
-	// A crash between Rotate's image rename and oplog rename leaves a new
-	// image (seq S) with an old oplog (base < S). Recovery must rebase the
-	// file to base S, dropping the imaged prefix, so sequence numbers are
-	// never reused.
+// A crash between a checkpoint's commit and its trim leaves the oplog
+// as it was: records up to the checkpoint's sequence and past it in one
+// file. Recovery replays the ones past it and keeps the file — nothing is
+// rewritten — and appends continue at the next sequence.
+func TestRecoverReplaysPastCheckpointInPlace(t *testing.T) {
 	j, path := openJournal(t)
 	j.Recover(0)
 	for i := int64(1); i <= 5; i++ {
 		j.Append(Op{Kind: OpInsert, Key: i, Val: uint64(i)})
 	}
 	j.Commit()
-	ops, err := j.Recover(3) // image says S=3; file base is 0
+	ops, err := j.Recover(3) // the checkpoint says S=3; the file's base is 0
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ops) != 2 || ops[0].Key != 4 || ops[1].Key != 5 {
-		t.Fatalf("rebased suffix = %+v", ops)
+		t.Fatalf("replayed = %+v", ops)
 	}
 	if j.SeqAppended() != 5 {
-		t.Fatalf("appended seq after rebase = %d", j.SeqAppended())
+		t.Fatalf("appended seq after recovery = %d", j.SeqAppended())
 	}
-	// The file itself was rewritten with base 3.
 	raw, err := os.ReadFile(path + ".oplog")
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, ok := parseOplogHdr(raw)
-	if !ok || base != 3 {
-		t.Fatalf("oplog base after rebase = %d (ok=%v), want 3", base, ok)
+	if base, ok := parseOplogHdr(raw); !ok || base != 0 || len(raw) != OplogHdrSize+5*OpRecSize {
+		t.Fatalf("oplog after recovery: base %d (ok=%v), %d bytes; want it untouched", base, ok, len(raw))
 	}
-	if len(raw) != OplogHdrSize+2*OpRecSize {
-		t.Fatalf("oplog size after rebase = %d", len(raw))
-	}
-	// New appends continue at sequence 6.
+	// New appends continue at sequence 6, at the offset it implies.
 	j.Append(Op{Kind: OpInsert, Key: 6, Val: 6})
-	if j.SeqAppended() != 6 {
-		t.Fatalf("appended after rebase+append = %d", j.SeqAppended())
+	j.Commit()
+	if ops, err := reopenJournal(t, path).Recover(3); err != nil || len(ops) != 3 || ops[2].Key != 6 {
+		t.Fatalf("replay after an append = %+v, %v", ops, err)
 	}
 }
 
 func TestRecoverRebasePastHead(t *testing.T) {
-	// The image can be ahead of every surviving record (torn tail below
-	// S): the oplog must still rebase to S with zero ops to replay.
+	// The checkpoint can be ahead of every surviving record (an unflushed
+	// tail below S): the active file starts over based at S, with zero
+	// ops to replay.
 	j, _ := openJournal(t)
 	j.Recover(0)
 	j.Append(Op{Kind: OpInsert, Key: 1, Val: 1})
@@ -260,7 +262,7 @@ func TestRecoverOplogAheadOfImageRejected(t *testing.T) {
 	j, _ := openJournal(t)
 	j.Recover(0)
 	j.Append(Op{Kind: OpInsert, Key: 1, Val: 1})
-	j.Rotate(j.SeqAppended(), nil) // base is now 1
+	j.Trim(j.SeqAppended()) // base is now 1, and record 1 is gone
 	if _, err := j.Recover(0); err == nil {
 		t.Fatal("oplog base ahead of image accepted")
 	}

@@ -24,9 +24,8 @@ func appendN(t *testing.T, j *Journal, from, n int64) {
 	}
 }
 
-// Global sequence numbers must survive rotations (which reset the
-// per-epoch counters) and full restarts (which reload them from the
-// persisted headers).
+// Global sequence numbers must survive seals (which start a new active
+// file) and full restarts (which reload them from the persisted headers).
 func TestSeqContinuityAcrossCheckpointAndRecover(t *testing.T) {
 	j, path := openJournal(t)
 	j.Recover(0)
@@ -45,7 +44,7 @@ func TestSeqContinuityAcrossCheckpointAndRecover(t *testing.T) {
 		t.Fatalf("SeqDurable after commit = %d, want 3", got)
 	}
 
-	if _, err := j.Rotate(j.SeqAppended(), nil); err != nil {
+	if _, err := j.Trim(j.SeqAppended()); err != nil {
 		t.Fatal(err)
 	}
 	if got := j.SeqAppended(); got != 3 {
@@ -85,9 +84,9 @@ func TestSeqContinuityAcrossCheckpointAndRecover(t *testing.T) {
 	}
 }
 
-// With retention enabled, rotations seal the outgoing epoch instead of
-// dropping it, the chain prunes as the follower floor advances, and
-// the byte budget evicts oldest-first past it.
+// With retention enabled, trims keep the sealed files a follower needs
+// instead of deleting them, the chain prunes as the follower floor
+// advances, and the byte budget evicts oldest-first past it.
 func TestRetentionSealPruneEvict(t *testing.T) {
 	j, _ := openJournal(t)
 	j.Recover(0)
@@ -97,10 +96,10 @@ func TestRetentionSealPruneEvict(t *testing.T) {
 
 	appendN(t, j, 0, 3) // seqs 1..3
 	j.Commit()
-	j.Rotate(j.SeqAppended(), nil) // seals [0,3]
-	appendN(t, j, 3, 4)            // seqs 4..7
+	j.Trim(j.SeqAppended()) // seals [0,3]
+	appendN(t, j, 3, 4)     // seqs 4..7
 	j.Commit()
-	j.Rotate(j.SeqAppended(), nil) // seals (3,7]
+	j.Trim(j.SeqAppended()) // seals (3,7]
 
 	if n, bytes := j.RetainedSegments(); n != 2 || bytes != 2*OplogHdrSize+7*OpRecSize {
 		t.Fatalf("retained = %d segs / %d bytes, want 2 / %d", n, bytes, 2*OplogHdrSize+7*OpRecSize)
@@ -109,11 +108,11 @@ func TestRetentionSealPruneEvict(t *testing.T) {
 		t.Fatalf("LowestSeq = %d, want 0", got)
 	}
 
-	// Follower advanced past the first segment: next rotation prunes it.
+	// Follower advanced past the first segment: next trim prunes it.
 	floor = 3
 	appendN(t, j, 7, 1)
 	j.Commit()
-	j.Rotate(j.SeqAppended(), nil)
+	j.Trim(j.SeqAppended())
 	if n, _ := j.RetainedSegments(); n != 2 {
 		t.Fatalf("retained = %d segs after prune, want 2 ((3,7] and (7,8])", n)
 	}
@@ -153,7 +152,7 @@ func TestRetentionSealPruneEvict(t *testing.T) {
 	j.SetRetention(func() int64 { return floor }, OplogHdrSize+OpRecSize)
 	appendN(t, j, 8, 1)
 	j.Commit()
-	j.Rotate(j.SeqAppended(), nil)
+	j.Trim(j.SeqAppended())
 	if n, bytes := j.RetainedSegments(); n != 1 || bytes > OplogHdrSize+OpRecSize {
 		t.Fatalf("retained = %d segs / %d bytes after eviction, want 1 within budget", n, bytes)
 	}
@@ -162,10 +161,11 @@ func TestRetentionSealPruneEvict(t *testing.T) {
 	}
 }
 
-// No segment outlives Recover: a restarted node leads a new epoch, which
-// no follower can tail from a segment of the old one, so recovery deletes
-// every sealed file — the chain it sealed and any stray file matching the
-// pattern alike — and the retained log starts at the image.
+// No segment the checkpoint covers outlives Recover: a restarted node
+// leads a new epoch, which no follower can tail from a segment of the old
+// one, so recovery deletes every sealed file at or below the checkpoint —
+// the chain it sealed and any stray file matching the pattern alike — and
+// the retained log starts at the checkpoint.
 func TestSegmentsNeverOutliveRecover(t *testing.T) {
 	j, path := openJournal(t)
 	j.Recover(0)
@@ -173,7 +173,7 @@ func TestSegmentsNeverOutliveRecover(t *testing.T) {
 
 	appendN(t, j, 0, 3)
 	j.Commit()
-	j.Rotate(j.SeqAppended(), nil)
+	j.Trim(j.SeqAppended())
 	appendN(t, j, 3, 2)
 	j.Commit()
 	j.Close()
@@ -208,33 +208,29 @@ func TestSegmentsNeverOutliveRecover(t *testing.T) {
 	}
 }
 
-// A rotation can crash after renaming the new image but before renaming
-// the replacement oplog. The oplog on disk then belongs to the previous
-// epoch (its base is behind the image's sequence): recovery must rebase
-// it — not replay its prefix into the sequence space again — and, like
-// every recovery, leave no sealed segment behind: the retained log starts
-// at the image.
-func TestStaleOplogRebasedOnRecovery(t *testing.T) {
+// An interrupted rotation of the earlier format can leave a sealed copy
+// of the active file's records beside the active file itself, both based
+// at the same sequence. Recovery drops the copy, replays nothing the
+// checkpoint holds, keeps the active file as it is, and numbers on.
+func TestOverlappingSegmentDroppedOnRecovery(t *testing.T) {
 	j, path := openJournal(t)
 	j.Recover(0)
 	j.SetRetention(func() int64 { return 0 }, 1<<20)
 
-	appendN(t, j, 0, 3) // epoch base 0: seqs 1..3
+	appendN(t, j, 0, 3) // active base 0: seqs 1..3
 	j.Commit()
-	j.Rotate(j.SeqAppended(), nil) // seals [0,3]
-	appendN(t, j, 3, 2)            // epoch base 3: seqs 4,5
+	j.Trim(j.SeqAppended()) // seals (0,3]
+	appendN(t, j, 3, 2)     // active base 3: seqs 4,5
 	j.Commit()
 
-	// Save the base-3 epoch's oplog, run the real rotation (sealing
-	// (3,5]), then undo the oplog replacement: the segment chain and the
-	// "image" say seq 5, the oplog is the old base-3 epoch — exactly the
-	// crash window's on-disk state.
+	// Save the base-3 active file, seal it (into seg-3), and put it back:
+	// seg-3 is now a copy of the active file's records.
 	oplog := path + ".oplog"
 	saved, err := os.ReadFile(oplog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := j.Rotate(j.SeqAppended(), nil); err != nil {
+	if _, err := j.Trim(j.SeqAppended()); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
@@ -248,18 +244,18 @@ func TestStaleOplogRebasedOnRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(ops) != 0 {
-		t.Fatalf("recovered %d ops from a stale oplog, want 0 (already imaged)", len(ops))
+		t.Fatalf("recovered %d ops the checkpoint holds, want 0", len(ops))
 	}
 	if got := j2.SeqAppended(); got != 5 {
 		t.Fatalf("SeqAppended = %d, want 5", got)
 	}
-	if got := j2.LowestSeq(); got != 5 {
-		t.Fatalf("LowestSeq = %d, want 5 (the image)", got)
+	if got := j2.LowestSeq(); got != 3 {
+		t.Fatalf("LowestSeq = %d, want 3 (the kept active file's base)", got)
 	}
 	if matches, _ := filepath.Glob(path + ".oplog.seg-*"); len(matches) != 0 {
 		t.Fatalf("segment files survived recovery: %v", matches)
 	}
-	// The rebased oplog takes the next record at sequence 6.
+	// The kept file takes the next record at sequence 6.
 	appendN(t, j2, 5, 1)
 	if err := j2.Commit(); err != nil {
 		t.Fatal(err)
@@ -280,7 +276,7 @@ func TestSegmentFilesDeletedByPrune(t *testing.T) {
 
 	appendN(t, j, 0, 2)
 	j.Commit()
-	j.Rotate(j.SeqAppended(), nil)
+	j.Trim(j.SeqAppended())
 	seg := segmentPath(path+".oplog", 0)
 	if _, err := os.Stat(seg); err != nil {
 		t.Fatalf("sealed segment missing: %v", err)
@@ -288,7 +284,7 @@ func TestSegmentFilesDeletedByPrune(t *testing.T) {
 	floor = 2
 	appendN(t, j, 2, 1)
 	j.Commit()
-	j.Rotate(j.SeqAppended(), nil)
+	j.Trim(j.SeqAppended())
 	if _, err := os.Stat(seg); !os.IsNotExist(err) {
 		t.Fatalf("pruned segment still on disk: %v", err)
 	}

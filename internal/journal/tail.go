@@ -10,11 +10,11 @@ package journal
 // runs under the journal lock; the file I/O does not, so a slow reader
 // never stalls commits. Records at or below the durable sequence are in
 // the file by definition (the appended-but-uncommitted tail is not, and
-// is never read), but a read may still race a rotation swapping the file
-// underneath it — EOF in the middle of an entry, or bytes of another
-// epoch. That is not an error: Next consumes the complete CRC-valid
-// prefix and leaves the cursor at the entry boundary, so the next call
-// retries from there.
+// is never read), but a read may still race a seal moving the active
+// file to its segment name and starting a new one at the same path — EOF
+// in the middle of an entry, or the new file's header. That is not an
+// error: Next consumes the complete CRC-valid prefix and leaves the
+// cursor at the entry boundary, so the next call retries from there.
 
 import (
 	"errors"
@@ -78,16 +78,16 @@ func (t *Tail) Next(max int) (firstSeq int64, ops []Op, err error) {
 	}
 	j := t.j
 
-	// Plan under the lock: resolve the cursor to a file, an epoch base,
+	// Plan under the lock: resolve the cursor to a file, its base,
 	// and the highest sequence safe to read from that file.
 	j.mu.Lock()
 	if t.next <= j.lowestLocked() {
 		j.mu.Unlock()
 		return 0, nil, ErrEvicted
 	}
-	path, base := j.oPath, j.baseSeq
+	path, base := j.oPath, j.base
 	limit := j.durable.Load()
-	if t.next <= j.baseSeq {
+	if t.next <= j.base {
 		for _, s := range j.segments {
 			if t.next <= s.base+s.count {
 				path, base = s.path, s.base
@@ -131,12 +131,12 @@ func (t *Tail) Next(max int) (firstSeq int64, ops []Op, err error) {
 	if rerr != nil && rerr != io.EOF && !errors.Is(rerr, io.ErrUnexpectedEOF) {
 		return 0, nil, rerr
 	}
-	// The record read ran without the lock, and a checkpoint may have
-	// rebased this very inode (truncate + new epoch header) or swapped the
-	// file at this path (seal + fresh oplog) in between. The epoch header's
-	// base only ever advances, so if it still matches the plan AFTER the
-	// record read, the records read are from the planned epoch. On a
-	// mismatch drop the bytes and the handle; the next call replans.
+	// The record read ran without the lock, and a seal may have moved the
+	// file at this path to its segment name and started a fresh one there
+	// in between. A file's header never changes once the file has
+	// records, so if it still matches the plan AFTER the record read, the
+	// records read are from the planned file. On a mismatch drop the bytes
+	// and the handle; the next call replans.
 	if _, herr := t.f.ReadAt(t.hdr[:], 0); herr != nil {
 		t.Close()
 		return 0, nil, nil

@@ -1,9 +1,9 @@
 package journal
 
 // The buffered oplog tail: an appended record lives in memory until the
-// next Commit (or rotation, or Close) writes the whole tail with one
+// next Commit (or Trim, or Close) writes the whole tail with one
 // WriteAt. These tests pin where the bytes are at each point, and that no
-// reader of the file — rotation, replication — is ever shown less than it
+// reader of the file — recovery, replication — is ever shown less than it
 // is entitled to or more than is durable.
 
 import (
@@ -126,11 +126,10 @@ func TestSyncOpsWritesThrough(t *testing.T) {
 	}
 }
 
-// Both phases of Rotate read records back from the file. Records still in
-// the tail when it starts — below the rotation point (they belong in the
-// sealed segment) and above it (they belong in the new epoch) — must
-// reach where they belong.
-func TestRotateWithNonEmptyTail(t *testing.T) {
+// Trim writes the tail out before it seals the active file. Records
+// still in the tail when it starts — below the checkpoint and above it —
+// must reach the sealed file, and the ones above it must be durable.
+func TestTrimWithNonEmptyTail(t *testing.T) {
 	j, path := openJournal(t)
 	if _, err := j.Recover(0); err != nil {
 		t.Fatal(err)
@@ -141,11 +140,11 @@ func TestRotateWithNonEmptyTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendN(t, j, 4, 6) // seqs 5..10 exist only in the tail
-	if _, err := j.Rotate(7, nil); err != nil {
+	if _, err := j.Trim(7); err != nil {
 		t.Fatal(err)
 	}
 	if j.SeqAppended() != 10 || j.SeqDurable() != 10 {
-		t.Fatalf("after rotate: appended %d durable %d, want 10/10", j.SeqAppended(), j.SeqDurable())
+		t.Fatalf("after trim: appended %d durable %d, want 10/10", j.SeqAppended(), j.SeqDurable())
 	}
 	// The whole history, across the sealed segment and the new epoch.
 	tl := j.Tail(0)
@@ -168,11 +167,11 @@ func TestRotateWithNonEmptyTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(ops) != 3 || ops[0].Key != 7 || ops[2].Key != 9 {
-		t.Fatalf("suffix after rotate = %+v", ops)
+		t.Fatalf("replay after trim = %+v", ops)
 	}
 }
 
-// A replication tail racing appenders, committers and rotations never
+// A replication tail racing appenders, committers and trims never
 // returns a record beyond the durable sequence: such a record is, at that
 // moment, nowhere but in the leader's memory.
 func TestTailNeverPassesDurable(t *testing.T) {
@@ -198,7 +197,7 @@ func TestTailNeverPassesDurable(t *testing.T) {
 					return
 				}
 			case i%531 == 530:
-				if _, err := j.Rotate(j.SeqAppended()-7, nil); err != nil {
+				if _, err := j.Trim(j.SeqAppended() - 7); err != nil {
 					t.Error(err)
 					return
 				}

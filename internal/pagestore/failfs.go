@@ -237,8 +237,8 @@ func (fs *FailFS) Rename(oldpath, newpath string) error {
 	return fs.inner.Rename(oldpath, newpath)
 }
 
-// Remove counts as a mutating syscall (segment pruning in the journal's
-// retention layer; see journal.SetRetention).
+// Remove counts as a mutating syscall (the journal deletes sealed
+// segments with it; see journal.Trim).
 func (fs *FailFS) Remove(name string) error {
 	if _, err := fs.mutOp(false, 0); err != nil {
 		return err

@@ -46,7 +46,7 @@ func (osFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
 func (osFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
 
 // Remove is available on the production FS (and FailFS) for the
-// journal's segment pruning; it is not part of the FS interface, so
+// journal's segment deletes; it is not part of the FS interface, so
 // minimal test FS implementations keep compiling — callers fall back to
 // os.Remove when the method is absent.
 func (osFS) Remove(name string) error { return os.Remove(name) }
@@ -62,9 +62,8 @@ func RemoveFile(fs FS, name string) error {
 }
 
 // CloneFile copies src over dst through fs, truncating dst to src's
-// length. Recovery uses it to reset the scratch tree file from the
-// checkpoint image; dst is not fsynced — callers that need durability
-// sync it themselves.
+// length; dst is not fsynced. Its one caller is the benchmark's replay,
+// which clones one prepared tree file per cache size it replays.
 func CloneFile(fs FS, src, dst string) error {
 	if fs == nil {
 		fs = OSFS
@@ -99,34 +98,26 @@ func CloneFile(fs FS, src, dst string) error {
 }
 
 // ReplaceFile atomically replaces path with data: it writes data to tmp,
-// fsyncs it, runs beforeRename (nil = nothing) and renames tmp over path,
-// in that order — the new name is never visible before its bytes are
-// durable, and beforeRename is where a caller commits something that must
-// not outlive a failed replacement (the checkpoint image's own rename).
-// It returns tmp's handle, now open on path, for a caller that keeps
-// writing to the file; everyone else closes it. On an error the handle is
-// closed and tmp is left behind for the caller's next start to remove.
-func ReplaceFile(fs FS, tmp, path string, data []byte, beforeRename func() error) (File, error) {
+// fsyncs it and renames tmp over path, in that order — the new name is
+// never visible before its bytes are durable. On an error tmp may be left
+// behind; the next call truncates it.
+func ReplaceFile(fs FS, tmp, path string, data []byte) error {
 	if fs == nil {
 		fs = OSFS
 	}
 	f, err := fs.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	_, err = f.WriteAt(data, 0)
 	if err == nil {
 		err = f.Sync()
 	}
-	if err == nil && beforeRename != nil {
-		err = beforeRename()
-	}
-	if err == nil {
-		err = fs.Rename(tmp, path)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
 	if err != nil {
-		f.Close()
-		return nil, err
+		return err
 	}
-	return f, nil
+	return fs.Rename(tmp, path)
 }

@@ -124,11 +124,12 @@ func (ls *leaderShard) hubShard() HubShard {
 	}
 }
 
-// checkpoint rotates the journal to its head with no image: every record
-// is retired from the active oplog, sealed for followers or dropped.
+// checkpoint trims the journal to its head as a checkpoint there would:
+// every record is retired from the active oplog, sealed for followers or
+// deleted.
 func (ls *leaderShard) checkpoint(t *testing.T) {
 	t.Helper()
-	if _, err := ls.jnl.Rotate(ls.jnl.SeqAppended(), nil); err != nil {
+	if _, err := ls.jnl.Trim(ls.jnl.SeqAppended()); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -64,9 +64,5 @@ func (st State) Save(fs pagestore.FS, path string) error {
 	if err != nil {
 		return err
 	}
-	f, err := pagestore.ReplaceFile(fs, path+".tmp", path, data, nil)
-	if err != nil {
-		return err
-	}
-	return f.Close()
+	return pagestore.ReplaceFile(fs, path+".tmp", path, data)
 }

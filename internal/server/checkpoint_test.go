@@ -249,7 +249,7 @@ func TestCheckpointConcurrentWithTraffic(t *testing.T) {
 // parked, commits more writes after it, and then lets the scan finish.
 // The scan must deliver every key exactly once in order: the checkpoint
 // writes the pages the scan may hold under shared latches only and
-// rebases the oplog, but never changes the tree the scan is walking.
+// trims the oplog, but never changes the tree the scan is walking.
 func TestScanStraddlesCheckpointInstall(t *testing.T) {
 	eng := newDiskEngine(t, DiskEngineConfig{Cap: 8, CacheNodes: 64, CheckpointOps: -1})
 	defer eng.Close()
@@ -294,7 +294,7 @@ func TestScanStraddlesCheckpointInstall(t *testing.T) {
 	if eng.t.Checkpoints() != before+1 {
 		t.Fatalf("checkpoint did not count: %d -> %d", before, eng.t.Checkpoints())
 	}
-	// The rebased oplog must accept appends while the scan is parked.
+	// The new active oplog file must accept appends while the scan is parked.
 	for i := int64(0); i < 50; i++ {
 		if _, err := eng.Put(1_000_000+i, 1); err != nil {
 			t.Fatal(err)

@@ -21,12 +21,9 @@ import (
 
 // The commit pipeline's contract, checked over the wire.
 
-// isOplog reports whether a file was opened as a journal's oplog — or as
-// the replacement a rotation (the one at open included) renames into its
-// place, which keeps the name it was opened under.
-func isOplog(name string) bool {
-	return strings.HasSuffix(name, ".oplog") || strings.HasSuffix(name, ".oplog.tmp")
-}
+// isOplog reports whether a file was opened as a journal's active oplog
+// file (a seal renames it, but it keeps the name it was opened under).
+func isOplog(name string) bool { return strings.HasSuffix(name, ".oplog") }
 
 // gatedFS is a file layer whose oplog fsyncs a test can hold: every Sync
 // of an oplog announces itself on entered and then waits for the gate.

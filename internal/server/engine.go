@@ -63,10 +63,10 @@ type EngineStats struct {
 
 	// Durability progress; all zero on the in-memory engine.
 	Recovered       int64 // ops replayed at open
-	Appended        int64 // oplog records appended this epoch
-	Synced          int64 // oplog records fsync-covered this epoch
+	Appended        int64 // oplog records in the active oplog file
+	Synced          int64 // of those, records no crash can lose
 	OplogBytes      int64
-	Fsyncs          int64 // group-commit fsyncs issued this epoch
+	Fsyncs          int64 // group-commit fsyncs issued since open
 	Checkpoints     int64 // checkpoints committed
 	CheckpointLag   int64 // mutations behind the last committed checkpoint (replay debt)
 	CheckpointFails int64 // checkpoint attempts that failed (each one poisons)
@@ -81,14 +81,15 @@ type EngineStats struct {
 	SeqDurable  int64
 	SeqLowest   int64
 
-	// Retained sealed oplog segments held for lagging replication
-	// followers, and their byte footprint.
+	// Sealed oplog segments not yet deleted — held for lagging
+	// replication followers, or holding records past the last checkpoint
+	// — and their byte footprint.
 	RetainedSegs  int64
 	RetainedBytes int64
 
 	// Checkpoint pause: how long the last checkpoint held writers (its
-	// cut) and appends (its commit window), bounded by the pool's size
-	// and not the tree's, and the maximum observed, in nanoseconds.
+	// cut) and oplog commits (its trim), bounded by the pool's size and
+	// not the tree's, and the maximum observed, in nanoseconds.
 	CkptPauseLastNs int64
 	CkptPauseMaxNs  int64
 
@@ -176,7 +177,7 @@ type DiskEngineConfig struct {
 	// CheckpointOps bounds the oplog: once this many mutations have
 	// accumulated past the last committed checkpoint, a background
 	// goroutine takes one — concurrent with serving but for its cut and
-	// its commit window, both bounded by the pool's size, not the tree's
+	// its oplog trim, both bounded by the pool's size, not the tree's
 	// — so recovery replay stays bounded. Default 1 << 18 (a ~5.5 MB
 	// oplog, sub-second replay); negative disables checkpointing (the
 	// oplog grows until Close).
@@ -358,7 +359,7 @@ func (e *DiskEngine) checkpointLoop() {
 }
 
 // runCheckpoint takes one checkpoint. No engine lock is held — serving
-// proceeds concurrently, but for the checkpoint's cut and commit window.
+// proceeds concurrently, but for the checkpoint's cut and oplog trim.
 func (e *DiskEngine) runCheckpoint() {
 	if e.lag() < e.ckptOps {
 		return

@@ -153,7 +153,7 @@ var telemetry = []metric{
 	// Sequence positions are summed at the top (each shard's own is its
 	// block's seq, and on /healthz); retention is what the oplog holds for
 	// lagging followers; the checkpoint pause is how long a checkpoint's
-	// cut and commit window held writers, the worst shard's, and its
+	// cut held writers and its trim held commits, the worst shard's, and its
 	// chunks are the pages it writes.
 	stat("seq_appended", top, sumOf, func(sc *shardScrape) any { return sc.es.SeqAppended }),
 	stat("seq_durable", top, sumOf, func(sc *shardScrape) any { return sc.es.SeqDurable }),

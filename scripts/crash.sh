@@ -27,7 +27,7 @@
 #                                 # each kill into the checkpoint window,
 #                                 # so recovery runs against half-written
 #                                 # cut pages / map / meta page / oplog
-#                                 # rotation left by a mid-checkpoint
+#                                 # trim left by a mid-checkpoint
 #                                 # death
 set -euo pipefail
 
@@ -47,10 +47,10 @@ http=127.0.0.1:9471
 # shard-N/tree.db under it; at 1 it is the legacy single db file.
 if [ "$shards" -gt 1 ]; then db="$bin/db"; else db="$bin/tree.db"; fi
 audit="$bin/audit.log"
-# The injector's per-connection streams are one sequence a step apart,
-# so all four audit connections reset together: at seed 11, at their
-# ~120th read or write under preset=0.0005 (~0.1 s in, before any kill)
-# and their ~19,800th under 0.0001, seconds past the longest delay.
+# Each connection draws its own fault stream, so the four audit
+# connections reset at unrelated times: at seed 11 under preset=0.0001,
+# at their 8,154th, 15,005th, 20,681st and 30,826th read or write (one
+# draw each), not all together.
 chaos='latency=50us,preset=0.0001,seed=11'
 
 # start_server [chaos-spec] — no argument serves a clean listener (the

@@ -22,7 +22,8 @@
 // the head, then deletes every sealed segment whose records all lie at or
 // below S (and below the replication floor; segments.go). Records above
 // S that no fsync covers yet are fsync'd in the outgoing file before the
-// seal publishes them, so a sealed segment is durable end to end.
+// seal publishes them, so every record of a sealed segment is durable: in
+// the file, or in the checkpoint.
 //
 // Recover(S) reads whatever a crash left: the sealed segments by base,
 // then the active file. It replays each record above S once, in order,

@@ -89,12 +89,9 @@ func (t *Tail) Next(max int) (firstSeq int64, ops []Op, err error) {
 	limit := j.durable.Load()
 	if t.next <= j.base {
 		for _, s := range j.segments {
-			if t.next <= s.base+s.count {
+			if t.next <= s.end() {
 				path, base = s.path, s.base
-				// A sealed segment is durable end to end.
-				if end := s.base + s.count; end < limit {
-					limit = end
-				}
+				limit = min(limit, s.end()) // the seal made all of it durable
 				break
 			}
 		}

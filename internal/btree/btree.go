@@ -21,7 +21,11 @@
 //     it falls below half occupancy.
 package btree
 
-import "fmt"
+import (
+	"fmt"
+
+	"btreeperf/internal/blink"
+)
 
 // Policy selects the restructuring strategy applied on deletes.
 type Policy int
@@ -144,31 +148,12 @@ func (n *Node) FindChild(key int64) *Node {
 
 // childIndex returns the index of the child responsible for key:
 // the first i with key < keys[i], else the last child.
-func (n *Node) childIndex(key int64) int {
-	lo, hi := 0, len(n.keys)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if key < n.keys[mid] {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
-}
+func (n *Node) childIndex(key int64) int { return blink.Route(n.keys, key) }
 
 // keyIndex returns the position of key in a leaf and whether it is present.
 func (n *Node) keyIndex(key int64) (int, bool) {
-	lo, hi := 0, len(n.keys)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if n.keys[mid] < key {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, lo < len(n.keys) && n.keys[lo] == key
+	i := blink.LowerBound(n.keys, key)
+	return i, i < len(n.keys) && n.keys[i] == key
 }
 
 // LeafGet looks key up in a leaf.

@@ -2,142 +2,42 @@ package btree
 
 import (
 	"fmt"
-	"math"
+
+	"btreeperf/internal/blink"
 )
 
 // CheckInvariants validates the full structural health of the tree and
-// returns the first violation found, or nil. It verifies:
-//
-//   - level consistency (children are exactly one level below their parent,
-//     all leaves at level 1, root at level Height()),
-//   - key ordering within nodes and against the routing bounds,
-//   - occupancy limits (<= cap everywhere; >= minItems for merge-at-half
-//     non-root nodes),
-//   - high keys matching the routing bounds,
-//   - sibling links forming a complete, ordered, doubly-linked chain on
-//     every level,
-//   - the stored size matching the actual number of leaf keys.
+// returns the first violation found, or nil. It checks the node contract
+// every tree here shares (blink.Check: occupancy, key order, routing
+// bounds, high keys, level chains, size), plus what is this tree's own:
+// the root sits at level Height(), a leaf holds a value per key, a
+// non-root node holds at least minItems under merge-at-half, and the
+// left links mirror the right ones.
 func (t *Tree) CheckInvariants() error {
 	if t.root == nil {
-		return fmt.Errorf("nil root")
+		return fmt.Errorf("btree: nil root")
 	}
 	if t.root.level != t.height {
-		return fmt.Errorf("root level %d != height %d", t.root.level, t.height)
+		return fmt.Errorf("btree: root level %d != height %d", t.root.level, t.height)
 	}
-	leftmost := make(map[int]*Node) // first node visited per level
-	count := 0
-	if err := t.checkNode(t.root, math.MinInt64, math.MaxInt64, true, leftmost, &count); err != nil {
-		return err
-	}
-	if count != t.size {
-		return fmt.Errorf("size %d but %d keys in leaves", t.size, count)
-	}
-	for level := 1; level <= t.height; level++ {
-		if err := t.checkChain(leftmost[level], level); err != nil {
-			return err
+	prev := make([]*Node, t.height) // per level, the node walked last
+	err := blink.Check(t.root, t.cap, t.size, func(n *Node) (blink.Node[*Node], error) {
+		if n.IsLeaf() && len(n.vals) != len(n.keys) {
+			return blink.Node[*Node]{}, fmt.Errorf("leaf key/val length mismatch: %d vs %d", len(n.keys), len(n.vals))
 		}
-	}
-	return nil
-}
-
-// checkNode recursively validates node n whose routed key range is
-// [lo, hi); hiInf marks hi as +infinity.
-func (t *Tree) checkNode(n *Node, lo, hi int64, hiInf bool, leftmost map[int]*Node, count *int) error {
-	if _, seen := leftmost[n.level]; !seen {
-		leftmost[n.level] = n
-	}
-	if n.Items() > t.cap {
-		return fmt.Errorf("level %d node over capacity: %d > %d", n.level, n.Items(), t.cap)
-	}
-	if t.policy == MergeAtHalf && n != t.root && n.Items() < t.minItems() {
-		return fmt.Errorf("level %d node underfull: %d < %d", n.level, n.Items(), t.minItems())
-	}
-	// High key must equal the routed upper bound.
-	if hiInf {
-		if n.hasHigh {
-			return fmt.Errorf("level %d rightmost node has finite high key %d", n.level, n.high)
+		if t.policy == MergeAtHalf && n != t.root && n.Items() < t.minItems() {
+			return blink.Node[*Node]{}, fmt.Errorf("level %d node underfull: %d < %d", n.level, n.Items(), t.minItems())
 		}
-	} else {
-		if !n.hasHigh || n.high != hi {
-			return fmt.Errorf("level %d node high key %v (has=%v), want %d", n.level, n.high, n.hasHigh, hi)
-		}
-	}
-	for i := 1; i < len(n.keys); i++ {
-		if n.keys[i-1] >= n.keys[i] {
-			return fmt.Errorf("level %d keys out of order: %d >= %d", n.level, n.keys[i-1], n.keys[i])
-		}
-	}
-	if n.IsLeaf() {
-		if len(n.vals) != len(n.keys) {
-			return fmt.Errorf("leaf key/val length mismatch: %d vs %d", len(n.keys), len(n.vals))
-		}
-		for _, k := range n.keys {
-			if k < lo || (!hiInf && k >= hi) {
-				return fmt.Errorf("leaf key %d outside routed range [%d, %d)", k, lo, hi)
+		if l := n.level - 1; l >= 0 && l < len(prev) {
+			if n.left != prev[l] {
+				return blink.Node[*Node]{}, fmt.Errorf("level %d broken back-link", n.level)
 			}
+			prev[l] = n
 		}
-		*count += len(n.keys)
-		return nil
-	}
-	if len(n.children) != len(n.keys)+1 {
-		return fmt.Errorf("level %d internal node has %d children, %d routers", n.level, len(n.children), len(n.keys))
-	}
-	if len(n.children) == 0 {
-		return fmt.Errorf("level %d internal node with no children", n.level)
-	}
-	for _, k := range n.keys {
-		if k < lo || (!hiInf && k >= hi) {
-			return fmt.Errorf("router %d outside range [%d, %d)", k, lo, hi)
-		}
-	}
-	for i, c := range n.children {
-		if c.level != n.level-1 {
-			return fmt.Errorf("child level %d under level %d node", c.level, n.level)
-		}
-		clo := lo
-		if i > 0 {
-			clo = n.keys[i-1]
-		}
-		chi, chiInf := hi, hiInf
-		if i < len(n.keys) {
-			chi, chiInf = n.keys[i], false
-		}
-		if err := t.checkNode(c, clo, chi, chiInf, leftmost, count); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// checkChain walks the sibling links of one level, verifying ordering,
-// back-links, and that high keys ascend and terminate at +infinity.
-func (t *Tree) checkChain(first *Node, level int) error {
-	if first == nil {
-		return fmt.Errorf("level %d missing from traversal", level)
-	}
-	if first.left != nil {
-		return fmt.Errorf("level %d leftmost node has a left link", level)
-	}
-	prev := (*Node)(nil)
-	for n := first; n != nil; n = n.right {
-		if n.level != level {
-			return fmt.Errorf("level %d chain reached level %d node", level, n.level)
-		}
-		if n.left != prev {
-			return fmt.Errorf("level %d broken back-link", level)
-		}
-		if prev != nil {
-			if !prev.hasHigh {
-				return fmt.Errorf("level %d interior node with infinite high key", level)
-			}
-			if n.hasHigh && n.high <= prev.high {
-				return fmt.Errorf("level %d high keys not ascending: %d <= %d", level, n.high, prev.high)
-			}
-		}
-		if n.right == nil && n.hasHigh {
-			return fmt.Errorf("level %d rightmost chain node has finite high key", level)
-		}
-		prev = n
+		return blink.Node[*Node]{Level: n.level, Keys: n.keys, Children: n.children, High: n.high, HasHigh: n.hasHigh, Right: n.right}, nil
+	})
+	if err != nil {
+		return fmt.Errorf("btree: %w", err)
 	}
 	return nil
 }

@@ -1,6 +1,10 @@
 package cbtree
 
-import "fmt"
+import (
+	"fmt"
+
+	"btreeperf/internal/blink"
+)
 
 // BulkLoad builds a tree from sorted data bottom-up, far faster than
 // repeated Insert and with a controlled fill factor. keys must be strictly
@@ -9,24 +13,13 @@ import "fmt"
 // use 1.0 for read-only trees). The returned tree is immediately safe for
 // concurrent use.
 func BulkLoad(cap int, alg Algorithm, keys []int64, vals []uint64, fill float64) (*Tree, error) {
-	if len(keys) != len(vals) {
-		return nil, fmt.Errorf("cbtree: %d keys but %d values", len(keys), len(vals))
-	}
-	if fill <= 0 || fill > 1 {
-		return nil, fmt.Errorf("cbtree: fill factor %v outside (0, 1]", fill)
-	}
-	for i := 1; i < len(keys); i++ {
-		if keys[i-1] >= keys[i] {
-			return nil, fmt.Errorf("cbtree: keys not strictly increasing at index %d", i)
-		}
+	per, err := blink.BulkFill(cap, keys, vals, fill)
+	if err != nil {
+		return nil, fmt.Errorf("cbtree: %w", err)
 	}
 	t := New(cap, alg)
 	if len(keys) == 0 {
 		return t, nil
-	}
-	per := int(fill * float64(cap))
-	if per < 2 {
-		per = 2
 	}
 
 	// Build the leaf level.

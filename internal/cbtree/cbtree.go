@@ -40,6 +40,7 @@ import (
 	"slices"
 	"sync/atomic"
 
+	"btreeperf/internal/blink"
 	"btreeperf/internal/lock"
 )
 
@@ -175,105 +176,45 @@ func (n *node) items() int {
 // high-key test). Caller must hold n.mu.
 func (n *node) covers(key int64) bool { return n.right.Load() == nil || key < n.high.Load() }
 
-// linearScanMax is the node occupancy below which key search scans
-// sequentially: for a handful of keys a branch-predictable linear scan
-// beats binary search's data-dependent probes. From linearScanMax up —
-// the serving default capacity 64 included — search is binary. The two
-// implementations are cross-checked against each other in search_test.go.
-const linearScanMax = 16
-
-// route returns the child slot routing key among separators keys.
-func route(keys []int64, key int64) int {
-	if len(keys) < linearScanMax {
-		return routeLinear(keys, key)
-	}
-	return routeBinary(keys, key)
-}
-
 // childIndex returns the child slot routing key. Caller must hold n.mu.
-func (n *node) childIndex(key int64) int { return route(n.keys, key) }
+func (n *node) childIndex(key int64) int { return blink.Route(n.keys, key) }
 
 // keyIndex locates key in a leaf, returning its first slot (or the slot
 // it would go before) and whether it is present. Caller must hold n.mu.
 func (n *node) keyIndex(key int64) (int, bool) {
 	keys, _ := n.leaf()
-	var lo int
-	if len(keys) < linearScanMax {
-		lo = lowerBoundLinear(keys, key)
-	} else {
-		lo = lowerBoundBinary(keys, key)
-	}
-	return lo, lo < len(keys) && keys[lo] == key
+	i := blink.LowerBound(keys, key)
+	return i, i < len(keys) && keys[i] == key
 }
 
-// runEnd returns how many of a leaf's ascending keys are ≤ hi: where the
-// run a scan bounded by hi takes from the leaf ends (it starts at
-// lowerBoundLinear(keys, lo)). Only the last leaf of a scan needs the
-// search. Both bounds are found by the forward scan whatever the leaf's
-// size: the leaf a scan starts or ends in is usually cold, a binary
-// search's probes would miss the cache one after the other, and the
-// forward scan streams through the lines the run is about to be read
-// from (on a 1 M-key tree the binary search cost a 65-key page 5 % more).
+// runStart returns the first of a leaf's ascending keys that is ≥ lo,
+// and runEnd how many are ≤ hi: where the run a scan bounded by [lo, hi]
+// takes from the leaf starts and ends. Only the last leaf of a scan
+// needs runEnd's search. Both scan forward whatever the leaf's size: the
+// leaf a scan starts or ends in is usually cold, a binary search's
+// probes would miss the cache one after the other, and the forward scan
+// streams through the lines the run is about to be read from (on a 1
+// M-key tree the binary search cost a 65-key page 5 % more).
+func runStart(keys []int64, lo int64) int {
+	for i, k := range keys {
+		if k >= lo {
+			return i
+		}
+	}
+	return len(keys)
+}
+
 func runEnd(keys []int64, hi int64) int {
 	if n := len(keys); n == 0 || keys[n-1] <= hi {
 		return n
 	}
-	return lowerBoundLinear(keys, hi+1) // hi < keys[n-1], so hi+1 cannot overflow
+	return runStart(keys, hi+1) // hi < keys[n-1], so hi+1 cannot overflow
 }
 
-// routeLinear returns the number of separators ≤ key (the child slot
-// routing key) by sequential scan.
-func routeLinear(keys []int64, key int64) int {
-	for i, k := range keys {
-		if key < k {
-			return i
-		}
-	}
-	return len(keys)
-}
-
-// routeBinary is routeLinear by binary search.
-func routeBinary(keys []int64, key int64) int {
-	lo, hi := 0, len(keys)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if key < keys[mid] {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
-}
-
-// lowerBoundLinear returns the first slot whose key is ≥ key by
-// sequential scan.
-func lowerBoundLinear(keys []int64, key int64) int {
-	for i, k := range keys {
-		if k >= key {
-			return i
-		}
-	}
-	return len(keys)
-}
-
-// lowerBoundBinary is lowerBoundLinear by binary search.
-func lowerBoundBinary(keys []int64, key int64) int {
-	lo, hi := 0, len(keys)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if keys[mid] < key {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// lowerBoundAtomic is lowerBoundBinary for a latch-free reader: a writer
-// may be moving keys meanwhile, so every probe is an atomic load and
-// the result means nothing until the node's version validates.
+// lowerBoundAtomic is blink.LowerBound's binary search for a latch-free
+// reader: a writer may be moving keys meanwhile, so every probe is an
+// atomic load and the result means nothing until the node's version
+// validates.
 func lowerBoundAtomic(keys []int64, key int64) int {
 	lo, hi := 0, len(keys)
 	for lo < hi {

@@ -2,81 +2,32 @@ package cbtree
 
 import (
 	"fmt"
-	"math"
+	"slices"
+
+	"btreeperf/internal/blink"
 )
 
 // CheckInvariants validates the structure of the tree. It must only be
 // called when the tree is quiescent (no concurrent operations in flight).
-// Empty leaves are legal: deletes leave them in place until Compact.
+// Empty leaves are legal: deletes leave them in place until Compact. It
+// checks the node contract every tree here shares (blink.Check), each
+// node's layout first (checkLayout); an OLC leaf hands the check one key
+// per item, its gaps left out.
 func (t *Tree) CheckInvariants() error {
-	root := t.root.Load()
-	leftmost := make(map[int]*node)
-	count := 0
-	if err := t.checkNode(root, math.MinInt64, 0, true, leftmost, &count); err != nil {
-		return err
-	}
-	if count != t.Len() {
-		return fmt.Errorf("cbtree: size %d but %d keys in leaves", t.Len(), count)
-	}
-	for level := 1; level <= root.level; level++ {
-		if err := checkChain(leftmost[level], level); err != nil {
-			return err
+	err := blink.Check(t.root.Load(), t.cap, t.Len(), func(n *node) (blink.Node[*node], error) {
+		if err := t.checkLayout(n); err != nil {
+			return blink.Node[*node]{}, err
 		}
-	}
-	return nil
-}
-
-func (t *Tree) checkNode(n *node, lo, hi int64, hiInf bool, leftmost map[int]*node, count *int) error {
-	if _, seen := leftmost[n.level]; !seen {
-		leftmost[n.level] = n
-	}
-	if n.items() > t.cap {
-		return fmt.Errorf("cbtree: level %d node over capacity: %d > %d", n.level, n.items(), t.cap)
-	}
-	if err := t.checkLayout(n); err != nil {
-		return err
-	}
-	right := n.right.Load()
-	if hiInf {
-		if right != nil {
-			return fmt.Errorf("cbtree: rightmost level-%d node has a right sibling", n.level)
+		v := blink.Node[*node]{Level: n.level, Keys: n.keys, Children: n.children, High: n.high.Load(), Right: n.right.Load()}
+		v.HasHigh = v.Right != nil
+		if n.isLeaf() {
+			keys, _ := n.leaf()
+			v.Keys = slices.Compact(slices.Clone(keys))
 		}
-	} else if right == nil || n.high.Load() != hi {
-		return fmt.Errorf("cbtree: level %d high key %d (right %p), want %d", n.level, n.high.Load(), right, hi)
-	}
-	if n.isLeaf() {
-		keys, _ := n.leaf()
-		for _, k := range keys {
-			if k < lo || (!hiInf && k >= hi) {
-				return fmt.Errorf("cbtree: leaf key %d outside [%d, %d)", k, lo, hi)
-			}
-		}
-		*count += n.items()
-		return nil
-	}
-	for i := 1; i < len(n.keys); i++ {
-		if n.keys[i-1] >= n.keys[i] {
-			return fmt.Errorf("cbtree: level %d keys out of order", n.level)
-		}
-	}
-	if len(n.children) != len(n.keys)+1 || len(n.children) == 0 {
-		return fmt.Errorf("cbtree: level %d has %d children, %d routers", n.level, len(n.children), len(n.keys))
-	}
-	for i, c := range n.children {
-		if c.level != n.level-1 {
-			return fmt.Errorf("cbtree: child level %d under level %d", c.level, n.level)
-		}
-		clo := lo
-		if i > 0 {
-			clo = n.keys[i-1]
-		}
-		chi, chiInf := hi, hiInf
-		if i < len(n.keys) {
-			chi, chiInf = n.keys[i], false
-		}
-		if err := t.checkNode(c, clo, chi, chiInf, leftmost, count); err != nil {
-			return err
-		}
+		return v, nil
+	})
+	if err != nil {
+		return fmt.Errorf("cbtree: %w", err)
 	}
 	return nil
 }
@@ -91,25 +42,25 @@ func (t *Tree) checkNode(n *node, lo, hi int64, hiInf bool, leftmost map[int]*no
 // arrays, with no pointer left behind them for the GC to retain.
 func (t *Tree) checkLayout(n *node) error {
 	if v := n.mu.Version(); v&1 != 0 {
-		return fmt.Errorf("cbtree: level %d node version %d odd while quiescent", n.level, v)
+		return fmt.Errorf("level %d node version %d odd while quiescent", n.level, v)
 	}
 	r := n.img.Load()
 	if n.isLeaf() {
 		if len(n.keys) != t.cap || cap(n.keys) != t.cap || len(n.vals) != t.cap || cap(n.vals) != t.cap {
-			return fmt.Errorf("cbtree: leaf storage keys %d/%d vals %d/%d, want %d slots",
+			return fmt.Errorf("leaf storage keys %d/%d vals %d/%d, want %d slots",
 				len(n.keys), cap(n.keys), len(n.vals), cap(n.vals), t.cap)
 		}
 		if r != nil || n.children != nil {
-			return fmt.Errorf("cbtree: leaf with routing")
+			return fmt.Errorf("leaf with routing")
 		}
 		return t.checkSlots(n)
 	}
 	if n.vals != nil || r == nil || !sameArray(r.keys, n.keys) || !sameArray(r.children, n.children) {
-		return fmt.Errorf("cbtree: level %d routing image is not the node's keys and children", n.level)
+		return fmt.Errorf("level %d routing image is not the node's keys and children", n.level)
 	}
 	for _, c := range n.children[len(n.children):cap(n.children)] {
 		if c != nil {
-			return fmt.Errorf("cbtree: level %d keeps a child pointer beyond its %d children", n.level, len(n.children))
+			return fmt.Errorf("level %d keeps a child pointer beyond its %d children", n.level, len(n.children))
 		}
 	}
 	return nil
@@ -118,7 +69,7 @@ func (t *Tree) checkLayout(n *node) error {
 // checkSlots verifies a leaf's slots in use against its gap invariant.
 func (t *Tree) checkSlots(n *node) error {
 	if end := n.slots(); end > t.cap {
-		return fmt.Errorf("cbtree: leaf uses %d slots of %d", end, t.cap)
+		return fmt.Errorf("leaf uses %d slots of %d", end, t.cap)
 	}
 	keys, vals := n.leaf()
 	runs := 0
@@ -127,15 +78,15 @@ func (t *Tree) checkSlots(n *node) error {
 		case s == 0 || keys[s-1] < k:
 			runs++
 		case keys[s-1] > k:
-			return fmt.Errorf("cbtree: leaf keys out of order at slot %d", s)
+			return fmt.Errorf("leaf keys out of order at slot %d", s)
 		case t.alg != OLC:
-			return fmt.Errorf("cbtree: %v leaf has a gap at slot %d", t.alg, s-1)
+			return fmt.Errorf("%v leaf has a gap at slot %d", t.alg, s-1)
 		case vals[s-1] != vals[s]:
-			return fmt.Errorf("cbtree: leaf key %d carries values %d and %d", k, vals[s-1], vals[s])
+			return fmt.Errorf("leaf key %d carries values %d and %d", k, vals[s-1], vals[s])
 		}
 	}
 	if runs != n.items() {
-		return fmt.Errorf("cbtree: leaf counts %d items in %d runs of keys", n.items(), runs)
+		return fmt.Errorf("leaf counts %d items in %d runs of keys", n.items(), runs)
 	}
 	return nil
 }
@@ -143,21 +94,4 @@ func (t *Tree) checkSlots(n *node) error {
 // sameArray reports whether a and b are the same slice of the same array.
 func sameArray[T any](a, b []T) bool {
 	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
-}
-
-func checkChain(first *node, level int) error {
-	if first == nil {
-		return fmt.Errorf("cbtree: level %d missing", level)
-	}
-	prev := (*node)(nil)
-	for n := first; n != nil; n = n.right.Load() {
-		if n.level != level {
-			return fmt.Errorf("cbtree: level %d chain reached level %d", level, n.level)
-		}
-		if prev != nil && n.right.Load() != nil && n.high.Load() <= prev.high.Load() {
-			return fmt.Errorf("cbtree: level %d high keys not ascending", level)
-		}
-		prev = n
-	}
-	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"btreeperf/internal/blink"
 	"btreeperf/internal/lock"
 )
 
@@ -143,7 +144,7 @@ func (n *node) olcRoute(key int64) (next *node, v uint64, covered, valid bool) {
 	next, covered = n.olcCovers(key)
 	if covered {
 		r := n.img.Load()
-		next = r.children[route(r.keys, key)]
+		next = r.children[blink.Route(r.keys, key)]
 	}
 	return next, v, covered, n.mu.Validate(v)
 }

@@ -302,7 +302,7 @@ func (t *Tree) RangeLeaves(lo, hi int64, fn func(keys []int64, vals []uint64) bo
 	n := t.rlockLeaf(lo)
 	for {
 		keys, vals := n.leaf()
-		i, j := lowerBoundLinear(keys, lo), runEnd(keys, hi)
+		i, j := runStart(keys, lo), runEnd(keys, hi)
 		next := n.right.Load()
 		if (i < j && !fn(keys[i:j], vals[i:j])) || j < len(keys) || next == nil {
 			n.mu.RUnlock()

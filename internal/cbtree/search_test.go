@@ -5,40 +5,12 @@ import (
 	"testing"
 )
 
-// TestSearchLinearBinaryAgree cross-checks the linear and binary node
-// search paths against each other on sorted key sets of every size a
-// node can hold, probing present keys, absent keys, and both ends.
-func TestSearchLinearBinaryAgree(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for size := 0; size <= 64; size++ {
-		keys := make([]int64, 0, size)
-		next := int64(rng.Intn(8))
-		for i := 0; i < size; i++ {
-			next += int64(1 + rng.Intn(6)) // strictly increasing, gaps of 1..6
-			keys = append(keys, next)
-		}
-		probes := []int64{-1, 0, next + 1, next + 100}
-		for _, k := range keys {
-			probes = append(probes, k, k-1, k+1)
-		}
-		for _, k := range probes {
-			if got, want := routeLinear(keys, k), routeBinary(keys, k); got != want {
-				t.Fatalf("size %d key %d: routeLinear=%d routeBinary=%d (keys %v)",
-					size, k, got, want, keys)
-			}
-			if got, want := lowerBoundLinear(keys, k), lowerBoundBinary(keys, k); got != want {
-				t.Fatalf("size %d key %d: lowerBoundLinear=%d lowerBoundBinary=%d (keys %v)",
-					size, k, got, want, keys)
-			}
-		}
-	}
-}
-
 // TestSearchPathEquivalence runs an identical randomized workload through
-// a capacity-8 tree (every node below linearScanMax, so always the linear
-// path) and a capacity-64 tree (nodes mostly at or above it, so mostly
-// the binary path) and checks that every operation's result agrees —
-// an end-to-end check that the two search paths route identically.
+// a capacity-8 tree (every node below blink's linear-scan bound, so
+// always the linear path) and a capacity-64 tree (nodes mostly at or
+// above it, so mostly the binary path) and checks that every operation's
+// result agrees — an end-to-end check that the two search paths route
+// identically.
 func TestSearchPathEquivalence(t *testing.T) {
 	for _, alg := range []Algorithm{LockCoupling, Optimistic, LinkType, OLC} {
 		t.Run(alg.String(), func(t *testing.T) {

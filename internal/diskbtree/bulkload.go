@@ -1,8 +1,10 @@
 package diskbtree
 
 import (
+	"cmp"
 	"fmt"
 
+	"btreeperf/internal/blink"
 	"btreeperf/internal/pagestore"
 )
 
@@ -12,16 +14,9 @@ import (
 // strictly increasing and parallel to vals; fill in (0, 1]. The returned
 // tree is synced and ready for concurrent use.
 func BulkLoad(path string, opts Options, keys []int64, vals []uint64, fill float64) (*Tree, error) {
-	if len(keys) != len(vals) {
-		return nil, fmt.Errorf("diskbtree: %d keys but %d values", len(keys), len(vals))
-	}
-	if fill <= 0 || fill > 1 {
-		return nil, fmt.Errorf("diskbtree: fill factor %v outside (0, 1]", fill)
-	}
-	for i := 1; i < len(keys); i++ {
-		if keys[i-1] >= keys[i] {
-			return nil, fmt.Errorf("diskbtree: keys not strictly increasing at index %d", i)
-		}
+	per, err := blink.BulkFill(cmp.Or(opts.Cap, defaultCap), keys, vals, fill)
+	if err != nil {
+		return nil, fmt.Errorf("diskbtree: %w", err)
 	}
 	t, err := Open(path, opts)
 	if err != nil {
@@ -38,7 +33,7 @@ func BulkLoad(path string, opts Options, keys []int64, vals []uint64, fill float
 	// The tree goes onto fresh pages of the open file, past the pool: no
 	// page of it is cached yet, and the empty root Open made stays in the
 	// map, unreferenced (a page of slack: page ids are never handed back).
-	b := newImageBuilder(t.store, int(fill*float64(t.cap)))
+	b := &imageBuilder{store: t.store, per: per}
 	err = b.addRun(keys, vals)
 	var root pagestore.PageID
 	if err == nil {
@@ -78,10 +73,6 @@ type imageBuilder struct {
 	per    int // items a node is filled to
 	levels []*pendingNode
 	page   [pagestore.PageSize]byte // every node is encoded and written from here
-}
-
-func newImageBuilder(store *pagestore.Store, per int) *imageBuilder {
-	return &imageBuilder{store: store, per: max(per, 2)}
 }
 
 // level returns the pending node at level index lvl, starting the level

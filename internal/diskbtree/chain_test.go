@@ -341,5 +341,8 @@ func TestCrashNamedChainStates(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkChainRecovery(t, "state d", path, acked)
+		if _, err := os.Stat(path + ".oplog.tmp"); !os.IsNotExist(err) {
+			t.Fatalf("state d: the earlier format's .oplog.tmp survived Open (%v)", err)
+		}
 	})
 }

@@ -29,12 +29,16 @@ import (
 	"fmt"
 	"math"
 
+	"btreeperf/internal/blink"
 	"btreeperf/internal/pagestore"
 )
 
 // MaxCap is the largest node capacity a 4 KiB page can hold
 // (16 bytes per item plus the header).
 const MaxCap = 250
+
+// defaultCap is the node capacity a zero Options.Cap stands for.
+const defaultCap = 128
 
 // headerSize is the serialized node header:
 // level(2) flags(1) pad(1) nkeys(4) high(8) right(8).
@@ -86,32 +90,10 @@ func (n node) child(i int) pagestore.PageID { return pagestore.PageID(n.p[i]) }
 
 func (n node) covers(key int64) bool { return !n.hasHigh || key < n.high }
 
-func (n node) childIndex(key int64) int {
-	keys := n.keys()
-	lo, hi := 0, len(keys)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if key < keys[mid] {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
-}
-
 func (n node) keyIndex(key int64) (int, bool) {
 	keys := n.keys()
-	lo, hi := 0, len(keys)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if keys[mid] < key {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, lo < len(keys) && keys[lo] == key
+	i := blink.LowerBound(keys, key)
+	return i, i < len(keys) && keys[i] == key
 }
 
 // insert puts key at index ki of the keys and ptr at index pi of the

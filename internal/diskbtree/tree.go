@@ -1,12 +1,14 @@
 package diskbtree
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 
+	"btreeperf/internal/blink"
 	"btreeperf/internal/journal"
 	"btreeperf/internal/pagestore"
 )
@@ -69,7 +71,8 @@ func (t *Tree) poison(err error) error {
 
 // Options configures Open.
 type Options struct {
-	// Cap is the maximum items per node (3..MaxCap). Default 128.
+	// Cap is the maximum items per node (3..MaxCap). Default 128
+	// (defaultCap).
 	Cap int
 	// CacheNodes is the buffer-pool capacity in nodes. Default 1024.
 	CacheNodes int
@@ -89,9 +92,7 @@ type Options struct {
 
 // Open opens (creating if necessary) a tree stored at path.
 func Open(path string, opts Options) (*Tree, error) {
-	if opts.Cap == 0 {
-		opts.Cap = 128
-	}
+	opts.Cap = cmp.Or(opts.Cap, defaultCap)
 	if opts.Cap < 3 || opts.Cap > MaxCap {
 		return nil, fmt.Errorf("diskbtree: capacity %d outside [3, %d]", opts.Cap, MaxCap)
 	}
@@ -375,7 +376,7 @@ func (t *Tree) descend(level int, key int64, write bool, stack []pagestore.PageI
 			t.rUnlatch(n)
 			continue
 		}
-		id, at = n.child(n.childIndex(key)), int(n.level)-1
+		id, at = n.child(blink.Route(n.keys(), key)), int(n.level)-1
 		if stack != nil {
 			stack = append(stack, n.id)
 		}
@@ -472,7 +473,7 @@ func (t *Tree) insertItem(n node, ki int, key int64, pi int, ptr uint64, stack [
 		if err != nil {
 			return err
 		}
-		ki = n.childIndex(sep)
+		ki = blink.Route(n.keys(), sep)
 		key, pi, ptr = sep, ki+1, uint64(sib)
 	}
 	n.insert(ki, key, pi, ptr)

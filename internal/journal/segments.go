@@ -74,17 +74,21 @@ func (j *Journal) pruneLocked(upTo, floor int64) (drop []string) {
 }
 
 // readSegments reads every sealed segment file in the oplog's directory:
-// the valid ones sorted by base with their records, and the paths of the
-// ones without a valid header. An unreadable directory reads as no
-// segments. Caller holds mu.
+// the valid ones sorted by base with their records, and as junk the
+// paths of the ones without a valid header and of an X.oplog.tmp, which
+// an interrupted rotation of the earlier oplog format left and nothing
+// reads. An unreadable directory reads as no segments. Caller holds mu.
 func (j *Journal) readSegments() (segs []segment, ops [][]Op, junk []string) {
-	dir, prefix := filepath.Dir(j.oPath), filepath.Base(j.oPath)+".seg-"
+	dir, name := filepath.Dir(j.oPath), filepath.Base(j.oPath)
 	entries, _ := os.ReadDir(dir) // sorted by name, so by base
 	for _, e := range entries {
-		if !strings.HasPrefix(e.Name(), prefix) {
+		path := filepath.Join(dir, e.Name())
+		if e.Name() == name+".tmp" {
+			junk = append(junk, path)
+		}
+		if !strings.HasPrefix(e.Name(), name+".seg-") {
 			continue
 		}
-		path := filepath.Join(dir, e.Name())
 		b, err := readFile(j.fs, path)
 		base, ok := parseOplogHdr(b)
 		if err != nil || !ok {

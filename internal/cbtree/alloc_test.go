@@ -1,6 +1,7 @@
 package cbtree
 
 import (
+	"runtime"
 	"testing"
 	"unsafe"
 )
@@ -16,14 +17,69 @@ import (
 // from birth and the ancestor stack rides on the descent's own stack
 // frame or in the hint.
 
-// TestNodeSize pins what every node of every tree costs before its keys:
-// 112 bytes of fields on top of lock.VersionLock (TestLockSize there). At
-// 224 bytes a node fills its allocator size class exactly; one more word
-// and it pays for the 240-byte class, two more and for the 256-byte one —
-// on every node, which BENCHMARK.json bounds as heap_mb and store_b_per_key.
+// TestNodeSize pins what a node costs the heap: one allocation of a
+// 120-byte header (mu, a lock.VersionLock, is 88 of them: TestLockSize
+// there) and its keys and values or children inline. At the serving
+// capacity that is 120 + 64·8 + 64·8 = 1,144 bytes, plus the 8-byte type
+// header the allocator gives an object over 512 bytes with pointers in
+// it: 1,152, one size class exactly. One more header word and every node
+// pays for the 1,280-byte class, which BENCHMARK.json bounds as heap_mb
+// and store_b_per_key. The bytes are measured, not computed, so whatever
+// the allocator adds shows.
 func TestNodeSize(t *testing.T) {
-	if got := unsafe.Sizeof(node{}); got > 224 {
-		t.Errorf("node is %d bytes, want <= 224: check lock.FCFSRWMutex and the field order", got)
+	if got := unsafe.Sizeof(node{}); got > 120 {
+		t.Errorf("node header is %d bytes, want <= 120: check lock.FCFSRWMutex and the field order", got)
+	}
+	const count = 4096
+	tr := New(64, OLC)
+	for _, level := range []int{1, 2} {
+		nodes := make([]*node, count)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := range nodes {
+			nodes[i] = tr.newNode(level)
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / count; per > 1152 {
+			t.Errorf("a cap-64 level-%d node costs %d bytes, want <= 1152", level, per)
+		}
+		runtime.KeepAlive(nodes)
+	}
+}
+
+// TestSplitAllocs: a leaf split allocates its new sibling and nothing
+// else, under every algorithm. The parent has room, so it takes the new
+// entry in place: an inner insert that does not split allocates nothing,
+// having nothing to republish.
+func TestSplitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	for _, alg := range algorithms {
+		t.Run(alg.String(), func(t *testing.T) {
+			// 11 keys per 16-slot leaf and 11 children per parent; leaf j
+			// holds 33j..33j+30. Each run fills leaf 50·r to capacity with
+			// five new keys, then splits it with a sixth: every run's leaf
+			// has a parent of its own, which has room.
+			tr := allocTree(t, alg, 10000)
+			height, splits, leaf := tr.Height(), tr.Stats().Splits, int64(0)
+			if n := testing.AllocsPerRun(15, func() {
+				for k := leaf*33 + 1; k <= leaf*33+16; k += 3 {
+					if !tr.Insert(k, 7) {
+						t.Fatalf("Insert(%d) found the key already there", k)
+					}
+				}
+				leaf += 50
+			}); n != 1 {
+				t.Errorf("a leaf split: %v allocs/op, want 1 (the new leaf)", n)
+			}
+			if got := tr.Stats().Splits - splits; got != 16 || tr.Height() != height {
+				t.Errorf("%d splits and height %d -> %d, want one leaf split per run", got, height, tr.Height())
+			}
+			if err := tr.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

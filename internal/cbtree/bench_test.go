@@ -17,10 +17,14 @@ const (
 	benchCap  = 64
 )
 
-func benchTree(b *testing.B, alg Algorithm) *Tree {
+func benchTree(b *testing.B, alg Algorithm) *Tree { return benchTreeOf(b, alg, benchKeys) }
+
+// benchTreeOf bulk-loads n keys, 0, 10, 20, …, at the serving capacity
+// and fill.
+func benchTreeOf(b *testing.B, alg Algorithm, n int) *Tree {
 	b.Helper()
-	keys := make([]int64, benchKeys)
-	vals := make([]uint64, benchKeys)
+	keys := make([]int64, n)
+	vals := make([]uint64, n)
 	for i := range keys {
 		keys[i], vals[i] = int64(i)*10, uint64(i)
 	}
@@ -32,9 +36,13 @@ func benchTree(b *testing.B, alg Algorithm) *Tree {
 }
 
 func benchAlgorithms(b *testing.B, run func(b *testing.B, tr *Tree, src *xrand.Source)) {
+	benchAlgorithmsOf(b, benchKeys, run)
+}
+
+func benchAlgorithmsOf(b *testing.B, n int, run func(b *testing.B, tr *Tree, src *xrand.Source)) {
 	for _, alg := range algorithms {
 		b.Run(alg.String(), func(b *testing.B) {
-			tr := benchTree(b, alg)
+			tr := benchTreeOf(b, alg, n)
 			b.ReportAllocs()
 			b.ResetTimer()
 			run(b, tr, xrand.New(1))
@@ -42,10 +50,17 @@ func benchAlgorithms(b *testing.B, run func(b *testing.B, tr *Tree, src *xrand.S
 	}
 }
 
-func BenchmarkTreeSearch(b *testing.B) {
-	benchAlgorithms(b, func(b *testing.B, tr *Tree, src *xrand.Source) {
+func BenchmarkTreeSearch(b *testing.B) { benchSearch(b, benchKeys) }
+
+// Search1M is Search on a million keys, about 23,000 leaves and 26 MB of
+// nodes: most of a descent's levels miss the cache, so its ns/op prices
+// the node layout a lone descent walks.
+func BenchmarkTreeSearch1M(b *testing.B) { benchSearch(b, 1000000) }
+
+func benchSearch(b *testing.B, n int) {
+	benchAlgorithmsOf(b, n, func(b *testing.B, tr *Tree, src *xrand.Source) {
 		for i := 0; i < b.N; i++ {
-			if _, ok := tr.Search(src.Int63n(benchKeys) * 10); !ok {
+			if _, ok := tr.Search(src.Int63n(int64(n)) * 10); !ok {
 				b.Fatal("a stored key is missing")
 			}
 		}

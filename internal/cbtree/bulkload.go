@@ -25,10 +25,7 @@ func BulkLoad(cap int, alg Algorithm, keys []int64, vals []uint64, fill float64)
 	// Build the leaf level.
 	var level []built
 	for off := 0; off < len(keys); off += per {
-		end := off + per
-		if end > len(keys) {
-			end = len(keys)
-		}
+		end := min(off+per, len(keys))
 		n := t.newNode(1)
 		n.lay(keys[off:end], vals[off:end], -1, 0, 0, alg == OLC)
 		level = append(level, built{n: n, min: keys[off]})
@@ -36,25 +33,14 @@ func BulkLoad(cap int, alg Algorithm, keys []int64, vals []uint64, fill float64)
 	linkLevel(level)
 
 	// Stack internal levels until one node remains.
-	h := 1
-	for len(level) > 1 {
-		h++
+	for h := 2; len(level) > 1; h++ {
 		var parents []built
-		for off := 0; off < len(level); off += per {
-			end := off + per
-			if end > len(level) {
-				end = len(level)
+		for j, c := range level {
+			if j%per == 0 {
+				parents = append(parents, built{n: t.newNode(h), min: c.min})
 			}
-			n := t.newNode(h)
-			seps, children := make([]int64, 0, end-off-1), make([]*node, 0, end-off)
-			for j := off; j < end; j++ {
-				children = append(children, level[j].n)
-				if j > off {
-					seps = append(seps, level[j].min)
-				}
-			}
-			n.setRouting(seps, children)
-			parents = append(parents, built{n: n, min: level[off].min})
+			p := parents[len(parents)-1].n
+			p.putEntry(p.items(), c.min, c.n)
 		}
 		linkLevel(parents)
 		level = parents

@@ -19,14 +19,16 @@
 //     olc.go).
 //
 // The four differ only in their locking protocol (ops.go, olc.go). Under
-// it is one node kernel — one leaf layout, one inner layout, one way to
-// put, remove, split and route (see node) — so they are directly
-// comparable (see the benchmarks at the repository root, the modern
-// analogue of the paper's Figure 12) and a sequential stream builds the
-// same tree under all of them. The kernel asks which algorithm it serves
-// only to choose how a leaf is written: under OLC it keeps its free slots
-// as gaps between its items and takes atomic stores, under the other
-// three it stays dense and takes plain ones.
+// it is one node kernel — one node layout, one allocation per node with
+// its keys and values or children inline, one way to put, remove, split
+// and route (see node) — so they are directly comparable (see the
+// benchmarks at the repository root, the modern analogue of the paper's
+// Figure 12) and a sequential stream builds the same tree under all of
+// them. Every node is written in place under its W lock. The kernel asks
+// which algorithm it serves only to choose how a leaf is written: under
+// OLC it keeps its free slots as gaps between its items and takes atomic
+// stores, under the other three it stays dense and takes plain ones.
+// Inner nodes take atomic stores under all four.
 //
 // Restructuring is merge-at-empty in the lazy sense the paper adopts for
 // the Link-type algorithm: nodes emptied by deletes remain in place and
@@ -37,8 +39,10 @@ package cbtree
 
 import (
 	"fmt"
-	"slices"
+	"math"
+	"reflect"
 	"sync/atomic"
+	"unsafe"
 
 	"btreeperf/internal/blink"
 	"btreeperf/internal/lock"
@@ -92,92 +96,87 @@ type Stats struct {
 // then recovers via right links. A node has a high key exactly when it
 // has a right sibling.
 //
-// There is one layout, whatever the algorithm, and it is the one
-// lock.VersionLock's contract asks of state that latch-free readers read
-// between ReadBegin and Validate while a writer may be at work:
+// A node is one allocation: this 120-byte header, then cap keys, then
+// cap values (a leaf) or children (an inner node), inline, in a type
+// built per tree (nodeType) so the GC knows which words are pointers. At
+// cap 64 it fills the allocator's 1,152-byte class exactly (TestNodeSize).
+// The arrays never move or change size, and every word a latch-free reader
+// loads is written in place under the W lock by an atomic store, as
+// lock.VersionLock asks. There is one layout, whatever the algorithm:
 //
-//   - a leaf gets keys and vals once, at exactly cap slots, and the two
-//     slice headers never change again, so no index a reader computes can
-//     leave the storage. Slots [0, end) hold non-decreasing keys, and
-//     fill packs end with the item count into one word. A slot whose key
-//     equals its right neighbour's is a gap: a copy of that neighbour's
-//     key and value, so a search over [0, end) lands on an item's first
-//     copy. Only OLC's leaves keep gaps (splits and BulkLoad spread their
-//     items over all cap slots): an insert takes the nearest gap or the
-//     free tail and moves only the items in between, a delete turns the
-//     item's slots into copies of its right neighbour, and every store is
-//     atomic, because latch-free readers load the same slots. The three
-//     locking algorithms keep a leaf dense (end equals the item count)
-//     and shift its items with copy. Storage ends at a full node: an
-//     insert into a full leaf half-splits around the new item into a
-//     sibling nobody can reach yet (splitLeaf);
-//   - an inner node's routing is replaced, never edited: a writer builds
-//     fresh keys and children and publishes the pair through img, the
-//     only way latch-free readers reach them (setRouting). Inner nodes
-//     change once per child split, so this is the cheap side to keep
-//     immutable;
-//   - right and high are atomic (a plain load on the platforms this runs
-//     on; they are stored only by splits), and a sibling is complete
-//     before its left neighbour's right link makes it reachable.
+//   - a leaf's slots [0, end) hold non-decreasing keys, and fill packs
+//     end with the item count into one word. A slot whose key equals its
+//     right neighbour's is a gap, a copy of that neighbour's item, so a
+//     search over [0, end) lands on an item's first copy. Only OLC's
+//     leaves keep gaps (gapInsert, gapRemove, lay), with atomic stores;
+//     the three locking algorithms keep a leaf dense and shift with copy;
+//   - an inner node's entries (key, child) fill slots [0, count), count
+//     in both halves of fill. Child i routes from keys[i] up; keys[0] is
+//     never routed by and holds the separator the node was split off
+//     under, so the keys ascend strictly. An entry is added in place
+//     (putEntry), with atomic stores under every algorithm;
+//   - a full node half-splits around the new item into a sibling nobody
+//     can reach yet (splitLeaf, splitInner), and the sibling is complete
+//     before its left neighbour's right link, an atomic, leads to it.
 //
 // Lock holders read everything plainly: the lock orders them with the
 // writers.
 type node struct {
-	mu       lock.VersionLock
-	level    int
-	fill     atomic.Uint64 // leaf: item count << 32 | slots in use
-	keys     []int64       // leaf: cap slots; inner: the current separators
-	vals     []uint64      // leaf: cap slots
-	children []*node       // inner: the current children
-	right    atomic.Pointer[node]
-	high     atomic.Int64
-	img      atomic.Pointer[routing] // inner: {keys, children}
+	mu    lock.VersionLock
+	level int32
+	cap   int32         // slots in each inline array
+	fill  atomic.Uint64 // item count << 32 | slots in use
+	right atomic.Pointer[node]
+	high  atomic.Int64
 }
 
-// routing is what a latch-free reader sees of an inner node: the node's
-// current keys and children slices, immutable once published.
-type routing struct {
-	keys     []int64
-	children []*node
+// nodeType is the type of a node of capacity cap: header, keys, tails.
+func nodeType(cap int, tail reflect.Type) reflect.Type {
+	return reflect.StructOf([]reflect.StructField{
+		{Name: "Header", Type: reflect.TypeFor[node]()},
+		{Name: "Keys", Type: reflect.ArrayOf(cap, reflect.TypeFor[int64]())},
+		{Name: "Tail", Type: reflect.ArrayOf(cap, tail)},
+	})
 }
 
-// setRouting installs an inner node's routing arrays. Caller holds n.mu
-// exclusively, or owns n because it is not yet reachable.
-func (n *node) setRouting(keys []int64, children []*node) {
-	n.keys, n.children = keys, children
-	n.img.Store(&routing{keys: keys, children: children})
+// inline returns the node's inline array i: 0 its keys, 1 a leaf's vals
+// or an inner node's kids, which are the same words.
+func inline[T any](n *node, i uintptr) []T {
+	return unsafe.Slice((*T)(unsafe.Add(unsafe.Pointer(n), unsafe.Sizeof(node{})+i*8*uintptr(n.cap))), n.cap)
 }
+
+func (n *node) keys() []int64                { return inline[int64](n, 0) }
+func (n *node) vals() []uint64               { return inline[uint64](n, 1) }
+func (n *node) kids() []atomic.Pointer[node] { return inline[atomic.Pointer[node]](n, 1) }
 
 func (n *node) isLeaf() bool { return n.level == 1 }
 
-// slots returns how many of a leaf's slots are in use, gaps included.
+// slots returns how many of a node's slots are in use, gaps included.
 func (n *node) slots() int { return int(uint32(n.fill.Load())) }
 
-// setFill records a leaf's slots in use and its item count in one store.
+// setFill records a node's slots in use and its item count in one store.
 func (n *node) setFill(slots, items int) { n.fill.Store(uint64(items)<<32 | uint64(slots)) }
 
 // leaf returns a leaf's slots in use: its items in ascending order, each
 // preceded by its gaps, if it keeps any. Caller must hold n.mu.
 func (n *node) leaf() ([]int64, []uint64) {
 	s := n.slots()
-	return n.keys[:s], n.vals[:s]
+	return n.keys()[:s], n.vals()[:s]
 }
 
 // items is the paper's occupancy: keys for leaves, children for internal
 // nodes. Caller must hold n.mu.
-func (n *node) items() int {
-	if n.isLeaf() {
-		return int(n.fill.Load() >> 32)
-	}
-	return len(n.children)
-}
+func (n *node) items() int { return int(n.fill.Load() >> 32) }
 
 // covers reports whether key belongs at or below this node (Link-type
 // high-key test). Caller must hold n.mu.
 func (n *node) covers(key int64) bool { return n.right.Load() == nil || key < n.high.Load() }
 
-// childIndex returns the child slot routing key. Caller must hold n.mu.
-func (n *node) childIndex(key int64) int { return blink.Route(n.keys, key) }
+// childIndex returns the slot of the child routing key. Caller holds n.mu.
+func (n *node) childIndex(key int64) int { return blink.Route(n.keys()[1:n.items()], key) }
+
+// child returns the child routing key. Caller must hold n.mu.
+func (n *node) child(key int64) *node { return n.kids()[n.childIndex(key)].Load() }
 
 // keyIndex locates key in a leaf, returning its first slot (or the slot
 // it would go before) and whether it is present. Caller must hold n.mu.
@@ -211,15 +210,14 @@ func runEnd(keys []int64, hi int64) int {
 	return runStart(keys, hi+1) // hi < keys[n-1], so hi+1 cannot overflow
 }
 
-// lowerBoundAtomic is blink.LowerBound's binary search for a latch-free
-// reader: a writer may be moving keys meanwhile, so every probe is an
-// atomic load and the result means nothing until the node's version
-// validates.
-func lowerBoundAtomic(keys []int64, key int64) int {
+// searchAtomic is blink.LowerBound, or with route blink.Route, for a
+// latch-free reader: every probe is an atomic load, and the result means
+// nothing until the node's version validates.
+func searchAtomic(keys []int64, key int64, route bool) int {
 	lo, hi := 0, len(keys)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if atomic.LoadInt64(&keys[mid]) < key {
+		if k := atomic.LoadInt64(&keys[mid]); k < key || route && k == key {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -235,6 +233,8 @@ type Tree struct {
 	cap  int
 	root atomic.Pointer[node]
 	size atomic.Int64
+
+	types [3]reflect.Type // nodeType at cap: [1] a leaf's, [2] an inner node's
 
 	splits        atomic.Int64
 	restarts      atomic.Int64
@@ -259,20 +259,18 @@ func New(cap int, alg Algorithm) *Tree {
 		panic(fmt.Sprintf("cbtree: unknown algorithm %v", alg))
 	}
 	t := &Tree{alg: alg, cap: cap}
+	t.types[1], t.types[2] = nodeType(cap, reflect.TypeFor[uint64]()), nodeType(cap, reflect.TypeFor[*node]())
 	t.root.Store(t.newNode(1))
 	return t
 }
 
-// newNode returns an empty node for the given level, wired to the
-// level's telemetry sink and, for a leaf, holding its storage.
+// newNode returns an empty node for the given level, one allocation with
+// its storage inline, wired to the level's telemetry sink.
 func (t *Tree) newNode(level int) *node {
-	n := &node{level: level}
+	n := (*node)(reflect.New(t.types[min(level, 2)]).UnsafePointer())
+	n.level, n.cap = int32(level), int32(t.cap)
 	if t.probe != nil {
 		n.mu.SetProbe(t.probe(level))
-	}
-	if level == 1 {
-		n.keys = make([]int64, t.cap)
-		n.vals = make([]uint64, t.cap)
 	}
 	return n
 }
@@ -300,7 +298,7 @@ func (t *Tree) Stats() Stats {
 
 // Height returns the current number of levels. It is exact when quiescent
 // and approximate under concurrent root splits.
-func (t *Tree) Height() int { return t.root.Load().level }
+func (t *Tree) Height() int { return int(t.root.Load().level) }
 
 // Instrument attaches per-level lock telemetry: sinkFor(level) returns the
 // probe that every node lock at that level reports into (level 1 is the
@@ -323,9 +321,9 @@ func (t *Tree) Instrument(sinkFor func(level int) lock.Probe) {
 // child of some parent (right-linked siblings included, once split repair
 // completes), so child recursion reaches all of them.
 func (t *Tree) instrumentAll(n *node, sinkFor func(level int) lock.Probe) {
-	n.mu.SetProbe(sinkFor(n.level))
-	for _, c := range n.children {
-		t.instrumentAll(c, sinkFor)
+	n.mu.SetProbe(sinkFor(int(n.level)))
+	for i := 0; !n.isLeaf() && i < n.items(); i++ {
+		t.instrumentAll(n.kids()[i].Load(), sinkFor)
 	}
 }
 
@@ -381,11 +379,11 @@ func (t *Tree) leafPut(n *node, key int64, val uint64) (fresh bool, sib *node, s
 	if ok {
 		if latchFree {
 			// Every copy: a reader's search lands on the first one.
-			for keys := n.keys[:n.slots()]; i < len(keys) && keys[i] == key; i++ {
-				atomic.StoreUint64(&n.vals[i], val)
+			for keys, vals := n.leaf(); i < len(keys) && keys[i] == key; i++ {
+				atomic.StoreUint64(&vals[i], val)
 			}
 		} else {
-			n.vals[i] = val
+			n.vals()[i] = val
 		}
 		return false, nil, 0
 	}
@@ -425,7 +423,7 @@ func (t *Tree) leafRemove(n *node, key int64) bool {
 // shifting the items from i up by one. Caller holds n.mu exclusively.
 func (n *node) insertSlot(i int, key int64, val uint64) {
 	c := n.items()
-	keys, vals := n.keys[:c+1], n.vals[:c+1]
+	keys, vals := n.keys()[:c+1], n.vals()[:c+1]
 	copy(keys[i+1:], keys[i:])
 	copy(vals[i+1:], vals[i:])
 	keys[i], vals[i] = key, val
@@ -440,7 +438,7 @@ func (n *node) insertSlot(i int, key int64, val uint64) {
 // every store is atomic, because latch-free readers may be loading the
 // same slots.
 func (n *node) gapInsert(i int, key int64, val uint64) {
-	keys, vals := n.keys, n.vals
+	keys, vals := n.keys(), n.vals()
 	end := n.slots()
 	for d := 0; ; d++ {
 		if j := i + d; j < end-1 && keys[j] == keys[j+1] || j == end && end < len(keys) {
@@ -504,8 +502,9 @@ func (n *node) lay(keys []int64, vals []uint64, at int, key int64, val uint64, l
 	}
 	w := items
 	if latchFree && items > 0 {
-		w = len(n.keys)
+		w = int(n.cap)
 	}
+	nk, nv := n.keys(), n.vals()
 	for x := items - 1; x >= 0; x-- {
 		k, v := key, val
 		if at < 0 || x < at {
@@ -515,10 +514,10 @@ func (n *node) lay(keys []int64, vals []uint64, at int, key int64, val uint64, l
 		}
 		for s := x * w / items; s < (x+1)*w/items; s++ {
 			if latchFree {
-				atomic.StoreInt64(&n.keys[s], k)
-				atomic.StoreUint64(&n.vals[s], v)
+				atomic.StoreInt64(&nk[s], k)
+				atomic.StoreUint64(&nv[s], v)
 			} else {
-				n.keys[s], n.vals[s] = k, v
+				nk[s], nv[s] = k, v
 			}
 		}
 	}
@@ -539,14 +538,15 @@ func (t *Tree) splitLeaf(n *node, i int, key int64, val uint64) (*node, int64) {
 	sib := t.newNode(1)
 	latchFree := t.alg == OLC
 	m := (t.cap + 2) / 2 // what n keeps
+	keys, vals := n.keys(), n.vals()
 	if i < m {
-		sib.lay(n.keys[m-1:], n.vals[m-1:], -1, 0, 0, latchFree)
-		n.lay(n.keys[:m-1], n.vals[:m-1], i, key, val, latchFree)
+		sib.lay(keys[m-1:], vals[m-1:], -1, 0, 0, latchFree)
+		n.lay(keys[:m-1], vals[:m-1], i, key, val, latchFree)
 	} else {
-		sib.lay(n.keys[m:], n.vals[m:], i-m, key, val, latchFree)
-		n.lay(n.keys[:m], n.vals[:m], -1, 0, 0, latchFree)
+		sib.lay(keys[m:], vals[m:], i-m, key, val, latchFree)
+		n.lay(keys[:m], vals[:m], -1, 0, 0, latchFree)
 	}
-	sep := sib.keys[0]
+	sep := sib.keys()[0]
 	linkRight(n, sib, sep)
 	return sib, sep
 }
@@ -561,50 +561,73 @@ func linkRight(n, sib *node, sep int64) {
 	n.right.Store(sib)
 }
 
-// addChild installs a (separator, child) pair in inner node n by
-// replacing its routing. Caller holds n.mu exclusively and n must cover
-// sep. When the pair is one more than n can hold the new routing is
-// halved instead (splitInner) and the sibling and separator come back
-// for the caller's protocol to install one level up.
+// addChild installs the entry (sep, child) in inner node n, which covers
+// sep and whose lock the caller holds exclusively. A full n is split
+// instead (splitInner): the sibling and separator come back for the
+// caller's protocol to install one level up.
 func (t *Tree) addChild(n *node, sep int64, child *node) (*node, int64) {
-	i := n.childIndex(sep)
-	keys, children := insertCopy(n.keys, i, sep), insertCopy(n.children, i+1, child)
-	if len(children) > t.cap {
-		return t.splitInner(n, keys, children)
+	i := n.childIndex(sep) + 1
+	if n.items() == t.cap {
+		return t.splitInner(n, i, sep, child)
 	}
-	n.setRouting(keys, children)
+	n.putEntry(i, sep, child)
 	return nil, 0
 }
 
-// splitInner shares an overflowing routing between n, which keeps the
-// lower ⌈(cap+1)/2⌉ children, and a new right sibling; the separator
-// between them moves up. Caller holds n.mu exclusively.
-func (t *Tree) splitInner(n *node, keys []int64, children []*node) (*node, int64) {
+// putEntry writes the entry (key, child) into slot i of inner node n,
+// which has room, shifting the entries from slot i up one slot right:
+// from the top, so every slot below the count a latch-free reader read
+// holds a child throughout, and the count last. Caller holds n.mu
+// exclusively, or owns n because it is not yet reachable.
+func (n *node) putEntry(i int, key int64, child *node) {
+	c := n.items()
+	keys, kids := n.keys(), n.kids()
+	for j := c; j > i; j-- {
+		atomic.StoreInt64(&keys[j], keys[j-1])
+		kids[j].Store(kids[j-1].Load())
+	}
+	atomic.StoreInt64(&keys[i], key)
+	kids[i].Store(child)
+	n.setFill(c+1, c+1)
+}
+
+// splitInner puts the entry (sep, child), which belongs at slot i, into
+// the full inner node n as splitLeaf puts an item: of the cap+1 entries
+// the lower ⌈(cap+1)/2⌉ stay, the rest go to a new right sibling, whose
+// first key moves up. The slots n gives away are cleared, so the GC
+// keeps nothing through them. Caller holds n.mu exclusively.
+func (t *Tree) splitInner(n *node, i int, sep int64, child *node) (*node, int64) {
 	t.splits.Add(1)
-	m := (len(children) + 1) / 2
-	sib := t.newNode(n.level)
-	sib.setRouting(slices.Clone(keys[m:]), slices.Clone(children[m:]))
-	n.setRouting(keys[:m-1:m-1], children[:m:m])
-	linkRight(n, sib, keys[m-1])
-	return sib, keys[m-1]
+	m := (t.cap + 2) / 2 // what n keeps
+	from := m            // n's first entry to move
+	if i < m {
+		from--
+	}
+	sib := t.newNode(int(n.level))
+	keys, kids := n.keys(), n.kids()
+	for j := from; j < t.cap; j++ {
+		sib.putEntry(j-from, keys[j], kids[j].Load())
+		kids[j].Store(nil)
+	}
+	n.setFill(from, from)
+	if i < m {
+		n.putEntry(i, sep, child)
+	} else {
+		sib.putEntry(i-m, sep, child)
+	}
+	up := sib.keys()[0]
+	linkRight(n, sib, up)
+	return sib, up
 }
 
 // growRoot replaces the root after splitting it. Caller holds old.mu
 // exclusively and has verified old is the current root. Latch-free
 // readers may reach the new root the instant the CAS lands.
 func (t *Tree) growRoot(old *node, sep int64, sib *node) {
-	r := t.newNode(old.level + 1)
-	r.setRouting([]int64{sep}, []*node{old, sib})
+	r := t.newNode(int(old.level) + 1)
+	r.putEntry(0, math.MinInt64, old)
+	r.putEntry(1, sep, sib)
 	if !t.root.CompareAndSwap(old, r) {
 		panic("cbtree: concurrent root replacement")
 	}
-}
-
-// insertCopy returns a fresh slice holding s with v inserted at i.
-func insertCopy[T any](s []T, i int, v T) []T {
-	out := make([]T, len(s)+1)
-	copy(out, s[:i])
-	out[i] = v
-	copy(out[i+1:], s[i:])
-	return out
 }

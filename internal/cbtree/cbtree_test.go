@@ -445,10 +445,10 @@ func TestSplitRepairAfterRootGrowth(t *testing.T) {
 			for k := int64(1000); k <= 5000; k += 1000 {
 				insert(k)
 			}
-			rightmost := func(level int) *node {
+			rightmost := func(level int32) *node {
 				n := tr.root.Load()
 				for n.level > level {
-					n = n.children[len(n.children)-1]
+					n = lastChild(n)
 				}
 				return n
 			}
@@ -470,7 +470,7 @@ func TestSplitRepairAfterRootGrowth(t *testing.T) {
 					}
 					insert(k)
 				}
-				if p := rightmost(2); p.children[len(p.children)-1] != leaf {
+				if p := rightmost(2); lastChild(p) != leaf {
 					t.Fatal("the writer's leaf is no longer the rightmost")
 				}
 				ran = true

@@ -18,11 +18,16 @@ func (t *Tree) CheckInvariants() error {
 		if err := t.checkLayout(n); err != nil {
 			return blink.Node[*node]{}, err
 		}
-		v := blink.Node[*node]{Level: n.level, Keys: n.keys, Children: n.children, High: n.high.Load(), Right: n.right.Load()}
+		v := blink.Node[*node]{Level: int(n.level), High: n.high.Load(), Right: n.right.Load()}
 		v.HasHigh = v.Right != nil
+		keys := n.keys()[:n.slots()]
 		if n.isLeaf() {
-			keys, _ := n.leaf()
 			v.Keys = slices.Compact(slices.Clone(keys))
+		} else if len(keys) > 0 {
+			v.Keys = keys[1:]
+			for i := range keys {
+				v.Children = append(v.Children, n.kids()[i].Load())
+			}
 		}
 		return v, nil
 	})
@@ -32,35 +37,30 @@ func (t *Tree) CheckInvariants() error {
 	return nil
 }
 
-// checkLayout verifies the one node layout (see node), which OLC's
-// latch-free readers rely on: the version word is even at quiescence; a
-// leaf's storage is exactly cap slots with nothing to grow into, so it
-// was never reallocated; its slots in use fit in it and hold
-// non-decreasing keys, each run of equal keys (an item after its gaps)
-// carries one value, the item count is the number of runs, and only an
-// OLC leaf has gaps; an inner node's routing image is the node's own
-// arrays, with no pointer left behind them for the GC to retain.
+// checkLayout verifies the one node layout (see node): the version is
+// even at quiescence, the arrays are cap slots and the slots in use fit;
+// a leaf's gaps (checkSlots); an inner node's keys ascend strictly over
+// its children, and no child slot past them holds a pointer the GC would
+// keep alive.
 func (t *Tree) checkLayout(n *node) error {
 	if v := n.mu.Version(); v&1 != 0 {
 		return fmt.Errorf("level %d node version %d odd while quiescent", n.level, v)
 	}
-	r := n.img.Load()
+	if end := n.slots(); int(n.cap) != t.cap || end > t.cap {
+		return fmt.Errorf("level %d node uses %d slots of %d, want %d", n.level, end, n.cap, t.cap)
+	}
 	if n.isLeaf() {
-		if len(n.keys) != t.cap || cap(n.keys) != t.cap || len(n.vals) != t.cap || cap(n.vals) != t.cap {
-			return fmt.Errorf("leaf storage keys %d/%d vals %d/%d, want %d slots",
-				len(n.keys), cap(n.keys), len(n.vals), cap(n.vals), t.cap)
-		}
-		if r != nil || n.children != nil {
-			return fmt.Errorf("leaf with routing")
-		}
 		return t.checkSlots(n)
 	}
-	if n.vals != nil || r == nil || !sameArray(r.keys, n.keys) || !sameArray(r.children, n.children) {
-		return fmt.Errorf("level %d routing image is not the node's keys and children", n.level)
+	c := n.slots()
+	for s, keys := 1, n.keys(); s < c; s++ {
+		if keys[s-1] >= keys[s] {
+			return fmt.Errorf("level %d node keys not strictly ascending at slot %d", n.level, s)
+		}
 	}
-	for _, c := range n.children[len(n.children):cap(n.children)] {
-		if c != nil {
-			return fmt.Errorf("level %d keeps a child pointer beyond its %d children", n.level, len(n.children))
+	for s, kids := c, n.kids(); s < t.cap; s++ {
+		if kids[s].Load() != nil {
+			return fmt.Errorf("level %d node keeps a child pointer in slot %d, past its %d children", n.level, s, c)
 		}
 	}
 	return nil
@@ -68,9 +68,6 @@ func (t *Tree) checkLayout(n *node) error {
 
 // checkSlots verifies a leaf's slots in use against its gap invariant.
 func (t *Tree) checkSlots(n *node) error {
-	if end := n.slots(); end > t.cap {
-		return fmt.Errorf("leaf uses %d slots of %d", end, t.cap)
-	}
 	keys, vals := n.leaf()
 	runs := 0
 	for s, k := range keys {
@@ -89,9 +86,4 @@ func (t *Tree) checkSlots(n *node) error {
 		return fmt.Errorf("leaf counts %d items in %d runs of keys", n.items(), runs)
 	}
 	return nil
-}
-
-// sameArray reports whether a and b are the same slice of the same array.
-func sameArray[T any](a, b []T) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }

@@ -89,7 +89,7 @@ func TestGapInsertWritesOneSlot(t *testing.T) {
 	}
 	changed := func(before []int64, n *node) int {
 		c := 0
-		for s, k := range n.keys {
+		for s, k := range n.keys() {
 			if k != before[s] {
 				c++
 			}
@@ -98,10 +98,10 @@ func TestGapInsertWritesOneSlot(t *testing.T) {
 	}
 	for k := int64(5); k <= 85; k += 10 {
 		tr, n := build()
-		before := slices.Clone(n.keys)
+		before := slices.Clone(n.keys())
 		tr.Insert(k, 1)
 		if c := changed(before, n); c != 1 {
-			t.Errorf("Insert(%d) wrote %d slots, want 1: %v -> %v", k, c, before, n.keys)
+			t.Errorf("Insert(%d) wrote %d slots, want 1: %v -> %v", k, c, before, n.keys())
 		}
 		if err := tr.CheckInvariants(); err != nil {
 			t.Fatalf("Insert(%d): %v", k, err)
@@ -109,10 +109,10 @@ func TestGapInsertWritesOneSlot(t *testing.T) {
 	}
 	for k := int64(10); k < 80; k += 10 {
 		tr, n := build()
-		before := slices.Clone(n.keys)
+		before := slices.Clone(n.keys())
 		tr.Delete(k)
 		if c := changed(before, n); c != 2 {
-			t.Errorf("Delete(%d) wrote %d slots, want its 2: %v -> %v", k, c, before, n.keys)
+			t.Errorf("Delete(%d) wrote %d slots, want its 2: %v -> %v", k, c, before, n.keys())
 		}
 		if err := tr.CheckInvariants(); err != nil {
 			t.Fatalf("Delete(%d): %v", k, err)
@@ -137,7 +137,7 @@ func TestCheckInvariantsHoldsTheGapLayout(t *testing.T) {
 	}
 	// gap turns slot 0 into a copy of slot 1: key 10 becomes a gap.
 	gap := func(tr *Tree, n *node) {
-		n.keys[0], n.vals[0] = n.keys[1], n.vals[1]
+		n.keys()[0], n.vals()[0] = n.keys()[1], n.vals()[1]
 		n.setFill(4, 3)
 		tr.size.Add(-1)
 	}
@@ -150,14 +150,14 @@ func TestCheckInvariantsHoldsTheGapLayout(t *testing.T) {
 		{"gap in a lock-coupling leaf", "lock-coupling leaf has a gap", LockCoupling, gap},
 		{"run with two values", "carries values", OLC, func(tr *Tree, n *node) {
 			gap(tr, n)
-			n.vals[0]++
+			n.vals()[0]++
 		}},
 		{"count is not the runs", "items in 3 runs", OLC, func(tr *Tree, n *node) {
 			gap(tr, n)
 			n.setFill(4, 4)
 			tr.size.Add(1)
 		}},
-		{"keys out of order", "out of order", OLC, func(_ *Tree, n *node) { n.keys[1], n.keys[2] = n.keys[2], n.keys[1] }},
+		{"keys out of order", "out of order", OLC, func(_ *Tree, n *node) { n.keys()[1], n.keys()[2] = n.keys()[2], n.keys()[1] }},
 		{"slots beyond storage", "slots of 8", OLC, func(_ *Tree, n *node) { n.setFill(9, 4) }},
 	} {
 		tr, n := leafOf(c.alg)

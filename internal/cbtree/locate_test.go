@@ -129,7 +129,7 @@ func TestLocatedRootGrows(t *testing.T) {
 			parent := func() *node { // the level-2 node holding the leaf
 				n := tr.root.Load()
 				for n.level > 2 {
-					n = n.children[len(n.children)-1]
+					n = lastChild(n)
 				}
 				return n
 			}
@@ -140,7 +140,7 @@ func TestLocatedRootGrows(t *testing.T) {
 					}
 					tr.Insert(k, uint64(k))
 				}
-				if p := parent(); p.children[len(p.children)-1] != leaf || p == at[1].path[0] {
+				if p := parent(); lastChild(p) != leaf || p == at[1].path[0] {
 					t.Fatal("the located leaf is not the rightmost, or kept the old root as its parent")
 				}
 			}

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"btreeperf/internal/blink"
 	"btreeperf/internal/lock"
 )
 
@@ -21,14 +20,15 @@ import (
 // found and how it is read.
 //
 // Readers descend with no locks at all: at each node they sample the
-// version (ReadBegin), read the node's live storage — an inner node's
-// current routing image, a leaf's slots in use, keys and values by
-// atomic loads, right links and high keys — and re-validate the version
-// before trusting anything they read (this also validates the parent
-// link: the child pointer came from a read the parent's version still
-// vouches for). Until then a read may be torn by a concurrent write, but
-// it cannot go wrong: leaf storage never moves or changes size, routing
-// images are immutable, and node pointers stay valid. A failed validation
+// version (ReadBegin), read the node's inline keys and children or
+// values up to its count, its right link and its high key, all by atomic
+// loads, and re-validate the version before trusting anything they read
+// (this also validates the parent link: the child pointer came from a
+// read the parent's version still vouches for). Until then a read may be
+// torn by a concurrent write, but it cannot go wrong: a node's arrays
+// never move or change size, and node pointers stay valid or are nil (a
+// slot a split just cleared), and none is followed before its node's
+// version validates. A failed validation
 // restarts the descent from the root; after lock.OLCMaxAttempts failed
 // descents the operation falls back to the locked Link-type path, whose
 // R locks queue behind writers in the ordinary FCFS way. The version
@@ -115,10 +115,10 @@ func (t *Tree) olcReadKey(n *node, key int64) (leaf *node, ver, val uint64, ok b
 		}
 		right, covered := n.olcCovers(key)
 		if covered {
-			c := n.slots()
-			i := lowerBoundAtomic(n.keys[:c], key)
-			if ok = i < c && atomic.LoadInt64(&n.keys[i]) == key; ok {
-				val = atomic.LoadUint64(&n.vals[i])
+			keys, c := n.keys(), n.slots()
+			i := searchAtomic(keys[:c], key, false)
+			if ok = i < c && atomic.LoadInt64(&keys[i]) == key; ok {
+				val = atomic.LoadUint64(&n.vals()[i])
 			}
 		}
 		if !n.mu.Validate(v) {
@@ -143,8 +143,7 @@ func (n *node) olcRoute(key int64) (next *node, v uint64, covered, valid bool) {
 	}
 	next, covered = n.olcCovers(key)
 	if covered {
-		r := n.img.Load()
-		next = r.children[blink.Route(r.keys, key)]
+		next = n.kids()[searchAtomic(n.keys()[1:n.slots()], key, true)].Load()
 	}
 	return next, v, covered, n.mu.Validate(v)
 }
@@ -158,7 +157,7 @@ func (t *Tree) olcTryDescend(key int64, stack []*node) (*node, []*node) {
 	for n.level > 1 {
 		next, _, covered, valid := n.olcRoute(key)
 		if !valid {
-			t.noteRestart(n.level)
+			t.noteRestart(int(n.level))
 			return nil, stack
 		}
 		if !covered {
@@ -216,22 +215,22 @@ func (t *Tree) olcReadLeaf(n *node, from, hi int64, buf *olcChunk) (got int, mor
 		} else {
 			var stable bool
 			if v, stable = n.mu.ReadBegin(); !stable {
-				t.noteRestart(n.level)
+				t.noteRestart(int(n.level))
 				continue
 			}
 		}
-		c := n.slots()
-		i := lowerBoundAtomic(n.keys[:c], from)
+		keys, c := n.keys(), n.slots()
+		i := searchAtomic(keys[:c], from, false)
 		past := false
 		for got = 0; i < c; i++ {
-			k := atomic.LoadInt64(&n.keys[i])
+			k := atomic.LoadInt64(&keys[i])
 			if got > 0 && k == buf.keys[got-1] {
 				continue // a later copy of the item just taken
 			}
 			if past = k > hi; past || got == olcScanChunk {
 				break
 			}
-			buf.keys[got], buf.vals[got] = k, atomic.LoadUint64(&n.vals[i])
+			buf.keys[got], buf.vals[got] = k, atomic.LoadUint64(&n.vals()[i])
 			got++
 		}
 		more, right = i < c && !past, nil
@@ -245,7 +244,7 @@ func (t *Tree) olcReadLeaf(n *node, from, hi int64, buf *olcChunk) (got int, mor
 		if n.mu.Validate(v) {
 			return
 		}
-		t.noteRestart(n.level)
+		t.noteRestart(int(n.level))
 	}
 }
 

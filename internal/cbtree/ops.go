@@ -76,7 +76,7 @@ func (t *Tree) lockedSearch(key int64) (uint64, bool) {
 	i, ok := n.keyIndex(key)
 	var v uint64
 	if ok {
-		v = n.vals[i]
+		v = n.vals()[i]
 	}
 	n.mu.RUnlock()
 	return v, ok
@@ -92,7 +92,7 @@ func (t *Tree) lockedSearch(key int64) (uint64, bool) {
 func (t *Tree) coupledDescend(key int64, classOf func(*node) bool) *node {
 	n := t.lockRoot(classOf)
 	for !n.isLeaf() {
-		child := n.children[n.childIndex(key)]
+		child := n.child(key)
 		child.lockAs(classOf(child))
 		n.unlockAs(classOf(n))
 		n = child
@@ -107,7 +107,7 @@ func (t *Tree) lcInsert(key int64, val uint64) bool {
 	n := t.lockRoot(alwaysWrite)
 	chain := append(room[:0], n)
 	for !n.isLeaf() {
-		child := n.children[n.childIndex(key)]
+		child := n.child(key)
 		child.mu.Lock()
 		if t.insertSafe(child) {
 			unlockAll(chain)
@@ -203,12 +203,12 @@ func (t *Tree) moveRightW(n *node, key int64) *node {
 // level, 1 being the leaves, appending the ancestors it routed through —
 // the stack split repair climbs — to stack when stack is non-nil.
 // Reading a node's level without the lock is safe: it is immutable.
-func (t *Tree) linkDescend(level int, key int64, stack []*node) (*node, []*node) {
+func (t *Tree) linkDescend(level int32, key int64, stack []*node) (*node, []*node) {
 	n := t.root.Load()
 	for n.level > level {
 		n.mu.RLock()
 		n = t.moveRightR(n, key)
-		child := n.children[n.childIndex(key)]
+		child := n.child(key)
 		if stack != nil {
 			stack = append(stack, n)
 		}

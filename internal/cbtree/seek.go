@@ -62,8 +62,8 @@ func (t *Tree) maxDFS(n *node) (int64, uint64, bool) {
 		}
 		return 0, 0, false
 	}
-	for i := len(n.children) - 1; i >= 0; i-- {
-		c := n.children[i]
+	for i := n.items() - 1; i >= 0; i-- {
+		c := n.kids()[i].Load()
 		c.mu.RLock()
 		if k, v, ok := t.maxDFS(c); ok {
 			return k, v, true

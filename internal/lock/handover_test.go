@@ -150,13 +150,16 @@ func TestQueueKeepsItsStorage(t *testing.T) {
 	l.Lock()
 	join := func(write bool) {
 		l.enterSlow()
-		l.queue = append(l.queue, &waiter{ready: make(chan struct{}), write: write})
+		if l.queue == nil {
+			l.queue = new(waitQueue)
+		}
+		l.queue.w = append(l.queue.w, &waiter{ready: make(chan struct{}), write: write})
 		l.mu.Unlock()
 	}
 	for _, write := range []bool{true, false, false, true} {
 		join(write)
 	}
-	base, room := &l.queue[0], cap(l.queue)
+	held, base, room := l.queue, &l.queue.w[0], cap(l.queue.w)
 	check := func(step string, queued int, word uint64) {
 		t.Helper()
 		if queued > 0 {
@@ -165,13 +168,14 @@ func TestQueueKeepsItsStorage(t *testing.T) {
 		if got := l.state.Load(); got != word {
 			t.Fatalf("%s: word %#x, want %#x", step, got, word)
 		}
-		if len(l.queue) != queued {
-			t.Fatalf("%s: %d queued, want %d", step, len(l.queue), queued)
+		q := l.waiters()
+		if len(q) != queued {
+			t.Fatalf("%s: %d queued, want %d", step, len(q), queued)
 		}
-		if &l.queue[:room][0] != base || cap(l.queue) != room {
-			t.Fatalf("%s: the queue's array was replaced (cap %d -> %d)", step, room, cap(l.queue))
+		if l.queue != held || &q[:room][0] != base || cap(q) != room {
+			t.Fatalf("%s: the queue or its array was replaced (cap %d -> %d)", step, room, cap(q))
 		}
-		for _, w := range l.queue[queued:room] {
+		for _, w := range q[queued:room] {
 			if w != nil {
 				t.Fatalf("%s: a granted waiter is still reachable from the queue's array", step)
 			}
@@ -212,14 +216,16 @@ func TestUncontendedAllocs(t *testing.T) {
 }
 
 // TestLockSize pins the footprint every node of every tree pays: the
-// state word, the internal mutex, the queue's slice header, the probe and
-// its gate, and the 40 bytes of the open measurement. cbtree's node rides
-// on it (TestNodeSize there): 8 bytes more here move it up a size class.
+// state word, the probe's gate, the internal mutex, the pointer to the
+// wait queue (allocated on first contention), the probe, and the 32 bytes
+// of the open measurement. cbtree's node header rides on it
+// (TestNodeSize there): 8 bytes more here take a cap-64 node past its
+// 1,152-byte size class.
 func TestLockSize(t *testing.T) {
-	if got := unsafe.Sizeof(FCFSRWMutex{}); got > 104 {
-		t.Errorf("FCFSRWMutex is %d bytes, want <= 104", got)
+	if got := unsafe.Sizeof(FCFSRWMutex{}); got > 80 {
+		t.Errorf("FCFSRWMutex is %d bytes, want <= 80", got)
 	}
-	if got := unsafe.Sizeof(VersionLock{}); got > 112 {
-		t.Errorf("VersionLock is %d bytes, want <= 112", got)
+	if got := unsafe.Sizeof(VersionLock{}); got > 88 {
+		t.Errorf("VersionLock is %d bytes, want <= 88", got)
 	}
 }

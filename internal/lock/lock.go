@@ -140,12 +140,8 @@ const (
 // measurement sends every arrival and every release through mu: nothing
 // barges past the queue, and nothing moves unmeasured inside an epoch.
 type FCFSRWMutex struct {
-	// The fast path reads these two words and nothing else.
-	state atomic.Uint64
-	gate  *Gate // probe's gate, alwaysOpen for a nil one; nil without a probe
-
 	mu    sync.Mutex
-	queue []*waiter
+	queue *waitQueue // nil until the first request queues, then kept
 	probe Probe
 
 	// The open measurement, guarded by mu. epoch is the gate value the
@@ -153,14 +149,33 @@ type FCFSRWMutex struct {
 	epoch      uint32
 	wPresent   int32 // writers active or queued
 	holdStamp  int64 // last transition of the holders
-	pendR      int64 // reader hold ns accrued since the last reader release
-	pendW      int64 // writer hold ns accrued since the last writer release
+	pend       int64 // the holders' hold ns accrued since their class last released
 	wPresStamp int64 // when wPresent last rose above 0 or was last flushed
+
+	// The fast path reads these two words and nothing else. They come
+	// last, so a struct that embeds the lock can put its own hot words on
+	// the same cache line as them (cbtree's node header does).
+	state atomic.Uint64
+	gate  *Gate // probe's gate, alwaysOpen for a nil one; nil without a probe
 }
 
 type waiter struct {
 	ready chan struct{}
 	write bool
+}
+
+// waitQueue is a lock's FIFO of queued requests. It is allocated by the
+// first request that queues and then kept, so a lock that never meets
+// contention carries one pointer for it, not a slice header.
+type waitQueue struct{ w []*waiter }
+
+// waiters returns the queue, nil before any request has queued. Called
+// under mu.
+func (l *FCFSRWMutex) waiters() []*waiter {
+	if l.queue == nil {
+		return nil
+	}
+	return l.queue.w
 }
 
 // SetProbe attaches a telemetry probe. It must be called before the mutex
@@ -200,7 +215,7 @@ func (l *FCFSRWMutex) enterSlow() uint64 {
 // leaveSlow releases mu, first handing the word back to the fast path
 // when nothing is queued and nothing is being measured.
 func (l *FCFSRWMutex) leaveSlow() {
-	if len(l.queue) == 0 && l.epoch == 0 {
+	if len(l.waiters()) == 0 && l.epoch == 0 {
 		l.state.And(^slowBit)
 	}
 	l.mu.Unlock()
@@ -245,9 +260,9 @@ func (l *FCFSRWMutex) measureLocked(s uint64) (now int64, on bool) {
 	start := max(g.openedAt.Load(), l.holdStamp)
 	l.epoch = e
 	l.holdStamp, l.wPresStamp = start, start
-	l.pendR, l.pendW = 0, 0
+	l.pend = 0
 	l.wPresent = int32(s & writerBit)
-	for _, w := range l.queue {
+	for _, w := range l.waiters() {
 		if w.write {
 			l.wPresent++
 		}
@@ -256,11 +271,13 @@ func (l *FCFSRWMutex) measureLocked(s uint64) (now int64, on bool) {
 }
 
 // chargeHoldLocked accrues hold time for the holders in s since the last
-// transition. Called under mu, in an open measurement.
+// transition. Called under mu, in an open measurement. Readers and a
+// writer never hold at once and every release reports pend and zeroes
+// it, so pend is 0 whenever the holders' class changes: one sum serves
+// both classes.
 func (l *FCFSRWMutex) chargeHoldLocked(now int64, s uint64) {
 	if dt := now - l.holdStamp; dt > 0 {
-		l.pendR += int64(s/readerUnit) * dt
-		l.pendW += int64(s&writerBit) * dt
+		l.pend += int64(s/readerUnit+s&writerBit) * dt
 	}
 	l.holdStamp = now
 }
@@ -314,7 +331,7 @@ func (l *FCFSRWMutex) acquireSlow(write bool) {
 	if write {
 		conflict = ^slowBit // a writer with every holder
 	}
-	if s&conflict == 0 && len(l.queue) == 0 {
+	if s&conflict == 0 && len(l.waiters()) == 0 {
 		if on {
 			l.chargeHoldLocked(now, s)
 		}
@@ -333,7 +350,10 @@ func (l *FCFSRWMutex) acquireSlow(write bool) {
 		return
 	}
 	w := &waiter{ready: make(chan struct{}), write: write}
-	l.queue = append(l.queue, w)
+	if l.queue == nil {
+		l.queue = new(waitQueue)
+	}
+	l.queue.w = append(l.queue.w, w)
 	if write && on {
 		l.writerArrivedLocked(now)
 	}
@@ -386,17 +406,14 @@ func (l *FCFSRWMutex) releaseSlow(write bool) {
 	now, on := l.measureLocked(s)
 	if on {
 		l.chargeHoldLocked(now, s)
+		l.probe.Held(write, l.pend)
+		l.pend = 0
 		if write {
-			l.probe.Held(true, l.pendW)
-			l.pendW = 0
 			// A writer leaves the system only here: a queued writer
 			// always becomes active first.
 			l.probe.WriterPresence(now - l.wPresStamp)
 			l.wPresStamp = now
 			l.wPresent--
-		} else {
-			l.probe.Held(false, l.pendR)
-			l.pendR = 0
 		}
 	}
 	l.dispatchLocked(l.state.Add(-held))
@@ -412,26 +429,27 @@ func (l *FCFSRWMutex) releaseSlow(write bool) {
 // the hold integral is charged up to that release already, and the new
 // holders are charged from it.
 func (l *FCFSRWMutex) dispatchLocked(s uint64) {
-	if s&writerBit != 0 || len(l.queue) == 0 {
+	q := l.waiters()
+	if s&writerBit != 0 || len(q) == 0 {
 		return
 	}
 	n := 0 // waiters to grant
-	if l.queue[0].write {
+	if q[0].write {
 		if s >= readerUnit {
 			return
 		}
 		n = 1
 		l.state.Add(writerBit)
 	} else {
-		for n < len(l.queue) && !l.queue[n].write {
+		for n < len(q) && !q[n].write {
 			n++
 		}
 		l.state.Add(uint64(n) * readerUnit)
 	}
-	for _, w := range l.queue[:n] {
+	for _, w := range q[:n] {
 		close(w.ready)
 	}
-	rest := copy(l.queue, l.queue[n:])
-	clear(l.queue[rest:])
-	l.queue = l.queue[:rest]
+	rest := copy(q, q[n:])
+	clear(q[rest:])
+	l.queue.w = q[:rest]
 }

@@ -11,7 +11,7 @@ import (
 func queued(l *FCFSRWMutex) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.queue)
+	return len(l.waiters())
 }
 
 func TestExclusiveWriters(t *testing.T) {

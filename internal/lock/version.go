@@ -50,11 +50,9 @@ const OLCMaxAttempts = 3
 //   - what an unvalidated read returns must be safe to use up to the
 //     Validate call: an index stays inside storage whose bounds never
 //     change, a pointer leads to a value that stays valid (the garbage
-//     collector keeps it alive). Anything else — a count, a key, a
-//     value — is discarded when Validate fails;
-//   - state that is replaced rather than changed in place (an immutable
-//     image behind an atomic.Pointer) needs no per-element atomics; the
-//     version then only adds recency.
+//     collector keeps it alive) or is nil and is not followed before
+//     Validate. Anything else — a count, a key, a value — is discarded
+//     when Validate fails.
 //
 // R locks on the embedded mutex do not bump the version: they are the
 // fallback path and conflict with writers through the lock queue, not

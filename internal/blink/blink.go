@@ -3,10 +3,10 @@
 // run of keys with a right link and a high key (Lehman and Yao's B-link
 // node). It holds what does not depend on how a tree stores or locks its
 // nodes: the one structural check (Check), the one search inside a node
-// (Route, LowerBound) and the one check of a bulk load's input
-// (BulkFill). Each tree hands Check a copy of its node as a Node; its
-// layout, its locks and its descents stay its own (DESIGN.md §8 "The
-// node").
+// (LowerBound, and Route, Find and Run over it) and the one check of a
+// bulk load's input (BulkFill). Each tree hands Check a copy of its node
+// as a Node; its layout, its locks and its descents stay its own
+// (DESIGN.md §8 "The node").
 package blink
 
 import (
@@ -190,73 +190,62 @@ func bound(hi int64, inf bool) string {
 	return fmt.Sprint(hi)
 }
 
-// linearScanMax is the node occupancy below which a node search scans
-// sequentially: for a handful of keys a branch-predictable linear scan
-// beats binary search's data-dependent probes. From linearScanMax up —
-// the serving default capacity 64 included — search is binary. The two
-// are cross-checked against each other in blink_test.go.
-const linearScanMax = 16
-
-// Route returns the child slot that routes key among an inner node's
-// routers: the number of routers ≤ key.
-func Route(keys []int64, key int64) int {
-	if len(keys) < linearScanMax {
-		return routeLinear(keys, key)
-	}
-	return routeBinary(keys, key)
-}
+// ScanRun is the most keys a node search scans forward. LowerBound
+// halves its range by probes while more than ScanRun keys remain, then
+// scans the rest, so a node of the serving capacity (64) is scanned whole
+// and its key lines stream in order, where a binary search's probes of a
+// cold node would miss the cache one after another. A fat node (a root
+// of capacity 65,536) still costs a logarithm.
+const ScanRun = 64
 
 // LowerBound returns the first slot of ascending keys whose key is
-// ≥ key: where key is, or would go.
+// ≥ key: where key is, or would go. Keys may repeat (a gapped OLC leaf
+// holds copies); it returns the first of a run.
 func LowerBound(keys []int64, key int64) int {
-	if len(keys) < linearScanMax {
-		return lowerBoundLinear(keys, key)
-	}
-	return lowerBoundBinary(keys, key)
-}
-
-func routeLinear(keys []int64, key int64) int {
-	for i, k := range keys {
-		if key < k {
-			return i
-		}
-	}
-	return len(keys)
-}
-
-func routeBinary(keys []int64, key int64) int {
 	lo, hi := 0, len(keys)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if key < keys[mid] {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
-}
-
-func lowerBoundLinear(keys []int64, key int64) int {
-	for i, k := range keys {
-		if k >= key {
-			return i
-		}
-	}
-	return len(keys)
-}
-
-func lowerBoundBinary(keys []int64, key int64) int {
-	lo, hi := 0, len(keys)
-	for lo < hi {
-		mid := (lo + hi) / 2
+	for hi-lo > ScanRun {
+		mid := (lo + hi) >> 1
 		if keys[mid] < key {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo
+	for i, k := range keys[lo:hi] {
+		if k >= key {
+			return lo + i
+		}
+	}
+	return hi
+}
+
+// Route returns the child slot that routes key among an inner node's
+// routers: the number of routers ≤ key.
+func Route(keys []int64, key int64) int {
+	if key == math.MaxInt64 {
+		return len(keys)
+	}
+	return LowerBound(keys, key+1)
+}
+
+// Find returns the slot of key in a leaf's ascending keys (the first,
+// if it repeats), or the slot it would go before, and whether it is
+// present.
+func Find(keys []int64, key int64) (int, bool) {
+	i := LowerBound(keys, key)
+	return i, i < len(keys) && keys[i] == key
+}
+
+// Run returns the slots [i, j) of a leaf's ascending keys that lie in
+// [lo, hi], lo ≤ hi: the run a scan bounded by [lo, hi] takes from the
+// leaf. A leaf whose last key is ≤ hi — every leaf of a scan but its
+// last — ends its run with one compare.
+func Run(keys []int64, lo, hi int64) (i, j int) {
+	i, j = LowerBound(keys, lo), len(keys)
+	if j > 0 && keys[j-1] > hi {
+		j = i + LowerBound(keys[i:], hi+1) // hi < keys[j-1], so hi+1 cannot overflow
+	}
+	return i, j
 }
 
 // BulkFill checks a bulk load's input — keys strictly increasing and

@@ -2,8 +2,10 @@ package blink
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"slices"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -160,30 +162,81 @@ func set(m map[int]Node[int], id int, f func(*Node[int])) {
 	m[id] = n
 }
 
-// TestSearchLinearBinaryAgree cross-checks the linear and binary node
-// search paths against each other on sorted key sets of every size a
-// node can hold, probing present keys, absent keys, and both ends.
-func TestSearchLinearBinaryAgree(t *testing.T) {
+// TestSearchMatchesSortSearch checks LowerBound, Route, Find and Run
+// against sort.Search on ascending key sets of every size from empty to
+// well past ScanRun, so both the forward scan and the halving before it
+// run: keys with gaps, runs of repeated keys (a gapped OLC leaf holds
+// copies) and the int64 extremes, probed at, between and beyond them.
+func TestSearchMatchesSortSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	for size := 0; size <= 64; size++ {
-		keys := make([]int64, 0, size)
-		next := int64(rng.Intn(8))
-		for i := 0; i < size; i++ {
-			next += int64(1 + rng.Intn(6)) // strictly increasing, gaps of 1..6
-			keys = append(keys, next)
+	for size := 0; size <= 300; size++ {
+		keys := make([]int64, size)
+		next := int64(rng.Intn(8)) - 4
+		for i := range keys {
+			next += int64(rng.Intn(6)) // gaps of 0..5: a 0 repeats a key
+			keys[i] = next
 		}
-		probes := []int64{-1, 0, next + 1, next + 100}
+		if size > 2 && size%3 == 0 {
+			keys[0], keys[size-1] = math.MinInt64, math.MaxInt64
+		}
+		probes := []int64{math.MinInt64, math.MaxInt64, -100, 0, next + 1}
 		for _, k := range keys {
-			probes = append(probes, k, k-1, k+1)
+			probes = append(probes, k, k-1, k+1) // wraps at the extremes, also a probe
 		}
-		for _, k := range probes {
-			if got, want := routeLinear(keys, k), routeBinary(keys, k); got != want {
-				t.Fatalf("size %d key %d: routeLinear=%d routeBinary=%d (keys %v)",
-					size, k, got, want, keys)
+		checkSearch(t, keys, probes)
+	}
+}
+
+// FuzzSearch is TestSearchMatchesSortSearch over fuzzed keys: each byte
+// of steps is the gap to the next key from base, 0 a repeat, and a and
+// b are the probes and, in order, a scan's bounds.
+func FuzzSearch(f *testing.F) {
+	f.Add([]byte{1, 0, 3, 0, 0, 7}, int64(0), int64(4), int64(9))
+	f.Add(make([]byte, 200), int64(math.MaxInt64-100), int64(math.MinInt64), int64(math.MaxInt64))
+	f.Fuzz(func(t *testing.T, steps []byte, base, a, b int64) {
+		keys := make([]int64, 0, len(steps))
+		for _, d := range steps {
+			if base > math.MaxInt64-int64(d) {
+				break
 			}
-			if got, want := lowerBoundLinear(keys, k), lowerBoundBinary(keys, k); got != want {
-				t.Fatalf("size %d key %d: lowerBoundLinear=%d lowerBoundBinary=%d (keys %v)",
-					size, k, got, want, keys)
+			base += int64(d)
+			keys = append(keys, base)
+		}
+		checkSearch(t, keys, []int64{a, b})
+	})
+}
+
+// checkSearch checks each search of ascending keys at every probe, and
+// Run from every probe to every hi in a sample of about 16 of them,
+// against sort.Search.
+func checkSearch(t *testing.T, keys []int64, probes []int64) {
+	t.Helper()
+	atLeast := func(k int64) int { return sort.Search(len(keys), func(i int) bool { return keys[i] >= k }) }
+	above := func(k int64) int { return sort.Search(len(keys), func(i int) bool { return keys[i] > k }) }
+	for _, k := range probes {
+		want := atLeast(k)
+		if got := LowerBound(keys, k); got != want {
+			t.Fatalf("LowerBound(%v, %d) = %d, want %d", keys, k, got, want)
+		}
+		if got, want := Route(keys, k), above(k); got != want {
+			t.Fatalf("Route(%v, %d) = %d, want %d", keys, k, got, want)
+		}
+		present := want < len(keys) && keys[want] == k
+		if i, ok := Find(keys, k); i != want || ok != present {
+			t.Fatalf("Find(%v, %d) = %d, %v; want %d, %v", keys, k, i, ok, want, present)
+		}
+	}
+	his := probes[:0:0]
+	for x := 0; x < len(probes); x += max(len(probes)/16, 1) {
+		his = append(his, probes[x])
+	}
+	for _, lo := range probes {
+		for _, hi := range his {
+			if hi < lo {
+				continue
+			}
+			if i, j := Run(keys, lo, hi); i != atLeast(lo) || j != above(hi) {
+				t.Fatalf("Run(%v, %d, %d) = [%d, %d), want [%d, %d)", keys, lo, hi, i, j, atLeast(lo), above(hi))
 			}
 		}
 	}

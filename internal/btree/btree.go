@@ -150,18 +150,12 @@ func (n *Node) FindChild(key int64) *Node {
 // the first i with key < keys[i], else the last child.
 func (n *Node) childIndex(key int64) int { return blink.Route(n.keys, key) }
 
-// keyIndex returns the position of key in a leaf and whether it is present.
-func (n *Node) keyIndex(key int64) (int, bool) {
-	i := blink.LowerBound(n.keys, key)
-	return i, i < len(n.keys) && n.keys[i] == key
-}
-
 // LeafGet looks key up in a leaf.
 func (n *Node) LeafGet(key int64) (uint64, bool) {
 	if !n.IsLeaf() {
 		panic("btree: LeafGet on internal node")
 	}
-	i, ok := n.keyIndex(key)
+	i, ok := blink.Find(n.keys, key)
 	if !ok {
 		return 0, false
 	}
@@ -217,7 +211,7 @@ func (t *Tree) Insert(key int64, val uint64) bool {
 		path = append(path, n)
 		n = n.FindChild(key)
 	}
-	i, ok := n.keyIndex(key)
+	i, ok := blink.Find(n.keys, key)
 	if ok {
 		n.vals[i] = val
 		return false
@@ -249,7 +243,7 @@ func (t *Tree) Delete(key int64) bool {
 		path = append(path, n)
 		n = n.FindChild(key)
 	}
-	i, ok := n.keyIndex(key)
+	i, ok := blink.Find(n.keys, key)
 	if !ok {
 		return false
 	}
@@ -361,7 +355,7 @@ func (t *Tree) LeafInsert(n *Node, key int64, val uint64) bool {
 	if !n.IsLeaf() {
 		panic("btree: LeafInsert on internal node")
 	}
-	i, ok := n.keyIndex(key)
+	i, ok := blink.Find(n.keys, key)
 	if ok {
 		n.vals[i] = val
 		return false
@@ -378,7 +372,7 @@ func (t *Tree) LeafDelete(n *Node, key int64) bool {
 	if !n.IsLeaf() {
 		panic("btree: LeafDelete on internal node")
 	}
-	i, ok := n.keyIndex(key)
+	i, ok := blink.Find(n.keys, key)
 	if !ok {
 		return false
 	}

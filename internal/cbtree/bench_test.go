@@ -17,18 +17,18 @@ const (
 	benchCap  = 64
 )
 
-func benchTree(b *testing.B, alg Algorithm) *Tree { return benchTreeOf(b, alg, benchKeys) }
+func benchTree(b *testing.B, alg Algorithm) *Tree { return benchTreeOf(b, alg, benchCap, benchKeys) }
 
-// benchTreeOf bulk-loads n keys, 0, 10, 20, …, at the serving capacity
-// and fill.
-func benchTreeOf(b *testing.B, alg Algorithm, n int) *Tree {
+// benchTreeOf bulk-loads n keys, 0, 10, 20, …, at capacity cap and the
+// serving fill.
+func benchTreeOf(b *testing.B, alg Algorithm, cap, n int) *Tree {
 	b.Helper()
 	keys := make([]int64, n)
 	vals := make([]uint64, n)
 	for i := range keys {
 		keys[i], vals[i] = int64(i)*10, uint64(i)
 	}
-	tr, err := BulkLoad(benchCap, alg, keys, vals, 0.69)
+	tr, err := BulkLoad(cap, alg, keys, vals, 0.69)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -36,13 +36,13 @@ func benchTreeOf(b *testing.B, alg Algorithm, n int) *Tree {
 }
 
 func benchAlgorithms(b *testing.B, run func(b *testing.B, tr *Tree, src *xrand.Source)) {
-	benchAlgorithmsOf(b, benchKeys, run)
+	benchAlgorithmsOf(b, benchCap, benchKeys, run)
 }
 
-func benchAlgorithmsOf(b *testing.B, n int, run func(b *testing.B, tr *Tree, src *xrand.Source)) {
+func benchAlgorithmsOf(b *testing.B, cap, n int, run func(b *testing.B, tr *Tree, src *xrand.Source)) {
 	for _, alg := range algorithms {
 		b.Run(alg.String(), func(b *testing.B) {
-			tr := benchTreeOf(b, alg, n)
+			tr := benchTreeOf(b, alg, cap, n)
 			b.ReportAllocs()
 			b.ResetTimer()
 			run(b, tr, xrand.New(1))
@@ -50,15 +50,21 @@ func benchAlgorithmsOf(b *testing.B, n int, run func(b *testing.B, tr *Tree, src
 	}
 }
 
-func BenchmarkTreeSearch(b *testing.B) { benchSearch(b, benchKeys) }
+func BenchmarkTreeSearch(b *testing.B) { benchSearch(b, benchCap, benchKeys) }
 
 // Search1M is Search on a million keys, about 23,000 leaves and 26 MB of
 // nodes: most of a descent's levels miss the cache, so its ns/op prices
 // the node layout a lone descent walks.
-func BenchmarkTreeSearch1M(b *testing.B) { benchSearch(b, 1000000) }
+func BenchmarkTreeSearch1M(b *testing.B) { benchSearch(b, benchCap, 1000000) }
 
-func benchSearch(b *testing.B, n int) {
-	benchAlgorithmsOf(b, n, func(b *testing.B, tr *Tree, src *xrand.Source) {
+// SearchFat is Search on 30,000 keys in one leaf of capacity 65,536, the
+// fat-root configuration (EXPERIMENTS.md "Shed vs collapse"): each
+// search halves the leaf by probes down to blink.ScanRun keys, then
+// scans them.
+func BenchmarkTreeSearchFat(b *testing.B) { benchSearch(b, 65536, 30000) }
+
+func benchSearch(b *testing.B, cap, n int) {
+	benchAlgorithmsOf(b, cap, n, func(b *testing.B, tr *Tree, src *xrand.Source) {
 		for i := 0; i < b.N; i++ {
 			if _, ok := tr.Search(src.Int63n(int64(n)) * 10); !ok {
 				b.Fatal("a stored key is missing")

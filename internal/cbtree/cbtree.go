@@ -178,52 +178,26 @@ func (n *node) childIndex(key int64) int { return blink.Route(n.keys()[1:n.items
 // child returns the child routing key. Caller must hold n.mu.
 func (n *node) child(key int64) *node { return n.kids()[n.childIndex(key)].Load() }
 
-// keyIndex locates key in a leaf, returning its first slot (or the slot
-// it would go before) and whether it is present. Caller must hold n.mu.
-func (n *node) keyIndex(key int64) (int, bool) {
-	keys, _ := n.leaf()
-	i := blink.LowerBound(keys, key)
-	return i, i < len(keys) && keys[i] == key
-}
-
-// runStart returns the first of a leaf's ascending keys that is ≥ lo,
-// and runEnd how many are ≤ hi: where the run a scan bounded by [lo, hi]
-// takes from the leaf starts and ends. Only the last leaf of a scan
-// needs runEnd's search. Both scan forward whatever the leaf's size: the
-// leaf a scan starts or ends in is usually cold, a binary search's
-// probes would miss the cache one after the other, and the forward scan
-// streams through the lines the run is about to be read from (on a 1
-// M-key tree the binary search cost a 65-key page 5 % more).
-func runStart(keys []int64, lo int64) int {
-	for i, k := range keys {
-		if k >= lo {
-			return i
-		}
-	}
-	return len(keys)
-}
-
-func runEnd(keys []int64, hi int64) int {
-	if n := len(keys); n == 0 || keys[n-1] <= hi {
-		return n
-	}
-	return runStart(keys, hi+1) // hi < keys[n-1], so hi+1 cannot overflow
-}
-
-// searchAtomic is blink.LowerBound, or with route blink.Route, for a
-// latch-free reader: every probe is an atomic load, and the result means
-// nothing until the node's version validates.
-func searchAtomic(keys []int64, key int64, route bool) int {
+// searchAtomic is blink.LowerBound for a latch-free reader: the same
+// halving down to blink.ScanRun keys and forward scan, every load
+// atomic. The result means nothing until the node's version validates.
+func searchAtomic(keys []int64, key int64) int {
 	lo, hi := 0, len(keys)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if k := atomic.LoadInt64(&keys[mid]); k < key || route && k == key {
+	for hi-lo > blink.ScanRun {
+		mid := (lo + hi) >> 1
+		if atomic.LoadInt64(&keys[mid]) < key {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo
+	run := keys[lo:hi]
+	for i := range run {
+		if atomic.LoadInt64(&run[i]) >= key {
+			return lo + i
+		}
+	}
+	return hi
 }
 
 // Tree is a concurrent B⁺-tree. Create one with New. All methods are safe
@@ -375,15 +349,16 @@ func writeIfLeaf(n *node) bool { return n.isLeaf() }
 // caller's protocol to install one level up (sib is nil otherwise).
 func (t *Tree) leafPut(n *node, key int64, val uint64) (fresh bool, sib *node, sep int64) {
 	latchFree := t.alg == OLC
-	i, ok := n.keyIndex(key)
+	keys, vals := n.leaf()
+	i, ok := blink.Find(keys, key)
 	if ok {
 		if latchFree {
 			// Every copy: a reader's search lands on the first one.
-			for keys, vals := n.leaf(); i < len(keys) && keys[i] == key; i++ {
+			for ; i < len(keys) && keys[i] == key; i++ {
 				atomic.StoreUint64(&vals[i], val)
 			}
 		} else {
-			n.vals()[i] = val
+			vals[i] = val
 		}
 		return false, nil, 0
 	}
@@ -403,11 +378,11 @@ func (t *Tree) leafPut(n *node, key int64, val uint64) (fresh bool, sib *node, s
 // leafRemove deletes key from a leaf, reporting whether it was there.
 // Caller holds n.mu exclusively.
 func (t *Tree) leafRemove(n *node, key int64) bool {
-	i, ok := n.keyIndex(key)
+	keys, vals := n.leaf()
+	i, ok := blink.Find(keys, key)
 	if !ok {
 		return false
 	}
-	keys, vals := n.leaf()
 	if t.alg == OLC {
 		n.gapRemove(i)
 	} else {

@@ -1,6 +1,7 @@
 package cbtree
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -116,7 +117,7 @@ func (t *Tree) olcReadKey(n *node, key int64) (leaf *node, ver, val uint64, ok b
 		right, covered := n.olcCovers(key)
 		if covered {
 			keys, c := n.keys(), n.slots()
-			i := searchAtomic(keys[:c], key, false)
+			i := searchAtomic(keys[:c], key)
 			if ok = i < c && atomic.LoadInt64(&keys[i]) == key; ok {
 				val = atomic.LoadUint64(&n.vals()[i])
 			}
@@ -143,7 +144,12 @@ func (n *node) olcRoute(key int64) (next *node, v uint64, covered, valid bool) {
 	}
 	next, covered = n.olcCovers(key)
 	if covered {
-		next = n.kids()[searchAtomic(n.keys()[1:n.slots()], key, true)].Load()
+		routers := n.keys()[1:n.slots()]
+		i := len(routers) // key MaxInt64 routes past every router
+		if key < math.MaxInt64 {
+			i = searchAtomic(routers, key+1) // blink.Route's lower bound
+		}
+		next = n.kids()[i].Load()
 	}
 	return next, v, covered, n.mu.Validate(v)
 }
@@ -220,7 +226,7 @@ func (t *Tree) olcReadLeaf(n *node, from, hi int64, buf *olcChunk) (got int, mor
 			}
 		}
 		keys, c := n.keys(), n.slots()
-		i := searchAtomic(keys[:c], from, false)
+		i := searchAtomic(keys[:c], from)
 		past := false
 		for got = 0; i < c; i++ {
 			k := atomic.LoadInt64(&keys[i])

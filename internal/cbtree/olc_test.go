@@ -36,9 +36,12 @@ func leafSet(t *Tree) map[*node]bool {
 // make every third or fourth insert half-split a leaf around the new
 // item, an odd and an even split; at capacity 64 a leaf keeps many gaps,
 // so inserts move items toward gaps on either side, deletes leave gaps
-// behind, and each split rewrites all 64 slots of the leaf it splits.
+// behind, and each split rewrites all 64 slots of the leaf it splits. At
+// capacity 128 a leaf holds 64 to 128 items, more than blink.ScanRun
+// slots between splits, so readers halve it by latch-free probes before
+// they scan.
 func TestOLCTornReadStress(t *testing.T) {
-	for _, cap := range []int{3, 4, 64} {
+	for _, cap := range []int{3, 4, 64, 128} {
 		t.Run(fmt.Sprint("cap", cap), func(t *testing.T) { tornReadStress(t, cap) })
 	}
 }

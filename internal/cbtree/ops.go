@@ -6,6 +6,8 @@ package cbtree
 // (linkInsert, linkDelete, moveRightW, linkDescend) and differ only in how
 // the leaf is found and read (olc.go).
 
+import "btreeperf/internal/blink"
+
 // Search returns the value stored under key.
 func (t *Tree) Search(key int64) (uint64, bool) { return t.SearchAt(key, nil) }
 
@@ -73,10 +75,11 @@ func (t *Tree) rlockLeaf(key int64) *node {
 // OLC's pessimistic fallback.
 func (t *Tree) lockedSearch(key int64) (uint64, bool) {
 	n := t.rlockLeaf(key)
-	i, ok := n.keyIndex(key)
+	keys, vals := n.leaf()
+	i, ok := blink.Find(keys, key)
 	var v uint64
 	if ok {
-		v = n.vals()[i]
+		v = vals[i]
 	}
 	n.mu.RUnlock()
 	return v, ok
@@ -302,7 +305,7 @@ func (t *Tree) RangeLeaves(lo, hi int64, fn func(keys []int64, vals []uint64) bo
 	n := t.rlockLeaf(lo)
 	for {
 		keys, vals := n.leaf()
-		i, j := runStart(keys, lo), runEnd(keys, hi)
+		i, j := blink.Run(keys, lo, hi)
 		next := n.right.Load()
 		if (i < j && !fn(keys[i:j], vals[i:j])) || j < len(keys) || next == nil {
 			n.mu.RUnlock()

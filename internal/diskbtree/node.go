@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"math"
 
-	"btreeperf/internal/blink"
 	"btreeperf/internal/pagestore"
 )
 
@@ -89,12 +88,6 @@ func (n node) ptrs() []uint64 { return n.p[:n.n] }
 func (n node) child(i int) pagestore.PageID { return pagestore.PageID(n.p[i]) }
 
 func (n node) covers(key int64) bool { return !n.hasHigh || key < n.high }
-
-func (n node) keyIndex(key int64) (int, bool) {
-	keys := n.keys()
-	i := blink.LowerBound(keys, key)
-	return i, i < len(keys) && keys[i] == key
-}
 
 // insert puts key at index ki of the keys and ptr at index pi of the
 // pointers. The node must have room.

@@ -1,6 +1,10 @@
 package diskbtree
 
-import "math"
+import (
+	"math"
+
+	"btreeperf/internal/blink"
+)
 
 // RangeLeaves is the one leaf-chain walk under every ordered read: it
 // calls fn with each leaf's run of the keys in [lo, hi] and their values,
@@ -29,11 +33,7 @@ func (t *Tree) RangeLeaves(lo, hi int64, fn func(keys []int64, vals []uint64) bo
 	}
 	for {
 		keys := n.keys()
-		i, _ := n.keyIndex(lo)
-		j := i
-		for j < len(keys) && keys[j] <= hi {
-			j++
-		}
+		i, j := blink.Run(keys, lo, hi)
 		if (j > i && !fn(keys[i:j], n.p[i:j])) || j < len(keys) || n.right == 0 {
 			t.rUnlatch(n)
 			return nil

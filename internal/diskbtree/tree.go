@@ -401,7 +401,7 @@ func (t *Tree) search(key int64) (uint64, bool, error) {
 	if err != nil {
 		return 0, false, err
 	}
-	i, ok := n.keyIndex(key)
+	i, ok := blink.Find(n.keys(), key)
 	var v uint64
 	if ok {
 		v = n.p[i]
@@ -428,7 +428,7 @@ func (t *Tree) insert(key int64, val uint64) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	i, ok := n.keyIndex(key)
+	i, ok := blink.Find(n.keys(), key)
 	if ok {
 		n.p[i] = val
 		t.wUnlatch(n, true)
@@ -552,7 +552,7 @@ func (t *Tree) del(key int64) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	i, ok := n.keyIndex(key)
+	i, ok := blink.Find(n.keys(), key)
 	if !ok {
 		t.wUnlatch(n, false)
 		return false, nil

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"btreeperf/internal/blink"
 	"btreeperf/internal/xrand"
 )
 
@@ -466,7 +467,7 @@ func TestSplitRepairAfterRootGrowth(t *testing.T) {
 			insert(k) // fill the leaf the ordinary way
 			continue
 		}
-		i, _ := n.keyIndex(k)
+		i, _ := blink.Find(n.keys(), k)
 		tr.size.Add(1)
 		if err := tr.insertItem(n, i, k, i, uint64(k), nil); err != nil {
 			t.Fatal(err)

@@ -123,30 +123,40 @@ func (e *memEngine) Del(key int64) (bool, error) {
 	return e.t.Delete(key), nil
 }
 
-// Scan walks the cbtree leaf chain a leaf run at a time, copying each
-// run into dst under that leaf's latch. A run that would overfill the
-// page is the "more" verdict, so a page that ends exactly on a leaf
-// boundary looks one leaf further and no second traversal is needed;
+// scanPage is one Scan's output as RangeLeaves fills it: each leaf run is
+// copied into dst under that leaf's latch, up to end entries. A run that
+// would overfill the page is the "more" verdict, so a page that ends
+// exactly on a leaf boundary looks one leaf further and no second
+// traversal is needed.
+type scanPage struct {
+	dst  []query.KV
+	end  int
+	more bool
+}
+
+// add is the RangeLeaves callback both engines' Scans pass.
+func (p *scanPage) add(keys []int64, vals []uint64) bool {
+	if room := p.end - len(p.dst); len(keys) > room {
+		keys, p.more = keys[:room], true
+	}
+	d := p.dst // appending through p would reload p.dst per key
+	for i, k := range keys {
+		d = append(d, query.KV{Key: k, Val: vals[i]})
+	}
+	p.dst = d
+	return !p.more
+}
+
+// Scan walks the cbtree leaf chain a leaf run at a time into a page.
 // RangeLeaves' hi is inclusive, so the exclusive bound becomes hi-1
 // (safe: hi > lo >= MinInt64).
 func (e *memEngine) Scan(lo, hi int64, limit int, dst []query.KV) ([]query.KV, bool, error) {
 	if hi <= lo || limit <= 0 {
 		return dst, false, nil
 	}
-	end := len(dst) + limit
-	more := false
-	e.t.RangeLeaves(lo, hi-1, func(keys []int64, vals []uint64) bool {
-		if room := end - len(dst); len(keys) > room {
-			keys, more = keys[:room], true
-		}
-		d := dst // appending through the captured variable would reload it per key
-		for i, k := range keys {
-			d = append(d, query.KV{Key: k, Val: vals[i]})
-		}
-		dst = d
-		return !more
-	})
-	return dst, more, nil
+	p := scanPage{dst: dst, end: len(dst) + limit}
+	e.t.RangeLeaves(lo, hi-1, p.add)
+	return p.dst, p.more, nil
 }
 
 func (e *memEngine) Commit() error     { return nil }
@@ -277,21 +287,11 @@ func (e *DiskEngine) Scan(lo, hi int64, limit int, dst []query.KV) ([]query.KV, 
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	base, end := len(dst), len(dst)+limit
-	more := false
-	err := e.t.RangeLeaves(lo, hi-1, func(keys []int64, vals []uint64) bool {
-		if room := end - len(dst); len(keys) > room {
-			keys, more = keys[:room], true
-		}
-		for i, k := range keys {
-			dst = append(dst, query.KV{Key: k, Val: vals[i]})
-		}
-		return !more
-	})
-	if err != nil {
-		return dst[:base], false, err
+	p := scanPage{dst: dst, end: len(dst) + limit}
+	if err := e.t.RangeLeaves(lo, hi-1, p.add); err != nil {
+		return dst, false, err // the partial page is dropped
 	}
-	return dst, more, nil
+	return p.dst, p.more, nil
 }
 
 // Commit group-commits the oplog, then — if the replay debt has reached

@@ -55,7 +55,7 @@ passes=(
   cbtree
   "./internal/cbtree"
   'BenchmarkTree'
-  "Tree{Search,Locate,Insert,Delete,RangeLeaves} are single-goroutine operations on a bulk-loaded 200k-key tree of capacity 64 (fill .69) under each of the four algorithms, which share one node kernel and differ only in locking protocol: Search draws stored keys uniformly, Search1M is Search on 1M keys (a lone descent that misses the cache at most levels), Locate is Search 32 keys at a time, their descents run side by side and each key answered from its hint (per key; the locking algorithms leave the hints empty and search from the root), Insert adds one new key between every two stored ones in a scattered order and rebuilds the tree off the clock after each pass (every leaf splits once per pass: its B/op is the splits' share per op), Delete removes stored keys in a scattered order and refills off the clock, RangeLeaves scans 100 consecutive stored keys (keys/op)"
+  "Tree{Search,Locate,Insert,Delete,RangeLeaves} are single-goroutine operations on a bulk-loaded 200k-key tree of capacity 64 (fill .69) under each of the four algorithms, which share one node kernel and differ only in locking protocol: Search draws stored keys uniformly, Search1M is Search on 1M keys (a lone descent that misses the cache at most levels), SearchFat is Search on 30k keys in one capacity-65536 leaf (the fat-root shape: the node search halves the leaf down to blink.ScanRun keys, then scans), Locate is Search 32 keys at a time, their descents run side by side and each key answered from its hint (per key; the locking algorithms leave the hints empty and search from the root), Insert adds one new key between every two stored ones in a scattered order and rebuilds the tree off the clock after each pass (every leaf splits once per pass: its B/op is the splits' share per op), Delete removes stored keys in a scattered order and refills off the clock, RangeLeaves scans 100 consecutive stored keys (keys/op)"
 )
 
 for ((i = 0; i < ${#passes[@]}; i += 4)); do

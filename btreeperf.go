@@ -29,8 +29,9 @@
 //	lmax, _ := btreeperf.MaxThroughput(btreeperf.Link, m,
 //	    btreeperf.Workload{Mix: btreeperf.PaperMix}, 0)
 //
-// The cmd/ directory ships btmodel (analysis), btsim (simulation) and
-// btfigures (regenerate every figure of the paper's evaluation).
+// The cmd/ directory ships btmodel (analysis, and with -simulate the
+// simulator at the same point) and btfigures (regenerate every figure of
+// the paper's evaluation).
 package btreeperf
 
 import (

@@ -27,12 +27,9 @@ func main() {
 		out      = flag.String("out", "results", "output directory ('' to skip files)")
 		seeds    = flag.Int("seeds", 0, "replications per point (default: paper's 5)")
 		ops      = flag.Int("ops", 0, "operations per replication (default: paper's 10000)")
-		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0),
-			"simulation worker pool size (1 = sequential; tables are identical either way)")
 		progress = flag.Bool("progress", true, "periodic per-figure progress lines on stderr")
 	)
 	flag.Parse()
-	sim.SetParallelism(*parallel)
 
 	var selected []experiments.Figure
 	if *figs == "all" {
@@ -82,9 +79,9 @@ func main() {
 		}
 		elapsed := time.Since(start)
 		p := sim.PoolProgress()
-		fmt.Printf("(%s in %v: %d/%d replications, %d ops, %s, %d workers)\n",
+		fmt.Printf("(%s in %v: %d/%d replications, %d ops, %s, GOMAXPROCS %d)\n",
 			f.ID, elapsed.Round(time.Millisecond), p.Done, p.Queued, p.Ops,
-			opsRate(p.Ops, elapsed), sim.Parallelism())
+			opsRate(p.Ops, elapsed), runtime.GOMAXPROCS(0))
 
 		if *out != "" {
 			txt, err := os.Create(filepath.Join(*out, f.ID+".txt"))
@@ -108,8 +105,8 @@ func main() {
 		}
 	}
 	if len(selected) > 1 {
-		fmt.Printf("\ntotal: %d figures in %v (-parallel %d)\n",
-			len(selected), time.Since(grand).Round(time.Millisecond), sim.Parallelism())
+		fmt.Printf("\ntotal: %d figures in %v (GOMAXPROCS %d)\n",
+			len(selected), time.Since(grand).Round(time.Millisecond), runtime.GOMAXPROCS(0))
 	}
 }
 

@@ -2,6 +2,9 @@ package btreeperf_test
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -94,6 +97,129 @@ func TestDocCitationsResolve(t *testing.T) {
 		t.Fatal("found no citations; the pattern no longer matches the files")
 	}
 	t.Logf("%d citations in %d files checked", cited, len(files))
+}
+
+var (
+	codeSpan  = regexp.MustCompile("`([^`]*)`")
+	tableName = regexp.MustCompile(`^(?:(\w+)\.)?(\w+)(?:\(.*\))?$`)
+)
+
+// TestProtocolTableNamesResolve checks DESIGN.md "One protocol, three
+// places": every name in code font in its `core`, `sim` and `cbtree`
+// columns is a func or method declared in that package's non-test files,
+// written as name or name(args); a package-qualified pkg.Name is declared
+// at top level in internal/pkg. Abbreviations such as moveRightR/W fail.
+func TestProtocolTableNamesResolve(t *testing.T) {
+	const doc, heading = "DESIGN.md", "### One protocol, three places\n"
+	b, err := os.ReadFile(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(b), heading)
+	if !ok {
+		t.Fatalf("%s has no %q heading", doc, heading)
+	}
+	section, _, _ = strings.Cut(section, "\n#")
+	var cols map[int]string // column index → package
+	checked := 0
+	for _, line := range strings.Split(section, "\n") {
+		if !strings.HasPrefix(line, "|") || strings.HasPrefix(line, "|---") {
+			continue
+		}
+		cells := strings.Split(strings.Trim(line, "|"), "|")
+		if cols == nil {
+			cols = map[int]string{}
+			for i, c := range cells {
+				if pkg := strings.Trim(strings.TrimSpace(c), "`"); pkg == "core" || pkg == "sim" || pkg == "cbtree" {
+					cols[i] = pkg
+				}
+			}
+			if len(cols) != 3 {
+				t.Fatalf("table header %q lacks a core, sim or cbtree column", line)
+			}
+			continue
+		}
+		for i, pkg := range cols {
+			for _, m := range codeSpan.FindAllStringSubmatch(cells[i], -1) {
+				checked++
+				n := tableName.FindStringSubmatch(m[1])
+				switch {
+				case n == nil:
+					t.Errorf("%s column: %q is not written as name, name(args) or pkg.Name", pkg, m[1])
+				case n[1] != "":
+					if !goDecls(t, n[1])[n[2]] {
+						t.Errorf("%s column: %s is declared in no non-test file of internal/%s", pkg, m[1], n[1])
+					}
+				case !goFuncs(t, pkg)[n[2]]:
+					t.Errorf("%s column: %s is no func or method of internal/%s", pkg, n[2], pkg)
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("found no names in the table")
+	}
+	t.Logf("%d names checked", checked)
+}
+
+// goFuncs returns the funcs and methods declared in internal/pkg's
+// non-test files.
+func goFuncs(t *testing.T, pkg string) map[string]bool {
+	names := map[string]bool{}
+	for _, f := range parsePackage(t, pkg) {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok {
+				names[fd.Name.Name] = true
+			}
+		}
+	}
+	return names
+}
+
+// goDecls returns every top-level name declared in internal/pkg's
+// non-test files: funcs, methods, types, vars and consts.
+func goDecls(t *testing.T, pkg string) map[string]bool {
+	names := goFuncs(t, pkg)
+	for _, f := range parsePackage(t, pkg) {
+		for _, d := range f.Decls {
+			gd, ok := d.(*ast.GenDecl)
+			if !ok {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					names[s.Name.Name] = true
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						names[n.Name] = true
+					}
+				}
+			}
+		}
+	}
+	return names
+}
+
+func parsePackage(t *testing.T, pkg string) []*ast.File {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join("internal", pkg, "*.go"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("internal/%s: no Go files (%v)", pkg, err)
+	}
+	var files []*ast.File
+	fset := token.NewFileSet()
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, f)
+	}
+	return files
 }
 
 var anchorLink = regexp.MustCompile(`\]\(((?:EXPERIMENTS|DESIGN|README)\.md)?#([^)\s]+)\)`)

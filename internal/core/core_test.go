@@ -555,6 +555,9 @@ func TestEffectiveMaxTargetValidation(t *testing.T) {
 		if _, err := EffectiveMaxThroughput(NLC, m, mix, target, 1e-4); err == nil {
 			t.Errorf("target %v accepted", target)
 		}
+		if _, err := EffectiveMaxThroughputOD(m, mix, ODOptions{Recovery: NaiveRecovery, TTrans: 100}, target, 1e-4); err == nil {
+			t.Errorf("target %v accepted under recovery", target)
+		}
 	}
 }
 

@@ -50,6 +50,15 @@ func EffectiveMaxThroughput(a Algorithm, m Model, mix Workload, target, rtol flo
 	return maxStable(func(w Workload) (*Result, error) { return Analyze(a, m, w) }, mix, target, rtol)
 }
 
+// EffectiveMaxThroughputOD is EffectiveMaxThroughput for Optimistic
+// Descent under a §7 recovery protocol.
+func EffectiveMaxThroughputOD(m Model, mix Workload, opts ODOptions, target, rtol float64) (float64, error) {
+	if target <= 0 || target >= 1 {
+		return 0, fmt.Errorf("core: target ρ_w %v outside (0,1)", target)
+	}
+	return maxStable(func(w Workload) (*Result, error) { return AnalyzeOD(m, w, opts) }, mix, target, rtol)
+}
+
 // maxStable finds the largest λ at which analyze reports a stable system
 // whose root ρ_w is below target (a stable root always is below 1).
 func maxStable(analyze func(Workload) (*Result, error), mix Workload, target, rtol float64) (float64, error) {

@@ -2,9 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
-
-	"btreeperf/internal/sim"
 )
 
 // renderFig runs one figure and returns its rendered table bytes.
@@ -30,22 +29,22 @@ func renderFig(t *testing.T, id string, o Options) []byte {
 }
 
 // TestFigureTablesDeterministicAcrossWorkers renders a simulation-backed
-// figure sequentially and under two parallel worker counts, asserting the
-// emitted tables (text and CSV) are byte-identical — the committed
-// results/ directory must not depend on -parallel.
+// figure at GOMAXPROCS 1, 3 and 5, asserting the emitted tables (text and
+// CSV) are byte-identical — the committed results/ directory must not
+// depend on the core count.
 func TestFigureTablesDeterministicAcrossWorkers(t *testing.T) {
-	t.Cleanup(func() { sim.SetParallelism(1) })
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	o := Options{Quick: true, Seeds: 2, Ops: 500}
 
-	sim.SetParallelism(1)
+	runtime.GOMAXPROCS(1)
 	want := renderFig(t, "fig10", o)
 
-	for _, workers := range []int{3, 5} {
-		sim.SetParallelism(workers)
+	for _, procs := range []int{3, 5} {
+		runtime.GOMAXPROCS(procs)
 		got := renderFig(t, "fig10", o)
 		if !bytes.Equal(got, want) {
-			t.Errorf("fig10 output differs at %d workers:\n%s\nvs sequential:\n%s",
-				workers, got, want)
+			t.Errorf("fig10 output differs at GOMAXPROCS %d:\n%s\nvs GOMAXPROCS 1:\n%s",
+				procs, got, want)
 		}
 	}
 }

@@ -1,19 +1,17 @@
 package sim
 
-// The package-level worker pool that fans independent simulation runs
-// (replications and sweep points) across OS threads. Replications are
-// embarrassingly parallel by construction — each owns its seed, its tree
-// and its DES environment, and the packages they touch hold no mutable
-// global state — so the only coordination needed is a bound on how many
-// execute at once and a deterministic, seed-ordered reduction of their
-// results.
+// How independent simulation runs (replications and sweep points) share
+// the machine. Replications are embarrassingly parallel by construction —
+// each owns its seed, its tree and its DES environment, and the packages
+// they touch hold no mutable global state — so the only coordination
+// needed is a bound on how many execute at once and a deterministic,
+// seed-ordered reduction of their results.
 //
-// The pool is configured once at process start (SetParallelism, typically
-// from a CLI's -parallel flag) and gates every replication launched by
-// RunSeeds. Callers above the replication level (e.g. the per-figure
-// sweep loops in internal/experiments) run their points on plain
-// goroutines without holding a pool slot; only the leaf Run calls
-// acquire one, so nested fan-out cannot deadlock the pool.
+// The bound is process-wide: at most runtime.GOMAXPROCS(0) Runs launched
+// by RunSeeds execute at once, read when each run starts. Callers above
+// the replication level (ForEachPoint's sweep points) run on plain
+// goroutines without holding a slot; only the leaf Run calls take one,
+// so nested fan-out cannot deadlock.
 
 import (
 	"runtime"
@@ -21,45 +19,30 @@ import (
 	"sync/atomic"
 )
 
-var pool = struct {
-	mu  sync.Mutex
-	n   int
-	sem chan struct{}
-}{n: 1}
+var (
+	slotMu   sync.Mutex
+	slotFree = sync.NewCond(&slotMu)
+	busy     int // Runs executing now
+)
 
-// SetParallelism bounds the number of simulation runs executing
-// concurrently. n <= 0 selects runtime.GOMAXPROCS(0). With n == 1 (the
-// default) RunSeeds executes its replications strictly sequentially on
-// the calling goroutine, exactly as before the pool existed.
-func SetParallelism(n int) {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
+// acquireSlot blocks until fewer than GOMAXPROCS runs are executing.
+func acquireSlot() {
+	slotMu.Lock()
+	for busy >= runtime.GOMAXPROCS(0) {
+		slotFree.Wait()
 	}
-	pool.mu.Lock()
-	defer pool.mu.Unlock()
-	pool.n = n
-	if n > 1 {
-		pool.sem = make(chan struct{}, n)
-	} else {
-		pool.sem = nil
-	}
+	busy++
+	slotMu.Unlock()
 }
 
-// Parallelism returns the configured worker count.
-func Parallelism() int {
-	pool.mu.Lock()
-	defer pool.mu.Unlock()
-	return pool.n
+func releaseSlot() {
+	slotMu.Lock()
+	busy--
+	slotMu.Unlock()
+	slotFree.Signal()
 }
 
-// slot returns the semaphore gating concurrent runs (nil when sequential).
-func slot() chan struct{} {
-	pool.mu.Lock()
-	defer pool.mu.Unlock()
-	return pool.sem
-}
-
-// Progress is a snapshot of the pool's activity counters, for CLI
+// Progress is a snapshot of the runs' activity counters, for CLI
 // observability (jobs completed/total and ops/sec lines).
 type Progress struct {
 	Queued int64 // replications enqueued by RunSeeds
@@ -85,22 +68,13 @@ func ResetPoolProgress() {
 	progOps.Store(0)
 }
 
-// ForEachPoint runs fn(i) for every i in [0, n). When the pool is
-// parallel the points run concurrently on unpooled goroutines (each
-// point's replications still contend for pool slots individually); when
-// sequential they run in order on the calling goroutine. The returned
-// error is the lowest-index failure, so error reporting is deterministic
-// regardless of scheduling. fn must write its results into caller-owned,
+// ForEachPoint runs fn(i) for every i in [0, n) concurrently, each on its
+// own goroutine (each point's replications still take run slots
+// individually), and waits for all of them. The returned error is the
+// lowest-index failure, so error reporting is deterministic regardless of
+// scheduling. fn must write its results into caller-owned,
 // index-addressed storage.
 func ForEachPoint(n int, fn func(i int) error) error {
-	if Parallelism() <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {

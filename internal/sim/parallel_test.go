@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"btreeperf/internal/core"
+	"btreeperf/internal/stats"
 )
 
 // quickCfg is a small but non-trivial configuration for pool tests.
@@ -20,32 +21,48 @@ func quickCfg() Config {
 	return cfg
 }
 
-// TestRunSeedsParallelDeterministic asserts the tentpole guarantee: the
-// aggregate of RunSeeds is byte-identical at any worker count, because
-// replications are independent and reduced in seed order.
+// TestRunSeedsParallelDeterministic asserts that the aggregate of
+// RunSeeds is byte-identical at any core count: it equals a sequential
+// reference computed here, sim.Run once per seed in seed order reduced as
+// RunSeeds reduces, at GOMAXPROCS 1, 4 and 7.
 func TestRunSeedsParallelDeterministic(t *testing.T) {
-	t.Cleanup(func() { SetParallelism(1) })
 	cfg := quickCfg()
 	seeds := DefaultSeeds(5)
 
-	SetParallelism(1)
-	want, err := RunSeeds(cfg, seeds)
-	if err != nil {
-		t.Fatal(err)
+	want := &Replicated{}
+	var search, insert, del, rho []float64
+	for _, seed := range seeds {
+		c := cfg
+		c.Seed = seed
+		res, err := Run(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Results = append(want.Results, res)
+		want.Unstable = want.Unstable || res.Unstable
+		search = append(search, res.RespSearch.Mean)
+		insert = append(insert, res.RespInsert.Mean)
+		del = append(del, res.RespDelete.Mean)
+		rho = append(rho, res.RootRhoW)
 	}
+	want.RespSearch = stats.Summarize(search)
+	want.RespInsert = stats.Summarize(insert)
+	want.RespDelete = stats.Summarize(del)
+	want.RootRhoW = stats.Summarize(rho)
 	wantText := renderReplicated(want)
 
-	for _, workers := range []int{4, 7} {
-		SetParallelism(workers)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4, 7} {
+		runtime.GOMAXPROCS(procs)
 		got, err := RunSeeds(cfg, seeds)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("parallel %d: Replicated differs from sequential run", workers)
+			t.Errorf("GOMAXPROCS %d: Replicated differs from the sequential reference", procs)
 		}
 		if gotText := renderReplicated(got); gotText != wantText {
-			t.Errorf("parallel %d: rendered summary differs:\n%s\nvs\n%s", workers, gotText, wantText)
+			t.Errorf("GOMAXPROCS %d: rendered summary differs:\n%s\nvs\n%s", procs, gotText, wantText)
 		}
 	}
 }
@@ -63,8 +80,6 @@ func renderReplicated(rep *Replicated) string {
 }
 
 func TestPoolProgressCounters(t *testing.T) {
-	t.Cleanup(func() { SetParallelism(1) })
-	SetParallelism(2)
 	ResetPoolProgress()
 	cfg := quickCfg()
 	rep, err := RunSeeds(cfg, DefaultSeeds(3))
@@ -88,22 +103,10 @@ func TestPoolProgressCounters(t *testing.T) {
 	}
 }
 
-func TestSetParallelismDefaults(t *testing.T) {
-	t.Cleanup(func() { SetParallelism(1) })
-	SetParallelism(0)
-	if got := Parallelism(); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("SetParallelism(0) -> %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
-	}
-	SetParallelism(1)
-	if slot() != nil {
-		t.Error("sequential pool should have no semaphore")
-	}
-}
-
 func TestForEachPointOrderAndError(t *testing.T) {
-	t.Cleanup(func() { SetParallelism(1) })
-	for _, workers := range []int{1, 4} {
-		SetParallelism(workers)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
 		out := make([]int, 8)
 		if err := ForEachPoint(len(out), func(i int) error {
 			out[i] = i * i
@@ -113,7 +116,7 @@ func TestForEachPointOrderAndError(t *testing.T) {
 		}
 		for i, v := range out {
 			if v != i*i {
-				t.Fatalf("workers=%d: out[%d] = %d", workers, i, v)
+				t.Fatalf("GOMAXPROCS %d: out[%d] = %d", procs, i, v)
 			}
 		}
 		err := ForEachPoint(6, func(i int) error {
@@ -123,7 +126,7 @@ func TestForEachPointOrderAndError(t *testing.T) {
 			return nil
 		})
 		if err == nil || err.Error() != "point 2 failed" {
-			t.Fatalf("workers=%d: err = %v, want lowest-index failure", workers, err)
+			t.Fatalf("GOMAXPROCS %d: err = %v, want lowest-index failure", procs, err)
 		}
 	}
 }
@@ -156,8 +159,6 @@ func TestUnstableRunLeaksNoGoroutines(t *testing.T) {
 
 // Parallel replications must also wind down all their DES goroutines.
 func TestRunSeedsParallelLeaksNoGoroutines(t *testing.T) {
-	t.Cleanup(func() { SetParallelism(1) })
-	SetParallelism(4)
 	before := runtime.NumGoroutine()
 	if _, err := RunSeeds(quickCfg(), DefaultSeeds(4)); err != nil {
 		t.Fatal(err)

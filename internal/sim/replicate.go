@@ -29,10 +29,10 @@ func (r *Replicated) RespMean() float64 {
 }
 
 // RunSeeds executes cfg once per seed and aggregates. Replications run
-// concurrently when the worker pool is parallel (SetParallelism); each
-// replication is fully independent — own seed, tree and DES environment —
-// and the reduction below consumes results in seed order, so the
-// aggregate is byte-identical to a sequential run at any worker count.
+// concurrently, at most GOMAXPROCS at once across the process; each is
+// fully independent — own seed, tree and DES environment — and the
+// reduction below consumes results in seed order, so the aggregate is
+// byte-identical at any core count.
 func RunSeeds(cfg Config, seeds []uint64) (*Replicated, error) {
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("sim: no seeds")
@@ -40,32 +40,23 @@ func RunSeeds(cfg Config, seeds []uint64) (*Replicated, error) {
 	progQueued.Add(int64(len(seeds)))
 	results := make([]*Result, len(seeds))
 	errs := make([]error, len(seeds))
-	runOne := func(i int) {
-		c := cfg
-		c.Seed = seeds[i]
-		results[i], errs[i] = Run(c)
-		progDone.Add(1)
-		if results[i] != nil {
-			progOps.Add(int64(results[i].Completed))
-		}
+	var wg sync.WaitGroup
+	for i := range seeds {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			acquireSlot()
+			defer releaseSlot()
+			c := cfg
+			c.Seed = seeds[i]
+			results[i], errs[i] = Run(c)
+			progDone.Add(1)
+			if results[i] != nil {
+				progOps.Add(int64(results[i].Completed))
+			}
+		}(i)
 	}
-	if sem := slot(); sem != nil && len(seeds) > 1 {
-		var wg sync.WaitGroup
-		for i := range seeds {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				runOne(i)
-			}(i)
-		}
-		wg.Wait()
-	} else {
-		for i := range seeds {
-			runOne(i)
-		}
-	}
+	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

@@ -11,8 +11,8 @@
 #   runs   the four bench/ workloads (traced), smoke.sh, chaos.sh,
 #          crash.sh (plain, SHARDS=4, CKPT_KILL=1), failover.sh (plain,
 #          SHARDS=4), bench.sh -quick and the four benchjson -compare
-#          gates, btfigures -fig all, btmodel, btsim, btquery (inside
-#          smoke.sh) and the five examples
+#          gates, btfigures -fig all, btmodel (with -simulate 3 and
+#          -simulate 1), btquery (inside smoke.sh) and the five examples
 #
 # and results/REACH.txt lists each function of the root module as
 #
@@ -179,11 +179,11 @@ for f in results/BENCH_*.json; do
   # allocs/op from run to run; the audit wants the counters, not the verdict.
   go run ./cmd/benchjson -compare "$f" "$work/bench/$(basename "$f")" >/dev/null 2>&1 || true
 done
-for c in btfigures btmodel btsim; do go build -o "$work/bin/$c" "./cmd/$c"; done
+for c in btfigures btmodel; do go build -o "$work/bin/$c" "./cmd/$c"; done
 run "$work/bin/btfigures" -fig all -progress=false -out "$work/figs"
 run "$work/bin/btfigures" -fig 10 -quick -out "" # the progress ticker, on by default
 run "$work/bin/btmodel" -alg nlc -lambda 0.3 -items 3000 -simulate 3 -simops 500
-run "$work/bin/btsim" -alg od -lambda 1.5 -items 5000 -ops 800 -warmup 80 -seeds 4
+run "$work/bin/btmodel" -alg od -lambda 1.5 -items 5000 -simulate 1 -simops 800
 for e in examples/*/; do
   go build -o "$work/bin/example" "./$e"
   run "$work/bin/example"

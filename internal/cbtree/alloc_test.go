@@ -48,9 +48,10 @@ func TestNodeSize(t *testing.T) {
 }
 
 // TestSplitAllocs: a leaf split allocates its new sibling and nothing
-// else, under every algorithm. The parent has room, so it takes the new
-// entry in place: an inner insert that does not split allocates nothing,
-// having nothing to republish.
+// else, and a lend to a right neighbour nothing at all, under every
+// algorithm. The parent has room, so it takes the new entry (or the
+// lowered router) in place: an inner insert that does not split
+// allocates nothing, having nothing to republish.
 func TestSplitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -58,23 +59,47 @@ func TestSplitAllocs(t *testing.T) {
 	for _, alg := range algorithms {
 		t.Run(alg.String(), func(t *testing.T) {
 			// 11 keys per 16-slot leaf and 11 children per parent; leaf j
-			// holds 33j..33j+30. Each run fills leaf 50·r to capacity with
-			// five new keys, then splits it with a sixth: every run's leaf
-			// has a parent of its own, which has room.
+			// holds 33j..33j+30. fill puts five new keys into leaf j, which
+			// fills it to capacity, and a sixth if over.
 			tr := allocTree(t, alg, 10000)
-			height, splits, leaf := tr.Height(), tr.Stats().Splits, int64(0)
-			if n := testing.AllocsPerRun(15, func() {
-				for k := leaf*33 + 1; k <= leaf*33+16; k += 3 {
+			fill := func(j int64, over bool) {
+				last := j*33 + 13
+				if over {
+					last += 3
+				}
+				for k := j*33 + 1; k <= last; k += 3 {
 					if !tr.Insert(k, 7) {
 						t.Fatalf("Insert(%d) found the key already there", k)
 					}
 				}
+			}
+			height, st := tr.Height(), tr.Stats()
+			// Each run fills leaf 50·r and its right neighbour, then
+			// splits the leaf: every run's leaf has a parent of its own,
+			// which has room.
+			leaf := int64(0)
+			if n := testing.AllocsPerRun(15, func() {
+				fill(leaf+1, false)
+				fill(leaf, true)
 				leaf += 50
 			}); n != 1 {
 				t.Errorf("a leaf split: %v allocs/op, want 1 (the new leaf)", n)
 			}
-			if got := tr.Stats().Splits - splits; got != 16 || tr.Height() != height {
-				t.Errorf("%d splits and height %d -> %d, want one leaf split per run", got, height, tr.Height())
+			if got := tr.Stats(); got.Splits-st.Splits != 16 || got.Lends != st.Lends || tr.Height() != height {
+				t.Errorf("%d splits, %d lends and height %d -> %d, want one leaf split per run",
+					got.Splits-st.Splits, got.Lends-st.Lends, height, tr.Height())
+			}
+			// Each run overfills leaf 22+55·r, a parent's first child
+			// (j%11 == 0) whose neighbour has room: a lend.
+			leaf, st = 22, tr.Stats()
+			if n := testing.AllocsPerRun(15, func() {
+				fill(leaf, true)
+				leaf += 55
+			}); n != 0 {
+				t.Errorf("a lend: %v allocs/op, want 0", n)
+			}
+			if got := tr.Stats(); got.Lends-st.Lends != 16 || got.Splits != st.Splits {
+				t.Errorf("%d lends and %d splits, want one lend per run", got.Lends-st.Lends, got.Splits-st.Splits)
 			}
 			if err := tr.CheckInvariants(); err != nil {
 				t.Fatal(err)

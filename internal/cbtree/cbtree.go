@@ -20,8 +20,8 @@
 //
 // The four differ only in their locking protocol (ops.go, olc.go). Under
 // it is one node kernel — one node layout, one allocation per node with
-// its keys and values or children inline, one way to put, remove, split
-// and route (see node) — so they are directly comparable (see the
+// its keys and values or children inline, one way to put, remove, lend,
+// split and route (see node) — so they are directly comparable (see the
 // benchmarks at the repository root, the modern analogue of the paper's
 // Figure 12) and a sequential stream builds the same tree under all of
 // them. Every node is written in place under its W lock. The kernel asks
@@ -81,6 +81,7 @@ func (a Algorithm) String() string {
 // Stats counts structural and protocol events since the tree was created.
 type Stats struct {
 	Splits        int64 // node splits
+	Lends         int64 // full leaves that lent to their right neighbour instead
 	Restarts      int64 // Optimistic second descents
 	Crossings     int64 // LinkType/OLC right-link follows
 	ReadRestarts  int64 // OLC failed version validations
@@ -115,6 +116,8 @@ type Stats struct {
 //     never routed by and holds the separator the node was split off
 //     under, so the keys ascend strictly. An entry is added in place
 //     (putEntry), with atomic stores under every algorithm;
+//   - a full leaf first lends half its surplus to a roomy right neighbour
+//     under the same parent, lowering the separator between them (lend);
 //   - a full node half-splits around the new item into a sibling nobody
 //     can reach yet (splitLeaf, splitInner), and the sibling is complete
 //     before its left neighbour's right link, an atomic, leads to it.
@@ -211,6 +214,7 @@ type Tree struct {
 	types [3]reflect.Type // nodeType at cap: [1] a leaf's, [2] an inner node's
 
 	splits        atomic.Int64
+	lends         atomic.Int64
 	restarts      atomic.Int64
 	crossings     atomic.Int64
 	readRestarts  atomic.Int64 // OLC failed version validations
@@ -262,6 +266,7 @@ func (t *Tree) Len() int { return int(t.size.Load()) }
 func (t *Tree) Stats() Stats {
 	return Stats{
 		Splits:        t.splits.Load(),
+		Lends:         t.lends.Load(),
 		Restarts:      t.restarts.Load(),
 		Crossings:     t.crossings.Load(),
 		ReadRestarts:  t.readRestarts.Load(),
@@ -344,10 +349,11 @@ func writeIfLeaf(n *node) bool { return n.isLeaf() }
 // The node kernel: what every protocol does to a node once it holds it.
 
 // leafPut stores key→val in leaf n, reporting whether key is new. Caller
-// holds n.mu exclusively and n covers key. A full leaf is half-split
-// around the new item; the sibling and separator are returned for the
-// caller's protocol to install one level up (sib is nil otherwise).
-func (t *Tree) leafPut(n *node, key int64, val uint64) (fresh bool, sib *node, sep int64) {
+// holds n.mu exclusively and n covers key. A new key that finds n full is
+// not stored but reported full: the caller's protocol then makes room by
+// a lend to n's right neighbour (lend) or a half-split (splitLeaf), either
+// of which puts the item in.
+func (t *Tree) leafPut(n *node, key int64, val uint64) (fresh, full bool) {
 	latchFree := t.alg == OLC
 	keys, vals := n.leaf()
 	i, ok := blink.Find(keys, key)
@@ -360,19 +366,18 @@ func (t *Tree) leafPut(n *node, key int64, val uint64) (fresh bool, sib *node, s
 		} else {
 			vals[i] = val
 		}
-		return false, nil, 0
+		return false, false
 	}
 	t.size.Add(1)
 	switch {
 	case n.items() == t.cap:
-		sib, sep = t.splitLeaf(n, i, key, val)
-		return true, sib, sep
+		return true, true
 	case latchFree:
 		n.gapInsert(i, key, val)
 	default:
 		n.insertSlot(i, key, val)
 	}
-	return true, nil, 0
+	return true, false
 }
 
 // leafRemove deletes key from a leaf, reporting whether it was there.
@@ -480,14 +485,18 @@ func (n *node) lay(keys []int64, vals []uint64, at int, key int64, val uint64, l
 		w = int(n.cap)
 	}
 	nk, nv := n.keys(), n.vals()
-	for x := items - 1; x >= 0; x-- {
+	for x, end := items-1, w; x >= 0; x-- {
 		k, v := key, val
 		if at < 0 || x < at {
 			k, v = keys[x], vals[x]
 		} else if x > at {
 			k, v = keys[x-1], vals[x-1]
 		}
-		for s := x * w / items; s < (x+1)*w/items; s++ {
+		start := x // item x's slots are [start, end): [x·w/items, (x+1)·w/items)
+		if w != items {
+			start = x * w / items
+		}
+		for s := start; s < end; s++ {
 			if latchFree {
 				atomic.StoreInt64(&nk[s], k)
 				atomic.StoreUint64(&nv[s], v)
@@ -495,35 +504,121 @@ func (n *node) lay(keys []int64, vals []uint64, at int, key int64, val uint64, l
 				nk[s], nv[s] = k, v
 			}
 		}
+		end = start
 	}
 	n.setFill(w, items)
 }
 
-// splitLeaf puts (key, val), which belongs at slot i, into the full leaf
-// n by a Lehman–Yao half-split around it: of the cap+1 items the lower
-// ⌈(cap+1)/2⌉ stay, the rest go to a new right sibling — the halves an
-// insert followed by a halving would make, without the slot of overflow.
-// A full leaf has no gaps, so its items are its slots; under OLC each
-// half is spread over its leaf's cap slots. Caller holds n.mu
-// exclusively. The sibling is complete before n's right link makes it
-// reachable, and everything a latch-free reader can see of n changes by
-// atomic stores.
-func (t *Tree) splitLeaf(n *node, i int, key int64, val uint64) (*node, int64) {
+// prepend makes leaf n dense with the items of keys and vals in front of
+// its own: its gaps squeezed out front to back (an item only moves left),
+// its items shifted right from the last, then the new ones written before
+// them. keys and vals are another node's storage, and n has room for
+// them. Caller holds n.mu exclusively; stores are atomic when latchFree.
+func (n *node) prepend(keys []int64, vals []uint64, latchFree bool) {
+	nk, nv := n.keys(), n.vals()
+	put := func(s int, k int64, v uint64) {
+		if latchFree {
+			atomic.StoreInt64(&nk[s], k)
+			atomic.StoreUint64(&nv[s], v)
+		} else {
+			nk[s], nv[s] = k, v
+		}
+	}
+	c, slots := n.items(), n.slots()
+	if c < slots {
+		c = 0
+		for s := range slots {
+			if s+1 == slots || nk[s] != nk[s+1] {
+				put(c, nk[s], nv[s])
+				c++
+			}
+		}
+	}
+	for s := c - 1; s >= 0; s-- {
+		put(s+len(keys), nk[s], nv[s])
+	}
+	for s, k := range keys {
+		put(s, k, vals[s])
+	}
+	n.setFill(c+len(keys), c+len(keys))
+}
+
+// spread puts the new item (key, val) into the full leaf n by laying the
+// cap+1 items of n and the new one, then the items of r, its right
+// neighbour, half and half over the two: n keeps the lower ⌈total/2⌉, r
+// takes the rest — the halves an insert followed by a halving would make,
+// without the slot of overflow. A full leaf has no gaps, so its items are
+// its slots; under OLC each leaf's items are spread over its cap slots
+// (lay). It returns r's first key, the new separator. Caller holds n.mu
+// and r.mu exclusively (or owns r, not yet reachable); everything a
+// latch-free reader can see changes by atomic stores.
+func (t *Tree) spread(n, r *node, key int64, val uint64) int64 {
+	latchFree := t.alg == OLC
+	keys, vals := n.keys(), n.vals()
+	i, _ := blink.Find(keys, key)
+	m := (t.cap + 2 + r.items()) / 2 // what n keeps
+	// n's first item to move, and the new item's place in n or in r (-1:
+	// not that leaf's).
+	from, nAt, rAt := m, -1, i-m
+	if i < m {
+		from, nAt, rAt = m-1, i, -1
+	}
+	r.prepend(keys[from:], vals[from:], latchFree)
+	if rAt >= 0 || latchFree {
+		rk, rv := r.leaf()
+		r.lay(rk, rv, rAt, key, val, latchFree)
+	}
+	n.lay(keys[:from], vals[:from], nAt, key, val, latchFree)
+	return r.keys()[0]
+}
+
+// splitLeaf puts (key, val) into the full leaf n by a Lehman–Yao
+// half-split around it: spread over n and a new right sibling. The
+// sibling is complete before n's right link makes it reachable. Caller
+// holds n.mu exclusively.
+func (t *Tree) splitLeaf(n *node, key int64, val uint64) (*node, int64) {
 	t.splits.Add(1)
 	sib := t.newNode(1)
-	latchFree := t.alg == OLC
-	m := (t.cap + 2) / 2 // what n keeps
-	keys, vals := n.keys(), n.vals()
-	if i < m {
-		sib.lay(keys[m-1:], vals[m-1:], -1, 0, 0, latchFree)
-		n.lay(keys[:m-1], vals[:m-1], i, key, val, latchFree)
-	} else {
-		sib.lay(keys[m:], vals[m:], i-m, key, val, latchFree)
-		n.lay(keys[:m], vals[:m], -1, 0, 0, latchFree)
-	}
-	sep := sib.keys()[0]
+	sep := t.spread(n, sib, key, val)
 	linkRight(n, sib, sep)
 	return sib, sep
+}
+
+// lendee returns the right neighbour of the full leaf n if, at a glance
+// without its lock, it has room to take a lend (roomy), else nil. Caller
+// holds n.mu.
+func (t *Tree) lendee(n *node) *node {
+	if r := n.right.Load(); r != nil && t.roomy(r) {
+		return r
+	}
+	return nil
+}
+
+// roomy reports whether leaf r has room to take a lend: at least an
+// eighth of its slots free, and two. With less, r would be full again
+// within a few inserts and the lend would only put off a split.
+func (t *Tree) roomy(r *node) bool { return t.cap-r.items() >= max(t.cap/8, 2) }
+
+// lend puts the new item (key, val) into the full leaf n by lending half
+// of its surplus to r, n's right neighbour, if r is still roomy and p
+// holds n and r side by side: the items are spread as a split spreads
+// them, and the separator between the two — n's high key and p's router
+// for r — falls to r's new first key. Keys only move right, so a
+// descent that read the old separator still finds its key by moving
+// right. It reports whether it lent. Caller holds p, n and r exclusively.
+func (t *Tree) lend(p, n, r *node, key int64, val uint64) bool {
+	if !t.roomy(r) || !p.covers(key) {
+		return false
+	}
+	j := p.childIndex(key) + 1
+	if kids := p.kids(); j == p.items() || kids[j-1].Load() != n || kids[j].Load() != r {
+		return false
+	}
+	t.lends.Add(1)
+	sep := t.spread(n, r, key, val)
+	n.high.Store(sep)
+	atomic.StoreInt64(&p.keys()[j], sep)
+	return true
 }
 
 // linkRight makes the finished node sib n's right sibling under

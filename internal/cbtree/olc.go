@@ -266,11 +266,14 @@ func (t *Tree) olcRangeLeaves(lo, hi int64, fn func(keys []int64, vals []uint64)
 		if got > 0 && !fn(buf.keys[:got], buf.vals[:got]) {
 			return
 		}
-		if more {
-			// The leaf holds a larger key, so this cannot overflow.
+		if got > 0 && (more || right != nil) {
+			// Resume past the last item handed out: a lend may since have
+			// moved it into the right neighbour. A larger key or a high key
+			// lies above it, so this cannot overflow.
 			lo = buf.keys[got-1] + 1
-			continue
 		}
-		n = right
+		if !more {
+			n = right
+		}
 	}
 }

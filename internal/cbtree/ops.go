@@ -5,6 +5,12 @@ package cbtree
 // (coupledDescend), the two right-link algorithms share one write path
 // (linkInsert, linkDelete, moveRightW, linkDescend) and differ only in how
 // the leaf is found and read (olc.go).
+//
+// Every lock wait runs one of two ways: top-down (the coupled descents)
+// or left to right along a level, then upward (the right-link writers, and
+// the leaf-chain walks). A lend holds a leaf, its right neighbour and
+// their parent at once, and takes them in the order its protocol already
+// waits in (coupledLend, linkLend), so no cycle can form.
 
 import "btreeperf/internal/blink"
 
@@ -121,7 +127,12 @@ func (t *Tree) lcInsert(key int64, val uint64) bool {
 	}
 	// Split upward through the retained chain; the topmost retained node
 	// is either safe (absorbs the split) or the root (grows the tree).
-	fresh, sib, sep := t.leafPut(n, key, val)
+	fresh, full := t.leafPut(n, key, val)
+	var sib *node
+	var sep int64
+	if full && !t.coupledLend(chain, key, val) {
+		sib, sep = t.splitLeaf(n, key, val)
+	}
 	for idx := len(chain) - 1; sib != nil; {
 		if idx == 0 {
 			t.growRoot(n, sep, sib)
@@ -147,6 +158,23 @@ func (t *Tree) coupledDelete(key int64, classOf func(*node) bool) bool {
 	return ok
 }
 
+// coupledLend tries to put (key, val) into the full leaf that ends chain by
+// a lend to its right neighbour. The leaf's parent, if it has one, is the
+// node before it in chain, held exclusively since the descent because the
+// leaf was not insert-safe; the neighbour is locked after both — top-down,
+// then left to right.
+func (t *Tree) coupledLend(chain []*node, key int64, val uint64) bool {
+	n := chain[len(chain)-1]
+	r := t.lendee(n)
+	if r == nil || len(chain) < 2 {
+		return false
+	}
+	r.mu.Lock()
+	lent := t.lend(chain[len(chain)-2], n, r, key, val)
+	r.mu.Unlock()
+	return lent
+}
+
 func unlockAll(chain []*node) {
 	for _, n := range chain {
 		n.mu.Unlock()
@@ -163,7 +191,7 @@ func (t *Tree) optInsert(key int64, val uint64) bool {
 		t.restarts.Add(1)
 		return t.lcInsert(key, val)
 	}
-	fresh, _, _ := t.leafPut(n, key, val)
+	fresh, _ := t.leafPut(n, key, val)
 	n.mu.Unlock()
 	return fresh
 }
@@ -246,7 +274,12 @@ func (t *Tree) linkInsert(key int64, val uint64, h *Hint) bool {
 	n, stack := t.wlockLeaf(key, room[:0], h)
 	// Half-split repair: split under the node's own lock, release, then
 	// lock the parent to install the new pointer.
-	fresh, sib, sep := t.leafPut(n, key, val)
+	fresh, full := t.leafPut(n, key, val)
+	var sib *node
+	var sep int64
+	if full && !t.linkLend(n, stack, key, val) {
+		sib, sep = t.splitLeaf(n, key, val)
+	}
 	for sib != nil {
 		if len(stack) == 0 && t.root.Load() == n {
 			t.growRoot(n, sep, sib)
@@ -268,6 +301,31 @@ func (t *Tree) linkInsert(key int64, val uint64, h *Hint) bool {
 	}
 	n.mu.UnlockV()
 	return fresh
+}
+
+// linkLend tries to put (key, val) into the full leaf n, locked through
+// LockV, by a lend to its right neighbour: the neighbour is locked, then
+// the parent the descent routed through (the top of stack) — left to
+// right, then upward, the ways every other right-link wait runs. A stack
+// that no longer holds n's parent (the parent split, or the root grew
+// since the descent) makes lend decline, and n splits.
+func (t *Tree) linkLend(n *node, stack []*node, key int64, val uint64) bool {
+	r := t.lendee(n)
+	if r == nil || len(stack) == 0 {
+		return false
+	}
+	p := stack[len(stack)-1]
+	r.mu.LockV()
+	p.mu.LockV()
+	lent := t.lend(p, n, r, key, val)
+	if lent {
+		p.mu.UnlockV()
+		r.mu.UnlockV()
+	} else {
+		p.mu.UnlockClean()
+		r.mu.UnlockClean()
+	}
+	return lent
 }
 
 func (t *Tree) linkDelete(key int64, h *Hint) bool {

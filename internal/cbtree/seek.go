@@ -19,55 +19,22 @@ func (t *Tree) Min() (k int64, v uint64, ok bool) {
 	return t.SearchGE(math.MinInt64)
 }
 
-// Max returns the largest key in the tree. The fast path scans the
-// rightmost spine and the tail of the leaf chain; if lazily-emptied
-// trailing leaves hide the maximum, a lock-coupled right-to-left descent
-// finds the rightmost non-empty leaf.
+// Max returns the largest key in the tree: the last item of the last
+// leaf, found by the descent a search makes; if deletes have emptied that
+// leaf, the last item a scan of the whole tree hands out. (A descent that
+// held a parent while it waited for a leaf would close a cycle with a
+// right-link lend, which holds leaves while it waits for their parent.)
 func (t *Tree) Max() (k int64, v uint64, ok bool) {
-	n := t.coupledDescend(math.MaxInt64, alwaysRead)
-	// In LinkType mode a split may have pushed keys past the rightmost
-	// routed child; chase the links to the true end of the chain, keeping
-	// the last non-empty leaf's maximum.
-	found := false
-	for {
-		if keys, vals := n.leaf(); len(keys) > 0 {
-			k, v = keys[len(keys)-1], vals[len(vals)-1]
-			found = true
-		}
-		next := n.right.Load()
-		if next == nil {
-			n.mu.RUnlock()
-			if found {
-				return k, v, true
-			}
-			// Trailing leaves were all empty: fall back to the DFS.
-			root := t.lockRoot(alwaysRead)
-			return t.maxDFS(root)
-		}
-		next.mu.RLock()
-		n.mu.RUnlock()
-		n = next
+	n := t.rlockLeaf(math.MaxInt64)
+	if keys, vals := n.leaf(); len(keys) > 0 {
+		k, v, ok = keys[len(keys)-1], vals[len(vals)-1], true
 	}
-}
-
-// maxDFS explores children right-to-left under shared-lock coupling
-// (ancestors stay locked while a subtree is explored — the same top-down
-// order every protocol uses, so it cannot deadlock) and returns the
-// largest key found. n is R-locked on entry and released before return.
-func (t *Tree) maxDFS(n *node) (int64, uint64, bool) {
-	defer n.mu.RUnlock()
-	if n.isLeaf() {
-		if keys, vals := n.leaf(); len(keys) > 0 {
-			return keys[len(keys)-1], vals[len(vals)-1], true
-		}
-		return 0, 0, false
+	n.mu.RUnlock()
+	if !ok {
+		t.RangeLeaves(math.MinInt64, math.MaxInt64, func(keys []int64, vals []uint64) bool {
+			k, v, ok = keys[len(keys)-1], vals[len(vals)-1], true
+			return true
+		})
 	}
-	for i := n.items() - 1; i >= 0; i-- {
-		c := n.kids()[i].Load()
-		c.mu.RLock()
-		if k, v, ok := t.maxDFS(c); ok {
-			return k, v, true
-		}
-	}
-	return 0, 0, false
+	return k, v, ok
 }

@@ -47,11 +47,11 @@ func TestSplitAroundNewItem(t *testing.T) {
 					n.high.Store(1000)
 
 					key := int64(slot)*10 + 5
-					fresh, sib, sep := tr.leafPut(n, key, 7)
-					if !fresh || sib == nil {
-						fail("leafPut into a full leaf: fresh %v, sibling %p", fresh, sib)
+					if fresh, full := tr.leafPut(n, key, 7); !fresh || !full {
+						fail("leafPut into a full leaf: fresh %v, full %v", fresh, full)
 						continue
 					}
+					sib, sep := tr.splitLeaf(n, key, 7)
 
 					keys, vals = slices.Insert(keys, slot, key), slices.Insert(vals, slot, 7)
 					m := (cap + 2) / 2

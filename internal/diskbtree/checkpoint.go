@@ -78,16 +78,19 @@ func (t *Tree) Checkpoint() (pauseNs int64, err error) {
 	t.releaseCut()
 	t.ckptTotal.Store(int64(len(marked) + mapPages))
 
+	writeStart := time.Now()
 	if ferr := t.cache.flushCut(marked); err == nil {
 		err = ferr
 	}
 	if err == nil {
 		err = t.store.WriteMap()
 	}
+	syncStart := time.Now()
 	if err == nil {
 		t.cache.cutWritten.Add(int64(mapPages))
 		err = t.store.Sync()
 	}
+	writeNs, syncNs := syncStart.Sub(writeStart).Nanoseconds(), time.Since(syncStart).Nanoseconds()
 	if err == nil {
 		var ud [64]byte
 		binary.LittleEndian.PutUint64(ud[0:8], uint64(size))
@@ -108,6 +111,8 @@ func (t *Tree) Checkpoint() (pauseNs int64, err error) {
 		return 0, t.poison(err)
 	}
 	t.ckptSeq.Store(seq)
+	t.ckptWriteNs.Store(writeNs)
+	t.ckptSyncNs.Store(syncNs)
 	t.checkpoints.Add(1)
 	return pauseNs, nil
 }
@@ -121,6 +126,14 @@ func (t *Tree) CheckpointProgress() (done, total int64) {
 		return 0, 0
 	}
 	return min(t.cache.cutWritten.Load(), total), total
+}
+
+// CheckpointWriteBack reports how long the last committed checkpoint
+// took to write its pages back — its cut's pages and the slot map — and
+// then to fsync the tree file once, in nanoseconds; zeros before the
+// first.
+func (t *Tree) CheckpointWriteBack() (writeNs, syncNs int64) {
+	return t.ckptWriteNs.Load(), t.ckptSyncNs.Load()
 }
 
 // CheckpointSeq returns the oplog sequence of the last committed

@@ -46,6 +46,8 @@ type Tree struct {
 	ckptSeq     atomic.Int64 // oplog sequence of the last committed checkpoint
 	checkpoints atomic.Int64 // checkpoints committed since Open
 	ckptTotal   atomic.Int64 // pages the checkpoint in flight writes; 0 = none
+	ckptWriteNs atomic.Int64 // the last committed checkpoint's write-back: its cut's pages and its map
+	ckptSyncNs  atomic.Int64 // and its final fsync of the tree file
 }
 
 type treeFault struct{ err error }

@@ -224,3 +224,38 @@ func TestStatsDoesNotWaitForFsync(t *testing.T) {
 		t.Fatalf("after the seal: appended %d synced %d, want 1 and 0", app, syn)
 	}
 }
+
+// TestFsyncsTimesEveryFsync: the fsync histogram holds one sample per
+// fsync of the active file, each timed from call to return — group
+// commits' and a trim's — and a commit that a concurrent fsync covered
+// adds none.
+func TestFsyncsTimesEveryFsync(t *testing.T) {
+	const stall = 20 * time.Millisecond
+	fs := pagestore.NewFailFS(nil, pagestore.FailPlan{})
+	j := openFailJournal(t, fs)
+	fs.AroundSync = func(_ string, f pagestore.File) error {
+		time.Sleep(stall)
+		return f.Sync()
+	}
+	for i := 0; i < 5; i++ {
+		j.Append(Op{Kind: OpInsert, Key: int64(i), Val: 1})
+		if err := j.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Commit(); err != nil { // nothing new: no fsync
+		t.Fatal(err)
+	}
+	j.Append(Op{Kind: OpInsert, Key: 9, Val: 1})
+	if _, err := j.Trim(j.SeqAppended() - 1); err != nil { // the uncovered record is fsync'd
+		t.Fatal(err)
+	}
+	fs.AroundSync = nil
+	h := j.Fsyncs()
+	if n := h.N(); n != 6 {
+		t.Fatalf("%d fsyncs timed, want 6", n)
+	}
+	if min := h.Quantile(0); min < stall.Nanoseconds()*15/16 {
+		t.Fatalf("fastest fsync timed at %d ns, each was held %v", min, stall)
+	}
+}

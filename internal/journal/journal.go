@@ -73,6 +73,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"btreeperf/internal/metrics"
 	"btreeperf/internal/pagestore"
 )
 
@@ -128,6 +129,7 @@ type Journal struct {
 	tail    []byte       // encoded records appended since the last flush
 	fileEnd int64        // active-file offset the tail will be written at
 	commits atomic.Int64 // fsyncs issued by Commit (group commits)
+	fsyncs  metrics.Hist // every fsync of the active file, call to return
 
 	// durable is the highest global sequence no crash can lose: covered by
 	// an oplog fsync, or by a committed checkpoint (see Trim). It only
@@ -320,7 +322,7 @@ func (j *Journal) syncLocked() error {
 	if err != nil {
 		return err
 	}
-	if err := j.of.Sync(); err != nil {
+	if err := j.fsync(); err != nil {
 		return j.poison(err)
 	}
 	if covered > j.durable.Load() {
@@ -328,6 +330,19 @@ func (j *Journal) syncLocked() error {
 	}
 	return nil
 }
+
+// fsync fsyncs the active file, timing the call into fsyncs. Caller holds
+// syncMu.
+func (j *Journal) fsync() error {
+	start := time.Now()
+	err := j.of.Sync()
+	j.fsyncs.Observe(time.Since(start).Nanoseconds())
+	return err
+}
+
+// Fsyncs returns the times of the active files' fsyncs since open, each
+// from call to return: group commits' and trims' alike.
+func (j *Journal) Fsyncs() metrics.HistSnapshot { return j.fsyncs.Snapshot() }
 
 // Stats reports durability progress for the active file: records
 // appended to it, records of it that no crash can lose, its size in
@@ -383,7 +398,7 @@ func (j *Journal) Trim(upTo int64) (pauseNs int64, err error) {
 		return 0, err
 	}
 	if cut > max(upTo, j.durable.Load()) {
-		if err := j.of.Sync(); err != nil {
+		if err := j.fsync(); err != nil {
 			return 0, j.poison(err)
 		}
 	}

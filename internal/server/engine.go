@@ -55,6 +55,7 @@ type Engine interface {
 // EngineStats is the engine telemetry block for /metrics.
 type EngineStats struct {
 	Splits, Restarts, Crossings int64
+	Lends                       int64 // full leaves that lent to a neighbour instead of splitting (mem)
 
 	// OLC latch-free read telemetry; zero under the locking algorithms.
 	ReadRestarts  int64 // failed version validations
@@ -92,6 +93,11 @@ type EngineStats struct {
 	// not the tree's, and the maximum observed, in nanoseconds.
 	CkptPauseLastNs int64
 	CkptPauseMaxNs  int64
+
+	// The last checkpoint's write-back, outside any pause: its pages and
+	// slot map written, then the tree file's one fsync, in nanoseconds.
+	CkptWriteLastNs int64
+	CkptSyncLastNs  int64
 
 	// Checkpoint progress: pages written / pages to write by the
 	// checkpoint in flight — its cut's pages, then its map. Total is
@@ -172,7 +178,7 @@ func (e *memEngine) Close() error      { return nil }
 func (e *memEngine) Stats() EngineStats {
 	ts := e.t.Stats()
 	return EngineStats{
-		Splits: ts.Splits, Restarts: ts.Restarts, Crossings: ts.Crossings,
+		Splits: ts.Splits, Lends: ts.Lends, Restarts: ts.Restarts, Crossings: ts.Crossings,
 		ReadRestarts: ts.ReadRestarts, ReadFallbacks: ts.ReadFallbacks,
 		StaleHints: ts.StaleHints,
 	}
@@ -397,6 +403,7 @@ func (e *DiskEngine) Stats() EngineStats {
 	app, syn, bytes, commits := e.t.DurabilityStats()
 	done, total := e.t.CheckpointProgress()
 	slots, free := e.t.StoreSlots()
+	writeNs, syncNs := e.t.CheckpointWriteBack()
 	st := EngineStats{
 		Splits:          splits,
 		Crossings:       crossings,
@@ -410,6 +417,8 @@ func (e *DiskEngine) Stats() EngineStats {
 		CheckpointFails: e.checkpointFails.Load(),
 		CkptPauseLastNs: e.pauseLastNs.Load(),
 		CkptPauseMaxNs:  e.pauseMaxNs.Load(),
+		CkptWriteLastNs: writeNs,
+		CkptSyncLastNs:  syncNs,
 		CkptChunksDone:  done,
 		CkptChunksTotal: total,
 		StoreSlots:      int64(slots),

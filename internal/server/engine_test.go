@@ -188,6 +188,14 @@ func TestDiskEngineCheckpointing(t *testing.T) {
 	if st.CheckpointLag >= 200 {
 		t.Fatalf("checkpoint lag %d never reset", st.CheckpointLag)
 	}
+	// Each commit here is one oplog fsync, and a checkpoint's trim may
+	// add one; the last checkpoint's write-back and fsync were timed.
+	if n := eng.Journal().Fsyncs().N(); n < 1000 || n > 1000+st.Checkpoints {
+		t.Fatalf("%d oplog fsyncs timed over 1000 commits and %d checkpoints", n, st.Checkpoints)
+	}
+	if st.CkptWriteLastNs <= 0 || st.CkptSyncLastNs <= 0 {
+		t.Fatalf("last checkpoint's write-back %d ns, fsync %d ns", st.CkptWriteLastNs, st.CkptSyncLastNs)
+	}
 }
 
 // TestMemEngineDefault checks the no-Engine config still serves from the

@@ -28,6 +28,7 @@ type windowState struct {
 	prev         metrics.Snapshot
 	prevOp       metrics.HistSnapshot
 	prevCommit   metrics.HistSnapshot
+	prevFsync    metrics.HistSnapshot
 	prevHeardOps int64
 	prevHeardNs  int64
 }
@@ -49,6 +50,10 @@ type window struct {
 	// hand-off to the committer → release. Empty on a mem shard.
 	CommitWaitMeanNs float64
 	CommitWaitHist   metrics.HistSnapshot
+
+	// Every fsync of the oplog, call to return: group commits' and
+	// checkpoint trims'. Empty on a mem shard.
+	FsyncHist metrics.HistSnapshot
 
 	// The operations served during Measured, to set the model against:
 	// inside an epoch the locks are timed, which a closed loop at
@@ -73,6 +78,10 @@ func (w *windowState) advance(sh *shard) window {
 		cur = sh.probe.Snapshot()
 	}
 	op, commit := sh.opLat.Snapshot(), sh.commitWait.Snapshot()
+	var fsync metrics.HistSnapshot
+	if d, ok := sh.eng.(*DiskEngine); ok {
+		fsync = d.Journal().Fsyncs()
+	}
 
 	out := window{
 		Dt:             cur.At.Sub(w.prev.At).Seconds(),
@@ -80,6 +89,7 @@ func (w *windowState) advance(sh *shard) window {
 		Rates:          metrics.Rates(w.prev, cur),
 		OpHist:         op.Sub(w.prevOp),
 		CommitWaitHist: commit.Sub(w.prevCommit),
+		FsyncHist:      fsync.Sub(w.prevFsync),
 	}
 	out.Ops, out.ObsMeanNs = out.OpHist.N(), out.OpHist.Mean()
 	out.CommitWaitMeanNs = out.CommitWaitHist.Mean()
@@ -91,7 +101,7 @@ func (w *windowState) advance(sh *shard) window {
 		out.HeardRate = float64(n) / out.Measured
 		out.HeardMeanNs = float64(heardNs-w.prevHeardNs) / float64(n)
 	}
-	w.prev, w.prevOp, w.prevCommit = cur, op, commit
+	w.prev, w.prevOp, w.prevCommit, w.prevFsync = cur, op, commit, fsync
 	w.prevHeardOps, w.prevHeardNs = heardOps, heardNs
 	return out
 }

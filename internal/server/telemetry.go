@@ -119,6 +119,7 @@ var telemetry = []metric{
 	stat("op_p50_us", top|block, pooled, func(sc *shardScrape) any { return nsUs(sc.win.OpHist.Quantile(0.5)) }),
 	stat("op_p99_us", top|block, pooled, func(sc *shardScrape) any { return nsUs(sc.win.OpHist.Quantile(0.99)) }),
 	stat("splits", top|block, sumOf, func(sc *shardScrape) any { return sc.es.Splits }),
+	stat("lends", top|block, sumOf, func(sc *shardScrape) any { return sc.es.Lends }),
 	stat("restarts", top|block, sumOf, func(sc *shardScrape) any { return sc.es.Restarts }),
 	stat("crossings", top|block, sumOf, func(sc *shardScrape) any { return sc.es.Crossings }),
 	stat("root_rho_w", top, pooled, func(sc *shardScrape) any { return sc.rho(max(sc.rhoMeas, sc.rhoModel)) }),
@@ -148,6 +149,12 @@ var telemetry = []metric{
 	count("commit_batches", top, cCommitBatches),
 	stat("commit_wait_mean_us", top, pooled, func(sc *shardScrape) any { return sc.win.CommitWaitMeanNs / 1e3 }),
 	stat("commit_wait_p99_us", top, pooled, func(sc *shardScrape) any { return nsUs(sc.win.CommitWaitHist.Quantile(0.99)) }),
+	// The oplog's fsyncs in the window, each call to return; the max is
+	// the bucket of the slowest (within 1/16).
+	stat("oplog_fsyncs", top, pooled, func(sc *shardScrape) any { return sc.win.FsyncHist.N() }),
+	stat("oplog_fsync_mean_us", top, pooled, func(sc *shardScrape) any { return sc.win.FsyncHist.Mean() / 1e3 }),
+	stat("oplog_fsync_p99_us", top, pooled, func(sc *shardScrape) any { return nsUs(sc.win.FsyncHist.Quantile(0.99)) }),
+	stat("oplog_fsync_max_us", top, pooled, func(sc *shardScrape) any { return nsUs(sc.win.FsyncHist.Quantile(1)) }),
 	count("commit_fails", top|block, cCommitFails),
 	count("unavail", top|block, cUnavail),
 	// Sequence positions are summed at the top (each shard's own is its
@@ -162,6 +169,8 @@ var telemetry = []metric{
 	stat("retained_bytes", top, sumOf, func(sc *shardScrape) any { return sc.es.RetainedBytes }),
 	stat("ckpt_pause_last_us", top, maxOf, func(sc *shardScrape) any { return nsUs(sc.es.CkptPauseLastNs) }),
 	stat("ckpt_pause_max_us", top, maxOf, func(sc *shardScrape) any { return nsUs(sc.es.CkptPauseMaxNs) }),
+	stat("ckpt_write_last_us", top, maxOf, func(sc *shardScrape) any { return nsUs(sc.es.CkptWriteLastNs) }),
+	stat("ckpt_sync_last_us", top, maxOf, func(sc *shardScrape) any { return nsUs(sc.es.CkptSyncLastNs) }),
 	stat("ckpt_chunks_done", top, sumOf, func(sc *shardScrape) any { return sc.es.CkptChunksDone }),
 	stat("ckpt_chunks_total", top, sumOf, func(sc *shardScrape) any { return sc.es.CkptChunksTotal }),
 	// The tree files' length in slots — a running high-water mark, which
@@ -198,10 +207,11 @@ var summaryLines = []string{
 	"ops window_s={window_s:.2f} rate={ops_per_sec:.0f} gets={gets} puts={puts} dels={dels} bad={bad_requests} measured_share={measured_share:.4f}\n",
 	"query scan_pages={scan_pages} scan_keys={scan_keys} seeks={seeks} lookup_pages={lookup_pages} lookup_keys={lookup_keys} indexed={indexed} index_keys={index_keys}\n",
 	"op_latency_us mean={op_mean_us:.1f} p50={op_p50_us:.1f} p99={op_p99_us:.1f}\n",
-	"tree splits={splits} restarts={restarts} crossings={crossings} read_restarts={read_restarts} read_fallbacks={read_fallbacks} stale_hints={stale_hints}\n",
+	"tree splits={splits} lends={lends} restarts={restarts} crossings={crossings} read_restarts={read_restarts} read_fallbacks={read_fallbacks} stale_hints={stale_hints}\n",
 	"engine kind={engine} poisoned={poisoned} recovered={recovered_ops} oplog_appended={oplog_appended} oplog_synced={oplog_synced} oplog_bytes={oplog_bytes} fsyncs={group_commit_fsyncs} checkpoints={checkpoints} checkpoint_lag={checkpoint_lag} ckpt_fails={ckpt_fails} commit_fails={commit_fails} unavail={unavail}\n",
 	"commit groups={commit_groups} batches={commit_batches} wait_mean_us={commit_wait_mean_us:.1f} wait_p99_us={commit_wait_p99_us:.1f}\n",
-	"checkpoint pause_last_us={ckpt_pause_last_us:.1f} pause_max_us={ckpt_pause_max_us:.1f} chunks_done={ckpt_chunks_done} chunks_total={ckpt_chunks_total} behind={checkpoint_lag} store_slots={store_slots} store_free_slots={store_free_slots}\n",
+	"oplog_fsync count={oplog_fsyncs} mean_us={oplog_fsync_mean_us:.1f} p99_us={oplog_fsync_p99_us:.1f} max_us={oplog_fsync_max_us:.1f}\n",
+	"checkpoint pause_last_us={ckpt_pause_last_us:.1f} pause_max_us={ckpt_pause_max_us:.1f} write_last_us={ckpt_write_last_us:.1f} sync_last_us={ckpt_sync_last_us:.1f} chunks_done={ckpt_chunks_done} chunks_total={ckpt_chunks_total} behind={checkpoint_lag} store_slots={store_slots} store_free_slots={store_free_slots}\n",
 	"seqs appended={seq_appended} durable={seq_durable} lowest={seq_lowest} retained_segments={retained_segments} retained_bytes={retained_bytes}\n",
 }
 
@@ -235,6 +245,7 @@ func pool(shards []shardScrape) *shardScrape {
 		p.win.OpHist = p.win.OpHist.Add(sc.win.OpHist)
 		commitNs += sc.win.CommitWaitMeanNs * float64(sc.win.CommitWaitHist.N())
 		p.win.CommitWaitHist = p.win.CommitWaitHist.Add(sc.win.CommitWaitHist)
+		p.win.FsyncHist = p.win.FsyncHist.Add(sc.win.FsyncHist)
 		p.rhoMeas, p.rhoModel = max(p.rhoMeas, sc.rhoMeas), max(p.rhoModel, sc.rhoModel)
 		if i > 0 {
 			p.gov.merge(sc.gov)

@@ -119,6 +119,15 @@ func synthShard(r *rough, id, levels int, measured, disk, olc bool) shardScrape 
 		r4 := rough(2046 + id)
 		sc.es.StoreSlots = r4.n(1 << 16)
 		sc.es.StoreFreeSlots = r4.n(sc.es.StoreSlots + 1)
+		// So are the oplog's fsync times and the checkpoint's write-back.
+		r6 := rough(2061 + id)
+		sc.win.FsyncHist = r6.hist(18)
+		sc.es.CkptWriteLastNs, sc.es.CkptSyncLastNs = r6.n(1<<35), r6.n(1<<30)
+	}
+	if !disk {
+		// Lends are the youngest engine counter: a stream of their own.
+		r5 := rough(2055 + id)
+		sc.es.Lends = r5.n(1 << 18)
 	}
 	sc.evaluate()
 	return sc
